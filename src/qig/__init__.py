@@ -20,8 +20,7 @@ from . import errors
 from .flow_engine import Trajectory, compare_flow_to_orbit, integrate_flow, orbit_curve
 from .group_actions import (CotangentGroupElement, SLGroupElement, action_alpha_a,
                             action_bkm, cotangent_identity, cotangent_inverse,
-                            cotangent_multiply, hermitian_exp, hermitian_log,
-                            hermitian_power, sl_from_generators,
+                            cotangent_multiply, sl_from_generators,
                             special_unitary_from_generator)
 from .metric_family import (MetricAtPoint, MonotoneFunctionSpec, big_f, bkm,
                             bures_helstrom, check_petz_symmetry, custom,

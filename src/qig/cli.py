@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,10 +20,9 @@ from . import group_actions as ga
 from . import metric_family as mf
 from . import ode_classifier as oc
 from . import verify as vf
-from .errors import InputError, NumericError, QigError
+from .errors import InputError, QigError
 from .flow_engine import integrate_flow, orbit_curve
-from .state_space import (QubitState, SphericalPoint, TracelessObservable,
-                          state_from_bloch)
+from .state_space import SphericalPoint, TracelessObservable, state_from_bloch
 from .vector_fields import (VectorField, fundamental_field,
                             gradient_field_closed, gradient_field_from_metric,
                             lie_bracket_numeric, rescaled_gradient_field)
@@ -39,9 +38,7 @@ class RunConfig:
     seed: int = 0
     samples: int = 200
     tolerance: float | None = None  # overrides every suite's main tolerance
-    fmt: str = "json"
     output: str | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def load_config(path: str) -> dict:
@@ -88,10 +85,12 @@ def _spec_from_args(args) -> mf.MonotoneFunctionSpec:
 
 
 def _parse_triple(text: str) -> np.ndarray:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise InputError(f"expected three comma-separated numbers, got {text!r}")
-    return np.array(parts)
+    try:
+        x, y, z = (float(p) for p in text.split(","))
+    except ValueError:
+        raise InputError(
+            f"expected three comma-separated numbers, got {text!r}") from None
+    return np.array([x, y, z])
 
 
 def _parse_field(desc: str, args) -> VectorField:
@@ -168,20 +167,33 @@ def cmd_ode(args) -> int:
     raise InputError(f"unknown ode subcommand {args.ode_cmd!r}")
 
 
+def _json_flag(flag: str, text: str, build):
+    """build(parsed JSON of ``flag``); any malformed value names the flag."""
+    try:
+        return build(json.loads(text))
+    except QigError as exc:
+        raise type(exc)(f"{flag}: {exc}") from None
+    except (ValueError, LookupError, TypeError) as exc:
+        raise InputError(f"{flag}: {type(exc).__name__}: {exc}") from None
+
+
+def _cotangent_from_json(data) -> ga.CotangentGroupElement:
+    return ga.CotangentGroupElement(
+        ga.complex_matrix_from_json(data["unitary"]),
+        TracelessObservable.from_coeffs(data["a"]["pauli"]))
+
+
 def cmd_act(args) -> int:
-    state_data = json.loads(args.state_json)
-    rho = state_from_bloch(*state_data["bloch"])
-    g_data = json.loads(args.g_json)
+    rho = _json_flag("--state-json", args.state_json,
+                     lambda data: state_from_bloch(*data["bloch"]))
     if args.family == "bkm":
-        elem = ga.CotangentGroupElement(
-            ga.complex_matrix_from_json(g_data["unitary"]),
-            TracelessObservable.from_coeffs(g_data["a"]["pauli"]))
+        elem = _json_flag("--g-json", args.g_json, _cotangent_from_json)
         out = ga.action_bkm(elem, rho)
     else:
         a_const = {"bh": 1.0, "wy": 0.25}.get(args.family, args.a_const)
         if a_const is None:
             raise InputError("--family alphaA requires --A")
-        g = ga.SLGroupElement.from_json(g_data)
+        g = _json_flag("--g-json", args.g_json, ga.SLGroupElement.from_json)
         out = ga.action_alpha_a(a_const, g, rho)
     _dump(out.to_json(), args.output)
     return EXIT_OK
@@ -263,6 +275,8 @@ def cmd_export(args, cfg: RunConfig) -> int:
         _emit(_csv(zip(*cols), header), args.output)
         return EXIT_OK
 
+    if args.steps < 1:
+        raise InputError(f"--steps must be at least 1, got {args.steps}")
     start = state_from_bloch(*_parse_triple(args.start))
     obs = TracelessObservable.from_coeffs(_parse_triple(args.a_coeffs))
     zero = TracelessObservable(0.0, 0.0, 0.0)
@@ -421,15 +435,9 @@ def main(argv=None) -> int:
         if args.command == "export":
             return cmd_export(args, cfg)
         raise InputError(f"unknown command {args.command!r}")
-    except InputError as exc:
-        _dump({"error": type(exc).__name__, "message": str(exc)}, None)
-        return EXIT_INPUT
-    except NumericError as exc:
-        _dump({"error": type(exc).__name__, "message": str(exc)}, None)
-        return EXIT_NUMERIC
     except QigError as exc:
         _dump({"error": type(exc).__name__, "message": str(exc)}, None)
-        return EXIT_NUMERIC
+        return EXIT_INPUT if isinstance(exc, InputError) else EXIT_NUMERIC
 
 
 if __name__ == "__main__":

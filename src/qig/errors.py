@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all qig modules.
 
 Input errors (bad arguments, points outside the valid domain) map to CLI
-exit code 2; numeric failures (poles, ill-conditioning, underflow) map to
-exit code 3.
+exit code 2; numeric failures (poles, ill-conditioning, non-finite results)
+map to exit code 3.
 """
 
 
@@ -48,14 +48,6 @@ class PoleError(NumericError):
 
 class IllConditioned(NumericError):
     """Matrix condition number too large to invert reliably."""
-
-
-class NotPositive(NumericError):
-    """Spectral function of a matrix with a non-positive eigenvalue."""
-
-
-class NumericalUnderflow(NumericError):
-    """Normalizing trace underflowed to an unusable magnitude."""
 
 
 class ExtrapolationUnstable(NumericError):

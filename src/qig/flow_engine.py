@@ -2,21 +2,20 @@
 
 Gradient and fundamental fields are integrated with fixed-step classical
 RK4 in the Cartesian chart (deterministic output matters more here than
-efficiency; an adaptive mode is available behind a flag).  Group-action
-orbits along one-parameter subgroups are evaluated exactly, so the
-comparison isolates the integrator error.
+efficiency).  Group-action orbits along one-parameter subgroups are
+evaluated exactly, so the comparison isolates the integrator error.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LeftManifold
-from .state_space import (EPS_BOUNDARY, QubitState, TracelessObservable,
-                          state_from_bloch)
+from .errors import DomainError, LeftManifold
+from .state_space import EPS_BOUNDARY, QubitState, TracelessObservable
 from .vector_fields import VectorField
 
 
@@ -49,8 +48,15 @@ class Trajectory:
 
 
 def _check_interior(v: np.ndarray) -> None:
-    if float(np.linalg.norm(v)) >= 1.0 - EPS_BOUNDARY:
+    if not float(np.linalg.norm(v)) < 1.0 - EPS_BOUNDARY:
         raise LeftManifold(f"trajectory reached |v| = {np.linalg.norm(v)}")
+
+
+def _time_grid(t_end: float, steps: int) -> np.ndarray:
+    """steps + 1 uniform times on [0, t_end]."""
+    if not (math.isfinite(t_end) and steps >= 1):
+        raise DomainError(f"need a finite t_end and steps >= 1, got {t_end}, {steps}")
+    return np.linspace(0.0, t_end, steps + 1)
 
 
 def _rk4_step(f, v: np.ndarray, h: float) -> np.ndarray:
@@ -62,40 +68,23 @@ def _rk4_step(f, v: np.ndarray, h: float) -> np.ndarray:
 
 
 def integrate_flow(vfield: VectorField, start: QubitState, t_end: float,
-                   steps: int, adaptive: bool = False,
-                   adaptive_tol: float = 1e-10) -> Trajectory:
-    """Integrate the field from ``start`` over [0, t_end].
-
-    Fixed-step RK4 with ``steps`` intervals by default.  With
-    ``adaptive=True`` each nominal step is recursively halved (step-doubling
-    error estimate) until the local error estimate drops below
-    ``adaptive_tol``; the reported samples stay on the uniform grid.
-    """
+                   steps: int) -> Trajectory:
+    """Integrate the field from ``start`` over [0, t_end] with fixed-step RK4."""
 
     def f(v):
         _check_interior(v)
         return vfield.cartesian(v)
 
-    def advance(v, h):
-        if not adaptive:
-            return _rk4_step(f, v, h)
-        full = _rk4_step(f, v, h)
-        half = _rk4_step(f, _rk4_step(f, v, 0.5 * h), 0.5 * h)
-        if float(np.max(np.abs(full - half))) < adaptive_tol:
-            return half
-        return advance(advance(v, 0.5 * h), 0.5 * h)
-
+    times = _time_grid(t_end, steps)
     h = t_end / steps
-    times = np.linspace(0.0, t_end, steps + 1)
     points = np.empty((steps + 1, 3))
     points[0] = start.bloch
     v = start.bloch
     for i in range(steps):
-        v = advance(v, h)
+        v = _rk4_step(f, v, h)
         _check_interior(v)
         points[i + 1] = v
-    meta = {"field": vfield.descriptor, "integrator": "rk4",
-            "steps": steps, "adaptive": adaptive}
+    meta = {"field": vfield.descriptor, "integrator": "rk4", "steps": steps}
     return Trajectory(times, points, meta)
 
 
@@ -106,25 +95,14 @@ def orbit_curve(action_at, start: QubitState, t_end: float,
     ``action_at`` maps a time to a QubitState -> QubitState map (see
     group_actions.alpha_subgroup / bkm_subgroup).
     """
-    times = np.linspace(0.0, t_end, samples + 1)
+    times = _time_grid(t_end, samples)
     points = np.array([action_at(float(t))(start).bloch for t in times])
     return Trajectory(times, points, {"kind": "orbit", "samples": samples})
 
 
 def compare_flow_to_orbit(vfield: VectorField, action_at, start: QubitState,
-                          t_end: float, steps: int,
-                          time_scale: float = 1.0) -> float:
-    """Max Bloch-space gap between the RK4 flow and the exact orbit.
-
-    ``time_scale`` rescales orbit time relative to flow time; the catalog
-    correspondences all hold with the measured value 1 (pinned by the
-    convention tests).
-    """
+                          t_end: float, steps: int) -> float:
+    """Max Bloch-space gap between the RK4 flow and the exact orbit."""
     flow = integrate_flow(vfield, start, t_end, steps)
-    orbit = orbit_curve(lambda t: action_at(time_scale * t), start, t_end, steps)
+    orbit = orbit_curve(action_at, start, t_end, steps)
     return float(np.max(np.linalg.norm(flow.points - orbit.points, axis=1)))
-
-
-def flow_from_bloch(vfield: VectorField, xyz, t_end: float, steps: int,
-                    **kw) -> Trajectory:
-    return integrate_flow(vfield, state_from_bloch(*xyz), t_end, steps, **kw)

@@ -1,9 +1,12 @@
-"""Spectral calculus on 2x2 positive matrices and the state-space group actions.
+"""The state-space group actions of SL(2, C) and of the cotangent group.
 
 Two groups act transitively on the faithful qubit states: SL(2, C) through
 the power-deformed conjugations alpha_A, and the cotangent group of SU(2)
 (pairs (U, a) with the semidirect product law) through the exponential-
-translation action attached to the BKM metric.
+translation action attached to the BKM metric.  Both are evaluated in
+closed form on Bloch vectors, through the Lorentz matrix of the group
+element (Bengtsson & Zyczkowski, Geometry of Quantum States), with no
+eigensolver.
 """
 
 from __future__ import annotations
@@ -14,34 +17,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotPositive, NumericalUnderflow
-from .state_space import (QubitState, TracelessObservable, bloch_from_state,
-                          complex_matrix_from_json, complex_matrix_to_json)
+from .errors import DomainError, NumericError
+from .state_space import (PAULIS, SIGMA_0, QubitState, TracelessObservable,
+                          complex_matrix_from_json, complex_matrix_to_json,
+                          state_from_bloch)
 
 EIG_DEGENERACY_CUTOFF = 1e-8  # series fallback for the 2x2 exponential
 
-
-def _check_positive(eigvals: np.ndarray, what: str) -> None:
-    if eigvals.min() <= 0.0:
-        raise NotPositive(f"{what} requires positive eigenvalues, got {eigvals}")
+_PAULI4 = np.array((SIGMA_0,) + PAULIS)
 
 
-def hermitian_power(m, s: float) -> np.ndarray:
-    """m^s for Hermitian positive definite m, via eigendecomposition."""
-    lam, vec = np.linalg.eigh(np.asarray(m, dtype=complex))
-    _check_positive(lam, "matrix power")
-    return (vec * lam ** s) @ vec.conj().T
+def _lorentz(m: np.ndarray) -> np.ndarray:
+    """Lambda(m)_{mu nu} = tr(sigma_mu m sigma_nu m^dag)/2, a real 4x4 matrix.
+
+    It maps the coefficients (t, x) of M = t I + x.sigma to those of m M m^dag.
+    M has eigenvalues t +- |x|, and for |det m| = 1 the determinant
+    t^2 - |x|^2 is invariant.
+    """
+    return 0.5 * np.einsum("aij,jk,bkl,li->ab", _PAULI4, m, _PAULI4,
+                           m.conj().T).real
 
 
-def hermitian_log(m) -> np.ndarray:
-    lam, vec = np.linalg.eigh(np.asarray(m, dtype=complex))
-    _check_positive(lam, "matrix logarithm")
-    return (vec * np.log(lam)) @ vec.conj().T
+def _power_coords(v: np.ndarray, r: float, s: float) -> np.ndarray:
+    """(t, x) with rho^s = lambda_+^s (t I + x.sigma), for rho at Bloch v, |v| = r.
 
-
-def hermitian_exp(m) -> np.ndarray:
-    lam, vec = np.linalg.eigh(np.asarray(m, dtype=complex))
-    return (vec * np.exp(lam)) @ vec.conj().T
+    With lambda_+- = (1 +- r)/2 and k = (lambda_-/lambda_+)^s, t = (1 + k)/2
+    and x = (1 - k)/2 v/r, so t^2 - |x|^2 = k.  Scaling out lambda_+^s keeps
+    t >= 1/2, so no large |s| underflows it.
+    """
+    k = ((1.0 - r) / (1.0 + r)) ** s
+    out = np.empty(4)
+    out[0] = 0.5 * (1.0 + k)
+    out[1:] = 0.5 * (1.0 - k) / r * v if r > 0.0 else 0.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -52,7 +60,7 @@ class SLGroupElement:
 
     def __post_init__(self):
         det = complex(np.linalg.det(self.matrix))
-        if abs(det - 1.0) > 1e-10:
+        if not abs(det - 1.0) <= 1e-10:
             raise DomainError(f"determinant {det} != 1")
 
     def __matmul__(self, other: "SLGroupElement") -> "SLGroupElement":
@@ -107,10 +115,12 @@ class CotangentGroupElement:
 
     def __post_init__(self):
         u = np.asarray(self.unitary, dtype=complex)
-        if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-10:
+        if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-10:
             raise DomainError("U is not unitary")
-        if abs(complex(np.linalg.det(u)) - 1.0) > 1e-10:
+        if not abs(complex(np.linalg.det(u)) - 1.0) <= 1e-10:
             raise DomainError("det U != 1")
+        if not np.all(np.isfinite(self.a.coeffs)):
+            raise DomainError(f"translation a = {self.a.coeffs} is not finite")
 
     def to_json(self) -> dict:
         return {"unitary": complex_matrix_to_json(self.unitary),
@@ -141,32 +151,43 @@ def action_alpha_a(a_const: float, g: SLGroupElement, rho: QubitState) -> QubitS
     """alpha_A: rho -> (g rho^sqrt(A) g^dag)^(1/sqrt(A)) normalized to trace 1.
 
     A = 1 is plain conjugate-and-normalize; A = 1/4 squares g sqrt(rho) g^dag.
+    g rho^sqrt(A) g^dag has coefficients (t', x') = Lambda(g) (t, x) and
+    eigenvalues mu_+ = t' + |x'| and mu_- = det / mu_+ (not the cancelling
+    t' - |x'|); the image is (1 - q)/(1 + q) x'/|x'|, q = (mu_-/mu_+)^(1/sqrt(A)).
     """
-    if a_const <= 0.0:
-        raise DomainError(f"alpha_A requires A > 0, got {a_const}")
+    if not 0.0 < a_const < math.inf:
+        raise DomainError(f"alpha_A requires finite A > 0, got {a_const}")
     s = math.sqrt(a_const)
-    moved = g.matrix @ hermitian_power(rho.matrix(), s) @ g.matrix.conj().T
-    moved = 0.5 * (moved + moved.conj().T)  # scrub roundoff asymmetry
-    out = hermitian_power(moved, 1.0 / s)
-    tr = float(np.trace(out).real)
-    if tr < 1e-300:
-        raise NumericalUnderflow("normalizing trace underflowed")
-    return bloch_from_state(out / tr)
+    r = math.hypot(rho.x, rho.y, rho.z)
+    moved = _lorentz(g.matrix) @ _power_coords(rho.bloch, r, s)
+    if not np.all(np.isfinite(moved)):
+        raise NumericError(f"g rho^sqrt(A) g^dag is not finite: (t, x) = {moved}")
+    x = moved[1:]
+    rx = math.hypot(*x)
+    if rx == 0.0:
+        return state_from_bloch(0.0, 0.0, 0.0)
+    mu_hi = moved[0] + rx
+    det = ((1.0 - r) / (1.0 + r)) ** s  # k of _power_coords
+    q = (det / mu_hi / mu_hi) ** (1.0 / s)
+    return state_from_bloch(*((1.0 - q) / ((1.0 + q) * rx) * x))
 
 
 def action_bkm(h: CotangentGroupElement, rho: QubitState) -> QubitState:
     """BKM action: rho -> exp(U ln(rho) U^dag + a) normalized to trace 1.
 
-    The trace part of the exponent is dropped before exponentiating (it
-    cancels in the normalization) to keep the exponent small.
+    ln rho = c I + artanh(r) n.sigma, so with R(U) the rotation block of
+    Lambda(U) the traceless part of the exponent is w = artanh(r) R(U) n + a,
+    and the image is tanh|w| w/|w|.
     """
-    x = h.unitary @ hermitian_log(rho.matrix()) @ h.unitary.conj().T + h.a.matrix()
-    x = x - 0.5 * np.trace(x).real * np.eye(2)
-    out = hermitian_exp(x)
-    tr = float(np.trace(out).real)
-    if tr < 1e-300:
-        raise NumericalUnderflow("normalizing trace underflowed")
-    return bloch_from_state(out / tr)
+    r = math.hypot(rho.x, rho.y, rho.z)
+    scale = math.atanh(r) / r if r > 0.0 else 1.0  # artanh(r) n = scale v
+    w = scale * (_lorentz(h.unitary)[1:, 1:] @ rho.bloch) + h.a.coeffs
+    if not np.all(np.isfinite(w)):
+        raise NumericError(f"BKM exponent is not finite: w = {w}")
+    rw = math.hypot(*w)
+    if rw == 0.0:
+        return state_from_bloch(0.0, 0.0, 0.0)
+    return state_from_bloch(*(math.tanh(rw) / rw * w))
 
 
 @dataclass(frozen=True)
@@ -251,7 +272,9 @@ def transitivity_probe(samples: int = 100, seed: int = 0) -> float:
     worst = 0.0
     for _ in range(samples):
         rho1, rho2 = _random_state(rng), _random_state(rng)
-        raw = hermitian_power(rho2.matrix(), 0.5) @ hermitian_power(rho1.matrix(), -0.5)
+        sqrt2 = np.tensordot(_power_coords(rho2.bloch, rho2.r, 0.5), _PAULI4, 1)
+        inv_sqrt1 = np.tensordot(_power_coords(rho1.bloch, rho1.r, -0.5), _PAULI4, 1)
+        raw = sqrt2 @ inv_sqrt1
         g = SLGroupElement(raw / cmath.sqrt(np.linalg.det(raw)))
         moved = action_alpha_a(1.0, g, rho1)
         worst = max(worst, float(np.max(np.abs(moved.bloch - rho2.bloch))))

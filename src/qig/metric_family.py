@@ -135,8 +135,8 @@ def rld() -> MonotoneFunctionSpec:
 
 
 def family_a(a_const: float) -> MonotoneFunctionSpec:
-    if a_const <= 0:
-        raise DomainError(f"family_a requires A > 0, got {a_const}")
+    if not 0.0 < a_const < math.inf:
+        raise DomainError(f"family_a requires finite A > 0, got {a_const}")
     s = math.sqrt(a_const)
 
     def gp(r):
@@ -151,8 +151,9 @@ def family_a(a_const: float) -> MonotoneFunctionSpec:
 
 
 def family_b(b_const: float, c: float = 0.0) -> MonotoneFunctionSpec:
-    if b_const <= 0:
-        raise DomainError(f"family_b requires B > 0, got {b_const}")
+    if not (0.0 < b_const < math.inf and math.isfinite(c)):
+        raise DomainError(f"family_b requires finite B > 0 and finite c, "
+                          f"got B = {b_const}, c = {c}")
 
     def gp(r):
         r = np.asarray(r, dtype=float)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryViolation, ChartSingularity, NotAState
+from .errors import BoundaryViolation, ChartSingularity, InputError, NotAState
 
 # Numerical guards.  The manifold is the *open* ball; points within
 # EPS_BOUNDARY of the sphere are rejected.  The spherical chart excludes the
@@ -110,7 +110,7 @@ def state_from_bloch(x: float, y: float, z: float,
                      eps_boundary: float = EPS_BOUNDARY) -> QubitState:
     """Build a faithful state from Cartesian Bloch coordinates."""
     r2 = x * x + y * y + z * z
-    if r2 >= (1.0 - eps_boundary) ** 2:
+    if not r2 < (1.0 - eps_boundary) ** 2:
         raise BoundaryViolation(
             f"Bloch point with |v|^2 = {r2} is not strictly inside the unit ball"
         )
@@ -192,6 +192,8 @@ def complex_matrix_to_json(m) -> list:
 
 
 def complex_matrix_from_json(data) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in data])
-    n = int(round(math.sqrt(flat.size)))
-    return flat.reshape(n, n)
+    """Inverse of complex_matrix_to_json: exactly four [re, im] pairs."""
+    if len(data) != 4:
+        raise InputError(f"a 2x2 complex matrix needs four [re, im] pairs, "
+                         f"got {len(data)}")
+    return np.array([complex(re, im) for re, im in data]).reshape(2, 2)

@@ -182,26 +182,22 @@ def _jacobian(field: VectorField, v: np.ndarray, h: float) -> np.ndarray:
 
 
 def lie_bracket_numeric(v_field: VectorField, w_field: VectorField, p,
-                        h: float = BRACKET_STEP,
-                        richardson: bool = True) -> TangentVector:
+                        h: float = BRACKET_STEP) -> TangentVector:
     """[V, W] = DW.V - DV.W at p via central differences in the Cartesian chart.
 
     With Richardson extrapolation over (h, h/2) the truncation error is
     O(h^4); roundoff grows like eps/h^2, so the default step balances both.
     """
     v = np.asarray(p, dtype=float)
-    if float(np.linalg.norm(v)) + 2.0 * h >= 1.0 - EPS_BOUNDARY:
-        raise NeighborhoodOutsideBall(
-            f"stencil of radius 2h = {2 * h} leaves the ball at |v| = {np.linalg.norm(v)}")
+    if not 0.0 < h < (1.0 - EPS_BOUNDARY - float(np.linalg.norm(v))) / 2.0:
+        raise NeighborhoodOutsideBall(f"stencil step h = {h} is not positive or "
+                                      f"leaves the ball at |v| = {np.linalg.norm(v)}")
 
     def bracket(step):
         return (_jacobian(w_field, v, step) @ v_field.cartesian(v)
                 - _jacobian(v_field, v, step) @ w_field.cartesian(v))
 
-    if richardson:
-        out = (4.0 * bracket(h / 2.0) - bracket(h)) / 3.0
-    else:
-        out = bracket(h)
+    out = (4.0 * bracket(h / 2.0) - bracket(h)) / 3.0
     return TangentVector("cartesian", out, tuple(v))
 
 

@@ -4,6 +4,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from qig import cli
+
 
 def run(*args, **kw):
     return subprocess.run([sys.executable, "-m", "qig.cli", *args],
@@ -143,3 +147,48 @@ def test_qig_threads_set_before_numpy_loads():
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout) == {"OMP_NUM_THREADS": "1",
                                     "MKL_NUM_THREADS": "1"}
+
+
+_ID = '{"sl_matrix":[[1,0],[0,0],[0,0],[1,0]]}'
+_CENTER = '{"bloch":[0,0,0]}'
+
+
+def _act(family, g_json=_ID, state_json=_CENTER, *extra):
+    return ["act", "--family", family, *extra, "--g-json", g_json,
+            "--state-json", state_json]
+
+
+# (argv, flag the message must name or None).  Malformed input must name the
+# flag it came from; non-finite parameters must be rejected, not run to NaN.
+_BAD_INPUT = [
+    (_act("bh", g_json="notjson"), "--g-json"),
+    (_act("bh", state_json="notjson"), "--state-json"),
+    (_act("bh", g_json="{}"), "--g-json"),
+    (_act("bkm", g_json='{"a":{"pauli":[0,0,0]}}'), "--g-json"),
+    (_act("bkm", g_json='{"unitary":[[1,0],[0,0],[0,0],[1,0]]}'), "--g-json"),
+    (_act("bh", g_json='{"sl_matrix":[[1,0],[0,0],[1,0]]}'), "--g-json"),
+    (_act("bh", state_json='{"bloch":[0,0]}'), "--state-json"),
+    (["export", "--what", "flow", "--steps", "0"], "--steps"),
+    (["export", "--what", "orbit", "--steps", "0"], "--steps"),
+    (["export", "--what", "overlay", "--steps", "0"], "--steps"),
+    (["metric", "--spec", "fa", "--A", "nan", "--r", "0.5"], None),
+    (_act("alphaA", _ID, _CENTER, "--A", "nan"), None),
+    (_act("bh", state_json='{"bloch":[NaN,0,0]}'), None),
+    (["metric", "--spec", "fb", "--B", "inf"], None),
+    (["export", "--what", "orbit", "--t-end", "nan"], None),
+    (_act("bkm", '{"unitary":[[1,0],[0,0],[0,0],[1,0]],"a":{"pauli":[NaN,0,0]}}'),
+     "--g-json"),
+    (["export", "--what", "flow", "--start", "a,b"], None),
+    (["bracket", "--v", "x:1,0,0", "--w", "x:0,1,0", "--h", "nan"], None),
+    (["bracket", "--v", "x:1,0,0", "--w", "x:0,1,0", "--h", "0"], None),
+]
+
+
+@pytest.mark.parametrize("argv,flag", _BAD_INPUT)
+def test_bad_input_is_json_error_exit_2(argv, flag, capsys):
+    code = cli.main(argv)
+    data = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert set(data) == {"error", "message"}
+    if flag is not None:
+        assert flag in data["message"]

@@ -49,14 +49,6 @@ def test_rk4_fourth_order():
     assert 8.0 <= coarse / fine <= 32.0
 
 
-def test_adaptive_matches_fixed():
-    field = rescaled_gradient_field(A_OBS, 2.0)
-    fixed = integrate_flow(field, START, 1.0, 200)
-    adaptive = integrate_flow(field, START, 1.0, 200, adaptive=True)
-    npt.assert_allclose(adaptive.points, fixed.points, atol=1e-8)
-    npt.assert_array_equal(adaptive.times, fixed.times)
-
-
 def test_outward_field_raises_left_manifold():
     outward = VectorField("outward", lambda v: np.asarray(v, dtype=float))
     with pytest.raises(LeftManifold):

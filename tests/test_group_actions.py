@@ -1,34 +1,124 @@
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
 
-from qig.errors import DomainError, NotPositive
+from qig.errors import DomainError
 from qig.group_actions import (CotangentGroupElement, SLGroupElement,
                                action_alpha_a, action_bkm, alpha_subgroup,
                                bkm_subgroup, cotangent_identity,
                                cotangent_inverse, cotangent_multiply,
-                               generator_of_action, hermitian_exp,
-                               hermitian_log, hermitian_power, sl_identity,
+                               generator_of_action, sl_identity,
                                sl_from_generators,
                                special_unitary_from_generator,
                                transitivity_probe, verify_alpha_action,
                                verify_bkm_action)
-from qig.state_space import QubitState, TracelessObservable, state_from_bloch
+from qig.state_space import (PAULIS, QubitState, TracelessObservable,
+                             state_from_bloch)
 
 SIGMA3 = TracelessObservable(0.0, 0.0, 1.0)
 ZERO = TracelessObservable(0.0, 0.0, 0.0)
 
 
-def test_hermitian_power_log_exp():
-    m = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
-    npt.assert_allclose(hermitian_power(m, 0.5) @ hermitian_power(m, 0.5), m,
-                        atol=1e-14)
-    npt.assert_allclose(hermitian_exp(hermitian_log(m)), m, atol=1e-14)
-    with pytest.raises(NotPositive):
-        hermitian_log(np.diag([1.0, -0.1]))
+def _hermitian_fn(m, fn):
+    lam, vec = np.linalg.eigh(m)
+    return (vec * fn(lam)) @ vec.conj().T
+
+
+def _bloch(m):
+    m = m / np.trace(m).real
+    return np.array([np.trace(m @ p).real for p in PAULIS])
+
+
+def _rotation(u):
+    """R(U)_{ij} = tr(sigma_i U sigma_j U^dag)/2."""
+    return np.array([[0.5 * np.trace(pi @ u @ pj @ u.conj().T).real
+                      for pj in PAULIS] for pi in PAULIS])
+
+
+def test_closed_forms_match_eigh_oracle():
+    # Oracle: the defining matrix formulas evaluated through eigh.
+    rng = np.random.default_rng(17)
+    for r in (0.0, 1e-300, 1e-12, 1e-6, 0.1, 0.5, 0.9, 0.99):
+        for _ in range(10):
+            d = rng.standard_normal(3)
+            rho = state_from_bloch(*(r * d / np.linalg.norm(d)))
+            g = sl_from_generators(
+                TracelessObservable.from_coeffs(rng.uniform(-1, 1, 3)),
+                TracelessObservable.from_coeffs(rng.uniform(-1, 1, 3)))
+            for a_const in (0.25, 0.5, 1.0, 2.0, 4.0):
+                s = math.sqrt(a_const)
+                inner = (g.matrix @ _hermitian_fn(rho.matrix(), lambda lam: lam ** s)
+                         @ g.matrix.conj().T)
+                want = _bloch(_hermitian_fn(inner, lambda lam: lam ** (1.0 / s)))
+                npt.assert_allclose(action_alpha_a(a_const, g, rho).bloch, want,
+                                    atol=1e-12)
+            h = CotangentGroupElement(
+                special_unitary_from_generator(
+                    TracelessObservable.from_coeffs(rng.uniform(-2, 2, 3))),
+                TracelessObservable.from_coeffs(rng.uniform(-1, 1, 3)))
+            u = h.unitary
+            want = _bloch(_hermitian_fn(
+                u @ _hermitian_fn(rho.matrix(), np.log) @ u.conj().T + h.a.matrix(),
+                np.exp))
+            npt.assert_allclose(action_bkm(h, rho).bloch, want, atol=1e-12)
+
+
+# (z, shift): a boost moves artanh(z) by shift.  The last pair lands at
+# 1 - |z'| = 1.5e-9, between the open-ball guard 1e-9 and 2e-9.
+_SHIFTS = [(0.0, 0.7), (0.3, -1.2), (-0.7, 2.0), (0.999, 0.3),
+           (1.0 - 1e-8, -0.5), (-(1.0 - 1e-8), 0.4), (1.0 - 1e-8, 0.95)]
+
+
+def _boost(beta):
+    return np.diag([math.exp(beta / 2.0), math.exp(-beta / 2.0)]).astype(complex)
+
+
+def _boost_images(v):
+    """(got, want) Bloch pairs for boosts along the axis that v carries e_z to."""
+    axis = _rotation(v)[:, 2]
+    for z, shift in _SHIFTS:
+        want = math.tanh(math.atanh(z) + shift) * axis
+        rho = state_from_bloch(*(z * axis))
+        for a_const in (0.25, 1.0, 4.0):
+            g = SLGroupElement(v @ _boost(shift * math.sqrt(a_const)) @ v.conj().T)
+            yield action_alpha_a(a_const, g, rho).bloch, want
+        # U = v turns z e_z into z axis, then a translates along axis.
+        h = CotangentGroupElement(v, TracelessObservable.from_coeffs(shift * axis))
+        yield action_bkm(h, state_from_bloch(0.0, 0.0, z)).bloch, want
+
+
+def test_exact_boosts_along_z():
+    # g = diag(e^(beta/2), e^(-beta/2)) moves artanh(z) by beta/sqrt(A);
+    # the BKM translation a = (0, 0, beta) with U = I moves it by beta.
+    for got, want in _boost_images(np.eye(2, dtype=complex)):
+        npt.assert_allclose(got, want, atol=1e-13)
+
+
+def test_conjugated_boosts():
+    # The same boosts about a random axis: V g V^dag acting on V rho V^dag.
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        v = special_unitary_from_generator(
+            TracelessObservable.from_coeffs(rng.uniform(-3, 3, 3)))
+        for got, want in _boost_images(v):
+            npt.assert_allclose(got, want, atol=1e-10)
+
+
+def test_cli_non_finite_boost_is_numeric_error():
+    g = {"sl_matrix": [[1e200, 0.0], [0.0, 0.0], [0.0, 0.0], [1e-200, 0.0]]}
+    r = subprocess.run([sys.executable, "-m", "qig.cli", "act", "--family", "bh",
+                        "--g-json", json.dumps(g),
+                        "--state-json", '{"bloch":[0.1,0.2,0.3]}'],
+                       capture_output=True, text=True)
+    assert r.returncode == 3
+    assert json.loads(r.stdout)["error"] == "NumericError"
+    assert "Traceback" not in r.stderr
 
 
 def test_sl_from_generators_against_scipy_expm():
