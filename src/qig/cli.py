@@ -48,28 +48,35 @@ def load_config(path: str) -> dict:
     Flags given on the command line override config-file values.
     """
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"--config {path}: {exc}") from None
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip().strip('"')
+        for cast in (int, float):
+            try:
+                values[key] = cast(raw)
+                break
+            except ValueError:
                 continue
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip().strip('"')
-            for cast in (int, float):
-                try:
-                    values[key] = cast(raw)
-                    break
-                except ValueError:
-                    continue
-            else:
-                values[key] = raw
+        else:
+            values[key] = raw
     return values
 
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"--output {output}: {exc}") from None
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -212,29 +219,13 @@ _SUITE_TOL_KW = {
 def _run_suites(names, cfg: RunConfig, spec_name: str | None = None) -> dict:
     reports = {}
     for name in names:
-        if name == "commutators" and spec_name is not None:
-            # Restricted run: the named spec must satisfy the bracket
-            # relations with a *constant* coefficient, i.e. its radial
-            # invariant must be constant and the pointwise brackets must
-            # match it.  Non-constant specs (e.g. rld) fail here.
-            from .vector_fields import verify_commutator_relations
-            rng = np.random.default_rng(vf.sub_seed(cfg.seed, "commutators"))
-            pts = vf._interior_points(rng, 50)
-            spec = mf.spec_from_name(spec_name)
-            rep = verify_commutator_relations(spec, pts)
-            cls = oc.classify(spec, np.linspace(0.05, 0.95, 50))
-            tol = cfg.tolerance if cfg.tolerance is not None else 1e-6
-            reports[name] = {"name": name, "spec": spec.name,
-                             "max_error": rep.max_error,
-                             "constant_coefficient": cls.is_constant,
-                             "tolerance": tol,
-                             "passed": rep.max_error < tol and cls.is_constant}
-            continue
         kwargs = {"seed": cfg.seed}
         if cfg.tolerance is not None and name in _SUITE_TOL_KW:
             kwargs[_SUITE_TOL_KW[name]] = cfg.tolerance
-        if name == "actions" and cfg.samples:
+        if name == "actions":
             kwargs["samples"] = cfg.samples
+        if name == "commutators" and spec_name is not None:
+            kwargs["spec"] = mf.spec_from_name(spec_name)
         reports[name] = vf.SUITES[name](**kwargs)
     return {"seed": cfg.seed,
             "passed": all(r["passed"] for r in reports.values()),
@@ -260,7 +251,12 @@ def _csv(rows, header) -> str:
 
 
 def cmd_export(args, cfg: RunConfig) -> int:
+    if args.steps < 1:
+        raise InputError(f"--steps must be at least 1, got {args.steps}")
     if args.what == "f-curves":
+        if not (0.0 < args.t_min <= 1.0 and 0.0 < args.t_max <= 1.0):
+            raise InputError(f"--t-min and --t-max must lie in (0, 1], got "
+                             f"{args.t_min}, {args.t_max}")
         a_values = args.a_list or [0.25, 1.0, 4.0]
         ts = np.linspace(args.t_min, args.t_max, args.steps)
         cols = [ts] + [np.asarray(mf.f_eval(mf.family_a(a), ts)) for a in a_values]
@@ -275,8 +271,6 @@ def cmd_export(args, cfg: RunConfig) -> int:
         _emit(_csv(zip(*cols), header), args.output)
         return EXIT_OK
 
-    if args.steps < 1:
-        raise InputError(f"--steps must be at least 1, got {args.steps}")
     start = state_from_bloch(*_parse_triple(args.start))
     obs = TracelessObservable.from_coeffs(_parse_triple(args.a_coeffs))
     zero = TracelessObservable(0.0, 0.0, 0.0)
@@ -324,8 +318,15 @@ def _add_point_flags(p) -> None:
     p.add_argument("--z", type=float, default=0.0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as an InputError (exit 2, JSON)."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", help="key = value config file")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--samples", type=int, default=None)
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override every suite's main tolerance")
     common.add_argument("--output", help="write to file instead of stdout")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qig",
         description="Monotone metrics, gradient flows and group actions "
                     "on the qubit state space.")
@@ -404,22 +405,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+def _run_config(args) -> RunConfig:
+    """Flags over config-file values over defaults, each value checked."""
     file_cfg = load_config(args.config) if args.config else {}
-    cfg = RunConfig(
-        seed=args.seed if args.seed is not None else int(file_cfg.get("seed", 0)),
-        samples=args.samples if args.samples is not None
-        else int(file_cfg.get("samples", 200)),
-        tolerance=args.tolerance if args.tolerance is not None
-        else file_cfg.get("tolerance"),
-        output=args.output or file_cfg.get("output"),
-    )
-    args.output = cfg.output
 
+    def pick(key, flag_value, default, ok, what):
+        if flag_value is not None:
+            value, source = flag_value, f"--{key}"
+        else:
+            value = file_cfg.get(key, default)
+            source = f"--config {args.config}: {key}"
+        if not ok(value):
+            raise InputError(f"{source} {value!r} is not {what}")
+        return value
+
+    return RunConfig(
+        seed=pick("seed", args.seed, 0,
+                  lambda v: isinstance(v, int) and v >= 0, "an integer >= 0"),
+        samples=pick("samples", args.samples, 200,
+                     lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+        tolerance=pick("tolerance", args.tolerance, None,
+                       lambda v: v is None or (isinstance(v, (int, float))
+                                               and 0.0 < v < math.inf),
+                       "a finite number > 0"),
+        output=pick("output", args.output, None,
+                    lambda v: v is None or isinstance(v, str), "a path"),
+    )
+
+
+def main(argv=None) -> int:
     try:
+        args = build_parser().parse_args(argv)
+        cfg = _run_config(args)
+        args.output = cfg.output
         if args.command == "metric":
             return cmd_metric(args)
         if args.command == "field":

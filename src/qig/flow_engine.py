@@ -3,7 +3,8 @@
 Gradient and fundamental fields are integrated with fixed-step classical
 RK4 in the Cartesian chart (deterministic output matters more here than
 efficiency).  Group-action orbits along one-parameter subgroups are
-evaluated exactly, so the comparison isolates the integrator error.
+evaluated exactly, on the whole time grid at once, so the comparison
+isolates the integrator error.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, LeftManifold
+from .group_actions import Subgroup
 from .state_space import EPS_BOUNDARY, QubitState, TracelessObservable
 from .vector_fields import VectorField
 
@@ -88,21 +90,21 @@ def integrate_flow(vfield: VectorField, start: QubitState, t_end: float,
     return Trajectory(times, points, meta)
 
 
-def orbit_curve(action_at, start: QubitState, t_end: float,
+def orbit_curve(subgroup: Subgroup, start: QubitState, t_end: float,
                 samples: int) -> Trajectory:
-    """Exact orbit t -> action_at(t)(start) on a uniform time grid.
+    """Exact orbit t -> subgroup(t)(start) on a uniform time grid.
 
-    ``action_at`` maps a time to a QubitState -> QubitState map (see
-    group_actions.alpha_subgroup / bkm_subgroup).
+    The subgroup (see group_actions.alpha_subgroup / bkm_subgroup) acts
+    with every time of the grid in one batched call.
     """
     times = _time_grid(t_end, samples)
-    points = np.array([action_at(float(t))(start).bloch for t in times])
+    points = subgroup.orbit(times, start)
     return Trajectory(times, points, {"kind": "orbit", "samples": samples})
 
 
-def compare_flow_to_orbit(vfield: VectorField, action_at, start: QubitState,
-                          t_end: float, steps: int) -> float:
+def compare_flow_to_orbit(vfield: VectorField, subgroup: Subgroup,
+                          start: QubitState, t_end: float, steps: int) -> float:
     """Max Bloch-space gap between the RK4 flow and the exact orbit."""
     flow = integrate_flow(vfield, start, t_end, steps)
-    orbit = orbit_curve(action_at, start, t_end, steps)
+    orbit = orbit_curve(subgroup, start, t_end, steps)
     return float(np.max(np.linalg.norm(flow.points - orbit.points, axis=1)))

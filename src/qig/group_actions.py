@@ -6,7 +6,8 @@ the power-deformed conjugations alpha_A, and the cotangent group of SU(2)
 translation action attached to the BKM metric.  Both are evaluated in
 closed form on Bloch vectors, through the Lorentz matrix of the group
 element (Bengtsson & Zyczkowski, Geometry of Quantum States), with no
-eigensolver.
+eigensolver.  The closed forms run over a stack of group elements, so a
+one-parameter orbit on a whole time grid is one batched evaluation.
 """
 
 from __future__ import annotations
@@ -14,17 +15,25 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, NumericError
 from .state_space import (PAULIS, SIGMA_0, QubitState, TracelessObservable,
+                          bloch_norm, check_bloch_array,
                           complex_matrix_from_json, complex_matrix_to_json,
-                          state_from_bloch)
+                          first_failing, state_from_bloch)
 
 EIG_DEGENERACY_CUTOFF = 1e-8  # series fallback for the 2x2 exponential
+DET_TOLERANCE = 1e-10  # |det - 1| allowed for an SL(2, C) or SU(2) matrix
 
 _PAULI4 = np.array((SIGMA_0,) + PAULIS)
+
+
+def _unit_det(m: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a stack (..., 2, 2) has determinant 1."""
+    return np.abs(np.linalg.det(m) - 1.0) <= DET_TOLERANCE
 
 
 def _lorentz(m: np.ndarray) -> np.ndarray:
@@ -32,10 +41,10 @@ def _lorentz(m: np.ndarray) -> np.ndarray:
 
     It maps the coefficients (t, x) of M = t I + x.sigma to those of m M m^dag.
     M has eigenvalues t +- |x|, and for |det m| = 1 the determinant
-    t^2 - |x|^2 is invariant.
+    t^2 - |x|^2 is invariant.  m may be a stack (..., 2, 2).
     """
-    return 0.5 * np.einsum("aij,jk,bkl,li->ab", _PAULI4, m, _PAULI4,
-                           m.conj().T).real
+    return 0.5 * np.einsum("aij,...jk,bkl,...il->...ab", _PAULI4, m, _PAULI4,
+                           m.conj()).real
 
 
 def _power_coords(v: np.ndarray, r: float, s: float) -> np.ndarray:
@@ -59,9 +68,8 @@ class SLGroupElement:
     matrix: np.ndarray
 
     def __post_init__(self):
-        det = complex(np.linalg.det(self.matrix))
-        if not abs(det - 1.0) <= 1e-10:
-            raise DomainError(f"determinant {det} != 1")
+        if not _unit_det(self.matrix):
+            raise DomainError(f"determinant {complex(np.linalg.det(self.matrix))} != 1")
 
     def __matmul__(self, other: "SLGroupElement") -> "SLGroupElement":
         return SLGroupElement(self.matrix @ other.matrix)
@@ -79,20 +87,24 @@ def sl_identity() -> SLGroupElement:
 
 
 def _expm_traceless_2x2(m: np.ndarray) -> np.ndarray:
-    """exp of a traceless 2x2 matrix: cosh(mu) I + sinh(mu)/mu m, mu^2 = -det m.
+    """exp of traceless 2x2 matrices: cosh(mu) I + sinh(mu)/mu m, mu^2 = -det m.
 
-    The sinh(mu)/mu factor switches to its series for small |mu| (degenerate
-    eigenvalues).
+    m may be a stack (..., 2, 2).  The sinh(mu)/mu factor switches to its
+    series where |mu| is small (degenerate eigenvalues).  A non-finite
+    result raises NumericError.
     """
-    mu = cmath.sqrt(-np.linalg.det(m))
-    if abs(mu) < EIG_DEGENERACY_CUTOFF:
-        mu2 = mu * mu
-        sinch = 1.0 + mu2 / 6.0 + mu2 * mu2 / 120.0
-        cosh = 1.0 + mu2 / 2.0 + mu2 * mu2 / 24.0
-    else:
-        sinch = cmath.sinh(mu) / mu
-        cosh = cmath.cosh(mu)
-    return cosh * np.eye(2, dtype=complex) + sinch * m
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mu = np.sqrt(m[..., 0, 1] * m[..., 1, 0] - m[..., 0, 0] * m[..., 1, 1])
+        sinch, cosh = np.sinh(mu) / mu, np.cosh(mu)
+        small = np.abs(mu) < EIG_DEGENERACY_CUTOFF
+        if small.any():
+            mu2 = mu * mu
+            sinch = np.where(small, 1.0 + mu2 / 6.0 + mu2 * mu2 / 120.0, sinch)
+            cosh = np.where(small, 1.0 + mu2 / 2.0 + mu2 * mu2 / 24.0, cosh)
+        out = cosh[..., None, None] * _PAULI4[0] + sinch[..., None, None] * m
+    if not np.isfinite(out).all():
+        raise NumericError("matrix exponential of the generator overflows")
+    return out
 
 
 def sl_from_generators(a: TracelessObservable, b: TracelessObservable) -> SLGroupElement:
@@ -117,7 +129,7 @@ class CotangentGroupElement:
         u = np.asarray(self.unitary, dtype=complex)
         if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-10:
             raise DomainError("U is not unitary")
-        if not abs(complex(np.linalg.det(u)) - 1.0) <= 1e-10:
+        if not _unit_det(u):
             raise DomainError("det U != 1")
         if not np.all(np.isfinite(self.a.coeffs)):
             raise DomainError(f"translation a = {self.a.coeffs} is not finite")
@@ -147,47 +159,77 @@ def cotangent_inverse(h: CotangentGroupElement) -> CotangentGroupElement:
         u_inv, TracelessObservable.from_matrix(-u_inv @ h.a.matrix() @ u_inv.conj().T))
 
 
+def _sqrt_a(a_const: float) -> float:
+    if not 0.0 < a_const < math.inf:
+        raise DomainError(f"alpha_A requires finite A > 0, got {a_const}")
+    return math.sqrt(a_const)
+
+
+def _check_finite(values: np.ndarray, what: str) -> None:
+    """NumericError naming the first row of a stack that is not finite."""
+    if not np.isfinite(values).all():
+        finite = np.isfinite(values).all(axis=-1)
+        raise NumericError(f"{what} is not finite: "
+                           f"{first_failing(finite, values)}")
+
+
+def _along(x: np.ndarray, norm: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """length * x/|x| over a stack of vectors x with norms norm; 0 where x = 0."""
+    scale = np.divide(length, norm, out=np.zeros_like(norm), where=norm > 0.0)
+    return scale[..., None] * x
+
+
+def _alpha_images(s: float, lorentz: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Bloch images of the state v under alpha_A, s = sqrt(A), one per
+    Lorentz matrix of the stack (..., 4, 4); the result has shape (..., 3).
+
+    g rho^s g^dag has coefficients (t', x') = Lambda(g) (t, x) and
+    eigenvalues mu_+ = t' + |x'| and mu_- = det / mu_+ (not the cancelling
+    t' - |x'|); the image is (1 - q)/(1 + q) x'/|x'|, q = (mu_-/mu_+)^(1/s).
+    """
+    r = math.hypot(*v)
+    moved = lorentz @ _power_coords(v, r, s)
+    _check_finite(moved, "(t, x) of g rho^sqrt(A) g^dag")
+    x = moved[..., 1:]
+    rx = bloch_norm(x)
+    mu_hi = moved[..., 0] + rx
+    det = ((1.0 - r) / (1.0 + r)) ** s  # k of _power_coords
+    q = (det / mu_hi / mu_hi) ** (1.0 / s)
+    return _along(x, rx, (1.0 - q) / (1.0 + q))
+
+
+def _bkm_images(rotation: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Bloch images of the state v under the BKM action of (U, a), one per
+    element of the stacks rotation (..., 3, 3) = R(U) and a (..., 3).
+
+    ln rho = c I + artanh(r) n.sigma, so the traceless part of the exponent
+    is w = artanh(r) R(U) n + a, and the image is tanh|w| w/|w|.
+    """
+    r = math.hypot(*v)
+    scale = math.atanh(r) / r if r > 0.0 else 1.0  # artanh(r) n = scale v
+    w = scale * (rotation @ v) + a
+    _check_finite(w, "BKM exponent w")
+    rw = bloch_norm(w)
+    return _along(w, rw, np.tanh(rw))
+
+
 def action_alpha_a(a_const: float, g: SLGroupElement, rho: QubitState) -> QubitState:
     """alpha_A: rho -> (g rho^sqrt(A) g^dag)^(1/sqrt(A)) normalized to trace 1.
 
     A = 1 is plain conjugate-and-normalize; A = 1/4 squares g sqrt(rho) g^dag.
-    g rho^sqrt(A) g^dag has coefficients (t', x') = Lambda(g) (t, x) and
-    eigenvalues mu_+ = t' + |x'| and mu_- = det / mu_+ (not the cancelling
-    t' - |x'|); the image is (1 - q)/(1 + q) x'/|x'|, q = (mu_-/mu_+)^(1/sqrt(A)).
+    See _alpha_images for the closed form.
     """
-    if not 0.0 < a_const < math.inf:
-        raise DomainError(f"alpha_A requires finite A > 0, got {a_const}")
-    s = math.sqrt(a_const)
-    r = math.hypot(rho.x, rho.y, rho.z)
-    moved = _lorentz(g.matrix) @ _power_coords(rho.bloch, r, s)
-    if not np.all(np.isfinite(moved)):
-        raise NumericError(f"g rho^sqrt(A) g^dag is not finite: (t, x) = {moved}")
-    x = moved[1:]
-    rx = math.hypot(*x)
-    if rx == 0.0:
-        return state_from_bloch(0.0, 0.0, 0.0)
-    mu_hi = moved[0] + rx
-    det = ((1.0 - r) / (1.0 + r)) ** s  # k of _power_coords
-    q = (det / mu_hi / mu_hi) ** (1.0 / s)
-    return state_from_bloch(*((1.0 - q) / ((1.0 + q) * rx) * x))
+    s = _sqrt_a(a_const)
+    return state_from_bloch(*_alpha_images(s, _lorentz(g.matrix), rho.bloch))
 
 
 def action_bkm(h: CotangentGroupElement, rho: QubitState) -> QubitState:
     """BKM action: rho -> exp(U ln(rho) U^dag + a) normalized to trace 1.
 
-    ln rho = c I + artanh(r) n.sigma, so with R(U) the rotation block of
-    Lambda(U) the traceless part of the exponent is w = artanh(r) R(U) n + a,
-    and the image is tanh|w| w/|w|.
+    See _bkm_images for the closed form.
     """
-    r = math.hypot(rho.x, rho.y, rho.z)
-    scale = math.atanh(r) / r if r > 0.0 else 1.0  # artanh(r) n = scale v
-    w = scale * (_lorentz(h.unitary)[1:, 1:] @ rho.bloch) + h.a.coeffs
-    if not np.all(np.isfinite(w)):
-        raise NumericError(f"BKM exponent is not finite: w = {w}")
-    rw = math.hypot(*w)
-    if rw == 0.0:
-        return state_from_bloch(0.0, 0.0, 0.0)
-    return state_from_bloch(*(math.tanh(rw) / rw * w))
+    rotation = _lorentz(h.unitary)[1:, 1:]
+    return state_from_bloch(*_bkm_images(rotation, h.a.coeffs, rho.bloch))
 
 
 @dataclass(frozen=True)
@@ -281,33 +323,57 @@ def transitivity_probe(samples: int = 100, seed: int = 0) -> float:
     return worst
 
 
-def generator_of_action(action_at, rho: QubitState,
-                        t_step: float = 1e-4) -> np.ndarray:
-    """Bloch-space derivative d/dt action_at(t)(rho) at t = 0, central diff.
+@dataclass(frozen=True)
+class Subgroup:
+    """The action of a one-parameter subgroup t -> h(t) on states.
 
-    ``action_at`` maps a parameter t to a function QubitState -> QubitState
-    (the action of the one-parameter subgroup element at time t).
+    ``images`` maps a time array (T,) and one Bloch vector to the (T, 3)
+    Bloch images under h(t), evaluating the closed form once for the whole
+    stack of group elements.  ``subgroup(t)`` is the action of h(t) as a
+    QubitState -> QubitState map.
     """
-    fwd = action_at(t_step)(rho).bloch
-    bwd = action_at(-t_step)(rho).bloch
+
+    images: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def __call__(self, t: float):
+        return lambda rho: QubitState(*self.orbit([t], rho)[0].tolist())
+
+    def orbit(self, times, rho: QubitState) -> np.ndarray:
+        """Bloch images (T, 3) of rho, each checked to be a faithful state."""
+        return check_bloch_array(self.images(np.asarray(times, dtype=float),
+                                             rho.bloch))
+
+
+def generator_of_action(subgroup: Subgroup, rho: QubitState,
+                        t_step: float = 1e-4) -> np.ndarray:
+    """Bloch-space derivative d/dt subgroup(t)(rho) at t = 0, central diff."""
+    fwd, bwd = subgroup.orbit([t_step, -t_step], rho)
     return (fwd - bwd) / (2.0 * t_step)
 
 
-def alpha_subgroup(a_const: float, a: TracelessObservable, b: TracelessObservable):
+def alpha_subgroup(a_const: float, a: TracelessObservable,
+                   b: TracelessObservable) -> Subgroup:
     """t -> alpha_A along exp(t (a - i b)/2)."""
-    def at(t: float):
-        g = sl_from_generators(TracelessObservable.from_coeffs(t * a.coeffs),
-                               TracelessObservable.from_coeffs(t * b.coeffs))
-        return lambda rho: action_alpha_a(a_const, g, rho)
-    return at
+    s = _sqrt_a(a_const)
+    gen = 0.5 * (a.matrix() - 1j * b.matrix())
+
+    def images(times: np.ndarray, v: np.ndarray) -> np.ndarray:
+        g = _expm_traceless_2x2(times[:, None, None] * gen)
+        unit = _unit_det(g)
+        if not unit.all():
+            raise DomainError(f"determinant of exp(t (a - i b)/2) != 1 at "
+                              f"t = {first_failing(unit, times[:, None])[0]}")
+        return _alpha_images(s, _lorentz(g), v)
+
+    return Subgroup(images)
 
 
-def bkm_subgroup(a: TracelessObservable, b: TracelessObservable):
+def bkm_subgroup(a: TracelessObservable, b: TracelessObservable) -> Subgroup:
     """t -> BKM action along (exp(t b/(2i)), t a)."""
-    def at(t: float):
-        h = CotangentGroupElement(
-            special_unitary_from_generator(
-                TracelessObservable.from_coeffs(t * b.coeffs)),
-            TracelessObservable.from_coeffs(t * a.coeffs))
-        return lambda rho: action_bkm(h, rho)
-    return at
+    gen = -0.5j * b.matrix()
+
+    def images(times: np.ndarray, v: np.ndarray) -> np.ndarray:
+        rotation = _lorentz(_expm_traceless_2x2(times[:, None, None] * gen))
+        return _bkm_images(rotation[:, 1:, 1:], times[:, None] * a.coeffs, v)
+
+    return Subgroup(images)

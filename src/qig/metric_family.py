@@ -30,8 +30,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (CenterSingularity, DomainError, ExtrapolationUnstable,
-                     IllConditioned, PoleError)
-from .state_space import EPS_CHART, SphericalPoint
+                     IllConditioned, NumericError, PoleError)
+from .state_space import EPS_CHART, SphericalPoint, ball_radii, first_failing
 
 # Removable singularities of f at t = 1 switch to a Taylor fallback here;
 # direct evaluation loses all precision closer to 1.
@@ -46,11 +46,12 @@ POLE_CUTOFF = 1e-10
 def _bkm_f(t):
     t = np.asarray(t, dtype=float)
     u = t - 1.0
-    near = np.abs(u) < SERIES_CUTOFF
     with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.where(near, 1.0, u / np.log(np.where(near, 2.0, t)))
-    series = 1.0 + u * (0.5 + u * (-1.0 / 12.0 + u * (1.0 / 24.0 - 19.0 / 720.0 * u)))
-    out = np.where(near, series, direct)
+        out = u / np.log(t)
+    near = np.abs(u) < SERIES_CUTOFF
+    if near.any():
+        series = 1.0 + u * (0.5 + u * (-1.0 / 12.0 + u * (1.0 / 24.0 - 19.0 / 720.0 * u)))
+        out = np.where(near, series, out)
     return out if out.ndim else float(out)
 
 
@@ -60,15 +61,15 @@ def _family_a_f(t, s: float):
     # (1-(1-u)^s)/(s*u).
     t = np.asarray(t, dtype=float)
     u = 1.0 - t
-    near = np.abs(u) < SERIES_CUTOFF
-    ts = np.where(near, 0.5, t) ** s
     with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.where(near, 1.0, 0.5 * s * u * (1.0 + ts) / (1.0 - ts))
-    p = 1.0 + u * (-(s - 1.0) / 2.0
-                   + u * ((s - 1.0) * (s - 2.0) / 6.0
-                          - u * (s - 1.0) * (s - 2.0) * (s - 3.0) / 24.0))
-    series = 1.0 / p - 0.5 * s * u
-    out = np.where(near, series, direct)
+        ts = t ** s
+        out = 0.5 * s * u * (1.0 + ts) / (1.0 - ts)
+    near = np.abs(u) < SERIES_CUTOFF
+    if near.any():
+        p = 1.0 + u * (-(s - 1.0) / 2.0
+                       + u * ((s - 1.0) * (s - 2.0) / 6.0
+                              - u * (s - 1.0) * (s - 2.0) * (s - 3.0) / 24.0))
+        out = np.where(near, 1.0 / p - 0.5 * s * u, out)
     return out if out.ndim else float(out)
 
 
@@ -200,15 +201,30 @@ def spec_from_name(name: str, a_const: float | None = None,
 def f_eval(spec: MonotoneFunctionSpec, t):
     """Evaluate f on its proper domain t in (0, 1]."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0) or np.any(t_arr > 1.0):
+    if not np.all((t_arr > 0.0) & (t_arr <= 1.0)):
         raise DomainError(f"t = {t} outside (0, 1]")
     return spec.f_raw(t)
+
+
+def finite_f(spec: MonotoneFunctionSpec, t):
+    """spec.f_raw(t) where a metric or field needs it.
+
+    A value that is zero or not finite (the formula lost all precision)
+    raises NumericError naming the first such t.
+    """
+    f = spec.f_raw(t)
+    size = np.abs(f)
+    ok = (size > 0.0) & (size < np.inf)
+    if not ok.all():
+        bad = first_failing(ok, np.asarray(t, dtype=float)[..., None])[0]
+        raise NumericError(f"f({bad}) of {spec.name} is zero or not finite")
+    return f
 
 
 def g_from_f(spec: MonotoneFunctionSpec, r):
     """g(r) = ((1+r)/r) f((1-r)/(1+r)) for r in (0, 1)."""
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0) or np.any(r_arr >= 1.0):
+    if not np.all((r_arr > 0.0) & (r_arr < 1.0)):
         raise DomainError(f"r = {r} outside (0, 1)")
     out = ((1.0 + r_arr) / r_arr) * np.asarray(
         spec.f_raw((1.0 - r_arr) / (1.0 + r_arr)))
@@ -256,13 +272,19 @@ class MetricAtPoint:
 def metric_spherical(spec: MonotoneFunctionSpec, p: SphericalPoint) -> MetricAtPoint:
     """diag(1/(1-r^2), r^2/((1+r) f(t)), same * sin^2 theta), t = (1-r)/(1+r)."""
     t = (1.0 - p.r) / (1.0 + p.r)
-    ftan = float(spec.f_raw(t))
+    ftan = float(finite_f(spec, t))
     a_tan = p.r * p.r / ((1.0 + p.r) * ftan)
     mat = np.diag([1.0 / (1.0 - p.r * p.r), a_tan, a_tan * math.sin(p.theta) ** 2])
     return MetricAtPoint("spherical", mat, (p.r, p.theta, p.phi))
 
 
-def metric_cartesian(spec: MonotoneFunctionSpec, x: float, y: float, z: float,
+def _stack_point(point: tuple) -> np.ndarray:
+    """A point tuple whose coordinates may be arrays, as a (..., 3) stack."""
+    return np.stack(np.broadcast_arrays(*(np.asarray(c, dtype=float)
+                                          for c in point)), axis=-1)
+
+
+def metric_cartesian(spec: MonotoneFunctionSpec, x, y, z,
                      eps_chart: float = EPS_CHART) -> MetricAtPoint:
     """Cartesian components: the chart transport of the spherical tensor.
 
@@ -270,26 +292,42 @@ def metric_cartesian(spec: MonotoneFunctionSpec, x: float, y: float, z: float,
     simplifies to c_rad * n n^T + c_tan * (I - n n^T) with n the radial unit
     vector, c_rad = 1/(1-r^2), c_tan = 1/((1+r) f(t)).  The projector form
     extends continuously across the polar axis; only the center is excluded.
+    x, y and z may be arrays of one shape S; the matrix then has shape
+    S + (3, 3), and a failing check names the first failing point.
     """
-    v = np.array([x, y, z], dtype=float)
-    r = float(np.linalg.norm(v))
-    if r <= eps_chart:
-        raise CenterSingularity(f"r = {r} too close to the center")
-    if r >= 1.0:
-        raise DomainError(f"r = {r} outside the open ball")
-    n = v / r
+    v = _stack_point((x, y, z))
+    r = ball_radii(v)
+    away = r > eps_chart
+    if not away.all():
+        raise CenterSingularity(f"point {first_failing(away, v)} is within "
+                                f"{eps_chart} of the center")
+    n = v / r[..., None]
     t = (1.0 - r) / (1.0 + r)
     c_rad = 1.0 / (1.0 - r * r)
-    c_tan = 1.0 / ((1.0 + r) * float(spec.f_raw(t)))
-    proj = np.outer(n, n)
-    mat = c_rad * proj + c_tan * (np.eye(3) - proj)
+    c_tan = 1.0 / ((1.0 + r) * finite_f(spec, t))
+    proj = n[..., :, None] * n[..., None, :]
+    mat = (c_rad[..., None, None] * proj
+           + c_tan[..., None, None] * (np.eye(3) - proj))
     return MetricAtPoint("cartesian", mat, (x, y, z))
 
 
 def inverse_metric(m: MetricAtPoint, cond_limit: float = 1e12) -> MetricAtPoint:
+    """Invert one metric matrix, or each of a stack of them.
+
+    Every matrix must be finite with condition number at most cond_limit;
+    for a stack, the error names the first failing matrix.
+    """
+    finite = np.isfinite(m.matrix).all(axis=(-2, -1))
+    if not finite.all():
+        point = first_failing(finite, _stack_point(m.point))
+        raise IllConditioned(f"metric at {point} is not finite")
     cond = np.linalg.cond(m.matrix)
-    if cond > cond_limit:
-        raise IllConditioned(f"condition number {cond:.3e} exceeds {cond_limit:.0e}")
+    ok = cond <= cond_limit
+    if not ok.all():
+        worst = first_failing(ok, cond[..., None])[0]
+        point = first_failing(ok, _stack_point(m.point))
+        raise IllConditioned(f"condition number {worst:.3e} at {point} "
+                             f"exceeds {cond_limit:.0e}")
     return MetricAtPoint(m.chart, np.linalg.inv(m.matrix), m.point)
 
 
@@ -314,7 +352,7 @@ def check_petz_symmetry(spec: MonotoneFunctionSpec, grid,
     f(1/t) is evaluated from the defining formula extended past t = 1.
     """
     grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0.0) or np.any(grid >= 1.0):
+    if not np.all((grid > 0.0) & (grid < 1.0)):
         raise DomainError("symmetry grid must lie in (0, 1)")
     dev = np.abs(np.asarray(spec.f_raw(grid))
                  - grid * np.asarray(spec.f_raw(1.0 / grid)))
@@ -363,42 +401,65 @@ def _random_ordered_pairs(rng, dim: int, count: int):
     return a, b
 
 
-def _apply_spectral(spec: MonotoneFunctionSpec, mats: np.ndarray) -> np.ndarray:
-    lam, vec = np.linalg.eigh(mats)
+def _apply_spectral(spec: MonotoneFunctionSpec, lam: np.ndarray,
+                    vec: np.ndarray) -> np.ndarray:
+    """f of the stacked matrices with eigenpairs (lam, vec)."""
     flam = np.asarray(spec.f_raw(np.clip(lam, 1e-300, 1.0)))
     return np.einsum("nij,nj,nkj->nik", vec, flam, vec.conj())
 
 
-def scan_monotonicity(spec: MonotoneFunctionSpec, sizes=(1, 2, 3, 4),
-                      samples: int = 10_000, seed: int = 0,
-                      violation_tol: float = 1e-10) -> MonotonicityReport:
+def _size_gaps(specs, dim: int, samples: int, seed: int):
+    """Smallest eigenvalue of f(B) - f(A) per drawn pair of one size, per spec,
+    with the spectra of A and B, each diagonalised once for all specs.
+
+    Each matrix stack is freed as soon as it is no longer needed, and all of
+    them on return, so the peak memory stays that of a one-spec scan.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                       spawn_key=(dim,)))
+    a, b = _random_ordered_pairs(rng, dim, samples)
+    lam_a, vec_a = np.linalg.eigh(a)
+    del a
+    lam_b, vec_b = np.linalg.eigh(b)
+    del b
+    gaps = []
+    for spec in specs:
+        diff = _apply_spectral(spec, lam_b, vec_b)
+        diff -= _apply_spectral(spec, lam_a, vec_a)
+        gaps.append(np.linalg.eigvalsh(diff)[:, 0])
+        del diff
+    return gaps, lam_a, lam_b
+
+
+def scan_monotonicity(specs, sizes=(1, 2, 3, 4), samples: int = 10_000,
+                      seed: int = 0, violation_tol: float = 1e-10) -> list:
     """Search for matrix-order violations f(B) - f(A) not >= 0 with A <= B.
 
+    Returns one MonotonicityReport per spec of ``specs``.  Each size draws
+    its pairs and diagonalises A and B once, then scores every spec against
+    those spectra, so a spec's report does not depend on the other specs.
     Evidence only: a clean scan does not prove operator monotonicity.  The
     per-size RNG stream is derived from (seed, size) so results do not
     depend on the order sizes are processed in.
     """
-    min_gap = np.inf
-    counterexample = None
+    specs = list(specs)
+    min_gaps = [np.inf] * len(specs)
+    counterexamples = [None] * len(specs)
     for dim in sizes:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                           spawn_key=(dim,)))
-        a, b = _random_ordered_pairs(rng, dim, samples)
-        gap = np.linalg.eigvalsh(_apply_spectral(spec, b)
-                                 - _apply_spectral(spec, a))[:, 0]
-        idx = int(np.argmin(gap))
-        if gap[idx] < min_gap:
-            min_gap = float(gap[idx])
-        if counterexample is None and gap[idx] < -violation_tol:
-            counterexample = {
-                "size": int(dim),
-                "gap": float(gap[idx]),
-                "a_eigenvalues": np.linalg.eigvalsh(a[idx]).tolist(),
-                "b_eigenvalues": np.linalg.eigvalsh(b[idx]).tolist(),
-            }
-    return MonotonicityReport(spec.name, tuple(int(d) for d in sizes),
-                              int(samples), int(seed), float(min_gap),
-                              counterexample)
+        gaps, lam_a, lam_b = _size_gaps(specs, dim, samples, seed)
+        for k, gap in enumerate(gaps):
+            idx = int(np.argmin(gap))
+            min_gaps[k] = min(min_gaps[k], float(gap[idx]))
+            if counterexamples[k] is None and gap[idx] < -violation_tol:
+                counterexamples[k] = {
+                    "size": int(dim),
+                    "gap": float(gap[idx]),
+                    "a_eigenvalues": lam_a[idx].tolist(),
+                    "b_eigenvalues": lam_b[idx].tolist(),
+                }
+    return [MonotonicityReport(spec.name, tuple(int(d) for d in sizes),
+                               int(samples), int(seed), float(gap), example)
+            for spec, gap, example in zip(specs, min_gaps, counterexamples)]
 
 
 def derivative_limit_at_zero(a_const: float, rel_tol: float = 1e-4) -> float:

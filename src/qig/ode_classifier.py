@@ -48,7 +48,7 @@ def classify(spec: MonotoneFunctionSpec, grid,
     grid = np.asarray(grid, dtype=float)
     if grid.size < 20:
         raise DomainError(f"classification grid needs >= 20 points, got {grid.size}")
-    if np.any(grid <= 0.0) or np.any(grid >= 1.0):
+    if not np.all((grid > 0.0) & (grid < 1.0)):
         raise DomainError("classification grid must lie in (0, 1)")
     values = np.asarray(big_f(spec, grid), dtype=float)
     width = float(values.max() - values.min())
@@ -82,19 +82,25 @@ class SingularityList:
 
 def singularities(b_const: float, c: float = 0.0,
                   max_count: int = 10) -> SingularityList:
-    """First max_count poles t_k = exp(c - (pi/2 + k pi)/sqrt(B)) in (0, 1]."""
-    if b_const <= 0.0:
-        raise DomainError(f"B must be positive, got {b_const}")
+    """First max_count poles t_k = exp(c - (pi/2 + k pi)/sqrt(B)) in (0, 1].
+
+    k_min is the first k with t_k <= 1; the scan stops after max_count + 1
+    values of k, so rounding at an extreme c cannot keep it going.
+    """
+    if not (0.0 < b_const < math.inf and math.isfinite(c)):
+        raise DomainError(f"poles require finite B > 0 and finite c, "
+                          f"got B = {b_const}, c = {c}")
     sb = math.sqrt(b_const)
-    k_min = max(0, math.ceil(c * sb / math.pi - 0.5))
+    k_start = c * sb / math.pi - 0.5
+    if not math.isfinite(k_start):
+        raise DomainError(f"c * sqrt(B) = {c} * {sb} overflows")
+    k_min = max(0, math.ceil(k_start))
     ts, rs = [], []
-    k = k_min
-    while len(ts) < max_count:
-        t = math.exp(c - (math.pi / 2.0 + k * math.pi) / sb)
-        if t <= 1.0:
+    for k in range(k_min, k_min + max_count + 1):
+        t = math.exp(min(1.0, c - (math.pi / 2.0 + k * math.pi) / sb))
+        if t <= 1.0 and len(ts) < max_count:
             ts.append(t)
             rs.append((1.0 - t) / (1.0 + t))
-        k += 1
     return SingularityList(float(b_const), float(c), tuple(ts), tuple(rs))
 
 

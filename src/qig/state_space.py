@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryViolation, ChartSingularity, InputError, NotAState
+from .errors import (BoundaryViolation, ChartSingularity, DomainError,
+                     InputError, NotAState)
 
 # Numerical guards.  The manifold is the *open* ball; points within
 # EPS_BOUNDARY of the sphere are rejected.  The spherical chart excludes the
@@ -109,12 +110,47 @@ class QubitState:
 def state_from_bloch(x: float, y: float, z: float,
                      eps_boundary: float = EPS_BOUNDARY) -> QubitState:
     """Build a faithful state from Cartesian Bloch coordinates."""
-    r2 = x * x + y * y + z * z
-    if not r2 < (1.0 - eps_boundary) ** 2:
-        raise BoundaryViolation(
-            f"Bloch point with |v|^2 = {r2} is not strictly inside the unit ball"
-        )
+    check_bloch_array(np.array((x, y, z)), eps_boundary)
     return QubitState(float(x), float(y), float(z))
+
+
+def bloch_norm(v: np.ndarray) -> np.ndarray:
+    """|v| over the last axis of a (..., 3) array, without overflow."""
+    return np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
+
+
+def first_failing(ok, rows) -> list:
+    """The first row of the stack rows (..., k) at which the mask ok fails."""
+    rows = np.asarray(rows)
+    return rows.reshape(-1, rows.shape[-1])[int(np.argmin(np.ravel(ok)))].tolist()
+
+
+def ball_radii(v: np.ndarray) -> np.ndarray:
+    """|v| of each point of a (..., 3) stack; each must lie in the open ball.
+
+    Written so that a NaN coordinate fails; the DomainError names the first
+    failing point.
+    """
+    r = bloch_norm(v)
+    inside = r < 1.0
+    if not inside.all():
+        raise DomainError(f"point {first_failing(inside, v)} is not inside "
+                          f"the open ball")
+    return r
+
+
+def check_bloch_array(points: np.ndarray,
+                      eps_boundary: float = EPS_BOUNDARY) -> np.ndarray:
+    """Check that every point of a (..., 3) stack is a faithful state.
+
+    Returns the points; the error names the first point that is not
+    strictly inside the unit ball (NaN fails too).
+    """
+    inside = bloch_norm(points) < 1.0 - eps_boundary
+    if not inside.all():
+        raise BoundaryViolation(f"Bloch point {first_failing(inside, points)} "
+                                f"is not strictly inside the unit ball")
+    return points
 
 
 def bloch_from_state(m, eps_boundary: float = EPS_BOUNDARY) -> QubitState:
@@ -137,17 +173,25 @@ def bloch_from_state(m, eps_boundary: float = EPS_BOUNDARY) -> QubitState:
 
 @dataclass(frozen=True)
 class SphericalPoint:
-    """Interior chart point: r in (0,1), theta in (0,pi), phi in [0,2pi)."""
+    """Interior chart point: r in (0,1), theta in (0,pi), phi finite.
+
+    As in spherical_from_cartesian, the chart keeps EPS_CHART away from the
+    center (r > EPS_CHART) and from the polar axis (|cos theta| < 1 - EPS_CHART).
+    """
 
     r: float
     theta: float
     phi: float
 
     def __post_init__(self):
-        if not (0.0 < self.r < 1.0):
-            raise ChartSingularity(f"r = {self.r} outside (0, 1)")
-        if not (0.0 < self.theta < math.pi):
-            raise ChartSingularity(f"theta = {self.theta} outside (0, pi)")
+        if not (EPS_CHART < self.r < 1.0):
+            raise ChartSingularity(f"r = {self.r} outside ({EPS_CHART}, 1)")
+        if not (0.0 < self.theta < math.pi
+                and abs(math.cos(self.theta)) < 1.0 - EPS_CHART):
+            raise ChartSingularity(f"theta = {self.theta} outside (0, pi) or "
+                                   f"too close to the polar axis")
+        if not math.isfinite(self.phi):
+            raise ChartSingularity(f"phi = {self.phi} is not finite")
 
 
 def cartesian_from_spherical(p: SphericalPoint) -> tuple[float, float, float]:

@@ -4,7 +4,9 @@ Fundamental fields generate the unitary rotations (Cartesian form b x v);
 gradient fields are the metric duals of the expectation-value differentials.
 Both carry a spherical-chart evaluator mirroring the closed formulas and a
 Cartesian evaluator that is regular across the polar axis; all brackets are
-taken in the Cartesian chart.
+taken in the Cartesian chart.  Cartesian evaluators take a (..., 3) array of
+Bloch vectors, a single point being a (3,) array, and return the velocities
+in the same shape.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NeighborhoodOutsideBall
-from .metric_family import (MonotoneFunctionSpec, big_f, g_from_f,
+from .metric_family import (MonotoneFunctionSpec, big_f, finite_f, g_from_f,
                             inverse_metric, metric_cartesian)
 from .state_space import (EPS_BOUNDARY, SphericalPoint, TracelessObservable,
-                          cartesian_from_spherical)
+                          ball_radii, bloch_norm, first_failing)
 
 BRACKET_STEP = 1e-4
+_STEPS = np.array([1.0, -1.0, 0.5, -0.5])  # stencil steps, in units of h
 
 
 @dataclass(frozen=True)
@@ -40,8 +43,8 @@ class TangentVector:
 class VectorField:
     """A vector field given by chart evaluators.
 
-    ``cartesian`` maps a Bloch vector to a Bloch velocity and is defined on
-    the whole punctured (or full, for fundamental fields) ball.
+    ``cartesian`` maps a (..., 3) array of Bloch vectors to their Bloch
+    velocities and is defined on the whole open ball.
     ``spherical`` returns (v^r, v^theta, v^phi) coordinate components and is
     only defined on the spherical chart.
     """
@@ -56,8 +59,9 @@ class VectorField:
 
     def at_cartesian(self, v) -> TangentVector:
         v = np.asarray(v, dtype=float)
+        ball_radii(v)
         return TangentVector("cartesian", np.asarray(self.cartesian(v), dtype=float),
-                             tuple(v))
+                             tuple(v.tolist()))
 
 
 def _frame(p: SphericalPoint):
@@ -80,12 +84,18 @@ def fundamental_field(b: TracelessObservable) -> VectorField:
     Cartesian form: v -> b x v.
     """
     coeffs = b.coeffs
+    b1, b2, b3 = coeffs.tolist()
+
+    def cartesian(v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        x, y, z = v[..., 0], v[..., 1], v[..., 2]
+        return np.stack((b2 * z - b3 * y, b3 * x - b1 * z, b1 * y - b2 * x),
+                        axis=-1)
 
     def spherical(p: SphericalPoint) -> np.ndarray:
         st, ct = math.sin(p.theta), math.cos(p.theta)
         sp, cp = math.sin(p.phi), math.cos(p.phi)
         cot = ct / st
-        b1, b2, b3 = coeffs
         return np.array([
             0.0,
             -b1 * sp + b2 * cp,
@@ -93,8 +103,7 @@ def fundamental_field(b: TracelessObservable) -> VectorField:
         ])
 
     return VectorField(f"fundamental({coeffs.tolist()})",
-                       cartesian=lambda v: np.cross(coeffs, v),
-                       spherical=spherical)
+                       cartesian=cartesian, spherical=spherical)
 
 
 def gradient_field_closed(a: TracelessObservable,
@@ -106,7 +115,8 @@ def gradient_field_closed(a: TracelessObservable,
         Y^theta = g(r) (a . th)
         Y^phi   = g(r) (a . ph) / sin(theta)
     Cartesian form: r g(r) a + ((1-r^2) - r g(r)) (a . n) n, where
-    r g(r) = (1+r) f((1-r)/(1+r)) extends continuously to the center.
+    r g(r) = (1+r) f((1-r)/(1+r)) extends continuously to the center; points
+    with r < 1e-12 take that limit, f(1) a.
     """
     coeffs = a.coeffs
 
@@ -121,12 +131,17 @@ def gradient_field_closed(a: TracelessObservable,
 
     def cartesian(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        r = float(np.linalg.norm(v))
-        if r < 1e-12:
-            return float(spec.f_raw(1.0)) * coeffs
-        rg = (1.0 + r) * float(spec.f_raw((1.0 - r) / (1.0 + r)))
-        n = v / r
-        return rg * coeffs + ((1.0 - r * r) - rg) * float(coeffs @ n) * n
+        r = bloch_norm(v)
+        if not ((r >= 1e-12) & (r < 1.0)).all():
+            ball_radii(v)  # raises for a point outside the open ball
+            center = r < 1e-12
+            out = np.empty(v.shape)
+            out[center] = float(spec.f_raw(1.0)) * coeffs
+            out[~center] = cartesian(v[~center])
+            return out
+        rg = (1.0 + r) * finite_f(spec, (1.0 - r) / (1.0 + r))
+        radial = ((1.0 - r * r) - rg) * (v @ coeffs) / (r * r)
+        return rg[..., None] * coeffs + radial[..., None] * v
 
     return VectorField(f"gradient({coeffs.tolist()}, {spec.name})",
                        cartesian=cartesian, spherical=spherical)
@@ -155,8 +170,8 @@ def gradient_field_from_metric(a: TracelessObservable,
 
     def cartesian(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        ginv = inverse_metric(metric_cartesian(spec, *v)).matrix
-        return ginv @ coeffs
+        metric = metric_cartesian(spec, v[..., 0], v[..., 1], v[..., 2])
+        return inverse_metric(metric).matrix @ coeffs
 
     return VectorField(f"gradient_from_metric({coeffs.tolist()}, {spec.name})",
                        cartesian=cartesian, spherical=spherical)
@@ -172,33 +187,40 @@ def rescaled_gradient_field(a: TracelessObservable, a_const: float) -> VectorFie
                        spherical=lambda p: scale * base.spherical(p))
 
 
-def _jacobian(field: VectorField, v: np.ndarray, h: float) -> np.ndarray:
-    jac = np.empty((3, 3))
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
-        jac[:, j] = (field.cartesian(v + e) - field.cartesian(v - e)) / (2.0 * h)
-    return jac
-
-
 def lie_bracket_numeric(v_field: VectorField, w_field: VectorField, p,
                         h: float = BRACKET_STEP) -> TangentVector:
     """[V, W] = DW.V - DV.W at p via central differences in the Cartesian chart.
 
-    With Richardson extrapolation over (h, h/2) the truncation error is
-    O(h^4); roundoff grows like eps/h^2, so the default step balances both.
+    p is one point (3,) or a stack (..., 3); the components have its shape.
+    Each field is evaluated once, on every base point together with its 12
+    stencil points v +- h e_j and v +- (h/2) e_j.  With Richardson
+    extrapolation over (h, h/2) the truncation error is O(h^4); roundoff
+    grows like eps/h^2, so the default step balances both.
     """
     v = np.asarray(p, dtype=float)
-    if not 0.0 < h < (1.0 - EPS_BOUNDARY - float(np.linalg.norm(v))) / 2.0:
+    r = bloch_norm(v)
+    fits = (0.0 < h) & (h < (1.0 - EPS_BOUNDARY - r) / 2.0)
+    if not fits.all():
         raise NeighborhoodOutsideBall(f"stencil step h = {h} is not positive or "
-                                      f"leaves the ball at |v| = {np.linalg.norm(v)}")
+                                      f"leaves the ball at point "
+                                      f"{first_failing(fits, v)}")
+    # Row 0 is the base point; row 1 + 3 s + j is step s of _STEPS along e_j.
+    offsets = np.zeros((13, 3))
+    offsets[1:] = (h * _STEPS[:, None, None] * np.eye(3)).reshape(12, 3)
+    pts = v[..., None, :] + offsets
+    vals_v = v_field.cartesian(pts)
+    vals_w = w_field.cartesian(pts)
 
-    def bracket(step):
-        return (_jacobian(w_field, v, step) @ v_field.cartesian(v)
-                - _jacobian(v_field, v, step) @ w_field.cartesian(v))
+    def bracket(plus, minus, step):
+        # jac[..., j, i] = d field_i / d x_j
+        jac_w = (vals_w[..., plus, :] - vals_w[..., minus, :]) / (2.0 * step)
+        jac_v = (vals_v[..., plus, :] - vals_v[..., minus, :]) / (2.0 * step)
+        return (np.einsum("...ji,...j->...i", jac_w, vals_v[..., 0, :])
+                - np.einsum("...ji,...j->...i", jac_v, vals_w[..., 0, :]))
 
-    out = (4.0 * bracket(h / 2.0) - bracket(h)) / 3.0
-    return TangentVector("cartesian", out, tuple(v))
+    out = (4.0 * bracket(slice(7, 10), slice(10, 13), h / 2.0)
+           - bracket(slice(1, 4), slice(4, 7), h)) / 3.0
+    return TangentVector("cartesian", out, tuple(v.tolist()))
 
 
 @dataclass(frozen=True)
@@ -236,39 +258,29 @@ def verify_commutator_relations(spec: MonotoneFunctionSpec, points,
     y_fields = [gradient_field_closed(b, spec) for b in basis]
     cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
-    pts = [np.asarray(p, dtype=float) for p in points]
-    per_point = []
-    for v in pts:
-        fr = big_f(spec, float(np.linalg.norm(v)))
-        err = 0.0
-        for i, j, k in cyclic:
-            num = lie_bracket_numeric(y_fields[i], y_fields[j], v, h=h).components
-            err = max(err, float(np.max(np.abs(num - fr * x_fields[k].cartesian(v)))))
-        per_point.append(err)
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    basis_vals = [f.cartesian(pts) for f in x_fields + y_fields]
+    fr = np.asarray(big_f(spec, bloch_norm(pts)))
+    per_point = np.zeros(len(pts))
+    for i, j, k in cyclic:
+        num = lie_bracket_numeric(y_fields[i], y_fields[j], pts, h=h).components
+        dev = np.max(np.abs(num - fr[:, None] * basis_vals[k]), axis=1)
+        per_point = np.maximum(per_point, dev)
 
     # Convention sign of the fundamental-field brackets, measured once.
-    v0 = pts[0]
-    num_xx = lie_bracket_numeric(x_fields[0], x_fields[1], v0, h=h).components
-    ref = x_fields[2].cartesian(v0)
-    convention_sign = float(np.sign(num_xx @ ref))
+    num_xx = lie_bracket_numeric(x_fields[0], x_fields[1], pts[0], h=h).components
+    convention_sign = float(np.sign(num_xx @ basis_vals[2][0]))
 
     # Mixed-bracket closure: stack [X_i, Y_j] over all points and fit constant
-    # coefficients over the six basis fields.
-    residual = 0.0
-    for i in range(3):
-        for j in range(3):
-            rows, rhs = [], []
-            for v in pts:
-                cols = [f.cartesian(v) for f in x_fields + y_fields]
-                rows.append(np.column_stack(cols))
-                rhs.append(lie_bracket_numeric(x_fields[i], y_fields[j], v,
-                                               h=h).components)
-            mat = np.vstack(rows)
-            vec = np.concatenate(rhs)
-            coef, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-            residual = max(residual, float(np.max(np.abs(mat @ coef - vec))))
+    # coefficients over the six basis fields, one right-hand side per (i, j).
+    mat = np.stack(basis_vals, axis=-1).reshape(-1, 6)
+    rhs = np.column_stack([
+        lie_bracket_numeric(x_fields[i], y_fields[j], pts, h=h).components.ravel()
+        for i in range(3) for j in range(3)])
+    coef, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    residual = float(np.max(np.abs(mat @ coef - rhs)))
 
     return CommutatorReport(spec.name, float(h),
-                            tuple(tuple(v) for v in pts),
-                            tuple(per_point), float(max(per_point)),
-                            float(residual), convention_sign)
+                            tuple(tuple(v) for v in pts.tolist()),
+                            tuple(per_point.tolist()), float(np.max(per_point)),
+                            residual, convention_sign)

@@ -59,10 +59,23 @@ def _catalog_with_families():
 
 
 def suite_commutators(seed: int = 0, n_points: int = 50, h: float = 1e-4,
-                      tol: float = 1e-6, control_gap: float = 1e-2) -> dict:
-    """[Y_i, Y_j] = F(r) X_k for the constant-F catalog; RLD must fail."""
+                      tol: float = 1e-6, control_gap: float = 1e-2,
+                      spec=None) -> dict:
+    """[Y_i, Y_j] = F(r) X_k for the constant-F catalog; RLD must fail.
+
+    With ``spec``, only that spec is checked, on the same points: it must
+    meet the bracket relations and have a constant radial invariant F (the
+    relations need a constant coefficient).
+    """
     rng = np.random.default_rng(sub_seed(seed, "commutators"))
     pts = _interior_points(rng, n_points)
+    if spec is not None:
+        max_error = verify_commutator_relations(spec, pts, h=h).max_error
+        constant = oc.classify(spec, np.linspace(0.05, 0.95, 50)).is_constant
+        return {"name": "commutators", "spec": spec.name,
+                "max_error": max_error, "constant_coefficient": constant,
+                "tolerance": tol, "passed": max_error < tol and constant}
+
     specs = [mf.bkm(), mf.bures_helstrom(), mf.wigner_yanase(), mf.family_a(2.0)]
     per_spec = {}
     for spec in specs:
@@ -76,10 +89,8 @@ def suite_commutators(seed: int = 0, n_points: int = 50, h: float = 1e-4,
     basis = [TracelessObservable.from_coeffs(e) for e in np.eye(3)]
     y1 = gradient_field_closed(basis[0], mf.rld())
     y2 = gradient_field_closed(basis[1], mf.rld())
-    x3 = fundamental_field(basis[2])
-    brackets = np.array([lie_bracket_numeric(y1, y2, v, h=h).components
-                         for v in pts])
-    refs = np.array([x3.cartesian(v) for v in pts])
+    brackets = lie_bracket_numeric(y1, y2, pts, h=h).components
+    refs = fundamental_field(basis[2]).cartesian(pts)
     c_best = float(np.sum(brackets * refs) / np.sum(refs * refs))
     control = float(np.max(np.abs(brackets - c_best * refs)))
     passed = passed and control > control_gap
@@ -139,10 +150,9 @@ def suite_fconstancy(seed: int = 0, grid=None, tol_const: float = 1e-8,
     worst_cross = 0.0
     obs = TracelessObservable.from_coeffs(rng.uniform(-1.0, 1.0, 3))
     for spec in _catalog_with_families():
-        closed = gradient_field_closed(obs, spec)
-        raised = gradient_field_from_metric(obs, spec)
-        dev = max(float(np.max(np.abs(closed.cartesian(v) - raised.cartesian(v))))
-                  for v in pts)
+        closed = gradient_field_closed(obs, spec).cartesian(pts)
+        raised = gradient_field_from_metric(obs, spec).cartesian(pts)
+        dev = float(np.max(np.abs(closed - raised)))
         details[f"cross_{spec.name}"] = dev
         worst_cross = max(worst_cross, dev)
     details["gradient_cross_validation"] = worst_cross
@@ -260,14 +270,16 @@ def suite_monotone(seed: int = 0, samples: int = 10_000,
     s = sub_seed(seed, "monotone")
     details = {}
     passed = True
-    for spec, expect_violation in [
+    expected = [
         (mf.bures_helstrom(), False),
         (mf.wigner_yanase(), False),
         (mf.bkm(), False),
         (mf.family_a(2.0), True),
         (mf.family_a(4.0), True),
-    ]:
-        rep = mf.scan_monotonicity(spec, sizes=sizes, samples=samples, seed=s)
+    ]
+    reports = mf.scan_monotonicity([spec for spec, _ in expected], sizes=sizes,
+                                   samples=samples, seed=s)
+    for rep, (spec, expect_violation) in zip(reports, expected):
         details[spec.name] = {"min_gap": rep.min_gap, "violated": rep.violated}
         passed = passed and (rep.violated == expect_violation)
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qig import cli
 
@@ -181,6 +184,21 @@ _BAD_INPUT = [
     (["export", "--what", "flow", "--start", "a,b"], None),
     (["bracket", "--v", "x:1,0,0", "--w", "x:0,1,0", "--h", "nan"], None),
     (["bracket", "--v", "x:1,0,0", "--w", "x:0,1,0", "--h", "0"], None),
+    (["metric", "--chart", "cartesian", "--x", "nan", "--y", "0", "--z", "0"], None),
+    (["field", "--chart", "cartesian", "--x", "nan", "--y", "0", "--z", "0",
+      "--field", "y:1,0,0"], None),
+    (["field", "--chart", "cartesian", "--x", "nan", "--y", "0", "--z", "0",
+      "--field", "x:1,0,0"], None),
+    (["export", "--what", "f-curves", "--t-min", "nan", "--steps", "3"], None),
+    (["ode", "poles", "--B", "nan"], None),
+    (["ode", "poles", "--B", "inf"], None),
+    (["ode", "poles", "--B", "1", "--c", "inf"], None),
+    (["verify", "poles", "--config", "/nonexistent/qig.cfg"], "--config"),
+    (["metric", "--chart", "cartesian", "--x", "-inf"], "--x"),
+    (["verify", "actions", "--samples", "-5"], "--samples"),
+    (["verify", "poles", "--seed", "-1"], "--seed"),
+    (["verify", "poles", "--tolerance", "inf"], "--tolerance"),
+    (["verify", "poles", "--output", "/nonexistent/dir/report.json"], "--output"),
 ]
 
 
@@ -192,3 +210,77 @@ def test_bad_input_is_json_error_exit_2(argv, flag, capsys):
     assert set(data) == {"error", "message"}
     if flag is not None:
         assert flag in data["message"]
+
+
+# Config values that are not a seed >= 0, a sample count >= 1 or a finite
+# tolerance > 0; each names the key in the file.
+@pytest.mark.parametrize("body", ["seed = inf", "samples = 1e999", "seed = 1.5",
+                                  "seed = -1", "samples = 0", "samples = x",
+                                  "tolerance = nan", "tolerance = 0",
+                                  "output = 3"])
+def test_bad_config_value_is_json_error_exit_2(body, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(body + "\n")
+    code = cli.main(["verify", "poles", "--config", str(cfg)])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert set(data) == {"error", "message"}
+    assert str(cfg) in data["message"] and body.split()[0] in data["message"]
+
+
+# Numeric flag values a user can type that break naive comparisons.  They
+# are passed as --flag=value: argparse takes a separate "-inf" for a flag.
+_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e308", "-1e308",
+                            "1e-308", "0.3", "-0.2", "0.5", "0.999", "2"])
+_JSON_NUMBERS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_G_JSON = ['{"sl_matrix":[[1,0],[0,0],[0,0],[1,0]]}',
+           '{"sl_matrix":[[2,0],[0,0],[0,0],[0.5,0]]}',
+           '{"unitary":[[1,0],[0,0],[0,0],[1,0]],"a":{"pauli":[0.3,0,0]}}']
+
+
+@st.composite
+def _cheap_argv(draw):
+    def num():
+        return draw(_NUMBERS)
+
+    kind = draw(st.sampled_from(["metric", "field", "bracket", "poles", "act",
+                                 "f-curves"]))
+    if kind == "poles":
+        return ["ode", "poles", f"--B={num()}", f"--c={num()}",
+                "-n", str(draw(st.integers(0, 4)))]
+    if kind == "act":
+        bloch = ",".join(_JSON_NUMBERS.get(v, v) for v in (num(), num(), num()))
+        return ["act", "--family", draw(st.sampled_from(["bh", "wy", "alphaA", "bkm"])),
+                f"--A={num()}", "--g-json", draw(st.sampled_from(_G_JSON)),
+                "--state-json", '{"bloch":[%s]}' % bloch]
+    if kind == "f-curves":
+        return ["export", "--what", "f-curves", f"--t-min={num()}",
+                f"--t-max={num()}", "--steps", str(draw(st.integers(0, 4))),
+                "--a-list", *(a for a in (num(), num()) if not a.startswith("-"))]
+    chart = "cartesian" if kind == "bracket" else draw(
+        st.sampled_from(["spherical", "cartesian"]))
+    spec = draw(st.sampled_from(["bh", "bkm", "wy", "rld", "fa", "fb"]))
+    argv = [kind, "--spec", spec, "--chart", chart] + [
+        f"--{flag}={num()}" for flag in ("A", "B", "c", "r", "theta", "phi",
+                                         "x", "y", "z")]
+    if kind == "metric" and draw(st.booleans()):
+        argv.append("--inverse")
+    if kind == "field":
+        argv += ["--field", draw(st.sampled_from(["x:1,0,0", "y:0.3,-0.2,0.5",
+                                                  "ym:0,1,0", "ya:0.2,0.2,0.2"]))]
+    if kind == "bracket":
+        argv += ["--v", draw(st.sampled_from(["x:1,0,0", "y:0,1,0"])),
+                 "--w", draw(st.sampled_from(["y:0,0,1", "ya:1,0,0"])), f"--h={num()}"]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cheap_argv())
+def test_cli_fuzz_exit_codes_and_json_errors(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert set(json.loads(out.getvalue())) == {"error", "message"}

@@ -7,7 +7,10 @@ import pytest
 from qig.errors import LeftManifold
 from qig.flow_engine import (Trajectory, compare_flow_to_orbit, integrate_flow,
                              orbit_curve)
-from qig.group_actions import alpha_subgroup, bkm_subgroup
+from qig.group_actions import (CotangentGroupElement, action_alpha_a,
+                               action_bkm, alpha_subgroup, bkm_subgroup,
+                               sl_from_generators,
+                               special_unitary_from_generator)
 from qig.metric_family import bkm
 from qig.state_space import TracelessObservable, state_from_bloch
 from qig.vector_fields import (VectorField, fundamental_field,
@@ -69,3 +72,27 @@ def test_trajectory_csv_format():
     assert lines[0] == "t,x,y,z,r,l_a"
     row = [float(v) for v in lines[1].split(",")]
     assert row == [0.0, 0.1, 0.0, 0.0, 0.1, pytest.approx(0.04)]
+
+
+B_OBS = TracelessObservable(-0.2, 0.5, 0.1)
+
+
+@pytest.mark.parametrize("a_const", [0.25, 1.0, 2.0, None])
+def test_batched_orbit_matches_per_time_actions(a_const):
+    # Oracle: one public action call per time, with the group element built
+    # from the scaled generators at that time.
+    times = np.linspace(0.0, 1.5, 41)
+    if a_const is None:
+        orbit = orbit_curve(bkm_subgroup(A_OBS, B_OBS), START, 1.5, 40)
+        ref = [action_bkm(CotangentGroupElement(
+                   special_unitary_from_generator(
+                       TracelessObservable.from_coeffs(t * B_OBS.coeffs)),
+                   TracelessObservable.from_coeffs(t * A_OBS.coeffs)), START).bloch
+               for t in times]
+    else:
+        orbit = orbit_curve(alpha_subgroup(a_const, A_OBS, B_OBS), START, 1.5, 40)
+        ref = [action_alpha_a(a_const, sl_from_generators(
+                   TracelessObservable.from_coeffs(t * A_OBS.coeffs),
+                   TracelessObservable.from_coeffs(t * B_OBS.coeffs)), START).bloch
+               for t in times]
+    npt.assert_allclose(orbit.points, np.array(ref), rtol=0.0, atol=1e-14)

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from qig.errors import CenterSingularity, DomainError, PoleError
-from qig.metric_family import (big_f, bkm, bures_helstrom, check_petz_symmetry,
-                               custom, derivative_limit_at_zero, f_eval,
-                               family_a, family_b, g_derivative, g_from_f,
+from qig.errors import CenterSingularity, DomainError, IllConditioned, PoleError
+from qig.metric_family import (SERIES_CUTOFF, MetricAtPoint, big_f, bkm,
+                               bures_helstrom, check_petz_symmetry, custom,
+                               derivative_limit_at_zero, f_eval, family_a,
+                               family_b, g_derivative, g_from_f,
                                inverse_metric, metric_cartesian,
                                metric_spherical, rld, scan_monotonicity,
                                spec_from_name, wigner_yanase)
@@ -145,14 +146,14 @@ def test_spec_from_name():
 
 
 def test_scan_monotonicity_flags_family_a_above_one():
-    rep = scan_monotonicity(family_a(2.0), samples=2000, seed=0)
+    [rep] = scan_monotonicity([family_a(2.0)], samples=2000, seed=0)
     assert rep.violated
     assert rep.counterexample is not None
 
 
 def test_scan_monotonicity_clean_for_monotone_trio():
     for spec in (bures_helstrom(), wigner_yanase(), bkm()):
-        rep = scan_monotonicity(spec, samples=2000, seed=0)
+        [rep] = scan_monotonicity([spec], samples=2000, seed=0)
         assert not rep.violated
 
 
@@ -160,3 +161,52 @@ def test_derivative_limit_at_zero():
     # limit of f'(t) as t -> 0+ is -sqrt(A)/2 for A > 1.
     assert abs(derivative_limit_at_zero(4.0) - (-1.0)) < 1e-4
     assert abs(derivative_limit_at_zero(9.0) - (-1.5)) < 1e-4
+
+
+def test_multi_spec_scan_equals_single_spec_scans():
+    specs = [bures_helstrom(), bkm(), family_a(2.0), family_a(4.0)]
+    together = scan_monotonicity(specs, samples=500, seed=3)
+    for spec, rep in zip(specs, together):
+        [alone] = scan_monotonicity([spec], samples=500, seed=3)
+        assert rep.spec == alone.spec
+        assert rep.min_gap == alone.min_gap
+        assert rep.violated == alone.violated
+
+
+_T_NEAR_ONE = st.floats(1.0 - 0.9 * SERIES_CUTOFF, 1.0 + 0.9 * SERIES_CUTOFF)
+_T_AWAY = st.one_of(st.floats(1e-6, 1.0 - 2.0 * SERIES_CUTOFF),
+                    st.floats(1.0 + 2.0 * SERIES_CUTOFF, 50.0))
+
+
+@settings(max_examples=60)
+@given(st.lists(_T_AWAY, min_size=1, max_size=8),
+       st.lists(_T_NEAR_ONE, min_size=1, max_size=3),
+       st.floats(0.1, 9.0))
+def test_f_raw_fast_path_is_bit_identical(away, near, a_const):
+    # Rows away from t = 1 keep the direct formula's bits whether or not
+    # another row of the array takes the series.
+    away = np.array(away)
+    mixed = np.concatenate([away, near])
+    for f in (bkm().f_raw, family_a(a_const).f_raw):
+        assert np.array_equal(f(away), f(mixed)[:len(away)])
+        assert [f(float(t)) for t in away] == list(f(away))
+
+
+def test_stacked_metric_checks_name_first_failing_point():
+    xs = np.array([0.1, 0.2, 0.95, 0.0, 0.3])
+    ys = np.array([0.0, 0.1, 0.5, 0.0, 0.2])
+    with pytest.raises(DomainError, match=r"\[0\.95, 0\.5, 0\.0\]"):
+        metric_cartesian(bures_helstrom(), xs, ys, 0.0)
+    with pytest.raises(CenterSingularity, match=r"\[0\.0, 0\.0, 0\.0\]"):
+        metric_cartesian(bures_helstrom(), xs[[0, 1, 3]], ys[[0, 1, 3]], 0.0)
+    stack = metric_cartesian(wigner_yanase(), xs[[0, 1, 4]], ys[[0, 1, 4]], 0.1)
+    assert stack.matrix.shape == (3, 3, 3)
+    npt.assert_allclose(inverse_metric(stack).matrix @ stack.matrix,
+                        np.broadcast_to(np.eye(3), (3, 3, 3)), atol=1e-12)
+    with pytest.raises(DomainError, match="nan"):
+        metric_cartesian(bures_helstrom(), float("nan"), 0.0, 0.0)
+    singular = MetricAtPoint("cartesian",
+                             np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-14])]),
+                             (np.array([0.1, 0.2]), 0.0, 0.0))
+    with pytest.raises(IllConditioned, match=r"\[0\.2, 0\.0, 0\.0\]"):
+        inverse_metric(singular)

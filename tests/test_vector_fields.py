@@ -139,3 +139,63 @@ def test_mixed_bracket_closure():
     y3 = gradient_field_closed(E[2], bures_helstrom())
     br = lie_bracket_numeric(x1, y2, v)
     npt.assert_allclose(br.components, -y3.cartesian(v), atol=1e-8)
+
+
+def _field_kinds(spec):
+    a = TracelessObservable(0.6, -0.3, 0.45)
+    return {"x": fundamental_field(a), "y": gradient_field_closed(a, spec),
+            "ym": gradient_field_from_metric(a, spec),
+            "ya": rescaled_gradient_field(a, 2.0)}
+
+
+@pytest.mark.parametrize("kind", ["x", "y", "ym", "ya"])
+@pytest.mark.parametrize("spec", [bkm(), wigner_yanase(), family_a(2.0)],
+                         ids=lambda s: s.name)
+def test_batched_cartesian_matches_rows(kind, spec):
+    # Oracle: the same evaluator called on one (3,) point at a time.
+    field = _field_kinds(spec)[kind]
+    pts = np.random.default_rng(5).uniform(-0.5, 0.5, size=(40, 3))
+    if kind != "ym":  # the metric is not defined at the center
+        pts[17] = 0.0
+    batched = field.cartesian(pts)
+    assert batched.shape == pts.shape
+    rows = np.array([field.cartesian(v) for v in pts])
+    npt.assert_allclose(batched, rows, rtol=0.0, atol=1e-15)
+
+
+def _jacobian_oracle(field, v, h):
+    """Per-point central-difference Jacobian, one stencil pair per axis."""
+    jac = np.empty((3, 3))
+    for j in range(3):
+        e = np.zeros(3)
+        e[j] = h
+        jac[:, j] = (field.cartesian(v + e) - field.cartesian(v - e)) / (2.0 * h)
+    return jac
+
+
+def _bracket_oracle(v_field, w_field, v, h):
+    def bracket(step):
+        return (_jacobian_oracle(w_field, v, step) @ v_field.cartesian(v)
+                - _jacobian_oracle(v_field, v, step) @ w_field.cartesian(v))
+    return (4.0 * bracket(h / 2.0) - bracket(h)) / 3.0
+
+
+def test_batched_bracket_matches_per_point_oracle():
+    pts = np.random.default_rng(9).uniform(-0.5, 0.5, size=(30, 3))
+    for spec in (bkm(), bures_helstrom(), family_a(2.0), rld()):
+        pairs = [(gradient_field_closed(E[0], spec), gradient_field_closed(E[1], spec)),
+                 (fundamental_field(E[2]), gradient_field_closed(E[0], spec)),
+                 (fundamental_field(E[0]), fundamental_field(E[1]))]
+        for v_field, w_field in pairs:
+            batched = lie_bracket_numeric(v_field, w_field, pts).components
+            oracle = np.array([_bracket_oracle(v_field, w_field, v, 1e-4)
+                               for v in pts])
+            npt.assert_allclose(batched, oracle, rtol=0.0, atol=1e-12)
+
+
+def test_batched_bracket_rejects_any_row_near_sphere():
+    pts = np.random.default_rng(2).uniform(-0.4, 0.4, size=(10, 3))
+    pts[6] = [0.0, 0.99995, 0.0]
+    x1, x2 = fundamental_field(E[0]), fundamental_field(E[1])
+    with pytest.raises(NeighborhoodOutsideBall, match="0.99995"):
+        lie_bracket_numeric(x1, x2, pts)
