@@ -9,6 +9,7 @@ file, seed) produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -219,14 +220,17 @@ _SUITE_TOL_KW = {
 def _run_suites(names, cfg: RunConfig, spec_name: str | None = None) -> dict:
     reports = {}
     for name in names:
-        kwargs = {"seed": cfg.seed}
+        suite = vf.SUITES[name]
+        kwargs = {}
+        if "seed" in inspect.signature(suite).parameters:
+            kwargs["seed"] = cfg.seed
         if cfg.tolerance is not None and name in _SUITE_TOL_KW:
             kwargs[_SUITE_TOL_KW[name]] = cfg.tolerance
         if name == "actions":
             kwargs["samples"] = cfg.samples
         if name == "commutators" and spec_name is not None:
             kwargs["spec"] = mf.spec_from_name(spec_name)
-        reports[name] = vf.SUITES[name](**kwargs)
+        reports[name] = suite(**kwargs)
     return {"seed": cfg.seed,
             "passed": all(r["passed"] for r in reports.values()),
             "suites": reports}

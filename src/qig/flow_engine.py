@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import DomainError, LeftManifold
 from .group_actions import Subgroup
-from .state_space import EPS_BOUNDARY, QubitState, TracelessObservable
+from .state_space import (EPS_BOUNDARY, QubitState, TracelessObservable,
+                          bloch_norm)
 from .vector_fields import VectorField
 
 
@@ -50,8 +51,9 @@ class Trajectory:
 
 
 def _check_interior(v: np.ndarray) -> None:
-    if not float(np.linalg.norm(v)) < 1.0 - EPS_BOUNDARY:
-        raise LeftManifold(f"trajectory reached |v| = {np.linalg.norm(v)}")
+    r = bloch_norm(v)
+    if not r < 1.0 - EPS_BOUNDARY:
+        raise LeftManifold(f"trajectory reached |v| = {r}")
 
 
 def _time_grid(t_end: float, steps: int) -> np.ndarray:

@@ -6,13 +6,13 @@ the power-deformed conjugations alpha_A, and the cotangent group of SU(2)
 translation action attached to the BKM metric.  Both are evaluated in
 closed form on Bloch vectors, through the Lorentz matrix of the group
 element (Bengtsson & Zyczkowski, Geometry of Quantum States), with no
-eigensolver.  The closed forms run over a stack of group elements, so a
-one-parameter orbit on a whole time grid is one batched evaluation.
+eigensolver.  The closed forms broadcast a stack of states against a stack
+of group elements, so a one-parameter orbit on a whole time grid, or an
+axiom check over all its samples, is one batched evaluation.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -29,6 +29,8 @@ EIG_DEGENERACY_CUTOFF = 1e-8  # series fallback for the 2x2 exponential
 DET_TOLERANCE = 1e-10  # |det - 1| allowed for an SL(2, C) or SU(2) matrix
 
 _PAULI4 = np.array((SIGMA_0,) + PAULIS)
+# _LORENTZ_TERMS[(j, k, i, l), (a, b)] = sigma_a[i, j] sigma_b[k, l]
+_LORENTZ_TERMS = np.einsum("aij,bkl->jkilab", _PAULI4, _PAULI4).reshape(16, 16)
 
 
 def _unit_det(m: np.ndarray) -> np.ndarray:
@@ -36,28 +38,50 @@ def _unit_det(m: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(m) - 1.0) <= DET_TOLERANCE
 
 
+def _require_unit_det(m: np.ndarray, what: str, name: str,
+                      labels: np.ndarray) -> None:
+    """Check a computed stack m (..., 2, 2) of SL(2, C) matrices.
+
+    A determinant that drifted from 1 is a numeric breakdown, not bad input:
+    NumericError naming the label (name = value) of the first such matrix.
+    """
+    unit = _unit_det(m)
+    if not unit.all():
+        raise NumericError(f"determinant of {what} != 1 at {name} = "
+                           f"{first_failing(unit, labels[..., None])[0]}")
+
+
 def _lorentz(m: np.ndarray) -> np.ndarray:
     """Lambda(m)_{mu nu} = tr(sigma_mu m sigma_nu m^dag)/2, a real 4x4 matrix.
 
     It maps the coefficients (t, x) of M = t I + x.sigma to those of m M m^dag.
     M has eigenvalues t +- |x|, and for |det m| = 1 the determinant
-    t^2 - |x|^2 is invariant.  m may be a stack (..., 2, 2).
+    t^2 - |x|^2 is invariant.  m may be a stack (..., 2, 2); the 16 products
+    m_jk conj(m_il) meet the Pauli traces in one matrix product.
     """
-    return 0.5 * np.einsum("aij,...jk,bkl,...il->...ab", _PAULI4, m, _PAULI4,
-                           m.conj()).real
+    products = m[..., :, :, None, None] * m.conj()[..., None, None, :, :]
+    stack = m.shape[:-2]
+    return 0.5 * (products.reshape(stack + (16,)) @ _LORENTZ_TERMS).real.reshape(
+        stack + (4, 4))
 
 
-def _power_coords(v: np.ndarray, r: float, s: float) -> np.ndarray:
-    """(t, x) with rho^s = lambda_+^s (t I + x.sigma), for rho at Bloch v, |v| = r.
+def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m x over broadcast stacks of matrices (..., n, n) and vectors (..., n)."""
+    return (m @ x[..., None])[..., 0]
+
+
+def _power_coords(v: np.ndarray, r: np.ndarray, s: float) -> np.ndarray:
+    """(t, x) with rho^s = lambda_+^s (t I + x.sigma), for each rho of a
+    stack of Bloch vectors v (..., 3) with norms r (...); shape (..., 4).
 
     With lambda_+- = (1 +- r)/2 and k = (lambda_-/lambda_+)^s, t = (1 + k)/2
-    and x = (1 - k)/2 v/r, so t^2 - |x|^2 = k.  Scaling out lambda_+^s keeps
-    t >= 1/2, so no large |s| underflows it.
+    and x = (1 - k)/2 v/r (0 at r = 0), so t^2 - |x|^2 = k.  Scaling out
+    lambda_+^s keeps t >= 1/2, so no large |s| underflows it.
     """
     k = ((1.0 - r) / (1.0 + r)) ** s
-    out = np.empty(4)
-    out[0] = 0.5 * (1.0 + k)
-    out[1:] = 0.5 * (1.0 - k) / r * v if r > 0.0 else 0.0
+    out = np.empty(np.shape(r) + (4,))
+    out[..., 0] = 0.5 * (1.0 + k)
+    out[..., 1:] = _along(v, r, 0.5 * (1.0 - k))
     return out
 
 
@@ -180,15 +204,15 @@ def _along(x: np.ndarray, norm: np.ndarray, length: np.ndarray) -> np.ndarray:
 
 
 def _alpha_images(s: float, lorentz: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Bloch images of the state v under alpha_A, s = sqrt(A), one per
-    Lorentz matrix of the stack (..., 4, 4); the result has shape (..., 3).
+    """Bloch images under alpha_A, s = sqrt(A), of the states v (..., 3) by
+    the Lorentz matrices (..., 4, 4); the two stacks broadcast.
 
     g rho^s g^dag has coefficients (t', x') = Lambda(g) (t, x) and
     eigenvalues mu_+ = t' + |x'| and mu_- = det / mu_+ (not the cancelling
     t' - |x'|); the image is (1 - q)/(1 + q) x'/|x'|, q = (mu_-/mu_+)^(1/s).
     """
-    r = math.hypot(*v)
-    moved = lorentz @ _power_coords(v, r, s)
+    r = bloch_norm(v)
+    moved = _apply(lorentz, _power_coords(v, r, s))
     _check_finite(moved, "(t, x) of g rho^sqrt(A) g^dag")
     x = moved[..., 1:]
     rx = bloch_norm(x)
@@ -199,15 +223,17 @@ def _alpha_images(s: float, lorentz: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _bkm_images(rotation: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Bloch images of the state v under the BKM action of (U, a), one per
-    element of the stacks rotation (..., 3, 3) = R(U) and a (..., 3).
+    """Bloch images under the BKM action of the states v (..., 3) by the
+    elements (U, a) given as rotations R(U) (..., 3, 3) and translations
+    a (..., 3); the stacks broadcast.
 
     ln rho = c I + artanh(r) n.sigma, so the traceless part of the exponent
     is w = artanh(r) R(U) n + a, and the image is tanh|w| w/|w|.
     """
-    r = math.hypot(*v)
-    scale = math.atanh(r) / r if r > 0.0 else 1.0  # artanh(r) n = scale v
-    w = scale * (rotation @ v) + a
+    r = bloch_norm(v)
+    # artanh(r) n = scale v, with scale -> 1 at r = 0
+    scale = np.divide(np.arctanh(r), r, out=np.ones_like(r), where=r > 0.0)
+    w = scale[..., None] * _apply(rotation, v) + a
     _check_finite(w, "BKM exponent w")
     rw = bloch_norm(w)
     return _along(w, rw, np.tanh(rw))
@@ -250,34 +276,68 @@ class ActionAxiomReport:
                 "compatibility_dev": self.compatibility_dev}
 
 
-def _random_state(rng) -> QubitState:
-    v = rng.standard_normal(3)
-    v *= rng.uniform(0.0, 0.9) / np.linalg.norm(v)
-    return QubitState(*v)
+def _draws(seed: int, key: int, samples: int, states: int, observables: int):
+    """Random Bloch vectors (samples, states, 3) and Pauli coefficient
+    triples (samples, observables, 3), drawn sample by sample from the
+    stream (seed, key): first the sample's states, then its triples.
+
+    A state is a normal direction scaled to a radius uniform in [0, 0.9).
+    The coefficients are uniform in [-0.5, 0.5): bounded generators keep the
+    group elements well conditioned, so the axiom deviations measure
+    algebra, not roundoff.
+    """
+    if not samples >= 1:
+        raise DomainError(f"need samples >= 1, got {samples}")
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+    directions = np.empty((samples, states, 3))
+    radii = np.empty((samples, states))
+    coeffs = np.empty((samples, observables, 3))
+    for i in range(samples):
+        for j in range(states):
+            directions[i, j] = rng.standard_normal(3)
+            radii[i, j] = rng.uniform(0.0, 0.9)
+        coeffs[i] = rng.uniform(-0.5, 0.5, size=(observables, 3))
+    # |direction| as the dot product that np.linalg.norm takes, row by row
+    norms = np.sqrt(directions[..., None, :] @ directions[..., None])[..., 0, 0]
+    return directions * (radii / norms)[..., None], coeffs
 
 
-def _random_observable(rng, scale: float = 0.5) -> TracelessObservable:
-    # Bounded coefficients keep the group elements well conditioned, so the
-    # axiom deviations measure algebra, not eigensolver noise.
-    return TracelessObservable.from_coeffs(rng.uniform(-scale, scale, size=3))
+def _pauli_matrices(coeffs: np.ndarray) -> np.ndarray:
+    """c.sigma for a stack of Pauli coefficient triples c (..., 3)."""
+    return np.tensordot(coeffs, _PAULI4[1:], 1)
+
+
+def _max_gap(x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.max(np.abs(x - y)))
 
 
 def verify_alpha_action(a_const: float, samples: int = 200,
                         seed: int = 0) -> ActionAxiomReport:
-    """Identity and compatibility axioms for alpha_A on random triples."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    id_dev = comp_dev = 0.0
-    for _ in range(samples):
-        rho = _random_state(rng)
-        g1 = sl_from_generators(_random_observable(rng), _random_observable(rng))
-        g2 = sl_from_generators(_random_observable(rng), _random_observable(rng))
-        id_dev = max(id_dev, float(np.max(np.abs(
-            action_alpha_a(a_const, sl_identity(), rho).bloch - rho.bloch))))
-        lhs = action_alpha_a(a_const, g1, action_alpha_a(a_const, g2, rho))
-        rhs = action_alpha_a(a_const, g1 @ g2, rho)
-        comp_dev = max(comp_dev, float(np.max(np.abs(lhs.bloch - rhs.bloch))))
+    """Identity and compatibility axioms for alpha_A on random triples.
+
+    Each sample is a state rho and two elements g_i = exp((a_i - i b_i)/2).
+    The identity, g2 rho, g1 (g2 rho) and (g1 g2) rho are one batched
+    evaluation each, over all samples, and every image is checked.
+    """
+    s = _sqrt_a(a_const)
+    states, coeffs = _draws(seed, 1, samples, 1, 4)
+    rho = states[:, 0]
+    # per sample a1, b1, a2, b2
+    g1, g2 = np.moveaxis(_expm_traceless_2x2(
+        0.5 * (_pauli_matrices(coeffs[:, 0::2])
+               - 1j * _pauli_matrices(coeffs[:, 1::2]))), 1, 0)
+    g12 = g1 @ g2
+    for g, what in ((g1, "g1"), (g2, "g2"), (g12, "g1 g2")):
+        _require_unit_det(g, what, "sample", np.arange(samples))
+
+    def images(g, v):
+        return check_bloch_array(_alpha_images(s, _lorentz(g), v))
+
+    ident = images(sl_identity().matrix, rho)
+    lhs = images(g1, images(g2, rho))
+    rhs = images(g12, rho)
     return ActionAxiomReport(f"alpha_A(A={a_const:g})", samples, seed,
-                             id_dev, comp_dev)
+                             _max_gap(ident, rho), _max_gap(lhs, rhs))
 
 
 def verify_bkm_action(samples: int = 200, seed: int = 0,
@@ -285,52 +345,57 @@ def verify_bkm_action(samples: int = 200, seed: int = 0,
     """Identity and compatibility axioms for the BKM cotangent action.
 
     ``multiply`` is injectable so a deliberately wrong group law can be shown
-    to fail the compatibility axiom.
+    to fail the compatibility axiom.  It takes and returns
+    CotangentGroupElement, so the elements are built, and checked, sample by
+    sample; the images are one batched evaluation per axiom term.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
-    id_dev = comp_dev = 0.0
-    for _ in range(samples):
-        rho = _random_state(rng)
-        h1 = CotangentGroupElement(
-            special_unitary_from_generator(_random_observable(rng)),
-            _random_observable(rng))
-        h2 = CotangentGroupElement(
-            special_unitary_from_generator(_random_observable(rng)),
-            _random_observable(rng))
-        id_dev = max(id_dev, float(np.max(np.abs(
-            action_bkm(cotangent_identity(), rho).bloch - rho.bloch))))
-        lhs = action_bkm(h1, action_bkm(h2, rho))
-        rhs = action_bkm(multiply(h1, h2), rho)
-        comp_dev = max(comp_dev, float(np.max(np.abs(lhs.bloch - rhs.bloch))))
-    return ActionAxiomReport("bkm_cotangent", samples, seed, id_dev, comp_dev)
+    states, coeffs = _draws(seed, 2, samples, 1, 4)
+    rho = states[:, 0]
+    # per sample b1, a1, b2, a2, with h_i = (exp(b_i/(2i)), a_i)
+    u = _expm_traceless_2x2(-0.5j * _pauli_matrices(coeffs[:, 0::2]))
+    a = coeffs[:, 1::2]
+    h1, h2 = ([CotangentGroupElement(u[i, j], TracelessObservable.from_coeffs(a[i, j]))
+               for i in range(samples)] for j in (0, 1))
+    products = [multiply(x, y) for x, y in zip(h1, h2)]
+
+    def images(unitary, a, v):
+        return check_bloch_array(_bkm_images(_lorentz(unitary)[..., 1:, 1:], a, v))
+
+    identity = cotangent_identity()
+    ident = images(identity.unitary, identity.a.coeffs, rho)
+    lhs = images(u[:, 0], a[:, 0], images(u[:, 1], a[:, 1], rho))
+    rhs = images(np.array([h.unitary for h in products]),
+                 np.array([h.a.coeffs for h in products]), rho)
+    return ActionAxiomReport("bkm_cotangent", samples, seed,
+                             _max_gap(ident, rho), _max_gap(lhs, rhs))
 
 
 def transitivity_probe(samples: int = 100, seed: int = 0) -> float:
     """Map rho1 to rho2 under alpha_1 with g = rho2^(1/2) rho1^(-1/2).
 
-    Returns the maximal Bloch deviation over random pairs.
+    Returns the maximal Bloch deviation over random pairs, all mapped in
+    one batched evaluation.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
-    worst = 0.0
-    for _ in range(samples):
-        rho1, rho2 = _random_state(rng), _random_state(rng)
-        sqrt2 = np.tensordot(_power_coords(rho2.bloch, rho2.r, 0.5), _PAULI4, 1)
-        inv_sqrt1 = np.tensordot(_power_coords(rho1.bloch, rho1.r, -0.5), _PAULI4, 1)
-        raw = sqrt2 @ inv_sqrt1
-        g = SLGroupElement(raw / cmath.sqrt(np.linalg.det(raw)))
-        moved = action_alpha_a(1.0, g, rho1)
-        worst = max(worst, float(np.max(np.abs(moved.bloch - rho2.bloch))))
-    return worst
+    states, _ = _draws(seed, 3, samples, 2, 0)
+    rho1, rho2 = states[:, 0], states[:, 1]
+    sqrt2 = np.tensordot(_power_coords(rho2, bloch_norm(rho2), 0.5), _PAULI4, 1)
+    inv_sqrt1 = np.tensordot(_power_coords(rho1, bloch_norm(rho1), -0.5),
+                             _PAULI4, 1)
+    raw = sqrt2 @ inv_sqrt1
+    g = raw / np.sqrt(np.linalg.det(raw))[:, None, None]
+    _require_unit_det(g, "rho2^(1/2) rho1^(-1/2)", "sample", np.arange(samples))
+    moved = check_bloch_array(_alpha_images(1.0, _lorentz(g), rho1))
+    return _max_gap(moved, rho2)
 
 
 @dataclass(frozen=True)
 class Subgroup:
     """The action of a one-parameter subgroup t -> h(t) on states.
 
-    ``images`` maps a time array (T,) and one Bloch vector to the (T, 3)
-    Bloch images under h(t), evaluating the closed form once for the whole
-    stack of group elements.  ``subgroup(t)`` is the action of h(t) as a
-    QubitState -> QubitState map.
+    ``images`` maps times (T, 1, ..., 1) and Bloch vectors (..., 3) to the
+    (T, ..., 3) Bloch images under h(t), evaluating the closed form once for
+    the whole stack of group elements and states.  ``subgroup(t)`` is the
+    action of h(t) as a QubitState -> QubitState map.
     """
 
     images: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -338,31 +403,46 @@ class Subgroup:
     def __call__(self, t: float):
         return lambda rho: QubitState(*self.orbit([t], rho)[0].tolist())
 
-    def orbit(self, times, rho: QubitState) -> np.ndarray:
-        """Bloch images (T, 3) of rho, each checked to be a faithful state."""
-        return check_bloch_array(self.images(np.asarray(times, dtype=float),
-                                             rho.bloch))
+    def orbit(self, times, rho) -> np.ndarray:
+        """Bloch images (T, ..., 3) of rho, a QubitState or a stack of Bloch
+        vectors (..., 3), at the times (T,); each image is checked to be a
+        faithful state."""
+        if isinstance(rho, QubitState):
+            v = rho.bloch
+        else:
+            v = np.asarray(rho, dtype=float)
+            if v.shape[-1:] != (3,):
+                raise DomainError(f"expected Bloch vectors (..., 3), got {v.shape}")
+            check_bloch_array(v)
+        times = np.asarray(times, dtype=float)
+        return check_bloch_array(
+            self.images(times.reshape(times.shape + (1,) * (v.ndim - 1)), v))
 
 
-def generator_of_action(subgroup: Subgroup, rho: QubitState,
+def generator_of_action(subgroup: Subgroup, rho,
                         t_step: float = 1e-4) -> np.ndarray:
-    """Bloch-space derivative d/dt subgroup(t)(rho) at t = 0, central diff."""
+    """Bloch-space derivative d/dt subgroup(t)(rho) at t = 0, central diff.
+
+    rho is a QubitState or a stack of Bloch vectors (..., 3); the result
+    has the shape of its Bloch vectors.
+    """
     fwd, bwd = subgroup.orbit([t_step, -t_step], rho)
     return (fwd - bwd) / (2.0 * t_step)
 
 
 def alpha_subgroup(a_const: float, a: TracelessObservable,
                    b: TracelessObservable) -> Subgroup:
-    """t -> alpha_A along exp(t (a - i b)/2)."""
+    """t -> alpha_A along exp(t (a - i b)/2).
+
+    At large |t| the exponential's determinant drifts from 1 through
+    cancellation, which raises NumericError naming t.
+    """
     s = _sqrt_a(a_const)
     gen = 0.5 * (a.matrix() - 1j * b.matrix())
 
     def images(times: np.ndarray, v: np.ndarray) -> np.ndarray:
-        g = _expm_traceless_2x2(times[:, None, None] * gen)
-        unit = _unit_det(g)
-        if not unit.all():
-            raise DomainError(f"determinant of exp(t (a - i b)/2) != 1 at "
-                              f"t = {first_failing(unit, times[:, None])[0]}")
+        g = _expm_traceless_2x2(times[..., None, None] * gen)
+        _require_unit_det(g, "exp(t (a - i b)/2)", "t", times)
         return _alpha_images(s, _lorentz(g), v)
 
     return Subgroup(images)
@@ -373,7 +453,7 @@ def bkm_subgroup(a: TracelessObservable, b: TracelessObservable) -> Subgroup:
     gen = -0.5j * b.matrix()
 
     def images(times: np.ndarray, v: np.ndarray) -> np.ndarray:
-        rotation = _lorentz(_expm_traceless_2x2(times[:, None, None] * gen))
-        return _bkm_images(rotation[:, 1:, 1:], times[:, None] * a.coeffs, v)
+        rotation = _lorentz(_expm_traceless_2x2(times[..., None, None] * gen))
+        return _bkm_images(rotation[..., 1:, 1:], times[..., None] * a.coeffs, v)
 
     return Subgroup(images)

@@ -1,8 +1,9 @@
 """Aggregated verification suites.
 
 Every mathematically checkable claim of the construction gets a suite with a
-pinned tolerance; ``run_all`` produces a deterministic aggregate report.
-Per-suite RNG seeds derive from the root seed by the counter scheme
+pinned tolerance; ``SUITES`` maps each suite's name to its function, and
+each report is deterministic given the seed.  Per-suite RNG seeds derive
+from the root seed by the counter scheme
 ``sub_seed = seed * 1000 + SUITE_IDS[name]`` so adding a suite never
 perturbs the samples of another one.
 """
@@ -18,8 +19,7 @@ from . import metric_family as mf
 from . import ode_classifier as oc
 from .errors import PoleError
 from .flow_engine import compare_flow_to_orbit, integrate_flow
-from .state_space import (QubitState, SphericalPoint, TracelessObservable,
-                          state_from_bloch)
+from .state_space import SphericalPoint, TracelessObservable, state_from_bloch
 from .vector_fields import (fundamental_field, gradient_field_closed,
                             gradient_field_from_metric, lie_bracket_numeric,
                             rescaled_gradient_field,
@@ -185,38 +185,29 @@ def suite_generators(seed: int = 0, tol: float = 1e-6,
                      t_step: float = 1e-4) -> dict:
     """Action derivatives at t = 0 match the fundamental/gradient fields."""
     rng = np.random.default_rng(sub_seed(seed, "generators"))
-    states = [QubitState(*v) for v in _interior_points(rng, 5, r_hi=0.7)]
+    states = _interior_points(rng, 5, r_hi=0.7)
     obs = [TracelessObservable.from_coeffs(rng.uniform(-1.0, 1.0, 3))
            for _ in range(3)]
     zero = TracelessObservable(0.0, 0.0, 0.0)
     details = {}
     worst = 0.0
 
+    def dev(subgroup, vfield) -> float:
+        num = ga.generator_of_action(subgroup, states, t_step)
+        return float(np.max(np.abs(num - vfield.cartesian(states))))
+
     for a_const in (0.25, 1.0, 3.0):
-        dev_fund = dev_grad = 0.0
-        for rho in states:
-            for a in obs:
-                num = ga.generator_of_action(ga.alpha_subgroup(a_const, zero, a),
-                                             rho, t_step)
-                ref = fundamental_field(a).cartesian(rho.bloch)
-                dev_fund = max(dev_fund, float(np.max(np.abs(num - ref))))
-                num = ga.generator_of_action(ga.alpha_subgroup(a_const, a, zero),
-                                             rho, t_step)
-                ref = rescaled_gradient_field(a, a_const).cartesian(rho.bloch)
-                dev_grad = max(dev_grad, float(np.max(np.abs(num - ref))))
+        dev_fund = max(dev(ga.alpha_subgroup(a_const, zero, a), fundamental_field(a))
+                       for a in obs)
+        dev_grad = max(dev(ga.alpha_subgroup(a_const, a, zero),
+                           rescaled_gradient_field(a, a_const)) for a in obs)
         details[f"alpha_A({a_const:g})_fundamental"] = dev_fund
         details[f"alpha_A({a_const:g})_gradient"] = dev_grad
         worst = max(worst, dev_fund, dev_grad)
 
-    dev_fund = dev_grad = 0.0
-    for rho in states:
-        for a in obs:
-            num = ga.generator_of_action(ga.bkm_subgroup(zero, a), rho, t_step)
-            ref = fundamental_field(a).cartesian(rho.bloch)
-            dev_fund = max(dev_fund, float(np.max(np.abs(num - ref))))
-            num = ga.generator_of_action(ga.bkm_subgroup(a, zero), rho, t_step)
-            ref = gradient_field_closed(a, mf.bkm()).cartesian(rho.bloch)
-            dev_grad = max(dev_grad, float(np.max(np.abs(num - ref))))
+    dev_fund = max(dev(ga.bkm_subgroup(zero, a), fundamental_field(a)) for a in obs)
+    dev_grad = max(dev(ga.bkm_subgroup(a, zero), gradient_field_closed(a, mf.bkm()))
+                   for a in obs)
     details["bkm_fundamental"] = dev_fund
     details["bkm_gradient"] = dev_grad
     worst = max(worst, dev_fund, dev_grad)
@@ -329,21 +320,7 @@ SUITES = {
     "fconstancy": suite_fconstancy,
     "actions": suite_actions,
     "generators": suite_generators,
-    "flows": lambda seed=0, **kw: suite_flows(**kw),
+    "flows": suite_flows,
     "monotone": suite_monotone,
-    "poles": lambda seed=0, **kw: suite_poles(**kw),
+    "poles": suite_poles,
 }
-
-
-def run_suite(name: str, seed: int = 0) -> dict:
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](seed=seed)
-
-
-def run_all(seed: int = 0) -> dict:
-    """Run every suite; deterministic given the seed."""
-    reports = {name: run_suite(name, seed=seed) for name in sorted(SUITES)}
-    return {"seed": seed,
-            "passed": all(r["passed"] for r in reports.values()),
-            "suites": reports}

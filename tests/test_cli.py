@@ -68,6 +68,18 @@ def test_numeric_error_exit_code():
     assert json.loads(r.stdout)["error"] == "PoleError"
 
 
+def test_orbit_determinant_breakdown_is_numeric_error(capsys):
+    # At t = 40/3 the exponential cosh(mu) I + sinh(mu)/mu m loses its unit
+    # determinant to cancellation: a numeric breakdown, not bad input.
+    code = cli.main(["export", "--what", "orbit", "--t-end", "40", "--steps", "3",
+                     "--a", "1,1,1"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert set(data) == {"error", "message"}
+    assert data["error"] == "NumericError"
+    assert "t = 13.33" in data["message"]
+
+
 def test_verify_single_suite():
     r = run("verify", "poles")
     assert r.returncode == 0

@@ -8,8 +8,10 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 
-from qig.errors import DomainError
+from qig import verify
+from qig.errors import BoundaryViolation, DomainError, NumericError
 from qig.group_actions import (CotangentGroupElement, SLGroupElement,
+                               _alpha_images, _bkm_images, _draws, _lorentz,
                                action_alpha_a, action_bkm, alpha_subgroup,
                                bkm_subgroup, cotangent_identity,
                                cotangent_inverse, cotangent_multiply,
@@ -262,3 +264,150 @@ def test_json_roundtrip():
     g = sl_from_generators(TracelessObservable(0.1, 0.2, 0.3), ZERO)
     back = SLGroupElement.from_json(g.to_json())
     npt.assert_allclose(back.matrix, g.matrix, atol=1e-15)
+
+
+def _random_bloch(rng, n, r_max=0.95):
+    v = rng.standard_normal((n, 3))
+    return v * (rng.uniform(0.0, r_max, n) / np.linalg.norm(v, axis=1))[:, None]
+
+
+def test_stacked_images_match_per_state_actions():
+    # Oracle: the one-element path, called state by state.  Row 0 is the
+    # center, row 1 near the sphere: the masked r = 0 branch and the
+    # boundary rows must not depend on their neighbours.
+    rng = np.random.default_rng(31)
+    v = _random_bloch(rng, 200)
+    v[0], v[1] = 0.0, [0.0, 0.6, -0.799]
+    gs = [sl_from_generators(TracelessObservable.from_coeffs(rng.uniform(-1, 1, 3)),
+                             TracelessObservable.from_coeffs(rng.uniform(-1, 1, 3)))
+          for _ in v]
+    hs = [CotangentGroupElement(special_unitary_from_generator(
+              TracelessObservable.from_coeffs(rng.uniform(-2, 2, 3))),
+              TracelessObservable.from_coeffs(rng.uniform(-1, 1, 3)))
+          for _ in v]
+    states = [QubitState(*row) for row in v]
+    lorentz = _lorentz(np.array([g.matrix for g in gs]))
+    for a_const in (0.25, 1.0, 2.0, 4.0):
+        want = [action_alpha_a(a_const, g, rho).bloch for g, rho in zip(gs, states)]
+        npt.assert_allclose(_alpha_images(math.sqrt(a_const), lorentz, v), want,
+                            rtol=0.0, atol=1e-15)
+    rotation = _lorentz(np.array([h.unitary for h in hs]))[:, 1:, 1:]
+    want = [action_bkm(h, rho).bloch for h, rho in zip(hs, states)]
+    npt.assert_allclose(_bkm_images(rotation, np.array([h.a.coeffs for h in hs]), v),
+                        want, rtol=0.0, atol=1e-15)
+
+
+def test_stacked_images_name_the_failing_row():
+    # A translation by 10 along z sends z = 0.9 to 1 - 2e-10, inside the
+    # 1e-9 boundary guard; the other rows stay inside.
+    rows = [[0.3, 0.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 0.9], [0.0, 0.0, -0.9]]
+    with pytest.raises(BoundaryViolation, match=r"\[0\.0, 0\.0, 0\.99999999"):
+        bkm_subgroup(SIGMA3, ZERO).orbit([1.0, 10.0], rows)
+    rows[1] = [math.nan, 0.25, 0.0]
+    with pytest.raises(BoundaryViolation, match=r"\[nan, 0\.25, 0\.0\]"):
+        generator_of_action(bkm_subgroup(SIGMA3, ZERO), rows)
+    with pytest.raises(DomainError, match=r"\(2, 2\)"):
+        generator_of_action(bkm_subgroup(SIGMA3, ZERO), [[0.1, 0.2], [0.0, 0.3]])
+    # A non-finite element: the exponent w = a of that row (at the center)
+    # is named.
+    rotation = np.stack([np.eye(3)] * 3)
+    a = np.full((3, 3), 0.1)
+    a[2] = [math.inf, 0.5, 0.0]
+    with pytest.raises(NumericError, match=r"\[inf, 0\.5, 0\.0\]"):
+        _bkm_images(rotation, a, np.zeros((3, 3)))
+
+
+def test_generator_of_action_on_a_stack():
+    rng = np.random.default_rng(41)
+    v = _random_bloch(rng, 5, r_max=0.7)
+    a = TracelessObservable(0.5, 0.2, -0.4)
+    for subgroup in (alpha_subgroup(0.25, ZERO, a), alpha_subgroup(3.0, a, ZERO),
+                     bkm_subgroup(a, ZERO), bkm_subgroup(ZERO, a)):
+        want = [generator_of_action(subgroup, QubitState(*row)) for row in v]
+        npt.assert_allclose(generator_of_action(subgroup, v), want,
+                            rtol=0.0, atol=1e-12)
+
+
+def _per_sample_draws(rng, samples, states, observables):
+    """The draws of the per-sample axiom loops: states, then observables."""
+    drawn = []
+    for _ in range(samples):
+        for _ in range(states):
+            v = rng.standard_normal(3)
+            v *= rng.uniform(0.0, 0.9) / np.linalg.norm(v)
+            drawn.append(QubitState(*v))
+        for _ in range(observables):
+            drawn.append(TracelessObservable.from_coeffs(rng.uniform(-0.5, 0.5, size=3)))
+    return drawn
+
+
+def _axiom_rng(seed, key):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+
+
+def test_stacked_draws_equal_per_sample_draws():
+    for states, observables in ((1, 4), (2, 0)):
+        v, c = _draws(3, 1, 50, states, observables)
+        drawn = iter(_per_sample_draws(_axiom_rng(3, 1), 50, states, observables))
+        for i in range(50):
+            for j in range(states):
+                assert v[i, j].tolist() == next(drawn).bloch.tolist()
+            for j in range(observables):
+                assert c[i, j].tolist() == next(drawn).coeffs.tolist()
+
+
+def test_alpha_axioms_match_per_sample_loop():
+    # The per-sample loop these checks ran before batching, as an oracle.
+    a_const, samples, seed = 2.0, 200, 3
+    drawn = iter(_per_sample_draws(_axiom_rng(seed, 1), samples, 1, 4))
+    id_dev = comp_dev = 0.0
+    for _ in range(samples):
+        rho = next(drawn)
+        g1 = sl_from_generators(next(drawn), next(drawn))
+        g2 = sl_from_generators(next(drawn), next(drawn))
+        id_dev = max(id_dev, float(np.max(np.abs(
+            action_alpha_a(a_const, sl_identity(), rho).bloch - rho.bloch))))
+        lhs = action_alpha_a(a_const, g1, action_alpha_a(a_const, g2, rho))
+        rhs = action_alpha_a(a_const, g1 @ g2, rho)
+        comp_dev = max(comp_dev, float(np.max(np.abs(lhs.bloch - rhs.bloch))))
+    rep = verify_alpha_action(a_const, samples=samples, seed=seed)
+    assert abs(rep.identity_dev - id_dev) <= 1e-15
+    assert abs(rep.compatibility_dev - comp_dev) <= 1e-15
+
+
+def test_bkm_wrong_law_matches_per_sample_loop():
+    # A wrong group law gives a macroscopic deviation, so agreement to
+    # 1e-15 shows that the batched check tests the same states and elements.
+    def wrong_multiply(h1, h2):
+        return CotangentGroupElement(
+            h1.unitary @ h2.unitary,
+            TracelessObservable.from_coeffs(h1.a.coeffs + h2.a.coeffs))
+
+    samples, seed = 60, 4
+    drawn = iter(_per_sample_draws(_axiom_rng(seed, 2), samples, 1, 4))
+    worst = 0.0
+    for _ in range(samples):
+        rho = next(drawn)
+        h1 = CotangentGroupElement(special_unitary_from_generator(next(drawn)),
+                                   next(drawn))
+        h2 = CotangentGroupElement(special_unitary_from_generator(next(drawn)),
+                                   next(drawn))
+        lhs = action_bkm(h1, action_bkm(h2, rho))
+        rhs = action_bkm(wrong_multiply(h1, h2), rho)
+        worst = max(worst, float(np.max(np.abs(lhs.bloch - rhs.bloch))))
+    rep = verify_bkm_action(samples=samples, seed=seed, multiply=wrong_multiply)
+    assert worst > 1e-3
+    assert abs(rep.compatibility_dev - worst) <= 1e-15
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("check", [
+    lambda n: verify_alpha_action(2.0, samples=n),
+    lambda n: verify_bkm_action(samples=n),
+    lambda n: transitivity_probe(samples=n),
+    lambda n: verify.suite_actions(samples=n),
+])
+def test_axiom_checks_reject_empty_sample_sets(check, samples):
+    # No sample would pass vacuously with every deviation 0.
+    with pytest.raises(DomainError, match="samples"):
+        check(samples)
