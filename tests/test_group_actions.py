@@ -357,7 +357,7 @@ def test_stacked_draws_equal_per_sample_draws():
 
 
 def test_alpha_axioms_match_per_sample_loop():
-    # The per-sample loop these checks ran before batching, as an oracle.
+    # Oracle: the per-sample loop, one action call per axiom term.
     a_const, samples, seed = 2.0, 200, 3
     drawn = iter(_per_sample_draws(_axiom_rng(seed, 1), samples, 1, 4))
     id_dev = comp_dev = 0.0
