@@ -24,7 +24,7 @@ from . import verify as vf
 from .errors import InputError, QigError
 from .flow_engine import integrate_flow, orbit_curve
 from .state_space import SphericalPoint, TracelessObservable, state_from_bloch
-from .vector_fields import (VectorField, fundamental_field,
+from .vector_fields import (BRACKET_STEP, VectorField, fundamental_field,
                             gradient_field_closed, gradient_field_from_metric,
                             lie_bracket_numeric, rescaled_gradient_field)
 
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_flags(p)
     p.add_argument("--v", required=True, help="first field descriptor")
     p.add_argument("--w", required=True, help="second field descriptor")
-    p.add_argument("--h", type=float, default=1e-4)
+    p.add_argument("--h", type=float, default=BRACKET_STEP)
 
     p = add("ode", help="radial ODE classification")
     ode_sub = p.add_subparsers(dest="ode_cmd", required=True)

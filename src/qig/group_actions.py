@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .state_space import (PAULIS, SIGMA_0, QubitState, TracelessObservable,
-                          bloch_norm, check_bloch_array,
+                          bloch_norm, bloch_stack, check_bloch_array,
                           complex_matrix_from_json, complex_matrix_to_json,
                           first_failing, state_from_bloch)
 
@@ -410,11 +410,12 @@ class Subgroup:
         if isinstance(rho, QubitState):
             v = rho.bloch
         else:
-            v = np.asarray(rho, dtype=float)
-            if v.shape[-1:] != (3,):
-                raise DomainError(f"expected Bloch vectors (..., 3), got {v.shape}")
-            check_bloch_array(v)
+            v = check_bloch_array(bloch_stack(rho))
         times = np.asarray(times, dtype=float)
+        finite = np.isfinite(times)
+        if not finite.all():
+            bad = first_failing(finite, times[..., None])[0]
+            raise DomainError(f"time t = {bad} is not finite")
         return check_bloch_array(
             self.images(times.reshape(times.shape + (1,) * (v.ndim - 1)), v))
 

@@ -42,6 +42,9 @@ SERIES_CUTOFF = 1e-6
 # that evaluation 1e-9 away from a pole still returns a (huge) number.
 POLE_CUTOFF = 1e-10
 
+FD_STEP = 1e-6  # Richardson step for g' of a spec with no analytic g'
+COND_LIMIT = 1e12  # largest condition number inverse_metric accepts
+
 
 def _bkm_f(t):
     t = np.asarray(t, dtype=float)
@@ -231,7 +234,7 @@ def g_from_f(spec: MonotoneFunctionSpec, r):
     return out if out.ndim else float(out)
 
 
-def g_derivative(spec: MonotoneFunctionSpec, r, h: float = 1e-6):
+def g_derivative(spec: MonotoneFunctionSpec, r):
     """g'(r): analytic for catalog entries, Richardson central diff otherwise."""
     if spec.g_prime is not None:
         out = spec.g_prime(np.asarray(r, dtype=float))
@@ -241,16 +244,16 @@ def g_derivative(spec: MonotoneFunctionSpec, r, h: float = 1e-6):
         return (g_from_f(spec, np.asarray(r) + step)
                 - g_from_f(spec, np.asarray(r) - step)) / (2.0 * step)
 
-    d1, d2 = diff(h), diff(h / 2.0)
+    d1, d2 = diff(FD_STEP), diff(FD_STEP / 2.0)
     out = (4.0 * d2 - d1) / 3.0
     return out if np.ndim(out) else float(out)
 
 
-def big_f(spec: MonotoneFunctionSpec, r, h: float = 1e-6):
+def big_f(spec: MonotoneFunctionSpec, r):
     """F(r) = (1-r^2) g'(r) + g(r)^2."""
     r_arr = np.asarray(r, dtype=float)
     g = g_from_f(spec, r_arr)
-    gp = g_derivative(spec, r_arr, h=h)
+    gp = g_derivative(spec, r_arr)
     out = (1.0 - r_arr * r_arr) * gp + g * g
     return out if np.ndim(out) else float(out)
 
@@ -284,8 +287,7 @@ def _stack_point(point: tuple) -> np.ndarray:
                                           for c in point)), axis=-1)
 
 
-def metric_cartesian(spec: MonotoneFunctionSpec, x, y, z,
-                     eps_chart: float = EPS_CHART) -> MetricAtPoint:
+def metric_cartesian(spec: MonotoneFunctionSpec, x, y, z) -> MetricAtPoint:
     """Cartesian components: the chart transport of the spherical tensor.
 
     Equals J^-T G_sph J^-1 with J the spherical-to-Cartesian Jacobian, and
@@ -297,10 +299,10 @@ def metric_cartesian(spec: MonotoneFunctionSpec, x, y, z,
     """
     v = _stack_point((x, y, z))
     r = ball_radii(v)
-    away = r > eps_chart
+    away = r > EPS_CHART
     if not away.all():
         raise CenterSingularity(f"point {first_failing(away, v)} is within "
-                                f"{eps_chart} of the center")
+                                f"{EPS_CHART} of the center")
     n = v / r[..., None]
     t = (1.0 - r) / (1.0 + r)
     c_rad = 1.0 / (1.0 - r * r)
@@ -311,10 +313,10 @@ def metric_cartesian(spec: MonotoneFunctionSpec, x, y, z,
     return MetricAtPoint("cartesian", mat, (x, y, z))
 
 
-def inverse_metric(m: MetricAtPoint, cond_limit: float = 1e12) -> MetricAtPoint:
+def inverse_metric(m: MetricAtPoint) -> MetricAtPoint:
     """Invert one metric matrix, or each of a stack of them.
 
-    Every matrix must be finite with condition number at most cond_limit;
+    Every matrix must be finite with condition number at most COND_LIMIT;
     for a stack, the error names the first failing matrix.
     """
     finite = np.isfinite(m.matrix).all(axis=(-2, -1))
@@ -322,12 +324,12 @@ def inverse_metric(m: MetricAtPoint, cond_limit: float = 1e12) -> MetricAtPoint:
         point = first_failing(finite, _stack_point(m.point))
         raise IllConditioned(f"metric at {point} is not finite")
     cond = np.linalg.cond(m.matrix)
-    ok = cond <= cond_limit
+    ok = cond <= COND_LIMIT
     if not ok.all():
         worst = first_failing(ok, cond[..., None])[0]
         point = first_failing(ok, _stack_point(m.point))
         raise IllConditioned(f"condition number {worst:.3e} at {point} "
-                             f"exceeds {cond_limit:.0e}")
+                             f"exceeds {COND_LIMIT:.0e}")
     return MetricAtPoint(m.chart, np.linalg.inv(m.matrix), m.point)
 
 
@@ -352,8 +354,8 @@ def check_petz_symmetry(spec: MonotoneFunctionSpec, grid,
     f(1/t) is evaluated from the defining formula extended past t = 1.
     """
     grid = np.asarray(grid, dtype=float)
-    if not np.all((grid > 0.0) & (grid < 1.0)):
-        raise DomainError("symmetry grid must lie in (0, 1)")
+    if grid.size == 0 or not np.all((grid > 0.0) & (grid < 1.0)):
+        raise DomainError("symmetry grid must be non-empty and lie in (0, 1)")
     dev = np.abs(np.asarray(spec.f_raw(grid))
                  - grid * np.asarray(spec.f_raw(1.0 / grid)))
     # f(1) itself may hit a removable singularity of the raw formula, so the
@@ -442,6 +444,9 @@ def scan_monotonicity(specs, sizes=(1, 2, 3, 4), samples: int = 10_000,
     per-size RNG stream is derived from (seed, size) so results do not
     depend on the order sizes are processed in.
     """
+    if not (samples >= 1 and len(sizes) >= 1 and all(d >= 1 for d in sizes)):
+        raise DomainError(f"need samples >= 1 and matrix sizes >= 1, got "
+                          f"samples = {samples}, sizes = {tuple(sizes)}")
     specs = list(specs)
     min_gaps = [np.inf] * len(specs)
     counterexamples = [None] * len(specs)

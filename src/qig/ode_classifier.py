@@ -42,8 +42,7 @@ class OdeClassification:
                 "range_width": self.range_width, "branch": self.branch}
 
 
-def classify(spec: MonotoneFunctionSpec, grid,
-             tol: float = CONSTANCY_TOL) -> OdeClassification:
+def classify(spec: MonotoneFunctionSpec, grid) -> OdeClassification:
     """Evaluate F over the grid and detect constancy."""
     grid = np.asarray(grid, dtype=float)
     if grid.size < 20:
@@ -52,7 +51,7 @@ def classify(spec: MonotoneFunctionSpec, grid,
         raise DomainError("classification grid must lie in (0, 1)")
     values = np.asarray(big_f(spec, grid), dtype=float)
     width = float(values.max() - values.min())
-    if width < tol:
+    if width < CONSTANCY_TOL:
         a_const = float(values.mean())
         if abs(a_const) < ZERO_TOL:
             branch = "bkm_a0"
@@ -90,6 +89,8 @@ def singularities(b_const: float, c: float = 0.0,
     if not (0.0 < b_const < math.inf and math.isfinite(c)):
         raise DomainError(f"poles require finite B > 0 and finite c, "
                           f"got B = {b_const}, c = {c}")
+    if max_count < 1:
+        raise DomainError(f"max_count must be at least 1, got {max_count}")
     sb = math.sqrt(b_const)
     k_start = c * sb / math.pi - 0.5
     if not math.isfinite(k_start):
@@ -118,8 +119,8 @@ class Exclusion:
                 "excluded": True, "poles": self.poles.to_json()}
 
 
-def solve_branch(a_const: float, c: float = 0.0,
-                 max_poles: int = 10) -> Union[MonotoneFunctionSpec, Exclusion]:
+def solve_branch(a_const: float,
+                 c: float = 0.0) -> Union[MonotoneFunctionSpec, Exclusion]:
     """Closed-form solution of F = A, normalized so that f(1) = 1.
 
     A = 0 returns the BKM spec, A > 0 the family_a(A) spec.  A < 0 returns
@@ -132,7 +133,7 @@ def solve_branch(a_const: float, c: float = 0.0,
         return family_a(a_const)
     b_const = -a_const / 4.0
     return Exclusion(float(a_const), b_const, family_b(b_const, c),
-                     singularities(b_const, c, max_count=max_poles))
+                     singularities(b_const, c))
 
 
 def verify_ode_residual(spec: MonotoneFunctionSpec, a_const: float, grid) -> float:

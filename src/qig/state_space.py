@@ -107,16 +107,26 @@ class QubitState:
         return {"bloch": [self.x, self.y, self.z]}
 
 
-def state_from_bloch(x: float, y: float, z: float,
-                     eps_boundary: float = EPS_BOUNDARY) -> QubitState:
+def state_from_bloch(x: float, y: float, z: float) -> QubitState:
     """Build a faithful state from Cartesian Bloch coordinates."""
-    check_bloch_array(np.array((x, y, z)), eps_boundary)
+    check_bloch_array(np.array((x, y, z)))
     return QubitState(float(x), float(y), float(z))
 
 
 def bloch_norm(v: np.ndarray) -> np.ndarray:
     """|v| over the last axis of a (..., 3) array, without overflow."""
     return np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
+
+
+def bloch_stack(points) -> np.ndarray:
+    """points as a float (..., 3) stack of Bloch vectors.
+
+    Any other shape raises DomainError naming it.
+    """
+    v = np.asarray(points, dtype=float)
+    if v.shape[-1:] != (3,):
+        raise DomainError(f"expected Bloch vectors (..., 3), got shape {v.shape}")
+    return v
 
 
 def first_failing(ok, rows) -> list:
@@ -139,21 +149,20 @@ def ball_radii(v: np.ndarray) -> np.ndarray:
     return r
 
 
-def check_bloch_array(points: np.ndarray,
-                      eps_boundary: float = EPS_BOUNDARY) -> np.ndarray:
+def check_bloch_array(points: np.ndarray) -> np.ndarray:
     """Check that every point of a (..., 3) stack is a faithful state.
 
     Returns the points; the error names the first point that is not
     strictly inside the unit ball (NaN fails too).
     """
-    inside = bloch_norm(points) < 1.0 - eps_boundary
+    inside = bloch_norm(points) < 1.0 - EPS_BOUNDARY
     if not inside.all():
         raise BoundaryViolation(f"Bloch point {first_failing(inside, points)} "
                                 f"is not strictly inside the unit ball")
     return points
 
 
-def bloch_from_state(m, eps_boundary: float = EPS_BOUNDARY) -> QubitState:
+def bloch_from_state(m) -> QubitState:
     """Recover the Bloch representation of a faithful density matrix."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
@@ -163,12 +172,12 @@ def bloch_from_state(m, eps_boundary: float = EPS_BOUNDARY) -> QubitState:
     if np.max(np.abs(m - m.conj().T)) > 1e-12:
         raise NotAState("matrix is not Hermitian")
     eigvals = np.linalg.eigvalsh(m)
-    if eigvals.min() <= eps_boundary:
-        raise NotAState(f"eigenvalue {eigvals.min()} <= {eps_boundary}: not faithful")
+    if eigvals.min() <= EPS_BOUNDARY:
+        raise NotAState(f"eigenvalue {eigvals.min()} <= {EPS_BOUNDARY}: not faithful")
     x = float(np.trace(m @ SIGMA_1).real)
     y = float(np.trace(m @ SIGMA_2).real)
     z = float(np.trace(m @ SIGMA_3).real)
-    return state_from_bloch(x, y, z, eps_boundary=eps_boundary)
+    return state_from_bloch(x, y, z)
 
 
 @dataclass(frozen=True)
@@ -202,13 +211,12 @@ def cartesian_from_spherical(p: SphericalPoint) -> tuple[float, float, float]:
             p.r * math.cos(p.theta))
 
 
-def spherical_from_cartesian(x: float, y: float, z: float,
-                             eps_chart: float = EPS_CHART) -> SphericalPoint:
+def spherical_from_cartesian(x: float, y: float, z: float) -> SphericalPoint:
     """Invert the spherical chart; rejects the polar axis and the center."""
     r = math.sqrt(x * x + y * y + z * z)
-    if r <= eps_chart:
+    if r <= EPS_CHART:
         raise ChartSingularity(f"r = {r} too close to the center")
-    if abs(z) / r >= 1.0 - eps_chart:
+    if abs(z) / r >= 1.0 - EPS_CHART:
         raise ChartSingularity("point lies on the polar axis")
     theta = math.acos(z / r)
     phi = math.atan2(y, x) % (2.0 * math.pi)

@@ -2,26 +2,27 @@
 
 Fundamental fields generate the unitary rotations (Cartesian form b x v);
 gradient fields are the metric duals of the expectation-value differentials.
-Both carry a spherical-chart evaluator mirroring the closed formulas and a
-Cartesian evaluator that is regular across the polar axis; all brackets are
-taken in the Cartesian chart.  Cartesian evaluators take a (..., 3) array of
-Bloch vectors, a single point being a (3,) array, and return the velocities
-in the same shape.
+Each field has one evaluator, in the Cartesian chart, which is regular
+across the polar axis; spherical components are derived from it through the
+orthonormal frame at the chart point, and all brackets are taken in the
+Cartesian chart.  Evaluators take a (..., 3) array of Bloch vectors, a
+single point being a (3,) array, and return the velocities in the same
+shape.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import NeighborhoodOutsideBall
-from .metric_family import (MonotoneFunctionSpec, big_f, finite_f, g_from_f,
+from .metric_family import (MonotoneFunctionSpec, big_f, family_a, finite_f,
                             inverse_metric, metric_cartesian)
 from .state_space import (EPS_BOUNDARY, SphericalPoint, TracelessObservable,
-                          ball_radii, bloch_norm, first_failing)
+                          ball_radii, bloch_norm, bloch_stack, first_failing)
 
 BRACKET_STEP = 1e-4
 _STEPS = np.array([1.0, -1.0, 0.5, -0.5])  # stencil steps, in units of h
@@ -41,24 +42,30 @@ class TangentVector:
 
 @dataclass(frozen=True)
 class VectorField:
-    """A vector field given by chart evaluators.
+    """A vector field given by its Cartesian evaluator.
 
     ``cartesian`` maps a (..., 3) array of Bloch vectors to their Bloch
     velocities and is defined on the whole open ball.
-    ``spherical`` returns (v^r, v^theta, v^phi) coordinate components and is
-    only defined on the spherical chart.
     """
 
     descriptor: str
     cartesian: Callable[[np.ndarray], np.ndarray]
-    spherical: Optional[Callable[[SphericalPoint], np.ndarray]] = None
 
     def at_spherical(self, p: SphericalPoint) -> TangentVector:
-        return TangentVector("spherical", np.asarray(self.spherical(p), dtype=float),
+        """Coordinate components (v^r, v^theta, v^phi) at a chart point.
+
+        With c the Cartesian velocity at r n and (n, th, ph) the orthonormal
+        frame, they are (c . n, c . th / r, c . ph / (r sin(theta))).
+        """
+        n, th, ph = _frame(p)
+        c = np.asarray(self.cartesian(p.r * n), dtype=float)
+        return TangentVector("spherical",
+                             np.array([c @ n, c @ th / p.r,
+                                       c @ ph / (p.r * math.sin(p.theta))]),
                              (p.r, p.theta, p.phi))
 
     def at_cartesian(self, v) -> TangentVector:
-        v = np.asarray(v, dtype=float)
+        v = bloch_stack(v)
         ball_radii(v)
         return TangentVector("cartesian", np.asarray(self.cartesian(v), dtype=float),
                              tuple(v.tolist()))
@@ -75,14 +82,7 @@ def _frame(p: SphericalPoint):
 
 
 def fundamental_field(b: TracelessObservable) -> VectorField:
-    """Rotation generator b1 X1 + b2 X2 + b3 X3; purely tangential.
-
-    Spherical components per the closed formulas
-        X1 = -sin(phi) d_theta - cot(theta) cos(phi) d_phi
-        X2 =  cos(phi) d_theta - cot(theta) sin(phi) d_phi
-        X3 =  d_phi
-    Cartesian form: v -> b x v.
-    """
+    """Rotation generator b1 X1 + b2 X2 + b3 X3: v -> b x v."""
     coeffs = b.coeffs
     b1, b2, b3 = coeffs.tolist()
 
@@ -92,42 +92,18 @@ def fundamental_field(b: TracelessObservable) -> VectorField:
         return np.stack((b2 * z - b3 * y, b3 * x - b1 * z, b1 * y - b2 * x),
                         axis=-1)
 
-    def spherical(p: SphericalPoint) -> np.ndarray:
-        st, ct = math.sin(p.theta), math.cos(p.theta)
-        sp, cp = math.sin(p.phi), math.cos(p.phi)
-        cot = ct / st
-        return np.array([
-            0.0,
-            -b1 * sp + b2 * cp,
-            -cot * (b1 * cp + b2 * sp) + b3,
-        ])
-
-    return VectorField(f"fundamental({coeffs.tolist()})",
-                       cartesian=cartesian, spherical=spherical)
+    return VectorField(f"fundamental({coeffs.tolist()})", cartesian)
 
 
 def gradient_field_closed(a: TracelessObservable,
                           spec: MonotoneFunctionSpec) -> VectorField:
     """Gradient field of the expectation value of a, closed form.
 
-    Spherical components (with n, th, ph the orthonormal frame):
-        Y^r     = (1-r^2) (a . n)
-        Y^theta = g(r) (a . th)
-        Y^phi   = g(r) (a . ph) / sin(theta)
-    Cartesian form: r g(r) a + ((1-r^2) - r g(r)) (a . n) n, where
+    r g(r) a + ((1-r^2) - r g(r)) (a . n) n with n = v/r, where
     r g(r) = (1+r) f((1-r)/(1+r)) extends continuously to the center; points
     with r < 1e-12 take that limit, f(1) a.
     """
     coeffs = a.coeffs
-
-    def spherical(p: SphericalPoint) -> np.ndarray:
-        n, th, ph = _frame(p)
-        g = g_from_f(spec, p.r)
-        return np.array([
-            (1.0 - p.r * p.r) * float(coeffs @ n),
-            g * float(coeffs @ th),
-            g * float(coeffs @ ph) / math.sin(p.theta),
-        ])
 
     def cartesian(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -143,8 +119,7 @@ def gradient_field_closed(a: TracelessObservable,
         radial = ((1.0 - r * r) - rg) * (v @ coeffs) / (r * r)
         return rg[..., None] * coeffs + radial[..., None] * v
 
-    return VectorField(f"gradient({coeffs.tolist()}, {spec.name})",
-                       cartesian=cartesian, spherical=spherical)
+    return VectorField(f"gradient({coeffs.tolist()}, {spec.name})", cartesian)
 
 
 def gradient_field_from_metric(a: TracelessObservable,
@@ -157,34 +132,21 @@ def gradient_field_from_metric(a: TracelessObservable,
     """
     coeffs = a.coeffs
 
-    def spherical(p: SphericalPoint) -> np.ndarray:
-        from .metric_family import metric_spherical
-        n, th, ph = _frame(p)
-        dl = np.array([
-            float(coeffs @ n),
-            p.r * float(coeffs @ th),
-            p.r * math.sin(p.theta) * float(coeffs @ ph),
-        ])
-        ginv = inverse_metric(metric_spherical(spec, p)).matrix
-        return ginv @ dl
-
     def cartesian(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         metric = metric_cartesian(spec, v[..., 0], v[..., 1], v[..., 2])
         return inverse_metric(metric).matrix @ coeffs
 
     return VectorField(f"gradient_from_metric({coeffs.tolist()}, {spec.name})",
-                       cartesian=cartesian, spherical=spherical)
+                       cartesian)
 
 
 def rescaled_gradient_field(a: TracelessObservable, a_const: float) -> VectorField:
     """(1/sqrt(A)) times the gradient field for the family_a(A) metric."""
-    from .metric_family import family_a
     base = gradient_field_closed(a, family_a(a_const))
     scale = 1.0 / math.sqrt(a_const)
     return VectorField(f"rescaled_gradient({a.coeffs.tolist()}, A={a_const:g})",
-                       cartesian=lambda v: scale * base.cartesian(v),
-                       spherical=lambda p: scale * base.spherical(p))
+                       lambda v: scale * base.cartesian(v))
 
 
 def lie_bracket_numeric(v_field: VectorField, w_field: VectorField, p,
@@ -197,7 +159,7 @@ def lie_bracket_numeric(v_field: VectorField, w_field: VectorField, p,
     extrapolation over (h, h/2) the truncation error is O(h^4); roundoff
     grows like eps/h^2, so the default step balances both.
     """
-    v = np.asarray(p, dtype=float)
+    v = bloch_stack(p)
     r = bloch_norm(v)
     fits = (0.0 < h) & (h < (1.0 - EPS_BOUNDARY - r) / 2.0)
     if not fits.all():
@@ -244,8 +206,8 @@ class CommutatorReport:
                 "convention_sign": self.convention_sign}
 
 
-def verify_commutator_relations(spec: MonotoneFunctionSpec, points,
-                                h: float = BRACKET_STEP) -> CommutatorReport:
+def verify_commutator_relations(spec: MonotoneFunctionSpec,
+                                points) -> CommutatorReport:
     """Compare numeric gradient-field brackets with F(r) times the rotations.
 
     Also measures the empirical sign in [X_i, X_j] = sign * X_k (pinned by a
@@ -263,24 +225,24 @@ def verify_commutator_relations(spec: MonotoneFunctionSpec, points,
     fr = np.asarray(big_f(spec, bloch_norm(pts)))
     per_point = np.zeros(len(pts))
     for i, j, k in cyclic:
-        num = lie_bracket_numeric(y_fields[i], y_fields[j], pts, h=h).components
+        num = lie_bracket_numeric(y_fields[i], y_fields[j], pts).components
         dev = np.max(np.abs(num - fr[:, None] * basis_vals[k]), axis=1)
         per_point = np.maximum(per_point, dev)
 
     # Convention sign of the fundamental-field brackets, measured once.
-    num_xx = lie_bracket_numeric(x_fields[0], x_fields[1], pts[0], h=h).components
+    num_xx = lie_bracket_numeric(x_fields[0], x_fields[1], pts[0]).components
     convention_sign = float(np.sign(num_xx @ basis_vals[2][0]))
 
     # Mixed-bracket closure: stack [X_i, Y_j] over all points and fit constant
     # coefficients over the six basis fields, one right-hand side per (i, j).
     mat = np.stack(basis_vals, axis=-1).reshape(-1, 6)
     rhs = np.column_stack([
-        lie_bracket_numeric(x_fields[i], y_fields[j], pts, h=h).components.ravel()
+        lie_bracket_numeric(x_fields[i], y_fields[j], pts).components.ravel()
         for i in range(3) for j in range(3)])
     coef, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     residual = float(np.max(np.abs(mat @ coef - rhs)))
 
-    return CommutatorReport(spec.name, float(h),
+    return CommutatorReport(spec.name, BRACKET_STEP,
                             tuple(tuple(v) for v in pts.tolist()),
                             tuple(per_point.tolist()), float(np.max(per_point)),
                             residual, convention_sign)

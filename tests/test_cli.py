@@ -211,6 +211,8 @@ _BAD_INPUT = [
     (["verify", "poles", "--seed", "-1"], "--seed"),
     (["verify", "poles", "--tolerance", "inf"], "--tolerance"),
     (["verify", "poles", "--output", "/nonexistent/dir/report.json"], "--output"),
+    (["ode", "poles", "--B", "1", "-n", "0"], None),
+    (["ode", "poles", "--B", "1", "-n", "-5"], None),
 ]
 
 

@@ -411,3 +411,12 @@ def test_axiom_checks_reject_empty_sample_sets(check, samples):
     # No sample would pass vacuously with every deviation 0.
     with pytest.raises(DomainError, match="samples"):
         check(samples)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("subgroup", [alpha_subgroup(2.0, SIGMA3, ZERO),
+                                      bkm_subgroup(SIGMA3, SIGMA3)])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_orbit_rejects_non_finite_times(subgroup, bad):
+    with pytest.raises(DomainError, match=f"t = {bad} is not finite"):
+        subgroup.orbit([0.5, bad], np.zeros((2, 3)))

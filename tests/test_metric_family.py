@@ -210,3 +210,17 @@ def test_stacked_metric_checks_name_first_failing_point():
                              (np.array([0.1, 0.2]), 0.0, 0.0))
     with pytest.raises(IllConditioned, match=r"\[0\.2, 0\.0, 0\.0\]"):
         inverse_metric(singular)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kwargs", [{"samples": 0}, {"sizes": (0,)},
+                                    {"sizes": (2, -1)}, {"sizes": ()}])
+def test_scan_monotonicity_rejects_empty_scans(kwargs):
+    with pytest.raises(DomainError, match="samples >= 1 and matrix sizes >= 1"):
+        scan_monotonicity([bures_helstrom()], **kwargs)
+
+
+@pytest.mark.filterwarnings("error")
+def test_petz_symmetry_rejects_empty_grid():
+    with pytest.raises(DomainError, match="non-empty"):
+        check_petz_symmetry(bkm(), [])

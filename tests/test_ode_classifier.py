@@ -76,3 +76,11 @@ def test_singularities_offset_shifts_first_index():
 def test_singularities_domain():
     with pytest.raises(DomainError):
         singularities(-1.0)
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_singularities_need_at_least_one_pole(count):
+    # No pole list would be reported empty as if the scan had run.
+    with pytest.raises(DomainError,
+                       match=f"max_count must be at least 1, got {count}"):
+        singularities(1.0, 0.0, max_count=count)

@@ -5,8 +5,10 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qig.errors import NeighborhoodOutsideBall
-from qig.metric_family import bkm, bures_helstrom, family_a, rld, wigner_yanase
+from qig.errors import DomainError, NeighborhoodOutsideBall
+from qig.metric_family import (bkm, bures_helstrom, family_a, g_from_f,
+                               inverse_metric, metric_spherical, rld,
+                               wigner_yanase)
 from qig.state_space import SphericalPoint, TracelessObservable
 from qig.vector_fields import (fundamental_field, gradient_field_closed,
                                gradient_field_from_metric, lie_bracket_numeric,
@@ -141,11 +143,10 @@ def test_mixed_bracket_closure():
     npt.assert_allclose(br.components, -y3.cartesian(v), atol=1e-8)
 
 
-def _field_kinds(spec):
-    a = TracelessObservable(0.6, -0.3, 0.45)
+def _field_kinds(spec, a=TracelessObservable(0.6, -0.3, 0.45), a_const=2.0):
     return {"x": fundamental_field(a), "y": gradient_field_closed(a, spec),
             "ym": gradient_field_from_metric(a, spec),
-            "ya": rescaled_gradient_field(a, 2.0)}
+            "ya": rescaled_gradient_field(a, a_const)}
 
 
 @pytest.mark.parametrize("kind", ["x", "y", "ym", "ya"])
@@ -199,3 +200,62 @@ def test_batched_bracket_rejects_any_row_near_sphere():
     x1, x2 = fundamental_field(E[0]), fundamental_field(E[1])
     with pytest.raises(NeighborhoodOutsideBall, match="0.99995"):
         lie_bracket_numeric(x1, x2, pts)
+
+
+def _spherical_oracle(kind, a, spec, a_const, p):
+    """The hand-written spherical-chart formulas of each field kind."""
+    st, ct = math.sin(p.theta), math.cos(p.theta)
+    sp, cp = math.sin(p.phi), math.cos(p.phi)
+    n = np.array([st * cp, st * sp, ct])
+    th = np.array([ct * cp, ct * sp, -st])
+    ph = np.array([-sp, cp, 0.0])
+    if kind == "x":
+        # X1 = -sin(phi) d_theta - cot(theta) cos(phi) d_phi,
+        # X2 = cos(phi) d_theta - cot(theta) sin(phi) d_phi, X3 = d_phi
+        return np.array([0.0, -a[0] * sp + a[1] * cp,
+                         -ct / st * (a[0] * cp + a[1] * sp) + a[2]])
+    if kind == "ym":
+        # the differential of l_a raised by the inverse spherical metric
+        dl = np.array([a @ n, p.r * (a @ th), p.r * st * (a @ ph)])
+        return inverse_metric(metric_spherical(spec, p)).matrix @ dl
+    scale = 1.0
+    if kind == "ya":
+        spec, scale = family_a(a_const), 1.0 / math.sqrt(a_const)
+    # Y^r = (1-r^2)(a.n), Y^theta = g(r)(a.th), Y^phi = g(r)(a.ph)/sin(theta)
+    g = g_from_f(spec, p.r)
+    return scale * np.array([(1.0 - p.r * p.r) * (a @ n), g * (a @ th),
+                             g * (a @ ph) / st])
+
+
+@pytest.mark.parametrize("kind", ["x", "y", "ym", "ya"])
+def test_spherical_components_match_hand_written_formulas(kind):
+    # Components derived from the Cartesian evaluator against the closed
+    # spherical formulas, at random chart points; half of them lie within
+    # 1e-3 of the polar axis.
+    rng = np.random.default_rng(11)
+    a_const = 2.0
+    for spec in (bkm(), bures_helstrom(), wigner_yanase(), rld(),
+                 family_a(0.5), family_a(3.0)):
+        a = rng.uniform(-1.0, 1.0, 3)
+        field = _field_kinds(spec, TracelessObservable.from_coeffs(a),
+                             a_const)[kind]
+        for i in range(40):
+            r = rng.uniform(0.01, 0.99)
+            theta = rng.uniform(0.01, math.pi - 0.01)
+            if i % 2:
+                off_axis = rng.uniform(1e-4, 1e-3)
+                theta = off_axis if i % 4 == 1 else math.pi - off_axis
+            p = SphericalPoint(r, theta, rng.uniform(0.0, 2.0 * math.pi))
+            got = field.at_spherical(p).components
+            want = _spherical_oracle(kind, a, spec, a_const, p)
+            scale = np.maximum(1.0, np.abs(want))
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), (spec.name, p)
+
+
+@pytest.mark.filterwarnings("error")
+def test_point_of_wrong_shape_is_domain_error():
+    field = gradient_field_closed(E[0], bures_helstrom())
+    with pytest.raises(DomainError, match=r"\(2, 2\)"):
+        field.at_cartesian([[0.1, 0.2], [0.0, 0.3]])
+    with pytest.raises(DomainError, match=r"\(2,\)"):
+        lie_bracket_numeric(field, fundamental_field(E[1]), [0.1, 0.2])
