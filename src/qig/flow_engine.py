@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,14 +26,10 @@ from .vector_fields import VectorField
 class Trajectory:
     times: np.ndarray
     points: np.ndarray  # shape (n, 3), Bloch Cartesian
-    metadata: dict = field(default_factory=dict)
 
     @property
     def radii(self) -> np.ndarray:
         return np.linalg.norm(self.points, axis=1)
-
-    def endpoint(self) -> np.ndarray:
-        return self.points[-1]
 
     def to_csv(self, observable: TracelessObservable | None = None) -> str:
         """Columns t, x, y, z, r and, if an observable is given, l_a = a . v."""
@@ -88,8 +84,7 @@ def integrate_flow(vfield: VectorField, start: QubitState, t_end: float,
         v = _rk4_step(f, v, h)
         _check_interior(v)
         points[i + 1] = v
-    meta = {"field": vfield.descriptor, "integrator": "rk4", "steps": steps}
-    return Trajectory(times, points, meta)
+    return Trajectory(times, points)
 
 
 def orbit_curve(subgroup: Subgroup, start: QubitState, t_end: float,
@@ -100,8 +95,7 @@ def orbit_curve(subgroup: Subgroup, start: QubitState, t_end: float,
     with every time of the grid in one batched call.
     """
     times = _time_grid(t_end, samples)
-    points = subgroup.orbit(times, start)
-    return Trajectory(times, points, {"kind": "orbit", "samples": samples})
+    return Trajectory(times, subgroup.orbit(times, start))
 
 
 def compare_flow_to_orbit(vfield: VectorField, subgroup: Subgroup,

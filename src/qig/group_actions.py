@@ -158,10 +158,6 @@ class CotangentGroupElement:
         if not np.all(np.isfinite(self.a.coeffs)):
             raise DomainError(f"translation a = {self.a.coeffs} is not finite")
 
-    def to_json(self) -> dict:
-        return {"unitary": complex_matrix_to_json(self.unitary),
-                "a": self.a.to_json()}
-
 
 def cotangent_identity() -> CotangentGroupElement:
     return CotangentGroupElement(np.eye(2, dtype=complex),
@@ -261,19 +257,12 @@ def action_bkm(h: CotangentGroupElement, rho: QubitState) -> QubitState:
 @dataclass(frozen=True)
 class ActionAxiomReport:
     action: str
-    samples: int
-    seed: int
     identity_dev: float
     compatibility_dev: float
 
     @property
     def max_dev(self) -> float:
         return max(self.identity_dev, self.compatibility_dev)
-
-    def to_json(self) -> dict:
-        return {"action": self.action, "samples": self.samples, "seed": self.seed,
-                "identity_dev": self.identity_dev,
-                "compatibility_dev": self.compatibility_dev}
 
 
 def _draws(seed: int, key: int, samples: int, states: int, observables: int):
@@ -336,8 +325,8 @@ def verify_alpha_action(a_const: float, samples: int = 200,
     ident = images(sl_identity().matrix, rho)
     lhs = images(g1, images(g2, rho))
     rhs = images(g12, rho)
-    return ActionAxiomReport(f"alpha_A(A={a_const:g})", samples, seed,
-                             _max_gap(ident, rho), _max_gap(lhs, rhs))
+    return ActionAxiomReport(f"alpha_A(A={a_const:g})", _max_gap(ident, rho),
+                             _max_gap(lhs, rhs))
 
 
 def verify_bkm_action(samples: int = 200, seed: int = 0,
@@ -366,8 +355,8 @@ def verify_bkm_action(samples: int = 200, seed: int = 0,
     lhs = images(u[:, 0], a[:, 0], images(u[:, 1], a[:, 1], rho))
     rhs = images(np.array([h.unitary for h in products]),
                  np.array([h.a.coeffs for h in products]), rho)
-    return ActionAxiomReport("bkm_cotangent", samples, seed,
-                             _max_gap(ident, rho), _max_gap(lhs, rhs))
+    return ActionAxiomReport("bkm_cotangent", _max_gap(ident, rho),
+                             _max_gap(lhs, rhs))
 
 
 def transitivity_probe(samples: int = 100, seed: int = 0) -> float:

@@ -99,8 +99,6 @@ class MonotoneFunctionSpec:
 
     kind: str
     name: str
-    params: tuple = ()
-    petz_class: bool = True
     f_raw: Callable = field(default=None, repr=False, compare=False)
     g_prime: Optional[Callable] = field(default=None, repr=False, compare=False)
 
@@ -150,7 +148,7 @@ def family_a(a_const: float) -> MonotoneFunctionSpec:
         return -4.0 * s * s * t ** (s - 1.0) / ((1.0 - u) ** 2 * (1.0 + r) ** 2)
 
     return MonotoneFunctionSpec(
-        "family_a", f"family_a({a_const:g})", params=(float(a_const),),
+        "family_a", f"family_a({a_const:g})",
         f_raw=lambda t: _family_a_f(t, s), g_prime=gp)
 
 
@@ -166,12 +164,11 @@ def family_b(b_const: float, c: float = 0.0) -> MonotoneFunctionSpec:
 
     return MonotoneFunctionSpec(
         "family_b", f"family_b({b_const:g},{c:g})",
-        params=(float(b_const), float(c)), petz_class=False,
         f_raw=lambda t: _family_b_f(t, b_const, c), g_prime=gp)
 
 
-def custom(f: Callable, name: str, petz_class: bool = True) -> MonotoneFunctionSpec:
-    return MonotoneFunctionSpec("custom", name, petz_class=petz_class, f_raw=f)
+def custom(f: Callable, name: str) -> MonotoneFunctionSpec:
+    return MonotoneFunctionSpec("custom", name, f_raw=f)
 
 
 CATALOG = {
@@ -235,14 +232,20 @@ def g_from_f(spec: MonotoneFunctionSpec, r):
 
 
 def g_derivative(spec: MonotoneFunctionSpec, r):
-    """g'(r): analytic for catalog entries, Richardson central diff otherwise."""
+    """g'(r): analytic for catalog entries, Richardson central diff otherwise,
+    whose stencil needs every r in (FD_STEP, 1 - FD_STEP)."""
+    r = np.asarray(r, dtype=float)
     if spec.g_prime is not None:
-        out = spec.g_prime(np.asarray(r, dtype=float))
+        out = spec.g_prime(r)
         return out if np.ndim(out) else float(out)
+    inside = (r > FD_STEP) & (r < 1.0 - FD_STEP)
+    if not inside.all():
+        bad = first_failing(inside, r[..., None])[0]
+        raise DomainError(f"r = {bad} outside ({FD_STEP:g}, 1 - {FD_STEP:g}), "
+                          f"the finite-difference range of g' for {spec.name}")
 
     def diff(step):
-        return (g_from_f(spec, np.asarray(r) + step)
-                - g_from_f(spec, np.asarray(r) - step)) / (2.0 * step)
+        return (g_from_f(spec, r + step) - g_from_f(spec, r - step)) / (2.0 * step)
 
     d1, d2 = diff(FD_STEP), diff(FD_STEP / 2.0)
     out = (4.0 * d2 - d1) / 3.0
@@ -340,12 +343,6 @@ class PetzSymmetryReport:
     normalization_dev: float
     passed: bool
 
-    def to_json(self) -> dict:
-        return {"spec": self.spec,
-                "max_symmetry_dev": self.max_symmetry_dev,
-                "normalization_dev": self.normalization_dev,
-                "passed": self.passed}
-
 
 def check_petz_symmetry(spec: MonotoneFunctionSpec, grid,
                         tol: float = 1e-9) -> PetzSymmetryReport:
@@ -371,9 +368,6 @@ class MonotonicityReport:
     """Outcome of a random matrix-order scan of f."""
 
     spec: str
-    sizes: tuple
-    samples: int
-    seed: int
     min_gap: float  # most negative eigenvalue of f(B) - f(A) seen
     counterexample: Optional[dict]
 
@@ -381,14 +375,10 @@ class MonotonicityReport:
     def violated(self) -> bool:
         return self.counterexample is not None
 
-    def to_json(self) -> dict:
-        return {"spec": self.spec, "sizes": list(self.sizes),
-                "samples": self.samples, "seed": self.seed,
-                "min_gap": self.min_gap, "counterexample": self.counterexample}
-
 
 def _random_ordered_pairs(rng, dim: int, count: int):
-    """Stacked Hermitian pairs A <= B with spectra inside (0, 1]."""
+    """Stacked Hermitian pairs A <= B with spectra inside (0, 1]: A as its
+    drawn eigenpairs (lam, q), A = q diag(lam) q^dag, and B = A + s W."""
     lam = np.exp(rng.uniform(np.log(1e-3), 0.0, size=(count, dim)))
     zr = rng.standard_normal((count, dim, dim))
     zi = rng.standard_normal((count, dim, dim))
@@ -396,11 +386,10 @@ def _random_ordered_pairs(rng, dim: int, count: int):
     a = np.einsum("nij,nj,nkj->nik", q, lam, q.conj())
     m = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
     w = np.einsum("nij,nkj->nik", m, m.conj()) / dim
-    lmax_a = np.linalg.eigvalsh(a)[:, -1]
     lmax_w = np.linalg.eigvalsh(w)[:, -1]
-    scale = np.minimum(1.0, 0.999 * (1.0 - lmax_a) / np.maximum(lmax_w, 1e-300))
-    b = a + scale[:, None, None] * w
-    return a, b
+    scale = np.minimum(1.0, 0.999 * (1.0 - lam.max(axis=1))
+                       / np.maximum(lmax_w, 1e-300))
+    return lam, q, a + scale[:, None, None] * w
 
 
 def _apply_spectral(spec: MonotoneFunctionSpec, lam: np.ndarray,
@@ -412,16 +401,14 @@ def _apply_spectral(spec: MonotoneFunctionSpec, lam: np.ndarray,
 
 def _size_gaps(specs, dim: int, samples: int, seed: int):
     """Smallest eigenvalue of f(B) - f(A) per drawn pair of one size, per spec,
-    with the spectra of A and B, each diagonalised once for all specs.
+    with the spectra of A (as drawn) and of B (diagonalised once for all specs).
 
     Each matrix stack is freed as soon as it is no longer needed, and all of
     them on return, so the peak memory stays that of a one-spec scan.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(dim,)))
-    a, b = _random_ordered_pairs(rng, dim, samples)
-    lam_a, vec_a = np.linalg.eigh(a)
-    del a
+    lam_a, vec_a, b = _random_ordered_pairs(rng, dim, samples)
     lam_b, vec_b = np.linalg.eigh(b)
     del b
     gaps = []
@@ -438,15 +425,17 @@ def scan_monotonicity(specs, sizes=(1, 2, 3, 4), samples: int = 10_000,
     """Search for matrix-order violations f(B) - f(A) not >= 0 with A <= B.
 
     Returns one MonotonicityReport per spec of ``specs``.  Each size draws
-    its pairs and diagonalises A and B once, then scores every spec against
-    those spectra, so a spec's report does not depend on the other specs.
-    Evidence only: a clean scan does not prove operator monotonicity.  The
-    per-size RNG stream is derived from (seed, size) so results do not
-    depend on the order sizes are processed in.
+    its pairs, A by its eigenpairs, and diagonalises B once, then scores
+    every spec against those spectra, so a spec's report does not depend on
+    the other specs.  Evidence only: a clean scan does not prove operator
+    monotonicity.  The per-size RNG stream is derived from (seed, size) so
+    results do not depend on the order sizes are processed in.
     """
-    if not (samples >= 1 and len(sizes) >= 1 and all(d >= 1 for d in sizes)):
-        raise DomainError(f"need samples >= 1 and matrix sizes >= 1, got "
-                          f"samples = {samples}, sizes = {tuple(sizes)}")
+    sizes = tuple(sizes)
+    if not (sizes and all(isinstance(n, (int, np.integer)) and n >= 1
+                          for n in (samples, *sizes))):
+        raise DomainError(f"need samples >= 1 and matrix sizes >= 1, all integers, "
+                          f"got samples = {samples}, sizes = {sizes}")
     specs = list(specs)
     min_gaps = [np.inf] * len(specs)
     counterexamples = [None] * len(specs)
@@ -459,11 +448,10 @@ def scan_monotonicity(specs, sizes=(1, 2, 3, 4), samples: int = 10_000,
                 counterexamples[k] = {
                     "size": int(dim),
                     "gap": float(gap[idx]),
-                    "a_eigenvalues": lam_a[idx].tolist(),
+                    "a_eigenvalues": np.sort(lam_a[idx]).tolist(),
                     "b_eigenvalues": lam_b[idx].tolist(),
                 }
-    return [MonotonicityReport(spec.name, tuple(int(d) for d in sizes),
-                               int(samples), int(seed), float(gap), example)
+    return [MonotonicityReport(spec.name, float(gap), example)
             for spec, gap, example in zip(specs, min_gaps, counterexamples)]
 
 

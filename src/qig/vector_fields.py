@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NeighborhoodOutsideBall
+from .errors import DomainError, NeighborhoodOutsideBall
 from .metric_family import (MonotoneFunctionSpec, big_f, family_a, finite_f,
                             inverse_metric, metric_cartesian)
 from .state_space import (EPS_BOUNDARY, SphericalPoint, TracelessObservable,
@@ -48,7 +48,6 @@ class VectorField:
     velocities and is defined on the whole open ball.
     """
 
-    descriptor: str
     cartesian: Callable[[np.ndarray], np.ndarray]
 
     def at_spherical(self, p: SphericalPoint) -> TangentVector:
@@ -92,7 +91,7 @@ def fundamental_field(b: TracelessObservable) -> VectorField:
         return np.stack((b2 * z - b3 * y, b3 * x - b1 * z, b1 * y - b2 * x),
                         axis=-1)
 
-    return VectorField(f"fundamental({coeffs.tolist()})", cartesian)
+    return VectorField(cartesian)
 
 
 def gradient_field_closed(a: TracelessObservable,
@@ -119,7 +118,7 @@ def gradient_field_closed(a: TracelessObservable,
         radial = ((1.0 - r * r) - rg) * (v @ coeffs) / (r * r)
         return rg[..., None] * coeffs + radial[..., None] * v
 
-    return VectorField(f"gradient({coeffs.tolist()}, {spec.name})", cartesian)
+    return VectorField(cartesian)
 
 
 def gradient_field_from_metric(a: TracelessObservable,
@@ -137,16 +136,14 @@ def gradient_field_from_metric(a: TracelessObservable,
         metric = metric_cartesian(spec, v[..., 0], v[..., 1], v[..., 2])
         return inverse_metric(metric).matrix @ coeffs
 
-    return VectorField(f"gradient_from_metric({coeffs.tolist()}, {spec.name})",
-                       cartesian)
+    return VectorField(cartesian)
 
 
 def rescaled_gradient_field(a: TracelessObservable, a_const: float) -> VectorField:
     """(1/sqrt(A)) times the gradient field for the family_a(A) metric."""
     base = gradient_field_closed(a, family_a(a_const))
     scale = 1.0 / math.sqrt(a_const)
-    return VectorField(f"rescaled_gradient({a.coeffs.tolist()}, A={a_const:g})",
-                       lambda v: scale * base.cartesian(v))
+    return VectorField(lambda v: scale * base.cartesian(v))
 
 
 def lie_bracket_numeric(v_field: VectorField, w_field: VectorField, p,
@@ -190,20 +187,9 @@ class CommutatorReport:
     """Numeric check of [Y_i, Y_j] = F(r) X_k and of bracket closure."""
 
     spec: str
-    h: float
-    points: tuple
-    per_point_errors: tuple
     max_error: float
     closure_residual: float
     convention_sign: float
-
-    def to_json(self) -> dict:
-        return {"spec": self.spec, "h": self.h,
-                "points": [list(p) for p in self.points],
-                "per_point_errors": list(self.per_point_errors),
-                "max_error": self.max_error,
-                "closure_residual": self.closure_residual,
-                "convention_sign": self.convention_sign}
 
 
 def verify_commutator_relations(spec: MonotoneFunctionSpec,
@@ -215,12 +201,15 @@ def verify_commutator_relations(spec: MonotoneFunctionSpec,
     [X_i, Y_j] close onto the span of the six basis fields with constant
     coefficients (one global least-squares across all points).
     """
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    if len(pts) == 0:
+        raise DomainError("commutator check needs at least one point, "
+                          "got an empty point set")
     basis = [TracelessObservable.from_coeffs(e) for e in np.eye(3)]
     x_fields = [fundamental_field(b) for b in basis]
     y_fields = [gradient_field_closed(b, spec) for b in basis]
     cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
     basis_vals = [f.cartesian(pts) for f in x_fields + y_fields]
     fr = np.asarray(big_f(spec, bloch_norm(pts)))
     per_point = np.zeros(len(pts))
@@ -242,7 +231,5 @@ def verify_commutator_relations(spec: MonotoneFunctionSpec,
     coef, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     residual = float(np.max(np.abs(mat @ coef - rhs)))
 
-    return CommutatorReport(spec.name, BRACKET_STEP,
-                            tuple(tuple(v) for v in pts.tolist()),
-                            tuple(per_point.tolist()), float(np.max(per_point)),
-                            residual, convention_sign)
+    return CommutatorReport(spec.name, float(np.max(per_point)), residual,
+                            convention_sign)

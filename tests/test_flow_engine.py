@@ -53,7 +53,7 @@ def test_rk4_fourth_order():
 
 
 def test_outward_field_raises_left_manifold():
-    outward = VectorField("outward", lambda v: np.asarray(v, dtype=float))
+    outward = VectorField(lambda v: np.asarray(v, dtype=float))
     with pytest.raises(LeftManifold):
         integrate_flow(outward, state_from_bloch(0.5, 0.0, 0.0), 10.0, 1000)
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qig.errors import CenterSingularity, DomainError, IllConditioned, PoleError
-from qig.metric_family import (SERIES_CUTOFF, MetricAtPoint, big_f, bkm,
-                               bures_helstrom, check_petz_symmetry, custom,
+from qig.metric_family import (FD_STEP, SERIES_CUTOFF, MetricAtPoint,
+                               _size_gaps, big_f, bkm, bures_helstrom,
+                               check_petz_symmetry, custom,
                                derivative_limit_at_zero, f_eval, family_a,
                                family_b, g_derivative, g_from_f,
                                inverse_metric, metric_cartesian,
@@ -214,7 +215,8 @@ def test_stacked_metric_checks_name_first_failing_point():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"sizes": (0,)},
-                                    {"sizes": (2, -1)}, {"sizes": ()}])
+                                    {"sizes": (2, -1)}, {"sizes": ()},
+                                    {"sizes": (1.5,)}, {"samples": 2.5}])
 def test_scan_monotonicity_rejects_empty_scans(kwargs):
     with pytest.raises(DomainError, match="samples >= 1 and matrix sizes >= 1"):
         scan_monotonicity([bures_helstrom()], **kwargs)
@@ -224,3 +226,71 @@ def test_scan_monotonicity_rejects_empty_scans(kwargs):
 def test_petz_symmetry_rejects_empty_grid():
     with pytest.raises(DomainError, match="non-empty"):
         check_petz_symmetry(bkm(), [])
+
+
+@pytest.mark.filterwarnings("error")
+def test_finite_difference_g_prime_names_the_callers_r():
+    # Without an analytic g' the stencil reaches FD_STEP past r; the error
+    # names the r the caller passed, not a stepped one.
+    spec = custom(lambda t: (1.0 + np.asarray(t, dtype=float)) / 2.0, "c")
+    for r in (0.999999, 5e-7):
+        with pytest.raises(DomainError, match=rf"r = {r} outside \({FD_STEP:g}"):
+            big_f(spec, r)
+    grid = np.array([0.3, 0.5, 0.9999995, 0.7, 1e-7])
+    with pytest.raises(DomainError, match=r"^r = 0\.9999995 outside"):
+        g_derivative(spec, grid)
+    assert abs(big_f(spec, np.array([0.3, 0.5]))[1] - 1.0) < 1e-6
+
+
+def _eigh_of_a_gaps(specs, dim: int, samples: int, seed: int):
+    """The scan's per-sample gaps by the old path: the same draws, then
+    eigvalsh(A) for its largest eigenvalue and eigh(A) for its eigenpairs."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                       spawn_key=(dim,)))
+    lam = np.exp(rng.uniform(np.log(1e-3), 0.0, size=(samples, dim)))
+    zr = rng.standard_normal((samples, dim, dim))
+    zi = rng.standard_normal((samples, dim, dim))
+    q, _ = np.linalg.qr(zr + 1j * zi)
+    a = np.einsum("nij,nj,nkj->nik", q, lam, q.conj())
+    m = (rng.standard_normal((samples, dim, dim))
+         + 1j * rng.standard_normal((samples, dim, dim)))
+    w = np.einsum("nij,nkj->nik", m, m.conj()) / dim
+    lmax_a = np.linalg.eigvalsh(a)[:, -1]
+    lmax_w = np.linalg.eigvalsh(w)[:, -1]
+    scale = np.minimum(1.0, 0.999 * (1.0 - lmax_a) / np.maximum(lmax_w, 1e-300))
+    lam_a, vec_a = np.linalg.eigh(a)
+    lam_b, vec_b = np.linalg.eigh(a + scale[:, None, None] * w)
+    gaps = []
+    for spec in specs:
+        f_b, f_a = (np.einsum("nij,nj,nkj->nik", vec,
+                              np.asarray(spec.f_raw(np.clip(lam, 1e-300, 1.0))),
+                              vec.conj())
+                    for lam, vec in ((lam_b, vec_b), (lam_a, vec_a)))
+        gaps.append(np.linalg.eigvalsh(f_b - f_a)[:, 0])
+    return gaps
+
+
+def test_scan_matches_eigh_of_a_oracle():
+    # family_a(A) evaluates 1 - t^sqrt(A), which cancels for t just below
+    # 1 - SERIES_CUTOFF: there f itself is good only to about
+    # eps / (sqrt(A) (1 - t)), relative.  The old path's eigenvalues differ
+    # from the drawn ones by a few ulps, so such a spec's gap may move by
+    # that much too; the others agree to 1e-12.
+    specs = [bures_helstrom(), wigner_yanase(), bkm(), family_a(2.0),
+             family_a(4.0)]
+    sqrt_a = [None, None, None, math.sqrt(2.0), 2.0]
+    eps = np.finfo(float).eps
+    for seed in range(10):
+        oracle_min = np.full(len(specs), np.inf)
+        for dim in (1, 2, 3, 4):
+            got, lam_a, lam_b = _size_gaps(specs, dim, 500, seed)
+            want = _eigh_of_a_gaps(specs, dim, 500, seed)
+            lam = np.concatenate([lam_a, lam_b], axis=1)
+            near_one = np.maximum(1.0 - lam.max(axis=1), SERIES_CUTOFF)
+            for k, (spec, s, g, o) in enumerate(zip(specs, sqrt_a, got, want)):
+                tol = 1e-12 if s is None else 1e-12 + 4.0 * eps / (s * near_one)
+                assert np.all(np.abs(g - o) <= tol), (spec.name, seed, dim)
+                oracle_min[k] = min(oracle_min[k], o.min())
+        reports = scan_monotonicity(specs, samples=500, seed=seed)
+        assert ([rep.violated for rep in reports]
+                == list(oracle_min < -1e-10)), seed

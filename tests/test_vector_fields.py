@@ -259,3 +259,9 @@ def test_point_of_wrong_shape_is_domain_error():
         field.at_cartesian([[0.1, 0.2], [0.0, 0.3]])
     with pytest.raises(DomainError, match=r"\(2,\)"):
         lie_bracket_numeric(field, fundamental_field(E[1]), [0.1, 0.2])
+
+
+@pytest.mark.filterwarnings("error")
+def test_commutator_relations_reject_empty_point_set():
+    with pytest.raises(DomainError, match="empty point set"):
+        verify_commutator_relations(bures_helstrom(), np.zeros((0, 3)))
