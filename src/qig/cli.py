@@ -22,7 +22,7 @@ from . import metric_family as mf
 from . import ode_classifier as oc
 from . import verify as vf
 from .errors import InputError, QigError
-from .flow_engine import integrate_flow, orbit_curve
+from .flow_engine import csv_table, integrate_flow, orbit_curve
 from .state_space import SphericalPoint, TracelessObservable, state_from_bloch
 from .vector_fields import (BRACKET_STEP, VectorField, fundamental_field,
                             gradient_field_closed, gradient_field_from_metric,
@@ -32,6 +32,16 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+
+# Caps on the work one flag can ask for.  Each is sized so that the largest
+# valid run takes a fraction of the 60 s that a `qig verify all` run is
+# allowed, on a 2-vCPU machine with one BLAS thread: 100 000 overlay steps
+# take about 10 s, 50 000 action samples about 9 s, and 100 000 poles or
+# classification grid points under 1 s.
+MAX_STEPS = 100_000       # export --steps
+MAX_POLES = 100_000       # ode poles -n/--count
+MAX_GRID_STEPS = 100_000  # ode classify --grid-steps
+MAX_SAMPLES = 50_000      # --samples
 
 
 @dataclass
@@ -154,8 +164,14 @@ def cmd_bracket(args) -> int:
     return EXIT_OK
 
 
+def _check_count(flag: str, value: int, cap: int) -> None:
+    if not 1 <= value <= cap:
+        raise InputError(f"{flag} must be an integer in [1, {cap}], got {value}")
+
+
 def cmd_ode(args) -> int:
     if args.ode_cmd == "classify":
+        _check_count("--grid-steps", args.grid_steps, MAX_GRID_STEPS)
         spec = _spec_from_args(args)
         grid = np.linspace(args.grid_min, args.grid_max, args.grid_steps)
         _dump(oc.classify(spec, grid).to_json(), args.output)
@@ -169,6 +185,7 @@ def cmd_ode(args) -> int:
                   args.output)
         return EXIT_OK
     if args.ode_cmd == "poles":
+        _check_count("-n/--count", args.count, MAX_POLES)
         _dump(oc.singularities(args.b_const, args.c, args.count).to_json(),
               args.output)
         return EXIT_OK
@@ -247,16 +264,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     return EXIT_VERIFY_FAIL
 
 
-def _csv(rows, header) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_export(args, cfg: RunConfig) -> int:
-    if args.steps < 1:
-        raise InputError(f"--steps must be at least 1, got {args.steps}")
+    _check_count("--steps", args.steps, MAX_STEPS)
     if args.what == "f-curves":
         if not (0.0 < args.t_min <= 1.0 and 0.0 < args.t_max <= 1.0):
             raise InputError(f"--t-min and --t-max must lie in (0, 1], got "
@@ -265,14 +274,14 @@ def cmd_export(args, cfg: RunConfig) -> int:
         ts = np.linspace(args.t_min, args.t_max, args.steps)
         cols = [ts] + [np.asarray(mf.f_eval(mf.family_a(a), ts)) for a in a_values]
         header = ["t"] + [f"f_A{a:g}" for a in a_values]
-        _emit(_csv(zip(*cols), header), args.output)
+        _emit(csv_table(header, cols), args.output)
         return EXIT_OK
     if args.what == "F-curves":
         rs = np.linspace(0.05, 0.95, args.steps)
         specs = [mf.bkm(), mf.bures_helstrom(), mf.wigner_yanase(), mf.rld()]
         cols = [rs] + [np.asarray(mf.big_f(s, rs)) for s in specs]
         header = ["r"] + [f"F_{s.name}" for s in specs]
-        _emit(_csv(zip(*cols), header), args.output)
+        _emit(csv_table(header, cols), args.output)
         return EXIT_OK
 
     start = state_from_bloch(*_parse_triple(args.start))
@@ -295,10 +304,10 @@ def cmd_export(args, cfg: RunConfig) -> int:
         orbit = orbit_curve(ga.alpha_subgroup(a_const, obs, zero), start,
                             args.t_end, args.steps)
         gap = np.linalg.norm(flow.points - orbit.points, axis=1)
-        rows = zip(flow.times, *flow.points.T, *orbit.points.T, gap)
+        cols = [flow.times, *flow.points.T, *orbit.points.T, gap]
         header = ["t", "flow_x", "flow_y", "flow_z",
                   "orbit_x", "orbit_y", "orbit_z", "gap"]
-        _emit(_csv(rows, header), args.output)
+        _emit(csv_table(header, cols), args.output)
         return EXIT_OK
     raise InputError(f"unknown export kind {args.what!r}")
 
@@ -427,7 +436,8 @@ def _run_config(args) -> RunConfig:
         seed=pick("seed", args.seed, 0,
                   lambda v: isinstance(v, int) and v >= 0, "an integer >= 0"),
         samples=pick("samples", args.samples, 200,
-                     lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+                     lambda v: isinstance(v, int) and 1 <= v <= MAX_SAMPLES,
+                     f"an integer in [1, {MAX_SAMPLES}]"),
         tolerance=pick("tolerance", args.tolerance, None,
                        lambda v: v is None or (isinstance(v, (int, float))
                                                and 0.0 < v < math.inf),

@@ -9,7 +9,6 @@ isolates the integrator error.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -33,23 +32,40 @@ class Trajectory:
 
     def to_csv(self, observable: TracelessObservable | None = None) -> str:
         """Columns t, x, y, z, r and, if an observable is given, l_a = a . v."""
-        buf = io.StringIO()
-        header = "t,x,y,z,r"
-        cols = [self.times, self.points[:, 0], self.points[:, 1],
-                self.points[:, 2], self.radii]
+        header = ["t", "x", "y", "z", "r"]
+        cols = [self.times, *self.points.T, self.radii]
         if observable is not None:
-            header += ",l_a"
+            header.append("l_a")
             cols.append(self.points @ observable.coeffs)
-        buf.write(header + "\n")
-        for row in zip(*cols):
-            buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        return buf.getvalue()
+        return csv_table(header, cols)
+
+
+# Rows converted to Python floats at a time: .tolist() formats faster than
+# numpy scalars, and a block at a time keeps the floats of a long table from
+# all being alive at once, which would raise the peak memory.
+_CSV_BLOCK = 256
+
+
+def csv_table(header, columns) -> str:
+    """CSV text: the header row, then row i of the equal-length float
+    arrays in columns, every value written with 17 significant digits, which
+    round-trip."""
+    row = ",".join(["{:.17g}"] * len(columns))
+    lines = [",".join(header)]
+    for start in range(0, len(columns[0]), _CSV_BLOCK):
+        block = (c[start:start + _CSV_BLOCK].tolist() for c in columns)
+        lines += [row.format(*values) for values in zip(*block)]
+    return "\n".join(lines) + "\n"
+
+
+_INTERIOR_SQ = (1.0 - EPS_BOUNDARY) ** 2
 
 
 def _check_interior(v: np.ndarray) -> None:
-    r = bloch_norm(v)
-    if not r < 1.0 - EPS_BOUNDARY:
-        raise LeftManifold(f"trajectory reached |v| = {r}")
+    # v @ v is cheaper than |v| (two hypot calls), which only the message
+    # needs; a NaN or an overflowing v fails the test too.
+    if not v @ v < _INTERIOR_SQ:
+        raise LeftManifold(f"trajectory reached |v| = {bloch_norm(v)}")
 
 
 def _time_grid(t_end: float, steps: int) -> np.ndarray:
@@ -69,7 +85,13 @@ def _rk4_step(f, v: np.ndarray, h: float) -> np.ndarray:
 
 def integrate_flow(vfield: VectorField, start: QubitState, t_end: float,
                    steps: int) -> Trajectory:
-    """Integrate the field from ``start`` over [0, t_end] with fixed-step RK4."""
+    """Integrate the field from ``start`` over [0, t_end] with fixed-step RK4.
+
+    Every stage checks its point before evaluating the field there, so the
+    first stage of a step checks the previous step's result; the final
+    point is checked on its own.  A point not inside the ball by
+    EPS_BOUNDARY raises LeftManifold naming its |v|.
+    """
 
     def f(v):
         _check_interior(v)
@@ -82,8 +104,8 @@ def integrate_flow(vfield: VectorField, start: QubitState, t_end: float,
     v = start.bloch
     for i in range(steps):
         v = _rk4_step(f, v, h)
-        _check_interior(v)
         points[i + 1] = v
+    _check_interior(v)
     return Trajectory(times, points)
 
 

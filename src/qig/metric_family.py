@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import (CenterSingularity, DomainError, ExtrapolationUnstable,
                      IllConditioned, NumericError, PoleError)
-from .state_space import EPS_CHART, SphericalPoint, ball_radii, first_failing
+from .state_space import (EPS_CHART, SphericalPoint, all_true, ball_radii,
+                          first_failing)
 
 # Removable singularities of f at t = 1 switch to a Taylor fallback here;
 # direct evaluation loses all precision closer to 1.
@@ -47,12 +48,19 @@ COND_LIMIT = 1e12  # largest condition number inverse_metric accepts
 
 
 def _bkm_f(t):
+    # log(t) and the quotient run under np.errstate only where one of them
+    # can warn: t <= 0, t = inf, NaN, or t within SERIES_CUTOFF of 1, which
+    # the series patches.  Entering errstate costs as much as the rest of a
+    # single-point call.
     t = np.asarray(t, dtype=float)
     u = t - 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = u / np.log(t)
     near = np.abs(u) < SERIES_CUTOFF
-    if near.any():
+    if all_true((t > 0.0) & (t < np.inf) & ~near):
+        out = u / np.log(t)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = u / np.log(t)
+    if not all_true(~near):
         series = 1.0 + u * (0.5 + u * (-1.0 / 12.0 + u * (1.0 / 24.0 - 19.0 / 720.0 * u)))
         out = np.where(near, series, out)
     return out if out.ndim else float(out)
@@ -61,14 +69,24 @@ def _bkm_f(t):
 def _family_a_f(t, s: float):
     # s = sqrt(A).  Exact form (s/2)(1-t)(1+t^s)/(1-t^s); near t = 1 use the
     # equivalent 1/P - s*u/2 with u = 1-t and P the truncated series of
-    # (1-(1-u)^s)/(s*u).
+    # (1-(1-u)^s)/(s*u).  As in _bkm_f, np.errstate is entered only where a
+    # step can be invalid or divide by zero: t^s for t < 0 or NaN, and the
+    # quotient where t^s is 1 or not finite.  An overflowing t^s warns
+    # either way.
     t = np.asarray(t, dtype=float)
     u = 1.0 - t
-    with np.errstate(divide="ignore", invalid="ignore"):
+    if all_true(t >= 0.0):
         ts = t ** s
+    else:
+        with np.errstate(invalid="ignore"):
+            ts = t ** s
+    if all_true((ts != 1.0) & (np.abs(ts) < np.inf)):
         out = 0.5 * s * u * (1.0 + ts) / (1.0 - ts)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = 0.5 * s * u * (1.0 + ts) / (1.0 - ts)
     near = np.abs(u) < SERIES_CUTOFF
-    if near.any():
+    if not all_true(~near):
         p = 1.0 + u * (-(s - 1.0) / 2.0
                        + u * ((s - 1.0) * (s - 2.0) / 6.0
                               - u * (s - 1.0) * (s - 2.0) * (s - 3.0) / 24.0))
@@ -215,7 +233,7 @@ def finite_f(spec: MonotoneFunctionSpec, t):
     f = spec.f_raw(t)
     size = np.abs(f)
     ok = (size > 0.0) & (size < np.inf)
-    if not ok.all():
+    if not all_true(ok):
         bad = first_failing(ok, np.asarray(t, dtype=float)[..., None])[0]
         raise NumericError(f"f({bad}) of {spec.name} is zero or not finite")
     return f
@@ -353,8 +371,14 @@ def check_petz_symmetry(spec: MonotoneFunctionSpec, grid,
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or not np.all((grid > 0.0) & (grid < 1.0)):
         raise DomainError("symmetry grid must be non-empty and lie in (0, 1)")
+    with np.errstate(over="ignore"):
+        inverse = 1.0 / grid
+    finite = inverse < np.inf
+    if not finite.all():
+        bad = first_failing(finite, grid[..., None])[0]
+        raise DomainError(f"symmetry grid point t = {bad} has no finite 1/t")
     dev = np.abs(np.asarray(spec.f_raw(grid))
-                 - grid * np.asarray(spec.f_raw(1.0 / grid)))
+                 - grid * np.asarray(spec.f_raw(inverse)))
     # f(1) itself may hit a removable singularity of the raw formula, so the
     # normalization is probed just inside 1 with a slack matching |f'| <= 1.
     norm_dev = max(0.0, abs(float(spec.f_raw(1.0 - 1e-8)) - 1.0) - 2e-8)

@@ -129,6 +129,15 @@ def bloch_stack(points) -> np.ndarray:
     return v
 
 
+def all_true(ok) -> bool:
+    """Whether every entry of the numpy boolean mask ok holds.
+
+    A 0-d mask (a single point's check) is read with bool(), which costs a
+    fraction of the ok.all() reduction that a stack takes.
+    """
+    return bool(ok) if ok.ndim == 0 else bool(ok.all())
+
+
 def first_failing(ok, rows) -> list:
     """The first row of the stack rows (..., k) at which the mask ok fails."""
     rows = np.asarray(rows)

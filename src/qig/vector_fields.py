@@ -22,7 +22,8 @@ from .errors import DomainError, NeighborhoodOutsideBall
 from .metric_family import (MonotoneFunctionSpec, big_f, family_a, finite_f,
                             inverse_metric, metric_cartesian)
 from .state_space import (EPS_BOUNDARY, SphericalPoint, TracelessObservable,
-                          ball_radii, bloch_norm, bloch_stack, first_failing)
+                          all_true, ball_radii, bloch_norm, bloch_stack,
+                          first_failing)
 
 BRACKET_STEP = 1e-4
 _STEPS = np.array([1.0, -1.0, 0.5, -0.5])  # stencil steps, in units of h
@@ -107,7 +108,7 @@ def gradient_field_closed(a: TracelessObservable,
     def cartesian(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         r = bloch_norm(v)
-        if not ((r >= 1e-12) & (r < 1.0)).all():
+        if not all_true((r >= 1e-12) & (r < 1.0)):
             ball_radii(v)  # raises for a point outside the open ball
             center = r < 1e-12
             out = np.empty(v.shape)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qig import cli
+from qig.errors import InputError
 
 
 def run(*args, **kw):
@@ -213,6 +214,14 @@ _BAD_INPUT = [
     (["verify", "poles", "--output", "/nonexistent/dir/report.json"], "--output"),
     (["ode", "poles", "--B", "1", "-n", "0"], None),
     (["ode", "poles", "--B", "1", "-n", "-5"], None),
+    (["ode", "classify", "--grid-steps", "-1"], "--grid-steps"),
+    # One past each cap: the check rejects the value before any work starts.
+    (["export", "--what", "overlay", "--steps", str(cli.MAX_STEPS + 1)], "--steps"),
+    (["export", "--what", "f-curves", "--steps", str(cli.MAX_STEPS + 1)], "--steps"),
+    (["ode", "poles", "--B", "1", "-n", str(cli.MAX_POLES + 1)], "-n/--count"),
+    (["ode", "classify", "--grid-steps", str(cli.MAX_GRID_STEPS + 1)],
+     "--grid-steps"),
+    (["verify", "actions", "--samples", str(cli.MAX_SAMPLES + 1)], "--samples"),
 ]
 
 
@@ -230,6 +239,7 @@ def test_bad_input_is_json_error_exit_2(argv, flag, capsys):
 # tolerance > 0; each names the key in the file.
 @pytest.mark.parametrize("body", ["seed = inf", "samples = 1e999", "seed = 1.5",
                                   "seed = -1", "samples = 0", "samples = x",
+                                  f"samples = {cli.MAX_SAMPLES + 1}",
                                   "tolerance = nan", "tolerance = 0",
                                   "output = 3"])
 def test_bad_config_value_is_json_error_exit_2(body, tmp_path, capsys):
@@ -240,6 +250,16 @@ def test_bad_config_value_is_json_error_exit_2(body, tmp_path, capsys):
     assert code == 2
     assert set(data) == {"error", "message"}
     assert str(cfg) in data["message"] and body.split()[0] in data["message"]
+
+
+@pytest.mark.parametrize("flag,cap", [("--steps", cli.MAX_STEPS),
+                                      ("-n/--count", cli.MAX_POLES),
+                                      ("--grid-steps", cli.MAX_GRID_STEPS)])
+def test_count_check_admits_the_cap(flag, cap):
+    # Checked without a run: a run at the cap takes seconds.
+    cli._check_count(flag, cap, cap)
+    with pytest.raises(InputError, match=flag):
+        cli._check_count(flag, cap + 1, cap)
 
 
 # Numeric flag values a user can type that break naive comparisons.  They

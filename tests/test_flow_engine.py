@@ -5,14 +5,16 @@ import numpy.testing as npt
 import pytest
 
 from qig.errors import LeftManifold
-from qig.flow_engine import (Trajectory, compare_flow_to_orbit, integrate_flow,
+from qig.flow_engine import (Trajectory, _rk4_step, compare_flow_to_orbit,
+                             csv_table, integrate_flow,
                              orbit_curve)
 from qig.group_actions import (CotangentGroupElement, action_alpha_a,
                                action_bkm, alpha_subgroup, bkm_subgroup,
                                sl_from_generators,
                                special_unitary_from_generator)
 from qig.metric_family import bkm
-from qig.state_space import TracelessObservable, state_from_bloch
+from qig.state_space import (EPS_BOUNDARY, TracelessObservable, bloch_norm,
+                             state_from_bloch)
 from qig.vector_fields import (VectorField, fundamental_field,
                                gradient_field_closed, rescaled_gradient_field)
 
@@ -74,6 +76,19 @@ def test_trajectory_csv_format():
     assert row == [0.0, 0.1, 0.0, 0.0, 0.1, pytest.approx(0.04)]
 
 
+def test_csv_table_matches_per_cell_format():
+    # Oracle: each np.float64 cell formatted on its own, as the CSV exports
+    # once did.
+    # Special values first, then enough rows to span several blocks.
+    special = np.array([[0.0, -0.0, 0.1, 1.0 / 3.0],
+                        [np.nan, np.inf, -np.inf, 5e-324],
+                        [1e300, -2.5e-17, 123456789.0, 7.0]])
+    cols = list(np.hstack([special, np.random.default_rng(3).standard_normal((3, 600))]))
+    want = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                               for row in zip(*cols))
+    assert csv_table(["a", "b", "c"], cols) == want
+
+
 B_OBS = TracelessObservable(-0.2, 0.5, 0.1)
 
 
@@ -96,3 +111,73 @@ def test_batched_orbit_matches_per_time_actions(a_const):
                    TracelessObservable.from_coeffs(t * B_OBS.coeffs)), START).bloch
                for t in times]
     npt.assert_allclose(orbit.points, np.array(ref), rtol=0.0, atol=1e-14)
+
+
+# The RK4 loop as it was when it checked the interior with |v| five times
+# per step (once per stage and once more on the step's result): the oracle
+# for the loop that checks once per stage and once on the final point.
+def _five_checks_per_step_flow(vfield, start, t_end, steps):
+    def check(v):
+        r = bloch_norm(v)
+        if not r < 1.0 - EPS_BOUNDARY:
+            raise LeftManifold(f"trajectory reached |v| = {r}")
+
+    def f(v):
+        check(v)
+        return vfield.cartesian(v)
+
+    h = t_end / steps
+    points = np.empty((steps + 1, 3))
+    points[0] = v = start.bloch
+    for i in range(steps):
+        v = _rk4_step(f, v, h)
+        check(v)
+        points[i + 1] = v
+    return points
+
+
+# The flows suite's five fields on its start and observable, and one
+# overlay-style input (the export's start and observable) per A.
+_SUITE_FIELDS = {
+    "bures_helstrom": rescaled_gradient_field(A_OBS, 1.0),
+    "wigner_yanase": rescaled_gradient_field(A_OBS, 0.25),
+    "family_a(2)": rescaled_gradient_field(A_OBS, 2.0),
+    "bkm": gradient_field_closed(A_OBS, bkm()),
+    "fundamental": fundamental_field(A_OBS),
+}
+_FLOW_CASES = [(field, START) for field in _SUITE_FIELDS.values()] + [
+    (rescaled_gradient_field(TracelessObservable(0.3, -0.5, 0.4), a_const),
+     state_from_bloch(0.2, 0.1, -0.3)) for a_const in (0.25, 1.0, 2.0)]
+_FLOW_IDS = list(_SUITE_FIELDS) + ["overlay A=0.25", "overlay A=1", "overlay A=2"]
+
+
+@pytest.mark.parametrize("field,start", _FLOW_CASES, ids=_FLOW_IDS)
+def test_trajectory_matches_five_check_loop_bit_for_bit(field, start):
+    traj = integrate_flow(field, start, 1.0, 1000)
+    want = _five_checks_per_step_flow(field, start, 1.0, 1000)
+    assert traj.points.tobytes() == want.tobytes()
+
+
+# v' = v leaves the ball at t = ln 2 from r = 0.5, first at a stage point.
+# The kick multiplies it by 100 beyond r = 0.9: one step from r = 0.87 with
+# h = 0.05 keeps all four stage points inside and lands outside, so only the
+# check of a step's result (the next stage, or the final point) can see it.
+def _outward(v):
+    return np.asarray(v, dtype=float)
+
+
+def _kick(v):
+    return v * (1.0 if v @ v < 0.81 else 100.0)
+
+
+@pytest.mark.parametrize("field,r0,t_end,steps", [
+    (_outward, 0.5, 10.0, 1000), (_kick, 0.87, 0.05, 1), (_kick, 0.87, 0.15, 3)],
+    ids=["stage point", "final point", "next step"])
+def test_left_manifold_names_the_same_point_as_five_check_loop(field, r0, t_end,
+                                                               steps):
+    start = state_from_bloch(r0, 0.0, 0.0)
+    with pytest.raises(LeftManifold) as want:
+        _five_checks_per_step_flow(VectorField(field), start, t_end, steps)
+    with pytest.raises(LeftManifold) as got:
+        integrate_flow(VectorField(field), start, t_end, steps)
+    assert str(got.value) == str(want.value)

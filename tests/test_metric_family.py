@@ -1,20 +1,22 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qig.errors import CenterSingularity, DomainError, IllConditioned, PoleError
+from qig.errors import (CenterSingularity, DomainError, IllConditioned,
+                        NumericError, PoleError)
 from qig.metric_family import (FD_STEP, SERIES_CUTOFF, MetricAtPoint,
                                _size_gaps, big_f, bkm, bures_helstrom,
                                check_petz_symmetry, custom,
                                derivative_limit_at_zero, f_eval, family_a,
-                               family_b, g_derivative, g_from_f,
+                               family_b, finite_f, g_derivative, g_from_f,
                                inverse_metric, metric_cartesian,
                                metric_spherical, rld, scan_monotonicity,
                                spec_from_name, wigner_yanase)
-from qig.state_space import SphericalPoint
+from qig.state_space import SphericalPoint, first_failing
 
 ALL_SPECS = [bkm(), bures_helstrom(), wigner_yanase(), rld(),
              family_a(0.5), family_a(2.0)]
@@ -294,3 +296,110 @@ def test_scan_matches_eigh_of_a_oracle():
         reports = scan_monotonicity(specs, samples=500, seed=seed)
         assert ([rep.violated for rep in reports]
                 == list(oracle_min < -1e-10)), seed
+
+
+# The f kernels and finite_f as they were when every call entered
+# np.errstate and reduced its masks with .all()/.any(): the oracle for the
+# kernels that enter errstate only where a step can warn.
+def _errstate_bkm_f(t):
+    t = np.asarray(t, dtype=float)
+    u = t - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = u / np.log(t)
+    near = np.abs(u) < SERIES_CUTOFF
+    if near.any():
+        series = 1.0 + u * (0.5 + u * (-1.0 / 12.0 + u * (1.0 / 24.0 - 19.0 / 720.0 * u)))
+        out = np.where(near, series, out)
+    return out if out.ndim else float(out)
+
+
+def _errstate_family_a_f(t, s):
+    t = np.asarray(t, dtype=float)
+    u = 1.0 - t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ts = t ** s
+        out = 0.5 * s * u * (1.0 + ts) / (1.0 - ts)
+    near = np.abs(u) < SERIES_CUTOFF
+    if near.any():
+        p = 1.0 + u * (-(s - 1.0) / 2.0
+                       + u * ((s - 1.0) * (s - 2.0) / 6.0
+                              - u * (s - 1.0) * (s - 2.0) * (s - 3.0) / 24.0))
+        out = np.where(near, 1.0 / p - 0.5 * s * u, out)
+    return out if out.ndim else float(out)
+
+
+def _reduce_all_finite_f(spec, t):
+    f = spec.f_raw(t)
+    size = np.abs(f)
+    ok = (size > 0.0) & (size < np.inf)
+    if not ok.all():
+        bad = first_failing(ok, np.asarray(t, dtype=float)[..., None])[0]
+        raise NumericError(f"f({bad}) of {spec.name} is zero or not finite")
+    return f
+
+
+# Values on every branch of the kernels: the direct form, both sides of
+# SERIES_CUTOFF, t = 1, 0, subnormal, t > 1, an overflowing t^s, and the
+# inputs only the symmetry check or a bad caller passes (t < 0, inf, NaN).
+_KERNEL_TS = [0.3, 0.999, 1.0 - 2.0 * SERIES_CUTOFF, 1.0 - 0.5 * SERIES_CUTOFF,
+              1.0, 1.0 + 0.5 * SERIES_CUTOFF, 1.0 + 2.0 * SERIES_CUTOFF, 7.5,
+              0.0, 5e-324, 1e-300, 1e300, -0.5, -1.0, -0.0, np.inf, -np.inf,
+              np.nan]
+_KERNELS = [("bkm", bkm().f_raw, _errstate_bkm_f)] + [
+    (f"family_a({a:g})", family_a(a).f_raw,
+     lambda t, s=math.sqrt(a): _errstate_family_a_f(t, s))
+    for a in (0.25, 1.0, 2.0, 4.0, 1e-34)]
+
+
+def _call_recording_warnings(f, t):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        out = f(t)
+    return out, [str(w.message) for w in seen]
+
+
+@pytest.mark.parametrize("name,kernel,oracle", _KERNELS, ids=[k[0] for k in _KERNELS])
+def test_f_kernels_match_errstate_oracle_bit_for_bit(name, kernel, oracle):
+    # Each value, alone and in one stack, has the oracle's bits and type and
+    # raises the oracle's warnings, no more.
+    for t in _KERNEL_TS + [np.array(_KERNEL_TS)]:
+        got, got_warned = _call_recording_warnings(kernel, t)
+        want, want_warned = _call_recording_warnings(oracle, t)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, t)
+        assert got_warned == want_warned, (name, t)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [-0.5, np.inf, np.nan])
+@pytest.mark.parametrize("spec,oracle", [
+    (bkm(), _errstate_bkm_f),
+    (family_a(2.0), lambda t: _errstate_family_a_f(t, math.sqrt(2.0)))],
+    ids=["bkm", "family_a(2)"])
+def test_f_raw_outside_the_domain_is_quiet(spec, oracle, t):
+    got = spec.f_raw(t)
+    assert math.isnan(got) and math.isnan(oracle(t))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [
+    custom(lambda t: np.where(np.asarray(t) > 0.5, 0.0, 1.0), "zero_above_half")],
+    ids=lambda s: s.name)
+def test_finite_f_matches_all_reduction_oracle(spec):
+    for t in [0.3, 0.7, 1.0, np.array([0.2, 0.9, 1.0]), np.array([]),
+              np.array([0.1, 0.6])]:
+        try:
+            want = _reduce_all_finite_f(spec, t)
+        except NumericError as exc:
+            with pytest.raises(NumericError) as got:
+                finite_f(spec, t)
+            assert str(got.value) == str(exc)
+            continue
+        got = finite_f(spec, t)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_petz_symmetry_rejects_a_point_with_no_finite_reciprocal():
+    with pytest.raises(DomainError, match="1e-320"):
+        check_petz_symmetry(family_a(2.0), [0.5, 1e-320])

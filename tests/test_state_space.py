@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from qig.errors import BoundaryViolation, ChartSingularity, NotAState
 from qig.state_space import (QubitState, SphericalPoint, TracelessObservable,
-                             bloch_from_state, cartesian_from_spherical,
+                             all_true, bloch_from_state, cartesian_from_spherical,
                              complex_matrix_from_json, complex_matrix_to_json,
                              expectation_value, pauli_basis,
                              spherical_from_cartesian, state_from_bloch,
@@ -124,3 +124,13 @@ def test_json_wire_formats():
     assert a.to_json() == {"pauli": [1.0, 2.0, 3.0]}
     m = np.array([[1.0 + 2.0j, 0.0], [0.5j, -1.0]])
     npt.assert_array_equal(complex_matrix_from_json(complex_matrix_to_json(m)), m)
+
+
+@pytest.mark.parametrize("mask", [np.True_, np.False_, np.array(True),
+                                  np.array(False), np.array([True, True]),
+                                  np.array([True, False]), np.array([], bool),
+                                  np.zeros((0, 3), bool), np.ones((2, 2), bool),
+                                  np.float64(0.2) < 1.0, np.float64(np.nan) < 1.0])
+def test_all_true_equals_all_reduction(mask):
+    got = all_true(mask)
+    assert type(got) is bool and got == bool(mask.all())

@@ -265,3 +265,21 @@ def test_point_of_wrong_shape_is_domain_error():
 def test_commutator_relations_reject_empty_point_set():
     with pytest.raises(DomainError, match="empty point set"):
         verify_commutator_relations(bures_helstrom(), np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("field", [
+    gradient_field_closed(TracelessObservable(0.6, -0.3, 0.45), bkm()),
+    gradient_field_closed(TracelessObservable(0.6, -0.3, 0.45), family_a(2.0)),
+    rescaled_gradient_field(TracelessObservable(0.6, -0.3, 0.45), 0.25)],
+    ids=["bkm", "family_a(2)", "rescaled(0.25)"])
+def test_stack_rows_equal_single_point_bit_for_bit(field):
+    # Rows at the center (r < 1e-12), inside SERIES_CUTOFF of t = 1
+    # (r < 5e-7), just outside it, and in the bulk: a row of the stack takes
+    # the same branch, and the same bits, as the point alone.
+    n = np.array([0.48, -0.6, 0.64])
+    radii = [0.0, 1e-13, 9e-13, 1e-12, 1e-9, 1e-7, 4.9e-7, 5.1e-7, 1e-6, 0.3,
+             0.9]
+    pts = np.array([r * n for r in radii] + [[0.1, 0.2, -0.3]])
+    stacked = field.cartesian(pts)
+    for row, v in zip(stacked, pts):
+        assert row.tobytes() == field.cartesian(v).tobytes(), v
