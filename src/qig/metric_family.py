@@ -24,6 +24,7 @@ family_a(1) coincides with bures_helstrom, family_a(1/4) with wigner_yanase.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -371,14 +372,17 @@ def check_petz_symmetry(spec: MonotoneFunctionSpec, grid,
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or not np.all((grid > 0.0) & (grid < 1.0)):
         raise DomainError("symmetry grid must be non-empty and lie in (0, 1)")
-    with np.errstate(over="ignore"):
+    # 1/t or f(1/t) may overflow for t near 0; an infinite result, or the
+    # NaN that inf/inf makes of it, is caught below.
+    with np.errstate(over="ignore", invalid="ignore"):
         inverse = 1.0 / grid
-    finite = inverse < np.inf
+        f_inverse = np.asarray(spec.f_raw(inverse))
+    finite = (inverse < np.inf) & np.isfinite(f_inverse)
     if not finite.all():
         bad = first_failing(finite, grid[..., None])[0]
-        raise DomainError(f"symmetry grid point t = {bad} has no finite 1/t")
-    dev = np.abs(np.asarray(spec.f_raw(grid))
-                 - grid * np.asarray(spec.f_raw(inverse)))
+        raise DomainError(f"symmetry grid point t = {bad}: 1/t or f(1/t) of "
+                          f"{spec.name} is not finite")
+    dev = np.abs(np.asarray(spec.f_raw(grid)) - grid * f_inverse)
     # f(1) itself may hit a removable singularity of the raw formula, so the
     # normalization is probed just inside 1 with a slack matching |f'| <= 1.
     norm_dev = max(0.0, abs(float(spec.f_raw(1.0 - 1e-8)) - 1.0) - 2e-8)
@@ -404,44 +408,92 @@ def _random_ordered_pairs(rng, dim: int, count: int):
     """Stacked Hermitian pairs A <= B with spectra inside (0, 1]: A as its
     drawn eigenpairs (lam, q), A = q diag(lam) q^dag, and B = A + s W."""
     lam = np.exp(rng.uniform(np.log(1e-3), 0.0, size=(count, dim)))
-    zr = rng.standard_normal((count, dim, dim))
-    zi = rng.standard_normal((count, dim, dim))
-    q, _ = np.linalg.qr(zr + 1j * zi)
+    shape = (count, dim, dim)
+    # Each stack is dropped once used (the real and imaginary draws, QR's R,
+    # M): at size 4 this draw and the spec loop set the scan's peak memory.
+    q = np.linalg.qr(rng.standard_normal(shape)
+                     + 1j * rng.standard_normal(shape)).Q
     a = np.einsum("nij,nj,nkj->nik", q, lam, q.conj())
-    m = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     w = np.einsum("nij,nkj->nik", m, m.conj()) / dim
+    del m
     lmax_w = np.linalg.eigvalsh(w)[:, -1]
     scale = np.minimum(1.0, 0.999 * (1.0 - lam.max(axis=1))
                        / np.maximum(lmax_w, 1e-300))
     return lam, q, a + scale[:, None, None] * w
 
 
-def _apply_spectral(spec: MonotoneFunctionSpec, lam: np.ndarray,
-                    vec: np.ndarray) -> np.ndarray:
-    """f of the stacked matrices with eigenpairs (lam, vec)."""
-    flam = np.asarray(spec.f_raw(np.clip(lam, 1e-300, 1.0)))
-    return np.einsum("nij,nj,nkj->nik", vec, flam, vec.conj())
+def _f_spectrum(spec: MonotoneFunctionSpec, lam: np.ndarray) -> np.ndarray:
+    """f of stacked eigenvalues, clipped into (0, 1] against rounding; a
+    value that is zero or not finite raises NumericError naming its t."""
+    return np.asarray(finite_f(spec, np.clip(lam, 1e-300, 1.0)))
+
+
+def _spectral_gaps(specs, lam_a: np.ndarray, u: np.ndarray,
+                   lam_b: np.ndarray) -> list:
+    """Smallest eigenvalue of f(B) - f(A) per pair, per spec, for any size,
+    in the eigenbasis of B: B = diag(lam_b) and A = u diag(lam_a) u^dag."""
+    diag = np.arange(lam_b.shape[1])
+    gaps = []
+    for spec in specs:
+        diff = np.einsum("nij,nj,nkj->nik", u, -_f_spectrum(spec, lam_a), u.conj())
+        diff[:, diag, diag] += _f_spectrum(spec, lam_b)
+        gaps.append(np.linalg.eigvalsh(diff)[:, 0])
+        del diff
+    return gaps
+
+
+def _qubit_gaps(specs, lam_a: np.ndarray, vec_a: np.ndarray, b: np.ndarray):
+    """Smallest eigenvalue of f(B) - f(A) per 2x2 pair, per spec, and B's
+    ascending eigenvalues, in closed form from A's eigenpairs and B itself.
+
+    M = t I + x.sigma has eigenvalues t -+ |x| and
+    f(M) = (f(t+|x|) + f(t-|x|))/2 I + (f(t+|x|) - f(t-|x|))/2 n.sigma with
+    n = x/|x| (n = 0 when |x| = 0), so f(B) - f(A) = t_D I + x_D.sigma has
+    smallest eigenvalue t_D - |x_D|.  A's direction is that of its first
+    drawn eigenvector q0, the Bloch vector of the projector q0 q0^dag.
+    """
+    d0, d1, off = b[:, 0, 0].real, b[:, 1, 1].real, b[:, 1, 0]
+    t_b = 0.5 * (d0 + d1)
+    x_b = np.stack((off.real, off.imag, 0.5 * (d0 - d1)), axis=1)
+    r_b = np.sqrt(np.einsum("ni,ni->n", x_b, x_b))
+    n_b = np.divide(x_b, r_b[:, None], out=np.zeros_like(x_b),
+                    where=r_b[:, None] > 0.0)
+    lam_b = np.stack((t_b - r_b, t_b + r_b), axis=1)
+    q00, q10 = vec_a[:, 0, 0], vec_a[:, 1, 0]
+    c = q10 * q00.conj()
+    n_a = np.stack((2.0 * c.real, 2.0 * c.imag,
+                    abs(q00) ** 2 - abs(q10) ** 2), axis=1)
+    gaps = []
+    for spec in specs:
+        f_b, f_a = _f_spectrum(spec, lam_b), _f_spectrum(spec, lam_a)
+        t_d = 0.5 * ((f_b[:, 0] + f_b[:, 1]) - (f_a[:, 0] + f_a[:, 1]))
+        x_d = 0.5 * ((f_b[:, 1] - f_b[:, 0])[:, None] * n_b
+                     - (f_a[:, 0] - f_a[:, 1])[:, None] * n_a)
+        gaps.append(t_d - np.sqrt(np.einsum("ni,ni->n", x_d, x_d)))
+    return gaps, lam_b
 
 
 def _size_gaps(specs, dim: int, samples: int, seed: int):
     """Smallest eigenvalue of f(B) - f(A) per drawn pair of one size, per spec,
-    with the spectra of A (as drawn) and of B (diagonalised once for all specs).
+    with the spectra of A (as drawn) and of B (ascending).
 
-    Each matrix stack is freed as soon as it is no longer needed, and all of
-    them on return, so the peak memory stays that of a one-spec scan.
+    Size 2 is scored in closed form (_qubit_gaps).  Every other size
+    diagonalises B once for all specs and scores them in B's eigenbasis
+    (_spectral_gaps), so f(B) is diagonal; each matrix stack is freed once
+    used.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(dim,)))
     lam_a, vec_a, b = _random_ordered_pairs(rng, dim, samples)
+    if dim == 2:
+        gaps, lam_b = _qubit_gaps(specs, lam_a, vec_a, b)
+        return gaps, lam_a, lam_b
     lam_b, vec_b = np.linalg.eigh(b)
     del b
-    gaps = []
-    for spec in specs:
-        diff = _apply_spectral(spec, lam_b, vec_b)
-        diff -= _apply_spectral(spec, lam_a, vec_a)
-        gaps.append(np.linalg.eigvalsh(diff)[:, 0])
-        del diff
-    return gaps, lam_a, lam_b
+    u = vec_b.conj().swapaxes(1, 2) @ vec_a
+    del vec_a, vec_b
+    return _spectral_gaps(specs, lam_a, u, lam_b), lam_a, lam_b
 
 
 def scan_monotonicity(specs, sizes=(1, 2, 3, 4), samples: int = 10_000,
@@ -449,17 +501,24 @@ def scan_monotonicity(specs, sizes=(1, 2, 3, 4), samples: int = 10_000,
     """Search for matrix-order violations f(B) - f(A) not >= 0 with A <= B.
 
     Returns one MonotonicityReport per spec of ``specs``.  Each size draws
-    its pairs, A by its eigenpairs, and diagonalises B once, then scores
-    every spec against those spectra, so a spec's report does not depend on
-    the other specs.  Evidence only: a clean scan does not prove operator
-    monotonicity.  The per-size RNG stream is derived from (seed, size) so
-    results do not depend on the order sizes are processed in.
+    its pairs, A by its eigenpairs, and diagonalises B once (size 2 in
+    closed form), then scores every spec against those spectra, so a spec's
+    report does not depend on the other specs.  An f value that is zero or
+    not finite raises NumericError naming the spec and t.  Evidence only: a
+    clean scan does not prove operator monotonicity.  The per-size RNG
+    stream is derived from (seed, size) so results do not depend on the
+    order sizes are processed in.
     """
     sizes = tuple(sizes)
-    if not (sizes and all(isinstance(n, (int, np.integer)) and n >= 1
-                          for n in (samples, *sizes))):
+    if not (sizes and all(isinstance(n, (int, np.integer))
+                          for n in (seed, samples, *sizes))
+            and min(samples, *sizes) >= 1 and seed >= 0
+            and isinstance(violation_tol, numbers.Real)
+            and 0.0 <= violation_tol < math.inf):
         raise DomainError(f"need samples >= 1 and matrix sizes >= 1, all integers, "
-                          f"got samples = {samples}, sizes = {sizes}")
+                          f"an integer seed >= 0 and a finite violation_tol >= 0, "
+                          f"got samples = {samples}, sizes = {sizes}, "
+                          f"seed = {seed}, violation_tol = {violation_tol}")
     specs = list(specs)
     min_gaps = [np.inf] * len(specs)
     counterexamples = [None] * len(specs)

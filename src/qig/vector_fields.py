@@ -89,8 +89,11 @@ def fundamental_field(b: TracelessObservable) -> VectorField:
     def cartesian(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         x, y, z = v[..., 0], v[..., 1], v[..., 2]
-        return np.stack((b2 * z - b3 * y, b3 * x - b1 * z, b1 * y - b2 * x),
-                        axis=-1)
+        out = np.empty(v.shape)  # filled in place: cheaper than np.stack
+        out[..., 0] = b2 * z - b3 * y
+        out[..., 1] = b3 * x - b1 * z
+        out[..., 2] = b1 * y - b2 * x
+        return out
 
     return VectorField(cartesian)
 

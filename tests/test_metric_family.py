@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from qig.errors import (CenterSingularity, DomainError, IllConditioned,
                         NumericError, PoleError)
 from qig.metric_family import (FD_STEP, SERIES_CUTOFF, MetricAtPoint,
-                               _size_gaps, big_f, bkm, bures_helstrom,
+                               _qubit_gaps, _random_ordered_pairs,
+                               _size_gaps, _spectral_gaps, big_f, bkm,
+                               bures_helstrom,
                                check_petz_symmetry, custom,
                                derivative_limit_at_zero, f_eval, family_a,
                                family_b, finite_f, g_derivative, g_from_f,
@@ -218,7 +221,11 @@ def test_stacked_metric_checks_name_first_failing_point():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"sizes": (0,)},
                                     {"sizes": (2, -1)}, {"sizes": ()},
-                                    {"sizes": (1.5,)}, {"samples": 2.5}])
+                                    {"sizes": (1.5,)}, {"samples": 2.5},
+                                    {"seed": -1}, {"seed": 1.5},
+                                    {"violation_tol": math.nan},
+                                    {"violation_tol": -1e-10},
+                                    {"violation_tol": math.inf}])
 def test_scan_monotonicity_rejects_empty_scans(kwargs):
     with pytest.raises(DomainError, match="samples >= 1 and matrix sizes >= 1"):
         scan_monotonicity([bures_helstrom()], **kwargs)
@@ -403,3 +410,84 @@ def test_finite_f_matches_all_reduction_oracle(spec):
 def test_petz_symmetry_rejects_a_point_with_no_finite_reciprocal():
     with pytest.raises(DomainError, match="1e-320"):
         check_petz_symmetry(family_a(2.0), [0.5, 1e-320])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", [family_a(2.0), family_a(0.25)],
+                         ids=lambda s: s.name)
+def test_petz_symmetry_rejects_a_point_whose_f_of_reciprocal_overflows(spec):
+    # 1/t = 1e300 is finite, but f(1/t) overflows in t^sqrt(A) (A = 2) or
+    # in a product (A = 1/4).
+    with pytest.raises(DomainError,
+                       match=rf"t = 1e-300: .* of {re.escape(spec.name)}"):
+        check_petz_symmetry(spec, [0.5, 1e-300])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_scan_rejects_a_non_finite_f_at_every_size(dim):
+    spec = custom(lambda t: np.where(np.asarray(t) < 0.5, np.nan,
+                                     (1.0 + np.asarray(t)) / 2.0),
+                  "nan_below_half")
+    with pytest.raises(NumericError) as err:
+        scan_monotonicity([spec], sizes=(dim,), samples=200, seed=0)
+    named = re.fullmatch(r"f\((\S+)\) of nan_below_half is zero or not finite",
+                         str(err.value))
+    assert named and float(named.group(1)) < 0.5
+
+
+SUITE_SPECS = [bures_helstrom(), wigner_yanase(), bkm(), family_a(2.0),
+               family_a(4.0)]
+SUITE_SQRT_A = [None, None, None, math.sqrt(2.0), 2.0]
+
+
+def _assert_qubit_gaps_match_spectral(lam_a, vec_a, b, what):
+    # The bound of test_scan_matches_eigh_of_a_oracle: family_a's f near
+    # t = 1 is good only to about eps / (sqrt(A) (1 - t)), and B's
+    # eigenvalues by the closed form and by eigh differ by a few ulps.
+    eps = np.finfo(float).eps
+    got, lam_b = _qubit_gaps(SUITE_SPECS, lam_a, vec_a, b)
+    lam_b_eigh, vec_b = np.linalg.eigh(b)
+    want = _spectral_gaps(SUITE_SPECS, lam_a,
+                          vec_b.conj().swapaxes(1, 2) @ vec_a, lam_b_eigh)
+    npt.assert_allclose(lam_b, lam_b_eigh, rtol=0.0, atol=1e-14)
+    lam = np.concatenate([lam_a, lam_b_eigh], axis=1)
+    near_one = np.maximum(1.0 - lam.max(axis=1), SERIES_CUTOFF)
+    for spec, s, g, o in zip(SUITE_SPECS, SUITE_SQRT_A, got, want):
+        tol = 1e-12 if s is None else 1e-12 + 4.0 * eps / (s * near_one)
+        assert np.all(np.abs(g - o) <= tol), (spec.name, what)
+        assert (g.min() < -1e-10) == (o.min() < -1e-10), (spec.name, what)
+
+
+def test_qubit_closed_form_matches_spectral_path():
+    # Size 2 as the suite scans it: 10 000 pairs, seeds 0-9, its five specs.
+    for seed in range(10):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                           spawn_key=(2,)))
+        lam_a, vec_a, b = _random_ordered_pairs(rng, 2, 10_000)
+        _assert_qubit_gaps_match_spectral(lam_a, vec_a, b, seed)
+        gaps, _, lam_b = _size_gaps(SUITE_SPECS, 2, 10_000, seed)
+        closed, _ = _qubit_gaps(SUITE_SPECS, lam_a, vec_a, b)
+        assert all(np.array_equal(g, c) for g, c in zip(gaps, closed))
+        assert np.all(lam_b[:, 0] <= lam_b[:, 1])
+
+
+def test_qubit_closed_form_degenerate_pairs():
+    # Hand-made pairs: B proportional to I (so no direction n_B) and A with
+    # a double eigenvalue, each in a random eigenbasis of A.
+    z = np.random.default_rng(5).standard_normal((4, 2, 2, 2))
+    vec_a, _ = np.linalg.qr(z[..., 0] + 1j * z[..., 1])
+    lam_a = np.array([[0.2, 0.5], [0.3, 0.3], [0.3, 0.3], [0.01, 0.9]])
+    a = np.einsum("nij,nj,nkj->nik", vec_a, lam_a, vec_a.conj())
+    b = np.stack([0.95 * np.eye(2), 0.6 * np.eye(2),
+                  a[2] + np.diag([0.0, 0.4]), 0.95 * np.eye(2)]).astype(complex)
+    gaps, lam_b = _qubit_gaps(SUITE_SPECS, lam_a, vec_a, b)
+    npt.assert_array_equal(lam_b[[0, 1, 3]],
+                           [[0.95, 0.95], [0.6, 0.6], [0.95, 0.95]])
+    for spec, g in zip(SUITE_SPECS, gaps):
+        f = spec.f_raw
+        assert g[1] == f(0.6) - f(0.3)
+        # f(cI) - f(A) has the eigenvalues f(c) - f(lam_a).
+        npt.assert_allclose(g[[0, 3]], f(0.95) - f(lam_a[[0, 3]]).max(axis=1),
+                            rtol=1e-13)
+    _assert_qubit_gaps_match_spectral(lam_a, vec_a, b, "hand-made")

@@ -25,6 +25,25 @@ def test_fundamental_is_cross_product():
                         np.cross(b.coeffs, v), atol=1e-15)
 
 
+def _stacked_fundamental(b, v):
+    # The fundamental field as it was written with np.stack: the oracle
+    # for the in-place fill.
+    b1, b2, b3 = b.coeffs.tolist()
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack((b2 * z - b3 * y, b3 * x - b1 * z, b1 * y - b2 * x), axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(3,), (7, 3), (5, 13, 3)])
+def test_fundamental_matches_stacked_form_bit_for_bit(shape):
+    rng = np.random.default_rng(11)
+    b = TracelessObservable.from_coeffs(rng.standard_normal(3))
+    v = rng.uniform(-0.5, 0.5, size=shape)
+    got = fundamental_field(b).cartesian(v)
+    want = _stacked_fundamental(b, v)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_fundamental_spherical_matches_cartesian_pushforward():
     b = TracelessObservable(0.2, 0.7, -0.4)
     p = SphericalPoint(0.5, 1.1, 2.0)
