@@ -23,7 +23,7 @@ from .errors import DomainError, NumericError
 from .state_space import (PAULIS, SIGMA_0, QubitState, TracelessObservable,
                           bloch_norm, bloch_stack, check_bloch_array,
                           complex_matrix_from_json, complex_matrix_to_json,
-                          first_failing, state_from_bloch)
+                          first_failing, is_integer, state_from_bloch)
 
 EIG_DEGENERACY_CUTOFF = 1e-8  # series fallback for the 2x2 exponential
 DET_TOLERANCE = 1e-10  # |det - 1| allowed for an SL(2, C) or SU(2) matrix
@@ -34,8 +34,10 @@ _LORENTZ_TERMS = np.einsum("aij,bkl->jkilab", _PAULI4, _PAULI4).reshape(16, 16)
 
 
 def _unit_det(m: np.ndarray) -> np.ndarray:
-    """Whether each matrix of a stack (..., 2, 2) has determinant 1."""
-    return np.abs(np.linalg.det(m) - 1.0) <= DET_TOLERANCE
+    """Whether each matrix of a stack (..., 2, 2) has determinant 1; one
+    whose determinant overflows has not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(np.linalg.det(m) - 1.0) <= DET_TOLERANCE
 
 
 def _require_unit_det(m: np.ndarray, what: str, name: str,
@@ -92,8 +94,13 @@ class SLGroupElement:
     matrix: np.ndarray
 
     def __post_init__(self):
+        if np.shape(self.matrix) != (2, 2):
+            raise DomainError(f"an SL(2, C) element is a 2x2 matrix, got shape "
+                              f"{np.shape(self.matrix)}")
         if not _unit_det(self.matrix):
-            raise DomainError(f"determinant {complex(np.linalg.det(self.matrix))} != 1")
+            with np.errstate(over="ignore", invalid="ignore"):
+                det = complex(np.linalg.det(self.matrix))
+            raise DomainError(f"determinant {det} != 1")
 
     def __matmul__(self, other: "SLGroupElement") -> "SLGroupElement":
         return SLGroupElement(self.matrix @ other.matrix)
@@ -275,8 +282,8 @@ def _draws(seed: int, key: int, samples: int, states: int, observables: int):
     group elements well conditioned, so the axiom deviations measure
     algebra, not roundoff.
     """
-    if not samples >= 1:
-        raise DomainError(f"need samples >= 1, got {samples}")
+    if not (is_integer(samples) and samples >= 1):
+        raise DomainError(f"need an integer samples >= 1, got {samples!r}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
     directions = np.empty((samples, states, 3))
     radii = np.empty((samples, states))

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (CenterSingularity, DomainError, ExtrapolationUnstable,
                      IllConditioned, NumericError, PoleError)
 from .state_space import (EPS_CHART, SphericalPoint, all_true, ball_radii,
-                          first_failing)
+                          first_failing, is_integer)
 
 # Removable singularities of f at t = 1 switch to a Taylor fallback here;
 # direct evaluation loses all precision closer to 1.
@@ -46,6 +46,10 @@ POLE_CUTOFF = 1e-10
 
 FD_STEP = 1e-6  # Richardson step for g' of a spec with no analytic g'
 COND_LIMIT = 1e12  # largest condition number inverse_metric accepts
+# The monotonicity scan's screen shifts by SCREEN_MARGIN n^2 eps ||D||
+# past its upper bound on the least eigenvalue; the LDL^H and eigvalsh
+# backward errors are a few n^2 eps ||D|| at size n.
+SCREEN_MARGIN = 1024.0
 
 
 def _bkm_f(t):
@@ -304,9 +308,15 @@ def metric_spherical(spec: MonotoneFunctionSpec, p: SphericalPoint) -> MetricAtP
 
 
 def _stack_point(point: tuple) -> np.ndarray:
-    """A point tuple whose coordinates may be arrays, as a (..., 3) stack."""
-    return np.stack(np.broadcast_arrays(*(np.asarray(c, dtype=float)
-                                          for c in point)), axis=-1)
+    """A point tuple whose coordinates may be arrays, as a (..., 3) stack;
+    coordinates that do not broadcast to one shape raise DomainError."""
+    coords = [np.asarray(c, dtype=float) for c in point]
+    try:
+        same_shape = np.broadcast_arrays(*coords)
+    except ValueError:
+        raise DomainError(f"coordinates of shapes {[c.shape for c in coords]} "
+                          f"do not broadcast to one shape") from None
+    return np.stack(same_shape, axis=-1)
 
 
 def metric_cartesian(spec: MonotoneFunctionSpec, x, y, z) -> MetricAtPoint:
@@ -429,16 +439,64 @@ def _f_spectrum(spec: MonotoneFunctionSpec, lam: np.ndarray) -> np.ndarray:
     return np.asarray(finite_f(spec, np.clip(lam, 1e-300, 1.0)))
 
 
-def _spectral_gaps(specs, lam_a: np.ndarray, u: np.ndarray,
-                   lam_b: np.ndarray) -> list:
-    """Smallest eigenvalue of f(B) - f(A) per pair, per spec, for any size,
-    in the eigenbasis of B: B = diag(lam_b) and A = u diag(lam_a) u^dag."""
+def _first_min(gaps: np.ndarray):
+    """(least value of gaps, its first index)."""
+    k = int(np.argmin(gaps))
+    return float(gaps[k]), k
+
+
+def _positive_definite(diff: np.ndarray, shift: float) -> np.ndarray:
+    """Whether the LDL^H factorisation of each diff - shift I of a stack
+    runs to the end with positive pivots (a NaN pivot fails).
+
+    Only the lower triangle is read.  m holds the trailing Schur complement
+    plus shift I, so no shifted copy of the stack is made.
+    """
+    m = diff
+    positive = np.ones(len(diff), dtype=bool)
+    # A failed row's later pivots may divide by zero or overflow; its
+    # outcome is already fixed.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(diff.shape[1]):
+            p = m[:, 0, 0].real - shift
+            positive &= p > 0.0
+            low = m[:, 1:, 0] / p[:, None]
+            m = m[:, 1:, 1:] - (p[:, None] * low)[:, :, None] * low.conj()[:, None, :]
+    return positive
+
+
+def _min_gap(diff: np.ndarray, scale: float):
+    """(smallest eigenvalue over a stack of Hermitian matrices, first index
+    of the matrix holding it), with ||diff[i]|| <= scale for every i.
+
+    A diagonal entry bounds its matrix's smallest eigenvalue from above, so
+    the least one, u, bounds the minimum.  A matrix whose diff - (u + delta) I
+    factorises with positive pivots has every eigenvalue above u, given a
+    margin delta past the factorisation's and eigvalsh's backward errors;
+    only the others go to eigvalsh, which scores each matrix of a stack on
+    its own, so the result is that of eigvalsh over the whole stack.
+    """
+    dim = diff.shape[1]
+    upper = diff.diagonal(axis1=1, axis2=2).real.min()
+    shift = upper + SCREEN_MARGIN * dim * dim * np.finfo(float).eps * scale
+    rows = np.flatnonzero(~_positive_definite(diff, shift))
+    gap, k = _first_min(np.linalg.eigvalsh(diff[rows])[:, 0])
+    return gap, int(rows[k])
+
+
+def _spectral_min_gaps(specs, lam_a: np.ndarray, u: np.ndarray,
+                       lam_b: np.ndarray) -> list:
+    """(smallest eigenvalue of f(B) - f(A) over the pairs, first pair with
+    it) per spec, for any size, in the eigenbasis of B: B = diag(lam_b) and
+    A = u diag(lam_a) u^dag."""
     diag = np.arange(lam_b.shape[1])
     gaps = []
     for spec in specs:
-        diff = np.einsum("nij,nj,nkj->nik", u, -_f_spectrum(spec, lam_a), u.conj())
-        diff[:, diag, diag] += _f_spectrum(spec, lam_b)
-        gaps.append(np.linalg.eigvalsh(diff)[:, 0])
+        f_a, f_b = _f_spectrum(spec, lam_a), _f_spectrum(spec, lam_b)
+        diff = np.einsum("nij,nj,nkj->nik", u, -f_a, u.conj())
+        diff[:, diag, diag] += f_b
+        # ||f(B) - f(A)|| <= max|f(lam_b)| + max|f(lam_a)|
+        gaps.append(_min_gap(diff, np.abs(f_a).max() + np.abs(f_b).max()))
         del diff
     return gaps
 
@@ -475,25 +533,26 @@ def _qubit_gaps(specs, lam_a: np.ndarray, vec_a: np.ndarray, b: np.ndarray):
 
 
 def _size_gaps(specs, dim: int, samples: int, seed: int):
-    """Smallest eigenvalue of f(B) - f(A) per drawn pair of one size, per spec,
-    with the spectra of A (as drawn) and of B (ascending).
+    """(smallest eigenvalue of f(B) - f(A) over the drawn pairs of one
+    size, first pair with it) per spec, with the spectra of A (as drawn)
+    and of B (ascending).
 
     Size 2 is scored in closed form (_qubit_gaps).  Every other size
     diagonalises B once for all specs and scores them in B's eigenbasis
-    (_spectral_gaps), so f(B) is diagonal; each matrix stack is freed once
-    used.
+    (_spectral_min_gaps), so f(B) is diagonal; each matrix stack is freed
+    once used.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(dim,)))
     lam_a, vec_a, b = _random_ordered_pairs(rng, dim, samples)
     if dim == 2:
         gaps, lam_b = _qubit_gaps(specs, lam_a, vec_a, b)
-        return gaps, lam_a, lam_b
+        return [_first_min(g) for g in gaps], lam_a, lam_b
     lam_b, vec_b = np.linalg.eigh(b)
     del b
     u = vec_b.conj().swapaxes(1, 2) @ vec_a
     del vec_a, vec_b
-    return _spectral_gaps(specs, lam_a, u, lam_b), lam_a, lam_b
+    return _spectral_min_gaps(specs, lam_a, u, lam_b), lam_a, lam_b
 
 
 def scan_monotonicity(specs, sizes=(1, 2, 3, 4), samples: int = 10_000,
@@ -503,15 +562,16 @@ def scan_monotonicity(specs, sizes=(1, 2, 3, 4), samples: int = 10_000,
     Returns one MonotonicityReport per spec of ``specs``.  Each size draws
     its pairs, A by its eigenpairs, and diagonalises B once (size 2 in
     closed form), then scores every spec against those spectra, so a spec's
-    report does not depend on the other specs.  An f value that is zero or
+    report does not depend on the other specs.  At sizes other than 2 a
+    spec's least gap is found by a screen that sends only the pairs which
+    can hold it to eigvalsh (_min_gap).  An f value that is zero or
     not finite raises NumericError naming the spec and t.  Evidence only: a
     clean scan does not prove operator monotonicity.  The per-size RNG
     stream is derived from (seed, size) so results do not depend on the
     order sizes are processed in.
     """
     sizes = tuple(sizes)
-    if not (sizes and all(isinstance(n, (int, np.integer))
-                          for n in (seed, samples, *sizes))
+    if not (sizes and all(is_integer(n) for n in (seed, samples, *sizes))
             and min(samples, *sizes) >= 1 and seed >= 0
             and isinstance(violation_tol, numbers.Real)
             and 0.0 <= violation_tol < math.inf):
@@ -524,13 +584,12 @@ def scan_monotonicity(specs, sizes=(1, 2, 3, 4), samples: int = 10_000,
     counterexamples = [None] * len(specs)
     for dim in sizes:
         gaps, lam_a, lam_b = _size_gaps(specs, dim, samples, seed)
-        for k, gap in enumerate(gaps):
-            idx = int(np.argmin(gap))
-            min_gaps[k] = min(min_gaps[k], float(gap[idx]))
-            if counterexamples[k] is None and gap[idx] < -violation_tol:
+        for k, (gap, idx) in enumerate(gaps):
+            min_gaps[k] = min(min_gaps[k], gap)
+            if counterexamples[k] is None and gap < -violation_tol:
                 counterexamples[k] = {
                     "size": int(dim),
-                    "gap": float(gap[idx]),
+                    "gap": gap,
                     "a_eigenvalues": np.sort(lam_a[idx]).tolist(),
                     "b_eigenvalues": lam_b[idx].tolist(),
                 }

@@ -48,6 +48,11 @@ class TracelessObservable:
     a2: float
     a3: float
 
+    def __post_init__(self):
+        if not all(math.isfinite(a) for a in (self.a1, self.a2, self.a3)):
+            raise DomainError(f"Pauli coefficients ({self.a1}, {self.a2}, "
+                              f"{self.a3}) are not all finite")
+
     @property
     def coeffs(self) -> np.ndarray:
         return np.array([self.a1, self.a2, self.a3], dtype=float)
@@ -57,8 +62,15 @@ class TracelessObservable:
 
     @staticmethod
     def from_coeffs(c) -> "TracelessObservable":
-        c = np.asarray(c, dtype=float)
-        return TracelessObservable(float(c[0]), float(c[1]), float(c[2]))
+        """From exactly three real Pauli coefficients; anything else raises
+        DomainError naming it."""
+        try:
+            arr = np.asarray(c)
+        except ValueError:  # a ragged nesting
+            arr = None
+        if arr is None or arr.shape != (3,) or arr.dtype.kind not in "iuf":
+            raise DomainError(f"need three real Pauli coefficients, got {c!r}")
+        return TracelessObservable(*arr.astype(float).tolist())
 
     @staticmethod
     def from_matrix(m) -> "TracelessObservable":
@@ -127,6 +139,11 @@ def bloch_stack(points) -> np.ndarray:
     if v.shape[-1:] != (3,):
         raise DomainError(f"expected Bloch vectors (..., 3), got shape {v.shape}")
     return v
+
+
+def is_integer(n) -> bool:
+    """Whether n is a Python or numpy integer; a bool is not one."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 def all_true(ok) -> bool:

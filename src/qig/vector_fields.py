@@ -163,10 +163,12 @@ def lie_bracket_numeric(v_field: VectorField, w_field: VectorField, p,
     v = bloch_stack(p)
     r = bloch_norm(v)
     fits = (0.0 < h) & (h < (1.0 - EPS_BOUNDARY - r) / 2.0)
-    if not fits.all():
+    # h < 1/2 holds at every point that fits; checked on its own, it also
+    # rejects a step of any size for an empty stack.
+    if not (fits.all() and 0.0 < h < 0.5):
+        where = f" at point {first_failing(fits, v)}" if v.size else ""
         raise NeighborhoodOutsideBall(f"stencil step h = {h} is not positive or "
-                                      f"leaves the ball at point "
-                                      f"{first_failing(fits, v)}")
+                                      f"leaves the ball{where}")
     # Row 0 is the base point; row 1 + 3 s + j is step s of _STEPS along e_j.
     offsets = np.zeros((13, 3))
     offsets[1:] = (h * _STEPS[:, None, None] * np.eye(3)).reshape(12, 3)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -233,6 +234,21 @@ def test_bad_input_is_json_error_exit_2(argv, flag, capsys):
     assert set(data) == {"error", "message"}
     if flag is not None:
         assert flag in data["message"]
+
+
+@pytest.mark.parametrize("pauli,named", [
+    ("[0.1,0.2,0.3,0.4]", "[0.1, 0.2, 0.3, 0.4]"),
+    ("[0.1]", "[0.1]"),
+    ('"abc"', "'abc'"),
+    ("[0.1,[0.2],0.3]", "[0.1, [0.2], 0.3]"),
+    ("[Infinity,0,0]", "(inf, 0.0, 0.0)")])
+def test_g_json_pauli_needs_three_finite_reals(pauli, named, capsys):
+    # A fourth value was dropped and a short list raised IndexError.
+    g_json = '{"unitary":[[1,0],[0,0],[0,0],[1,0]],"a":{"pauli":%s}}' % pauli
+    code = cli.main(_act("bkm", g_json))
+    data = json.loads(capsys.readouterr().out)
+    assert code == 2 and data["error"] == "DomainError"
+    assert re.match(r"--g-json: ", data["message"]) and named in data["message"]
 
 
 # Config values that are not a seed >= 0, a sample count >= 1 or a finite

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qig.errors import LeftManifold
+from qig.errors import DomainError, LeftManifold
 from qig.flow_engine import (Trajectory, _rk4_step, compare_flow_to_orbit,
                              csv_table, integrate_flow,
                              orbit_curve)
@@ -181,3 +182,32 @@ def test_left_manifold_names_the_same_point_as_five_check_loop(field, r0, t_end,
     with pytest.raises(LeftManifold) as got:
         integrate_flow(VectorField(field), start, t_end, steps)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("steps", [2.5, 2.0, True, 0, -3, "4", None])
+def test_step_count_must_be_an_integer_at_least_one(steps):
+    field = fundamental_field(A_OBS)
+    orbit = alpha_subgroup(1.0, ZERO, A_OBS)
+    for call in (lambda: integrate_flow(field, START, 1.0, steps),
+                 lambda: orbit_curve(orbit, START, 1.0, steps),
+                 lambda: compare_flow_to_orbit(field, orbit, START, 1.0, steps)):
+        with pytest.raises(DomainError, match=re.escape(f"got {steps!r}")):
+            call()
+
+
+def test_numpy_integer_step_count_is_accepted():
+    field = fundamental_field(A_OBS)
+    got = integrate_flow(field, START, 1.0, np.int64(4))
+    assert np.array_equal(got.points, integrate_flow(field, START, 1.0, 4).points)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_observable_is_rejected_before_any_field_or_orbit(bad):
+    # A NaN coefficient gave NaN velocities, and an infinite one raised a
+    # RuntimeWarning from the orbit.
+    with pytest.raises(DomainError, match="not all finite"):
+        gradient_field_closed(TracelessObservable(bad, 0.0, 0.0), bkm())
+    with pytest.raises(DomainError, match="not all finite"):
+        alpha_subgroup(1.0, TracelessObservable(bad, 0.0, 0.0), ZERO)

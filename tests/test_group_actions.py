@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -150,9 +151,29 @@ def test_special_unitary_from_generator():
     assert abs(np.linalg.det(u) - 1.0) < 1e-13
 
 
+@pytest.mark.filterwarnings("error")
 def test_sl_element_validation():
     with pytest.raises(DomainError):
         SLGroupElement(np.diag([2.0, 1.0]))  # det != 1
+    # A NaN or overflowing determinant is not 1, and naming it is quiet.
+    with pytest.raises(DomainError, match="nan"):
+        SLGroupElement(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex))
+    with pytest.raises(DomainError, match="inf"):
+        SLGroupElement(np.diag([1e300, 1e300]).astype(complex))
+    # det(I_3) = 1, but no 3x3 matrix is an SL(2, C) element.
+    with pytest.raises(DomainError, match=r"2x2 matrix, got shape \(3, 3\)"):
+        SLGroupElement(np.eye(3, dtype=complex))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("samples", [2.5, True, 0])
+def test_axiom_checks_need_an_integer_sample_count(samples):
+    # A float count raised a raw TypeError from numpy.
+    for check in (lambda: verify_alpha_action(2.0, samples=samples),
+                  lambda: verify_bkm_action(samples=samples),
+                  lambda: transitivity_probe(samples=samples)):
+        with pytest.raises(DomainError, match=re.escape(f"got {samples!r}")):
+            check()
 
 
 def test_alpha_one_pinned_example():

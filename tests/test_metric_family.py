@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from qig.errors import (CenterSingularity, DomainError, IllConditioned,
                         NumericError, PoleError)
 from qig.metric_family import (FD_STEP, SERIES_CUTOFF, MetricAtPoint,
+                               _f_spectrum, _min_gap, _positive_definite,
                                _qubit_gaps, _random_ordered_pairs,
-                               _size_gaps, _spectral_gaps, big_f, bkm,
+                               _size_gaps, _spectral_min_gaps, big_f, bkm,
                                bures_helstrom,
                                check_petz_symmetry, custom,
                                derivative_limit_at_zero, f_eval, family_a,
@@ -219,6 +220,12 @@ def test_stacked_metric_checks_name_first_failing_point():
 
 
 @pytest.mark.filterwarnings("error")
+def test_metric_cartesian_names_coordinate_shapes_that_do_not_broadcast():
+    with pytest.raises(DomainError, match=r"shapes \[\(2,\), \(3,\), \(\)\]"):
+        metric_cartesian(bures_helstrom(), [0.1, 0.2], [0.1, 0.2, 0.3], 0.1)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"sizes": (0,)},
                                     {"sizes": (2, -1)}, {"sizes": ()},
                                     {"sizes": (1.5,)}, {"samples": 2.5},
@@ -251,6 +258,11 @@ def test_finite_difference_g_prime_names_the_callers_r():
     assert abs(big_f(spec, np.array([0.3, 0.5]))[1] - 1.0) < 1e-6
 
 
+SUITE_SPECS = [bures_helstrom(), wigner_yanase(), bkm(), family_a(2.0),
+               family_a(4.0)]
+SUITE_SQRT_A = [None, None, None, math.sqrt(2.0), 2.0]
+
+
 def _eigh_of_a_gaps(specs, dim: int, samples: int, seed: int):
     """The scan's per-sample gaps by the old path: the same draws, then
     eigvalsh(A) for its largest eigenvalue and eigh(A) for its eigenpairs."""
@@ -279,6 +291,56 @@ def _eigh_of_a_gaps(specs, dim: int, samples: int, seed: int):
     return gaps
 
 
+def _spectral_gaps(specs, lam_a, u, lam_b):
+    """Smallest eigenvalue of f(B) - f(A) per pair, per spec, for any size,
+    in the eigenbasis of B: B = diag(lam_b) and A = u diag(lam_a) u^dag.
+    The scan's per-sample path before the screen: one full eigvalsh per
+    spec, the oracle for the screened minimum."""
+    diag = np.arange(lam_b.shape[1])
+    gaps = []
+    for spec in specs:
+        diff = np.einsum("nij,nj,nkj->nik", u, -_f_spectrum(spec, lam_a), u.conj())
+        diff[:, diag, diag] += _f_spectrum(spec, lam_b)
+        gaps.append(np.linalg.eigvalsh(diff)[:, 0])
+        del diff
+    return gaps
+
+
+def _scan_draw(dim: int, samples: int, seed: int):
+    """The scan's pairs of one size: A's drawn eigenpairs and B."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                       spawn_key=(dim,)))
+    return _random_ordered_pairs(rng, dim, samples)
+
+
+def _in_b_eigenbasis(lam_a, vec_a, b):
+    """(lam_a, u, lam_b): A = u diag(lam_a) u^dag in B's eigenbasis."""
+    lam_b, vec_b = np.linalg.eigh(b)
+    return lam_a, vec_b.conj().swapaxes(1, 2) @ vec_a, lam_b
+
+
+def _per_sample_gaps(specs, dim: int, samples: int, seed: int):
+    """The scan's draws of one size scored per sample: _qubit_gaps at size
+    2, B's eigenbasis and a full eigvalsh (_spectral_gaps) at the others."""
+    lam_a, vec_a, b = _scan_draw(dim, samples, seed)
+    if dim == 2:
+        gaps, lam_b = _qubit_gaps(specs, lam_a, vec_a, b)
+        return gaps, lam_a, lam_b
+    lam_a, u, lam_b = _in_b_eigenbasis(lam_a, vec_a, b)
+    return _spectral_gaps(specs, lam_a, u, lam_b), lam_a, lam_b
+
+
+def _assert_scored_by_minimum(specs, dim, samples, seed):
+    # _size_gaps' (gap, index) per spec is the per-sample path's (min,
+    # argmin) bit for bit, with the same spectra.
+    got, lam_a, lam_b = _size_gaps(specs, dim, samples, seed)
+    gaps, lam_a_full, lam_b_full = _per_sample_gaps(specs, dim, samples, seed)
+    assert np.array_equal(lam_a, lam_a_full) and np.array_equal(lam_b, lam_b_full)
+    want = [(float(g.min()), int(np.argmin(g))) for g in gaps]
+    assert got == want, (dim, seed)
+    return gaps, lam_a, lam_b
+
+
 def test_scan_matches_eigh_of_a_oracle():
     # family_a(A) evaluates 1 - t^sqrt(A), which cancels for t just below
     # 1 - SERIES_CUTOFF: there f itself is good only to about
@@ -292,7 +354,7 @@ def test_scan_matches_eigh_of_a_oracle():
     for seed in range(10):
         oracle_min = np.full(len(specs), np.inf)
         for dim in (1, 2, 3, 4):
-            got, lam_a, lam_b = _size_gaps(specs, dim, 500, seed)
+            got, lam_a, lam_b = _assert_scored_by_minimum(specs, dim, 500, seed)
             want = _eigh_of_a_gaps(specs, dim, 500, seed)
             lam = np.concatenate([lam_a, lam_b], axis=1)
             near_one = np.maximum(1.0 - lam.max(axis=1), SERIES_CUTOFF)
@@ -303,6 +365,66 @@ def test_scan_matches_eigh_of_a_oracle():
         reports = scan_monotonicity(specs, samples=500, seed=seed)
         assert ([rep.violated for rep in reports]
                 == list(oracle_min < -1e-10)), seed
+
+
+def test_screen_matches_full_eigvalsh_over_suite_draws():
+    # The suite's draws: 10 000 pairs, seeds 0-9, its five specs, at every
+    # size the screen runs at; each draw is scored by both paths.
+    for seed in range(10):
+        for dim in (1, 3, 4):
+            spectra = _in_b_eigenbasis(*_scan_draw(dim, 10_000, seed))
+            want = [(float(g.min()), int(np.argmin(g)))
+                    for g in _spectral_gaps(SUITE_SPECS, *spectra)]
+            assert _spectral_min_gaps(SUITE_SPECS, *spectra) == want, (seed, dim)
+
+
+@pytest.mark.parametrize("factor", [1e8, 1e-8])
+def test_screen_margin_scales_with_f(factor):
+    # f scaled by 1e8 or 1e-8 scales every gap, and the screen's margin with
+    # it; a margin fixed in absolute terms would prune the minimum or keep
+    # every sample.
+    specs = [custom(lambda t, s=spec: factor * np.asarray(s.f_raw(t)),
+                    f"{factor:g} {spec.name}")
+             for spec in (bures_helstrom(), family_a(2.0), family_a(4.0))]
+    for seed in range(3):
+        for dim in (1, 3, 4):
+            _assert_scored_by_minimum(specs, dim, 2_000, seed)
+
+
+def _full_min_gap(diff):
+    gaps = np.linalg.eigvalsh(diff)[:, 0]
+    return float(gaps.min()), int(np.argmin(gaps))
+
+
+def _norm_bound(stack):
+    return float(np.abs(np.linalg.eigvalsh(stack)).max())
+
+
+def test_screen_on_tied_and_scalar_stacks():
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+    herm = 0.5 * (z + z.conj().swapaxes(1, 2))
+    for dim in (1, 3, 4):
+        part = herm[:, :dim, :dim] + 3.0 * np.eye(dim)
+        low = int(np.argmin(np.linalg.eigvalsh(part)[:, 0]))
+        rest = [i for i in range(6) if i != low]
+        # Duplicated rows: the minimum sits in rows 1, 3 and 4; the first wins.
+        dup = part[[rest[0], low, rest[1], low, low, rest[2]]]
+        assert _min_gap(dup, _norm_bound(dup)) == _full_min_gap(dup)
+        assert _min_gap(dup, _norm_bound(dup))[1] == 1
+    # Multiples of I: every diagonal entry is an eigenvalue.
+    scalar = np.array([0.3, -0.2, 0.7, -0.2, 1e-12])[:, None, None] * np.eye(3)
+    scalar = scalar.astype(complex)
+    assert _min_gap(scalar, 0.7) == _full_min_gap(scalar) == (-0.2, 1)
+
+
+def test_positive_definite_screen_fails_nan_and_indefinite_rows():
+    stack = np.array([np.diag([2.0, 1.0, 3.0]),
+                      [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                      np.diag([2.0, np.nan, 3.0]),
+                      np.diag([2.0, 0.5, 3.0])], dtype=complex)
+    assert _positive_definite(stack, 0.0).tolist() == [True, False, False, True]
+    assert _positive_definite(stack, 0.5).tolist() == [True, False, False, False]
 
 
 # The f kernels and finite_f as they were when every call entered
@@ -436,11 +558,6 @@ def test_scan_rejects_a_non_finite_f_at_every_size(dim):
     assert named and float(named.group(1)) < 0.5
 
 
-SUITE_SPECS = [bures_helstrom(), wigner_yanase(), bkm(), family_a(2.0),
-               family_a(4.0)]
-SUITE_SQRT_A = [None, None, None, math.sqrt(2.0), 2.0]
-
-
 def _assert_qubit_gaps_match_spectral(lam_a, vec_a, b, what):
     # The bound of test_scan_matches_eigh_of_a_oracle: family_a's f near
     # t = 1 is good only to about eps / (sqrt(A) (1 - t)), and B's
@@ -462,13 +579,9 @@ def _assert_qubit_gaps_match_spectral(lam_a, vec_a, b, what):
 def test_qubit_closed_form_matches_spectral_path():
     # Size 2 as the suite scans it: 10 000 pairs, seeds 0-9, its five specs.
     for seed in range(10):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                           spawn_key=(2,)))
-        lam_a, vec_a, b = _random_ordered_pairs(rng, 2, 10_000)
+        lam_a, vec_a, b = _scan_draw(2, 10_000, seed)
         _assert_qubit_gaps_match_spectral(lam_a, vec_a, b, seed)
-        gaps, _, lam_b = _size_gaps(SUITE_SPECS, 2, 10_000, seed)
-        closed, _ = _qubit_gaps(SUITE_SPECS, lam_a, vec_a, b)
-        assert all(np.array_equal(g, c) for g, c in zip(gaps, closed))
+        _, _, lam_b = _assert_scored_by_minimum(SUITE_SPECS, 2, 10_000, seed)
         assert np.all(lam_b[:, 0] <= lam_b[:, 1])
 
 

@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from qig.errors import BoundaryViolation, ChartSingularity, NotAState
+from qig.errors import (BoundaryViolation, ChartSingularity, DomainError,
+                        NotAState)
 from qig.state_space import (QubitState, SphericalPoint, TracelessObservable,
                              all_true, bloch_from_state, cartesian_from_spherical,
                              complex_matrix_from_json, complex_matrix_to_json,
@@ -134,3 +135,29 @@ def test_json_wire_formats():
 def test_all_true_equals_all_reduction(mask):
     got = all_true(mask)
     assert type(got) is bool and got == bool(mask.all())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coeffs", [[0.1, 0.2, 0.3, 0.4], [0.1], [], 0.5,
+                                    [[0.1, 0.2, 0.3]], [0.1, None, 0.3],
+                                    ["0.1", "0.2", "0.3"], [1j, 0.0, 0.0],
+                                    [[0.1], [0.2, 0.3]], [True, False, True]],
+                         ids=repr)
+def test_from_coeffs_needs_exactly_three_reals(coeffs):
+    with pytest.raises(DomainError, match="need three real Pauli coefficients"):
+        TracelessObservable.from_coeffs(coeffs)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_observable_rejects_non_finite_coefficients(bad):
+    with pytest.raises(DomainError, match=rf"\(0\.1, {bad}, 0\.3\)"):
+        TracelessObservable(0.1, bad, 0.3)
+    with pytest.raises(DomainError, match="not all finite"):
+        TracelessObservable.from_coeffs(np.array([bad, 0.0, 0.0]))
+
+
+def test_from_coeffs_keeps_the_values():
+    for coeffs in ([1, 2, 3], (0.1, -0.2, 0.3), np.array([0.5, 0.0, -1e-300])):
+        obs = TracelessObservable.from_coeffs(coeffs)
+        assert obs.coeffs.tolist() == [float(c) for c in coeffs]
