@@ -9,11 +9,9 @@ file, seed) produces byte-identical output.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,14 +40,6 @@ MAX_STEPS = 100_000       # export --steps
 MAX_POLES = 100_000       # ode poles -n/--count
 MAX_GRID_STEPS = 100_000  # ode classify --grid-steps
 MAX_SAMPLES = 50_000      # --samples
-
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    samples: int = 200
-    tolerance: float | None = None  # overrides every suite's main tolerance
-    output: str | None = None
 
 
 def load_config(path: str) -> dict:
@@ -169,27 +159,27 @@ def _check_count(flag: str, value: int, cap: int) -> None:
         raise InputError(f"{flag} must be an integer in [1, {cap}], got {value}")
 
 
-def cmd_ode(args) -> int:
-    if args.ode_cmd == "classify":
-        _check_count("--grid-steps", args.grid_steps, MAX_GRID_STEPS)
-        spec = _spec_from_args(args)
-        grid = np.linspace(args.grid_min, args.grid_max, args.grid_steps)
-        _dump(oc.classify(spec, grid).to_json(), args.output)
-        return EXIT_OK
-    if args.ode_cmd == "solve":
-        result = oc.solve_branch(args.a_const, c=args.c)
-        if isinstance(result, oc.Exclusion):
-            _dump(result.to_json(), args.output)
-        else:
-            _dump({"A": args.a_const, "excluded": False, "spec": result.name},
-                  args.output)
-        return EXIT_OK
-    if args.ode_cmd == "poles":
-        _check_count("-n/--count", args.count, MAX_POLES)
-        _dump(oc.singularities(args.b_const, args.c, args.count).to_json(),
-              args.output)
-        return EXIT_OK
-    raise InputError(f"unknown ode subcommand {args.ode_cmd!r}")
+def cmd_ode_classify(args) -> int:
+    _check_count("--grid-steps", args.grid_steps, MAX_GRID_STEPS)
+    spec = _spec_from_args(args)
+    grid = np.linspace(args.grid_min, args.grid_max, args.grid_steps)
+    _dump(oc.classify(spec, grid).to_json(), args.output)
+    return EXIT_OK
+
+
+def cmd_ode_solve(args) -> int:
+    result = oc.solve_branch(args.a_const, c=args.c)
+    _dump(result.to_json() if isinstance(result, oc.Exclusion) else
+          {"A": args.a_const, "excluded": False, "spec": result.name},
+          args.output)
+    return EXIT_OK
+
+
+def cmd_ode_poles(args) -> int:
+    _check_count("-n/--count", args.count, MAX_POLES)
+    _dump(oc.singularities(args.b_const, args.c, args.count).to_json(),
+          args.output)
+    return EXIT_OK
 
 
 def _json_flag(flag: str, text: str, build):
@@ -224,47 +214,29 @@ def cmd_act(args) -> int:
     return EXIT_OK
 
 
-_SUITE_TOL_KW = {
-    "commutators": "tol",
-    "fconstancy": "tol_const",
-    "actions": "tol",
-    "generators": "tol",
-    "flows": "tol",
-    "poles": "tol_locate",
-}
-
-
-def _run_suites(names, cfg: RunConfig, spec_name: str | None = None) -> dict:
+def cmd_verify(args) -> int:
+    """Run each suite as suite(seed=..., tol=...), tol only when --tolerance
+    is set, plus samples for actions and spec (when given) for commutators."""
+    names = sorted(vf.SUITES) if args.suite == "all" else [args.suite]
+    tol = {} if args.tolerance is None else {"tol": args.tolerance}
     reports = {}
     for name in names:
-        suite = vf.SUITES[name]
-        kwargs = {}
-        if "seed" in inspect.signature(suite).parameters:
-            kwargs["seed"] = cfg.seed
-        if cfg.tolerance is not None and name in _SUITE_TOL_KW:
-            kwargs[_SUITE_TOL_KW[name]] = cfg.tolerance
+        kwargs = {"seed": args.seed, **tol}
         if name == "actions":
-            kwargs["samples"] = cfg.samples
-        if name == "commutators" and spec_name is not None:
-            kwargs["spec"] = mf.spec_from_name(spec_name)
-        reports[name] = suite(**kwargs)
-    return {"seed": cfg.seed,
-            "passed": all(r["passed"] for r in reports.values()),
-            "suites": reports}
-
-
-def cmd_verify(args, cfg: RunConfig) -> int:
-    names = sorted(vf.SUITES) if args.suite == "all" else [args.suite]
-    report = _run_suites(names, cfg, spec_name=getattr(args, "spec", None))
-    _dump(report, args.output)
-    if report["passed"]:
+            kwargs["samples"] = args.samples
+        if name == "commutators" and args.spec is not None:
+            kwargs["spec"] = mf.spec_from_name(args.spec)
+        reports[name] = vf.SUITES[name](**kwargs)
+    passed = all(r["passed"] for r in reports.values())
+    _dump({"seed": args.seed, "passed": passed, "suites": reports}, args.output)
+    if passed:
         return EXIT_OK
-    failing = [n for n, r in report["suites"].items() if not r["passed"]]
+    failing = [n for n, r in reports.items() if not r["passed"]]
     sys.stderr.write("failing suites: " + ", ".join(failing) + "\n")
     return EXIT_VERIFY_FAIL
 
 
-def cmd_export(args, cfg: RunConfig) -> int:
+def cmd_export(args) -> int:
     _check_count("--steps", args.steps, MAX_STEPS)
     if args.what == "f-curves":
         if not (0.0 < args.t_min <= 1.0 and 0.0 < args.t_max <= 1.0):
@@ -287,29 +259,27 @@ def cmd_export(args, cfg: RunConfig) -> int:
     start = state_from_bloch(*_parse_triple(args.start))
     obs = TracelessObservable.from_coeffs(_parse_triple(args.a_coeffs))
     zero = TracelessObservable(0.0, 0.0, 0.0)
-    a_const = args.a_const if args.a_const is not None else 1.0
     if args.what == "flow":
-        vfield = rescaled_gradient_field(obs, a_const)
+        vfield = rescaled_gradient_field(obs, args.a_const)
         traj = integrate_flow(vfield, start, args.t_end, args.steps)
         _emit(traj.to_csv(observable=obs), args.output)
         return EXIT_OK
     if args.what == "orbit":
-        traj = orbit_curve(ga.alpha_subgroup(a_const, obs, zero), start,
+        traj = orbit_curve(ga.alpha_subgroup(args.a_const, obs, zero), start,
                            args.t_end, args.steps)
         _emit(traj.to_csv(observable=obs), args.output)
         return EXIT_OK
-    if args.what == "overlay":
-        vfield = rescaled_gradient_field(obs, a_const)
-        flow = integrate_flow(vfield, start, args.t_end, args.steps)
-        orbit = orbit_curve(ga.alpha_subgroup(a_const, obs, zero), start,
-                            args.t_end, args.steps)
-        gap = np.linalg.norm(flow.points - orbit.points, axis=1)
-        cols = [flow.times, *flow.points.T, *orbit.points.T, gap]
-        header = ["t", "flow_x", "flow_y", "flow_z",
-                  "orbit_x", "orbit_y", "orbit_z", "gap"]
-        _emit(csv_table(header, cols), args.output)
-        return EXIT_OK
-    raise InputError(f"unknown export kind {args.what!r}")
+    # overlay
+    vfield = rescaled_gradient_field(obs, args.a_const)
+    flow = integrate_flow(vfield, start, args.t_end, args.steps)
+    orbit = orbit_curve(ga.alpha_subgroup(args.a_const, obs, zero), start,
+                        args.t_end, args.steps)
+    gap = np.linalg.norm(flow.points - orbit.points, axis=1)
+    cols = [flow.times, *flow.points.T, *orbit.points.T, gap]
+    header = ["t", "flow_x", "flow_y", "flow_z",
+              "orbit_x", "orbit_y", "orbit_z", "gap"]
+    _emit(csv_table(header, cols), args.output)
+    return EXIT_OK
 
 
 def _add_spec_flags(p) -> None:
@@ -353,59 +323,65 @@ def build_parser() -> argparse.ArgumentParser:
                     "on the qubit state space.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add(name, func, **kw):
+        p = sub.add_parser(name, parents=[common], **kw)
+        p.set_defaults(func=func)
+        return p
 
-    p = add("metric", help="metric components at a point")
+    p = add("metric", cmd_metric, help="metric components at a point")
     _add_spec_flags(p)
     _add_point_flags(p)
     p.add_argument("--inverse", action="store_true")
 
-    p = add("field", help="evaluate a vector field at a point")
+    p = add("field", cmd_field, help="evaluate a vector field at a point")
     _add_spec_flags(p)
     _add_point_flags(p)
     p.add_argument("--field", required=True,
                    help="x:b1,b2,b3 | y:a1,a2,a3 | ym:a1,a2,a3 | ya:a1,a2,a3")
 
-    p = add("bracket", help="numeric Lie bracket of two fields")
+    p = add("bracket", cmd_bracket, help="numeric Lie bracket of two fields")
     _add_spec_flags(p)
     _add_point_flags(p)
     p.add_argument("--v", required=True, help="first field descriptor")
     p.add_argument("--w", required=True, help="second field descriptor")
     p.add_argument("--h", type=float, default=BRACKET_STEP)
 
-    p = add("ode", help="radial ODE classification")
+    p = sub.add_parser("ode", parents=[common],
+                       help="radial ODE classification")
     ode_sub = p.add_subparsers(dest="ode_cmd", required=True)
     pc = ode_sub.add_parser("classify")
+    pc.set_defaults(func=cmd_ode_classify)
     _add_spec_flags(pc)
     pc.add_argument("--grid-min", type=float, default=0.05)
     pc.add_argument("--grid-max", type=float, default=0.95)
     pc.add_argument("--grid-steps", type=int, default=50)
     ps = ode_sub.add_parser("solve")
+    ps.set_defaults(func=cmd_ode_solve)
     ps.add_argument("--A", dest="a_const", type=float, required=True)
     ps.add_argument("--c", type=float, default=0.0)
     pp = ode_sub.add_parser("poles")
+    pp.set_defaults(func=cmd_ode_poles)
     pp.add_argument("--B", dest="b_const", type=float, required=True)
     pp.add_argument("--c", type=float, default=0.0)
     pp.add_argument("-n", "--count", type=int, default=10)
 
-    p = add("act", help="apply a group action to a state")
+    p = add("act", cmd_act, help="apply a group action to a state")
     p.add_argument("--family", required=True,
                    choices=["bh", "wy", "alphaA", "bkm"])
     p.add_argument("--A", dest="a_const", type=float, default=None)
     p.add_argument("--g-json", required=True)
     p.add_argument("--state-json", required=True)
 
-    p = add("verify", help="run verification suites")
+    p = add("verify", cmd_verify, help="run verification suites")
     p.add_argument("suite", nargs="?", default="all",
                    choices=["all"] + sorted(vf.SUITES))
     p.add_argument("--spec", default=None,
                    help="restrict the commutator suite to one spec")
 
-    p = add("export", help="plot-ready CSV data")
+    p = add("export", cmd_export, help="plot-ready CSV data")
     p.add_argument("--what", required=True,
                    choices=["f-curves", "F-curves", "flow", "orbit", "overlay"])
-    p.add_argument("--A", dest="a_const", type=float, default=None)
+    p.add_argument("--A", dest="a_const", type=float, default=1.0)
     p.add_argument("--a-list", type=float, nargs="*", default=None)
     p.add_argument("--a", dest="a_coeffs", default="0,0,1",
                    help="observable Pauli coefficients for flow/orbit")
@@ -418,11 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(args) -> RunConfig:
-    """Flags over config-file values over defaults, each value checked."""
+def _run_config(args) -> None:
+    """Set seed, samples, tolerance and output on args to their checked
+    values: flags over config-file values over defaults."""
     file_cfg = load_config(args.config) if args.config else {}
 
-    def pick(key, flag_value, default, ok, what):
+    def pick(key, default, ok, what):
+        flag_value = getattr(args, key)
         if flag_value is not None:
             value, source = flag_value, f"--{key}"
         else:
@@ -430,43 +408,24 @@ def _run_config(args) -> RunConfig:
             source = f"--config {args.config}: {key}"
         if not ok(value):
             raise InputError(f"{source} {value!r} is not {what}")
-        return value
+        setattr(args, key, value)
 
-    return RunConfig(
-        seed=pick("seed", args.seed, 0,
-                  lambda v: isinstance(v, int) and v >= 0, "an integer >= 0"),
-        samples=pick("samples", args.samples, 200,
-                     lambda v: isinstance(v, int) and 1 <= v <= MAX_SAMPLES,
-                     f"an integer in [1, {MAX_SAMPLES}]"),
-        tolerance=pick("tolerance", args.tolerance, None,
-                       lambda v: v is None or (isinstance(v, (int, float))
-                                               and 0.0 < v < math.inf),
-                       "a finite number > 0"),
-        output=pick("output", args.output, None,
-                    lambda v: v is None or isinstance(v, str), "a path"),
-    )
+    pick("seed", 0, lambda v: isinstance(v, int) and v >= 0, "an integer >= 0")
+    pick("samples", 200,
+         lambda v: isinstance(v, int) and 1 <= v <= MAX_SAMPLES,
+         f"an integer in [1, {MAX_SAMPLES}]")
+    pick("tolerance", None,
+         lambda v: v is None or (isinstance(v, (int, float))
+                                 and 0.0 < v < math.inf),
+         "a finite number > 0")
+    pick("output", None, lambda v: v is None or isinstance(v, str), "a path")
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg = _run_config(args)
-        args.output = cfg.output
-        if args.command == "metric":
-            return cmd_metric(args)
-        if args.command == "field":
-            return cmd_field(args)
-        if args.command == "bracket":
-            return cmd_bracket(args)
-        if args.command == "ode":
-            return cmd_ode(args)
-        if args.command == "act":
-            return cmd_act(args)
-        if args.command == "verify":
-            return cmd_verify(args, cfg)
-        if args.command == "export":
-            return cmd_export(args, cfg)
-        raise InputError(f"unknown command {args.command!r}")
+        _run_config(args)
+        return args.func(args)
     except QigError as exc:
         _dump({"error": type(exc).__name__, "message": str(exc)}, None)
         return EXIT_INPUT if isinstance(exc, InputError) else EXIT_NUMERIC

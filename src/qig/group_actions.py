@@ -284,6 +284,8 @@ def _draws(seed: int, key: int, samples: int, states: int, observables: int):
     """
     if not (is_integer(samples) and samples >= 1):
         raise DomainError(f"need an integer samples >= 1, got {samples!r}")
+    if not (is_integer(seed) and seed >= 0):
+        raise DomainError(f"need an integer seed >= 0, got {seed!r}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
     directions = np.empty((samples, states, 3))
     radii = np.empty((samples, states))
@@ -423,6 +425,8 @@ def generator_of_action(subgroup: Subgroup, rho,
     rho is a QubitState or a stack of Bloch vectors (..., 3); the result
     has the shape of its Bloch vectors.
     """
+    if not 0.0 < t_step < math.inf:
+        raise DomainError(f"t_step must be finite and > 0, got {t_step!r}")
     fwd, bwd = subgroup.orbit([t_step, -t_step], rho)
     return (fwd - bwd) / (2.0 * t_step)
 
@@ -451,6 +455,8 @@ def bkm_subgroup(a: TracelessObservable, b: TracelessObservable) -> Subgroup:
 
     def images(times: np.ndarray, v: np.ndarray) -> np.ndarray:
         rotation = _lorentz(_expm_traceless_2x2(times[..., None, None] * gen))
-        return _bkm_images(rotation[..., 1:, 1:], times[..., None] * a.coeffs, v)
+        with np.errstate(over="ignore"):  # _bkm_images rejects an infinite t a
+            shift = times[..., None] * a.coeffs
+        return _bkm_images(rotation[..., 1:, 1:], shift, v)
 
     return Subgroup(images)

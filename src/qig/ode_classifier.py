@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .metric_family import (MonotoneFunctionSpec, big_f, bkm, family_a,
                             family_b, g_derivative, g_from_f)
+from .state_space import is_integer
 
 CONSTANCY_TOL = 1e-6  # separates constant branches (~1e-9) from RLD (>0.1)
 ZERO_TOL = 1e-9
@@ -89,6 +90,8 @@ def singularities(b_const: float, c: float = 0.0,
     if not (0.0 < b_const < math.inf and math.isfinite(c)):
         raise DomainError(f"poles require finite B > 0 and finite c, "
                           f"got B = {b_const}, c = {c}")
+    if not is_integer(max_count):
+        raise DomainError(f"max_count must be an integer, got {max_count!r}")
     if max_count < 1:
         raise DomainError(f"max_count must be at least 1, got {max_count}")
     sb = math.sqrt(b_const)

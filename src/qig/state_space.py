@@ -249,10 +249,6 @@ def spherical_from_cartesian(x: float, y: float, z: float) -> SphericalPoint:
     return SphericalPoint(r, theta, phi)
 
 
-def state_from_spherical(p: SphericalPoint) -> QubitState:
-    return state_from_bloch(*cartesian_from_spherical(p))
-
-
 def expectation_value(a: TracelessObservable, p: SphericalPoint) -> float:
     """Expectation-value function of a at the chart point p.
 

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -10,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qig import cli
+from qig import cli, verify
 from qig.errors import InputError
 
 
@@ -93,6 +94,12 @@ def test_verify_rld_commutators_is_negative_control():
     assert r.returncode == 1
     data = json.loads(r.stdout)
     assert data["suites"]["commutators"]["constant_coefficient"] is False
+
+
+def test_every_suite_takes_seed_and_tol():
+    # cmd_verify passes both keywords to every suite without asking.
+    for suite in verify.SUITES.values():
+        inspect.signature(suite).bind(seed=0, tol=1.0)
 
 
 def test_strict_tolerance_fails(tmp_path):

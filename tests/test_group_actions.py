@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -173,6 +174,17 @@ def test_axiom_checks_need_an_integer_sample_count(samples):
                   lambda: verify_bkm_action(samples=samples),
                   lambda: transitivity_probe(samples=samples)):
         with pytest.raises(DomainError, match=re.escape(f"got {samples!r}")):
+            check()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_axiom_checks_need_an_integer_seed(seed):
+    # numpy raised a raw ValueError or TypeError.
+    for check in (lambda: verify_alpha_action(2.0, samples=3, seed=seed),
+                  lambda: verify_bkm_action(samples=3, seed=seed),
+                  lambda: transitivity_probe(samples=3, seed=seed)):
+        with pytest.raises(DomainError, match=re.escape(f"seed >= 0, got {seed!r}")):
             check()
 
 
@@ -347,6 +359,26 @@ def test_generator_of_action_on_a_stack():
         want = [generator_of_action(subgroup, QubitState(*row)) for row in v]
         npt.assert_allclose(generator_of_action(subgroup, v), want,
                             rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t_step", [0.0, -1e-4, math.inf, math.nan])
+def test_generator_of_action_needs_a_finite_positive_step(t_step):
+    # t_step = 0 divided by zero: a NaN generator, a raw warning under -W error.
+    with pytest.raises(DomainError, match=f"t_step must be finite and > 0, got {t_step}"):
+        generator_of_action(bkm_subgroup(SIGMA3, ZERO), QubitState(0.2, 0.0, 0.1),
+                            t_step)
+
+
+@pytest.mark.parametrize("mode", ["error", "always"])
+def test_bkm_orbit_overflow_is_numeric_error(mode):
+    # t a overflowed with a raw RuntimeWarning under -W error.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(mode)
+        with pytest.raises(NumericError, match="BKM exponent w is not finite"):
+            bkm_subgroup(TracelessObservable(2.0, 2.0, 2.0), ZERO).orbit(
+                [1e308], QubitState(0.1, 0.2, 0.3))
+    assert not caught
 
 
 def _per_sample_draws(rng, samples, states, observables):

@@ -84,3 +84,11 @@ def test_singularities_need_at_least_one_pole(count):
     with pytest.raises(DomainError,
                        match=f"max_count must be at least 1, got {count}"):
         singularities(1.0, 0.0, max_count=count)
+
+
+@pytest.mark.parametrize("count", [2.5, True, "3"])
+def test_singularities_need_an_integer_count(count):
+    # range() raised a raw TypeError for 2.5, and True was taken as 1.
+    with pytest.raises(DomainError,
+                       match=f"max_count must be an integer, got {count!r}"):
+        singularities(1.0, 0.0, max_count=count)

@@ -12,7 +12,7 @@ from qig.state_space import (QubitState, SphericalPoint, TracelessObservable,
                              complex_matrix_from_json, complex_matrix_to_json,
                              expectation_value, pauli_basis,
                              spherical_from_cartesian, state_from_bloch,
-                             state_from_spherical, su2_bracket)
+                             su2_bracket)
 
 E1 = TracelessObservable(1.0, 0.0, 0.0)
 E2 = TracelessObservable(0.0, 1.0, 0.0)
@@ -113,7 +113,7 @@ def test_expectation_value_pinned():
     p = SphericalPoint(0.5, math.pi / 2.0, 0.0)
     assert abs(expectation_value(E1, p) - 0.25) < 1e-15
     # consistency with the density matrix: value = Tr(rho a) / 2
-    rho = state_from_spherical(p)
+    rho = state_from_bloch(*cartesian_from_spherical(p))
     tr = float(np.trace(rho.matrix() @ E1.matrix()).real)
     assert abs(expectation_value(E1, p) - tr / 2.0) < 1e-15
 
