@@ -52,51 +52,36 @@ COND_LIMIT = 1e12  # largest condition number inverse_metric accepts
 SCREEN_MARGIN = 1024.0
 
 
-def _bkm_f(t):
-    # log(t) and the quotient run under np.errstate only where one of them
-    # can warn: t <= 0, t = inf, NaN, or t within SERIES_CUTOFF of 1, which
-    # the series patches.  Entering errstate costs as much as the rest of a
-    # single-point call.
-    t = np.asarray(t, dtype=float)
-    u = t - 1.0
-    near = np.abs(u) < SERIES_CUTOFF
-    if all_true((t > 0.0) & (t < np.inf) & ~near):
-        out = u / np.log(t)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = u / np.log(t)
-    if not all_true(~near):
-        series = 1.0 + u * (0.5 + u * (-1.0 / 12.0 + u * (1.0 / 24.0 - 19.0 / 720.0 * u)))
-        out = np.where(near, series, out)
-    return out if out.ndim else float(out)
+def _kernels(direct, series=None):
+    """(f_raw, f_float) of f from its formula direct(t, xp), xp the numpy or
+    math module, and its series(t) within SERIES_CUTOFF of a removable
+    singularity at t = 1.  f_raw runs direct under np.errstate on an array,
+    series too if any entry takes it, and picks with np.where.  f_float runs
+    only the branch it picks on one Python float t in (0, inf); any other t,
+    or a step that raises (a division by zero, an overflowing **), gets f_raw's
+    value.  math and numpy round log and ** apart at some inputs."""
 
-
-def _family_a_f(t, s: float):
-    # s = sqrt(A).  Exact form (s/2)(1-t)(1+t^s)/(1-t^s); near t = 1 use the
-    # equivalent 1/P - s*u/2 with u = 1-t and P the truncated series of
-    # (1-(1-u)^s)/(s*u).  As in _bkm_f, np.errstate is entered only where a
-    # step can be invalid or divide by zero: t^s for t < 0 or NaN, and the
-    # quotient where t^s is 1 or not finite.  An overflowing t^s warns
-    # either way.
-    t = np.asarray(t, dtype=float)
-    u = 1.0 - t
-    if all_true(t >= 0.0):
-        ts = t ** s
-    else:
-        with np.errstate(invalid="ignore"):
-            ts = t ** s
-    if all_true((ts != 1.0) & (np.abs(ts) < np.inf)):
-        out = 0.5 * s * u * (1.0 + ts) / (1.0 - ts)
-    else:
+    def f_raw(t):
+        t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = 0.5 * s * u * (1.0 + ts) / (1.0 - ts)
-    near = np.abs(u) < SERIES_CUTOFF
-    if not all_true(~near):
-        p = 1.0 + u * (-(s - 1.0) / 2.0
-                       + u * ((s - 1.0) * (s - 2.0) / 6.0
-                              - u * (s - 1.0) * (s - 2.0) * (s - 3.0) / 24.0))
-        out = np.where(near, 1.0 / p - 0.5 * s * u, out)
-    return out if out.ndim else float(out)
+            out = direct(t, np)
+        if series is not None:
+            near = np.abs(t - 1.0) < SERIES_CUTOFF
+            if near.any():
+                out = np.where(near, series(t), out)
+        return out if out.ndim else float(out)
+
+    def f_float(t):
+        if 0.0 < t < math.inf:
+            try:
+                if series is not None and abs(t - 1.0) < SERIES_CUTOFF:
+                    return series(t)
+                return direct(t, math)
+            except ArithmeticError:
+                pass
+        return f_raw(t)
+
+    return f_raw, f_float
 
 
 def _family_b_f(t, b: float, c: float):
@@ -115,14 +100,16 @@ class MonotoneFunctionSpec:
     """A named or user-supplied metric-generating function.
 
     ``f_raw`` evaluates the defining formula for any t > 0 (the extension
-    beyond (0,1] is only used by the symmetry check); ``g_prime`` is the
-    analytic derivative of g(r) when one is hard-coded for the catalog
-    entry, otherwise None and finite differences are used.
+    beyond (0,1] is only used by the symmetry check); ``f_float`` evaluates
+    it on one Python float, for catalog entries only (see _kernels);
+    ``g_prime`` is the analytic derivative of g(r) when one is hard-coded for
+    the catalog entry, otherwise None and finite differences are used.
     """
 
     kind: str
     name: str
     f_raw: Callable = field(default=None, repr=False, compare=False)
+    f_float: Optional[Callable] = field(default=None, repr=False, compare=False)
     g_prime: Optional[Callable] = field(default=None, repr=False, compare=False)
 
 
@@ -130,14 +117,19 @@ def bkm() -> MonotoneFunctionSpec:
     def gp(r):
         g = 2.0 / np.log((1.0 + r) / (1.0 - r))
         return -g * g / (1.0 - r * r)
-    return MonotoneFunctionSpec("bkm", "bkm", f_raw=_bkm_f, g_prime=gp)
+
+    def series(t):
+        u = t - 1.0
+        return 1.0 + u * (0.5 + u * (-1.0 / 12.0 + u * (1.0 / 24.0 - 19.0 / 720.0 * u)))
+    return MonotoneFunctionSpec(
+        "bkm", "bkm", *_kernels(lambda t, xp: (t - 1.0) / xp.log(t), series),
+        gp)
 
 
 def bures_helstrom() -> MonotoneFunctionSpec:
     return MonotoneFunctionSpec(
-        "bures_helstrom", "bures_helstrom",
-        f_raw=lambda t: (1.0 + np.asarray(t, dtype=float)) / 2.0,
-        g_prime=lambda r: -1.0 / (np.asarray(r, dtype=float) ** 2))
+        "bures_helstrom", "bures_helstrom", *_kernels(lambda t, xp: (1.0 + t) / 2.0),
+        lambda r: -1.0 / (np.asarray(r, dtype=float) ** 2))
 
 
 def wigner_yanase() -> MonotoneFunctionSpec:
@@ -147,16 +139,14 @@ def wigner_yanase() -> MonotoneFunctionSpec:
         return -(r * r / w + 1.0 + w) / (2.0 * r * r)
     return MonotoneFunctionSpec(
         "wigner_yanase", "wigner_yanase",
-        f_raw=lambda t: (1.0 + np.sqrt(np.asarray(t, dtype=float))) ** 2 / 4.0,
-        g_prime=gp)
+        *_kernels(lambda t, xp: (1.0 + xp.sqrt(t)) ** 2 / 4.0), gp)
 
 
 def rld() -> MonotoneFunctionSpec:
     # Non-constant-F negative control: g = (1-r^2)/r, F = -2(1-r^2).
     return MonotoneFunctionSpec(
-        "rld", "rld",
-        f_raw=lambda t: 2.0 * np.asarray(t, dtype=float) / (1.0 + np.asarray(t, dtype=float)),
-        g_prime=lambda r: -1.0 / (np.asarray(r, dtype=float) ** 2) - 1.0)
+        "rld", "rld", *_kernels(lambda t, xp: 2.0 * t / (1.0 + t)),
+        lambda r: -1.0 / (np.asarray(r, dtype=float) ** 2) - 1.0)
 
 
 def family_a(a_const: float) -> MonotoneFunctionSpec:
@@ -170,9 +160,21 @@ def family_a(a_const: float) -> MonotoneFunctionSpec:
         u = t ** s
         return -4.0 * s * s * t ** (s - 1.0) / ((1.0 - u) ** 2 * (1.0 + r) ** 2)
 
-    return MonotoneFunctionSpec(
-        "family_a", f"family_a({a_const:g})",
-        f_raw=lambda t: _family_a_f(t, s), g_prime=gp)
+    # Exact form (s/2)(1-t)(1+t^s)/(1-t^s); near t = 1 the equivalent
+    # 1/P - s*u/2 with u = 1-t and P the truncated series of (1-(1-u)^s)/(s*u).
+    def direct(t, xp):
+        ts = t ** s
+        return 0.5 * s * (1.0 - t) * (1.0 + ts) / (1.0 - ts)
+
+    def series(t):
+        u = 1.0 - t
+        p = 1.0 + u * (-(s - 1.0) / 2.0
+                       + u * ((s - 1.0) * (s - 2.0) / 6.0
+                              - u * (s - 1.0) * (s - 2.0) * (s - 3.0) / 24.0))
+        return 1.0 / p - 0.5 * s * u
+
+    return MonotoneFunctionSpec("family_a", f"family_a({a_const:g})",
+                                *_kernels(direct, series), gp)
 
 
 def family_b(b_const: float, c: float = 0.0) -> MonotoneFunctionSpec:

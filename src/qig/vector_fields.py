@@ -2,18 +2,16 @@
 
 Fundamental fields generate the unitary rotations (Cartesian form b x v);
 gradient fields are the metric duals of the expectation-value differentials.
-Each field has one evaluator, in the Cartesian chart, which is regular
-across the polar axis; spherical components are derived from it through the
-orthonormal frame at the chart point, and all brackets are taken in the
-Cartesian chart.  Evaluators take a (..., 3) array of Bloch vectors, a
-single point being a (3,) array, and return the velocities in the same
-shape.
+Each field's formula is written once, in the Cartesian chart, which is
+regular across the polar axis: on a (..., 3) array of Bloch vectors for
+brackets, metrics and spherical components (derived through the orthonormal
+frame at the chart point), and on one point's Python floats for RK4.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -43,13 +41,19 @@ class TangentVector:
 
 @dataclass(frozen=True)
 class VectorField:
-    """A vector field given by its Cartesian evaluator.
-
-    ``cartesian`` maps a (..., 3) array of Bloch vectors to their Bloch
-    velocities and is defined on the whole open ball.
+    """A vector field given by its Cartesian evaluators, defined on the
+    whole open ball: ``cartesian`` maps a (..., 3) array of Bloch vectors to
+    their velocities, and ``point`` one point's coordinates to its velocity,
+    as Python floats (by default through ``cartesian`` on a (3,) array).
     """
 
     cartesian: Callable[[np.ndarray], np.ndarray]
+    point: Callable = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.point is None:
+            object.__setattr__(self, "point", lambda *v: tuple(
+                np.asarray(self.cartesian(np.array(v)), dtype=float).tolist()))
 
     def at_spherical(self, p: SphericalPoint) -> TangentVector:
         """Coordinate components (v^r, v^theta, v^phi) at a chart point.
@@ -83,19 +87,18 @@ def _frame(p: SphericalPoint):
 
 def fundamental_field(b: TracelessObservable) -> VectorField:
     """Rotation generator b1 X1 + b2 X2 + b3 X3: v -> b x v."""
-    coeffs = b.coeffs
-    b1, b2, b3 = coeffs.tolist()
+    b1, b2, b3 = b.coeffs.tolist()
+
+    def point(x, y, z):  # on Python floats or on arrays of one shape
+        return b2 * z - b3 * y, b3 * x - b1 * z, b1 * y - b2 * x
 
     def cartesian(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        x, y, z = v[..., 0], v[..., 1], v[..., 2]
         out = np.empty(v.shape)  # filled in place: cheaper than np.stack
-        out[..., 0] = b2 * z - b3 * y
-        out[..., 1] = b3 * x - b1 * z
-        out[..., 2] = b1 * y - b2 * x
+        out[..., 0], out[..., 1], out[..., 2] = point(v[..., 0], v[..., 1], v[..., 2])
         return out
 
-    return VectorField(cartesian)
+    return VectorField(cartesian, point)
 
 
 def gradient_field_closed(a: TracelessObservable,
@@ -105,8 +108,17 @@ def gradient_field_closed(a: TracelessObservable,
     r g(r) a + ((1-r^2) - r g(r)) (a . n) n with n = v/r, where
     r g(r) = (1+r) f((1-r)/(1+r)) extends continuously to the center; points
     with r < 1e-12 take that limit, f(1) a.
+
+    ``point`` takes the same coefficients on Python floats with spec.f_float;
+    the center, a point outside the ball and a bad f(t) go to ``cartesian``.
     """
     coeffs = a.coeffs
+    a1, a2, a3 = coeffs.tolist()
+
+    def coefficients(r, a_dot_v, f):
+        # The coefficients of a and of v at radius r, with f evaluating f(t).
+        rg = (1.0 + r) * f((1.0 - r) / (1.0 + r))
+        return rg, ((1.0 - r * r) - rg) * a_dot_v / (r * r)
 
     def cartesian(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -118,11 +130,21 @@ def gradient_field_closed(a: TracelessObservable,
             out[center] = float(spec.f_raw(1.0)) * coeffs
             out[~center] = cartesian(v[~center])
             return out
-        rg = (1.0 + r) * finite_f(spec, (1.0 - r) / (1.0 + r))
-        radial = ((1.0 - r * r) - rg) * (v @ coeffs) / (r * r)
+        rg, radial = coefficients(r, v @ coeffs, lambda t: finite_f(spec, t))
         return rg[..., None] * coeffs + radial[..., None] * v
 
-    return VectorField(cartesian)
+    if spec.f_float is None:
+        return VectorField(cartesian)
+
+    def point(x: float, y: float, z: float) -> tuple:
+        r = math.hypot(math.hypot(x, y), z)
+        if 1e-12 <= r < 1.0:
+            rg, radial = coefficients(r, a1 * x + a2 * y + a3 * z, spec.f_float)
+            if 0.0 < abs(rg) < math.inf:  # else f(t) is zero or not finite
+                return rg * a1 + radial * x, rg * a2 + radial * y, rg * a3 + radial * z
+        return tuple(cartesian(np.array([x, y, z])).tolist())
+
+    return VectorField(cartesian, point)
 
 
 def gradient_field_from_metric(a: TracelessObservable,
@@ -147,7 +169,12 @@ def rescaled_gradient_field(a: TracelessObservable, a_const: float) -> VectorFie
     """(1/sqrt(A)) times the gradient field for the family_a(A) metric."""
     base = gradient_field_closed(a, family_a(a_const))
     scale = 1.0 / math.sqrt(a_const)
-    return VectorField(lambda v: scale * base.cartesian(v))
+
+    def point(x: float, y: float, z: float) -> tuple:
+        vx, vy, vz = base.point(x, y, z)
+        return scale * vx, scale * vy, scale * vz
+
+    return VectorField(lambda v: scale * base.cartesian(v), point)
 
 
 def lie_bracket_numeric(v_field: VectorField, w_field: VectorField, p,

@@ -1,19 +1,19 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qig.errors import DomainError, LeftManifold
-from qig.flow_engine import (Trajectory, _rk4_step, compare_flow_to_orbit,
-                             csv_table, integrate_flow,
-                             orbit_curve)
+from qig.errors import DomainError, LeftManifold, QigError
+from qig.flow_engine import (Trajectory, compare_flow_to_orbit, csv_table,
+                             integrate_flow, orbit_curve)
 from qig.group_actions import (CotangentGroupElement, action_alpha_a,
                                action_bkm, alpha_subgroup, bkm_subgroup,
                                sl_from_generators,
                                special_unitary_from_generator)
-from qig.metric_family import bkm
+from qig.metric_family import bkm, custom, family_a, family_b
 from qig.state_space import (EPS_BOUNDARY, TracelessObservable, bloch_norm,
                              state_from_bloch)
 from qig.vector_fields import (VectorField, fundamental_field,
@@ -114,27 +114,49 @@ def test_batched_orbit_matches_per_time_actions(a_const):
     npt.assert_allclose(orbit.points, np.array(ref), rtol=0.0, atol=1e-14)
 
 
-# The RK4 loop as it was when it checked the interior with |v| five times
-# per step (once per stage and once more on the step's result): the oracle
-# for the loop that checks once per stage and once on the final point.
-def _five_checks_per_step_flow(vfield, start, t_end, steps):
-    def check(v):
-        r = bloch_norm(v)
-        if not r < 1.0 - EPS_BOUNDARY:
-            raise LeftManifold(f"trajectory reached |v| = {r}")
+def _rk4_step(f, v: np.ndarray, h: float) -> np.ndarray:
+    k1 = f(v)
+    k2 = f(v + 0.5 * h * k1)
+    k3 = f(v + 0.5 * h * k2)
+    k4 = f(v + h * k3)
+    return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
+
+def _check(v):
+    r = bloch_norm(v)
+    if not r < 1.0 - EPS_BOUNDARY:
+        raise LeftManifold(f"trajectory reached |v| = {r}")
+
+
+# RK4 on (3,) arrays, checking the interior with |v| five times per step
+# (once per stage and once more on the step's result).
+def _five_check_loop(evaluate, start, t_end, steps):
     def f(v):
-        check(v)
-        return vfield.cartesian(v)
+        _check(v)
+        return evaluate(v)
 
     h = t_end / steps
     points = np.empty((steps + 1, 3))
     points[0] = v = start.bloch
     for i in range(steps):
         v = _rk4_step(f, v, h)
-        check(v)
+        _check(v)
         points[i + 1] = v
     return points
+
+
+# Through the field's array evaluator: the loop integrate_flow ran before it
+# moved to Python floats, and the oracle for its trajectories within rounding.
+def _array_flow(vfield, start, t_end, steps):
+    return _five_check_loop(vfield.cartesian, start, t_end, steps)
+
+
+# Through the field's per-point evaluator, whose (3,)-array arithmetic is the
+# float loop's component by component: the oracle for the loop that checks
+# once per stage and once on the final point, bit for bit.
+def _five_checks_per_step_flow(vfield, start, t_end, steps):
+    return _five_check_loop(lambda v: np.array(vfield.point(*v.tolist())),
+                            start, t_end, steps)
 
 
 # The flows suite's five fields on its start and observable, and one
@@ -157,6 +179,13 @@ def test_trajectory_matches_five_check_loop_bit_for_bit(field, start):
     traj = integrate_flow(field, start, 1.0, 1000)
     want = _five_checks_per_step_flow(field, start, 1.0, 1000)
     assert traj.points.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("field,start", _FLOW_CASES, ids=_FLOW_IDS)
+def test_trajectory_matches_array_loop_within_rounding(field, start):
+    traj = integrate_flow(field, start, 1.0, 1000)
+    want = _array_flow(field, start, 1.0, 1000)
+    npt.assert_allclose(traj.points, want, rtol=0.0, atol=1e-12)
 
 
 # v' = v leaves the ball at t = ln 2 from r = 0.5, first at a stage point.
@@ -211,3 +240,46 @@ def test_non_finite_observable_is_rejected_before_any_field_or_orbit(bad):
         gradient_field_closed(TracelessObservable(bad, 0.0, 0.0), bkm())
     with pytest.raises(DomainError, match="not all finite"):
         alpha_subgroup(1.0, TracelessObservable(bad, 0.0, 0.0), ZERO)
+
+
+def _array_flow_error(vfield, start, t_end, steps):
+    # The array loop with the warnings filter integrate_flow had around it.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "(overflow|invalid value) encountered",
+                                RuntimeWarning)
+        try:
+            _array_flow(vfield, start, t_end, steps)
+        except QigError as exc:
+            return exc
+    raise AssertionError("the array loop did not fail")
+
+
+# On the pole of family_b(1, c): sqrt(B) (log t - c) = pi/2 at the start.
+_T_POLE = (1.0 - START.r) / (1.0 + START.r)
+_HAZARDS = {
+    "family_b pole": (gradient_field_closed(
+        A_OBS, family_b(1.0, math.log(_T_POLE) - math.pi / 2.0)), 1.0, 10),
+    # t^sqrt(A) rounds to 1: the float kernel divides by zero.
+    "family_a(1e-34) f = inf": (gradient_field_closed(A_OBS, family_a(1e-34)),
+                                1.0, 10),
+    "custom f = 0": (gradient_field_closed(
+        A_OBS, custom(lambda t: 0.0 * np.asarray(t), "zero")), 1.0, 10),
+    "custom f = NaN": (gradient_field_closed(
+        A_OBS, custom(lambda t: np.nan * np.asarray(t), "nan")), 1.0, 10),
+    "fundamental overflow": (fundamental_field(
+        TracelessObservable(1e300, -1e300, 1e300)), 1e10, 1),
+    "gradient overflow": (rescaled_gradient_field(
+        TracelessObservable(1e308, -1e308, 1e308), 2.0), 1e10, 1),
+    "numpy overflow": (VectorField(lambda v: 1e300 * np.asarray(v) * 1e300),
+                       1.0, 10),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field,t_end,steps", _HAZARDS.values(), ids=_HAZARDS)
+def test_hazard_raises_the_array_loops_error(field, t_end, steps):
+    want = _array_flow_error(field, START, t_end, steps)
+    with pytest.raises(QigError) as got:
+        integrate_flow(field, START, t_end, steps)
+    assert type(got.value) is type(want)
+    assert str(got.value) == str(want)

@@ -16,9 +16,10 @@ from hypothesis import given, settings, strategies as st
 from qig.errors import QigError
 from qig.flow_engine import integrate_flow, orbit_curve
 from qig.group_actions import alpha_subgroup, bkm_subgroup
-from qig.metric_family import (MetricAtPoint, bkm, bures_helstrom, family_a,
-                               family_b, inverse_metric, metric_cartesian,
-                               rld, scan_monotonicity, wigner_yanase)
+from qig.metric_family import (MetricAtPoint, bkm, bures_helstrom, custom,
+                               family_a, family_b, inverse_metric,
+                               metric_cartesian, rld, scan_monotonicity,
+                               wigner_yanase)
 from qig.state_space import TracelessObservable, state_from_bloch
 from qig.vector_fields import (fundamental_field, gradient_field_closed,
                                gradient_field_from_metric, lie_bracket_numeric,
@@ -28,6 +29,9 @@ pytestmark = pytest.mark.filterwarnings("error")
 
 SPECS = [bkm(), bures_helstrom(), wigner_yanase(), rld(), family_a(2.0),
          family_b(1.0, 0.0)]
+# A user-written f, f(t) = sqrt(t): a spec with no float kernel, whose
+# fields integrate through their array evaluator.
+CUSTOM = custom(np.sqrt, "sqrt")
 
 # Interior values, the boundary, the center, subnormal, huge and non-finite.
 _VALUES = st.one_of(
@@ -135,7 +139,7 @@ _T_END = st.one_of(st.floats(-3.0, 3.0),
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(_VALUES, min_size=3, max_size=3), _observables(),
-       st.sampled_from(SPECS), st.integers(0, 3), _T_END, _COUNTS)
+       st.sampled_from(SPECS + [CUSTOM]), st.integers(0, 3), _T_END, _COUNTS)
 def test_integrate_flow(start, a, spec, which, t_end, steps):
     def check(traj):
         assert traj.points.shape == (steps + 1, 3)

@@ -302,3 +302,30 @@ def test_stack_rows_equal_single_point_bit_for_bit(field):
     stacked = field.cartesian(pts)
     for row, v in zip(stacked, pts):
         assert row.tobytes() == field.cartesian(v).tobytes(), v
+
+
+_OBS = TracelessObservable(0.6, -0.3, 0.45)
+_POINT_FIELDS = {spec.name: gradient_field_closed(_OBS, spec)
+                 for spec in [bkm(), bures_helstrom(), wigner_yanase(), rld(),
+                              family_a(0.25), family_a(2.0), family_a(4.0)]}
+_POINT_FIELDS["rescaled(2)"] = rescaled_gradient_field(_OBS, 2.0)
+_POINT_FIELDS["fundamental"] = fundamental_field(_OBS)
+
+
+@pytest.mark.parametrize("field", _POINT_FIELDS.values(), ids=_POINT_FIELDS)
+def test_point_evaluator_agrees_with_stacked_cartesian(field):
+    # The per-point evaluator runs the same formula on Python floats, with
+    # math's log, ** and hypot and a . v summed by hand, so it may differ
+    # from the stack's rows in the last bits: in the bulk, at the center
+    # (r < 1e-12) and inside SERIES_CUTOFF of t = 1 (r < 5e-7) alike.
+    rng = np.random.default_rng(2024)
+    n = rng.standard_normal((2000, 3))
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    radii = np.concatenate([rng.uniform(1e-6, 0.999, 2000),
+                            [0.0, 1e-13, 9e-13, 1e-12, 1e-9, 1e-7, 4.9e-7]])
+    dirs = np.concatenate([n, np.tile([0.48, -0.6, 0.64], (7, 1))])
+    pts = radii[:, None] * dirs
+    want = field.cartesian(pts)
+    got = np.array([field.point(*v) for v in pts.tolist()])
+    bound = 1e-13 * np.abs(want).max(axis=1)
+    assert (np.abs(got - want).max(axis=1) <= bound).all()
