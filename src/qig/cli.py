@@ -21,7 +21,8 @@ from . import ode_classifier as oc
 from . import verify as vf
 from .errors import InputError, QigError
 from .flow_engine import csv_table, integrate_flow, orbit_curve
-from .state_space import SphericalPoint, TracelessObservable, state_from_bloch
+from .state_space import (SphericalPoint, TracelessObservable, require_count,
+                          require_positive, state_from_bloch)
 from .vector_fields import (BRACKET_STEP, VectorField, fundamental_field,
                             gradient_field_closed, gradient_field_from_metric,
                             lie_bracket_numeric, rescaled_gradient_field)
@@ -154,9 +155,10 @@ def cmd_bracket(args) -> int:
     return EXIT_OK
 
 
-def _check_count(flag: str, value: int, cap: int) -> None:
-    if not 1 <= value <= cap:
-        raise InputError(f"{flag} must be an integer in [1, {cap}], got {value}")
+def _check_count(name: str, value, cap: int) -> None:
+    require_count(name, value, 1, InputError)
+    if value > cap:
+        raise InputError(f"{name} = {value!r} is above the cap {cap}")
 
 
 def cmd_ode_classify(args) -> int:
@@ -400,26 +402,24 @@ def _run_config(args) -> None:
     values: flags over config-file values over defaults."""
     file_cfg = load_config(args.config) if args.config else {}
 
-    def pick(key, default, ok, what):
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            value, source = flag_value, f"--{key}"
-        else:
-            value = file_cfg.get(key, default)
-            source = f"--config {args.config}: {key}"
-        if not ok(value):
-            raise InputError(f"{source} {value!r} is not {what}")
-        setattr(args, key, value)
+    def pick(key, default):
+        """(owner, name, value) of the flag --key, or else of the config
+        file's key, or else of default."""
+        value = getattr(args, key)
+        if value is not None:
+            return f"qig {args.command}", f"--{key}", value
+        return f"--config {args.config}", key, file_cfg.get(key, default)
 
-    pick("seed", 0, lambda v: isinstance(v, int) and v >= 0, "an integer >= 0")
-    pick("samples", 200,
-         lambda v: isinstance(v, int) and 1 <= v <= MAX_SAMPLES,
-         f"an integer in [1, {MAX_SAMPLES}]")
-    pick("tolerance", None,
-         lambda v: v is None or (isinstance(v, (int, float))
-                                 and 0.0 < v < math.inf),
-         "a finite number > 0")
-    pick("output", None, lambda v: v is None or isinstance(v, str), "a path")
+    owner, name, args.seed = pick("seed", 0)
+    require_count(f"{owner}: {name}", args.seed, 0, InputError)
+    owner, name, args.samples = pick("samples", 200)
+    _check_count(f"{owner}: {name}", args.samples, MAX_SAMPLES)
+    owner, name, args.tolerance = pick("tolerance", None)
+    if args.tolerance is not None:
+        require_positive(owner, name, args.tolerance, InputError)
+    owner, name, args.output = pick("output", None)
+    if not (args.output is None or isinstance(args.output, str)):
+        raise InputError(f"{owner}: {name} = {args.output!r} is not a path")
 
 
 def main(argv=None) -> int:

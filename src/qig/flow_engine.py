@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, LeftManifold
 from .group_actions import Subgroup
 from .state_space import (EPS_BOUNDARY, QubitState, TracelessObservable,
-                          bloch_norm, is_integer)
+                          bloch_norm, require_count)
 from .vector_fields import VectorField
 
 
@@ -31,14 +31,11 @@ class Trajectory:
     def radii(self) -> np.ndarray:
         return np.linalg.norm(self.points, axis=1)
 
-    def to_csv(self, observable: TracelessObservable | None = None) -> str:
-        """Columns t, x, y, z, r and, if an observable is given, l_a = a . v."""
-        header = ["t", "x", "y", "z", "r"]
-        cols = [self.times, *self.points.T, self.radii]
-        if observable is not None:
-            header.append("l_a")
-            cols.append(self.points @ observable.coeffs)
-        return csv_table(header, cols)
+    def to_csv(self, observable: TracelessObservable) -> str:
+        """Columns t, x, y, z, r and l_a = a . v of the observable a."""
+        return csv_table(["t", "x", "y", "z", "r", "l_a"],
+                         [self.times, *self.points.T, self.radii,
+                          self.points @ observable.coeffs])
 
 
 # Rows converted to Python floats at a time: .tolist() formats faster than
@@ -69,12 +66,12 @@ def _check_interior(x: float, y: float, z: float) -> None:
                            f"{bloch_norm(np.array([x, y, z]))}")
 
 
-def _time_grid(t_end: float, steps: int) -> np.ndarray:
-    """steps + 1 uniform times on [0, t_end]."""
-    if not (is_integer(steps) and steps >= 1):
-        raise DomainError(f"need an integer step count >= 1, got {steps!r}")
+def _time_grid(t_end: float, steps: int, name: str) -> np.ndarray:
+    """steps + 1 uniform times on [0, t_end]; name is the caller's name for
+    steps."""
+    require_count(name, steps)
     if not math.isfinite(t_end):
-        raise DomainError(f"need a finite t_end, got {t_end}")
+        raise DomainError(f"t_end = {t_end!r} is not finite")
     return np.linspace(0.0, t_end, steps + 1)
 
 
@@ -89,7 +86,7 @@ def integrate_flow(vfield: VectorField, start: QubitState, t_end: float,
     point is checked on its own.  A point not inside the ball by
     EPS_BOUNDARY raises LeftManifold naming its |v|.
     """
-    times = _time_grid(t_end, steps)
+    times = _time_grid(t_end, steps, "steps")
     h = t_end / steps
     half, sixth = 0.5 * h, h / 6.0
     field = vfield.point
@@ -126,7 +123,7 @@ def orbit_curve(subgroup: Subgroup, start: QubitState, t_end: float,
     The subgroup (see group_actions.alpha_subgroup / bkm_subgroup) acts
     with every time of the grid in one batched call.
     """
-    times = _time_grid(t_end, samples)
+    times = _time_grid(t_end, samples, "samples")
     return Trajectory(times, subgroup.orbit(times, start))
 
 

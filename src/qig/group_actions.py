@@ -23,7 +23,8 @@ from .errors import DomainError, NumericError
 from .state_space import (PAULIS, SIGMA_0, QubitState, TracelessObservable,
                           bloch_norm, bloch_stack, check_bloch_array,
                           complex_matrix_from_json, complex_matrix_to_json,
-                          first_failing, is_integer, state_from_bloch)
+                          require_all, require_count, require_positive,
+                          state_from_bloch)
 
 EIG_DEGENERACY_CUTOFF = 1e-8  # series fallback for the 2x2 exponential
 DET_TOLERANCE = 1e-10  # |det - 1| allowed for an SL(2, C) or SU(2) matrix
@@ -40,19 +41,6 @@ def _unit_det(m: np.ndarray) -> np.ndarray:
         return np.abs(np.linalg.det(m) - 1.0) <= DET_TOLERANCE
 
 
-def _require_unit_det(m: np.ndarray, what: str, name: str,
-                      labels: np.ndarray) -> None:
-    """Check a computed stack m (..., 2, 2) of SL(2, C) matrices.
-
-    A determinant that drifted from 1 is a numeric breakdown, not bad input:
-    NumericError naming the label (name = value) of the first such matrix.
-    """
-    unit = _unit_det(m)
-    if not unit.all():
-        raise NumericError(f"determinant of {what} != 1 at {name} = "
-                           f"{first_failing(unit, labels[..., None])[0]}")
-
-
 def _lorentz(m: np.ndarray) -> np.ndarray:
     """Lambda(m)_{mu nu} = tr(sigma_mu m sigma_nu m^dag)/2, a real 4x4 matrix.
 
@@ -61,10 +49,13 @@ def _lorentz(m: np.ndarray) -> np.ndarray:
     t^2 - |x|^2 is invariant.  m may be a stack (..., 2, 2); the 16 products
     m_jk conj(m_il) meet the Pauli traces in one matrix product.
     """
-    products = m[..., :, :, None, None] * m.conj()[..., None, None, :, :]
     stack = m.shape[:-2]
-    return 0.5 * (products.reshape(stack + (16,)) @ _LORENTZ_TERMS).real.reshape(
-        stack + (4, 4))
+    # An entry too large to square overflows quietly; the finite check of
+    # the moved coordinates in _alpha_images raises NumericError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = m[..., :, :, None, None] * m.conj()[..., None, None, :, :]
+        return 0.5 * (products.reshape(stack + (16,)) @ _LORENTZ_TERMS).real.reshape(
+            stack + (4, 4))
 
 
 def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -162,8 +153,6 @@ class CotangentGroupElement:
             raise DomainError("U is not unitary")
         if not _unit_det(u):
             raise DomainError("det U != 1")
-        if not np.all(np.isfinite(self.a.coeffs)):
-            raise DomainError(f"translation a = {self.a.coeffs} is not finite")
 
 
 def cotangent_identity() -> CotangentGroupElement:
@@ -187,17 +176,8 @@ def cotangent_inverse(h: CotangentGroupElement) -> CotangentGroupElement:
 
 
 def _sqrt_a(a_const: float) -> float:
-    if not 0.0 < a_const < math.inf:
-        raise DomainError(f"alpha_A requires finite A > 0, got {a_const}")
+    require_positive("alpha_A", "A", a_const)
     return math.sqrt(a_const)
-
-
-def _check_finite(values: np.ndarray, what: str) -> None:
-    """NumericError naming the first row of a stack that is not finite."""
-    if not np.isfinite(values).all():
-        finite = np.isfinite(values).all(axis=-1)
-        raise NumericError(f"{what} is not finite: "
-                           f"{first_failing(finite, values)}")
 
 
 def _along(x: np.ndarray, norm: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -216,7 +196,8 @@ def _alpha_images(s: float, lorentz: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     r = bloch_norm(v)
     moved = _apply(lorentz, _power_coords(v, r, s))
-    _check_finite(moved, "(t, x) of g rho^sqrt(A) g^dag")
+    require_all(np.isfinite(moved).all(axis=-1), moved, NumericError,
+                "(t, x) of g rho^sqrt(A) g^dag", "is not finite")
     x = moved[..., 1:]
     rx = bloch_norm(x)
     mu_hi = moved[..., 0] + rx
@@ -237,7 +218,8 @@ def _bkm_images(rotation: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarra
     # artanh(r) n = scale v, with scale -> 1 at r = 0
     scale = np.divide(np.arctanh(r), r, out=np.ones_like(r), where=r > 0.0)
     w = scale[..., None] * _apply(rotation, v) + a
-    _check_finite(w, "BKM exponent w")
+    require_all(np.isfinite(w).all(axis=-1), w, NumericError, "BKM exponent w",
+                "is not finite")
     rw = bloch_norm(w)
     return _along(w, rw, np.tanh(rw))
 
@@ -282,10 +264,8 @@ def _draws(seed: int, key: int, samples: int, states: int, observables: int):
     group elements well conditioned, so the axiom deviations measure
     algebra, not roundoff.
     """
-    if not (is_integer(samples) and samples >= 1):
-        raise DomainError(f"need an integer samples >= 1, got {samples!r}")
-    if not (is_integer(seed) and seed >= 0):
-        raise DomainError(f"need an integer seed >= 0, got {seed!r}")
+    require_count("samples", samples)
+    require_count("seed", seed, 0)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
     directions = np.empty((samples, states, 3))
     radii = np.empty((samples, states))
@@ -325,8 +305,11 @@ def verify_alpha_action(a_const: float, samples: int = 200,
         0.5 * (_pauli_matrices(coeffs[:, 0::2])
                - 1j * _pauli_matrices(coeffs[:, 1::2]))), 1, 0)
     g12 = g1 @ g2
+    # A determinant of a computed element that drifted from 1 is a numeric
+    # breakdown, not bad input.
     for g, what in ((g1, "g1"), (g2, "g2"), (g12, "g1 g2")):
-        _require_unit_det(g, what, "sample", np.arange(samples))
+        require_all(_unit_det(g), np.arange(samples), NumericError, "sample",
+                    f"gives a determinant of {what} != 1")
 
     def images(g, v):
         return check_bloch_array(_alpha_images(s, _lorentz(g), v))
@@ -381,7 +364,8 @@ def transitivity_probe(samples: int = 100, seed: int = 0) -> float:
                              _PAULI4, 1)
     raw = sqrt2 @ inv_sqrt1
     g = raw / np.sqrt(np.linalg.det(raw))[:, None, None]
-    _require_unit_det(g, "rho2^(1/2) rho1^(-1/2)", "sample", np.arange(samples))
+    require_all(_unit_det(g), np.arange(samples), NumericError, "sample",
+                "gives a determinant of rho2^(1/2) rho1^(-1/2) != 1")
     moved = check_bloch_array(_alpha_images(1.0, _lorentz(g), rho1))
     return _max_gap(moved, rho2)
 
@@ -410,10 +394,7 @@ class Subgroup:
         else:
             v = check_bloch_array(bloch_stack(rho))
         times = np.asarray(times, dtype=float)
-        finite = np.isfinite(times)
-        if not finite.all():
-            bad = first_failing(finite, times[..., None])[0]
-            raise DomainError(f"time t = {bad} is not finite")
+        require_all(np.isfinite(times), times, DomainError, "time t", "is not finite")
         return check_bloch_array(
             self.images(times.reshape(times.shape + (1,) * (v.ndim - 1)), v))
 
@@ -425,8 +406,7 @@ def generator_of_action(subgroup: Subgroup, rho,
     rho is a QubitState or a stack of Bloch vectors (..., 3); the result
     has the shape of its Bloch vectors.
     """
-    if not 0.0 < t_step < math.inf:
-        raise DomainError(f"t_step must be finite and > 0, got {t_step!r}")
+    require_positive("generator_of_action", "t_step", t_step)
     fwd, bwd = subgroup.orbit([t_step, -t_step], rho)
     return (fwd - bwd) / (2.0 * t_step)
 
@@ -443,7 +423,8 @@ def alpha_subgroup(a_const: float, a: TracelessObservable,
 
     def images(times: np.ndarray, v: np.ndarray) -> np.ndarray:
         g = _expm_traceless_2x2(times[..., None, None] * gen)
-        _require_unit_det(g, "exp(t (a - i b)/2)", "t", times)
+        require_all(_unit_det(g), times, NumericError, "t",
+                    "gives a determinant of exp(t (a - i b)/2) != 1")
         return _alpha_images(s, _lorentz(g), v)
 
     return Subgroup(images)

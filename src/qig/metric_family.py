@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import (CenterSingularity, DomainError, ExtrapolationUnstable,
                      IllConditioned, NumericError, PoleError)
-from .state_space import (EPS_CHART, SphericalPoint, all_true, ball_radii,
-                          first_failing, is_integer)
+from .state_space import (EPS_CHART, SphericalPoint, ball_radii, require_all,
+                          require_count, require_positive)
 
 # Removable singularities of f at t = 1 switch to a Taylor fallback here;
 # direct evaluation loses all precision closer to 1.
@@ -50,16 +50,18 @@ COND_LIMIT = 1e12  # largest condition number inverse_metric accepts
 # past its upper bound on the least eigenvalue; the LDL^H and eigvalsh
 # backward errors are a few n^2 eps ||D|| at size n.
 SCREEN_MARGIN = 1024.0
+PETZ_TOL = 1e-9  # largest symmetry or normalisation deviation that passes
+EXTRAPOLATION_TOL = 1e-4  # relative step at which the f'(0+) limit has converged
 
 
 def _kernels(direct, series=None):
     """(f_raw, f_float) of f from its formula direct(t, xp), xp the numpy or
     math module, and its series(t) within SERIES_CUTOFF of a removable
     singularity at t = 1.  f_raw runs direct under np.errstate on an array,
-    series too if any entry takes it, and picks with np.where.  f_float runs
-    only the branch it picks on one Python float t in (0, inf); any other t,
-    or a step that raises (a division by zero, an overflowing **), gets f_raw's
-    value.  math and numpy round log and ** apart at some inputs."""
+    and series on the entries that take it only.  f_float runs only the
+    branch it picks on one Python float t in (0, inf); any other t, or a step
+    that raises (a division by zero, an overflowing **), gets f_raw's value.
+    math and numpy round log and ** apart at some inputs."""
 
     def f_raw(t):
         t = np.asarray(t, dtype=float)
@@ -67,8 +69,9 @@ def _kernels(direct, series=None):
             out = direct(t, np)
         if series is not None:
             near = np.abs(t - 1.0) < SERIES_CUTOFF
-            if near.any():
-                out = np.where(near, series(t), out)
+            if near.any():  # the series overflows far from t = 1
+                out = np.asarray(out)
+                out[near] = series(t[near])
         return out if out.ndim else float(out)
 
     def f_float(t):
@@ -150,8 +153,7 @@ def rld() -> MonotoneFunctionSpec:
 
 
 def family_a(a_const: float) -> MonotoneFunctionSpec:
-    if not 0.0 < a_const < math.inf:
-        raise DomainError(f"family_a requires finite A > 0, got {a_const}")
+    require_positive("family_a", "A", a_const)
     s = math.sqrt(a_const)
 
     def gp(r):
@@ -178,9 +180,9 @@ def family_a(a_const: float) -> MonotoneFunctionSpec:
 
 
 def family_b(b_const: float, c: float = 0.0) -> MonotoneFunctionSpec:
-    if not (0.0 < b_const < math.inf and math.isfinite(c)):
-        raise DomainError(f"family_b requires finite B > 0 and finite c, "
-                          f"got B = {b_const}, c = {c}")
+    require_positive("family_b", "B", b_const)
+    if not math.isfinite(c):
+        raise DomainError(f"family_b: c = {c!r} is not finite")
 
     def gp(r):
         r = np.asarray(r, dtype=float)
@@ -224,11 +226,15 @@ def spec_from_name(name: str, a_const: float | None = None,
 
 
 def f_eval(spec: MonotoneFunctionSpec, t):
-    """Evaluate f on its proper domain t in (0, 1]."""
+    """Evaluate f on its proper domain t in (0, 1]; a value that is not
+    finite raises NumericError naming the first such t."""
     t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr > 0.0) & (t_arr <= 1.0)):
-        raise DomainError(f"t = {t} outside (0, 1]")
-    return spec.f_raw(t)
+    require_all((t_arr > 0.0) & (t_arr <= 1.0), t_arr, DomainError, "t",
+                "is outside (0, 1]")
+    f = spec.f_raw(t)
+    require_all(np.isfinite(f), t_arr, NumericError, "t",
+                f"makes f of {spec.name} not finite")
+    return f
 
 
 def finite_f(spec: MonotoneFunctionSpec, t):
@@ -239,18 +245,16 @@ def finite_f(spec: MonotoneFunctionSpec, t):
     """
     f = spec.f_raw(t)
     size = np.abs(f)
-    ok = (size > 0.0) & (size < np.inf)
-    if not all_true(ok):
-        bad = first_failing(ok, np.asarray(t, dtype=float)[..., None])[0]
-        raise NumericError(f"f({bad}) of {spec.name} is zero or not finite")
+    require_all((size > 0.0) & (size < np.inf), np.asarray(t, dtype=float),
+                NumericError, "t", f"makes f of {spec.name} zero or not finite")
     return f
 
 
 def g_from_f(spec: MonotoneFunctionSpec, r):
     """g(r) = ((1+r)/r) f((1-r)/(1+r)) for r in (0, 1)."""
     r_arr = np.asarray(r, dtype=float)
-    if not np.all((r_arr > 0.0) & (r_arr < 1.0)):
-        raise DomainError(f"r = {r} outside (0, 1)")
+    require_all((r_arr > 0.0) & (r_arr < 1.0), r_arr, DomainError, "r",
+                "is outside (0, 1)")
     out = ((1.0 + r_arr) / r_arr) * np.asarray(
         spec.f_raw((1.0 - r_arr) / (1.0 + r_arr)))
     return out if out.ndim else float(out)
@@ -263,11 +267,9 @@ def g_derivative(spec: MonotoneFunctionSpec, r):
     if spec.g_prime is not None:
         out = spec.g_prime(r)
         return out if np.ndim(out) else float(out)
-    inside = (r > FD_STEP) & (r < 1.0 - FD_STEP)
-    if not inside.all():
-        bad = first_failing(inside, r[..., None])[0]
-        raise DomainError(f"r = {bad} outside ({FD_STEP:g}, 1 - {FD_STEP:g}), "
-                          f"the finite-difference range of g' for {spec.name}")
+    require_all((r > FD_STEP) & (r < 1.0 - FD_STEP), r, DomainError, "r",
+                f"is outside ({FD_STEP:g}, 1 - {FD_STEP:g}), the "
+                f"finite-difference range of g' for {spec.name}")
 
     def diff(step):
         return (g_from_f(spec, r + step) - g_from_f(spec, r - step)) / (2.0 * step)
@@ -333,10 +335,8 @@ def metric_cartesian(spec: MonotoneFunctionSpec, x, y, z) -> MetricAtPoint:
     """
     v = _stack_point((x, y, z))
     r = ball_radii(v)
-    away = r > EPS_CHART
-    if not away.all():
-        raise CenterSingularity(f"point {first_failing(away, v)} is within "
-                                f"{EPS_CHART} of the center")
+    require_all(r > EPS_CHART, v, CenterSingularity, "point",
+                f"is within {EPS_CHART} of the center")
     n = v / r[..., None]
     t = (1.0 - r) / (1.0 + r)
     c_rad = 1.0 / (1.0 - r * r)
@@ -353,17 +353,11 @@ def inverse_metric(m: MetricAtPoint) -> MetricAtPoint:
     Every matrix must be finite with condition number at most COND_LIMIT;
     for a stack, the error names the first failing matrix.
     """
-    finite = np.isfinite(m.matrix).all(axis=(-2, -1))
-    if not finite.all():
-        point = first_failing(finite, _stack_point(m.point))
-        raise IllConditioned(f"metric at {point} is not finite")
-    cond = np.linalg.cond(m.matrix)
-    ok = cond <= COND_LIMIT
-    if not ok.all():
-        worst = first_failing(ok, cond[..., None])[0]
-        point = first_failing(ok, _stack_point(m.point))
-        raise IllConditioned(f"condition number {worst:.3e} at {point} "
-                             f"exceeds {COND_LIMIT:.0e}")
+    point = _stack_point(m.point)
+    require_all(np.isfinite(m.matrix).all(axis=(-2, -1)), point, IllConditioned,
+                "point", "has a metric that is not finite")
+    require_all(np.linalg.cond(m.matrix) <= COND_LIMIT, point, IllConditioned,
+                "point", f"has a metric of condition number above {COND_LIMIT:.0e}")
     return MetricAtPoint(m.chart, np.linalg.inv(m.matrix), m.point)
 
 
@@ -375,32 +369,32 @@ class PetzSymmetryReport:
     passed: bool
 
 
-def check_petz_symmetry(spec: MonotoneFunctionSpec, grid,
-                        tol: float = 1e-9) -> PetzSymmetryReport:
-    """Check f(1) = 1 and f(t) = t f(1/t) over a grid in (0, 1).
+def check_petz_symmetry(spec: MonotoneFunctionSpec, grid) -> PetzSymmetryReport:
+    """Check f(1) = 1 and f(t) = t f(1/t), each to PETZ_TOL, over a
+    non-empty grid in (0, 1).
 
     f(1/t) is evaluated from the defining formula extended past t = 1.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or not np.all((grid > 0.0) & (grid < 1.0)):
-        raise DomainError("symmetry grid must be non-empty and lie in (0, 1)")
+    if grid.size == 0:
+        raise DomainError("symmetry grid = [] has no points")
+    require_all((grid > 0.0) & (grid < 1.0), grid, DomainError,
+                "symmetry grid point t", "is outside (0, 1)")
     # 1/t or f(1/t) may overflow for t near 0; an infinite result, or the
     # NaN that inf/inf makes of it, is caught below.
     with np.errstate(over="ignore", invalid="ignore"):
         inverse = 1.0 / grid
         f_inverse = np.asarray(spec.f_raw(inverse))
-    finite = (inverse < np.inf) & np.isfinite(f_inverse)
-    if not finite.all():
-        bad = first_failing(finite, grid[..., None])[0]
-        raise DomainError(f"symmetry grid point t = {bad}: 1/t or f(1/t) of "
-                          f"{spec.name} is not finite")
+    require_all((inverse < np.inf) & np.isfinite(f_inverse), grid, DomainError,
+                "symmetry grid point t", f"has 1/t or f(1/t) of {spec.name} "
+                f"not finite")
     dev = np.abs(np.asarray(spec.f_raw(grid)) - grid * f_inverse)
     # f(1) itself may hit a removable singularity of the raw formula, so the
     # normalization is probed just inside 1 with a slack matching |f'| <= 1.
     norm_dev = max(0.0, abs(float(spec.f_raw(1.0 - 1e-8)) - 1.0) - 2e-8)
     max_dev = float(np.max(dev))
     return PetzSymmetryReport(spec.name, max_dev, norm_dev,
-                              max_dev < tol and norm_dev < tol)
+                              max_dev < PETZ_TOL and norm_dev < PETZ_TOL)
 
 
 @dataclass(frozen=True)
@@ -572,15 +566,16 @@ def scan_monotonicity(specs, sizes=(1, 2, 3, 4), samples: int = 10_000,
     stream is derived from (seed, size) so results do not depend on the
     order sizes are processed in.
     """
+    require_count("samples", samples)
+    require_count("seed", seed, 0)
     sizes = tuple(sizes)
-    if not (sizes and all(is_integer(n) for n in (seed, samples, *sizes))
-            and min(samples, *sizes) >= 1 and seed >= 0
-            and isinstance(violation_tol, numbers.Real)
+    if not sizes:
+        raise DomainError("sizes = () has no matrix size")
+    for dim in sizes:
+        require_count("matrix size", dim)
+    if not (isinstance(violation_tol, numbers.Real)
             and 0.0 <= violation_tol < math.inf):
-        raise DomainError(f"need samples >= 1 and matrix sizes >= 1, all integers, "
-                          f"an integer seed >= 0 and a finite violation_tol >= 0, "
-                          f"got samples = {samples}, sizes = {sizes}, "
-                          f"seed = {seed}, violation_tol = {violation_tol}")
+        raise DomainError(f"violation_tol = {violation_tol!r} is not finite and >= 0")
     specs = list(specs)
     min_gaps = [np.inf] * len(specs)
     counterexamples = [None] * len(specs)
@@ -599,11 +594,12 @@ def scan_monotonicity(specs, sizes=(1, 2, 3, 4), samples: int = 10_000,
             for spec, gap, example in zip(specs, min_gaps, counterexamples)]
 
 
-def derivative_limit_at_zero(a_const: float, rel_tol: float = 1e-4) -> float:
+def derivative_limit_at_zero(a_const: float) -> float:
     """Extrapolate f_A'(t) for t -> 0+ (A > 1); the limit is -sqrt(A)/2.
 
     Central differences at t = 10^-k, k = 3..8, then pairwise elimination of
-    the known leading correction ~ t^(sqrt(A)-1).
+    the known leading correction ~ t^(sqrt(A)-1); the last two limits must
+    agree to EXTRAPOLATION_TOL.
     """
     if a_const <= 1.0:
         raise DomainError(f"derivative limit requires A > 1, got {a_const}")
@@ -620,7 +616,7 @@ def derivative_limit_at_zero(a_const: float, rel_tol: float = 1e-4) -> float:
         raise ExtrapolationUnstable(
             f"extrapolation sequence diverging: |dL| = {steps.tolist()}")
     limit = float(limits[-1])
-    if abs(limits[-1] - limits[-2]) > rel_tol * max(1.0, abs(limit)):
+    if abs(limits[-1] - limits[-2]) > EXTRAPOLATION_TOL * max(1.0, abs(limit)):
         raise ExtrapolationUnstable(
-            f"extrapolation not converged to {rel_tol}: {limits.tolist()}")
+            f"extrapolation not converged to {EXTRAPOLATION_TOL}: {limits.tolist()}")
     return limit

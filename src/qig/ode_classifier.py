@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .metric_family import (MonotoneFunctionSpec, big_f, bkm, family_a,
                             family_b, g_derivative, g_from_f)
-from .state_space import is_integer
+from .state_space import require_all, require_count
 
 CONSTANCY_TOL = 1e-6  # separates constant branches (~1e-9) from RLD (>0.1)
 ZERO_TOL = 1e-9
@@ -46,10 +46,9 @@ class OdeClassification:
 def classify(spec: MonotoneFunctionSpec, grid) -> OdeClassification:
     """Evaluate F over the grid and detect constancy."""
     grid = np.asarray(grid, dtype=float)
-    if grid.size < 20:
-        raise DomainError(f"classification grid needs >= 20 points, got {grid.size}")
-    if not np.all((grid > 0.0) & (grid < 1.0)):
-        raise DomainError("classification grid must lie in (0, 1)")
+    require_count("classification grid size", grid.size, 20)
+    require_all((grid > 0.0) & (grid < 1.0), grid, DomainError,
+                "classification grid point r", "is outside (0, 1)")
     values = np.asarray(big_f(spec, grid), dtype=float)
     width = float(values.max() - values.min())
     if width < CONSTANCY_TOL:
@@ -85,15 +84,11 @@ def singularities(b_const: float, c: float = 0.0,
     """First max_count poles t_k = exp(c - (pi/2 + k pi)/sqrt(B)) in (0, 1].
 
     k_min is the first k with t_k <= 1; the scan stops after max_count + 1
-    values of k, so rounding at an extreme c cannot keep it going.
+    values of k, so rounding at an extreme c cannot keep it going.  B and c
+    are checked as family_b(B, c) checks them.
     """
-    if not (0.0 < b_const < math.inf and math.isfinite(c)):
-        raise DomainError(f"poles require finite B > 0 and finite c, "
-                          f"got B = {b_const}, c = {c}")
-    if not is_integer(max_count):
-        raise DomainError(f"max_count must be an integer, got {max_count!r}")
-    if max_count < 1:
-        raise DomainError(f"max_count must be at least 1, got {max_count}")
+    family_b(b_const, c)
+    require_count("max_count", max_count)
     sb = math.sqrt(b_const)
     k_start = c * sb / math.pi - 0.5
     if not math.isfinite(k_start):

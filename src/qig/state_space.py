@@ -9,6 +9,7 @@ observables.  Everything here is pure and immutable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,9 +142,19 @@ def bloch_stack(points) -> np.ndarray:
     return v
 
 
-def is_integer(n) -> bool:
-    """Whether n is a Python or numpy integer; a bool is not one."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+def require_count(name: str, value, minimum: int = 1, error=DomainError) -> None:
+    """Check that value is an integer >= minimum (a bool is not one);
+    otherwise raise error "{name} = {value!r} is not an integer >= minimum"."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= minimum):
+        raise error(f"{name} = {value!r} is not an integer >= {minimum}")
+
+
+def require_positive(owner: str, name: str, value, error=DomainError) -> None:
+    """Check that the real parameter value of owner is finite and > 0;
+    otherwise raise error "{owner}: {name} = {value!r} is not finite and > 0"."""
+    if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+        raise error(f"{owner}: {name} = {value!r} is not finite and > 0")
 
 
 def all_true(ok) -> bool:
@@ -155,10 +166,18 @@ def all_true(ok) -> bool:
     return bool(ok) if ok.ndim == 0 else bool(ok.all())
 
 
-def first_failing(ok, rows) -> list:
-    """The first row of the stack rows (..., k) at which the mask ok fails."""
-    rows = np.asarray(rows)
-    return rows.reshape(-1, rows.shape[-1])[int(np.argmin(np.ravel(ok)))].tolist()
+def require_all(ok, rows, error, name: str, reason: str) -> None:
+    """Check that every entry of the numpy boolean mask ok holds; otherwise
+    raise error "{name} = {row} {reason}" at the first failing entry.
+
+    rows labels the entries: one value each (the shape of ok) or one row
+    each (the shape of ok plus one axis).
+    """
+    if all_true(ok):
+        return
+    row = np.reshape(rows, (np.size(ok), -1))[int(np.argmin(np.ravel(ok)))].tolist()
+    raise error(f"{name} = {row[0] if np.ndim(rows) == np.ndim(ok) else row} "
+                f"{reason}")
 
 
 def ball_radii(v: np.ndarray) -> np.ndarray:
@@ -168,10 +187,7 @@ def ball_radii(v: np.ndarray) -> np.ndarray:
     failing point.
     """
     r = bloch_norm(v)
-    inside = r < 1.0
-    if not inside.all():
-        raise DomainError(f"point {first_failing(inside, v)} is not inside "
-                          f"the open ball")
+    require_all(r < 1.0, v, DomainError, "point", "is not inside the open ball")
     return r
 
 
@@ -181,10 +197,8 @@ def check_bloch_array(points: np.ndarray) -> np.ndarray:
     Returns the points; the error names the first point that is not
     strictly inside the unit ball (NaN fails too).
     """
-    inside = bloch_norm(points) < 1.0 - EPS_BOUNDARY
-    if not inside.all():
-        raise BoundaryViolation(f"Bloch point {first_failing(inside, points)} "
-                                f"is not strictly inside the unit ball")
+    require_all(bloch_norm(points) < 1.0 - EPS_BOUNDARY, points, BoundaryViolation,
+                "Bloch point", "is not strictly inside the unit ball")
     return points
 
 

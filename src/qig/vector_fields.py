@@ -16,12 +16,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NeighborhoodOutsideBall
+from .errors import DomainError, NeighborhoodOutsideBall, NumericError
 from .metric_family import (MonotoneFunctionSpec, big_f, family_a, finite_f,
                             inverse_metric, metric_cartesian)
 from .state_space import (EPS_BOUNDARY, SphericalPoint, TracelessObservable,
                           all_true, ball_radii, bloch_norm, bloch_stack,
-                          first_failing)
+                          require_all)
 
 BRACKET_STEP = 1e-4
 _STEPS = np.array([1.0, -1.0, 0.5, -0.5])  # stencil steps, in units of h
@@ -59,20 +59,33 @@ class VectorField:
         """Coordinate components (v^r, v^theta, v^phi) at a chart point.
 
         With c the Cartesian velocity at r n and (n, th, ph) the orthonormal
-        frame, they are (c . n, c . th / r, c . ph / (r sin(theta))).
+        frame, they are (c . n, c . th / r, c . ph / (r sin(theta))).  A
+        component that is not finite raises NumericError naming the point.
         """
         n, th, ph = _frame(p)
-        c = np.asarray(self.cartesian(p.r * n), dtype=float)
-        return TangentVector("spherical",
-                             np.array([c @ n, c @ th / p.r,
-                                       c @ ph / (p.r * math.sin(p.theta))]),
-                             (p.r, p.theta, p.phi))
+        point = (p.r, p.theta, p.phi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = np.asarray(self.cartesian(p.r * n), dtype=float)
+            comps = np.array([c @ n, c @ th / p.r, c @ ph / (p.r * math.sin(p.theta))])
+        _require_finite(comps, point, "velocity")
+        return TangentVector("spherical", comps, point)
 
     def at_cartesian(self, v) -> TangentVector:
+        """Cartesian velocities at a point or a stack (..., 3); one that is
+        not finite raises NumericError naming its point."""
         v = bloch_stack(v)
         ball_radii(v)
-        return TangentVector("cartesian", np.asarray(self.cartesian(v), dtype=float),
-                             tuple(v.tolist()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            comps = np.asarray(self.cartesian(v), dtype=float)
+        _require_finite(comps, v, "velocity")
+        return TangentVector("cartesian", comps, tuple(v.tolist()))
+
+
+def _require_finite(comps: np.ndarray, points, what: str) -> None:
+    """NumericError naming the first of the points (..., 3) whose
+    components comps (..., 3) are not all finite."""
+    require_all(np.isfinite(comps).all(axis=-1), points, NumericError, "point",
+                f"has a {what} that is not finite")
 
 
 def _frame(p: SphericalPoint):
@@ -185,23 +198,21 @@ def lie_bracket_numeric(v_field: VectorField, w_field: VectorField, p,
     Each field is evaluated once, on every base point together with its 12
     stencil points v +- h e_j and v +- (h/2) e_j.  With Richardson
     extrapolation over (h, h/2) the truncation error is O(h^4); roundoff
-    grows like eps/h^2, so the default step balances both.
+    grows like eps/h^2, so the default step balances both.  A bracket that
+    is not finite raises NumericError naming its point.
     """
     v = bloch_stack(p)
-    r = bloch_norm(v)
-    fits = (0.0 < h) & (h < (1.0 - EPS_BOUNDARY - r) / 2.0)
-    # h < 1/2 holds at every point that fits; checked on its own, it also
+    # h < 1/2 holds wherever the stencil fits; checked on its own, it also
     # rejects a step of any size for an empty stack.
-    if not (fits.all() and 0.0 < h < 0.5):
-        where = f" at point {first_failing(fits, v)}" if v.size else ""
-        raise NeighborhoodOutsideBall(f"stencil step h = {h} is not positive or "
-                                      f"leaves the ball{where}")
+    if not 0.0 < h < 0.5:
+        raise NeighborhoodOutsideBall(f"stencil step h = {h!r} is not in (0, 0.5)")
+    require_all(h < (1.0 - EPS_BOUNDARY - bloch_norm(v)) / 2.0, v,
+                NeighborhoodOutsideBall, "point",
+                f"is not inside the ball by twice the stencil step h = {h!r}")
     # Row 0 is the base point; row 1 + 3 s + j is step s of _STEPS along e_j.
     offsets = np.zeros((13, 3))
     offsets[1:] = (h * _STEPS[:, None, None] * np.eye(3)).reshape(12, 3)
     pts = v[..., None, :] + offsets
-    vals_v = v_field.cartesian(pts)
-    vals_w = w_field.cartesian(pts)
 
     def bracket(plus, minus, step):
         # jac[..., j, i] = d field_i / d x_j
@@ -210,8 +221,12 @@ def lie_bracket_numeric(v_field: VectorField, w_field: VectorField, p,
         return (np.einsum("...ji,...j->...i", jac_w, vals_v[..., 0, :])
                 - np.einsum("...ji,...j->...i", jac_v, vals_w[..., 0, :]))
 
-    out = (4.0 * bracket(slice(7, 10), slice(10, 13), h / 2.0)
-           - bracket(slice(1, 4), slice(4, 7), h)) / 3.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals_v = v_field.cartesian(pts)
+        vals_w = w_field.cartesian(pts)
+        out = (4.0 * bracket(slice(7, 10), slice(10, 13), h / 2.0)
+               - bracket(slice(1, 4), slice(4, 7), h)) / 3.0
+    _require_finite(out, v, "Lie bracket")
     return TangentVector("cartesian", out, tuple(v.tolist()))
 
 

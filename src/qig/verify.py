@@ -42,16 +42,15 @@ def sub_seed(seed: int, suite: str) -> int:
     return seed * 1000 + SUITE_IDS[suite]
 
 
-def _interior_points(rng, count: int, r_lo: float = 0.15, r_hi: float = 0.85,
-                     max_cos: float = 0.95) -> np.ndarray:
-    """Random Bloch points, bounded radius, bounded away from the polar axis."""
+def _interior_points(rng, count: int, r_hi: float = 0.85) -> np.ndarray:
+    """Random Bloch points, radius in [0.15, r_hi), |cos theta| <= 0.95."""
     pts = []
     while len(pts) < count:
         v = rng.standard_normal(3)
         v /= np.linalg.norm(v)
-        if abs(v[2]) > max_cos:
+        if abs(v[2]) > 0.95:
             continue
-        pts.append(rng.uniform(r_lo, r_hi) * v)
+        pts.append(rng.uniform(0.15, r_hi) * v)
     return np.array(pts)
 
 

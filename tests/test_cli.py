@@ -341,3 +341,22 @@ def test_cli_fuzz_exit_codes_and_json_errors(argv):
     assert "Traceback" not in err.getvalue()
     if code != 0:
         assert set(json.loads(out.getvalue())) == {"error", "message"}
+
+
+# Each printed an infinity or NaN (not valid JSON) and exited 0, after a raw
+# RuntimeWarning; the error names the point or the t.
+@pytest.mark.parametrize("argv,named", [
+    (["field", "--field", "y:1e308,1e308,0", "--r", "0.5"],
+     "point = [0.5, 1.5707963267948966, 0.0] has a velocity"),
+    (["field", "--chart", "cartesian", "--field", "ya:1e308,0,0", "--A", "0.01"],
+     "point = [0.5, 0.0, 0.0] has a velocity"),
+    (["bracket", "--v", "y:1e308,0,0", "--w", "y:0,1e308,0"],
+     "point = [0.5, 0.0, 0.0] has a Lie bracket"),
+    (["export", "--what", "f-curves", "--a-list", "1e-300", "--steps", "3"],
+     "t = 0.005 makes f of family_a(1e-300)"),
+], ids=["field-spherical", "field-cartesian", "bracket", "f-curves"])
+def test_non_finite_result_is_numeric_error_exit_3(argv, named, capsys):
+    code = cli.main(argv)
+    data = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert data["error"] == "NumericError" and data["message"].startswith(named)
