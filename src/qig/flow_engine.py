@@ -9,16 +9,15 @@ isolates the integrator error.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LeftManifold
+from .errors import LeftManifold
 from .group_actions import Subgroup
 from .state_space import (EPS_BOUNDARY, QubitState, TracelessObservable,
-                          bloch_norm, require_count)
+                          bloch_norm, require_count, require_finite)
 from .vector_fields import VectorField
 
 
@@ -70,8 +69,7 @@ def _time_grid(t_end: float, steps: int, name: str) -> np.ndarray:
     """steps + 1 uniform times on [0, t_end]; name is the caller's name for
     steps."""
     require_count(name, steps)
-    if not math.isfinite(t_end):
-        raise DomainError(f"t_end = {t_end!r} is not finite")
+    require_finite("t_end", t_end)
     return np.linspace(0.0, t_end, steps + 1)
 
 

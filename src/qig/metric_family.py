@@ -23,6 +23,8 @@ family_a(1) coincides with bures_helstrom, family_a(1/4) with wigner_yanase.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -33,7 +35,8 @@ import numpy as np
 from .errors import (CenterSingularity, DomainError, ExtrapolationUnstable,
                      IllConditioned, NumericError, PoleError)
 from .state_space import (EPS_CHART, SphericalPoint, ball_radii, require_all,
-                          require_count, require_positive)
+                          require_count, require_finite, require_items,
+                          require_positive, require_real)
 
 # Removable singularities of f at t = 1 switch to a Taylor fallback here;
 # direct evaluation loses all precision closer to 1.
@@ -50,6 +53,9 @@ COND_LIMIT = 1e12  # largest condition number inverse_metric accepts
 # past its upper bound on the least eigenvalue; the LDL^H and eigvalsh
 # backward errors are a few n^2 eps ||D|| at size n.
 SCREEN_MARGIN = 1024.0
+# The monotonicity scan draws and scores its pairs SCAN_BLOCK at a time, so
+# its matrix stacks hold at most SCAN_BLOCK pairs whatever the sample count.
+SCAN_BLOCK = 1024
 PETZ_TOL = 1e-9  # largest symmetry or normalisation deviation that passes
 EXTRAPOLATION_TOL = 1e-4  # relative step at which the f'(0+) limit has converged
 
@@ -181,8 +187,7 @@ def family_a(a_const: float) -> MonotoneFunctionSpec:
 
 def family_b(b_const: float, c: float = 0.0) -> MonotoneFunctionSpec:
     require_positive("family_b", "B", b_const)
-    if not math.isfinite(c):
-        raise DomainError(f"family_b: c = {c!r} is not finite")
+    require_finite("family_b: c", c)
 
     def gp(r):
         r = np.asarray(r, dtype=float)
@@ -228,7 +233,7 @@ def spec_from_name(name: str, a_const: float | None = None,
 def f_eval(spec: MonotoneFunctionSpec, t):
     """Evaluate f on its proper domain t in (0, 1]; a value that is not
     finite raises NumericError naming the first such t."""
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = require_real("t", t)
     require_all((t_arr > 0.0) & (t_arr <= 1.0), t_arr, DomainError, "t",
                 "is outside (0, 1]")
     f = spec.f_raw(t)
@@ -252,7 +257,7 @@ def finite_f(spec: MonotoneFunctionSpec, t):
 
 def g_from_f(spec: MonotoneFunctionSpec, r):
     """g(r) = ((1+r)/r) f((1-r)/(1+r)) for r in (0, 1)."""
-    r_arr = np.asarray(r, dtype=float)
+    r_arr = require_real("r", r)
     require_all((r_arr > 0.0) & (r_arr < 1.0), r_arr, DomainError, "r",
                 "is outside (0, 1)")
     out = ((1.0 + r_arr) / r_arr) * np.asarray(
@@ -263,7 +268,7 @@ def g_from_f(spec: MonotoneFunctionSpec, r):
 def g_derivative(spec: MonotoneFunctionSpec, r):
     """g'(r): analytic for catalog entries, Richardson central diff otherwise,
     whose stencil needs every r in (FD_STEP, 1 - FD_STEP)."""
-    r = np.asarray(r, dtype=float)
+    r = require_real("r", r)
     if spec.g_prime is not None:
         out = spec.g_prime(r)
         return out if np.ndim(out) else float(out)
@@ -281,7 +286,7 @@ def g_derivative(spec: MonotoneFunctionSpec, r):
 
 def big_f(spec: MonotoneFunctionSpec, r):
     """F(r) = (1-r^2) g'(r) + g(r)^2."""
-    r_arr = np.asarray(r, dtype=float)
+    r_arr = require_real("r", r)
     g = g_from_f(spec, r_arr)
     gp = g_derivative(spec, r_arr)
     out = (1.0 - r_arr * r_arr) * gp + g * g
@@ -314,7 +319,7 @@ def metric_spherical(spec: MonotoneFunctionSpec, p: SphericalPoint) -> MetricAtP
 def _stack_point(point: tuple) -> np.ndarray:
     """A point tuple whose coordinates may be arrays, as a (..., 3) stack;
     coordinates that do not broadcast to one shape raise DomainError."""
-    coords = [np.asarray(c, dtype=float) for c in point]
+    coords = [require_real("coordinate", c) for c in point]
     try:
         same_shape = np.broadcast_arrays(*coords)
     except ValueError:
@@ -375,7 +380,7 @@ def check_petz_symmetry(spec: MonotoneFunctionSpec, grid) -> PetzSymmetryReport:
 
     f(1/t) is evaluated from the defining formula extended past t = 1.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = require_real("symmetry grid", grid)
     if grid.size == 0:
         raise DomainError("symmetry grid = [] has no points")
     require_all((grid > 0.0) & (grid < 1.0), grid, DomainError,
@@ -410,19 +415,53 @@ class MonotonicityReport:
         return self.counterexample is not None
 
 
-def _random_ordered_pairs(rng, dim: int, count: int):
-    """Stacked Hermitian pairs A <= B with spectra inside (0, 1]: A as its
-    drawn eigenpairs (lam, q), A = q diag(lam) q^dag, and B = A + s W."""
-    lam = np.exp(rng.uniform(np.log(1e-3), 0.0, size=(count, dim)))
-    shape = (count, dim, dim)
-    # Each stack is dropped once used (the real and imaginary draws, QR's R,
-    # M): at size 4 this draw and the spec loop set the scan's peak memory.
-    q = np.linalg.qr(rng.standard_normal(shape)
-                     + 1j * rng.standard_normal(shape)).Q
+def _blocks(count: int):
+    """(first row, row count) of each block of SCAN_BLOCK rows of count."""
+    return [(start, min(SCAN_BLOCK, count - start))
+            for start in range(0, count, SCAN_BLOCK)]
+
+
+def _stack_streams(dim: int, samples: int, seed: int) -> list:
+    """The scan's five random stacks of one size, each as a function that
+    draws its next rows: the logarithms of A's eigenvalues, then the real
+    and the imaginary part of the Gaussian that Q is made from, then those
+    of the Gaussian M.
+
+    One stream, derived from (seed, size), draws the five stacks in turn,
+    samples rows each.  Each function draws from a copy of that stream
+    taken where its stack begins, which is reached by drawing the stacks
+    before it block by block and dropping them; so the rows a function
+    draws, block after block, are those the stream gives its stack whole.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                       spawn_key=(dim,)))
+
+    def log_lam(stream, rows):
+        return stream.uniform(np.log(1e-3), 0.0, size=(rows, dim))
+
+    def normal(stream, rows):
+        return stream.standard_normal((rows, dim, dim))
+
+    draws = (log_lam, normal, normal, normal, normal)
+    stacks = []
+    for k, draw in enumerate(draws):
+        stacks.append(functools.partial(draw, copy.deepcopy(rng)))
+        if k + 1 < len(draws):  # move rng to where the next stack begins
+            for _, rows in _blocks(samples):
+                draw(rng, rows)
+    return stacks
+
+
+def _ordered_pairs(stacks, dim: int, rows: int):
+    """The next rows Hermitian pairs A <= B with spectra inside (0, 1]
+    from the scan's stacks (_stack_streams): A as its drawn eigenpairs
+    (lam, q), A = q diag(lam) q^dag, and B = A + s W."""
+    log_lam, q_re, q_im, m_re, m_im = stacks
+    lam = np.exp(log_lam(rows))
+    q = np.linalg.qr(q_re(rows) + 1j * q_im(rows)).Q
     a = np.einsum("nij,nj,nkj->nik", q, lam, q.conj())
-    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    m = m_re(rows) + 1j * m_im(rows)
     w = np.einsum("nij,nkj->nik", m, m.conj()) / dim
-    del m
     lmax_w = np.linalg.eigvalsh(w)[:, -1]
     scale = np.minimum(1.0, 0.999 * (1.0 - lam.max(axis=1))
                        / np.maximum(lmax_w, 1e-300))
@@ -480,20 +519,28 @@ def _min_gap(diff: np.ndarray, scale: float):
     return gap, int(rows[k])
 
 
+def _b_basis_diff(u: np.ndarray, uc: np.ndarray, f_a: np.ndarray,
+                  f_b: np.ndarray) -> np.ndarray:
+    """f(B) - f(A) = diag(f_b) - u diag(f_a) u^dag per pair, given
+    uc = u.conj()."""
+    diff = np.einsum("nij,nkj->nik", u * -f_a[:, None, :], uc)
+    diag = np.arange(f_b.shape[1])
+    diff[:, diag, diag] += f_b
+    return diff
+
+
 def _spectral_min_gaps(specs, lam_a: np.ndarray, u: np.ndarray,
                        lam_b: np.ndarray) -> list:
     """(smallest eigenvalue of f(B) - f(A) over the pairs, first pair with
     it) per spec, for any size, in the eigenbasis of B: B = diag(lam_b) and
     A = u diag(lam_a) u^dag."""
-    diag = np.arange(lam_b.shape[1])
+    uc = u.conj()
     gaps = []
     for spec in specs:
         f_a, f_b = _f_spectrum(spec, lam_a), _f_spectrum(spec, lam_b)
-        diff = np.einsum("nij,nj,nkj->nik", u, -f_a, u.conj())
-        diff[:, diag, diag] += f_b
         # ||f(B) - f(A)|| <= max|f(lam_b)| + max|f(lam_a)|
-        gaps.append(_min_gap(diff, np.abs(f_a).max() + np.abs(f_b).max()))
-        del diff
+        gaps.append(_min_gap(_b_basis_diff(u, uc, f_a, f_b),
+                             np.abs(f_a).max() + np.abs(f_b).max()))
     return gaps
 
 
@@ -528,55 +575,79 @@ def _qubit_gaps(specs, lam_a: np.ndarray, vec_a: np.ndarray, b: np.ndarray):
     return gaps, lam_b
 
 
+def _block_gaps(specs, stacks, dim: int, rows: int):
+    """(smallest eigenvalue of f(B) - f(A) over the next rows pairs drawn
+    from stacks, first pair with it) per spec, with the spectra of A (as
+    drawn) and of B (ascending).
+
+    Size 2 is scored in closed form (_qubit_gaps).  Every other size
+    diagonalises B once for all specs and scores them in B's eigenbasis
+    (_spectral_min_gaps), so f(B) is diagonal.
+    """
+    lam_a, vec_a, b = _ordered_pairs(stacks, dim, rows)
+    if dim == 2:
+        gaps, lam_b = _qubit_gaps(specs, lam_a, vec_a, b)
+        return [_first_min(g) for g in gaps], lam_a, lam_b
+    lam_b, vec_b = np.linalg.eigh(b)
+    u = vec_b.conj().swapaxes(1, 2) @ vec_a
+    return _spectral_min_gaps(specs, lam_a, u, lam_b), lam_a, lam_b
+
+
 def _size_gaps(specs, dim: int, samples: int, seed: int):
     """(smallest eigenvalue of f(B) - f(A) over the drawn pairs of one
     size, first pair with it) per spec, with the spectra of A (as drawn)
     and of B (ascending).
 
-    Size 2 is scored in closed form (_qubit_gaps).  Every other size
-    diagonalises B once for all specs and scores them in B's eigenbasis
-    (_spectral_min_gaps), so f(B) is diagonal; each matrix stack is freed
-    once used.
+    The pairs are drawn and scored SCAN_BLOCK at a time (_block_gaps), each
+    block from the next rows of one stream per random stack
+    (_stack_streams), so every pair gets the numbers that drawing each
+    stack whole from the size's stream gives it, and the matrix stacks take
+    memory O(SCAN_BLOCK) for any sample count; only the two spectra grow
+    with it.  A block's least gap replaces the running one only if it is
+    smaller, so the first pair holding the least gap wins.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                       spawn_key=(dim,)))
-    lam_a, vec_a, b = _random_ordered_pairs(rng, dim, samples)
-    if dim == 2:
-        gaps, lam_b = _qubit_gaps(specs, lam_a, vec_a, b)
-        return [_first_min(g) for g in gaps], lam_a, lam_b
-    lam_b, vec_b = np.linalg.eigh(b)
-    del b
-    u = vec_b.conj().swapaxes(1, 2) @ vec_a
-    del vec_a, vec_b
-    return _spectral_min_gaps(specs, lam_a, u, lam_b), lam_a, lam_b
+    stacks = _stack_streams(dim, samples, seed)
+    lam_a, lam_b = np.empty((samples, dim)), np.empty((samples, dim))
+    best = None
+    for start, rows in _blocks(samples):
+        block = slice(start, start + rows)
+        gaps, lam_a[block], lam_b[block] = _block_gaps(specs, stacks, dim, rows)
+        gaps = [(gap, start + k) for gap, k in gaps]
+        best = gaps if best is None else [new if new[0] < old[0] else old
+                                          for new, old in zip(gaps, best)]
+    return best, lam_a, lam_b
 
 
 def scan_monotonicity(specs, sizes=(1, 2, 3, 4), samples: int = 10_000,
                       seed: int = 0, violation_tol: float = 1e-10) -> list:
     """Search for matrix-order violations f(B) - f(A) not >= 0 with A <= B.
 
-    Returns one MonotonicityReport per spec of ``specs``.  Each size draws
-    its pairs, A by its eigenpairs, and diagonalises B once (size 2 in
-    closed form), then scores every spec against those spectra, so a spec's
-    report does not depend on the other specs.  At sizes other than 2 a
-    spec's least gap is found by a screen that sends only the pairs which
-    can hold it to eigvalsh (_min_gap).  An f value that is zero or
-    not finite raises NumericError naming the spec and t.  Evidence only: a
-    clean scan does not prove operator monotonicity.  The per-size RNG
-    stream is derived from (seed, size) so results do not depend on the
-    order sizes are processed in.
+    Returns one MonotonicityReport per spec of ``specs``, a non-empty
+    sequence of MonotoneFunctionSpec.  Each size draws its pairs, A by its
+    eigenpairs, and diagonalises B once (size 2 in closed form), then
+    scores every spec against those spectra, so a spec's report does not
+    depend on the other specs.  The pairs go SCAN_BLOCK at a time
+    (_size_gaps), so the scan's memory does not grow with ``samples``
+    beyond the spectra, and the report is the one of scoring every pair at
+    once.  At sizes other than 2 a spec's least gap is found by a screen
+    that sends only the pairs which can hold it to eigvalsh (_min_gap).
+    An f value that is zero or not finite raises NumericError naming the
+    spec and t.  Evidence only: a clean scan does not prove operator
+    monotonicity.  The per-size RNG stream is derived from (seed, size) so
+    results do not depend on the order sizes are processed in.
     """
+    specs = require_items("specs", specs, "spec")
+    for spec in specs:
+        if not isinstance(spec, MonotoneFunctionSpec):
+            raise DomainError(f"spec = {spec!r} is not a MonotoneFunctionSpec")
     require_count("samples", samples)
     require_count("seed", seed, 0)
-    sizes = tuple(sizes)
-    if not sizes:
-        raise DomainError("sizes = () has no matrix size")
+    sizes = require_items("sizes", sizes, "matrix size")
     for dim in sizes:
         require_count("matrix size", dim)
     if not (isinstance(violation_tol, numbers.Real)
             and 0.0 <= violation_tol < math.inf):
         raise DomainError(f"violation_tol = {violation_tol!r} is not finite and >= 0")
-    specs = list(specs)
     min_gaps = [np.inf] * len(specs)
     counterexamples = [None] * len(specs)
     for dim in sizes:
@@ -601,8 +672,8 @@ def derivative_limit_at_zero(a_const: float) -> float:
     the known leading correction ~ t^(sqrt(A)-1); the last two limits must
     agree to EXTRAPOLATION_TOL.
     """
-    if a_const <= 1.0:
-        raise DomainError(f"derivative limit requires A > 1, got {a_const}")
+    if not (isinstance(a_const, numbers.Real) and a_const > 1.0):
+        raise DomainError(f"derivative limit requires A > 1, got {a_const!r}")
     s = math.sqrt(a_const)
     spec = family_a(a_const)
     ts = 10.0 ** (-np.arange(3, 9, dtype=float))

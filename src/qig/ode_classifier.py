@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .metric_family import (MonotoneFunctionSpec, big_f, bkm, family_a,
                             family_b, g_derivative, g_from_f)
-from .state_space import require_all, require_count
+from .state_space import require_all, require_count, require_real
 
 CONSTANCY_TOL = 1e-6  # separates constant branches (~1e-9) from RLD (>0.1)
 ZERO_TOL = 1e-9
@@ -45,7 +45,7 @@ class OdeClassification:
 
 def classify(spec: MonotoneFunctionSpec, grid) -> OdeClassification:
     """Evaluate F over the grid and detect constancy."""
-    grid = np.asarray(grid, dtype=float)
+    grid = require_real("classification grid", grid)
     require_count("classification grid size", grid.size, 20)
     require_all((grid > 0.0) & (grid < 1.0), grid, DomainError,
                 "classification grid point r", "is outside (0, 1)")

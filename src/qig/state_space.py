@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +123,7 @@ class QubitState:
 
 def state_from_bloch(x: float, y: float, z: float) -> QubitState:
     """Build a faithful state from Cartesian Bloch coordinates."""
-    check_bloch_array(np.array((x, y, z)))
+    check_bloch_array(require_real("Bloch point", (x, y, z)))
     return QubitState(float(x), float(y), float(z))
 
 
@@ -136,7 +137,7 @@ def bloch_stack(points) -> np.ndarray:
 
     Any other shape raises DomainError naming it.
     """
-    v = np.asarray(points, dtype=float)
+    v = require_real("points", points)
     if v.shape[-1:] != (3,):
         raise DomainError(f"expected Bloch vectors (..., 3), got shape {v.shape}")
     return v
@@ -155,6 +156,38 @@ def require_positive(owner: str, name: str, value, error=DomainError) -> None:
     otherwise raise error "{owner}: {name} = {value!r} is not finite and > 0"."""
     if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
         raise error(f"{owner}: {name} = {value!r} is not finite and > 0")
+
+
+def require_finite(name: str, value, error=DomainError) -> None:
+    """Check that the real parameter value is finite; otherwise raise error
+    "{name} = {value!r} is not finite"."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise error(f"{name} = {value!r} is not finite")
+
+
+def require_real(name: str, value, error=DomainError) -> np.ndarray:
+    """value as a float array; a value that is not a number or an array of
+    integers or floats (a string, a complex number, a ragged nesting) raises
+    error "{name} = {value!r} is not real"."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise error(f"{name} = {value!r} is not real")
+    return np.asarray(arr, dtype=float)
+
+
+def require_items(name: str, value, noun: str) -> tuple:
+    """The items of value, a non-empty iterable other than a string, as a
+    tuple; otherwise raise DomainError "{name} = {value!r} is not a
+    sequence of {noun}s" or, for no items, "... has no {noun}"."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        raise DomainError(f"{name} = {value!r} is not a sequence of {noun}s")
+    items = tuple(value)
+    if not items:
+        raise DomainError(f"{name} = {value!r} has no {noun}")
+    return items
 
 
 def all_true(ok) -> bool:

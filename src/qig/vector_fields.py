@@ -21,7 +21,7 @@ from .metric_family import (MonotoneFunctionSpec, big_f, family_a, finite_f,
                             inverse_metric, metric_cartesian)
 from .state_space import (EPS_BOUNDARY, SphericalPoint, TracelessObservable,
                           all_true, ball_radii, bloch_norm, bloch_stack,
-                          require_all)
+                          require_all, require_positive)
 
 BRACKET_STEP = 1e-4
 _STEPS = np.array([1.0, -1.0, 0.5, -0.5])  # stencil steps, in units of h
@@ -204,8 +204,9 @@ def lie_bracket_numeric(v_field: VectorField, w_field: VectorField, p,
     v = bloch_stack(p)
     # h < 1/2 holds wherever the stencil fits; checked on its own, it also
     # rejects a step of any size for an empty stack.
-    if not 0.0 < h < 0.5:
-        raise NeighborhoodOutsideBall(f"stencil step h = {h!r} is not in (0, 0.5)")
+    require_positive("lie_bracket_numeric", "h", h)
+    if not h < 0.5:
+        raise NeighborhoodOutsideBall(f"stencil step h = {h!r} is not below 0.5")
     require_all(h < (1.0 - EPS_BOUNDARY - bloch_norm(v)) / 2.0, v,
                 NeighborhoodOutsideBall, "point",
                 f"is not inside the ball by twice the stencil step h = {h!r}")

@@ -12,10 +12,14 @@ from qig.group_actions import (action_alpha_a, alpha_subgroup, bkm_subgroup,
                                generator_of_action, sl_identity,
                                transitivity_probe, verify_alpha_action,
                                verify_bkm_action)
-from qig.metric_family import bures_helstrom, family_a, family_b, scan_monotonicity
-from qig.ode_classifier import singularities
+from qig.metric_family import (big_f, bkm, bures_helstrom, check_petz_symmetry,
+                               derivative_limit_at_zero, f_eval, family_a,
+                               family_b, g_derivative, g_from_f,
+                               metric_cartesian, scan_monotonicity)
+from qig.ode_classifier import classify, singularities
 from qig.state_space import TracelessObservable, state_from_bloch
-from qig.vector_fields import fundamental_field, rescaled_gradient_field
+from qig.vector_fields import (fundamental_field, lie_bracket_numeric,
+                               rescaled_gradient_field)
 
 A_OBS = TracelessObservable(0.4, -0.3, 0.6)
 ZERO = TracelessObservable(0.0, 0.0, 0.0)
@@ -72,6 +76,9 @@ _POSITIVES = [
     ("generator_of_action.t_step", "generator_of_action: t_step",
      lambda h: generator_of_action(bkm_subgroup(A_OBS, ZERO), START, h)),
     ("singularities.B", "family_b: B", lambda b: singularities(b, 0.0)),
+    ("lie_bracket_numeric.h", "lie_bracket_numeric: h",
+     lambda h: lie_bracket_numeric(fundamental_field(A_OBS),
+                                   fundamental_field(ZERO), [0.1, 0.2, 0.3], h=h)),
 ]
 
 
@@ -84,3 +91,65 @@ def test_positive_parameter_rejected(named, call, value):
     with pytest.raises(DomainError) as err:
         call(value)
     assert str(err.value) == f"{named} = {value!r} is not finite and > 0"
+
+
+# (site, call, its whole message): a value of the wrong type, or a sequence
+# with nothing in it, is named as it was passed.
+_WRONG_TYPES = [
+    ("scan_monotonicity.specs=bkm()", lambda: scan_monotonicity(bkm(), samples=3),
+     "specs = MonotoneFunctionSpec(kind='bkm', name='bkm') is not a sequence "
+     "of specs"),
+    ("scan_monotonicity.specs=[]", lambda: scan_monotonicity([]),
+     "specs = [] has no spec"),
+    ("scan_monotonicity.specs=[bkm(), 'bkm']",
+     lambda: scan_monotonicity([bkm(), "bkm"], samples=3),
+     "spec = 'bkm' is not a MonotoneFunctionSpec"),
+    ("scan_monotonicity.sizes=3", lambda: scan_monotonicity([bkm()], sizes=3),
+     "sizes = 3 is not a sequence of matrix sizes"),
+    ("scan_monotonicity.sizes='12'",
+     lambda: scan_monotonicity([bkm()], sizes="12"),
+     "sizes = '12' is not a sequence of matrix sizes"),
+    ("f_eval.t='x'", lambda: f_eval(bkm(), "x"), "t = 'x' is not real"),
+    ("f_eval.t=0.5j", lambda: f_eval(bkm(), 0.5j), "t = 0.5j is not real"),
+    ("f_eval.t=ragged", lambda: f_eval(bkm(), [0.5, [0.5]]),
+     "t = [0.5, [0.5]] is not real"),
+    ("classify.grid='abc'", lambda: classify(bkm(), "abc"),
+     "classification grid = 'abc' is not real"),
+    ("g_from_f.r='x'", lambda: g_from_f(bkm(), "x"), "r = 'x' is not real"),
+    ("g_derivative.r='x'", lambda: g_derivative(bkm(), "x"), "r = 'x' is not real"),
+    ("big_f.r=None", lambda: big_f(bkm(), None), "r = None is not real"),
+    ("metric_cartesian.y='x'", lambda: metric_cartesian(bkm(), 0.1, "x", 0.2),
+     "coordinate = 'x' is not real"),
+    ("check_petz_symmetry.grid='x'", lambda: check_petz_symmetry(bkm(), "x"),
+     "symmetry grid = 'x' is not real"),
+    ("derivative_limit_at_zero.A='x'", lambda: derivative_limit_at_zero("x"),
+     "derivative limit requires A > 1, got 'x'"),
+    ("state_from_bloch.x='x'", lambda: state_from_bloch("x", 0.0, 0.0),
+     "Bloch point = ('x', 0.0, 0.0) is not real"),
+    ("family_b.c='x'", lambda: family_b(1.0, "x"), "family_b: c = 'x' is not finite"),
+    ("family_b.c=nan", lambda: family_b(1.0, math.nan),
+     "family_b: c = nan is not finite"),
+    ("integrate_flow.t_end='x'",
+     lambda: integrate_flow(fundamental_field(A_OBS), START, "x", 10),
+     "t_end = 'x' is not finite"),
+    ("orbit_curve.t_end=inf",
+     lambda: orbit_curve(alpha_subgroup(1.0, ZERO, A_OBS), START, math.inf, 3),
+     "t_end = inf is not finite"),
+    ("lie_bracket_numeric.h='x'",
+     lambda: lie_bracket_numeric(fundamental_field(A_OBS), fundamental_field(ZERO),
+                                 [0.1, 0.2, 0.3], h="x"),
+     "lie_bracket_numeric: h = 'x' is not finite and > 0"),
+    ("lie_bracket_numeric.p='x'",
+     lambda: lie_bracket_numeric(fundamental_field(A_OBS), fundamental_field(ZERO),
+                                 "x"),
+     "points = 'x' is not real"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call,message", [
+    pytest.param(call, message, id=site) for site, call, message in _WRONG_TYPES])
+def test_wrong_type_rejected(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message

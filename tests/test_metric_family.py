@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from qig.errors import (CenterSingularity, DomainError, IllConditioned,
                         NumericError, PoleError)
-from qig.metric_family import (FD_STEP, SERIES_CUTOFF, MetricAtPoint,
-                               _f_spectrum, _min_gap, _positive_definite,
-                               _qubit_gaps, _random_ordered_pairs,
-                               _size_gaps, _spectral_min_gaps, big_f, bkm,
+from qig import metric_family
+from qig.metric_family import (FD_STEP, SCAN_BLOCK, SERIES_CUTOFF,
+                               MetricAtPoint, _b_basis_diff, _f_spectrum,
+                               _first_min, _min_gap, _positive_definite,
+                               _qubit_gaps, _size_gaps, big_f, bkm,
                                bures_helstrom,
                                check_petz_symmetry, custom,
                                derivative_limit_at_zero, f_eval, family_a,
@@ -21,6 +23,7 @@ from qig.metric_family import (FD_STEP, SERIES_CUTOFF, MetricAtPoint,
                                metric_spherical, rld, scan_monotonicity,
                                spec_from_name, wigner_yanase)
 from qig.state_space import SphericalPoint
+from qig.verify import sub_seed
 
 ALL_SPECS = [bkm(), bures_helstrom(), wigner_yanase(), rld(),
              family_a(0.5), family_a(2.0)]
@@ -309,10 +312,50 @@ def _spectral_gaps(specs, lam_a, u, lam_b):
 
 
 def _scan_draw(dim: int, samples: int, seed: int):
-    """The scan's pairs of one size: A's drawn eigenpairs and B."""
+    """The scan's pairs of one size drawn all at once, as the scan drew
+    them before it streamed blocks: A's drawn eigenpairs (lam, q),
+    A = q diag(lam) q^dag, and B = A + s W, every random stack taken whole
+    from the size's stream in turn.  The oracle for the blocked draw."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(dim,)))
-    return _random_ordered_pairs(rng, dim, samples)
+    lam = np.exp(rng.uniform(np.log(1e-3), 0.0, size=(samples, dim)))
+    shape = (samples, dim, dim)
+    q = np.linalg.qr(rng.standard_normal(shape)
+                     + 1j * rng.standard_normal(shape)).Q
+    a = np.einsum("nij,nj,nkj->nik", q, lam, q.conj())
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    w = np.einsum("nij,nkj->nik", m, m.conj()) / dim
+    lmax_w = np.linalg.eigvalsh(w)[:, -1]
+    scale = np.minimum(1.0, 0.999 * (1.0 - lam.max(axis=1))
+                       / np.maximum(lmax_w, 1e-300))
+    return lam, q, a + scale[:, None, None] * w
+
+
+def _one_shot_size_gaps(specs, dim: int, samples: int, seed: int):
+    """_size_gaps as it was before it streamed blocks: every pair of the
+    size drawn (_scan_draw) and scored at once, f(B) - f(A) built by a
+    three-operand einsum that conjugates u once per spec.
+
+    Two checks ride along on each stack it scores: _b_basis_diff builds
+    the same f(B) - f(A) bit for bit (for the first spec, as it costs a
+    second build), and the screen's least gap and first index are those of
+    a full eigvalsh of every pair."""
+    lam_a, vec_a, b = _scan_draw(dim, samples, seed)
+    if dim == 2:
+        gaps, lam_b = _qubit_gaps(specs, lam_a, vec_a, b)
+        return [_first_min(g) for g in gaps], lam_a, lam_b
+    lam_a, u, lam_b = _in_b_eigenbasis(lam_a, vec_a, b)
+    diag = np.arange(dim)
+    gaps = []
+    for k, spec in enumerate(specs):
+        f_a, f_b = _f_spectrum(spec, lam_a), _f_spectrum(spec, lam_b)
+        diff = np.einsum("nij,nj,nkj->nik", u, -f_a, u.conj())
+        diff[:, diag, diag] += f_b
+        if k == 0:
+            assert np.array_equal(_b_basis_diff(u, u.conj(), f_a, f_b), diff)
+        gaps.append(_min_gap(diff, np.abs(f_a).max() + np.abs(f_b).max()))
+        assert gaps[-1] == _first_min(np.linalg.eigvalsh(diff)[:, 0]), spec.name
+    return gaps, lam_a, lam_b
 
 
 def _in_b_eigenbasis(lam_a, vec_a, b):
@@ -370,14 +413,83 @@ def test_scan_matches_eigh_of_a_oracle():
 
 
 def test_screen_matches_full_eigvalsh_over_suite_draws():
-    # The suite's draws: 10 000 pairs, seeds 0-9, its five specs, at every
-    # size the screen runs at; each draw is scored by both paths.
-    for seed in range(10):
+    # The suite's draws: 10 000 pairs, the monotone sub-seeds of seeds 0-9,
+    # its five specs, at every size the screen runs at; the one-shot
+    # oracle scores each draw by the screen and by a full eigvalsh.  Seeds
+    # 0-4 run there in test_blocked_scan_equals_one_shot_scan[10000].
+    for seed in range(5, 10):
         for dim in (1, 3, 4):
-            spectra = _in_b_eigenbasis(*_scan_draw(dim, 10_000, seed))
-            want = [(float(g.min()), int(np.argmin(g)))
-                    for g in _spectral_gaps(SUITE_SPECS, *spectra)]
-            assert _spectral_min_gaps(SUITE_SPECS, *spectra) == want, (seed, dim)
+            _one_shot_size_gaps(SUITE_SPECS, dim, 10_000,
+                                sub_seed(seed, "monotone"))
+
+
+def _scan_with(monkeypatch, size_gaps, samples: int, seed: int):
+    """The suite specs' reports of scan_monotonicity with size_gaps in
+    place of _size_gaps, and what size_gaps returned at each size."""
+    returned = []
+
+    def recorded(*args):
+        returned.append(size_gaps(*args))
+        return returned[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(metric_family, "_size_gaps", recorded)
+        reports = scan_monotonicity(SUITE_SPECS, samples=samples, seed=seed)
+    return reports, returned
+
+
+@pytest.mark.parametrize("samples", [1, SCAN_BLOCK - 1, SCAN_BLOCK,
+                                     SCAN_BLOCK + 1, 2 * SCAN_BLOCK + 7, 10_000])
+def test_blocked_scan_equals_one_shot_scan(monkeypatch, samples):
+    # Streaming the pairs in blocks draws the same numbers and scores them
+    # to the same bits: every size's (gap, index) per spec and both
+    # spectra, and the reports, counterexamples included.  10 000 pairs are
+    # the monotone suite's scans of seeds 0-4; the counts around a block's
+    # edge run at seed 0's.
+    for seed in range(5 if samples == 10_000 else 1):
+        seed = sub_seed(seed, "monotone")
+        got, blocked = _scan_with(monkeypatch, _size_gaps, samples, seed)
+        want, one_shot = _scan_with(monkeypatch, _one_shot_size_gaps, samples,
+                                    seed)
+        assert got == want, seed
+        for dim, (gaps, lam_a, lam_b), (gaps_1, lam_a_1, lam_b_1) in zip(
+                (1, 2, 3, 4), blocked, one_shot, strict=True):
+            assert gaps == gaps_1, (seed, dim)
+            assert np.array_equal(lam_a, lam_a_1), (seed, dim)
+            assert np.array_equal(lam_b, lam_b_1), (seed, dim)
+        if samples == 10_000:  # the suite's verdict: family_a(2), (4) fail
+            assert [rep.violated for rep in got] == [False] * 3 + [True] * 2
+
+
+def test_blocks_merge_keeps_the_first_pair_with_the_least_gap(monkeypatch):
+    # Every block ties on its least gap: the first block's pair wins.
+    def tied(specs, stacks, dim, rows):
+        return [(-1.0, rows - 1)], np.zeros((rows, dim)), np.zeros((rows, dim))
+
+    monkeypatch.setattr(metric_family, "_block_gaps", tied)
+    assert _size_gaps([bkm()], 3, 3 * SCAN_BLOCK, 0)[0] == [(-1.0, SCAN_BLOCK - 1)]
+
+
+def _traced_peak_of_scan(samples: int) -> int:
+    """The most memory tracemalloc, which sees numpy's buffers, traces
+    while scan_monotonicity scores one spec over samples pairs."""
+    tracemalloc.start()
+    try:
+        scan_monotonicity([family_a(4.0)], samples=samples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_memory_stays_flat_in_the_sample_count():
+    # Eight times the pairs hold no more matrices at once; only the two
+    # spectra, 2 n floats per pair, grow: 0.77 MiB, those of size 4 and of
+    # size 3, still held while size 4 runs.  Holding every pair of a size
+    # at once grew by 8.6 MiB.  The first scan of a process allocates
+    # once for good, so it runs untraced.
+    scan_monotonicity([family_a(4.0)], samples=1)
+    growth = _traced_peak_of_scan(8 * SCAN_BLOCK) - _traced_peak_of_scan(SCAN_BLOCK)
+    assert growth <= 1.5 * 2**20, growth
 
 
 @pytest.mark.parametrize("factor", [1e8, 1e-8])
