@@ -10,7 +10,7 @@ isolates the integrator error.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .state_space import (EPS_BOUNDARY, QubitState, TracelessObservable,
 from .vector_fields import VectorField
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     times: np.ndarray
     points: np.ndarray  # shape (n, 3), Bloch Cartesian
 

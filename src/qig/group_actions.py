@@ -14,17 +14,16 @@ axiom check over all its samples, is one batched evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .state_space import (PAULIS, SIGMA_0, QubitState, TracelessObservable,
-                          bloch_norm, bloch_stack, check_bloch_array,
-                          complex_matrix_from_json, complex_matrix_to_json,
-                          require_all, require_count, require_positive,
-                          state_from_bloch)
+from .state_space import (PAULIS, SIGMA_0, QubitState, Record,
+                          TracelessObservable, bloch_norm, bloch_stack,
+                          check_bloch_array, complex_matrix_from_json,
+                          complex_matrix_to_json, require_all, require_count,
+                          require_positive, state_from_bloch)
 
 EIG_DEGENERACY_CUTOFF = 1e-8  # series fallback for the 2x2 exponential
 DET_TOLERANCE = 1e-10  # |det - 1| allowed for an SL(2, C) or SU(2) matrix
@@ -78,19 +77,19 @@ def _power_coords(v: np.ndarray, r: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SLGroupElement:
+class SLGroupElement(Record):
     """A 2x2 complex matrix with determinant 1."""
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        if np.shape(self.matrix) != (2, 2):
+    def __init__(self, matrix: np.ndarray):
+        super().__init__(matrix)
+        if np.shape(matrix) != (2, 2):
             raise DomainError(f"an SL(2, C) element is a 2x2 matrix, got shape "
-                              f"{np.shape(self.matrix)}")
-        if not _unit_det(self.matrix):
+                              f"{np.shape(matrix)}")
+        if not _unit_det(matrix):
             with np.errstate(over="ignore", invalid="ignore"):
-                det = complex(np.linalg.det(self.matrix))
+                det = complex(np.linalg.det(matrix))
             raise DomainError(f"determinant {det} != 1")
 
     def __matmul__(self, other: "SLGroupElement") -> "SLGroupElement":
@@ -140,15 +139,14 @@ def special_unitary_from_generator(b: TracelessObservable) -> np.ndarray:
     return _expm_traceless_2x2(-0.5j * b.matrix())
 
 
-@dataclass(frozen=True)
-class CotangentGroupElement:
+class CotangentGroupElement(Record):
     """Pair (U, a): special unitary U and traceless Hermitian translation a."""
 
-    unitary: np.ndarray
-    a: TracelessObservable
+    __slots__ = ("unitary", "a")
 
-    def __post_init__(self):
-        u = np.asarray(self.unitary, dtype=complex)
+    def __init__(self, unitary: np.ndarray, a: TracelessObservable):
+        super().__init__(unitary, a)
+        u = np.asarray(unitary, dtype=complex)
         if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-10:
             raise DomainError("U is not unitary")
         if not _unit_det(u):
@@ -243,8 +241,7 @@ def action_bkm(h: CotangentGroupElement, rho: QubitState) -> QubitState:
     return state_from_bloch(*_bkm_images(rotation, h.a.coeffs, rho.bloch))
 
 
-@dataclass(frozen=True)
-class ActionAxiomReport:
+class ActionAxiomReport(NamedTuple):
     action: str
     identity_dev: float
     compatibility_dev: float
@@ -370,8 +367,7 @@ def transitivity_probe(samples: int = 100, seed: int = 0) -> float:
     return _max_gap(moved, rho2)
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     """The action of a one-parameter subgroup t -> h(t) on states.
 
     ``images`` maps times (T, 1, ..., 1) and Bloch vectors (..., 3) to the
@@ -380,7 +376,10 @@ class Subgroup:
     action of h(t) as a QubitState -> QubitState map.
     """
 
-    images: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    __slots__ = ("images",)
+
+    def __init__(self, images: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        super().__init__(images)
 
     def __call__(self, t: float):
         return lambda rho: QubitState(*self.orbit([t], rho)[0].tolist())

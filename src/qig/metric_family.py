@@ -27,16 +27,15 @@ import copy
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import (CenterSingularity, DomainError, ExtrapolationUnstable,
                      IllConditioned, NumericError, PoleError)
-from .state_space import (EPS_CHART, SphericalPoint, ball_radii, require_all,
-                          require_count, require_finite, require_items,
-                          require_positive, require_real)
+from .state_space import (EPS_CHART, Record, SphericalPoint, ball_radii,
+                          require_all, require_count, require_finite,
+                          require_items, require_positive, require_real)
 
 # Removable singularities of f at t = 1 switch to a Taylor fallback here;
 # direct evaluation loses all precision closer to 1.
@@ -104,9 +103,9 @@ def _family_b_f(t, b: float, c: float):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class MonotoneFunctionSpec:
-    """A named or user-supplied metric-generating function.
+class MonotoneFunctionSpec(Record):
+    """A named or user-supplied metric-generating function, compared,
+    hashed and shown by its kind and name.
 
     ``f_raw`` evaluates the defining formula for any t > 0 (the extension
     beyond (0,1] is only used by the symmetry check); ``f_float`` evaluates
@@ -115,11 +114,12 @@ class MonotoneFunctionSpec:
     the catalog entry, otherwise None and finite differences are used.
     """
 
-    kind: str
-    name: str
-    f_raw: Callable = field(default=None, repr=False, compare=False)
-    f_float: Optional[Callable] = field(default=None, repr=False, compare=False)
-    g_prime: Optional[Callable] = field(default=None, repr=False, compare=False)
+    __slots__ = ("kind", "name", "f_raw", "f_float", "g_prime")
+    _compared = _shown = ("kind", "name")
+
+    def __init__(self, kind: str, name: str, f_raw: Callable = None,
+                 f_float: Callable | None = None, g_prime: Callable | None = None):
+        super().__init__(kind, name, f_raw, f_float, g_prime)
 
 
 def bkm() -> MonotoneFunctionSpec:
@@ -216,7 +216,7 @@ CATALOG = {
 def spec_from_name(name: str, a_const: float | None = None,
                    b_const: float | None = None, c: float = 0.0) -> MonotoneFunctionSpec:
     """Resolve a CLI-style spec name; 'fa' needs --A, 'fb' needs --B."""
-    key = name.lower()
+    key = name.lower() if isinstance(name, str) else None
     if key in CATALOG:
         return CATALOG[key]()
     if key in ("fa", "family_a", "familya", "alphaa"):
@@ -293,8 +293,7 @@ def big_f(spec: MonotoneFunctionSpec, r):
     return out if np.ndim(out) else float(out)
 
 
-@dataclass(frozen=True)
-class MetricAtPoint:
+class MetricAtPoint(NamedTuple):
     """Metric components at one point, tagged with the chart they live in."""
 
     chart: str  # "spherical" | "cartesian"
@@ -366,8 +365,7 @@ def inverse_metric(m: MetricAtPoint) -> MetricAtPoint:
     return MetricAtPoint(m.chart, np.linalg.inv(m.matrix), m.point)
 
 
-@dataclass(frozen=True)
-class PetzSymmetryReport:
+class PetzSymmetryReport(NamedTuple):
     spec: str
     max_symmetry_dev: float
     normalization_dev: float
@@ -402,8 +400,7 @@ def check_petz_symmetry(spec: MonotoneFunctionSpec, grid) -> PetzSymmetryReport:
                               max_dev < PETZ_TOL and norm_dev < PETZ_TOL)
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     """Outcome of a random matrix-order scan of f."""
 
     spec: str

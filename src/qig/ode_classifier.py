@@ -10,8 +10,7 @@ are excluded (represented as a first-class Exclusion carrying evidence).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -24,8 +23,7 @@ CONSTANCY_TOL = 1e-6  # separates constant branches (~1e-9) from RLD (>0.1)
 ZERO_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class OdeClassification:
+class OdeClassification(NamedTuple):
     spec: str
     grid: tuple
     values: tuple
@@ -65,8 +63,7 @@ def classify(spec: MonotoneFunctionSpec, grid) -> OdeClassification:
                              tuple(values.tolist()), None, width, "none")
 
 
-@dataclass(frozen=True)
-class SingularityList:
+class SingularityList(NamedTuple):
     """Pole locations of the tangent family inside the state space."""
 
     b_const: float
@@ -103,8 +100,7 @@ def singularities(b_const: float, c: float = 0.0,
     return SingularityList(float(b_const), float(c), tuple(ts), tuple(rs))
 
 
-@dataclass(frozen=True)
-class Exclusion:
+class Exclusion(NamedTuple):
     """The A < 0 branch: a spec that cannot define a metric on the full ball."""
 
     a_const: float

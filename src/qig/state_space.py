@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,18 +41,57 @@ def pauli_basis():
     return (SIGMA_0.copy(), SIGMA_1.copy(), SIGMA_2.copy(), SIGMA_3.copy())
 
 
-@dataclass(frozen=True)
-class TracelessObservable:
+class Record:
+    """A read-only record of the fields in its __slots__, set in order by
+    Record.__init__, which rejects a field named in _reals that is not a
+    numbers.Real.  == and hash compare the fields in _compared, repr shows
+    those in _shown (all by default).  Unlike a dataclass, the class costs
+    microseconds to create, not a millisecond of every start-up."""
+
+    __slots__ = _reals = ()
+    _compared = _shown = None
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            if name in self._reals and not isinstance(value, numbers.Real):
+                raise DomainError(f"{name} = {value!r} is not a real number")
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only: {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values(self.__slots__)
+
+    def _values(self, names) -> tuple:
+        return tuple(getattr(self, name) for name in names or self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self._compared) == other._values(other._compared)
+
+    def __hash__(self):
+        return hash(self._values(self._compared))
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}"
+                  for name in self._shown or self.__slots__)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class TracelessObservable(Record):
     """A traceless Hermitian 2x2 operator, as Pauli coefficients (a1,a2,a3)."""
 
-    a1: float
-    a2: float
-    a3: float
+    __slots__ = _reals = ("a1", "a2", "a3")
 
-    def __post_init__(self):
-        if not all(math.isfinite(a) for a in (self.a1, self.a2, self.a3)):
-            raise DomainError(f"Pauli coefficients ({self.a1}, {self.a2}, "
-                              f"{self.a3}) are not all finite")
+    def __init__(self, a1: float, a2: float, a3: float):
+        super().__init__(a1, a2, a3)
+        if not all(math.isfinite(a) for a in (a1, a2, a3)):
+            raise DomainError(f"Pauli coefficients ({a1}, {a2}, {a3}) are not "
+                              f"all finite")
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -98,13 +136,13 @@ def su2_bracket(a: TracelessObservable, b: TracelessObservable) -> TracelessObse
     return TracelessObservable.from_matrix((am @ bm - bm @ am) / 2.0j)
 
 
-@dataclass(frozen=True)
-class QubitState:
+class QubitState(Record):
     """A faithful qubit state: matched 2x2 density matrix and Bloch point."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: float, y: float, z: float):
+        super().__init__(x, y, z)
 
     @property
     def bloch(self) -> np.ndarray:
@@ -253,27 +291,24 @@ def bloch_from_state(m) -> QubitState:
     return state_from_bloch(x, y, z)
 
 
-@dataclass(frozen=True)
-class SphericalPoint:
+class SphericalPoint(Record):
     """Interior chart point: r in (0,1), theta in (0,pi), phi finite.
 
     As in spherical_from_cartesian, the chart keeps EPS_CHART away from the
     center (r > EPS_CHART) and from the polar axis (|cos theta| < 1 - EPS_CHART).
     """
 
-    r: float
-    theta: float
-    phi: float
+    __slots__ = _reals = ("r", "theta", "phi")
 
-    def __post_init__(self):
-        if not (EPS_CHART < self.r < 1.0):
-            raise ChartSingularity(f"r = {self.r} outside ({EPS_CHART}, 1)")
-        if not (0.0 < self.theta < math.pi
-                and abs(math.cos(self.theta)) < 1.0 - EPS_CHART):
-            raise ChartSingularity(f"theta = {self.theta} outside (0, pi) or "
+    def __init__(self, r: float, theta: float, phi: float):
+        super().__init__(r, theta, phi)
+        if not (EPS_CHART < r < 1.0):
+            raise ChartSingularity(f"r = {r} outside ({EPS_CHART}, 1)")
+        if not (0.0 < theta < math.pi and abs(math.cos(theta)) < 1.0 - EPS_CHART):
+            raise ChartSingularity(f"theta = {theta} outside (0, pi) or "
                                    f"too close to the polar axis")
-        if not math.isfinite(self.phi):
-            raise ChartSingularity(f"phi = {self.phi} is not finite")
+        if not math.isfinite(phi):
+            raise ChartSingularity(f"phi = {phi} is not finite")
 
 
 def cartesian_from_spherical(p: SphericalPoint) -> tuple[float, float, float]:

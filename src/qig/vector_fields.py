@@ -11,24 +11,22 @@ frame at the chart point), and on one point's Python floats for RK4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NeighborhoodOutsideBall, NumericError
 from .metric_family import (MonotoneFunctionSpec, big_f, family_a, finite_f,
                             inverse_metric, metric_cartesian)
-from .state_space import (EPS_BOUNDARY, SphericalPoint, TracelessObservable,
-                          all_true, ball_radii, bloch_norm, bloch_stack,
-                          require_all, require_positive)
+from .state_space import (EPS_BOUNDARY, Record, SphericalPoint,
+                          TracelessObservable, all_true, ball_radii, bloch_norm,
+                          bloch_stack, require_all, require_positive)
 
 BRACKET_STEP = 1e-4
 _STEPS = np.array([1.0, -1.0, 0.5, -0.5])  # stencil steps, in units of h
 
 
-@dataclass(frozen=True)
-class TangentVector:
+class TangentVector(NamedTuple):
     chart: str  # "spherical" | "cartesian"
     components: np.ndarray
     point: tuple
@@ -39,21 +37,24 @@ class TangentVector:
                 "point": list(self.point)}
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(Record):
     """A vector field given by its Cartesian evaluators, defined on the
     whole open ball: ``cartesian`` maps a (..., 3) array of Bloch vectors to
     their velocities, and ``point`` one point's coordinates to its velocity,
     as Python floats (by default through ``cartesian`` on a (3,) array).
+    Fields compare by ``cartesian`` only.
     """
 
-    cartesian: Callable[[np.ndarray], np.ndarray]
-    point: Callable = field(default=None, compare=False)
+    __slots__ = ("cartesian", "point")
+    _compared = ("cartesian",)
 
-    def __post_init__(self):
-        if self.point is None:
-            object.__setattr__(self, "point", lambda *v: tuple(
-                np.asarray(self.cartesian(np.array(v)), dtype=float).tolist()))
+    def __init__(self, cartesian: Callable[[np.ndarray], np.ndarray],
+                 point: Callable = None):
+        if point is None:
+            def point(*v):
+                return tuple(np.asarray(self.cartesian(np.array(v)),
+                                        dtype=float).tolist())
+        super().__init__(cartesian, point)
 
     def at_spherical(self, p: SphericalPoint) -> TangentVector:
         """Coordinate components (v^r, v^theta, v^phi) at a chart point.
@@ -231,8 +232,7 @@ def lie_bracket_numeric(v_field: VectorField, w_field: VectorField, p,
     return TangentVector("cartesian", out, tuple(v.tolist()))
 
 
-@dataclass(frozen=True)
-class CommutatorReport:
+class CommutatorReport(NamedTuple):
     """Numeric check of [Y_i, Y_j] = F(r) X_k and of bracket closure."""
 
     spec: str

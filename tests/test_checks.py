@@ -15,9 +15,11 @@ from qig.group_actions import (action_alpha_a, alpha_subgroup, bkm_subgroup,
 from qig.metric_family import (big_f, bkm, bures_helstrom, check_petz_symmetry,
                                derivative_limit_at_zero, f_eval, family_a,
                                family_b, g_derivative, g_from_f,
-                               metric_cartesian, scan_monotonicity)
+                               metric_cartesian, scan_monotonicity,
+                               spec_from_name)
 from qig.ode_classifier import classify, singularities
-from qig.state_space import TracelessObservable, state_from_bloch
+from qig.state_space import (SphericalPoint, TracelessObservable,
+                             state_from_bloch)
 from qig.vector_fields import (fundamental_field, lie_bracket_numeric,
                                rescaled_gradient_field)
 
@@ -143,6 +145,11 @@ _WRONG_TYPES = [
      lambda: lie_bracket_numeric(fundamental_field(A_OBS), fundamental_field(ZERO),
                                  "x"),
      "points = 'x' is not real"),
+    ("TracelessObservable.a1='x'", lambda: TracelessObservable("x", 0, 0),
+     "a1 = 'x' is not a real number"),
+    ("SphericalPoint.r='x'", lambda: SphericalPoint("x", 1.0, 1.0),
+     "r = 'x' is not a real number"),
+    ("spec_from_name.name=3", lambda: spec_from_name(3), "unknown spec name 3"),
 ]
 
 

@@ -173,6 +173,26 @@ def test_qig_threads_set_before_numpy_loads():
                                     "MKL_NUM_THREADS": "1"}
 
 
+# What a start-up imports: creating a dataclass costs about a millisecond
+# (and the dataclasses module several), so the records are plain classes.
+_IMPORTS_PROBE = """
+import numpy, sys
+import qig.cli
+print("dataclasses" in sys.modules, sorted(
+    name for name, mod in list(sys.modules.items()) if name.split(".")[0] == "qig"
+    and any(hasattr(v, "__dataclass_fields__") for v in vars(mod).values())))
+"""
+
+
+def test_cli_start_up_creates_no_dataclass():
+    env = dict(os.environ, PYTHONPATH="src")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    r = subprocess.run([sys.executable, "-c", _IMPORTS_PROBE], capture_output=True,
+                       text=True, env=env, cwd=root)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False", "[]"]
+
+
 _ID = '{"sl_matrix":[[1,0],[0,0],[0,0],[1,0]]}'
 _CENTER = '{"bloch":[0,0,0]}'
 
