@@ -19,9 +19,8 @@ if _os.environ.get("QIG_THREADS"):
 from . import errors
 from .flow_engine import Trajectory, compare_flow_to_orbit, integrate_flow, orbit_curve
 from .group_actions import (CotangentGroupElement, SLGroupElement, action_alpha_a,
-                            action_bkm, cotangent_identity, cotangent_inverse,
-                            cotangent_multiply, sl_from_generators,
-                            special_unitary_from_generator)
+                            action_bkm, cotangent_identity, cotangent_multiply,
+                            sl_from_generators)
 from .metric_family import (MetricAtPoint, MonotoneFunctionSpec, big_f, bkm,
                             bures_helstrom, check_petz_symmetry, custom,
                             derivative_limit_at_zero, f_eval, family_a, family_b,
@@ -29,12 +28,8 @@ from .metric_family import (MetricAtPoint, MonotoneFunctionSpec, big_f, bkm,
                             metric_spherical, rld, scan_monotonicity,
                             spec_from_name, wigner_yanase)
 from .ode_classifier import (Exclusion, OdeClassification, SingularityList,
-                             classify, singularities, solve_branch,
-                             verify_ode_residual)
+                             classify, singularities, solve_branch)
 from .state_space import (QubitState, SphericalPoint, TracelessObservable,
-                          bloch_from_state, cartesian_from_spherical,
-                          expectation_value, pauli_basis,
-                          spherical_from_cartesian, state_from_bloch,
                           su2_bracket)
 from .vector_fields import (TangentVector, VectorField, fundamental_field,
                             gradient_field_closed, gradient_field_from_metric,

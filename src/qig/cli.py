@@ -21,8 +21,8 @@ from . import ode_classifier as oc
 from . import verify as vf
 from .errors import InputError, QigError
 from .flow_engine import csv_table, integrate_flow, orbit_curve
-from .state_space import (SphericalPoint, TracelessObservable, require_count,
-                          require_positive, state_from_bloch)
+from .state_space import (QubitState, SphericalPoint, TracelessObservable,
+                          require_count, require_positive)
 from .vector_fields import (BRACKET_STEP, VectorField, fundamental_field,
                             gradient_field_closed, gradient_field_from_metric,
                             lie_bracket_numeric, rescaled_gradient_field)
@@ -202,7 +202,7 @@ def _cotangent_from_json(data) -> ga.CotangentGroupElement:
 
 def cmd_act(args) -> int:
     rho = _json_flag("--state-json", args.state_json,
-                     lambda data: state_from_bloch(*data["bloch"]))
+                     lambda data: QubitState(*data["bloch"]))
     if args.family == "bkm":
         elem = _json_flag("--g-json", args.g_json, _cotangent_from_json)
         out = ga.action_bkm(elem, rho)
@@ -258,24 +258,19 @@ def cmd_export(args) -> int:
         _emit(csv_table(header, cols), args.output)
         return EXIT_OK
 
-    start = state_from_bloch(*_parse_triple(args.start))
+    start = QubitState(*_parse_triple(args.start))
     obs = TracelessObservable.from_coeffs(_parse_triple(args.a_coeffs))
-    zero = TracelessObservable(0.0, 0.0, 0.0)
-    if args.what == "flow":
-        vfield = rescaled_gradient_field(obs, args.a_const)
-        traj = integrate_flow(vfield, start, args.t_end, args.steps)
+    if args.what != "orbit":
+        flow = integrate_flow(rescaled_gradient_field(obs, args.a_const), start,
+                              args.t_end, args.steps)
+    if args.what != "flow":
+        zero = TracelessObservable(0.0, 0.0, 0.0)
+        orbit = orbit_curve(ga.alpha_subgroup(args.a_const, obs, zero), start,
+                            args.t_end, args.steps)
+    if args.what != "overlay":
+        traj = flow if args.what == "flow" else orbit
         _emit(traj.to_csv(observable=obs), args.output)
         return EXIT_OK
-    if args.what == "orbit":
-        traj = orbit_curve(ga.alpha_subgroup(args.a_const, obs, zero), start,
-                           args.t_end, args.steps)
-        _emit(traj.to_csv(observable=obs), args.output)
-        return EXIT_OK
-    # overlay
-    vfield = rescaled_gradient_field(obs, args.a_const)
-    flow = integrate_flow(vfield, start, args.t_end, args.steps)
-    orbit = orbit_curve(ga.alpha_subgroup(args.a_const, obs, zero), start,
-                        args.t_end, args.steps)
     gap = np.linalg.norm(flow.points - orbit.points, axis=1)
     cols = [flow.times, *flow.points.T, *orbit.points.T, gap]
     header = ["t", "flow_x", "flow_y", "flow_z",

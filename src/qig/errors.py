@@ -22,10 +22,6 @@ class BoundaryViolation(InputError):
     """Bloch point on or outside the unit sphere (state not faithful)."""
 
 
-class NotAState(InputError):
-    """Matrix is not a faithful density matrix (trace != 1 or eigenvalue <= 0)."""
-
-
 class ChartSingularity(InputError):
     """Point on the polar axis or at the center, outside the spherical chart."""
 

@@ -19,11 +19,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .state_space import (PAULIS, SIGMA_0, QubitState, Record,
+from .state_space import (CALLABLE, PAULIS, SIGMA_0, QubitState, Record,
                           TracelessObservable, bloch_norm, bloch_stack,
                           check_bloch_array, complex_matrix_from_json,
                           complex_matrix_to_json, require_all, require_count,
-                          require_positive, state_from_bloch)
+                          require_positive)
 
 EIG_DEGENERACY_CUTOFF = 1e-8  # series fallback for the 2x2 exponential
 DET_TOLERANCE = 1e-10  # |det - 1| allowed for an SL(2, C) or SU(2) matrix
@@ -134,18 +134,16 @@ def sl_from_generators(a: TracelessObservable, b: TracelessObservable) -> SLGrou
     return SLGroupElement(_expm_traceless_2x2(gen))
 
 
-def special_unitary_from_generator(b: TracelessObservable) -> np.ndarray:
-    """exp(b_matrix/(2i)), an SU(2) matrix."""
-    return _expm_traceless_2x2(-0.5j * b.matrix())
-
-
 class CotangentGroupElement(Record):
     """Pair (U, a): special unitary U and traceless Hermitian translation a."""
 
     __slots__ = ("unitary", "a")
+    _types = {"a": (TracelessObservable, "a TracelessObservable")}
 
     def __init__(self, unitary: np.ndarray, a: TracelessObservable):
         super().__init__(unitary, a)
+        if np.shape(unitary) != (2, 2):
+            raise DomainError(f"unitary = {unitary!r} is not a 2x2 matrix")
         u = np.asarray(unitary, dtype=complex)
         if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-10:
             raise DomainError("U is not unitary")
@@ -165,12 +163,6 @@ def cotangent_multiply(h1: CotangentGroupElement,
     return CotangentGroupElement(
         h1.unitary @ h2.unitary,
         TracelessObservable.from_matrix(h1.a.matrix() + rotated))
-
-
-def cotangent_inverse(h: CotangentGroupElement) -> CotangentGroupElement:
-    u_inv = h.unitary.conj().T
-    return CotangentGroupElement(
-        u_inv, TracelessObservable.from_matrix(-u_inv @ h.a.matrix() @ u_inv.conj().T))
 
 
 def _sqrt_a(a_const: float) -> float:
@@ -229,7 +221,7 @@ def action_alpha_a(a_const: float, g: SLGroupElement, rho: QubitState) -> QubitS
     See _alpha_images for the closed form.
     """
     s = _sqrt_a(a_const)
-    return state_from_bloch(*_alpha_images(s, _lorentz(g.matrix), rho.bloch))
+    return QubitState(*_alpha_images(s, _lorentz(g.matrix), rho.bloch))
 
 
 def action_bkm(h: CotangentGroupElement, rho: QubitState) -> QubitState:
@@ -238,7 +230,7 @@ def action_bkm(h: CotangentGroupElement, rho: QubitState) -> QubitState:
     See _bkm_images for the closed form.
     """
     rotation = _lorentz(h.unitary)[1:, 1:]
-    return state_from_bloch(*_bkm_images(rotation, h.a.coeffs, rho.bloch))
+    return QubitState(*_bkm_images(rotation, h.a.coeffs, rho.bloch))
 
 
 class ActionAxiomReport(NamedTuple):
@@ -377,6 +369,7 @@ class Subgroup(Record):
     """
 
     __slots__ = ("images",)
+    _types = {"images": CALLABLE}
 
     def __init__(self, images: Callable[[np.ndarray, np.ndarray], np.ndarray]):
         super().__init__(images)
@@ -388,7 +381,7 @@ class Subgroup(Record):
         """Bloch images (T, ..., 3) of rho, a QubitState or a stack of Bloch
         vectors (..., 3), at the times (T,); each image is checked to be a
         faithful state."""
-        if isinstance(rho, QubitState):
+        if isinstance(rho, QubitState):  # checked when it was built
             v = rho.bloch
         else:
             v = check_bloch_array(bloch_stack(rho))

@@ -33,9 +33,10 @@ import numpy as np
 
 from .errors import (CenterSingularity, DomainError, ExtrapolationUnstable,
                      IllConditioned, NumericError, PoleError)
-from .state_space import (EPS_CHART, Record, SphericalPoint, ball_radii,
-                          require_all, require_count, require_finite,
-                          require_items, require_positive, require_real)
+from .state_space import (CALLABLE, EPS_CHART, Record, SphericalPoint,
+                          ball_radii, require_all, require_count,
+                          require_finite, require_items, require_positive,
+                          require_real)
 
 # Removable singularities of f at t = 1 switch to a Taylor fallback here;
 # direct evaluation loses all precision closer to 1.
@@ -115,9 +116,11 @@ class MonotoneFunctionSpec(Record):
     """
 
     __slots__ = ("kind", "name", "f_raw", "f_float", "g_prime")
+    _types = {"kind": (str, "a string"), "name": (str, "a string"),
+              "f_raw": CALLABLE}
     _compared = _shown = ("kind", "name")
 
-    def __init__(self, kind: str, name: str, f_raw: Callable = None,
+    def __init__(self, kind: str, name: str, f_raw: Callable,
                  f_float: Callable | None = None, g_prime: Callable | None = None):
         super().__init__(kind, name, f_raw, f_float, g_prime)
 
@@ -285,11 +288,15 @@ def g_derivative(spec: MonotoneFunctionSpec, r):
 
 
 def big_f(spec: MonotoneFunctionSpec, r):
-    """F(r) = (1-r^2) g'(r) + g(r)^2."""
+    """F(r) = (1-r^2) g'(r) + g(r)^2; a value that is not finite raises
+    NumericError naming the first such r."""
     r_arr = require_real("r", r)
-    g = g_from_f(spec, r_arr)
-    gp = g_derivative(spec, r_arr)
-    out = (1.0 - r_arr * r_arr) * gp + g * g
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = g_from_f(spec, r_arr)
+        gp = g_derivative(spec, r_arr)
+        out = (1.0 - r_arr * r_arr) * gp + g * g
+    require_all(np.isfinite(out), r_arr, NumericError, "r",
+                f"makes F of {spec.name} not finite")
     return out if np.ndim(out) else float(out)
 
 

@@ -15,8 +15,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import DomainError
-from .metric_family import (MonotoneFunctionSpec, big_f, bkm, family_a,
-                            family_b, g_derivative, g_from_f)
+from .metric_family import MonotoneFunctionSpec, big_f, bkm, family_a, family_b
 from .state_space import require_all, require_count, require_real
 
 CONSTANCY_TOL = 1e-6  # separates constant branches (~1e-9) from RLD (>0.1)
@@ -49,18 +48,13 @@ def classify(spec: MonotoneFunctionSpec, grid) -> OdeClassification:
                 "classification grid point r", "is outside (0, 1)")
     values = np.asarray(big_f(spec, grid), dtype=float)
     width = float(values.max() - values.min())
+    a_const, branch = None, "none"
     if width < CONSTANCY_TOL:
         a_const = float(values.mean())
-        if abs(a_const) < ZERO_TOL:
-            branch = "bkm_a0"
-        elif a_const > 0.0:
-            branch = "family_a_pos"
-        else:
-            branch = "family_b_neg"
-        return OdeClassification(spec.name, tuple(grid.tolist()),
-                                 tuple(values.tolist()), a_const, width, branch)
+        branch = ("bkm_a0" if abs(a_const) < ZERO_TOL else
+                  "family_a_pos" if a_const > 0.0 else "family_b_neg")
     return OdeClassification(spec.name, tuple(grid.tolist()),
-                             tuple(values.tolist()), None, width, "none")
+                             tuple(values.tolist()), a_const, width, branch)
 
 
 class SingularityList(NamedTuple):
@@ -129,10 +123,3 @@ def solve_branch(a_const: float,
     return Exclusion(float(a_const), b_const, family_b(b_const, c),
                      singularities(b_const, c))
 
-
-def verify_ode_residual(spec: MonotoneFunctionSpec, a_const: float, grid) -> float:
-    """max over the grid of |(1-r^2) g'(r) + g(r)^2 - A|."""
-    grid = np.asarray(grid, dtype=float)
-    g = np.asarray(g_from_f(spec, grid))
-    gp = np.asarray(g_derivative(spec, grid))
-    return float(np.max(np.abs((1.0 - grid * grid) * gp + g * g - a_const)))

@@ -1,21 +1,20 @@
 """The qubit state manifold.
 
 Faithful qubit states live in the open unit Bloch ball.  This module fixes
-the Pauli convention, converts between the density-matrix, Cartesian and
-spherical pictures, and evaluates expectation values of traceless
-observables.  Everything here is pure and immutable.
+the Pauli convention and holds the records of the paper's objects: states,
+traceless observables and spherical chart points, each checked when it is
+built, plus the shared input checks.  Everything here is pure and immutable.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
-from .errors import (BoundaryViolation, ChartSingularity, DomainError,
-                     InputError, NotAState)
+from .errors import BoundaryViolation, ChartSingularity, DomainError, InputError
 
 # Numerical guards.  The manifold is the *open* ball; points within
 # EPS_BOUNDARY of the sphere are rejected.  The spherical chart excludes the
@@ -23,6 +22,9 @@ from .errors import (BoundaryViolation, ChartSingularity, DomainError,
 EPS_BOUNDARY = 1e-9
 EPS_CHART = 1e-9
 
+# The Pauli matrices in the fixed basis {|1>, |2>}.  sigma2 has -i in the
+# (1,2) entry, so that the bracket (ab - ba)/(2i) satisfies [s1,s2] = s3,
+# [s2,s3] = s1, [s3,s1] = s2 (the cross product on Pauli coefficients).
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -31,30 +33,27 @@ SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_1, SIGMA_2, SIGMA_3)
 
 
-def pauli_basis():
-    """Return (sigma0, sigma1, sigma2, sigma3) in the fixed basis {|1>, |2>}.
-
-    Standard convention: sigma2 has -i in the (1,2) entry, so that the
-    bracket (ab - ba)/(2i) satisfies [s1,s2] = s3, [s2,s3] = s1,
-    [s3,s1] = s2 (the cross product on Pauli coefficients).
-    """
-    return (SIGMA_0.copy(), SIGMA_1.copy(), SIGMA_2.copy(), SIGMA_3.copy())
+REAL = (numbers.Real, "a real number")
+CALLABLE = (Callable, "callable")
 
 
 class Record:
     """A read-only record of the fields in its __slots__, set in order by
-    Record.__init__, which rejects a field named in _reals that is not a
-    numbers.Real.  == and hash compare the fields in _compared, repr shows
+    Record.__init__.  _types maps a field to (class, noun); a value that is
+    not an instance of the class raises DomainError "{field} = {value!r} is
+    not {noun}".  == and hash compare the fields in _compared, repr shows
     those in _shown (all by default).  Unlike a dataclass, the class costs
     microseconds to create, not a millisecond of every start-up."""
 
-    __slots__ = _reals = ()
+    __slots__ = ()
+    _types = {}
     _compared = _shown = None
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values):
-            if name in self._reals and not isinstance(value, numbers.Real):
-                raise DomainError(f"{name} = {value!r} is not a real number")
+            kind, noun = self._types.get(name, (object, None))
+            if not isinstance(value, kind):
+                raise DomainError(f"{name} = {value!r} is not {noun}")
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
@@ -85,7 +84,8 @@ class Record:
 class TracelessObservable(Record):
     """A traceless Hermitian 2x2 operator, as Pauli coefficients (a1,a2,a3)."""
 
-    __slots__ = _reals = ("a1", "a2", "a3")
+    __slots__ = ("a1", "a2", "a3")
+    _types = dict.fromkeys(__slots__, REAL)
 
     def __init__(self, a1: float, a2: float, a3: float):
         super().__init__(a1, a2, a3)
@@ -115,11 +115,7 @@ class TracelessObservable(Record):
     @staticmethod
     def from_matrix(m) -> "TracelessObservable":
         m = np.asarray(m, dtype=complex)
-        return TracelessObservable(
-            float(np.trace(m @ SIGMA_1).real / 2.0),
-            float(np.trace(m @ SIGMA_2).real / 2.0),
-            float(np.trace(m @ SIGMA_3).real / 2.0),
-        )
+        return TracelessObservable(*(float(np.trace(m @ p).real / 2.0) for p in PAULIS))
 
     def to_json(self) -> dict:
         return {"pauli": [self.a1, self.a2, self.a3]}
@@ -137,32 +133,29 @@ def su2_bracket(a: TracelessObservable, b: TracelessObservable) -> TracelessObse
 
 
 class QubitState(Record):
-    """A faithful qubit state: matched 2x2 density matrix and Bloch point."""
+    """A faithful qubit state: matched 2x2 density matrix and Bloch point,
+    stored as floats.  Coordinates that are not three reals raise DomainError;
+    a point not strictly inside the unit ball raises BoundaryViolation."""
 
     __slots__ = ("x", "y", "z")
 
     def __init__(self, x: float, y: float, z: float):
-        super().__init__(x, y, z)
+        point = require_real("Bloch point", (x, y, z))
+        if point.shape != (3,):
+            raise DomainError(f"Bloch point = {(x, y, z)!r} is not three real "
+                              f"numbers")
+        check_bloch_array(point)
+        super().__init__(float(x), float(y), float(z))
 
     @property
     def bloch(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
-
-    @property
-    def r(self) -> float:
-        return float(np.linalg.norm(self.bloch))
 
     def matrix(self) -> np.ndarray:
         return 0.5 * (SIGMA_0 + self.x * SIGMA_1 + self.y * SIGMA_2 + self.z * SIGMA_3)
 
     def to_json(self) -> dict:
         return {"bloch": [self.x, self.y, self.z]}
-
-
-def state_from_bloch(x: float, y: float, z: float) -> QubitState:
-    """Build a faithful state from Cartesian Bloch coordinates."""
-    check_bloch_array(require_real("Bloch point", (x, y, z)))
-    return QubitState(float(x), float(y), float(z))
 
 
 def bloch_norm(v: np.ndarray) -> np.ndarray:
@@ -273,32 +266,15 @@ def check_bloch_array(points: np.ndarray) -> np.ndarray:
     return points
 
 
-def bloch_from_state(m) -> QubitState:
-    """Recover the Bloch representation of a faithful density matrix."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise NotAState(f"expected a 2x2 matrix, got shape {m.shape}")
-    if abs(np.trace(m).real - 1.0) > 1e-12 or abs(np.trace(m).imag) > 1e-12:
-        raise NotAState(f"trace is {np.trace(m)}, expected 1")
-    if np.max(np.abs(m - m.conj().T)) > 1e-12:
-        raise NotAState("matrix is not Hermitian")
-    eigvals = np.linalg.eigvalsh(m)
-    if eigvals.min() <= EPS_BOUNDARY:
-        raise NotAState(f"eigenvalue {eigvals.min()} <= {EPS_BOUNDARY}: not faithful")
-    x = float(np.trace(m @ SIGMA_1).real)
-    y = float(np.trace(m @ SIGMA_2).real)
-    z = float(np.trace(m @ SIGMA_3).real)
-    return state_from_bloch(x, y, z)
-
-
 class SphericalPoint(Record):
     """Interior chart point: r in (0,1), theta in (0,pi), phi finite.
 
-    As in spherical_from_cartesian, the chart keeps EPS_CHART away from the
-    center (r > EPS_CHART) and from the polar axis (|cos theta| < 1 - EPS_CHART).
+    The chart keeps EPS_CHART away from the center (r > EPS_CHART) and from
+    the polar axis (|cos theta| < 1 - EPS_CHART).
     """
 
-    __slots__ = _reals = ("r", "theta", "phi")
+    __slots__ = ("r", "theta", "phi")
+    _types = dict.fromkeys(__slots__, REAL)
 
     def __init__(self, r: float, theta: float, phi: float):
         super().__init__(r, theta, phi)
@@ -309,36 +285,6 @@ class SphericalPoint(Record):
                                    f"too close to the polar axis")
         if not math.isfinite(phi):
             raise ChartSingularity(f"phi = {phi} is not finite")
-
-
-def cartesian_from_spherical(p: SphericalPoint) -> tuple[float, float, float]:
-    """Standard convention x = r sin(theta) cos(phi), etc."""
-    st = math.sin(p.theta)
-    return (p.r * st * math.cos(p.phi),
-            p.r * st * math.sin(p.phi),
-            p.r * math.cos(p.theta))
-
-
-def spherical_from_cartesian(x: float, y: float, z: float) -> SphericalPoint:
-    """Invert the spherical chart; rejects the polar axis and the center."""
-    r = math.sqrt(x * x + y * y + z * z)
-    if r <= EPS_CHART:
-        raise ChartSingularity(f"r = {r} too close to the center")
-    if abs(z) / r >= 1.0 - EPS_CHART:
-        raise ChartSingularity("point lies on the polar axis")
-    theta = math.acos(z / r)
-    phi = math.atan2(y, x) % (2.0 * math.pi)
-    return SphericalPoint(r, theta, phi)
-
-
-def expectation_value(a: TracelessObservable, p: SphericalPoint) -> float:
-    """Expectation-value function of a at the chart point p.
-
-    Returns (a1 x + a2 y + a3 z)/2 in the spherical parametrization.  Note
-    the 1/2: this equals Tr(rho a)/2 for the reconstructed density matrix.
-    """
-    x, y, z = cartesian_from_spherical(p)
-    return 0.5 * (a.a1 * x + a.a2 * y + a.a3 * z)
 
 
 def complex_matrix_to_json(m) -> list:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, NeighborhoodOutsideBall, NumericError
 from .metric_family import (MonotoneFunctionSpec, big_f, family_a, finite_f,
                             inverse_metric, metric_cartesian)
-from .state_space import (EPS_BOUNDARY, Record, SphericalPoint,
+from .state_space import (CALLABLE, EPS_BOUNDARY, Record, SphericalPoint,
                           TracelessObservable, all_true, ball_radii, bloch_norm,
                           bloch_stack, require_all, require_positive)
 
@@ -46,6 +46,7 @@ class VectorField(Record):
     """
 
     __slots__ = ("cartesian", "point")
+    _types = dict.fromkeys(__slots__, CALLABLE)
     _compared = ("cartesian",)
 
     def __init__(self, cartesian: Callable[[np.ndarray], np.ndarray],

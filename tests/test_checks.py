@@ -4,28 +4,28 @@ the parameter and the value."""
 
 import math
 
+import numpy as np
 import pytest
 
 from qig.errors import DomainError
 from qig.flow_engine import integrate_flow, orbit_curve
-from qig.group_actions import (action_alpha_a, alpha_subgroup, bkm_subgroup,
-                               generator_of_action, sl_identity,
-                               transitivity_probe, verify_alpha_action,
-                               verify_bkm_action)
+from qig.group_actions import (CotangentGroupElement, Subgroup, action_alpha_a,
+                               alpha_subgroup, bkm_subgroup, generator_of_action,
+                               sl_identity, transitivity_probe,
+                               verify_alpha_action, verify_bkm_action)
 from qig.metric_family import (big_f, bkm, bures_helstrom, check_petz_symmetry,
-                               derivative_limit_at_zero, f_eval, family_a,
-                               family_b, g_derivative, g_from_f,
+                               custom, derivative_limit_at_zero, f_eval,
+                               family_a, family_b, g_derivative, g_from_f,
                                metric_cartesian, scan_monotonicity,
                                spec_from_name)
 from qig.ode_classifier import classify, singularities
-from qig.state_space import (SphericalPoint, TracelessObservable,
-                             state_from_bloch)
-from qig.vector_fields import (fundamental_field, lie_bracket_numeric,
-                               rescaled_gradient_field)
+from qig.state_space import QubitState, SphericalPoint, TracelessObservable
+from qig.vector_fields import (VectorField, fundamental_field,
+                               lie_bracket_numeric, rescaled_gradient_field)
 
 A_OBS = TracelessObservable(0.4, -0.3, 0.6)
 ZERO = TracelessObservable(0.0, 0.0, 0.0)
-START = state_from_bloch(0.25, -0.15, 0.35)
+START = QubitState(0.25, -0.15, 0.35)
 
 # (site, name in the message, smallest valid value, call with the count)
 _COUNTS = [
@@ -126,7 +126,7 @@ _WRONG_TYPES = [
      "symmetry grid = 'x' is not real"),
     ("derivative_limit_at_zero.A='x'", lambda: derivative_limit_at_zero("x"),
      "derivative limit requires A > 1, got 'x'"),
-    ("state_from_bloch.x='x'", lambda: state_from_bloch("x", 0.0, 0.0),
+    ("QubitState.x='x'", lambda: QubitState("x", 0.0, 0.0),
      "Bloch point = ('x', 0.0, 0.0) is not real"),
     ("family_b.c='x'", lambda: family_b(1.0, "x"), "family_b: c = 'x' is not finite"),
     ("family_b.c=nan", lambda: family_b(1.0, math.nan),
@@ -150,6 +150,18 @@ _WRONG_TYPES = [
     ("SphericalPoint.r='x'", lambda: SphericalPoint("x", 1.0, 1.0),
      "r = 'x' is not a real number"),
     ("spec_from_name.name=3", lambda: spec_from_name(3), "unknown spec name 3"),
+    ("CotangentGroupElement.unitary=eye(3)",
+     lambda: CotangentGroupElement(np.eye(3), ZERO),
+     "unitary = array([[1., 0., 0.],\n       [0., 1., 0.],\n       [0., 0., 1.]]) "
+     "is not a 2x2 matrix"),
+    ("CotangentGroupElement.unitary='x'", lambda: CotangentGroupElement("x", ZERO),
+     "unitary = 'x' is not a 2x2 matrix"),
+    ("CotangentGroupElement.a=(0, 0, 0)",
+     lambda: CotangentGroupElement(np.eye(2), (0, 0, 0)),
+     "a = (0, 0, 0) is not a TracelessObservable"),
+    ("Subgroup.images=3", lambda: Subgroup(3), "images = 3 is not callable"),
+    ("VectorField.cartesian=3", lambda: VectorField(3), "cartesian = 3 is not callable"),
+    ("custom.name=3", lambda: custom(lambda t: t, 3), "name = 3 is not a string"),
 ]
 
 

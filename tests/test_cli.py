@@ -374,7 +374,9 @@ def test_cli_fuzz_exit_codes_and_json_errors(argv):
      "point = [0.5, 0.0, 0.0] has a Lie bracket"),
     (["export", "--what", "f-curves", "--a-list", "1e-300", "--steps", "3"],
      "t = 0.005 makes f of family_a(1e-300)"),
-], ids=["field-spherical", "field-cartesian", "bracket", "f-curves"])
+    (["ode", "classify", "--spec", "bkm", "--grid-min", "1e-300", "--grid-max", "0.5",
+      "--grid-steps", "20"], "r = 1e-300 makes F of bkm not finite"),
+], ids=["field-spherical", "field-cartesian", "bracket", "f-curves", "classify"])
 def test_non_finite_result_is_numeric_error_exit_3(argv, named, capsys):
     code = cli.main(argv)
     data = json.loads(capsys.readouterr().out)

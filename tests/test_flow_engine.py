@@ -11,28 +11,27 @@ from qig.flow_engine import (Trajectory, compare_flow_to_orbit, csv_table,
                              integrate_flow, orbit_curve)
 from qig.group_actions import (CotangentGroupElement, action_alpha_a,
                                action_bkm, alpha_subgroup, bkm_subgroup,
-                               sl_from_generators,
-                               special_unitary_from_generator)
+                               sl_from_generators)
 from qig.metric_family import bkm, custom, family_a, family_b
-from qig.state_space import (EPS_BOUNDARY, TracelessObservable, bloch_norm,
-                             state_from_bloch)
+from qig.state_space import (EPS_BOUNDARY, QubitState, TracelessObservable,
+                             bloch_norm)
 from qig.vector_fields import (VectorField, fundamental_field,
                                gradient_field_closed, rescaled_gradient_field)
 
 A_OBS = TracelessObservable(0.4, -0.3, 0.6)
 ZERO = TracelessObservable(0.0, 0.0, 0.0)
-START = state_from_bloch(0.25, -0.15, 0.35)
+START = QubitState(0.25, -0.15, 0.35)
 
 
 def test_rotation_flow_preserves_radius():
     traj = integrate_flow(fundamental_field(A_OBS), START, 4.0, 400)
-    npt.assert_allclose(traj.radii, START.r, atol=1e-10)
+    npt.assert_allclose(traj.radii, np.linalg.norm(START.bloch), atol=1e-10)
 
 
 def test_bkm_gradient_flow_matches_tanh():
     # From the center the BKM sigma_3 gradient flow is z(t) = tanh(t).
     field = gradient_field_closed(TracelessObservable(0, 0, 1), bkm())
-    traj = integrate_flow(field, state_from_bloch(0.0, 0.0, 1e-12), 2.0, 500)
+    traj = integrate_flow(field, QubitState(0.0, 0.0, 1e-12), 2.0, 500)
     npt.assert_allclose(traj.points[:, 2], np.tanh(traj.times), atol=1e-9)
 
 
@@ -58,7 +57,7 @@ def test_rk4_fourth_order():
 def test_outward_field_raises_left_manifold():
     outward = VectorField(lambda v: np.asarray(v, dtype=float))
     with pytest.raises(LeftManifold):
-        integrate_flow(outward, state_from_bloch(0.5, 0.0, 0.0), 10.0, 1000)
+        integrate_flow(outward, QubitState(0.5, 0.0, 0.0), 10.0, 1000)
 
 
 def test_orbit_curve_endpoints():
@@ -101,8 +100,8 @@ def test_batched_orbit_matches_per_time_actions(a_const):
     if a_const is None:
         orbit = orbit_curve(bkm_subgroup(A_OBS, B_OBS), START, 1.5, 40)
         ref = [action_bkm(CotangentGroupElement(
-                   special_unitary_from_generator(
-                       TracelessObservable.from_coeffs(t * B_OBS.coeffs)),
+                   sl_from_generators(
+                       ZERO, TracelessObservable.from_coeffs(t * B_OBS.coeffs)).matrix,
                    TracelessObservable.from_coeffs(t * A_OBS.coeffs)), START).bloch
                for t in times]
     else:
@@ -170,7 +169,7 @@ _SUITE_FIELDS = {
 }
 _FLOW_CASES = [(field, START) for field in _SUITE_FIELDS.values()] + [
     (rescaled_gradient_field(TracelessObservable(0.3, -0.5, 0.4), a_const),
-     state_from_bloch(0.2, 0.1, -0.3)) for a_const in (0.25, 1.0, 2.0)]
+     QubitState(0.2, 0.1, -0.3)) for a_const in (0.25, 1.0, 2.0)]
 _FLOW_IDS = list(_SUITE_FIELDS) + ["overlay A=0.25", "overlay A=1", "overlay A=2"]
 
 
@@ -205,7 +204,7 @@ def _kick(v):
     ids=["stage point", "final point", "next step"])
 def test_left_manifold_names_the_same_point_as_five_check_loop(field, r0, t_end,
                                                                steps):
-    start = state_from_bloch(r0, 0.0, 0.0)
+    start = QubitState(r0, 0.0, 0.0)
     with pytest.raises(LeftManifold) as want:
         _five_checks_per_step_flow(VectorField(field), start, t_end, steps)
     with pytest.raises(LeftManifold) as got:
@@ -256,7 +255,8 @@ def _array_flow_error(vfield, start, t_end, steps):
 
 
 # On the pole of family_b(1, c): sqrt(B) (log t - c) = pi/2 at the start.
-_T_POLE = (1.0 - START.r) / (1.0 + START.r)
+_R_START = float(np.linalg.norm(START.bloch))
+_T_POLE = (1.0 - _R_START) / (1.0 + _R_START)
 _HAZARDS = {
     "family_b pole": (gradient_field_closed(
         A_OBS, family_b(1.0, math.log(_T_POLE) - math.pi / 2.0)), 1.0, 10),

@@ -16,14 +16,11 @@ from qig.group_actions import (CotangentGroupElement, SLGroupElement,
                                _alpha_images, _bkm_images, _draws, _lorentz,
                                action_alpha_a, action_bkm, alpha_subgroup,
                                bkm_subgroup, cotangent_identity,
-                               cotangent_inverse, cotangent_multiply,
-                               generator_of_action, sl_identity,
-                               sl_from_generators,
-                               special_unitary_from_generator,
+                               cotangent_multiply, generator_of_action,
+                               sl_identity, sl_from_generators,
                                transitivity_probe, verify_alpha_action,
                                verify_bkm_action)
-from qig.state_space import (PAULIS, QubitState, TracelessObservable,
-                             state_from_bloch)
+from qig.state_space import PAULIS, QubitState, TracelessObservable
 
 SIGMA3 = TracelessObservable(0.0, 0.0, 1.0)
 ZERO = TracelessObservable(0.0, 0.0, 0.0)
@@ -39,6 +36,11 @@ def _bloch(m):
     return np.array([np.trace(m @ p).real for p in PAULIS])
 
 
+def _special_unitary(b):
+    """exp(b_matrix/(2i)), an SU(2) matrix, for Pauli coefficients b."""
+    return sl_from_generators(ZERO, TracelessObservable.from_coeffs(b)).matrix
+
+
 def _rotation(u):
     """R(U)_{ij} = tr(sigma_i U sigma_j U^dag)/2."""
     return np.array([[0.5 * np.trace(pi @ u @ pj @ u.conj().T).real
@@ -51,7 +53,7 @@ def test_closed_forms_match_eigh_oracle():
     for r in (0.0, 1e-300, 1e-12, 1e-6, 0.1, 0.5, 0.9, 0.99):
         for _ in range(10):
             d = rng.standard_normal(3)
-            rho = state_from_bloch(*(r * d / np.linalg.norm(d)))
+            rho = QubitState(*(r * d / np.linalg.norm(d)))
             g = sl_from_generators(
                 TracelessObservable.from_coeffs(rng.uniform(-1, 1, 3)),
                 TracelessObservable.from_coeffs(rng.uniform(-1, 1, 3)))
@@ -63,8 +65,7 @@ def test_closed_forms_match_eigh_oracle():
                 npt.assert_allclose(action_alpha_a(a_const, g, rho).bloch, want,
                                     atol=1e-12)
             h = CotangentGroupElement(
-                special_unitary_from_generator(
-                    TracelessObservable.from_coeffs(rng.uniform(-2, 2, 3))),
+                _special_unitary(rng.uniform(-2, 2, 3)),
                 TracelessObservable.from_coeffs(rng.uniform(-1, 1, 3)))
             u = h.unitary
             want = _bloch(_hermitian_fn(
@@ -88,13 +89,13 @@ def _boost_images(v):
     axis = _rotation(v)[:, 2]
     for z, shift in _SHIFTS:
         want = math.tanh(math.atanh(z) + shift) * axis
-        rho = state_from_bloch(*(z * axis))
+        rho = QubitState(*(z * axis))
         for a_const in (0.25, 1.0, 4.0):
             g = SLGroupElement(v @ _boost(shift * math.sqrt(a_const)) @ v.conj().T)
             yield action_alpha_a(a_const, g, rho).bloch, want
         # U = v turns z e_z into z axis, then a translates along axis.
         h = CotangentGroupElement(v, TracelessObservable.from_coeffs(shift * axis))
-        yield action_bkm(h, state_from_bloch(0.0, 0.0, z)).bloch, want
+        yield action_bkm(h, QubitState(0.0, 0.0, z)).bloch, want
 
 
 def test_exact_boosts_along_z():
@@ -108,8 +109,7 @@ def test_conjugated_boosts():
     # The same boosts about a random axis: V g V^dag acting on V rho V^dag.
     rng = np.random.default_rng(23)
     for _ in range(5):
-        v = special_unitary_from_generator(
-            TracelessObservable.from_coeffs(rng.uniform(-3, 3, 3)))
+        v = _special_unitary(rng.uniform(-3, 3, 3))
         for got, want in _boost_images(v):
             npt.assert_allclose(got, want, atol=1e-10)
 
@@ -146,8 +146,7 @@ def test_sl_from_generators_tiny_argument():
 
 
 def test_special_unitary_from_generator():
-    b = TracelessObservable(0.3, -0.5, 0.2)
-    u = special_unitary_from_generator(b)
+    u = _special_unitary([0.3, -0.5, 0.2])
     npt.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
     assert abs(np.linalg.det(u) - 1.0) < 1e-13
 
@@ -195,7 +194,7 @@ def test_alpha_one_pinned_example():
     # normalizing gives diag(0.8, 0.2), i.e. Bloch (0, 0, 0.6).
     s2 = math.sqrt(2.0)
     g = SLGroupElement(np.diag([s2, 1.0 / s2]).astype(complex))
-    out = action_alpha_a(1.0, g, state_from_bloch(0.0, 0.0, 0.0))
+    out = action_alpha_a(1.0, g, QubitState(0.0, 0.0, 0.0))
     npt.assert_allclose(out.bloch, [0.0, 0.0, 0.6], atol=1e-14)
 
 
@@ -214,9 +213,9 @@ def test_alpha_nonlinearity_for_a_not_one():
                            TracelessObservable(0.1, 0.3, -0.5))
 
     def mixture_gap(a_const):
-        rho1 = state_from_bloch(0.4, 0.1, -0.2)
-        rho2 = state_from_bloch(-0.3, 0.2, 0.5)
-        mid = state_from_bloch(*(0.5 * (rho1.bloch + rho2.bloch)))
+        rho1 = QubitState(0.4, 0.1, -0.2)
+        rho2 = QubitState(-0.3, 0.2, 0.5)
+        mid = QubitState(*(0.5 * (rho1.bloch + rho2.bloch)))
         w1 = float(np.trace(g.matrix @ rho1.matrix() @ g.matrix.conj().T).real)
         w2 = float(np.trace(g.matrix @ rho2.matrix() @ g.matrix.conj().T).real)
         combo = (w1 * action_alpha_a(a_const, g, rho1).bloch
@@ -231,8 +230,7 @@ def test_cotangent_group_axioms():
     rng = np.random.default_rng(9)
     def rand_elem():
         return CotangentGroupElement(
-            special_unitary_from_generator(
-                TracelessObservable.from_coeffs(rng.uniform(-1, 1, 3))),
+            _special_unitary(rng.uniform(-1, 1, 3)),
             TracelessObservable.from_coeffs(rng.uniform(-1, 1, 3)))
     for _ in range(20):
         h1, h2, h3 = rand_elem(), rand_elem(), rand_elem()
@@ -240,7 +238,10 @@ def test_cotangent_group_axioms():
         rhs = cotangent_multiply(h1, cotangent_multiply(h2, h3))
         npt.assert_allclose(lhs.unitary, rhs.unitary, atol=1e-13)
         npt.assert_allclose(lhs.a.coeffs, rhs.a.coeffs, atol=1e-13)
-        inv = cotangent_multiply(h1, cotangent_inverse(h1))
+        # (U, a)^-1 = (U^dag, -U^dag a U)
+        u_inv = h1.unitary.conj().T
+        inv = cotangent_multiply(h1, CotangentGroupElement(
+            u_inv, TracelessObservable.from_matrix(-u_inv @ h1.a.matrix() @ h1.unitary)))
         npt.assert_allclose(inv.unitary, np.eye(2), atol=1e-13)
         npt.assert_allclose(inv.a.coeffs, 0.0, atol=1e-13)
 
@@ -266,7 +267,7 @@ def test_bkm_flow_from_center_is_tanh():
     # Translating ln(rho) by t sigma_3 from the maximally mixed state gives
     # z(t) = tanh(t) exactly.
     at = bkm_subgroup(SIGMA3, ZERO)
-    center = state_from_bloch(0.0, 0.0, 0.0)
+    center = QubitState(0.0, 0.0, 0.0)
     for t in (0.0, 0.3, 1.0, 2.5):
         out = at(t)(center)
         npt.assert_allclose(out.bloch, [0.0, 0.0, math.tanh(t)], atol=1e-14)
@@ -311,8 +312,7 @@ def test_stacked_images_match_per_state_actions():
     gs = [sl_from_generators(TracelessObservable.from_coeffs(rng.uniform(-1, 1, 3)),
                              TracelessObservable.from_coeffs(rng.uniform(-1, 1, 3)))
           for _ in v]
-    hs = [CotangentGroupElement(special_unitary_from_generator(
-              TracelessObservable.from_coeffs(rng.uniform(-2, 2, 3))),
+    hs = [CotangentGroupElement(_special_unitary(rng.uniform(-2, 2, 3)),
               TracelessObservable.from_coeffs(rng.uniform(-1, 1, 3)))
           for _ in v]
     states = [QubitState(*row) for row in v]
@@ -449,10 +449,8 @@ def test_bkm_wrong_law_matches_per_sample_loop():
     worst = 0.0
     for _ in range(samples):
         rho = next(drawn)
-        h1 = CotangentGroupElement(special_unitary_from_generator(next(drawn)),
-                                   next(drawn))
-        h2 = CotangentGroupElement(special_unitary_from_generator(next(drawn)),
-                                   next(drawn))
+        h1 = CotangentGroupElement(_special_unitary(next(drawn).coeffs), next(drawn))
+        h2 = CotangentGroupElement(_special_unitary(next(drawn).coeffs), next(drawn))
         lhs = action_bkm(h1, action_bkm(h2, rho))
         rhs = action_bkm(wrong_multiply(h1, h2), rho)
         worst = max(worst, float(np.max(np.abs(lhs.bloch - rhs.bloch))))

@@ -20,7 +20,7 @@ from qig.metric_family import (MetricAtPoint, bkm, bures_helstrom, custom,
                                family_a, family_b, inverse_metric,
                                metric_cartesian, rld, scan_monotonicity,
                                wigner_yanase)
-from qig.state_space import TracelessObservable, state_from_bloch
+from qig.state_space import QubitState, TracelessObservable
 from qig.vector_fields import (fundamental_field, gradient_field_closed,
                                gradient_field_from_metric, lie_bracket_numeric,
                                rescaled_gradient_field)
@@ -146,7 +146,7 @@ def test_integrate_flow(start, a, spec, which, t_end, steps):
         assert (traj.radii < 1.0).all()
 
     _valid_or_qig_error(
-        lambda: integrate_flow(_fields(a, spec)[which], state_from_bloch(*start),
+        lambda: integrate_flow(_fields(a, spec)[which], QubitState(*start),
                                t_end, steps), check)
 
 
@@ -161,7 +161,7 @@ def test_orbit_curve(start, a, b, a_const, t_end, steps):
     def call():
         group = (bkm_subgroup(a, b) if a_const is None
                  else alpha_subgroup(a_const, a, b))
-        return orbit_curve(group, state_from_bloch(*start), t_end, steps)
+        return orbit_curve(group, QubitState(*start), t_end, steps)
 
     _valid_or_qig_error(call, check)
 

@@ -263,6 +263,14 @@ def test_finite_difference_g_prime_names_the_callers_r():
     assert abs(big_f(spec, np.array([0.3, 0.5]))[1] - 1.0) < 1e-6
 
 
+@pytest.mark.filterwarnings("error")
+def test_non_finite_big_f_names_the_first_r():
+    # g(r) overflows at r = 1e-300, which gave F = NaN after RuntimeWarnings.
+    with pytest.raises(NumericError) as err:
+        big_f(bkm(), [1e-300, 0.5])
+    assert str(err.value) == "r = 1e-300 makes F of bkm not finite"
+
+
 SUITE_SPECS = [bures_helstrom(), wigner_yanase(), bkm(), family_a(2.0),
                family_a(4.0)]
 SUITE_SQRT_A = [None, None, None, math.sqrt(2.0), 2.0]

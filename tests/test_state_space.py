@@ -5,14 +5,11 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from qig.errors import (BoundaryViolation, ChartSingularity, DomainError,
-                        NotAState)
-from qig.state_space import (QubitState, SphericalPoint, TracelessObservable,
-                             all_true, bloch_from_state, cartesian_from_spherical,
-                             complex_matrix_from_json, complex_matrix_to_json,
-                             expectation_value, pauli_basis,
-                             spherical_from_cartesian, state_from_bloch,
-                             su2_bracket)
+from qig.errors import BoundaryViolation, ChartSingularity, DomainError
+from qig.state_space import (PAULIS, SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3,
+                             QubitState, SphericalPoint, TracelessObservable,
+                             all_true, complex_matrix_from_json,
+                             complex_matrix_to_json, su2_bracket)
 
 E1 = TracelessObservable(1.0, 0.0, 0.0)
 E2 = TracelessObservable(0.0, 1.0, 0.0)
@@ -20,7 +17,7 @@ E3 = TracelessObservable(0.0, 0.0, 1.0)
 
 
 def test_pauli_algebra():
-    s0, s1, s2, s3 = pauli_basis()
+    s0, s1, s2, s3 = SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3
     for s in (s1, s2, s3):
         npt.assert_array_equal(s @ s, s0)
         npt.assert_array_equal(s, s.conj().T)
@@ -61,28 +58,70 @@ def test_observable_matrix_roundtrip():
 
 
 def test_state_matrix_roundtrip():
-    rho = state_from_bloch(0.2, -0.4, 0.5)
-    back = bloch_from_state(rho.matrix())
-    npt.assert_allclose(back.bloch, rho.bloch, atol=1e-14)
+    rho = QubitState(0.2, -0.4, 0.5)
     m = rho.matrix()
+    back = [np.trace(m @ p).real for p in PAULIS]
+    npt.assert_allclose(back, rho.bloch, atol=1e-14)
     assert abs(np.trace(m) - 1.0) < 1e-15
     assert np.all(np.linalg.eigvalsh(m) > 0)
 
 
 def test_boundary_rejected():
     with pytest.raises(BoundaryViolation):
-        state_from_bloch(1.0, 0.0, 0.0)
+        QubitState(1.0, 0.0, 0.0)
     with pytest.raises(BoundaryViolation):
-        state_from_bloch(0.6, 0.6, 0.6)
+        QubitState(0.6, 0.6, 0.6)
 
 
-def test_not_a_state_rejected():
-    with pytest.raises(NotAState):
-        bloch_from_state(np.eye(2))  # trace 2
-    with pytest.raises(NotAState):
-        bloch_from_state(np.array([[0.5, 0.1j], [0.2j, 0.5]]))  # not Hermitian
-    with pytest.raises(NotAState):
-        bloch_from_state(np.diag([1.0, 0.0]))  # pure, not faithful
+_BOUNDARY = "is not strictly inside the unit ball"
+
+# What the state constructor that QubitState replaced (state_from_bloch)
+# gave for each input: the stored coordinates, all of type float, or the
+# error class and its whole message.
+_STATE_PARITY = [
+    ((0.1, 0.2, 0.3), [0.1, 0.2, 0.3]),
+    ((np.float64(0.1), np.float64(-0.2), np.float64(0.3)), [0.1, -0.2, 0.3]),
+    ((0, 0, 0), [0.0, 0.0, 0.0]),
+    ((np.int64(0), -1e-300, 0.5), [0.0, -1e-300, 0.5]),
+    ((1, 0, 0), (BoundaryViolation, f"Bloch point = [1.0, 0.0, 0.0] {_BOUNDARY}")),
+    ((True, 0, 0), (BoundaryViolation, f"Bloch point = [1.0, 0.0, 0.0] {_BOUNDARY}")),
+    ((1.0, 0.0, 0.0), (BoundaryViolation, f"Bloch point = [1.0, 0.0, 0.0] {_BOUNDARY}")),
+    ((0.6, 0.6, 0.6), (BoundaryViolation, f"Bloch point = [0.6, 0.6, 0.6] {_BOUNDARY}")),
+    ((math.nan, 0.0, 0.0),
+     (BoundaryViolation, f"Bloch point = [nan, 0.0, 0.0] {_BOUNDARY}")),
+    ((math.inf, 0, 0), (BoundaryViolation, f"Bloch point = [inf, 0.0, 0.0] {_BOUNDARY}")),
+    (("x", 0.0, 0.0), (DomainError, "Bloch point = ('x', 0.0, 0.0) is not real")),
+    ((0.1j, 0.0, 0.0), (DomainError, "Bloch point = (0.1j, 0.0, 0.0) is not real")),
+    ((complex(0.1, 0.0), 0.0, 0.0),
+     (DomainError, "Bloch point = ((0.1+0j), 0.0, 0.0) is not real")),
+    (([0.1, 0.2], 0.0, 0.0),
+     (DomainError, "Bloch point = ([0.1, 0.2], 0.0, 0.0) is not real")),
+    ((None, 0, 0), (DomainError, "Bloch point = (None, 0, 0) is not real")),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coords,want", [
+    pytest.param(coords, want, id=repr(coords)) for coords, want in _STATE_PARITY])
+def test_qubit_state_checks_as_state_from_bloch_did(coords, want):
+    if isinstance(want, list):
+        state = QubitState(*coords)
+        got = [state.x, state.y, state.z]
+        assert got == want and [type(v) for v in got] == [float] * 3
+        return
+    cls, message = want
+    with pytest.raises(cls) as err:
+        QubitState(*coords)
+    assert type(err.value) is cls and str(err.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+def test_qubit_state_of_a_column_is_domain_error():
+    # state_from_bloch raised a raw IndexError for coordinates of shape (1,).
+    with pytest.raises(DomainError) as err:
+        QubitState([0.1], [0.2], [0.3])
+    assert str(err.value) == ("Bloch point = ([0.1], [0.2], [0.3]) is not three "
+                              "real numbers")
 
 
 def test_chart_singularities():
@@ -91,35 +130,13 @@ def test_chart_singularities():
     with pytest.raises(ChartSingularity):
         SphericalPoint(1.2, 1.0, 0.0)
     with pytest.raises(ChartSingularity):
-        spherical_from_cartesian(0.0, 0.0, 0.5)  # polar axis
+        SphericalPoint(0.5, 1e-12, 0.0)  # polar axis
     with pytest.raises(ChartSingularity):
-        spherical_from_cartesian(0.0, 0.0, 0.0)  # center
-
-
-@given(st.floats(0.01, 0.95), st.floats(0.05, math.pi - 0.05),
-       st.floats(0.0, 2.0 * math.pi - 1e-9))
-def test_spherical_cartesian_roundtrip(r, theta, phi):
-    p = SphericalPoint(r, theta, phi)
-    q = spherical_from_cartesian(*cartesian_from_spherical(p))
-    assert abs(q.r - r) < 1e-12
-    assert abs(q.theta - theta) < 1e-12
-    assert min(abs(q.phi - phi), abs(abs(q.phi - phi) - 2 * math.pi)) < 1e-9
-
-
-def test_expectation_value_pinned():
-    # sigma_3 expectation at the north-leaning point r=0.5, theta=pi/3:
-    # z = 0.25, value = z/2 = 0.125; and a purely radial example at
-    # theta=pi/2, phi=0 gives x/2 = 0.25 for r=0.5 with a = sigma_1.
-    p = SphericalPoint(0.5, math.pi / 2.0, 0.0)
-    assert abs(expectation_value(E1, p) - 0.25) < 1e-15
-    # consistency with the density matrix: value = Tr(rho a) / 2
-    rho = state_from_bloch(*cartesian_from_spherical(p))
-    tr = float(np.trace(rho.matrix() @ E1.matrix()).real)
-    assert abs(expectation_value(E1, p) - tr / 2.0) < 1e-15
+        SphericalPoint(0.0, 1.0, 0.0)  # center
 
 
 def test_json_wire_formats():
-    rho = state_from_bloch(0.1, 0.2, -0.3)
+    rho = QubitState(0.1, 0.2, -0.3)
     assert rho.to_json() == {"bloch": [0.1, 0.2, -0.3]}
     a = TracelessObservable(1.0, 2.0, 3.0)
     assert a.to_json() == {"pauli": [1.0, 2.0, 3.0]}
