@@ -40,7 +40,7 @@ EXIT_NUMERIC = 3
 MAX_STEPS = 100_000       # export --steps
 MAX_POLES = 100_000       # ode poles -n/--count
 MAX_GRID_STEPS = 100_000  # ode classify --grid-steps
-MAX_SAMPLES = 50_000      # --samples
+MAX_SAMPLES = 50_000      # verify --samples
 
 
 def load_config(path: str) -> dict:
@@ -61,14 +61,12 @@ def load_config(path: str) -> dict:
             continue
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip().strip('"')
-        for cast in (int, float):
+        for cast in (int, float, str):
             try:
                 values[key] = cast(raw)
                 break
             except ValueError:
                 continue
-        else:
-            values[key] = raw
     return values
 
 
@@ -88,9 +86,7 @@ def _dump(data, output: str | None) -> None:
 
 
 def _spec_from_args(args) -> mf.MonotoneFunctionSpec:
-    return mf.spec_from_name(args.spec, a_const=getattr(args, "a_const", None),
-                             b_const=getattr(args, "b_const", None),
-                             c=getattr(args, "c", 0.0))
+    return mf.spec_from_name(args.spec, args.a_const, args.b_const, args.c)
 
 
 def _parse_triple(text: str) -> np.ndarray:
@@ -127,8 +123,7 @@ def _parse_field(desc: str, args) -> VectorField:
 def cmd_metric(args) -> int:
     spec = _spec_from_args(args)
     if args.chart == "spherical":
-        point = SphericalPoint(args.r, args.theta, args.phi)
-        metric = mf.metric_spherical(spec, point)
+        metric = mf.metric_spherical(spec, SphericalPoint(args.r, args.theta, args.phi))
     else:
         metric = mf.metric_cartesian(spec, args.x, args.y, args.z)
     if args.inverse:
@@ -194,17 +189,14 @@ def _json_flag(flag: str, text: str, build):
         raise InputError(f"{flag}: {type(exc).__name__}: {exc}") from None
 
 
-def _cotangent_from_json(data) -> ga.CotangentGroupElement:
-    return ga.CotangentGroupElement(
-        ga.complex_matrix_from_json(data["unitary"]),
-        TracelessObservable.from_coeffs(data["a"]["pauli"]))
-
-
 def cmd_act(args) -> int:
     rho = _json_flag("--state-json", args.state_json,
                      lambda data: QubitState(*data["bloch"]))
     if args.family == "bkm":
-        elem = _json_flag("--g-json", args.g_json, _cotangent_from_json)
+        elem = _json_flag("--g-json", args.g_json,
+                          lambda data: ga.CotangentGroupElement(
+                              ga.complex_matrix_from_json(data["unitary"]),
+                              TracelessObservable.from_coeffs(data["a"]["pauli"])))
         out = ga.action_bkm(elem, rho)
     else:
         a_const = {"bh": 1.0, "wy": 0.25}.get(args.family, args.a_const)
@@ -216,9 +208,33 @@ def cmd_act(args) -> int:
     return EXIT_OK
 
 
+def _run_config(args) -> None:
+    """Set seed, samples, tolerance and output on args to their checked
+    values: flags over config-file values over defaults."""
+    file_cfg = load_config(args.config) if args.config else {}
+
+    def pick(key, default):  # (owner, name, value) of --key, key or default
+        value = getattr(args, key)
+        if value is not None:
+            return "qig verify", f"--{key}", value
+        return f"--config {args.config}", key, file_cfg.get(key, default)
+
+    owner, name, args.seed = pick("seed", 0)
+    require_count(f"{owner}: {name}", args.seed, 0, InputError)
+    owner, name, args.samples = pick("samples", 200)
+    _check_count(f"{owner}: {name}", args.samples, MAX_SAMPLES)
+    owner, name, args.tolerance = pick("tolerance", None)
+    if args.tolerance is not None:
+        require_positive(owner, name, args.tolerance, InputError)
+    owner, name, args.output = pick("output", None)
+    if not (args.output is None or isinstance(args.output, str)):
+        raise InputError(f"{owner}: {name} = {args.output!r} is not a path")
+
+
 def cmd_verify(args) -> int:
     """Run each suite as suite(seed=..., tol=...), tol only when --tolerance
     is set, plus samples for actions and spec (when given) for commutators."""
+    _run_config(args)
     names = sorted(vf.SUITES) if args.suite == "all" else [args.suite]
     tol = {} if args.tolerance is None else {"tol": args.tolerance}
     reports = {}
@@ -246,56 +262,32 @@ def cmd_export(args) -> int:
                              f"{args.t_min}, {args.t_max}")
         a_values = args.a_list or [0.25, 1.0, 4.0]
         ts = np.linspace(args.t_min, args.t_max, args.steps)
-        cols = [ts] + [np.asarray(mf.f_eval(mf.family_a(a), ts)) for a in a_values]
-        header = ["t"] + [f"f_A{a:g}" for a in a_values]
-        _emit(csv_table(header, cols), args.output)
-        return EXIT_OK
-    if args.what == "F-curves":
+        text = csv_table(["t"] + [f"f_A{a:g}" for a in a_values], [ts] + [
+            np.asarray(mf.f_eval(mf.family_a(a), ts)) for a in a_values])
+    elif args.what == "F-curves":
         rs = np.linspace(0.05, 0.95, args.steps)
         specs = [mf.bkm(), mf.bures_helstrom(), mf.wigner_yanase(), mf.rld()]
-        cols = [rs] + [np.asarray(mf.big_f(s, rs)) for s in specs]
-        header = ["r"] + [f"F_{s.name}" for s in specs]
-        _emit(csv_table(header, cols), args.output)
-        return EXIT_OK
-
-    start = QubitState(*_parse_triple(args.start))
-    obs = TracelessObservable.from_coeffs(_parse_triple(args.a_coeffs))
-    if args.what != "orbit":
-        flow = integrate_flow(rescaled_gradient_field(obs, args.a_const), start,
-                              args.t_end, args.steps)
-    if args.what != "flow":
-        zero = TracelessObservable(0.0, 0.0, 0.0)
-        orbit = orbit_curve(ga.alpha_subgroup(args.a_const, obs, zero), start,
-                            args.t_end, args.steps)
-    if args.what != "overlay":
-        traj = flow if args.what == "flow" else orbit
-        _emit(traj.to_csv(observable=obs), args.output)
-        return EXIT_OK
-    gap = np.linalg.norm(flow.points - orbit.points, axis=1)
-    cols = [flow.times, *flow.points.T, *orbit.points.T, gap]
-    header = ["t", "flow_x", "flow_y", "flow_z",
-              "orbit_x", "orbit_y", "orbit_z", "gap"]
-    _emit(csv_table(header, cols), args.output)
+        text = csv_table(["r"] + [f"F_{s.name}" for s in specs],
+                         [rs] + [np.asarray(mf.big_f(s, rs)) for s in specs])
+    else:
+        start = QubitState(*_parse_triple(args.start))
+        obs = TracelessObservable.from_coeffs(_parse_triple(args.a_coeffs))
+        if args.what != "orbit":
+            flow = integrate_flow(rescaled_gradient_field(obs, args.a_const), start,
+                                  args.t_end, args.steps)
+        if args.what != "flow":
+            zero = TracelessObservable(0.0, 0.0, 0.0)
+            orbit = orbit_curve(ga.alpha_subgroup(args.a_const, obs, zero), start,
+                                args.t_end, args.steps)
+        if args.what == "overlay":
+            gap = np.linalg.norm(flow.points - orbit.points, axis=1)
+            text = csv_table(["t", "flow_x", "flow_y", "flow_z",
+                              "orbit_x", "orbit_y", "orbit_z", "gap"],
+                             [flow.times, *flow.points.T, *orbit.points.T, gap])
+        else:
+            text = (flow if args.what == "flow" else orbit).to_csv(observable=obs)
+    _emit(text, args.output)
     return EXIT_OK
-
-
-def _add_spec_flags(p) -> None:
-    p.add_argument("--spec", default="bh",
-                   help="bkm | bh | wy | rld | fa (needs --A) | fb (needs --B)")
-    p.add_argument("--A", dest="a_const", type=float, default=None)
-    p.add_argument("--B", dest="b_const", type=float, default=None)
-    p.add_argument("--c", type=float, default=0.0)
-
-
-def _add_point_flags(p) -> None:
-    p.add_argument("--chart", choices=["spherical", "cartesian"],
-                   default="spherical")
-    p.add_argument("--r", type=float, default=0.5)
-    p.add_argument("--theta", type=float, default=math.pi / 2.0)
-    p.add_argument("--phi", type=float, default=0.0)
-    p.add_argument("--x", type=float, default=0.5)
-    p.add_argument("--y", type=float, default=0.0)
-    p.add_argument("--z", type=float, default=0.0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -305,122 +297,99 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+# Each flag is ("name" or "short/long", argparse keywords).
+_SPEC_FLAGS = (
+    ("--spec", dict(default="bh",
+                    help="bkm | bh | wy | rld | fa (needs --A) | fb (needs --B)")),
+    ("--A", dict(dest="a_const", type=float)),
+    ("--B", dict(dest="b_const", type=float)),
+    ("--c", dict(type=float, default=0.0)))
+_AT_POINT = _SPEC_FLAGS + (
+    ("--chart", dict(choices=["spherical", "cartesian"], default="spherical")),
+    ("--r", dict(type=float, default=0.5)),
+    ("--theta", dict(type=float, default=math.pi / 2.0)),
+    ("--phi", dict(type=float, default=0.0)),
+    ("--x", dict(type=float, default=0.5)),
+    ("--y", dict(type=float, default=0.0)),
+    ("--z", dict(type=float, default=0.0)))
+
+# name -> (handler, help, flags); a group's handler slot holds the table of
+# its subcommands.  Every leaf also takes --output.
+COMMANDS = {
+    "metric": (cmd_metric, "metric components at a point",
+               _AT_POINT + (("--inverse", dict(action="store_true")),)),
+    "field": (cmd_field, "evaluate a vector field at a point", _AT_POINT + (
+        ("--field", dict(required=True, help="x:b1,b2,b3 | y:a1,a2,a3 | "
+                                             "ym:a1,a2,a3 | ya:a1,a2,a3")),)),
+    "bracket": (cmd_bracket, "numeric Lie bracket of two fields", _AT_POINT + (
+        ("--v", dict(required=True, help="first field descriptor")),
+        ("--w", dict(required=True, help="second field descriptor")),
+        ("--h", dict(type=float, default=BRACKET_STEP)))),
+    "ode": ({
+        "classify": (cmd_ode_classify, "is F constant for a spec?", _SPEC_FLAGS + (
+            ("--grid-min", dict(type=float, default=0.05)),
+            ("--grid-max", dict(type=float, default=0.95)),
+            ("--grid-steps", dict(type=int, default=50)))),
+        "solve": (cmd_ode_solve, "the closed-form solution of F = A", (
+            ("--A", dict(dest="a_const", type=float, required=True)),
+            ("--c", dict(type=float, default=0.0)))),
+        "poles": (cmd_ode_poles, "the poles of family_b(B, c)", (
+            ("--B", dict(dest="b_const", type=float, required=True)),
+            ("--c", dict(type=float, default=0.0)),
+            ("-n/--count", dict(type=int, default=10)))),
+    }, "radial ODE classification", ()),
+    "act": (cmd_act, "apply a group action to a state", (
+        ("--family", dict(required=True, choices=["bh", "wy", "alphaA", "bkm"])),
+        ("--A", dict(dest="a_const", type=float)),
+        ("--g-json", dict(required=True)),
+        ("--state-json", dict(required=True)))),
+    "verify": (cmd_verify, "run verification suites", (
+        ("--config", dict(help="key = value config file")),
+        ("--seed", dict(type=int)),
+        ("--samples", dict(type=int)),
+        ("--tolerance", dict(type=float, help="override each suite's main "
+                                              "tolerance (monotone has none)")),
+        ("suite", dict(nargs="?", default="all", choices=["all"] + sorted(vf.SUITES))),
+        ("--spec", dict(help="restrict the commutator suite to one spec")))),
+    "export": (cmd_export, "plot-ready CSV data", (
+        ("--what", dict(required=True,
+                        choices=["f-curves", "F-curves", "flow", "orbit", "overlay"])),
+        ("--A", dict(dest="a_const", type=float, default=1.0)),
+        ("--a-list", dict(type=float, nargs="*")),
+        ("--a", dict(dest="a_coeffs", default="0,0,1",
+                     help="observable Pauli coefficients for flow/orbit")),
+        ("--start", dict(default="0.2,0,0.1")),
+        ("--t-end", dict(type=float, default=1.0)),
+        ("--t-min", dict(type=float, default=0.005)),
+        ("--t-max", dict(type=float, default=1.0)),
+        ("--steps", dict(type=int, default=200)))),
+}
+_OUTPUT = ("--output", dict(help="write to file instead of stdout"))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="key = value config file")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--samples", type=int, default=None)
-    common.add_argument("--tolerance", type=float, default=None,
-                        help="override each suite's main tolerance "
-                             "(monotone has none)")
-    common.add_argument("--output", help="write to file instead of stdout")
+    """The qig parser, built from COMMANDS: a leaf takes its flags and
+    --output, and a group's table adds a level chosen in f"{name}_cmd"."""
+    def add(parser, commands, dest):
+        sub = parser.add_subparsers(dest=dest, required=True)
+        for name, (handler, help_text, flags) in commands.items():
+            p = sub.add_parser(name, help=help_text)
+            if isinstance(handler, dict):
+                add(p, handler, f"{name}_cmd")
+                continue
+            p.set_defaults(func=handler)
+            for names, kw in flags + (_OUTPUT,):
+                p.add_argument(*names.split("/"), **kw)
+        return parser
 
-    parser = _Parser(
-        prog="qig",
-        description="Monotone metrics, gradient flows and group actions "
-                    "on the qubit state space.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kw):
-        p = sub.add_parser(name, parents=[common], **kw)
-        p.set_defaults(func=func)
-        return p
-
-    p = add("metric", cmd_metric, help="metric components at a point")
-    _add_spec_flags(p)
-    _add_point_flags(p)
-    p.add_argument("--inverse", action="store_true")
-
-    p = add("field", cmd_field, help="evaluate a vector field at a point")
-    _add_spec_flags(p)
-    _add_point_flags(p)
-    p.add_argument("--field", required=True,
-                   help="x:b1,b2,b3 | y:a1,a2,a3 | ym:a1,a2,a3 | ya:a1,a2,a3")
-
-    p = add("bracket", cmd_bracket, help="numeric Lie bracket of two fields")
-    _add_spec_flags(p)
-    _add_point_flags(p)
-    p.add_argument("--v", required=True, help="first field descriptor")
-    p.add_argument("--w", required=True, help="second field descriptor")
-    p.add_argument("--h", type=float, default=BRACKET_STEP)
-
-    p = sub.add_parser("ode", parents=[common],
-                       help="radial ODE classification")
-    ode_sub = p.add_subparsers(dest="ode_cmd", required=True)
-    pc = ode_sub.add_parser("classify")
-    pc.set_defaults(func=cmd_ode_classify)
-    _add_spec_flags(pc)
-    pc.add_argument("--grid-min", type=float, default=0.05)
-    pc.add_argument("--grid-max", type=float, default=0.95)
-    pc.add_argument("--grid-steps", type=int, default=50)
-    ps = ode_sub.add_parser("solve")
-    ps.set_defaults(func=cmd_ode_solve)
-    ps.add_argument("--A", dest="a_const", type=float, required=True)
-    ps.add_argument("--c", type=float, default=0.0)
-    pp = ode_sub.add_parser("poles")
-    pp.set_defaults(func=cmd_ode_poles)
-    pp.add_argument("--B", dest="b_const", type=float, required=True)
-    pp.add_argument("--c", type=float, default=0.0)
-    pp.add_argument("-n", "--count", type=int, default=10)
-
-    p = add("act", cmd_act, help="apply a group action to a state")
-    p.add_argument("--family", required=True,
-                   choices=["bh", "wy", "alphaA", "bkm"])
-    p.add_argument("--A", dest="a_const", type=float, default=None)
-    p.add_argument("--g-json", required=True)
-    p.add_argument("--state-json", required=True)
-
-    p = add("verify", cmd_verify, help="run verification suites")
-    p.add_argument("suite", nargs="?", default="all",
-                   choices=["all"] + sorted(vf.SUITES))
-    p.add_argument("--spec", default=None,
-                   help="restrict the commutator suite to one spec")
-
-    p = add("export", cmd_export, help="plot-ready CSV data")
-    p.add_argument("--what", required=True,
-                   choices=["f-curves", "F-curves", "flow", "orbit", "overlay"])
-    p.add_argument("--A", dest="a_const", type=float, default=1.0)
-    p.add_argument("--a-list", type=float, nargs="*", default=None)
-    p.add_argument("--a", dest="a_coeffs", default="0,0,1",
-                   help="observable Pauli coefficients for flow/orbit")
-    p.add_argument("--start", default="0.2,0,0.1")
-    p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--t-min", type=float, default=0.005)
-    p.add_argument("--t-max", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=200)
-
-    return parser
-
-
-def _run_config(args) -> None:
-    """Set seed, samples, tolerance and output on args to their checked
-    values: flags over config-file values over defaults."""
-    file_cfg = load_config(args.config) if args.config else {}
-
-    def pick(key, default):
-        """(owner, name, value) of the flag --key, or else of the config
-        file's key, or else of default."""
-        value = getattr(args, key)
-        if value is not None:
-            return f"qig {args.command}", f"--{key}", value
-        return f"--config {args.config}", key, file_cfg.get(key, default)
-
-    owner, name, args.seed = pick("seed", 0)
-    require_count(f"{owner}: {name}", args.seed, 0, InputError)
-    owner, name, args.samples = pick("samples", 200)
-    _check_count(f"{owner}: {name}", args.samples, MAX_SAMPLES)
-    owner, name, args.tolerance = pick("tolerance", None)
-    if args.tolerance is not None:
-        require_positive(owner, name, args.tolerance, InputError)
-    owner, name, args.output = pick("output", None)
-    if not (args.output is None or isinstance(args.output, str)):
-        raise InputError(f"{owner}: {name} = {args.output!r} is not a path")
+    return add(_Parser(prog="qig", description="Monotone metrics, gradient flows "
+                       "and group actions on the qubit state space."),
+               COMMANDS, "command")
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _run_config(args)
         return args.func(args)
     except QigError as exc:
         _dump({"error": type(exc).__name__, "message": str(exc)}, None)

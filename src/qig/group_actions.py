@@ -20,10 +20,10 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .state_space import (CALLABLE, PAULIS, SIGMA_0, QubitState, Record,
-                          TracelessObservable, bloch_norm, bloch_stack,
-                          check_bloch_array, complex_matrix_from_json,
+                          TracelessObservable, as_numbers, bloch_norm,
+                          bloch_stack, check_bloch_array, complex_matrix_from_json,
                           complex_matrix_to_json, require_all, require_count,
-                          require_positive)
+                          require_instance, require_positive)
 
 EIG_DEGENERACY_CUTOFF = 1e-8  # series fallback for the 2x2 exponential
 DET_TOLERANCE = 1e-10  # |det - 1| allowed for an SL(2, C) or SU(2) matrix
@@ -77,19 +77,25 @@ def _power_coords(v: np.ndarray, r: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
+def _matrix_2x2(name: str, value) -> np.ndarray:
+    """value as a 2x2 array of numbers; anything else raises DomainError
+    "{name} = {value!r} is not a 2x2 matrix"."""
+    arr = as_numbers(value, "iufc")
+    if arr is None or arr.shape != (2, 2):
+        raise DomainError(f"{name} = {value!r} is not a 2x2 matrix")
+    return arr
+
+
 class SLGroupElement(Record):
     """A 2x2 complex matrix with determinant 1."""
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix: np.ndarray):
-        super().__init__(matrix)
-        if np.shape(matrix) != (2, 2):
-            raise DomainError(f"an SL(2, C) element is a 2x2 matrix, got shape "
-                              f"{np.shape(matrix)}")
-        if not _unit_det(matrix):
+        super().__init__(_matrix_2x2("matrix", matrix))
+        if not _unit_det(self.matrix):
             with np.errstate(over="ignore", invalid="ignore"):
-                det = complex(np.linalg.det(matrix))
+                det = complex(np.linalg.det(self.matrix))
             raise DomainError(f"determinant {det} != 1")
 
     def __matmul__(self, other: "SLGroupElement") -> "SLGroupElement":
@@ -141,10 +147,8 @@ class CotangentGroupElement(Record):
     _types = {"a": (TracelessObservable, "a TracelessObservable")}
 
     def __init__(self, unitary: np.ndarray, a: TracelessObservable):
-        super().__init__(unitary, a)
-        if np.shape(unitary) != (2, 2):
-            raise DomainError(f"unitary = {unitary!r} is not a 2x2 matrix")
-        u = np.asarray(unitary, dtype=complex)
+        super().__init__(_matrix_2x2("unitary", unitary), a)
+        u = np.asarray(self.unitary, dtype=complex)
         if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-10:
             raise DomainError("U is not unitary")
         if not _unit_det(u):
@@ -221,6 +225,8 @@ def action_alpha_a(a_const: float, g: SLGroupElement, rho: QubitState) -> QubitS
     See _alpha_images for the closed form.
     """
     s = _sqrt_a(a_const)
+    require_instance("g", g, SLGroupElement)
+    require_instance("rho", rho, QubitState)
     return QubitState(*_alpha_images(s, _lorentz(g.matrix), rho.bloch))
 
 
@@ -229,6 +235,8 @@ def action_bkm(h: CotangentGroupElement, rho: QubitState) -> QubitState:
 
     See _bkm_images for the closed form.
     """
+    require_instance("h", h, CotangentGroupElement)
+    require_instance("rho", rho, QubitState)
     rotation = _lorentz(h.unitary)[1:, 1:]
     return QubitState(*_bkm_images(rotation, h.a.coeffs, rho.bloch))
 

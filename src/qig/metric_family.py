@@ -34,9 +34,9 @@ import numpy as np
 from .errors import (CenterSingularity, DomainError, ExtrapolationUnstable,
                      IllConditioned, NumericError, PoleError)
 from .state_space import (CALLABLE, EPS_CHART, Record, SphericalPoint,
-                          ball_radii, require_all, require_count,
-                          require_finite, require_items, require_positive,
-                          require_real)
+                          as_numbers, ball_radii, require_all, require_count,
+                          require_finite, require_instance, require_items,
+                          require_positive, require_real)
 
 # Removable singularities of f at t = 1 switch to a Taylor fallback here;
 # direct evaluation loses all precision closer to 1.
@@ -203,7 +203,17 @@ def family_b(b_const: float, c: float = 0.0) -> MonotoneFunctionSpec:
 
 
 def custom(f: Callable, name: str) -> MonotoneFunctionSpec:
-    return MonotoneFunctionSpec("custom", name, f_raw=f)
+    """The spec of a user's f; a result of f that is not real raises
+    NumericError naming the spec and t."""
+    require_instance("f", f, Callable)
+
+    def f_raw(t):
+        value = f(t)
+        if as_numbers(value, "iuf") is None:
+            raise NumericError(f"t = {t} gives f of {name} = {value!r}, which is "
+                               f"not real")
+        return value
+    return MonotoneFunctionSpec("custom", name, f_raw=f_raw)
 
 
 CATALOG = {
@@ -315,6 +325,7 @@ class MetricAtPoint(NamedTuple):
 
 def metric_spherical(spec: MonotoneFunctionSpec, p: SphericalPoint) -> MetricAtPoint:
     """diag(1/(1-r^2), r^2/((1+r) f(t)), same * sin^2 theta), t = (1-r)/(1+r)."""
+    require_instance("p", p, SphericalPoint)
     t = (1.0 - p.r) / (1.0 + p.r)
     ftan = float(finite_f(spec, t))
     a_tan = p.r * p.r / ((1.0 + p.r) * ftan)
@@ -642,8 +653,7 @@ def scan_monotonicity(specs, sizes=(1, 2, 3, 4), samples: int = 10_000,
     """
     specs = require_items("specs", specs, "spec")
     for spec in specs:
-        if not isinstance(spec, MonotoneFunctionSpec):
-            raise DomainError(f"spec = {spec!r} is not a MonotoneFunctionSpec")
+        require_instance("spec", spec, MonotoneFunctionSpec)
     require_count("samples", samples)
     require_count("seed", seed, 0)
     sizes = require_items("sizes", sizes, "matrix size")

@@ -104,11 +104,8 @@ class TracelessObservable(Record):
     def from_coeffs(c) -> "TracelessObservable":
         """From exactly three real Pauli coefficients; anything else raises
         DomainError naming it."""
-        try:
-            arr = np.asarray(c)
-        except ValueError:  # a ragged nesting
-            arr = None
-        if arr is None or arr.shape != (3,) or arr.dtype.kind not in "iuf":
+        arr = as_numbers(c, "iuf")
+        if arr is None or arr.shape != (3,):
             raise DomainError(f"need three real Pauli coefficients, got {c!r}")
         return TracelessObservable(*arr.astype(float).tolist())
 
@@ -196,15 +193,29 @@ def require_finite(name: str, value, error=DomainError) -> None:
         raise error(f"{name} = {value!r} is not finite")
 
 
+def require_instance(name: str, value, cls: type) -> None:
+    """Raise DomainError "{name} = {value!r} is not a {cls.__name__}"
+    unless value is a cls."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} = {value!r} is not a {cls.__name__}")
+
+
+def as_numbers(value, kinds: str) -> np.ndarray | None:
+    """np.asarray(value) if its dtype kind is one of kinds ("iuf" for real
+    numbers), else None, as for a ragged nesting."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        return None
+    return arr if arr.dtype.kind in kinds else None
+
+
 def require_real(name: str, value, error=DomainError) -> np.ndarray:
     """value as a float array; a value that is not a number or an array of
     integers or floats (a string, a complex number, a ragged nesting) raises
     error "{name} = {value!r} is not real"."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # a ragged nesting
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
+    arr = as_numbers(value, "iuf")
+    if arr is None:
         raise error(f"{name} = {value!r} is not real")
     return np.asarray(arr, dtype=float)
 

@@ -9,15 +9,17 @@ import pytest
 
 from qig.errors import DomainError
 from qig.flow_engine import integrate_flow, orbit_curve
-from qig.group_actions import (CotangentGroupElement, Subgroup, action_alpha_a,
-                               alpha_subgroup, bkm_subgroup, generator_of_action,
-                               sl_identity, transitivity_probe,
-                               verify_alpha_action, verify_bkm_action)
+from qig.group_actions import (CotangentGroupElement, SLGroupElement, Subgroup,
+                               action_alpha_a, action_bkm, alpha_subgroup,
+                               bkm_subgroup, cotangent_identity,
+                               generator_of_action, sl_identity,
+                               transitivity_probe, verify_alpha_action,
+                               verify_bkm_action)
 from qig.metric_family import (big_f, bkm, bures_helstrom, check_petz_symmetry,
                                custom, derivative_limit_at_zero, f_eval,
                                family_a, family_b, g_derivative, g_from_f,
-                               metric_cartesian, scan_monotonicity,
-                               spec_from_name)
+                               metric_cartesian, metric_spherical,
+                               scan_monotonicity, spec_from_name)
 from qig.ode_classifier import classify, singularities
 from qig.state_space import QubitState, SphericalPoint, TracelessObservable
 from qig.vector_fields import (VectorField, fundamental_field,
@@ -162,6 +164,31 @@ _WRONG_TYPES = [
     ("Subgroup.images=3", lambda: Subgroup(3), "images = 3 is not callable"),
     ("VectorField.cartesian=3", lambda: VectorField(3), "cartesian = 3 is not callable"),
     ("custom.name=3", lambda: custom(lambda t: t, 3), "name = 3 is not a string"),
+    ("custom.f=3", lambda: custom(3, "c"), "f = 3 is not a Callable"),
+    ("SLGroupElement.matrix=ragged", lambda: SLGroupElement([[1, 0], [0]]),
+     "matrix = [[1, 0], [0]] is not a 2x2 matrix"),
+    ("SLGroupElement.matrix=strings",
+     lambda: SLGroupElement(np.array([["a", "b"], ["c", "d"]])),
+     "matrix = array([['a', 'b'],\n       ['c', 'd']], dtype='<U1') "
+     "is not a 2x2 matrix"),
+    ("CotangentGroupElement.unitary=ragged",
+     lambda: CotangentGroupElement([[1, 0], [0]], ZERO),
+     "unitary = [[1, 0], [0]] is not a 2x2 matrix"),
+    ("CotangentGroupElement.unitary=strings",
+     lambda: CotangentGroupElement([["a", "b"], ["c", "d"]], ZERO),
+     "unitary = [['a', 'b'], ['c', 'd']] is not a 2x2 matrix"),
+    ("action_alpha_a.g=eye(2)", lambda: action_alpha_a(2.0, np.eye(2), START),
+     "g = array([[1., 0.],\n       [0., 1.]]) is not a SLGroupElement"),
+    ("action_alpha_a.rho=(0.1, 0, 0)",
+     lambda: action_alpha_a(2.0, sl_identity(), (0.1, 0, 0)),
+     "rho = (0.1, 0, 0) is not a QubitState"),
+    ("action_bkm.h=eye(2)", lambda: action_bkm(np.eye(2), START),
+     "h = array([[1., 0.],\n       [0., 1.]]) is not a CotangentGroupElement"),
+    ("action_bkm.rho=(0.1, 0, 0)",
+     lambda: action_bkm(cotangent_identity(), (0.1, 0, 0)),
+     "rho = (0.1, 0, 0) is not a QubitState"),
+    ("metric_spherical.p=(0.5, 1, 1)", lambda: metric_spherical(bkm(), (0.5, 1, 1)),
+     "p = (0.5, 1, 1) is not a SphericalPoint"),
 ]
 
 

@@ -202,6 +202,66 @@ def _act(family, g_json=_ID, state_json=_CENTER, *extra):
             "--state-json", state_json]
 
 
+# The cheapest valid command line of each leaf command of cli.COMMANDS.
+_LEAF_ARGS = {
+    "metric": [],
+    "field": ["--field", "x:1,0,0"],
+    "bracket": ["--v", "x:1,0,0", "--w", "x:0,1,0"],
+    "ode classify": [],
+    "ode solve": ["--A", "2"],
+    "ode poles": ["--B", "1"],
+    "act": _act("bh")[1:],
+    "verify": ["poles"],
+    "export": ["--what", "f-curves", "--steps", "3"],
+}
+
+
+def _commands(table, prefix=()):
+    """Every command path of a COMMANDS table, groups before their leaves,
+    as (path, is_leaf)."""
+    for name, (handler, _, _) in table.items():
+        path = prefix + (name,)
+        yield path, not isinstance(handler, dict)
+        if isinstance(handler, dict):
+            yield from _commands(handler, path)
+
+
+def test_every_leaf_command_has_args():
+    assert {" ".join(path) for path, leaf in _commands(cli.COMMANDS) if leaf} \
+        == set(_LEAF_ARGS)
+
+
+@pytest.mark.parametrize("leaf", sorted(_LEAF_ARGS))
+def test_output_flag_on_every_leaf(leaf, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = leaf.split() + _LEAF_ARGS[leaf]
+    assert cli.main(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert cli.main(argv) == 0
+    written = out.read_text()
+    # stdout gets the same text, ended by a newline if it has none.
+    assert capsys.readouterr().out in (written, written + "\n")
+
+
+@pytest.mark.parametrize("leaf", sorted(set(_LEAF_ARGS) - {"verify"}))
+def test_only_verify_takes_seed(leaf, capsys):
+    # --seed, --samples, --tolerance and --config are read by verify alone.
+    code = cli.main(leaf.split() + _LEAF_ARGS[leaf] + ["--seed", "0"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 2 and data["error"] == "InputError"
+    assert "--seed" in data["message"]
+
+
+@pytest.mark.parametrize("path", [()] + [path for path, _ in _commands(cli.COMMANDS)],
+                         ids=lambda path: " ".join(("qig",) + path))
+def test_help_exits_0(path, capsys):
+    # argparse formats a help string only when -h runs.
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([*path, "-h"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: {' '.join(('qig',) + path)}")
+
+
 # (argv, flag the message must name or None).  Malformed input must name the
 # flag it came from; non-finite parameters must be rejected, not run to NaN.
 _BAD_INPUT = [

@@ -161,8 +161,10 @@ def test_sl_element_validation():
     with pytest.raises(DomainError, match="inf"):
         SLGroupElement(np.diag([1e300, 1e300]).astype(complex))
     # det(I_3) = 1, but no 3x3 matrix is an SL(2, C) element.
-    with pytest.raises(DomainError, match=r"2x2 matrix, got shape \(3, 3\)"):
+    with pytest.raises(DomainError) as err:
         SLGroupElement(np.eye(3, dtype=complex))
+    assert str(err.value) == (f"matrix = {np.eye(3, dtype=complex)!r} "
+                              f"is not a 2x2 matrix")
 
 
 @pytest.mark.filterwarnings("error")

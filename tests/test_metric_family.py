@@ -695,6 +695,26 @@ def test_scan_rejects_a_non_finite_f_at_every_size(dim):
     assert named and float(named.group(1)) < 0.5
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("result", [None, "x", 0.5j],
+                         ids=["None", "string", "complex"])
+@pytest.mark.parametrize("call,t", [
+    (lambda spec: f_eval(spec, 0.5), "0.5"),
+    (lambda spec: g_from_f(spec, 0.6), "0.25"),
+    (lambda spec: metric_cartesian(spec, 0.6, 0.0, 0.0), "0.25"),
+    (lambda spec: scan_monotonicity([spec], sizes=(1,), samples=3), None)],
+    ids=["f_eval", "g_from_f", "metric_cartesian", "scan_monotonicity"])
+def test_custom_f_that_is_not_real_is_numeric_error(result, call, t):
+    # A raw TypeError came from isfinite or abs().
+    spec = custom(lambda t: result, "odd")
+    with pytest.raises(NumericError) as err:
+        call(spec)
+    named = re.fullmatch(r"t = (.+) gives f of odd = (.+), which is not real",
+                         str(err.value), re.S)
+    assert named and named.group(2) == repr(result)
+    assert t is None or named.group(1) == t
+
+
 def _assert_qubit_gaps_match_spectral(lam_a, vec_a, b, what):
     # The bound of test_scan_matches_eigh_of_a_oracle: family_a's f near
     # t = 1 is good only to about eps / (sqrt(A) (1 - t)), and B's
