@@ -19,8 +19,7 @@ if _os.environ.get("QIG_THREADS"):
 from . import errors
 from .flow_engine import Trajectory, compare_flow_to_orbit, integrate_flow, orbit_curve
 from .group_actions import (CotangentGroupElement, SLGroupElement, action_alpha_a,
-                            action_bkm, cotangent_identity, cotangent_multiply,
-                            sl_from_generators)
+                            action_bkm, cotangent_multiply, sl_from_generators)
 from .metric_family import (MetricAtPoint, MonotoneFunctionSpec, big_f, bkm,
                             bures_helstrom, check_petz_symmetry, custom,
                             derivative_limit_at_zero, f_eval, family_a, family_b,

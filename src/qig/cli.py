@@ -35,7 +35,7 @@ EXIT_NUMERIC = 3
 # Caps on the work one flag can ask for.  Each is sized so that the largest
 # valid run takes a fraction of the 60 s that a `qig verify all` run is
 # allowed, on a 2-vCPU machine with one BLAS thread: 100 000 overlay steps
-# take about 1 s, 50 000 action samples about 9 s, and 100 000 poles or
+# take about 1 s, 50 000 action samples about 3 s, and 100 000 poles or
 # classification grid points under 1 s.
 MAX_STEPS = 100_000       # export --steps
 MAX_POLES = 100_000       # ode poles -n/--count

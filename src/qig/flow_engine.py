@@ -17,7 +17,7 @@ import numpy as np
 from .errors import LeftManifold
 from .group_actions import Subgroup
 from .state_space import (EPS_BOUNDARY, QubitState, TracelessObservable,
-                          bloch_norm, require_count, require_finite)
+                          bloch_norm, require_count, require_finite, require_instance)
 from .vector_fields import VectorField
 
 
@@ -83,6 +83,8 @@ def integrate_flow(vfield: VectorField, start: QubitState, t_end: float,
     point is checked on its own.  A point not inside the ball by
     EPS_BOUNDARY raises LeftManifold naming its |v|.
     """
+    require_instance("vfield", vfield, VectorField)
+    require_instance("start", start, QubitState)
     times = _time_grid(t_end, steps, "steps")
     h = t_end / steps
     half, sixth = 0.5 * h, h / 6.0
@@ -120,6 +122,7 @@ def orbit_curve(subgroup: Subgroup, start: QubitState, t_end: float,
     The subgroup (see group_actions.alpha_subgroup / bkm_subgroup) acts
     with every time of the grid in one batched call.
     """
+    require_instance("subgroup", subgroup, Subgroup)
     times = _time_grid(t_end, samples, "samples")
     return Trajectory(times, subgroup.orbit(times, start))
 

@@ -8,7 +8,8 @@ closed form on Bloch vectors, through the Lorentz matrix of the group
 element (Bengtsson & Zyczkowski, Geometry of Quantum States), with no
 eigensolver.  The closed forms broadcast a stack of states against a stack
 of group elements, so a one-parameter orbit on a whole time grid, or an
-axiom check over all its samples, is one batched evaluation.
+axiom check over all its samples, is one batched evaluation.  An image that
+rounds into the ball's boundary band raises NumericError naming its row.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from .errors import DomainError, NumericError
 from .state_space import (CALLABLE, PAULIS, SIGMA_0, QubitState, Record,
                           TracelessObservable, as_numbers, bloch_norm,
                           bloch_stack, check_bloch_array, complex_matrix_from_json,
-                          complex_matrix_to_json, require_all, require_count,
-                          require_instance, require_positive)
+                          complex_matrix_to_json, pauli_coeffs, require_all,
+                          require_count, require_instance, require_positive)
 
 EIG_DEGENERACY_CUTOFF = 1e-8  # series fallback for the 2x2 exponential
 DET_TOLERANCE = 1e-10  # |det - 1| allowed for an SL(2, C) or SU(2) matrix
+GENERATOR_STEP = 1e-4  # central-difference step of generator_of_action
 
 _PAULI4 = np.array((SIGMA_0,) + PAULIS)
 # _LORENTZ_TERMS[(j, k, i, l), (a, b)] = sigma_a[i, j] sigma_b[k, l]
@@ -38,6 +40,13 @@ def _unit_det(m: np.ndarray) -> np.ndarray:
     whose determinant overflows has not."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.abs(np.linalg.det(m) - 1.0) <= DET_TOLERANCE
+
+
+def _unitary(m: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a stack (..., 2, 2) is unitary to 1e-10."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(2))
+    return np.max(gap, axis=(-2, -1)) <= 1e-10
 
 
 def _lorentz(m: np.ndarray) -> np.ndarray:
@@ -98,9 +107,6 @@ class SLGroupElement(Record):
                 det = complex(np.linalg.det(self.matrix))
             raise DomainError(f"determinant {det} != 1")
 
-    def __matmul__(self, other: "SLGroupElement") -> "SLGroupElement":
-        return SLGroupElement(self.matrix @ other.matrix)
-
     def to_json(self) -> dict:
         return {"sl_matrix": complex_matrix_to_json(self.matrix)}
 
@@ -148,25 +154,21 @@ class CotangentGroupElement(Record):
 
     def __init__(self, unitary: np.ndarray, a: TracelessObservable):
         super().__init__(_matrix_2x2("unitary", unitary), a)
-        u = np.asarray(self.unitary, dtype=complex)
-        if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-10:
+        if not _unitary(self.unitary):
             raise DomainError("U is not unitary")
-        if not _unit_det(u):
+        if not _unit_det(self.unitary):
             raise DomainError("det U != 1")
 
 
-def cotangent_identity() -> CotangentGroupElement:
-    return CotangentGroupElement(np.eye(2, dtype=complex),
-                                 TracelessObservable(0.0, 0.0, 0.0))
+def cotangent_multiply(u1: np.ndarray, a1: np.ndarray, u2: np.ndarray,
+                       a2: np.ndarray) -> tuple:
+    """Semidirect product (U1, a1) (U2, a2) = (U1 U2, a1 + U1 a2 U1^dag).
 
-
-def cotangent_multiply(h1: CotangentGroupElement,
-                       h2: CotangentGroupElement) -> CotangentGroupElement:
-    """Semidirect product (U1, a1) (U2, a2) = (U1 U2, a1 + U1 a2 U1^dag)."""
-    rotated = h1.unitary @ h2.a.matrix() @ h1.unitary.conj().T
-    return CotangentGroupElement(
-        h1.unitary @ h2.unitary,
-        TracelessObservable.from_matrix(h1.a.matrix() + rotated))
+    The elements are stacks of unitaries (..., 2, 2) and of the Pauli
+    coefficients (..., 3) of their translations, and so is the product.
+    """
+    rotated = u1 @ _pauli_matrices(a2) @ u1.conj().swapaxes(-1, -2)
+    return u1 @ u2, pauli_coeffs(_pauli_matrices(a1) + rotated)
 
 
 def _sqrt_a(a_const: float) -> float:
@@ -197,7 +199,7 @@ def _alpha_images(s: float, lorentz: np.ndarray, v: np.ndarray) -> np.ndarray:
     mu_hi = moved[..., 0] + rx
     det = ((1.0 - r) / (1.0 + r)) ** s  # k of _power_coords
     q = (det / mu_hi / mu_hi) ** (1.0 / s)
-    return _along(x, rx, (1.0 - q) / (1.0 + q))
+    return check_bloch_array(_along(x, rx, (1.0 - q) / (1.0 + q)), NumericError)
 
 
 def _bkm_images(rotation: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -215,7 +217,7 @@ def _bkm_images(rotation: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarra
     require_all(np.isfinite(w).all(axis=-1), w, NumericError, "BKM exponent w",
                 "is not finite")
     rw = bloch_norm(w)
-    return _along(w, rw, np.tanh(rw))
+    return check_bloch_array(_along(w, rw, np.tanh(rw)), NumericError)
 
 
 def action_alpha_a(a_const: float, g: SLGroupElement, rho: QubitState) -> QubitState:
@@ -286,6 +288,16 @@ def _max_gap(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.abs(x - y)))
 
 
+def _axiom_report(action: str, images, identity, h1, h2, h12, rho) -> ActionAxiomReport:
+    """Identity and compatibility deviations of an action on the states rho
+    (N, 3).  images(h, v) acts with the elements h, in the action's stacked
+    form, on v; h12 is h1 h2 sample by sample."""
+    ident = images(identity, rho)
+    lhs = images(h1, images(h2, rho))
+    rhs = images(h12, rho)
+    return ActionAxiomReport(action, _max_gap(ident, rho), _max_gap(lhs, rhs))
+
+
 def verify_alpha_action(a_const: float, samples: int = 200,
                         seed: int = 0) -> ActionAxiomReport:
     """Identity and compatibility axioms for alpha_A on random triples.
@@ -296,7 +308,6 @@ def verify_alpha_action(a_const: float, samples: int = 200,
     """
     s = _sqrt_a(a_const)
     states, coeffs = _draws(seed, 1, samples, 1, 4)
-    rho = states[:, 0]
     # per sample a1, b1, a2, b2
     g1, g2 = np.moveaxis(_expm_traceless_2x2(
         0.5 * (_pauli_matrices(coeffs[:, 0::2])
@@ -307,45 +318,31 @@ def verify_alpha_action(a_const: float, samples: int = 200,
     for g, what in ((g1, "g1"), (g2, "g2"), (g12, "g1 g2")):
         require_all(_unit_det(g), np.arange(samples), NumericError, "sample",
                     f"gives a determinant of {what} != 1")
-
-    def images(g, v):
-        return check_bloch_array(_alpha_images(s, _lorentz(g), v))
-
-    ident = images(sl_identity().matrix, rho)
-    lhs = images(g1, images(g2, rho))
-    rhs = images(g12, rho)
-    return ActionAxiomReport(f"alpha_A(A={a_const:g})", _max_gap(ident, rho),
-                             _max_gap(lhs, rhs))
+    return _axiom_report(f"alpha_A(A={a_const:g})",
+                         lambda g, v: _alpha_images(s, _lorentz(g), v),
+                         sl_identity().matrix, g1, g2, g12, states[:, 0])
 
 
 def verify_bkm_action(samples: int = 200, seed: int = 0,
                       multiply=cotangent_multiply) -> ActionAxiomReport:
     """Identity and compatibility axioms for the BKM cotangent action.
 
-    ``multiply`` is injectable so a deliberately wrong group law can be shown
-    to fail the compatibility axiom.  It takes and returns
-    CotangentGroupElement, so the elements are built, and checked, sample by
-    sample; the images are one batched evaluation per axiom term.
+    Each sample is a state rho and two elements h_i = (exp(b_i/(2i)), a_i),
+    held as stacks of unitaries and Pauli coefficients.  ``multiply`` is
+    their stacked group law, as cotangent_multiply; it is injectable so that
+    a wrong law can be shown to fail the compatibility axiom.
     """
     states, coeffs = _draws(seed, 2, samples, 1, 4)
-    rho = states[:, 0]
-    # per sample b1, a1, b2, a2, with h_i = (exp(b_i/(2i)), a_i)
-    u = _expm_traceless_2x2(-0.5j * _pauli_matrices(coeffs[:, 0::2]))
-    a = coeffs[:, 1::2]
-    h1, h2 = ([CotangentGroupElement(u[i, j], TracelessObservable.from_coeffs(a[i, j]))
-               for i in range(samples)] for j in (0, 1))
-    products = [multiply(x, y) for x, y in zip(h1, h2)]
-
-    def images(unitary, a, v):
-        return check_bloch_array(_bkm_images(_lorentz(unitary)[..., 1:, 1:], a, v))
-
-    identity = cotangent_identity()
-    ident = images(identity.unitary, identity.a.coeffs, rho)
-    lhs = images(u[:, 0], a[:, 0], images(u[:, 1], a[:, 1], rho))
-    rhs = images(np.array([h.unitary for h in products]),
-                 np.array([h.a.coeffs for h in products]), rho)
-    return ActionAxiomReport("bkm_cotangent", _max_gap(ident, rho),
-                             _max_gap(lhs, rhs))
+    b1, a1, b2, a2 = np.moveaxis(coeffs, 1, 0)
+    u1, u2 = (_expm_traceless_2x2(-0.5j * _pauli_matrices(b)) for b in (b1, b2))
+    u12, a12 = multiply(u1, a1, u2, a2)
+    for u, what in ((u1, "U1"), (u2, "U2"), (u12, "U1 U2")):
+        require_all(_unitary(u) & _unit_det(u), np.arange(samples), NumericError,
+                    "sample", f"gives {what} not in SU(2)")
+    return _axiom_report("bkm_cotangent",
+                         lambda h, v: _bkm_images(_lorentz(h[0])[..., 1:, 1:], h[1], v),
+                         (np.eye(2, dtype=complex), np.zeros(3)), (u1, a1), (u2, a2),
+                         (u12, a12), states[:, 0])
 
 
 def transitivity_probe(samples: int = 100, seed: int = 0) -> float:
@@ -363,7 +360,7 @@ def transitivity_probe(samples: int = 100, seed: int = 0) -> float:
     g = raw / np.sqrt(np.linalg.det(raw))[:, None, None]
     require_all(_unit_det(g), np.arange(samples), NumericError, "sample",
                 "gives a determinant of rho2^(1/2) rho1^(-1/2) != 1")
-    moved = check_bloch_array(_alpha_images(1.0, _lorentz(g), rho1))
+    moved = _alpha_images(1.0, _lorentz(g), rho1)
     return _max_gap(moved, rho2)
 
 
@@ -372,8 +369,7 @@ class Subgroup(Record):
 
     ``images`` maps times (T, 1, ..., 1) and Bloch vectors (..., 3) to the
     (T, ..., 3) Bloch images under h(t), evaluating the closed form once for
-    the whole stack of group elements and states.  ``subgroup(t)`` is the
-    action of h(t) as a QubitState -> QubitState map.
+    the whole stack of group elements and states, each image checked.
     """
 
     __slots__ = ("images",)
@@ -382,33 +378,28 @@ class Subgroup(Record):
     def __init__(self, images: Callable[[np.ndarray, np.ndarray], np.ndarray]):
         super().__init__(images)
 
-    def __call__(self, t: float):
-        return lambda rho: QubitState(*self.orbit([t], rho)[0].tolist())
-
     def orbit(self, times, rho) -> np.ndarray:
         """Bloch images (T, ..., 3) of rho, a QubitState or a stack of Bloch
-        vectors (..., 3), at the times (T,); each image is checked to be a
-        faithful state."""
+        vectors (..., 3), at the times (T,); a point of rho outside the
+        ball is a BoundaryViolation."""
         if isinstance(rho, QubitState):  # checked when it was built
             v = rho.bloch
         else:
             v = check_bloch_array(bloch_stack(rho))
         times = np.asarray(times, dtype=float)
         require_all(np.isfinite(times), times, DomainError, "time t", "is not finite")
-        return check_bloch_array(
-            self.images(times.reshape(times.shape + (1,) * (v.ndim - 1)), v))
+        return self.images(times.reshape(times.shape + (1,) * (v.ndim - 1)), v)
 
 
-def generator_of_action(subgroup: Subgroup, rho,
-                        t_step: float = 1e-4) -> np.ndarray:
+def generator_of_action(subgroup: Subgroup, rho) -> np.ndarray:
     """Bloch-space derivative d/dt subgroup(t)(rho) at t = 0, central diff.
 
     rho is a QubitState or a stack of Bloch vectors (..., 3); the result
     has the shape of its Bloch vectors.
     """
-    require_positive("generator_of_action", "t_step", t_step)
-    fwd, bwd = subgroup.orbit([t_step, -t_step], rho)
-    return (fwd - bwd) / (2.0 * t_step)
+    require_instance("subgroup", subgroup, Subgroup)
+    fwd, bwd = subgroup.orbit([GENERATOR_STEP, -GENERATOR_STEP], rho)
+    return (fwd - bwd) / (2.0 * GENERATOR_STEP)
 
 
 def alpha_subgroup(a_const: float, a: TracelessObservable,

@@ -56,6 +56,7 @@ SCREEN_MARGIN = 1024.0
 # The monotonicity scan draws and scores its pairs SCAN_BLOCK at a time, so
 # its matrix stacks hold at most SCAN_BLOCK pairs whatever the sample count.
 SCAN_BLOCK = 1024
+VIOLATION_TOL = 1e-10  # least gap below -VIOLATION_TOL is a counterexample
 PETZ_TOL = 1e-9  # largest symmetry or normalisation deviation that passes
 EXTRAPOLATION_TOL = 1e-4  # relative step at which the f'(0+) limit has converged
 
@@ -634,7 +635,7 @@ def _size_gaps(specs, dim: int, samples: int, seed: int):
 
 
 def scan_monotonicity(specs, sizes=(1, 2, 3, 4), samples: int = 10_000,
-                      seed: int = 0, violation_tol: float = 1e-10) -> list:
+                      seed: int = 0) -> list:
     """Search for matrix-order violations f(B) - f(A) not >= 0 with A <= B.
 
     Returns one MonotonicityReport per spec of ``specs``, a non-empty
@@ -659,16 +660,13 @@ def scan_monotonicity(specs, sizes=(1, 2, 3, 4), samples: int = 10_000,
     sizes = require_items("sizes", sizes, "matrix size")
     for dim in sizes:
         require_count("matrix size", dim)
-    if not (isinstance(violation_tol, numbers.Real)
-            and 0.0 <= violation_tol < math.inf):
-        raise DomainError(f"violation_tol = {violation_tol!r} is not finite and >= 0")
     min_gaps = [np.inf] * len(specs)
     counterexamples = [None] * len(specs)
     for dim in sizes:
         gaps, lam_a, lam_b = _size_gaps(specs, dim, samples, seed)
         for k, (gap, idx) in enumerate(gaps):
             min_gaps[k] = min(min_gaps[k], gap)
-            if counterexamples[k] is None and gap < -violation_tol:
+            if counterexamples[k] is None and gap < -VIOLATION_TOL:
                 counterexamples[k] = {
                     "size": int(dim),
                     "gap": gap,

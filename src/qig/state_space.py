@@ -111,11 +111,18 @@ class TracelessObservable(Record):
 
     @staticmethod
     def from_matrix(m) -> "TracelessObservable":
-        m = np.asarray(m, dtype=complex)
-        return TracelessObservable(*(float(np.trace(m @ p).real / 2.0) for p in PAULIS))
+        return TracelessObservable(*pauli_coeffs(np.asarray(m, dtype=complex)).tolist())
 
     def to_json(self) -> dict:
         return {"pauli": [self.a1, self.a2, self.a3]}
+
+
+def pauli_coeffs(m: np.ndarray) -> np.ndarray:
+    """Pauli coefficients (..., 3), Re tr(m sigma_k)/2, of each matrix m of a
+    stack (..., 2, 2), in closed form: the bits of the traces of m @ sigma_k."""
+    return np.stack([(m[..., 0, 1] + m[..., 1, 0]).real,
+                     m[..., 1, 0].imag - m[..., 0, 1].imag,
+                     (m[..., 0, 0] - m[..., 1, 1]).real], axis=-1) / 2.0
 
 
 def su2_bracket(a: TracelessObservable, b: TracelessObservable) -> TracelessObservable:
@@ -186,11 +193,11 @@ def require_positive(owner: str, name: str, value, error=DomainError) -> None:
         raise error(f"{owner}: {name} = {value!r} is not finite and > 0")
 
 
-def require_finite(name: str, value, error=DomainError) -> None:
-    """Check that the real parameter value is finite; otherwise raise error
-    "{name} = {value!r} is not finite"."""
+def require_finite(name: str, value) -> None:
+    """Check that the real parameter value is finite; otherwise raise
+    DomainError "{name} = {value!r} is not finite"."""
     if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-        raise error(f"{name} = {value!r} is not finite")
+        raise DomainError(f"{name} = {value!r} is not finite")
 
 
 def require_instance(name: str, value, cls: type) -> None:
@@ -210,13 +217,13 @@ def as_numbers(value, kinds: str) -> np.ndarray | None:
     return arr if arr.dtype.kind in kinds else None
 
 
-def require_real(name: str, value, error=DomainError) -> np.ndarray:
+def require_real(name: str, value) -> np.ndarray:
     """value as a float array; a value that is not a number or an array of
     integers or floats (a string, a complex number, a ragged nesting) raises
-    error "{name} = {value!r} is not real"."""
+    DomainError "{name} = {value!r} is not real"."""
     arr = as_numbers(value, "iuf")
     if arr is None:
-        raise error(f"{name} = {value!r} is not real")
+        raise DomainError(f"{name} = {value!r} is not real")
     return np.asarray(arr, dtype=float)
 
 
@@ -266,13 +273,13 @@ def ball_radii(v: np.ndarray) -> np.ndarray:
     return r
 
 
-def check_bloch_array(points: np.ndarray) -> np.ndarray:
+def check_bloch_array(points: np.ndarray, error=BoundaryViolation) -> np.ndarray:
     """Check that every point of a (..., 3) stack is a faithful state.
 
-    Returns the points; the error names the first point that is not
-    strictly inside the unit ball (NaN fails too).
+    Returns the points; error (NumericError for a computed image) names the
+    first point that is not strictly inside the unit ball (NaN fails too).
     """
-    require_all(bloch_norm(points) < 1.0 - EPS_BOUNDARY, points, BoundaryViolation,
+    require_all(bloch_norm(points) < 1.0 - EPS_BOUNDARY, points, error,
                 "Bloch point", "is not strictly inside the unit ball")
     return points
 

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from qig.errors import DomainError
-from qig.flow_engine import integrate_flow, orbit_curve
+from qig.flow_engine import compare_flow_to_orbit, integrate_flow, orbit_curve
 from qig.group_actions import (CotangentGroupElement, SLGroupElement, Subgroup,
                                action_alpha_a, action_bkm, alpha_subgroup,
-                               bkm_subgroup, cotangent_identity,
                                generator_of_action, sl_identity,
                                transitivity_probe, verify_alpha_action,
                                verify_bkm_action)
@@ -77,8 +76,6 @@ _POSITIVES = [
     ("alpha_subgroup.A", "alpha_A: A", lambda a: alpha_subgroup(a, A_OBS, ZERO)),
     ("rescaled_gradient_field.A", "family_a: A",
      lambda a: rescaled_gradient_field(A_OBS, a)),
-    ("generator_of_action.t_step", "generator_of_action: t_step",
-     lambda h: generator_of_action(bkm_subgroup(A_OBS, ZERO), START, h)),
     ("singularities.B", "family_b: B", lambda b: singularities(b, 0.0)),
     ("lie_bracket_numeric.h", "lie_bracket_numeric: h",
      lambda h: lie_bracket_numeric(fundamental_field(A_OBS),
@@ -185,10 +182,22 @@ _WRONG_TYPES = [
     ("action_bkm.h=eye(2)", lambda: action_bkm(np.eye(2), START),
      "h = array([[1., 0.],\n       [0., 1.]]) is not a CotangentGroupElement"),
     ("action_bkm.rho=(0.1, 0, 0)",
-     lambda: action_bkm(cotangent_identity(), (0.1, 0, 0)),
+     lambda: action_bkm(CotangentGroupElement(np.eye(2), ZERO), (0.1, 0, 0)),
      "rho = (0.1, 0, 0) is not a QubitState"),
     ("metric_spherical.p=(0.5, 1, 1)", lambda: metric_spherical(bkm(), (0.5, 1, 1)),
      "p = (0.5, 1, 1) is not a SphericalPoint"),
+    ("generator_of_action.subgroup=3", lambda: generator_of_action(3, START),
+     "subgroup = 3 is not a Subgroup"),
+    ("orbit_curve.subgroup=3", lambda: orbit_curve(3, START, 1.0, 10),
+     "subgroup = 3 is not a Subgroup"),
+    ("integrate_flow.vfield=3", lambda: integrate_flow(3, START, 1.0, 10),
+     "vfield = 3 is not a VectorField"),
+    ("integrate_flow.start=(0.1, 0, 0)",
+     lambda: integrate_flow(fundamental_field(A_OBS), (0.1, 0, 0), 1.0, 10),
+     "start = (0.1, 0, 0) is not a QubitState"),
+    ("compare_flow_to_orbit.subgroup=3",
+     lambda: compare_flow_to_orbit(fundamental_field(A_OBS), 3, START, 1.0, 10),
+     "subgroup = 3 is not a Subgroup"),
 ]
 
 

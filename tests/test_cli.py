@@ -442,3 +442,24 @@ def test_non_finite_result_is_numeric_error_exit_3(argv, named, capsys):
     data = json.loads(capsys.readouterr().out)
     assert code == 3
     assert data["error"] == "NumericError" and data["message"].startswith(named)
+
+
+# A valid state and a finite element whose computed image rounds onto the
+# sphere: a numeric failure (exit 3), where a state passed in on the sphere
+# is an input error (exit 2).
+@pytest.mark.parametrize("argv,named", [
+    (["act", "--family", "bkm", "--g-json",
+      '{"unitary": [[1,0],[0,0],[0,0],[1,0]], "a": {"pauli": [40,0,0]}}',
+      "--state-json", '{"bloch": [0.1,0,0]}'], "Bloch point = [1.0, 0.0, 0.0] "),
+    (["act", "--family", "bh", "--g-json",
+      '{"sl_matrix": [[1e8,0],[0,0],[0,0],[1e-8,0]]}',
+      "--state-json", '{"bloch": [0.1,0,0.2]}'], "Bloch point = [1.6666666666666667e-17, "),
+], ids=["bkm", "bh"])
+def test_saturated_action_image_is_numeric_error_exit_3(argv, named, capsys):
+    code = cli.main(argv)
+    data = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert data["error"] == "NumericError" and data["message"].startswith(named)
+    code = cli.main(argv[:-1] + ['{"bloch": [1.0, 0, 0]}'])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "BoundaryViolation"

@@ -12,15 +12,15 @@ import scipy.linalg
 
 from qig import verify
 from qig.errors import BoundaryViolation, DomainError, NumericError
-from qig.group_actions import (CotangentGroupElement, SLGroupElement,
-                               _alpha_images, _bkm_images, _draws, _lorentz,
-                               action_alpha_a, action_bkm, alpha_subgroup,
-                               bkm_subgroup, cotangent_identity,
-                               cotangent_multiply, generator_of_action,
-                               sl_identity, sl_from_generators,
-                               transitivity_probe, verify_alpha_action,
-                               verify_bkm_action)
-from qig.state_space import PAULIS, QubitState, TracelessObservable
+from qig.group_actions import (ActionAxiomReport, CotangentGroupElement,
+                               SLGroupElement, _alpha_images, _bkm_images,
+                               _draws, _expm_traceless_2x2, _lorentz,
+                               _pauli_matrices, action_alpha_a, action_bkm,
+                               alpha_subgroup, bkm_subgroup, cotangent_multiply,
+                               generator_of_action, sl_identity,
+                               sl_from_generators, transitivity_probe,
+                               verify_alpha_action, verify_bkm_action)
+from qig.state_space import PAULIS, QubitState, TracelessObservable, check_bloch_array
 
 SIGMA3 = TracelessObservable(0.0, 0.0, 1.0)
 ZERO = TracelessObservable(0.0, 0.0, 0.0)
@@ -228,24 +228,94 @@ def test_alpha_nonlinearity_for_a_not_one():
     assert mixture_gap(2.0) > 1e-3
 
 
+def _random_cotangent(rng, n):
+    """n elements (U, a) as stacks: unitaries (n, 2, 2), coefficients (n, 3)."""
+    return (np.array([_special_unitary(b) for b in rng.uniform(-1, 1, (n, 3))]),
+            rng.uniform(-1, 1, (n, 3)))
+
+
 def test_cotangent_group_axioms():
     rng = np.random.default_rng(9)
-    def rand_elem():
-        return CotangentGroupElement(
-            _special_unitary(rng.uniform(-1, 1, 3)),
-            TracelessObservable.from_coeffs(rng.uniform(-1, 1, 3)))
-    for _ in range(20):
-        h1, h2, h3 = rand_elem(), rand_elem(), rand_elem()
-        lhs = cotangent_multiply(cotangent_multiply(h1, h2), h3)
-        rhs = cotangent_multiply(h1, cotangent_multiply(h2, h3))
-        npt.assert_allclose(lhs.unitary, rhs.unitary, atol=1e-13)
-        npt.assert_allclose(lhs.a.coeffs, rhs.a.coeffs, atol=1e-13)
-        # (U, a)^-1 = (U^dag, -U^dag a U)
-        u_inv = h1.unitary.conj().T
-        inv = cotangent_multiply(h1, CotangentGroupElement(
-            u_inv, TracelessObservable.from_matrix(-u_inv @ h1.a.matrix() @ h1.unitary)))
-        npt.assert_allclose(inv.unitary, np.eye(2), atol=1e-13)
-        npt.assert_allclose(inv.a.coeffs, 0.0, atol=1e-13)
+    h1, h2, h3 = (_random_cotangent(rng, 20) for _ in range(3))
+    lhs = cotangent_multiply(*cotangent_multiply(*h1, *h2), *h3)
+    rhs = cotangent_multiply(*h1, *cotangent_multiply(*h2, *h3))
+    npt.assert_allclose(lhs[0], rhs[0], atol=1e-13)
+    npt.assert_allclose(lhs[1], rhs[1], atol=1e-13)
+    # (U, a)^-1 = (U^dag, -U^dag a U), and (I, 0) is the identity
+    u, a = h1
+    u_inv = u.conj().swapaxes(-1, -2)
+    a_inv = [TracelessObservable.from_matrix(-ui @ ai @ ui.conj().T).coeffs
+             for ui, ai in zip(u_inv, _pauli_matrices(a))]
+    inv = cotangent_multiply(u, a, u_inv, np.array(a_inv))
+    npt.assert_allclose(inv[0], np.broadcast_to(np.eye(2), (20, 2, 2)), atol=1e-13)
+    npt.assert_allclose(inv[1], 0.0, atol=1e-13)
+    same = cotangent_multiply(u, a, np.eye(2, dtype=complex), np.zeros(3))
+    npt.assert_array_equal(same[0], u)
+    npt.assert_allclose(same[1], a, atol=1e-15)
+
+
+def _record_multiply(h1, h2):
+    """The record-level semidirect product that cotangent_multiply replaced,
+    with the Pauli traces of the matrix product, as TracelessObservable's
+    from_matrix took them."""
+    m = h1.a.matrix() + h1.unitary @ h2.a.matrix() @ h1.unitary.conj().T
+    return CotangentGroupElement(h1.unitary @ h2.unitary, TracelessObservable(
+        *(float(np.trace(m @ p).real / 2.0) for p in PAULIS)))
+
+
+def _wrong_record_multiply(h1, h2):
+    # The semidirect product without the conjugation.
+    return CotangentGroupElement(
+        h1.unitary @ h2.unitary,
+        TracelessObservable.from_coeffs(h1.a.coeffs + h2.a.coeffs))
+
+
+def _wrong_multiply(u1, a1, u2, a2):
+    # _wrong_record_multiply on stacks.
+    return u1 @ u2, a1 + a2
+
+
+def test_stacked_law_equals_record_law_bit_for_bit():
+    rng = np.random.default_rng(12)
+    (u1, a1), (u2, a2) = _random_cotangent(rng, 50), _random_cotangent(rng, 50)
+    u12, a12 = cotangent_multiply(u1, a1, u2, a2)
+    for i in range(50):
+        want = _record_multiply(
+            CotangentGroupElement(u1[i], TracelessObservable.from_coeffs(a1[i])),
+            CotangentGroupElement(u2[i], TracelessObservable.from_coeffs(a2[i])))
+        assert u12[i].tolist() == want.unitary.tolist()
+        assert a12[i].tolist() == want.a.coeffs.tolist()
+
+
+def _record_loop_bkm_action(samples, seed, multiply=_record_multiply):
+    """verify_bkm_action as it was before the stacked law: it builds the
+    elements and their products as records, sample by sample."""
+    states, coeffs = _draws(seed, 2, samples, 1, 4)
+    rho = states[:, 0]
+    u = _expm_traceless_2x2(-0.5j * _pauli_matrices(coeffs[:, 0::2]))
+    a = coeffs[:, 1::2]
+    h1, h2 = ([CotangentGroupElement(u[i, j], TracelessObservable.from_coeffs(a[i, j]))
+               for i in range(samples)] for j in (0, 1))
+    products = [multiply(x, y) for x, y in zip(h1, h2)]
+
+    def images(unitary, a, v):
+        return check_bloch_array(_bkm_images(_lorentz(unitary)[..., 1:, 1:], a, v))
+
+    ident = images(np.eye(2, dtype=complex), np.zeros(3), rho)
+    lhs = images(u[:, 0], a[:, 0], images(u[:, 1], a[:, 1], rho))
+    rhs = images(np.array([h.unitary for h in products]),
+                 np.array([h.a.coeffs for h in products]), rho)
+    return ActionAxiomReport("bkm_cotangent", float(np.max(np.abs(ident - rho))),
+                             float(np.max(np.abs(lhs - rhs))))
+
+
+@pytest.mark.parametrize("samples", [1, 7, 200])
+def test_bkm_axioms_equal_record_loop(samples):
+    # The actions suite's sub-seeds, seed * 1000 + 3 for seeds 0-9.
+    for seed in range(10):
+        sub = seed * 1000 + verify.SUITE_IDS["actions"]
+        assert (verify_bkm_action(samples=samples, seed=sub)
+                == _record_loop_bkm_action(samples, sub))
 
 
 def test_bkm_action_axioms():
@@ -256,23 +326,39 @@ def test_bkm_action_axioms():
 def test_bkm_action_wrong_group_law_fails():
     # Dropping the conjugation from the semidirect product breaks
     # compatibility by a macroscopic margin.
-    def wrong_multiply(h1, h2):
-        return CotangentGroupElement(
-            h1.unitary @ h2.unitary,
-            TracelessObservable.from_coeffs(h1.a.coeffs + h2.a.coeffs))
-
-    rep = verify_bkm_action(samples=50, seed=1, multiply=wrong_multiply)
+    rep = verify_bkm_action(samples=50, seed=1, multiply=_wrong_multiply)
     assert rep.compatibility_dev > 1e-3
+    assert rep == _record_loop_bkm_action(50, 1, _wrong_record_multiply)
+
+
+@pytest.mark.filterwarnings("error")
+def test_computed_unitary_outside_su2_is_numeric_error():
+    # A law whose product is not unitary names the first such sample.
+    def scaled(u1, a1, u2, a2):
+        u12, a12 = cotangent_multiply(u1, a1, u2, a2)
+        u12[3] *= 2.0
+        return u12, a12
+
+    with pytest.raises(NumericError, match=r"^sample = 3 gives U1 U2 not in SU\(2\)$"):
+        verify_bkm_action(samples=5, seed=0, multiply=scaled)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cotangent_element_checks_its_unitary():
+    # The product U^dag U overflowed with a raw warning.
+    for u in (np.diag([1e200, 1e-200]), np.diag([2.0, 0.5]), np.eye(2) * np.nan):
+        with pytest.raises(DomainError, match="^U is not unitary$"):
+            CotangentGroupElement(u, ZERO)
+    with pytest.raises(DomainError, match="^det U != 1$"):
+        CotangentGroupElement(np.diag([1.0, -1.0]), ZERO)
 
 
 def test_bkm_flow_from_center_is_tanh():
     # Translating ln(rho) by t sigma_3 from the maximally mixed state gives
     # z(t) = tanh(t) exactly.
-    at = bkm_subgroup(SIGMA3, ZERO)
-    center = QubitState(0.0, 0.0, 0.0)
-    for t in (0.0, 0.3, 1.0, 2.5):
-        out = at(t)(center)
-        npt.assert_allclose(out.bloch, [0.0, 0.0, math.tanh(t)], atol=1e-14)
+    times = [0.0, 0.3, 1.0, 2.5]
+    out = bkm_subgroup(SIGMA3, ZERO).orbit(times, QubitState(0.0, 0.0, 0.0))
+    npt.assert_allclose(out, [[0.0, 0.0, math.tanh(t)] for t in times], atol=1e-14)
 
 
 def test_transitivity_probe():
@@ -284,10 +370,10 @@ def test_generator_of_alpha_matches_fields():
     rho = QubitState(0.2, -0.1, 0.3)
     a = TracelessObservable(0.5, 0.2, -0.4)
     for a_const in (0.25, 1.0, 2.0):
-        num = generator_of_action(alpha_subgroup(a_const, ZERO, a), rho, 1e-4)
+        num = generator_of_action(alpha_subgroup(a_const, ZERO, a), rho)
         npt.assert_allclose(num, fundamental_field(a).cartesian(rho.bloch),
                             atol=1e-7)
-        num = generator_of_action(alpha_subgroup(a_const, a, ZERO), rho, 1e-4)
+        num = generator_of_action(alpha_subgroup(a_const, a, ZERO), rho)
         npt.assert_allclose(
             num, rescaled_gradient_field(a, a_const).cartesian(rho.bloch),
             atol=1e-7)
@@ -331,9 +417,10 @@ def test_stacked_images_match_per_state_actions():
 
 def test_stacked_images_name_the_failing_row():
     # A translation by 10 along z sends z = 0.9 to 1 - 2e-10, inside the
-    # 1e-9 boundary guard; the other rows stay inside.
+    # 1e-9 boundary guard; the other rows stay inside.  The states are valid,
+    # so the computed image that rounds there is a numeric failure.
     rows = [[0.3, 0.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 0.9], [0.0, 0.0, -0.9]]
-    with pytest.raises(BoundaryViolation, match=r"\[0\.0, 0\.0, 0\.99999999"):
+    with pytest.raises(NumericError, match=r"\[0\.0, 0\.0, 0\.99999999"):
         bkm_subgroup(SIGMA3, ZERO).orbit([1.0, 10.0], rows)
     rows[1] = [math.nan, 0.25, 0.0]
     with pytest.raises(BoundaryViolation, match=r"\[nan, 0\.25, 0\.0\]"):
@@ -361,13 +448,20 @@ def test_generator_of_action_on_a_stack():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("t_step", [0.0, -1e-4, math.inf, math.nan])
-def test_generator_of_action_needs_a_finite_positive_step(t_step):
-    # t_step = 0 divided by zero: a NaN generator, a raw warning under -W error.
-    with pytest.raises(DomainError, match=re.escape(
-            f"generator_of_action: t_step = {t_step!r} is not finite and > 0")):
-        generator_of_action(bkm_subgroup(SIGMA3, ZERO), QubitState(0.2, 0.0, 0.1),
-                            t_step)
+@pytest.mark.parametrize("call", [
+    lambda: action_bkm(CotangentGroupElement(
+        np.eye(2), TracelessObservable(40.0, 0.0, 0.0)), QubitState(0.1, 0.0, 0.0)),
+    lambda: action_alpha_a(1.0, SLGroupElement(np.diag([1e8, 1e-8])),
+                           QubitState(0.1, 0.0, 0.2)),
+    lambda: bkm_subgroup(TracelessObservable(1.0, 0.0, 0.0), ZERO).orbit(
+        [20.0], QubitState(0.1, 0.2, 0.3)),
+])
+def test_saturated_image_of_a_valid_state_is_numeric_error(call):
+    # The exact image lies inside the ball, but its computed norm rounds
+    # to 1: a numeric failure (exit 3), not bad input.
+    with pytest.raises(NumericError, match=r"^Bloch point = \[.+\] is not strictly "
+                                           r"inside the unit ball$"):
+        call()
 
 
 @pytest.mark.filterwarnings("error")
@@ -431,7 +525,7 @@ def test_alpha_axioms_match_per_sample_loop():
         id_dev = max(id_dev, float(np.max(np.abs(
             action_alpha_a(a_const, sl_identity(), rho).bloch - rho.bloch))))
         lhs = action_alpha_a(a_const, g1, action_alpha_a(a_const, g2, rho))
-        rhs = action_alpha_a(a_const, g1 @ g2, rho)
+        rhs = action_alpha_a(a_const, SLGroupElement(g1.matrix @ g2.matrix), rho)
         comp_dev = max(comp_dev, float(np.max(np.abs(lhs.bloch - rhs.bloch))))
     rep = verify_alpha_action(a_const, samples=samples, seed=seed)
     assert abs(rep.identity_dev - id_dev) <= 1e-15
@@ -441,11 +535,6 @@ def test_alpha_axioms_match_per_sample_loop():
 def test_bkm_wrong_law_matches_per_sample_loop():
     # A wrong group law gives a macroscopic deviation, so agreement to
     # 1e-15 shows that the batched check tests the same states and elements.
-    def wrong_multiply(h1, h2):
-        return CotangentGroupElement(
-            h1.unitary @ h2.unitary,
-            TracelessObservable.from_coeffs(h1.a.coeffs + h2.a.coeffs))
-
     samples, seed = 60, 4
     drawn = iter(_per_sample_draws(_axiom_rng(seed, 2), samples, 1, 4))
     worst = 0.0
@@ -454,9 +543,9 @@ def test_bkm_wrong_law_matches_per_sample_loop():
         h1 = CotangentGroupElement(_special_unitary(next(drawn).coeffs), next(drawn))
         h2 = CotangentGroupElement(_special_unitary(next(drawn).coeffs), next(drawn))
         lhs = action_bkm(h1, action_bkm(h2, rho))
-        rhs = action_bkm(wrong_multiply(h1, h2), rho)
+        rhs = action_bkm(_wrong_record_multiply(h1, h2), rho)
         worst = max(worst, float(np.max(np.abs(lhs.bloch - rhs.bloch))))
-    rep = verify_bkm_action(samples=samples, seed=seed, multiply=wrong_multiply)
+    rep = verify_bkm_action(samples=samples, seed=seed, multiply=_wrong_multiply)
     assert worst > 1e-3
     assert abs(rep.compatibility_dev - worst) <= 1e-15
 

@@ -9,7 +9,7 @@ from qig.errors import BoundaryViolation, ChartSingularity, DomainError
 from qig.state_space import (PAULIS, SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3,
                              QubitState, SphericalPoint, TracelessObservable,
                              all_true, complex_matrix_from_json,
-                             complex_matrix_to_json, su2_bracket)
+                             complex_matrix_to_json, pauli_coeffs, su2_bracket)
 
 E1 = TracelessObservable(1.0, 0.0, 0.0)
 E2 = TracelessObservable(0.0, 1.0, 0.0)
@@ -55,6 +55,19 @@ def test_observable_matrix_roundtrip():
     a = TracelessObservable(0.3, -1.2, 0.7)
     back = TracelessObservable.from_matrix(a.matrix())
     npt.assert_allclose(back.coeffs, a.coeffs, atol=1e-15)
+
+
+def test_pauli_coeffs_equal_the_traces_bit_for_bit():
+    # Oracle: Re tr(m @ sigma_k)/2, the traces from_matrix took before the
+    # closed form, on any complex matrices, one at a time.
+    rng = np.random.default_rng(8)
+    m = (rng.standard_normal((40, 2, 2)) + 1j * rng.standard_normal((40, 2, 2))
+         ) * 10.0 ** rng.integers(-8, 8, (40, 1, 1))
+    got = pauli_coeffs(m)
+    assert got.shape == (40, 3)
+    for row, mi in zip(got, m):
+        assert row.tolist() == [float(np.trace(mi @ p).real / 2.0) for p in PAULIS]
+    assert pauli_coeffs(m[0]).tolist() == got[0].tolist()
 
 
 def test_state_matrix_roundtrip():
