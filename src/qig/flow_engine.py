@@ -46,11 +46,11 @@ def csv_table(header, columns) -> str:
     """CSV text: the header row, then row i of the equal-length float
     arrays in columns, every value written with 17 significant digits, which
     round-trip."""
-    row = ",".join(["{:.17g}"] * len(columns))
+    row = ",".join(["%.17g"] * len(columns))  # % formats faster than str.format
     lines = [",".join(header)]
     for start in range(0, len(columns[0]), _CSV_BLOCK):
         block = (c[start:start + _CSV_BLOCK].tolist() for c in columns)
-        lines += [row.format(*values) for values in zip(*block)]
+        lines += [row % values for values in zip(*block)]
     return "\n".join(lines) + "\n"
 
 
@@ -130,6 +130,7 @@ def orbit_curve(subgroup: Subgroup, start: QubitState, t_end: float,
 def compare_flow_to_orbit(vfield: VectorField, subgroup: Subgroup,
                           start: QubitState, t_end: float, steps: int) -> float:
     """Max Bloch-space gap between the RK4 flow and the exact orbit."""
+    require_instance("subgroup", subgroup, Subgroup)  # before RK4, not after
     flow = integrate_flow(vfield, start, t_end, steps)
     orbit = orbit_curve(subgroup, start, t_end, steps)
     return float(np.max(np.linalg.norm(flow.points - orbit.points, axis=1)))

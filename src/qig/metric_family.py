@@ -247,6 +247,7 @@ def spec_from_name(name: str, a_const: float | None = None,
 def f_eval(spec: MonotoneFunctionSpec, t):
     """Evaluate f on its proper domain t in (0, 1]; a value that is not
     finite raises NumericError naming the first such t."""
+    require_instance("spec", spec, MonotoneFunctionSpec)
     t_arr = require_real("t", t)
     require_all((t_arr > 0.0) & (t_arr <= 1.0), t_arr, DomainError, "t",
                 "is outside (0, 1]")
@@ -301,6 +302,7 @@ def g_derivative(spec: MonotoneFunctionSpec, r):
 def big_f(spec: MonotoneFunctionSpec, r):
     """F(r) = (1-r^2) g'(r) + g(r)^2; a value that is not finite raises
     NumericError naming the first such r."""
+    require_instance("spec", spec, MonotoneFunctionSpec)
     r_arr = require_real("r", r)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = g_from_f(spec, r_arr)
@@ -326,6 +328,7 @@ class MetricAtPoint(NamedTuple):
 
 def metric_spherical(spec: MonotoneFunctionSpec, p: SphericalPoint) -> MetricAtPoint:
     """diag(1/(1-r^2), r^2/((1+r) f(t)), same * sin^2 theta), t = (1-r)/(1+r)."""
+    require_instance("spec", spec, MonotoneFunctionSpec)
     require_instance("p", p, SphericalPoint)
     t = (1.0 - p.r) / (1.0 + p.r)
     ftan = float(finite_f(spec, t))
@@ -356,6 +359,7 @@ def metric_cartesian(spec: MonotoneFunctionSpec, x, y, z) -> MetricAtPoint:
     x, y and z may be arrays of one shape S; the matrix then has shape
     S + (3, 3), and a failing check names the first failing point.
     """
+    require_instance("spec", spec, MonotoneFunctionSpec)
     v = _stack_point((x, y, z))
     r = ball_radii(v)
     require_all(r > EPS_CHART, v, CenterSingularity, "point",
@@ -376,6 +380,7 @@ def inverse_metric(m: MetricAtPoint) -> MetricAtPoint:
     Every matrix must be finite with condition number at most COND_LIMIT;
     for a stack, the error names the first failing matrix.
     """
+    require_instance("m", m, MetricAtPoint)
     point = _stack_point(m.point)
     require_all(np.isfinite(m.matrix).all(axis=(-2, -1)), point, IllConditioned,
                 "point", "has a metric that is not finite")

@@ -132,6 +132,8 @@ def su2_bracket(a: TracelessObservable, b: TracelessObservable) -> TracelessObse
     [s3,s1]=s2, i.e. the bracket equals the cross product of the coefficient
     vectors.
     """
+    require_instance("a", a, TracelessObservable)
+    require_instance("b", b, TracelessObservable)
     am, bm = a.matrix(), b.matrix()
     return TracelessObservable.from_matrix((am @ bm - bm @ am) / 2.0j)
 

@@ -20,7 +20,8 @@ from .metric_family import (MonotoneFunctionSpec, big_f, family_a, finite_f,
                             inverse_metric, metric_cartesian)
 from .state_space import (CALLABLE, EPS_BOUNDARY, Record, SphericalPoint,
                           TracelessObservable, all_true, ball_radii, bloch_norm,
-                          bloch_stack, require_all, require_positive)
+                          bloch_stack, require_all, require_instance,
+                          require_positive)
 
 BRACKET_STEP = 1e-4
 _STEPS = np.array([1.0, -1.0, 0.5, -0.5])  # stencil steps, in units of h
@@ -102,6 +103,7 @@ def _frame(p: SphericalPoint):
 
 def fundamental_field(b: TracelessObservable) -> VectorField:
     """Rotation generator b1 X1 + b2 X2 + b3 X3: v -> b x v."""
+    require_instance("b", b, TracelessObservable)
     b1, b2, b3 = b.coeffs.tolist()
 
     def point(x, y, z):  # on Python floats or on arrays of one shape
@@ -116,9 +118,9 @@ def fundamental_field(b: TracelessObservable) -> VectorField:
     return VectorField(cartesian, point)
 
 
-def gradient_field_closed(a: TracelessObservable,
-                          spec: MonotoneFunctionSpec) -> VectorField:
-    """Gradient field of the expectation value of a, closed form.
+def gradient_field_closed(a: TracelessObservable, spec: MonotoneFunctionSpec,
+                          scale: float = 1.0) -> VectorField:
+    """Gradient field of the expectation value of a, closed form, times scale.
 
     r g(r) a + ((1-r^2) - r g(r)) (a . n) n with n = v/r, where
     r g(r) = (1+r) f((1-r)/(1+r)) extends continuously to the center; points
@@ -127,13 +129,11 @@ def gradient_field_closed(a: TracelessObservable,
     ``point`` takes the same coefficients on Python floats with spec.f_float;
     the center, a point outside the ball and a bad f(t) go to ``cartesian``.
     """
+    require_instance("a", a, TracelessObservable)
+    require_instance("spec", spec, MonotoneFunctionSpec)
+    require_positive("gradient_field_closed", "scale", scale)
     coeffs = a.coeffs
     a1, a2, a3 = coeffs.tolist()
-
-    def coefficients(r, a_dot_v, f):
-        # The coefficients of a and of v at radius r, with f evaluating f(t).
-        rg = (1.0 + r) * f((1.0 - r) / (1.0 + r))
-        return rg, ((1.0 - r * r) - rg) * a_dot_v / (r * r)
 
     def cartesian(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -142,21 +142,25 @@ def gradient_field_closed(a: TracelessObservable,
             ball_radii(v)  # raises for a point outside the open ball
             center = r < 1e-12
             out = np.empty(v.shape)
-            out[center] = float(spec.f_raw(1.0)) * coeffs
+            out[center] = scale * (float(spec.f_raw(1.0)) * coeffs)
             out[~center] = cartesian(v[~center])
             return out
-        rg, radial = coefficients(r, v @ coeffs, lambda t: finite_f(spec, t))
-        return rg[..., None] * coeffs + radial[..., None] * v
+        rg = (1.0 + r) * finite_f(spec, (1.0 - r) / (1.0 + r))
+        radial = ((1.0 - r * r) - rg) * (v @ coeffs) / (r * r)
+        return scale * (rg[..., None] * coeffs + radial[..., None] * v)
 
-    if spec.f_float is None:
+    f = spec.f_float
+    if f is None:
         return VectorField(cartesian)
 
     def point(x: float, y: float, z: float) -> tuple:
         r = math.hypot(math.hypot(x, y), z)
         if 1e-12 <= r < 1.0:
-            rg, radial = coefficients(r, a1 * x + a2 * y + a3 * z, spec.f_float)
+            rg = (1.0 + r) * f((1.0 - r) / (1.0 + r))
             if 0.0 < abs(rg) < math.inf:  # else f(t) is zero or not finite
-                return rg * a1 + radial * x, rg * a2 + radial * y, rg * a3 + radial * z
+                radial = ((1.0 - r * r) - rg) * (a1 * x + a2 * y + a3 * z) / (r * r)
+                return (scale * (rg * a1 + radial * x), scale * (rg * a2 + radial * y),
+                        scale * (rg * a3 + radial * z))
         return tuple(cartesian(np.array([x, y, z])).tolist())
 
     return VectorField(cartesian, point)
@@ -182,14 +186,7 @@ def gradient_field_from_metric(a: TracelessObservable,
 
 def rescaled_gradient_field(a: TracelessObservable, a_const: float) -> VectorField:
     """(1/sqrt(A)) times the gradient field for the family_a(A) metric."""
-    base = gradient_field_closed(a, family_a(a_const))
-    scale = 1.0 / math.sqrt(a_const)
-
-    def point(x: float, y: float, z: float) -> tuple:
-        vx, vy, vz = base.point(x, y, z)
-        return scale * vx, scale * vy, scale * vz
-
-    return VectorField(lambda v: scale * base.cartesian(v), point)
+    return gradient_field_closed(a, family_a(a_const), 1.0 / math.sqrt(a_const))
 
 
 def lie_bracket_numeric(v_field: VectorField, w_field: VectorField, p,
@@ -203,6 +200,8 @@ def lie_bracket_numeric(v_field: VectorField, w_field: VectorField, p,
     grows like eps/h^2, so the default step balances both.  A bracket that
     is not finite raises NumericError naming its point.
     """
+    require_instance("v_field", v_field, VectorField)
+    require_instance("w_field", w_field, VectorField)
     v = bloch_stack(p)
     # h < 1/2 holds wherever the stencil fits; checked on its own, it also
     # rejects a step of any size for an empty stack.
@@ -251,6 +250,7 @@ def verify_commutator_relations(spec: MonotoneFunctionSpec,
     [X_i, Y_j] close onto the span of the six basis fields with constant
     coefficients (one global least-squares across all points).
     """
+    require_instance("spec", spec, MonotoneFunctionSpec)
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
         raise DomainError("commutator check needs at least one point, "

@@ -26,8 +26,8 @@ _KEPT = {
 # samples for actions and spec for commutators.  ast sees no such call.
 _SUITE_KEYWORDS = {"actions": ("samples",), "commutators": ("spec",)}
 _KEPT_PARAMS = {
-    "cli.main.argv": "the console script calls main() with no arguments; the "
-                     "tests pass a command line",
+    "cli.main.argv": "cli.entry, the qig command, calls main() with no "
+                     "arguments; the tests pass a command line",
     "group_actions.verify_bkm_action.multiply": "a test injects a wrong group law "
                                                 "to show that compatibility fails",
     "metric_family.scan_monotonicity.sizes": "the per-size tests scan one matrix "

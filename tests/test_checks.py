@@ -17,12 +17,15 @@ from qig.group_actions import (CotangentGroupElement, SLGroupElement, Subgroup,
 from qig.metric_family import (big_f, bkm, bures_helstrom, check_petz_symmetry,
                                custom, derivative_limit_at_zero, f_eval,
                                family_a, family_b, g_derivative, g_from_f,
-                               metric_cartesian, metric_spherical,
+                               inverse_metric, metric_cartesian, metric_spherical,
                                scan_monotonicity, spec_from_name)
 from qig.ode_classifier import classify, singularities
-from qig.state_space import QubitState, SphericalPoint, TracelessObservable
+from qig.state_space import (QubitState, SphericalPoint, TracelessObservable,
+                             su2_bracket)
 from qig.vector_fields import (VectorField, fundamental_field,
-                               lie_bracket_numeric, rescaled_gradient_field)
+                               gradient_field_closed, lie_bracket_numeric,
+                               rescaled_gradient_field,
+                               verify_commutator_relations)
 
 A_OBS = TracelessObservable(0.4, -0.3, 0.6)
 ZERO = TracelessObservable(0.0, 0.0, 0.0)
@@ -80,6 +83,8 @@ _POSITIVES = [
     ("lie_bracket_numeric.h", "lie_bracket_numeric: h",
      lambda h: lie_bracket_numeric(fundamental_field(A_OBS),
                                    fundamental_field(ZERO), [0.1, 0.2, 0.3], h=h)),
+    ("gradient_field_closed.scale", "gradient_field_closed: scale",
+     lambda s: gradient_field_closed(A_OBS, bkm(), s)),
 ]
 
 
@@ -198,6 +203,40 @@ _WRONG_TYPES = [
     ("compare_flow_to_orbit.subgroup=3",
      lambda: compare_flow_to_orbit(fundamental_field(A_OBS), 3, START, 1.0, 10),
      "subgroup = 3 is not a Subgroup"),
+    ("f_eval.spec='bh'", lambda: f_eval("bh", 0.5),
+     "spec = 'bh' is not a MonotoneFunctionSpec"),
+    ("big_f.spec='bh'", lambda: big_f("bh", 0.5),
+     "spec = 'bh' is not a MonotoneFunctionSpec"),
+    ("metric_cartesian.spec='bh'", lambda: metric_cartesian("bh", 0.1, 0.2, 0.3),
+     "spec = 'bh' is not a MonotoneFunctionSpec"),
+    ("metric_spherical.spec='bh'",
+     lambda: metric_spherical("bh", SphericalPoint(0.5, 1.0, 1.0)),
+     "spec = 'bh' is not a MonotoneFunctionSpec"),
+    ("classify.spec='bh'", lambda: classify("bh", np.linspace(0.05, 0.95, 20)),
+     "spec = 'bh' is not a MonotoneFunctionSpec"),
+    ("verify_commutator_relations.spec='bh'",
+     lambda: verify_commutator_relations("bh", [[0.1, 0.2, 0.3]]),
+     "spec = 'bh' is not a MonotoneFunctionSpec"),
+    ("gradient_field_closed.spec='bh'", lambda: gradient_field_closed(A_OBS, "bh"),
+     "spec = 'bh' is not a MonotoneFunctionSpec"),
+    ("gradient_field_closed.a=(1, 0, 0)",
+     lambda: gradient_field_closed((1, 0, 0), bkm()),
+     "a = (1, 0, 0) is not a TracelessObservable"),
+    ("fundamental_field.b=(1, 0, 0)", lambda: fundamental_field((1, 0, 0)),
+     "b = (1, 0, 0) is not a TracelessObservable"),
+    ("inverse_metric.m=eye(3)", lambda: inverse_metric(np.eye(3)),
+     "m = array([[1., 0., 0.],\n       [0., 1., 0.],\n       [0., 0., 1.]]) "
+     "is not a MetricAtPoint"),
+    ("su2_bracket.a=(1, 0, 0)", lambda: su2_bracket((1, 0, 0), (0, 1, 0)),
+     "a = (1, 0, 0) is not a TracelessObservable"),
+    ("su2_bracket.b=(0, 1, 0)", lambda: su2_bracket(A_OBS, (0, 1, 0)),
+     "b = (0, 1, 0) is not a TracelessObservable"),
+    ("lie_bracket_numeric.v_field=3",
+     lambda: lie_bracket_numeric(3, 3, [0.1, 0.2, 0.3]),
+     "v_field = 3 is not a VectorField"),
+    ("lie_bracket_numeric.w_field=3",
+     lambda: lie_bracket_numeric(fundamental_field(A_OBS), 3, [0.1, 0.2, 0.3]),
+     "w_field = 3 is not a VectorField"),
 ]
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import inspect
 import io
 import json
@@ -191,6 +192,45 @@ def test_cli_start_up_creates_no_dataclass():
                        text=True, env=env, cwd=root)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["False", "[]"]
+
+
+def test_in_process_main_leaves_the_collector_alone(capsys):
+    enabled = gc.isenabled()
+    assert cli.main(["ode", "solve", "--A", "1"]) == 0
+    assert gc.get_freeze_count() == 0 and gc.isenabled() == enabled
+
+
+@pytest.mark.parametrize("argv,code", [(["ode", "solve", "--A", "1"], 0),
+                                       (["metric", "--r", "1.5"], 2)])
+def test_entry_freezes_once_before_parsing(argv, code, monkeypatch, capsys):
+    events = []
+    freeze, build_parser = gc.freeze, cli.build_parser
+
+    def record_freeze():
+        events.append("freeze")
+        freeze()
+
+    def record_parser():
+        events.append("parser")
+        return build_parser()
+
+    monkeypatch.setattr(gc, "freeze", record_freeze)
+    monkeypatch.setattr(cli, "build_parser", record_parser)
+    monkeypatch.setattr(sys, "argv", ["qig", *argv])
+    try:
+        assert cli.entry() == code
+    finally:
+        gc.unfreeze()
+    assert events == ["freeze", "parser"]
+    out = capsys.readouterr().out
+    assert cli.main(argv) == code and capsys.readouterr().out == out
+
+
+def test_python_m_prints_what_main_prints(capsys):
+    r = run("verify", "poles", "--seed", "0")
+    code = cli.main(["verify", "poles", "--seed", "0"])
+    assert (r.returncode, r.stdout) == (code, capsys.readouterr().out)
+    assert code == 0
 
 
 _ID = '{"sl_matrix":[[1,0],[0,0],[0,0],[1,0]]}'

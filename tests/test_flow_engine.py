@@ -77,12 +77,13 @@ def test_trajectory_csv_format():
 
 
 def test_csv_table_matches_per_cell_format():
-    # Oracle: each np.float64 cell formatted on its own, as the CSV exports
-    # once did.
-    # Special values first, then enough rows to span several blocks.
-    special = np.array([[0.0, -0.0, 0.1, 1.0 / 3.0],
-                        [np.nan, np.inf, -np.inf, 5e-324],
-                        [1e300, -2.5e-17, 123456789.0, 7.0]])
+    # Oracle: each np.float64 cell formatted on its own with str.format, as
+    # the CSV exports once did; csv_table's "%.17g" must give the same text.
+    # Special values (nan, +-inf, -0.0, subnormals) first, then enough rows
+    # to span several blocks.
+    special = np.array([[0.0, -0.0, 0.1, 1.0 / 3.0, -5e-324],
+                        [np.nan, np.inf, -np.inf, 5e-324, 2.225073858507201e-308],
+                        [1e300, -2.5e-17, 123456789.0, 7.0, -1e-310]])
     cols = list(np.hstack([special, np.random.default_rng(3).standard_normal((3, 600))]))
     want = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
                                for row in zip(*cols))
@@ -284,3 +285,16 @@ def test_hazard_raises_the_array_loops_error(field, t_end, steps):
         integrate_flow(field, START, t_end, steps)
     assert type(got.value) is type(want)
     assert str(got.value) == str(want)
+
+
+def test_compare_flow_to_orbit_checks_the_subgroup_before_integrating():
+    calls = []
+
+    def point(x, y, z):
+        calls.append((x, y, z))
+        return 0.0, 0.0, 0.0
+
+    field = VectorField(lambda v: np.zeros(np.shape(v)), point)
+    with pytest.raises(DomainError, match="subgroup = 3 is not a Subgroup"):
+        compare_flow_to_orbit(field, 3, START, 1.0, 100_000)
+    assert calls == []

@@ -94,11 +94,16 @@ def test_gradient_closed_equals_metric_raised():
 
 
 def test_rescaled_gradient_scale():
+    # Both evaluators scale the family_a(A) field's own result: the same bits
+    # as 1/sqrt(A) times the unscaled evaluators, at the center too.
     a = TracelessObservable(0.2, 0.5, -0.3)
-    v = np.array([0.1, -0.3, 0.2])
-    base = gradient_field_closed(a, family_a(4.0)).cartesian(v)
-    npt.assert_allclose(rescaled_gradient_field(a, 4.0).cartesian(v),
-                        base / 2.0, atol=1e-14)
+    pts = np.array([[0.1, -0.3, 0.2], [0.0, 0.0, 0.0], [1e-13, 0.0, 0.0]])
+    for a_const in (4.0, 2.0, 0.25):
+        base = gradient_field_closed(a, family_a(a_const))
+        field, scale = rescaled_gradient_field(a, a_const), 1.0 / math.sqrt(a_const)
+        assert field.cartesian(pts).tobytes() == (scale * base.cartesian(pts)).tobytes()
+        for v in pts.tolist():
+            assert field.point(*v) == tuple(scale * c for c in base.point(*v)), v
 
 
 def test_bracket_fundamental_closure():
