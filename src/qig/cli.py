@@ -234,7 +234,8 @@ def _run_config(args) -> None:
 
 def cmd_verify(args) -> int:
     """Run each suite as suite(seed=..., tol=...), tol only when --tolerance
-    is set, plus samples for actions and spec (when given) for commutators."""
+    is set, plus samples for actions and spec (when given) for commutators;
+    a suite's QigError keeps its class and gains the prefix "suite <name>: "."""
     _run_config(args)
     names = sorted(vf.SUITES) if args.suite == "all" else [args.suite]
     tol = {} if args.tolerance is None else {"tol": args.tolerance}
@@ -245,7 +246,10 @@ def cmd_verify(args) -> int:
             kwargs["samples"] = args.samples
         if name == "commutators" and args.spec is not None:
             kwargs["spec"] = mf.spec_from_name(args.spec)
-        reports[name] = vf.SUITES[name](**kwargs)
+        try:
+            reports[name] = vf.SUITES[name](**kwargs)
+        except QigError as exc:
+            raise type(exc)(f"suite {name}: {exc}") from None
     passed = all(r["passed"] for r in reports.values())
     _dump({"seed": args.seed, "passed": passed, "suites": reports}, args.output)
     if passed:
@@ -405,10 +409,13 @@ def entry() -> int:
     collections a command triggers nor those at interpreter exit walk
     numpy's and argparse's objects again, which saves about 20 ms a
     command.  Exit still runs atexit handlers, flushes the streams and
-    tears the modules down.  main() leaves the collector alone, for callers
-    that run commands in their own process.
+    tears the modules down.  An _hashlib not yet loaded is marked missing, so
+    hashlib and hmac (numpy.random imports them) run on builtin code and
+    OpenSSL's libcrypto, 3.4 MB, is never mapped.  main() leaves the collector
+    and the modules alone, for callers that run commands in their own process.
     """
     gc.freeze()
+    sys.modules.setdefault("_hashlib", None)
     return main()
 
 

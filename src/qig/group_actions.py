@@ -142,7 +142,10 @@ def _expm_traceless_2x2(m: np.ndarray) -> np.ndarray:
 
 def sl_from_generators(a: TracelessObservable, b: TracelessObservable) -> SLGroupElement:
     """exp((a_matrix - i b_matrix)/2); traceless generators give det = 1."""
-    gen = 0.5 * (a.matrix() - 1j * b.matrix())
+    require_instance("a", a, TracelessObservable)
+    require_instance("b", b, TracelessObservable)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericError below
+        gen = 0.5 * (a.matrix() - 1j * b.matrix())
     return SLGroupElement(_expm_traceless_2x2(gen))
 
 
@@ -165,10 +168,15 @@ def cotangent_multiply(u1: np.ndarray, a1: np.ndarray, u2: np.ndarray,
     """Semidirect product (U1, a1) (U2, a2) = (U1 U2, a1 + U1 a2 U1^dag).
 
     The elements are stacks of unitaries (..., 2, 2) and of the Pauli
-    coefficients (..., 3) of their translations, and so is the product.
+    coefficients (..., 3) of their translations, and so is the product; a
+    product translation that is not finite raises NumericError naming it.
     """
-    rotated = u1 @ _pauli_matrices(a2) @ u1.conj().swapaxes(-1, -2)
-    return u1 @ u2, pauli_coeffs(_pauli_matrices(a1) + rotated)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rotated = u1 @ _pauli_matrices(a2) @ u1.conj().swapaxes(-1, -2)
+        a12 = pauli_coeffs(_pauli_matrices(a1) + rotated)
+    require_all(np.isfinite(a12).all(axis=-1), a12, NumericError,
+                "translation a1 + U1 a2 U1^dag", "is not finite")
+    return u1 @ u2, a12
 
 
 def _sqrt_a(a_const: float) -> float:
@@ -410,6 +418,8 @@ def alpha_subgroup(a_const: float, a: TracelessObservable,
     cancellation, which raises NumericError naming t.
     """
     s = _sqrt_a(a_const)
+    require_instance("a", a, TracelessObservable)
+    require_instance("b", b, TracelessObservable)
     gen = 0.5 * (a.matrix() - 1j * b.matrix())
 
     def images(times: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -423,6 +433,8 @@ def alpha_subgroup(a_const: float, a: TracelessObservable,
 
 def bkm_subgroup(a: TracelessObservable, b: TracelessObservable) -> Subgroup:
     """t -> BKM action along (exp(t b/(2i)), t a)."""
+    require_instance("a", a, TracelessObservable)
+    require_instance("b", b, TracelessObservable)
     gen = -0.5j * b.matrix()
 
     def images(times: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -263,6 +263,7 @@ def finite_f(spec: MonotoneFunctionSpec, t):
     A value that is zero or not finite (the formula lost all precision)
     raises NumericError naming the first such t.
     """
+    require_instance("spec", spec, MonotoneFunctionSpec)
     f = spec.f_raw(t)
     size = np.abs(f)
     require_all((size > 0.0) & (size < np.inf), np.asarray(t, dtype=float),
@@ -272,6 +273,7 @@ def finite_f(spec: MonotoneFunctionSpec, t):
 
 def g_from_f(spec: MonotoneFunctionSpec, r):
     """g(r) = ((1+r)/r) f((1-r)/(1+r)) for r in (0, 1)."""
+    require_instance("spec", spec, MonotoneFunctionSpec)
     r_arr = require_real("r", r)
     require_all((r_arr > 0.0) & (r_arr < 1.0), r_arr, DomainError, "r",
                 "is outside (0, 1)")
@@ -283,6 +285,7 @@ def g_from_f(spec: MonotoneFunctionSpec, r):
 def g_derivative(spec: MonotoneFunctionSpec, r):
     """g'(r): analytic for catalog entries, Richardson central diff otherwise,
     whose stencil needs every r in (FD_STEP, 1 - FD_STEP)."""
+    require_instance("spec", spec, MonotoneFunctionSpec)
     r = require_real("r", r)
     if spec.g_prime is not None:
         out = spec.g_prime(r)
@@ -302,7 +305,6 @@ def g_derivative(spec: MonotoneFunctionSpec, r):
 def big_f(spec: MonotoneFunctionSpec, r):
     """F(r) = (1-r^2) g'(r) + g(r)^2; a value that is not finite raises
     NumericError naming the first such r."""
-    require_instance("spec", spec, MonotoneFunctionSpec)
     r_arr = require_real("r", r)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = g_from_f(spec, r_arr)
@@ -328,7 +330,6 @@ class MetricAtPoint(NamedTuple):
 
 def metric_spherical(spec: MonotoneFunctionSpec, p: SphericalPoint) -> MetricAtPoint:
     """diag(1/(1-r^2), r^2/((1+r) f(t)), same * sin^2 theta), t = (1-r)/(1+r)."""
-    require_instance("spec", spec, MonotoneFunctionSpec)
     require_instance("p", p, SphericalPoint)
     t = (1.0 - p.r) / (1.0 + p.r)
     ftan = float(finite_f(spec, t))
@@ -359,7 +360,6 @@ def metric_cartesian(spec: MonotoneFunctionSpec, x, y, z) -> MetricAtPoint:
     x, y and z may be arrays of one shape S; the matrix then has shape
     S + (3, 3), and a failing check names the first failing point.
     """
-    require_instance("spec", spec, MonotoneFunctionSpec)
     v = _stack_point((x, y, z))
     r = ball_radii(v)
     require_all(r > EPS_CHART, v, CenterSingularity, "point",
@@ -402,6 +402,7 @@ def check_petz_symmetry(spec: MonotoneFunctionSpec, grid) -> PetzSymmetryReport:
 
     f(1/t) is evaluated from the defining formula extended past t = 1.
     """
+    require_instance("spec", spec, MonotoneFunctionSpec)
     grid = require_real("symmetry grid", grid)
     if grid.size == 0:
         raise DomainError("symmetry grid = [] has no points")
@@ -476,17 +477,22 @@ def _stack_streams(dim: int, samples: int, seed: int) -> list:
 def _ordered_pairs(stacks, dim: int, rows: int):
     """The next rows Hermitian pairs A <= B with spectra inside (0, 1]
     from the scan's stacks (_stack_streams): A as its drawn eigenpairs
-    (lam, q), A = q diag(lam) q^dag, and B = A + s W."""
+    (lam, q), A = q diag(lam) q^dag, and B = A + s W, built in place so
+    that at most two complex stacks are alive when LAPACK runs."""
     log_lam, q_re, q_im, m_re, m_im = stacks
     lam = np.exp(log_lam(rows))
-    q = np.linalg.qr(q_re(rows) + 1j * q_im(rows)).Q
-    a = np.einsum("nij,nj,nkj->nik", q, lam, q.conj())
-    m = m_re(rows) + 1j * m_im(rows)
-    w = np.einsum("nij,nkj->nik", m, m.conj()) / dim
+    z = np.empty((rows, dim, dim), dtype=complex)
+    z.real, z.imag = q_re(rows), q_im(rows)
+    q = np.linalg.qr(z).Q
+    z.real, z.imag = m_re(rows), m_im(rows)
+    w = np.einsum("nij,nkj->nik", z, z.conj())
+    del z
+    w /= dim
     lmax_w = np.linalg.eigvalsh(w)[:, -1]
-    scale = np.minimum(1.0, 0.999 * (1.0 - lam.max(axis=1))
-                       / np.maximum(lmax_w, 1e-300))
-    return lam, q, a + scale[:, None, None] * w
+    w *= np.minimum(1.0, 0.999 * (1.0 - lam.max(axis=1))
+                    / np.maximum(lmax_w, 1e-300))[:, None, None]
+    w += np.einsum("nij,nj,nkj->nik", q, lam, q.conj())
+    return lam, q, w
 
 
 def _f_spectrum(spec: MonotoneFunctionSpec, lam: np.ndarray) -> np.ndarray:
@@ -616,27 +622,27 @@ def _block_gaps(specs, stacks, dim: int, rows: int):
 
 def _size_gaps(specs, dim: int, samples: int, seed: int):
     """(smallest eigenvalue of f(B) - f(A) over the drawn pairs of one
-    size, first pair with it) per spec, with the spectra of A (as drawn)
-    and of B (ascending).
+    size, first pair with it, that pair's spectra of A (as drawn) and of B
+    (ascending)) per spec.
 
     The pairs are drawn and scored SCAN_BLOCK at a time (_block_gaps), each
     block from the next rows of one stream per random stack
     (_stack_streams), so every pair gets the numbers that drawing each
-    stack whole from the size's stream gives it, and the matrix stacks take
-    memory O(SCAN_BLOCK) for any sample count; only the two spectra grow
-    with it.  A block's least gap replaces the running one only if it is
-    smaller, so the first pair holding the least gap wins.
+    stack whole from the size's stream gives it, and the scan takes memory
+    O(SCAN_BLOCK) for any sample count: of a block, only the rows of its
+    best pairs are kept.  A block's least gap replaces the running one only
+    if it is smaller, so the first pair holding the least gap wins.
     """
     stacks = _stack_streams(dim, samples, seed)
-    lam_a, lam_b = np.empty((samples, dim)), np.empty((samples, dim))
     best = None
     for start, rows in _blocks(samples):
-        block = slice(start, start + rows)
-        gaps, lam_a[block], lam_b[block] = _block_gaps(specs, stacks, dim, rows)
-        gaps = [(gap, start + k) for gap, k in gaps]
+        gaps, lam_a, lam_b = _block_gaps(specs, stacks, dim, rows)
+        gaps = [(gap, start + k, lam_a[k].copy(), lam_b[k].copy())
+                for gap, k in gaps]
         best = gaps if best is None else [new if new[0] < old[0] else old
                                           for new, old in zip(gaps, best)]
-    return best, lam_a, lam_b
+        del lam_a, lam_b  # so that no block's rows outlive it
+    return best
 
 
 def scan_monotonicity(specs, sizes=(1, 2, 3, 4), samples: int = 10_000,
@@ -648,10 +654,10 @@ def scan_monotonicity(specs, sizes=(1, 2, 3, 4), samples: int = 10_000,
     eigenpairs, and diagonalises B once (size 2 in closed form), then
     scores every spec against those spectra, so a spec's report does not
     depend on the other specs.  The pairs go SCAN_BLOCK at a time
-    (_size_gaps), so the scan's memory does not grow with ``samples``
-    beyond the spectra, and the report is the one of scoring every pair at
-    once.  At sizes other than 2 a spec's least gap is found by a screen
-    that sends only the pairs which can hold it to eigvalsh (_min_gap).
+    (_size_gaps), so the scan's memory does not grow with ``samples``, and
+    the report is the one of scoring every pair at once.  At sizes other
+    than 2 a spec's least gap is found by a screen that sends only the
+    pairs which can hold it to eigvalsh (_min_gap).
     An f value that is zero or not finite raises NumericError naming the
     spec and t.  Evidence only: a clean scan does not prove operator
     monotonicity.  The per-size RNG stream is derived from (seed, size) so
@@ -668,15 +674,15 @@ def scan_monotonicity(specs, sizes=(1, 2, 3, 4), samples: int = 10_000,
     min_gaps = [np.inf] * len(specs)
     counterexamples = [None] * len(specs)
     for dim in sizes:
-        gaps, lam_a, lam_b = _size_gaps(specs, dim, samples, seed)
-        for k, (gap, idx) in enumerate(gaps):
+        for k, (gap, _, lam_a, lam_b) in enumerate(
+                _size_gaps(specs, dim, samples, seed)):
             min_gaps[k] = min(min_gaps[k], gap)
             if counterexamples[k] is None and gap < -VIOLATION_TOL:
                 counterexamples[k] = {
                     "size": int(dim),
                     "gap": gap,
-                    "a_eigenvalues": np.sort(lam_a[idx]).tolist(),
-                    "b_eigenvalues": lam_b[idx].tolist(),
+                    "a_eigenvalues": np.sort(lam_a).tolist(),
+                    "b_eigenvalues": lam_b.tolist(),
                 }
     return [MonotonicityReport(spec.name, float(gap), example)
             for spec, gap, example in zip(specs, min_gaps, counterexamples)]

@@ -14,9 +14,9 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .metric_family import MonotoneFunctionSpec, big_f, bkm, family_a, family_b
-from .state_space import require_all, require_count, require_instance, require_real
+from .state_space import require_all, require_count, require_real
 
 CONSTANCY_TOL = 1e-6  # separates constant branches (~1e-9) from RLD (>0.1)
 ZERO_TOL = 1e-9
@@ -42,8 +42,7 @@ class OdeClassification(NamedTuple):
 
 def classify(spec: MonotoneFunctionSpec, grid) -> OdeClassification:
     """Evaluate F over the grid and detect constancy."""
-    require_instance("spec", spec, MonotoneFunctionSpec)
-    grid = require_real("classification grid", grid)
+    grid = require_real("classification grid", grid).ravel()
     require_count("classification grid size", grid.size, 20)
     require_all((grid > 0.0) & (grid < 1.0), grid, DomainError,
                 "classification grid point r", "is outside (0, 1)")
@@ -77,7 +76,8 @@ def singularities(b_const: float, c: float = 0.0,
 
     k_min is the first k with t_k <= 1; the scan stops after max_count + 1
     values of k, so rounding at an extreme c cannot keep it going.  B and c
-    are checked as family_b(B, c) checks them.
+    are checked as family_b(B, c) checks them.  A t_k that is 0 or not below
+    the one before it (poles collide in double precision) is a NumericError.
     """
     family_b(b_const, c)
     require_count("max_count", max_count)
@@ -90,6 +90,9 @@ def singularities(b_const: float, c: float = 0.0,
     for k in range(k_min, k_min + max_count + 1):
         t = math.exp(min(1.0, c - (math.pi / 2.0 + k * math.pi) / sb))
         if t <= 1.0 and len(ts) < max_count:
+            if not 0.0 < t < (ts[-1] if ts else math.inf):
+                raise NumericError(f"B = {b_const!r}, c = {c!r}: pole t_{k} = {t!r} is 0 "
+                                   f"or not below the pole before it (poles collide)")
             ts.append(t)
             rs.append((1.0 - t) / (1.0 + t))
     return SingularityList(float(b_const), float(c), tuple(ts), tuple(rs))

@@ -65,6 +65,7 @@ class VectorField(Record):
         frame, they are (c . n, c . th / r, c . ph / (r sin(theta))).  A
         component that is not finite raises NumericError naming the point.
         """
+        require_instance("p", p, SphericalPoint)
         n, th, ph = _frame(p)
         point = (p.r, p.theta, p.phi)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -174,6 +175,8 @@ def gradient_field_from_metric(a: TracelessObservable,
     point, inverts it, and applies it to the differential of l_a = a . v
     (whose Cartesian differential is the constant covector a).
     """
+    require_instance("a", a, TracelessObservable)
+    require_instance("spec", spec, MonotoneFunctionSpec)
     coeffs = a.coeffs
 
     def cartesian(v: np.ndarray) -> np.ndarray:
@@ -250,7 +253,6 @@ def verify_commutator_relations(spec: MonotoneFunctionSpec,
     [X_i, Y_j] close onto the span of the six basis fields with constant
     coefficients (one global least-squares across all points).
     """
-    require_instance("spec", spec, MonotoneFunctionSpec)
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
         raise DomainError("commutator check needs at least one point, "

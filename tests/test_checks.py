@@ -11,19 +11,22 @@ from qig.errors import DomainError
 from qig.flow_engine import compare_flow_to_orbit, integrate_flow, orbit_curve
 from qig.group_actions import (CotangentGroupElement, SLGroupElement, Subgroup,
                                action_alpha_a, action_bkm, alpha_subgroup,
-                               generator_of_action, sl_identity,
+                               bkm_subgroup, generator_of_action,
+                               sl_from_generators, sl_identity,
                                transitivity_probe, verify_alpha_action,
                                verify_bkm_action)
 from qig.metric_family import (big_f, bkm, bures_helstrom, check_petz_symmetry,
                                custom, derivative_limit_at_zero, f_eval,
-                               family_a, family_b, g_derivative, g_from_f,
-                               inverse_metric, metric_cartesian, metric_spherical,
-                               scan_monotonicity, spec_from_name)
+                               family_a, family_b, finite_f, g_derivative,
+                               g_from_f, inverse_metric, metric_cartesian,
+                               metric_spherical, scan_monotonicity,
+                               spec_from_name)
 from qig.ode_classifier import classify, singularities
 from qig.state_space import (QubitState, SphericalPoint, TracelessObservable,
                              su2_bracket)
 from qig.vector_fields import (VectorField, fundamental_field,
-                               gradient_field_closed, lie_bracket_numeric,
+                               gradient_field_closed,
+                               gradient_field_from_metric, lie_bracket_numeric,
                                rescaled_gradient_field,
                                verify_commutator_relations)
 
@@ -237,6 +240,35 @@ _WRONG_TYPES = [
     ("lie_bracket_numeric.w_field=3",
      lambda: lie_bracket_numeric(fundamental_field(A_OBS), 3, [0.1, 0.2, 0.3]),
      "w_field = 3 is not a VectorField"),
+    ("g_from_f.spec='bh'", lambda: g_from_f("bh", 0.5),
+     "spec = 'bh' is not a MonotoneFunctionSpec"),
+    ("g_derivative.spec='bh'", lambda: g_derivative("bh", 0.5),
+     "spec = 'bh' is not a MonotoneFunctionSpec"),
+    ("finite_f.spec='bh'", lambda: finite_f("bh", 0.5),
+     "spec = 'bh' is not a MonotoneFunctionSpec"),
+    ("check_petz_symmetry.spec='bh'", lambda: check_petz_symmetry("bh", [0.5]),
+     "spec = 'bh' is not a MonotoneFunctionSpec"),
+    ("alpha_subgroup.a=(1, 0, 0)", lambda: alpha_subgroup(1.0, (1, 0, 0), ZERO),
+     "a = (1, 0, 0) is not a TracelessObservable"),
+    ("alpha_subgroup.b=(0, 1, 0)", lambda: alpha_subgroup(1.0, A_OBS, (0, 1, 0)),
+     "b = (0, 1, 0) is not a TracelessObservable"),
+    ("bkm_subgroup.a=(1, 0, 0)", lambda: bkm_subgroup((1, 0, 0), ZERO),
+     "a = (1, 0, 0) is not a TracelessObservable"),
+    ("bkm_subgroup.b=(0, 1, 0)", lambda: bkm_subgroup(A_OBS, (0, 1, 0)),
+     "b = (0, 1, 0) is not a TracelessObservable"),
+    ("sl_from_generators.a=(1, 0, 0)", lambda: sl_from_generators((1, 0, 0), ZERO),
+     "a = (1, 0, 0) is not a TracelessObservable"),
+    ("sl_from_generators.b=(0, 1, 0)", lambda: sl_from_generators(A_OBS, (0, 1, 0)),
+     "b = (0, 1, 0) is not a TracelessObservable"),
+    ("gradient_field_from_metric.a=(1, 0, 0)",
+     lambda: gradient_field_from_metric((1, 0, 0), bkm()),
+     "a = (1, 0, 0) is not a TracelessObservable"),
+    ("gradient_field_from_metric.spec='bh'",
+     lambda: gradient_field_from_metric(A_OBS, "bh"),
+     "spec = 'bh' is not a MonotoneFunctionSpec"),
+    ("VectorField.at_spherical.p=(0.5, 1, 1)",
+     lambda: fundamental_field(A_OBS).at_spherical((0.5, 1, 1)),
+     "p = (0.5, 1, 1) is not a SphericalPoint"),
 ]
 
 

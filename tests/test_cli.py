@@ -1,5 +1,7 @@
 import contextlib
 import gc
+import hashlib
+import hmac
 import inspect
 import io
 import json
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qig import cli, verify
-from qig.errors import InputError
+from qig.errors import DomainError, InputError, PoleError
 
 
 def run(*args, **kw):
@@ -88,6 +90,18 @@ def test_verify_single_suite():
     r = run("verify", "poles")
     assert r.returncode == 0
     assert json.loads(r.stdout)["passed"] is True
+
+
+@pytest.mark.parametrize("error,code", [(PoleError, 3), (DomainError, 2)])
+def test_suite_error_names_the_suite(error, code, monkeypatch, capsys):
+    # The class and the exit code stay; the message says which suite failed.
+    def failing(seed, tol=None):
+        raise error("t = 0.5 is a pole")
+
+    monkeypatch.setitem(verify.SUITES, "poles", failing)
+    assert cli.main(["verify", "poles"]) == code
+    assert json.loads(capsys.readouterr().out) == {
+        "error": error.__name__, "message": "suite poles: t = 0.5 is a pole"}
 
 
 def test_verify_rld_commutators_is_negative_control():
@@ -224,6 +238,44 @@ def test_entry_freezes_once_before_parsing(argv, code, monkeypatch, capsys):
     assert events == ["freeze", "parser"]
     out = capsys.readouterr().out
     assert cli.main(argv) == code and capsys.readouterr().out == out
+
+
+def test_in_process_entry_leaves_a_loaded_hashlib_alone(monkeypatch, capsys):
+    loaded = pytest.importorskip("_hashlib")
+    monkeypatch.setattr(sys, "argv", ["qig", "ode", "solve", "--A", "1"])
+    try:
+        assert cli.entry() == 0
+    finally:
+        gc.unfreeze()
+    assert sys.modules["_hashlib"] is loaded
+
+
+# A `qig` process after a command that imports numpy.random, whose import
+# of secrets loads hmac and hashlib: both work, on their builtin code, and
+# OpenSSL's libcrypto is not mapped.
+_OPENSSL_PROBE = """
+import contextlib, io, os, sys
+from qig import cli
+sys.argv = ["qig", "verify", "monotone"]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.entry()
+import hashlib, hmac
+maps = open("/proc/self/maps").read() if os.path.exists("/proc/self/maps") else ""
+print(code, "numpy.random" in sys.modules, sys.modules["_hashlib"],
+      "libcrypto" in maps, hashlib.sha256(b"qig").hexdigest(),
+      hmac.new(b"key", b"qig", "sha256").hexdigest())
+"""
+
+
+def test_entry_loads_no_openssl():
+    env = dict(os.environ, PYTHONPATH="src")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    r = subprocess.run([sys.executable, "-c", _OPENSSL_PROBE], capture_output=True,
+                       text=True, env=env, cwd=root)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == [
+        "0", "True", "None", "False", hashlib.sha256(b"qig").hexdigest(),
+        hmac.new(b"key", b"qig", "sha256").hexdigest()]
 
 
 def test_python_m_prints_what_main_prints(capsys):

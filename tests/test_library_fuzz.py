@@ -15,11 +15,15 @@ from hypothesis import given, settings, strategies as st
 
 from qig.errors import QigError
 from qig.flow_engine import integrate_flow, orbit_curve
-from qig.group_actions import alpha_subgroup, bkm_subgroup
-from qig.metric_family import (MetricAtPoint, bkm, bures_helstrom, custom,
-                               family_a, family_b, inverse_metric,
-                               metric_cartesian, rld, scan_monotonicity,
-                               wigner_yanase)
+from qig.group_actions import (CotangentGroupElement, SLGroupElement,
+                               action_alpha_a, action_bkm, alpha_subgroup,
+                               bkm_subgroup, cotangent_multiply,
+                               sl_from_generators)
+from qig.metric_family import (MetricAtPoint, MonotoneFunctionSpec, bkm,
+                               bures_helstrom, custom, family_a, family_b,
+                               inverse_metric, metric_cartesian, rld,
+                               scan_monotonicity, wigner_yanase)
+from qig.ode_classifier import Exclusion, classify, singularities, solve_branch
 from qig.state_space import QubitState, TracelessObservable
 from qig.vector_fields import (fundamental_field, gradient_field_closed,
                                gradient_field_from_metric, lie_bracket_numeric,
@@ -195,3 +199,116 @@ def test_scan_monotonicity(specs, sizes, samples, seed):
     _valid_or_qig_error(
         lambda: scan_monotonicity(specs, sizes=sizes, samples=samples, seed=seed),
         check)
+
+
+_TRIPLES = st.lists(_VALUES, min_size=3, max_size=3)
+ZERO = TracelessObservable(0.0, 0.0, 0.0)
+
+
+@st.composite
+def _sl_elements(draw):
+    """A call that builds an SL(2, C) element: exp((a - i b)/2) from
+    coefficients of any size, or diag(x, 1/x) from a tiny to a huge x."""
+    if draw(st.booleans()):
+        a, b = draw(_TRIPLES), draw(_TRIPLES)
+        return lambda: sl_from_generators(TracelessObservable(*a),
+                                          TracelessObservable(*b))
+    x = draw(st.sampled_from([1e-300, 1e-8, 0.5, 3.0, 1e8, 1e154, 1e308]))
+    return lambda: SLGroupElement(np.diag([x, 1.0 / x]).astype(complex))
+
+
+def _is_state(rho):
+    assert isinstance(rho, QubitState) and np.linalg.norm(rho.bloch) < 1.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([0.25, 1.0, 4.0, 1e-300, 1e300, 0.0, -1.0, math.nan,
+                        math.inf]), _sl_elements(), _TRIPLES)
+def test_action_alpha_a(a_const, element, start):
+    _valid_or_qig_error(
+        lambda: action_alpha_a(a_const, element(), QubitState(*start)), _is_state)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_TRIPLES, _TRIPLES, _TRIPLES)
+def test_action_bkm(b, a, start):
+    def call():
+        unitary = sl_from_generators(ZERO, TracelessObservable(*b)).matrix
+        element = CotangentGroupElement(unitary, TracelessObservable(*a))
+        return action_bkm(element, QubitState(*start))
+
+    _valid_or_qig_error(call, _is_state)
+
+
+_STACKS = st.sampled_from([(), (1,), (3,), (2, 1)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(_STACKS, _STACKS, st.data())
+def test_cotangent_multiply(shape_1, shape_2, data):
+    # Stacks of elements (U, a) of the cotangent group, U in SU(2) and a of
+    # any size, against each other.
+    def unitaries(shape):
+        return np.array([sl_from_generators(ZERO, data.draw(_observables())).matrix
+                         for _ in range(math.prod(shape))]).reshape(shape + (2, 2))
+
+    u1, u2 = unitaries(shape_1), unitaries(shape_2)
+    a1 = data.draw(_arrays(st.just(shape_1 + (3,))))
+    a2 = data.draw(_arrays(st.just(shape_2 + (3,))))
+
+    def check(product):
+        u12, a12 = product
+        stack = np.broadcast_shapes(shape_1, shape_2)
+        assert u12.shape == stack + (2, 2) and a12.shape == stack + (3,)
+        assert np.allclose(u12 @ u12.conj().swapaxes(-1, -2), np.eye(2))
+        assert np.isfinite(a12).all()
+
+    _valid_or_qig_error(lambda: cotangent_multiply(u1, a1, u2, a2), check)
+
+
+_GRIDS = st.sampled_from([(20,), (25,), (4, 5), (19,), (0,), ()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SPECS + [CUSTOM]), _GRIDS, st.data())
+def test_classify(spec, shape, data):
+    grid = data.draw(st.one_of(
+        _arrays(st.just(shape)),
+        st.just(np.linspace(0.05, 0.95, math.prod(shape)).reshape(shape))))
+
+    def check(result):
+        assert len(result.values) == grid.size and np.isfinite(result.values).all()
+        assert math.isfinite(result.range_width)
+        assert result.branch in ("bkm_a0", "family_a_pos", "family_b_neg", "none")
+
+    _valid_or_qig_error(lambda: classify(spec, grid), check)
+
+
+_PARAMETERS = st.one_of(st.floats(-5.0, 5.0), st.sampled_from(
+    [0.0, 1e-300, -1e-300, 1e300, -1e300, 1e308, -1e308, math.nan, math.inf,
+     -math.inf]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_PARAMETERS, _PARAMETERS)
+def test_solve_branch(a_const, c):
+    def check(result):
+        assert isinstance(result, (MonotoneFunctionSpec, Exclusion))
+        if isinstance(result, Exclusion):
+            _check_poles(result.poles, 10)
+
+    _valid_or_qig_error(lambda: solve_branch(a_const, c), check)
+
+
+def _check_poles(poles, count):
+    ts, rs = np.array(poles.t_values), np.array(poles.r_values)
+    assert len(ts) == len(rs) == count
+    assert (0.0 < ts).all() and (ts <= 1.0).all() and (np.diff(ts) < 0.0).all()
+    assert np.array_equal(rs, (1.0 - ts) / (1.0 + ts))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_PARAMETERS, _PARAMETERS, _COUNTS)
+def test_singularities(b_const, c, count):
+    _valid_or_qig_error(lambda: singularities(b_const, c, count),
+                        lambda poles: _check_poles(poles, count))

@@ -12,9 +12,10 @@ from qig.errors import (CenterSingularity, DomainError, IllConditioned,
                         NumericError, PoleError)
 from qig import metric_family
 from qig.metric_family import (FD_STEP, SCAN_BLOCK, SERIES_CUTOFF,
-                               MetricAtPoint, _b_basis_diff, _f_spectrum,
-                               _first_min, _min_gap, _positive_definite,
-                               _qubit_gaps, _size_gaps, big_f, bkm,
+                               MetricAtPoint, _b_basis_diff, _block_gaps,
+                               _blocks, _f_spectrum, _first_min, _min_gap,
+                               _positive_definite, _qubit_gaps, _size_gaps,
+                               _stack_streams, big_f, bkm,
                                bures_helstrom,
                                check_petz_symmetry, custom,
                                derivative_limit_at_zero, f_eval, family_a,
@@ -380,14 +381,34 @@ def _per_sample_gaps(specs, dim: int, samples: int, seed: int):
     return _spectral_gaps(specs, lam_a, u, lam_b), lam_a, lam_b
 
 
+def _blocked_spectra(dim: int, samples: int, seed: int):
+    """Every pair's spectra of A (as drawn) and of B (ascending) as the
+    scan draws them, by walking _block_gaps over the size's streams block
+    by block, scoring no spec."""
+    stacks = _stack_streams(dim, samples, seed)
+    spectra = [_block_gaps([], stacks, dim, rows)[1:] for _, rows in _blocks(samples)]
+    return tuple(np.concatenate(lam) for lam in zip(*spectra))
+
+
+def _assert_best_rows(got, gaps, lam_a, lam_b, what):
+    # Each of _size_gaps' rows is the (gap, index) of the oracle's gaps
+    # and that pair's spectra, bit for bit.
+    assert [(gap, k) for gap, k, _, _ in got] == gaps, what
+    for _, k, row_a, row_b in got:
+        assert np.array_equal(row_a, lam_a[k]), what
+        assert np.array_equal(row_b, lam_b[k]), what
+
+
 def _assert_scored_by_minimum(specs, dim, samples, seed):
     # _size_gaps' (gap, index) per spec is the per-sample path's (min,
-    # argmin) bit for bit, with the same spectra.
-    got, lam_a, lam_b = _size_gaps(specs, dim, samples, seed)
-    gaps, lam_a_full, lam_b_full = _per_sample_gaps(specs, dim, samples, seed)
-    assert np.array_equal(lam_a, lam_a_full) and np.array_equal(lam_b, lam_b_full)
+    # argmin) bit for bit, with that pair's spectra; the blocks draw every
+    # pair's spectra as the per-sample path does.
+    got = _size_gaps(specs, dim, samples, seed)
+    gaps, lam_a, lam_b = _per_sample_gaps(specs, dim, samples, seed)
+    blocked_a, blocked_b = _blocked_spectra(dim, samples, seed)
+    assert np.array_equal(blocked_a, lam_a) and np.array_equal(blocked_b, lam_b)
     want = [(float(g.min()), int(np.argmin(g))) for g in gaps]
-    assert got == want, (dim, seed)
+    _assert_best_rows(got, want, lam_a, lam_b, (dim, seed))
     return gaps, lam_a, lam_b
 
 
@@ -447,19 +468,26 @@ def _scan_with(monkeypatch, size_gaps, samples: int, seed: int):
                                      SCAN_BLOCK + 1, 2 * SCAN_BLOCK + 7, 10_000])
 def test_blocked_scan_equals_one_shot_scan(monkeypatch, samples):
     # Streaming the pairs in blocks draws the same numbers and scores them
-    # to the same bits: every size's (gap, index) per spec and both
-    # spectra, and the reports, counterexamples included.  10 000 pairs are
-    # the monotone suite's scans of seeds 0-4; the counts around a block's
-    # edge run at seed 0's.
+    # to the same bits: every size's (gap, index) per spec with that pair's
+    # spectra, every pair's spectra, and the reports, counterexamples
+    # included.  10 000 pairs are the monotone suite's scans of seeds 0-4;
+    # the counts around a block's edge run at seed 0's.
     for seed in range(5 if samples == 10_000 else 1):
         seed = sub_seed(seed, "monotone")
         got, blocked = _scan_with(monkeypatch, _size_gaps, samples, seed)
-        want, one_shot = _scan_with(monkeypatch, _one_shot_size_gaps, samples,
-                                    seed)
+        one_shot = []
+
+        def best_rows_of_one_shot(*args):
+            one_shot.append(_one_shot_size_gaps(*args))
+            gaps, lam_a, lam_b = one_shot[-1]
+            return [(gap, k, lam_a[k], lam_b[k]) for gap, k in gaps]
+
+        want, _ = _scan_with(monkeypatch, best_rows_of_one_shot, samples, seed)
         assert got == want, seed
-        for dim, (gaps, lam_a, lam_b), (gaps_1, lam_a_1, lam_b_1) in zip(
+        for dim, rows, (gaps_1, lam_a_1, lam_b_1) in zip(
                 (1, 2, 3, 4), blocked, one_shot, strict=True):
-            assert gaps == gaps_1, (seed, dim)
+            _assert_best_rows(rows, gaps_1, lam_a_1, lam_b_1, (seed, dim))
+            lam_a, lam_b = _blocked_spectra(dim, samples, seed)
             assert np.array_equal(lam_a, lam_a_1), (seed, dim)
             assert np.array_equal(lam_b, lam_b_1), (seed, dim)
         if samples == 10_000:  # the suite's verdict: family_a(2), (4) fail
@@ -467,12 +495,19 @@ def test_blocked_scan_equals_one_shot_scan(monkeypatch, samples):
 
 
 def test_blocks_merge_keeps_the_first_pair_with_the_least_gap(monkeypatch):
-    # Every block ties on its least gap: the first block's pair wins.
+    # Every block ties on its least gap: the first block's pair wins, and
+    # its spectra are copies of that block's rows, so no block stays alive.
+    blocks = []
+
     def tied(specs, stacks, dim, rows):
-        return [(-1.0, rows - 1)], np.zeros((rows, dim)), np.zeros((rows, dim))
+        blocks.append(np.full((rows, dim), len(blocks) + 1.0))
+        return [(-1.0, rows - 1)], blocks[-1], -blocks[-1]
 
     monkeypatch.setattr(metric_family, "_block_gaps", tied)
-    assert _size_gaps([bkm()], 3, 3 * SCAN_BLOCK, 0)[0] == [(-1.0, SCAN_BLOCK - 1)]
+    [(gap, k, lam_a, lam_b)] = _size_gaps([bkm()], 3, 3 * SCAN_BLOCK, 0)
+    assert (gap, k) == (-1.0, SCAN_BLOCK - 1) and len(blocks) == 3
+    assert lam_a.tolist() == [1.0] * 3 and lam_b.tolist() == [-1.0] * 3
+    assert lam_a.base is None and lam_b.base is None
 
 
 def _traced_peak_of_scan(samples: int) -> int:
@@ -487,14 +522,15 @@ def _traced_peak_of_scan(samples: int) -> int:
 
 
 def test_scan_memory_stays_flat_in_the_sample_count():
-    # Eight times the pairs hold no more matrices at once; only the two
-    # spectra, 2 n floats per pair, grow: 0.77 MiB, those of size 4 and of
-    # size 3, still held while size 4 runs.  Holding every pair of a size
-    # at once grew by 8.6 MiB.  The first scan of a process allocates
-    # once for good, so it runs untraced.
+    # Eight times the pairs hold no more memory at once: of each block the
+    # scan keeps only its best pairs' spectra, so its traced peak is one
+    # block's working set, 2.18 MiB, at any sample count.  Keeping every
+    # pair's spectra grew by 0.77 MiB, and keeping the last block's size-4
+    # spectra while the next block is scored by 64 KiB.  The first scan of
+    # a process allocates once for good, so it runs untraced.
     scan_monotonicity([family_a(4.0)], samples=1)
     growth = _traced_peak_of_scan(8 * SCAN_BLOCK) - _traced_peak_of_scan(SCAN_BLOCK)
-    assert growth <= 1.5 * 2**20, growth
+    assert growth <= 16 * 2**10, growth
 
 
 @pytest.mark.parametrize("factor", [1e8, 1e-8])

@@ -1,10 +1,12 @@
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 
-from qig.errors import DomainError
+from qig import cli
+from qig.errors import DomainError, NumericError
 from qig.metric_family import bkm, bures_helstrom, family_a, rld, wigner_yanase
 from qig.ode_classifier import (Exclusion, classify, singularities,
                                 solve_branch)
@@ -88,3 +90,29 @@ def test_singularities_need_an_integer_count(count):
     with pytest.raises(DomainError,
                        match=re.escape(f"max_count = {count!r} is not an integer >= 1")):
         singularities(1.0, 0.0, max_count=count)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("b_const,c,count,named", [
+    (1e300, 0.0, 5, "B = 1e+300, c = 0.0: pole t_1 = 1.0 is 0 or not below"),
+    (0.2, 0.0, 200, "B = 0.2, c = 0.0: pole t_106 = 0.0 is 0 or not below"),
+    (1.0, -800.0, 1, "B = 1.0, c = -800.0: pole t_0 = 0.0 is 0 or not below"),
+], ids=["huge-B", "underflow", "first-underflows"])
+def test_colliding_poles_are_a_numeric_error(b_const, c, count, named, capsys):
+    # At B = 1e300 every pole rounds to t = 1 (r = 0), and far enough out
+    # they underflow to t = 0 (r = 1): distinct poles printed as one.
+    with pytest.raises(NumericError, match=re.escape(named)):
+        singularities(b_const, c, max_count=count)
+    argv = ["ode", "poles", f"--B={b_const!r}", f"--c={c!r}", "-n", str(count)]
+    assert cli.main(argv) == 3
+    assert json.loads(capsys.readouterr().out)["message"].startswith(named)
+
+
+def test_poles_stay_distinct_over_the_workload_range():
+    # B in [0.2, 4] and |c| <= 1, up to 10 poles: the command lines that
+    # the verify suite and the short-command benchmark run.
+    for b_const in np.linspace(0.2, 4.0, 20):
+        for c in (-1.0, 0.0, 1.0):
+            ts = singularities(float(b_const), c, max_count=10).t_values
+            assert len(ts) == 10 and all(0.0 < t for t in ts)
+            assert all(a > b for a, b in zip(ts, ts[1:]))
