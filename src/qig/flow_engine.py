@@ -10,20 +10,18 @@ isolates the integrator error.
 from __future__ import annotations
 
 import warnings
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import LeftManifold
 from .group_actions import Subgroup
-from .state_space import (EPS_BOUNDARY, QubitState, TracelessObservable,
+from .state_space import (EPS_BOUNDARY, QubitState, Record, TracelessObservable,
                           bloch_norm, require_count, require_finite, require_instance)
 from .vector_fields import VectorField
 
 
-class Trajectory(NamedTuple):
-    times: np.ndarray
-    points: np.ndarray  # shape (n, 3), Bloch Cartesian
+class Trajectory(Record):
+    __slots__ = ("times", "points")  # points: shape (n, 3), Bloch Cartesian
 
     @property
     def radii(self) -> np.ndarray:
@@ -31,6 +29,7 @@ class Trajectory(NamedTuple):
 
     def to_csv(self, observable: TracelessObservable) -> str:
         """Columns t, x, y, z, r and l_a = a . v of the observable a."""
+        require_instance("observable", observable, TracelessObservable)
         return csv_table(["t", "x", "y", "z", "r", "l_a"],
                          [self.times, *self.points.T, self.radii,
                           self.points @ observable.coeffs])
@@ -123,6 +122,7 @@ def orbit_curve(subgroup: Subgroup, start: QubitState, t_end: float,
     with every time of the grid in one batched call.
     """
     require_instance("subgroup", subgroup, Subgroup)
+    require_instance("start", start, QubitState)
     times = _time_grid(t_end, samples, "samples")
     return Trajectory(times, subgroup.orbit(times, start))
 

@@ -15,7 +15,7 @@ rounds into the ball's boundary band raises NumericError naming its row.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -95,6 +95,15 @@ def _matrix_2x2(name: str, value) -> np.ndarray:
     return arr
 
 
+def _stack(name: str, value, kinds: str, core: tuple) -> np.ndarray:
+    """value as a stack (..., *core) of numbers of the dtype kinds."""
+    arr = as_numbers(value, kinds)
+    if arr is None or arr.shape[-len(core):] != core:
+        raise DomainError(f"{name} = {value!r} is not a stack of shape "
+                          f"(..., {', '.join(map(str, core))})")
+    return arr
+
+
 class SLGroupElement(Record):
     """A 2x2 complex matrix with determinant 1."""
 
@@ -167,10 +176,16 @@ def cotangent_multiply(u1: np.ndarray, a1: np.ndarray, u2: np.ndarray,
                        a2: np.ndarray) -> tuple:
     """Semidirect product (U1, a1) (U2, a2) = (U1 U2, a1 + U1 a2 U1^dag).
 
-    The elements are stacks of unitaries (..., 2, 2) and of the Pauli
-    coefficients (..., 3) of their translations, and so is the product; a
-    product translation that is not finite raises NumericError naming it.
+    The elements are stacks of unitaries (..., 2, 2) and Pauli coefficients
+    (..., 3) of translations, as is the product.  Another shape raises
+    DomainError, a product translation that is not finite NumericError.
     """
+    u1, u2 = (_stack(name, u, "iufc", (2, 2)) for name, u in (("u1", u1), ("u2", u2)))
+    a1, a2 = (_stack(name, a, "iuf", (3,)) for name, a in (("a1", a1), ("a2", a2)))
+    try:
+        np.broadcast_shapes(u1.shape[:-2], a1.shape[:-1], u2.shape[:-2], a2.shape[:-1])
+    except ValueError as exc:
+        raise DomainError(f"stacks of u1, a1, u2 and a2: {exc}") from None
     with np.errstate(over="ignore", invalid="ignore"):
         rotated = u1 @ _pauli_matrices(a2) @ u1.conj().swapaxes(-1, -2)
         a12 = pauli_coeffs(_pauli_matrices(a1) + rotated)
@@ -251,10 +266,8 @@ def action_bkm(h: CotangentGroupElement, rho: QubitState) -> QubitState:
     return QubitState(*_bkm_images(rotation, h.a.coeffs, rho.bloch))
 
 
-class ActionAxiomReport(NamedTuple):
-    action: str
-    identity_dev: float
-    compatibility_dev: float
+class ActionAxiomReport(Record):
+    __slots__ = ("action", "identity_dev", "compatibility_dev")
 
     @property
     def max_dev(self) -> float:
@@ -420,10 +433,12 @@ def alpha_subgroup(a_const: float, a: TracelessObservable,
     s = _sqrt_a(a_const)
     require_instance("a", a, TracelessObservable)
     require_instance("b", b, TracelessObservable)
-    gen = 0.5 * (a.matrix() - 1j * b.matrix())
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericError below
+        gen = 0.5 * (a.matrix() - 1j * b.matrix())
 
     def images(times: np.ndarray, v: np.ndarray) -> np.ndarray:
-        g = _expm_traceless_2x2(times[..., None, None] * gen)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericError
+            g = _expm_traceless_2x2(times[..., None, None] * gen)
         require_all(_unit_det(g), times, NumericError, "t",
                     "gives a determinant of exp(t (a - i b)/2) != 1")
         return _alpha_images(s, _lorentz(g), v)

@@ -27,7 +27,7 @@ import copy
 import functools
 import math
 import numbers
-from typing import Callable, NamedTuple, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -315,12 +315,10 @@ def big_f(spec: MonotoneFunctionSpec, r):
     return out if np.ndim(out) else float(out)
 
 
-class MetricAtPoint(NamedTuple):
+class MetricAtPoint(Record):
     """Metric components at one point, tagged with the chart they live in."""
 
-    chart: str  # "spherical" | "cartesian"
-    matrix: np.ndarray
-    point: tuple
+    __slots__ = ("chart", "matrix", "point")  # chart: "spherical" | "cartesian"
 
     def to_json(self) -> dict:
         return {"chart": self.chart,
@@ -389,11 +387,8 @@ def inverse_metric(m: MetricAtPoint) -> MetricAtPoint:
     return MetricAtPoint(m.chart, np.linalg.inv(m.matrix), m.point)
 
 
-class PetzSymmetryReport(NamedTuple):
-    spec: str
-    max_symmetry_dev: float
-    normalization_dev: float
-    passed: bool
+class PetzSymmetryReport(Record):
+    __slots__ = ("spec", "max_symmetry_dev", "normalization_dev", "passed")
 
 
 def check_petz_symmetry(spec: MonotoneFunctionSpec, grid) -> PetzSymmetryReport:
@@ -425,12 +420,11 @@ def check_petz_symmetry(spec: MonotoneFunctionSpec, grid) -> PetzSymmetryReport:
                               max_dev < PETZ_TOL and norm_dev < PETZ_TOL)
 
 
-class MonotonicityReport(NamedTuple):
+class MonotonicityReport(Record):
     """Outcome of a random matrix-order scan of f."""
 
-    spec: str
-    min_gap: float  # most negative eigenvalue of f(B) - f(A) seen
-    counterexample: Optional[dict]
+    # min_gap: the most negative eigenvalue of f(B) - f(A) seen
+    __slots__ = ("spec", "min_gap", "counterexample")  # a dict, or None
 
     @property
     def violated(self) -> bool:

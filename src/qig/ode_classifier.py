@@ -10,25 +10,21 @@ are excluded (represented as a first-class Exclusion carrying evidence).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import DomainError, NumericError
 from .metric_family import MonotoneFunctionSpec, big_f, bkm, family_a, family_b
-from .state_space import require_all, require_count, require_real
+from .state_space import Record, require_all, require_count, require_real
 
 CONSTANCY_TOL = 1e-6  # separates constant branches (~1e-9) from RLD (>0.1)
 ZERO_TOL = 1e-9
 
 
-class OdeClassification(NamedTuple):
-    spec: str
-    grid: tuple
-    values: tuple
-    constant: Optional[float]  # mean of F if the verdict is constant
-    range_width: float
-    branch: str  # "bkm_a0" | "family_a_pos" | "family_b_neg" | "none"
+class OdeClassification(Record):
+    # constant: the mean of F if the verdict is constant, else None;
+    # branch: "bkm_a0" | "family_a_pos" | "family_b_neg" | "none"
+    __slots__ = ("spec", "grid", "values", "constant", "range_width", "branch")
 
     @property
     def is_constant(self) -> bool:
@@ -57,13 +53,10 @@ def classify(spec: MonotoneFunctionSpec, grid) -> OdeClassification:
                              tuple(values.tolist()), a_const, width, branch)
 
 
-class SingularityList(NamedTuple):
+class SingularityList(Record):
     """Pole locations of the tangent family inside the state space."""
 
-    b_const: float
-    c: float
-    t_values: tuple
-    r_values: tuple
+    __slots__ = ("b_const", "c", "t_values", "r_values")
 
     def to_json(self) -> dict:
         return {"B": self.b_const, "c": self.c,
@@ -98,21 +91,17 @@ def singularities(b_const: float, c: float = 0.0,
     return SingularityList(float(b_const), float(c), tuple(ts), tuple(rs))
 
 
-class Exclusion(NamedTuple):
+class Exclusion(Record):
     """The A < 0 branch: a spec that cannot define a metric on the full ball."""
 
-    a_const: float
-    b_const: float  # B = -A/4
-    spec: MonotoneFunctionSpec
-    poles: SingularityList
+    __slots__ = ("a_const", "b_const", "spec", "poles")  # b_const: B = -A/4
 
     def to_json(self) -> dict:
         return {"A": self.a_const, "B": self.b_const,
                 "excluded": True, "poles": self.poles.to_json()}
 
 
-def solve_branch(a_const: float,
-                 c: float = 0.0) -> Union[MonotoneFunctionSpec, Exclusion]:
+def solve_branch(a_const: float, c: float = 0.0) -> MonotoneFunctionSpec | Exclusion:
     """Closed-form solution of F = A, normalized so that f(1) = 1.
 
     A = 0 returns the BKM spec, A > 0 the family_a(A) spec.  A < 0 returns

@@ -38,19 +38,25 @@ CALLABLE = (Callable, "callable")
 
 
 class Record:
-    """A read-only record of the fields in its __slots__, set in order by
-    Record.__init__.  _types maps a field to (class, noun); a value that is
-    not an instance of the class raises DomainError "{field} = {value!r} is
-    not {noun}".  == and hash compare the fields in _compared, repr shows
-    those in _shown (all by default).  Unlike a dataclass, the class costs
+    """A read-only record of the fields in its __slots__, given by position
+    or by keyword (a missing or unknown one raises TypeError).  _types maps a
+    field to (class, noun); a value that is not an instance of the class
+    raises DomainError "{field} = {value!r} is not {noun}".  == and hash
+    compare the fields in _compared, repr shows those in _shown (all by
+    default).  Unlike a dataclass or a NamedTuple, the class costs
     microseconds to create, not a millisecond of every start-up."""
 
     __slots__ = ()
     _types = {}
     _compared = _shown = None
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
+    def __init__(self, *values, **fields):
+        names = self.__slots__
+        if fields:  # a field left over, or one short, is an error
+            values += tuple(fields.pop(n) for n in names[len(values):] if n in fields)
+        if fields or len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        for name, value in zip(names, values):
             kind, noun = self._types.get(name, (object, None))
             if not isinstance(value, kind):
                 raise DomainError(f"{name} = {value!r} is not {noun}")

@@ -11,7 +11,7 @@ frame at the chart point), and on one point's Python floats for RK4.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -27,10 +27,8 @@ BRACKET_STEP = 1e-4
 _STEPS = np.array([1.0, -1.0, 0.5, -0.5])  # stencil steps, in units of h
 
 
-class TangentVector(NamedTuple):
-    chart: str  # "spherical" | "cartesian"
-    components: np.ndarray
-    point: tuple
+class TangentVector(Record):
+    __slots__ = ("chart", "components", "point")  # chart: "spherical" | "cartesian"
 
     def to_json(self) -> dict:
         return {"chart": self.chart,
@@ -235,13 +233,10 @@ def lie_bracket_numeric(v_field: VectorField, w_field: VectorField, p,
     return TangentVector("cartesian", out, tuple(v.tolist()))
 
 
-class CommutatorReport(NamedTuple):
+class CommutatorReport(Record):
     """Numeric check of [Y_i, Y_j] = F(r) X_k and of bracket closure."""
 
-    spec: str
-    max_error: float
-    closure_residual: float
-    convention_sign: float
+    __slots__ = ("spec", "max_error", "closure_residual", "convention_sign")
 
 
 def verify_commutator_relations(spec: MonotoneFunctionSpec,

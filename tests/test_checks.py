@@ -1,34 +1,35 @@
 """One table per kind of input check: every count and every positive
 parameter of the library is checked by the same rule, and its error names
-the parameter and the value."""
+the parameter and the value.  The wrong-type cases of every record
+parameter of a public function or method are generated."""
 
+import importlib
+import inspect
 import math
+import typing
 
 import numpy as np
 import pytest
 
 from qig.errors import DomainError
-from qig.flow_engine import compare_flow_to_orbit, integrate_flow, orbit_curve
+from qig.flow_engine import integrate_flow, orbit_curve
 from qig.group_actions import (CotangentGroupElement, SLGroupElement, Subgroup,
-                               action_alpha_a, action_bkm, alpha_subgroup,
-                               bkm_subgroup, generator_of_action,
-                               sl_from_generators, sl_identity,
+                               action_alpha_a, alpha_subgroup, sl_identity,
                                transitivity_probe, verify_alpha_action,
                                verify_bkm_action)
-from qig.metric_family import (big_f, bkm, bures_helstrom, check_petz_symmetry,
+from qig.metric_family import (MetricAtPoint, MonotoneFunctionSpec, big_f, bkm,
+                               bures_helstrom, check_petz_symmetry,
                                custom, derivative_limit_at_zero, f_eval,
-                               family_a, family_b, finite_f, g_derivative,
-                               g_from_f, inverse_metric, metric_cartesian,
-                               metric_spherical, scan_monotonicity,
+                               family_a, family_b, g_derivative, g_from_f,
+                               metric_cartesian, scan_monotonicity,
                                spec_from_name)
 from qig.ode_classifier import classify, singularities
-from qig.state_space import (QubitState, SphericalPoint, TracelessObservable,
-                             su2_bracket)
+from qig.state_space import (QubitState, Record, SphericalPoint,
+                             TracelessObservable)
 from qig.vector_fields import (VectorField, fundamental_field,
-                               gradient_field_closed,
-                               gradient_field_from_metric, lie_bracket_numeric,
-                               rescaled_gradient_field,
-                               verify_commutator_relations)
+                               gradient_field_closed, lie_bracket_numeric,
+                               rescaled_gradient_field)
+from test_api import _modules, _public_defs
 
 A_OBS = TracelessObservable(0.4, -0.3, 0.6)
 ZERO = TracelessObservable(0.0, 0.0, 0.0)
@@ -103,7 +104,9 @@ def test_positive_parameter_rejected(named, call, value):
 
 
 # (site, call, its whole message): a value of the wrong type, or a sequence
-# with nothing in it, is named as it was passed.
+# with nothing in it, is named as it was passed.  _WRONG_RECORDS below adds
+# a case for each wrong value of each record parameter of a public function
+# or method, generated from the signatures.
 _WRONG_TYPES = [
     ("scan_monotonicity.specs=bkm()", lambda: scan_monotonicity(bkm(), samples=3),
      "specs = MonotoneFunctionSpec(kind='bkm', name='bkm') is not a sequence "
@@ -163,9 +166,6 @@ _WRONG_TYPES = [
      "is not a 2x2 matrix"),
     ("CotangentGroupElement.unitary='x'", lambda: CotangentGroupElement("x", ZERO),
      "unitary = 'x' is not a 2x2 matrix"),
-    ("CotangentGroupElement.a=(0, 0, 0)",
-     lambda: CotangentGroupElement(np.eye(2), (0, 0, 0)),
-     "a = (0, 0, 0) is not a TracelessObservable"),
     ("Subgroup.images=3", lambda: Subgroup(3), "images = 3 is not callable"),
     ("VectorField.cartesian=3", lambda: VectorField(3), "cartesian = 3 is not callable"),
     ("custom.name=3", lambda: custom(lambda t: t, 3), "name = 3 is not a string"),
@@ -182,99 +182,96 @@ _WRONG_TYPES = [
     ("CotangentGroupElement.unitary=strings",
      lambda: CotangentGroupElement([["a", "b"], ["c", "d"]], ZERO),
      "unitary = [['a', 'b'], ['c', 'd']] is not a 2x2 matrix"),
-    ("action_alpha_a.g=eye(2)", lambda: action_alpha_a(2.0, np.eye(2), START),
-     "g = array([[1., 0.],\n       [0., 1.]]) is not a SLGroupElement"),
-    ("action_alpha_a.rho=(0.1, 0, 0)",
-     lambda: action_alpha_a(2.0, sl_identity(), (0.1, 0, 0)),
-     "rho = (0.1, 0, 0) is not a QubitState"),
-    ("action_bkm.h=eye(2)", lambda: action_bkm(np.eye(2), START),
-     "h = array([[1., 0.],\n       [0., 1.]]) is not a CotangentGroupElement"),
-    ("action_bkm.rho=(0.1, 0, 0)",
-     lambda: action_bkm(CotangentGroupElement(np.eye(2), ZERO), (0.1, 0, 0)),
-     "rho = (0.1, 0, 0) is not a QubitState"),
-    ("metric_spherical.p=(0.5, 1, 1)", lambda: metric_spherical(bkm(), (0.5, 1, 1)),
-     "p = (0.5, 1, 1) is not a SphericalPoint"),
-    ("generator_of_action.subgroup=3", lambda: generator_of_action(3, START),
-     "subgroup = 3 is not a Subgroup"),
-    ("orbit_curve.subgroup=3", lambda: orbit_curve(3, START, 1.0, 10),
-     "subgroup = 3 is not a Subgroup"),
-    ("integrate_flow.vfield=3", lambda: integrate_flow(3, START, 1.0, 10),
-     "vfield = 3 is not a VectorField"),
-    ("integrate_flow.start=(0.1, 0, 0)",
-     lambda: integrate_flow(fundamental_field(A_OBS), (0.1, 0, 0), 1.0, 10),
-     "start = (0.1, 0, 0) is not a QubitState"),
-    ("compare_flow_to_orbit.subgroup=3",
-     lambda: compare_flow_to_orbit(fundamental_field(A_OBS), 3, START, 1.0, 10),
-     "subgroup = 3 is not a Subgroup"),
-    ("f_eval.spec='bh'", lambda: f_eval("bh", 0.5),
-     "spec = 'bh' is not a MonotoneFunctionSpec"),
-    ("big_f.spec='bh'", lambda: big_f("bh", 0.5),
-     "spec = 'bh' is not a MonotoneFunctionSpec"),
-    ("metric_cartesian.spec='bh'", lambda: metric_cartesian("bh", 0.1, 0.2, 0.3),
-     "spec = 'bh' is not a MonotoneFunctionSpec"),
-    ("metric_spherical.spec='bh'",
-     lambda: metric_spherical("bh", SphericalPoint(0.5, 1.0, 1.0)),
-     "spec = 'bh' is not a MonotoneFunctionSpec"),
-    ("classify.spec='bh'", lambda: classify("bh", np.linspace(0.05, 0.95, 20)),
-     "spec = 'bh' is not a MonotoneFunctionSpec"),
-    ("verify_commutator_relations.spec='bh'",
-     lambda: verify_commutator_relations("bh", [[0.1, 0.2, 0.3]]),
-     "spec = 'bh' is not a MonotoneFunctionSpec"),
-    ("gradient_field_closed.spec='bh'", lambda: gradient_field_closed(A_OBS, "bh"),
-     "spec = 'bh' is not a MonotoneFunctionSpec"),
-    ("gradient_field_closed.a=(1, 0, 0)",
-     lambda: gradient_field_closed((1, 0, 0), bkm()),
-     "a = (1, 0, 0) is not a TracelessObservable"),
-    ("fundamental_field.b=(1, 0, 0)", lambda: fundamental_field((1, 0, 0)),
-     "b = (1, 0, 0) is not a TracelessObservable"),
-    ("inverse_metric.m=eye(3)", lambda: inverse_metric(np.eye(3)),
-     "m = array([[1., 0., 0.],\n       [0., 1., 0.],\n       [0., 0., 1.]]) "
-     "is not a MetricAtPoint"),
-    ("su2_bracket.a=(1, 0, 0)", lambda: su2_bracket((1, 0, 0), (0, 1, 0)),
-     "a = (1, 0, 0) is not a TracelessObservable"),
-    ("su2_bracket.b=(0, 1, 0)", lambda: su2_bracket(A_OBS, (0, 1, 0)),
-     "b = (0, 1, 0) is not a TracelessObservable"),
-    ("lie_bracket_numeric.v_field=3",
-     lambda: lie_bracket_numeric(3, 3, [0.1, 0.2, 0.3]),
-     "v_field = 3 is not a VectorField"),
-    ("lie_bracket_numeric.w_field=3",
-     lambda: lie_bracket_numeric(fundamental_field(A_OBS), 3, [0.1, 0.2, 0.3]),
-     "w_field = 3 is not a VectorField"),
-    ("g_from_f.spec='bh'", lambda: g_from_f("bh", 0.5),
-     "spec = 'bh' is not a MonotoneFunctionSpec"),
-    ("g_derivative.spec='bh'", lambda: g_derivative("bh", 0.5),
-     "spec = 'bh' is not a MonotoneFunctionSpec"),
-    ("finite_f.spec='bh'", lambda: finite_f("bh", 0.5),
-     "spec = 'bh' is not a MonotoneFunctionSpec"),
-    ("check_petz_symmetry.spec='bh'", lambda: check_petz_symmetry("bh", [0.5]),
-     "spec = 'bh' is not a MonotoneFunctionSpec"),
-    ("alpha_subgroup.a=(1, 0, 0)", lambda: alpha_subgroup(1.0, (1, 0, 0), ZERO),
-     "a = (1, 0, 0) is not a TracelessObservable"),
-    ("alpha_subgroup.b=(0, 1, 0)", lambda: alpha_subgroup(1.0, A_OBS, (0, 1, 0)),
-     "b = (0, 1, 0) is not a TracelessObservable"),
-    ("bkm_subgroup.a=(1, 0, 0)", lambda: bkm_subgroup((1, 0, 0), ZERO),
-     "a = (1, 0, 0) is not a TracelessObservable"),
-    ("bkm_subgroup.b=(0, 1, 0)", lambda: bkm_subgroup(A_OBS, (0, 1, 0)),
-     "b = (0, 1, 0) is not a TracelessObservable"),
-    ("sl_from_generators.a=(1, 0, 0)", lambda: sl_from_generators((1, 0, 0), ZERO),
-     "a = (1, 0, 0) is not a TracelessObservable"),
-    ("sl_from_generators.b=(0, 1, 0)", lambda: sl_from_generators(A_OBS, (0, 1, 0)),
-     "b = (0, 1, 0) is not a TracelessObservable"),
-    ("gradient_field_from_metric.a=(1, 0, 0)",
-     lambda: gradient_field_from_metric((1, 0, 0), bkm()),
-     "a = (1, 0, 0) is not a TracelessObservable"),
-    ("gradient_field_from_metric.spec='bh'",
-     lambda: gradient_field_from_metric(A_OBS, "bh"),
-     "spec = 'bh' is not a MonotoneFunctionSpec"),
-    ("VectorField.at_spherical.p=(0.5, 1, 1)",
-     lambda: fundamental_field(A_OBS).at_spherical((0.5, 1, 1)),
-     "p = (0.5, 1, 1) is not a SphericalPoint"),
 ]
+
+
+# One valid instance of each record class that a public parameter names or
+# that owns a public method with a record parameter, and a valid value of
+# each other parameter without a default, by its name.
+_INSTANCES = {type(record): record for record in (
+    A_OBS, START, SphericalPoint(0.5, 1.0, 1.0), bkm(), fundamental_field(A_OBS),
+    sl_identity(), CotangentGroupElement(np.eye(2), ZERO),
+    alpha_subgroup(1.0, ZERO, A_OBS),
+    integrate_flow(fundamental_field(A_OBS), START, 1.0, 3))}
+_VALID = {"a_const": 2.0, "t_end": 1.0, "steps": 3, "samples": 3, "t": 0.5,
+          "r": 0.5, "x": 0.1, "y": 0.2, "z": 0.3, "p": [0.1, 0.2, 0.3],
+          "points": [[0.1, 0.2, 0.3]], "grid": np.linspace(0.05, 0.95, 20),
+          "rho": START, "unitary": np.eye(2)}
+# Wrong values for every record parameter and, per record class, the raw
+# data a caller may pass in its place: a spec name, a Bloch, chart or Pauli
+# triple, a matrix, or a number for a record that wraps a function.
+_WRONG = ("x", (0.1, 0.0, 0.0), None)
+_RAW = {MonotoneFunctionSpec: ["bh"], QubitState: [(0.1, 0, 0)],
+        SphericalPoint: [(0.5, 1, 1)],
+        TracelessObservable: [(1, 0, 0), (0, 1, 0), (0, 0, 0)],
+        SLGroupElement: [np.eye(2)], CotangentGroupElement: [np.eye(2)],
+        MetricAtPoint: [np.eye(3)], Subgroup: [3], VectorField: [3]}
+
+
+def _record_parameters():
+    """(site, owner class or None, function, parameter, record class) of each
+    parameter of a public function or method whose type hint is a Record
+    subclass; the site is [class.]function, or the class for __init__."""
+    for module, tree in _modules():
+        namespace = importlib.import_module(f"qig.{module}")
+        for owner, fn in _public_defs(tree):
+            cls = getattr(namespace, owner) if owner else None
+            func = getattr(cls or namespace, fn.name)
+            hints = typing.get_type_hints(getattr(func, "fget", func))
+            for param, hint in hints.items():
+                if (param != "return" and isinstance(hint, type)
+                        and issubclass(hint, Record)):
+                    site = owner if fn.name == "__init__" else ".".join(
+                        filter(None, (owner, fn.name)))
+                    yield site, cls, func, param, hint
+
+
+def _call_with(site, owner, func, param, value):
+    """A call of func with value as param and a valid value for each other
+    parameter without a default; one without a valid value fails by name."""
+    def call():
+        if owner is None or func.__name__ == "__init__":
+            target = owner or func
+        elif owner in _INSTANCES:
+            target = getattr(_INSTANCES[owner], func.__name__)
+        else:
+            pytest.fail(f"{owner.__name__} has no instance in _INSTANCES")
+        hints, kwargs = typing.get_type_hints(func), {}
+        for name, parameter in inspect.signature(target).parameters.items():
+            if name == param:
+                kwargs[name] = value
+            elif parameter.default is not parameter.empty:
+                continue
+            elif hints.get(name) in _INSTANCES:
+                kwargs[name] = _INSTANCES[hints[name]]
+            elif name in _VALID:
+                kwargs[name] = _VALID[name]
+            else:
+                pytest.fail(f"{site}.{name} has no valid value")
+        return target(**kwargs)
+    return call
+
+
+_RECORD_PARAMETERS = list(_record_parameters())
+_WRONG_RECORDS = [
+    (f"{site}.{param}=" + (f"eye({len(value)})" if isinstance(value, np.ndarray)
+                           else repr(value)),
+     _call_with(site, owner, func, param, value),
+     f"{param} = {value!r} is not a {cls.__name__}")
+    for site, owner, func, param, cls in _RECORD_PARAMETERS
+    for value in _WRONG + tuple(_RAW.get(cls, ()))]
+
+
+def test_record_parameters_are_found():
+    # 43 when the generated cases were written; a walk that comes back
+    # short would leave parameters unguarded without a failing case.
+    assert len(_RECORD_PARAMETERS) >= 43
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call,message", [
-    pytest.param(call, message, id=site) for site, call, message in _WRONG_TYPES])
+    pytest.param(call, message, id=site)
+    for site, call, message in _WRONG_TYPES + _WRONG_RECORDS])
 def test_wrong_type_rejected(call, message):
     with pytest.raises(DomainError) as err:
         call()

@@ -189,13 +189,16 @@ def test_qig_threads_set_before_numpy_loads():
 
 
 # What a start-up imports: creating a dataclass costs about a millisecond
-# (and the dataclasses module several), so the records are plain classes.
+# (and the dataclasses module several), a NamedTuple (a class with _fields)
+# about a tenth of one, so the records are plain classes.
 _IMPORTS_PROBE = """
 import numpy, sys
 import qig.cli
 print("dataclasses" in sys.modules, sorted(
     name for name, mod in list(sys.modules.items()) if name.split(".")[0] == "qig"
-    and any(hasattr(v, "__dataclass_fields__") for v in vars(mod).values())))
+    and any(hasattr(v, "__dataclass_fields__")
+            or isinstance(v, type) and hasattr(v, "_fields")
+            for v in vars(mod).values())))
 """
 
 

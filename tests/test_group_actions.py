@@ -485,6 +485,20 @@ def test_bkm_orbit_overflow_is_numeric_error(mode):
     assert not caught
 
 
+@pytest.mark.parametrize("a,b,t", [(1e308, -1e308, 1.0), (1e300, 0.0, 1e10)])
+def test_alpha_orbit_overflow_is_numeric_error(a, b, t):
+    # (a - i b)/2 at construction, or t (a - i b)/2 in the orbit, overflowed
+    # with a raw RuntimeWarning under -W error.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error")
+        group = alpha_subgroup(1.0, TracelessObservable(a, 0.0, 0.0),
+                               TracelessObservable(0.0, b, 0.0))
+        with pytest.raises(NumericError,
+                           match=r"^matrix exponential of the generator overflows$"):
+            group.orbit([t], np.zeros(3))
+    assert not caught
+
+
 def _per_sample_draws(rng, samples, states, observables):
     """The draws of the per-sample axiom loops: states, then observables."""
     drawn = []

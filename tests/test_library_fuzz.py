@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qig.errors import QigError
+from qig.errors import DomainError, QigError
 from qig.flow_engine import integrate_flow, orbit_curve
 from qig.group_actions import (CotangentGroupElement, SLGroupElement,
                                action_alpha_a, action_bkm, alpha_subgroup,
@@ -264,6 +264,30 @@ def test_cotangent_multiply(shape_1, shape_2, data):
         assert np.isfinite(a12).all()
 
     _valid_or_qig_error(lambda: cotangent_multiply(u1, a1, u2, a2), check)
+
+
+# Each argument of cotangent_multiply and the core shape it must end in.
+_CORES = {"u1": (2, 2), "a1": (3,), "u2": (2, 2), "a2": (3,)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([(), (3,), (2, 2), (3, 3), (4, 2, 2), (4, 3),
+                                 (5, 3), (2, 2, 2)]), min_size=4, max_size=4),
+       st.data())
+def test_cotangent_multiply_of_any_shapes(shapes, data):
+    # Arrays of any shape in each place: a DomainError names an argument
+    # that does not end in its core shape.
+    args = {name: data.draw(_arrays(st.just(shape)))
+            for name, shape in zip(_CORES, shapes)}
+    wrong = [name for name, core in _CORES.items()
+             if args[name].shape[-len(core):] != core]
+    try:
+        cotangent_multiply(**args)
+    except QigError as exc:
+        assert not wrong or (isinstance(exc, DomainError)
+                             and str(exc).split(" = ")[0] in wrong)
+        return
+    assert not wrong
 
 
 _GRIDS = st.sampled_from([(20,), (25,), (4, 5), (19,), (0,), ()])

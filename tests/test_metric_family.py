@@ -241,6 +241,16 @@ def test_scan_monotonicity_rejects_empty_scans(kwargs):
         scan_monotonicity([bures_helstrom()], **kwargs)
 
 
+def test_scan_checks_every_spec_before_scanning():
+    # The spec after it is checked before the first spec's f is evaluated.
+    calls = []
+    spec = custom(lambda t: calls.append(t) or np.sqrt(t), "sqrt")
+    with pytest.raises(DomainError,
+                       match=r"^spec = 'bkm' is not a MonotoneFunctionSpec$"):
+        scan_monotonicity([spec, "bkm"], samples=3)
+    assert calls == []
+
+
 @pytest.mark.filterwarnings("error")
 def test_petz_symmetry_rejects_empty_grid():
     with pytest.raises(DomainError, match=re.escape("symmetry grid = [] has no points")):

@@ -1,21 +1,26 @@
 """The contract of the 18 record types: construction by keyword or by
-position, read-only fields, the repr each type has always had, equality of
-specs by kind and name, and input records that are not sequences."""
+position (a missing or unknown field is a TypeError), read-only fields, the
+repr each type has always had, equality of specs by kind and name, and
+records that are not sequences.  Every Record subclass in qig is in the
+tables."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from collections.abc import Iterable
 
 import numpy as np
 import pytest
 
+import qig
 from qig.flow_engine import Trajectory
 from qig.group_actions import (ActionAxiomReport, CotangentGroupElement,
                                SLGroupElement, Subgroup)
 from qig.metric_family import (MetricAtPoint, MonotonicityReport,
                                MonotoneFunctionSpec, PetzSymmetryReport)
 from qig.ode_classifier import Exclusion, OdeClassification, SingularityList
-from qig.state_space import QubitState, SphericalPoint, TracelessObservable
+from qig.state_space import QubitState, Record, SphericalPoint, TracelessObservable
 from qig.vector_fields import CommutatorReport, TangentVector, VectorField
 
 _EYE2 = np.eye(2, dtype=complex)
@@ -100,6 +105,26 @@ def test_record_contract(cls, fields, text):
     assert getattr(record, name) is fields[name]
 
 
+def test_every_record_type_is_in_the_contract():
+    defined = set()
+    for info in pkgutil.iter_modules(qig.__path__):
+        module = importlib.import_module(f"qig.{info.name}")
+        defined.update(v for v in vars(module).values() if isinstance(v, type)
+                       and issubclass(v, Record) and v is not Record)
+    assert defined == {cls for cls, _, _ in _INPUTS + _REPORTS}
+
+
+@pytest.mark.parametrize("cls,fields", [
+    pytest.param(cls, fields, id=cls.__name__) for cls, fields, _ in _INPUTS + _REPORTS])
+def test_missing_or_unknown_field_is_type_error(cls, fields):
+    first, *rest = fields
+    for bad in ({name: fields[name] for name in rest}, dict(fields, unknown=0)):
+        with pytest.raises(TypeError):
+            cls(**bad)
+    with pytest.raises(TypeError):  # the first field twice
+        cls(fields[first], **fields)
+
+
 @pytest.mark.parametrize("cls,fields", [
     pytest.param(cls, fields, id=cls.__name__) for cls, fields, _ in _INPUTS])
 def test_input_records_are_not_sequences(cls, fields):
@@ -110,6 +135,15 @@ def test_input_records_are_not_sequences(cls, fields):
         iter(record)
     with pytest.raises(AttributeError):
         delattr(record, next(iter(fields)))
+
+
+@pytest.mark.parametrize("cls,fields", [
+    pytest.param(cls, fields, id=cls.__name__) for cls, fields, _ in _REPORTS])
+def test_reports_are_not_tuples(cls, fields):
+    report = cls(**fields)
+    assert not isinstance(report, tuple) and report != tuple(fields.values())
+    with pytest.raises(TypeError):
+        report[0]
 
 
 def test_records_round_trip_through_pickle():
