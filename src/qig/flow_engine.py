@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .errors import LeftManifold
+from .errors import DomainError, LeftManifold
 from .group_actions import Subgroup
 from .state_space import (EPS_BOUNDARY, QubitState, Record, TracelessObservable,
                           bloch_norm, require_count, require_finite, require_instance)
@@ -42,9 +42,12 @@ _CSV_BLOCK = 256
 
 
 def csv_table(header, columns) -> str:
-    """CSV text: the header row, then row i of the equal-length float
-    arrays in columns, every value written with 17 significant digits, which
-    round-trip."""
+    """CSV text: the header row, then row i of the columns, float arrays of
+    one length, one per name of header (else DomainError), every value
+    written with 17 significant digits, which round-trip."""
+    lengths = [len(c) for c in columns]
+    if not lengths or len(lengths) != len(header) or len(set(lengths)) > 1:
+        raise DomainError(f"columns of lengths {lengths} do not fit header = {header!r}")
     row = ",".join(["%.17g"] * len(columns))  # % formats faster than str.format
     lines = [",".join(header)]
     for start in range(0, len(columns[0]), _CSV_BLOCK):

@@ -21,10 +21,10 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .state_space import (CALLABLE, PAULIS, SIGMA_0, QubitState, Record,
-                          TracelessObservable, as_numbers, bloch_norm,
-                          bloch_stack, check_bloch_array, complex_matrix_from_json,
-                          complex_matrix_to_json, pauli_coeffs, require_all,
-                          require_count, require_instance, require_positive)
+                          TracelessObservable, bloch_norm, check_bloch_array,
+                          complex_matrix_from_json, complex_matrix_to_json,
+                          pauli_coeffs, require_all, require_array, require_count,
+                          require_instance, require_positive)
 
 EIG_DEGENERACY_CUTOFF = 1e-8  # series fallback for the 2x2 exponential
 DET_TOLERANCE = 1e-10  # |det - 1| allowed for an SL(2, C) or SU(2) matrix
@@ -86,31 +86,13 @@ def _power_coords(v: np.ndarray, r: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def _matrix_2x2(name: str, value) -> np.ndarray:
-    """value as a 2x2 array of numbers; anything else raises DomainError
-    "{name} = {value!r} is not a 2x2 matrix"."""
-    arr = as_numbers(value, "iufc")
-    if arr is None or arr.shape != (2, 2):
-        raise DomainError(f"{name} = {value!r} is not a 2x2 matrix")
-    return arr
-
-
-def _stack(name: str, value, kinds: str, core: tuple) -> np.ndarray:
-    """value as a stack (..., *core) of numbers of the dtype kinds."""
-    arr = as_numbers(value, kinds)
-    if arr is None or arr.shape[-len(core):] != core:
-        raise DomainError(f"{name} = {value!r} is not a stack of shape "
-                          f"(..., {', '.join(map(str, core))})")
-    return arr
-
-
 class SLGroupElement(Record):
     """A 2x2 complex matrix with determinant 1."""
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix: np.ndarray):
-        super().__init__(_matrix_2x2("matrix", matrix))
+        super().__init__(require_array("matrix", matrix, (2, 2), "iufc"))
         if not _unit_det(self.matrix):
             with np.errstate(over="ignore", invalid="ignore"):
                 det = complex(np.linalg.det(self.matrix))
@@ -165,7 +147,7 @@ class CotangentGroupElement(Record):
     _types = {"a": (TracelessObservable, "a TracelessObservable")}
 
     def __init__(self, unitary: np.ndarray, a: TracelessObservable):
-        super().__init__(_matrix_2x2("unitary", unitary), a)
+        super().__init__(require_array("unitary", unitary, (2, 2), "iufc"), a)
         if not _unitary(self.unitary):
             raise DomainError("U is not unitary")
         if not _unit_det(self.unitary):
@@ -180,8 +162,9 @@ def cotangent_multiply(u1: np.ndarray, a1: np.ndarray, u2: np.ndarray,
     (..., 3) of translations, as is the product.  Another shape raises
     DomainError, a product translation that is not finite NumericError.
     """
-    u1, u2 = (_stack(name, u, "iufc", (2, 2)) for name, u in (("u1", u1), ("u2", u2)))
-    a1, a2 = (_stack(name, a, "iuf", (3,)) for name, a in (("a1", a1), ("a2", a2)))
+    u1, u2 = (require_array(name, u, (..., 2, 2), "iufc")
+              for name, u in (("u1", u1), ("u2", u2)))
+    a1, a2 = (require_array(name, a, (..., 3)) for name, a in (("a1", a1), ("a2", a2)))
     try:
         np.broadcast_shapes(u1.shape[:-2], a1.shape[:-1], u2.shape[:-2], a2.shape[:-1])
     except ValueError as exc:
@@ -205,16 +188,16 @@ def _along(x: np.ndarray, norm: np.ndarray, length: np.ndarray) -> np.ndarray:
     return scale[..., None] * x
 
 
-def _alpha_images(s: float, lorentz: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _alpha_images(s: float, g: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Bloch images under alpha_A, s = sqrt(A), of the states v (..., 3) by
-    the Lorentz matrices (..., 4, 4); the two stacks broadcast.
+    the SL(2, C) elements g (..., 2, 2); the two stacks broadcast.
 
     g rho^s g^dag has coefficients (t', x') = Lambda(g) (t, x) and
     eigenvalues mu_+ = t' + |x'| and mu_- = det / mu_+ (not the cancelling
     t' - |x'|); the image is (1 - q)/(1 + q) x'/|x'|, q = (mu_-/mu_+)^(1/s).
     """
     r = bloch_norm(v)
-    moved = _apply(lorentz, _power_coords(v, r, s))
+    moved = _apply(_lorentz(g), _power_coords(v, r, s))
     require_all(np.isfinite(moved).all(axis=-1), moved, NumericError,
                 "(t, x) of g rho^sqrt(A) g^dag", "is not finite")
     x = moved[..., 1:]
@@ -225,18 +208,19 @@ def _alpha_images(s: float, lorentz: np.ndarray, v: np.ndarray) -> np.ndarray:
     return check_bloch_array(_along(x, rx, (1.0 - q) / (1.0 + q)), NumericError)
 
 
-def _bkm_images(rotation: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _bkm_images(u: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Bloch images under the BKM action of the states v (..., 3) by the
-    elements (U, a) given as rotations R(U) (..., 3, 3) and translations
+    elements (U, a) given as unitaries U (..., 2, 2) and translations
     a (..., 3); the stacks broadcast.
 
     ln rho = c I + artanh(r) n.sigma, so the traceless part of the exponent
-    is w = artanh(r) R(U) n + a, and the image is tanh|w| w/|w|.
+    is w = artanh(r) R(U) n + a, R(U) the rotation block of U's Lorentz
+    matrix, and the image is tanh|w| w/|w|.
     """
     r = bloch_norm(v)
     # artanh(r) n = scale v, with scale -> 1 at r = 0
     scale = np.divide(np.arctanh(r), r, out=np.ones_like(r), where=r > 0.0)
-    w = scale[..., None] * _apply(rotation, v) + a
+    w = scale[..., None] * _apply(_lorentz(u)[..., 1:, 1:], v) + a
     require_all(np.isfinite(w).all(axis=-1), w, NumericError, "BKM exponent w",
                 "is not finite")
     rw = bloch_norm(w)
@@ -252,7 +236,7 @@ def action_alpha_a(a_const: float, g: SLGroupElement, rho: QubitState) -> QubitS
     s = _sqrt_a(a_const)
     require_instance("g", g, SLGroupElement)
     require_instance("rho", rho, QubitState)
-    return QubitState(*_alpha_images(s, _lorentz(g.matrix), rho.bloch))
+    return QubitState(*_alpha_images(s, g.matrix, rho.bloch))
 
 
 def action_bkm(h: CotangentGroupElement, rho: QubitState) -> QubitState:
@@ -262,8 +246,7 @@ def action_bkm(h: CotangentGroupElement, rho: QubitState) -> QubitState:
     """
     require_instance("h", h, CotangentGroupElement)
     require_instance("rho", rho, QubitState)
-    rotation = _lorentz(h.unitary)[1:, 1:]
-    return QubitState(*_bkm_images(rotation, h.a.coeffs, rho.bloch))
+    return QubitState(*_bkm_images(h.unitary, h.a.coeffs, rho.bloch))
 
 
 class ActionAxiomReport(Record):
@@ -340,7 +323,7 @@ def verify_alpha_action(a_const: float, samples: int = 200,
         require_all(_unit_det(g), np.arange(samples), NumericError, "sample",
                     f"gives a determinant of {what} != 1")
     return _axiom_report(f"alpha_A(A={a_const:g})",
-                         lambda g, v: _alpha_images(s, _lorentz(g), v),
+                         lambda g, v: _alpha_images(s, g, v),
                          sl_identity().matrix, g1, g2, g12, states[:, 0])
 
 
@@ -361,7 +344,7 @@ def verify_bkm_action(samples: int = 200, seed: int = 0,
         require_all(_unitary(u) & _unit_det(u), np.arange(samples), NumericError,
                     "sample", f"gives {what} not in SU(2)")
     return _axiom_report("bkm_cotangent",
-                         lambda h, v: _bkm_images(_lorentz(h[0])[..., 1:, 1:], h[1], v),
+                         lambda h, v: _bkm_images(*h, v),
                          (np.eye(2, dtype=complex), np.zeros(3)), (u1, a1), (u2, a2),
                          (u12, a12), states[:, 0])
 
@@ -381,7 +364,7 @@ def transitivity_probe(samples: int = 100, seed: int = 0) -> float:
     g = raw / np.sqrt(np.linalg.det(raw))[:, None, None]
     require_all(_unit_det(g), np.arange(samples), NumericError, "sample",
                 "gives a determinant of rho2^(1/2) rho1^(-1/2) != 1")
-    moved = _alpha_images(1.0, _lorentz(g), rho1)
+    moved = _alpha_images(1.0, g, rho1)
     return _max_gap(moved, rho2)
 
 
@@ -406,8 +389,8 @@ class Subgroup(Record):
         if isinstance(rho, QubitState):  # checked when it was built
             v = rho.bloch
         else:
-            v = check_bloch_array(bloch_stack(rho))
-        times = np.asarray(times, dtype=float)
+            v = check_bloch_array(require_array("rho", rho, (..., 3)))
+        times = require_array("times", times)
         require_all(np.isfinite(times), times, DomainError, "time t", "is not finite")
         return self.images(times.reshape(times.shape + (1,) * (v.ndim - 1)), v)
 
@@ -441,7 +424,7 @@ def alpha_subgroup(a_const: float, a: TracelessObservable,
             g = _expm_traceless_2x2(times[..., None, None] * gen)
         require_all(_unit_det(g), times, NumericError, "t",
                     "gives a determinant of exp(t (a - i b)/2) != 1")
-        return _alpha_images(s, _lorentz(g), v)
+        return _alpha_images(s, g, v)
 
     return Subgroup(images)
 
@@ -453,9 +436,9 @@ def bkm_subgroup(a: TracelessObservable, b: TracelessObservable) -> Subgroup:
     gen = -0.5j * b.matrix()
 
     def images(times: np.ndarray, v: np.ndarray) -> np.ndarray:
-        rotation = _lorentz(_expm_traceless_2x2(times[..., None, None] * gen))
+        u = _expm_traceless_2x2(times[..., None, None] * gen)
         with np.errstate(over="ignore"):  # _bkm_images rejects an infinite t a
             shift = times[..., None] * a.coeffs
-        return _bkm_images(rotation[..., 1:, 1:], shift, v)
+        return _bkm_images(u, shift, v)
 
     return Subgroup(images)

@@ -33,10 +33,9 @@ import numpy as np
 
 from .errors import (CenterSingularity, DomainError, ExtrapolationUnstable,
                      IllConditioned, NumericError, PoleError)
-from .state_space import (CALLABLE, EPS_CHART, Record, SphericalPoint,
-                          as_numbers, ball_radii, require_all, require_count,
-                          require_finite, require_instance, require_items,
-                          require_positive, require_real)
+from .state_space import (CALLABLE, EPS_CHART, Record, SphericalPoint, ball_radii,
+                          require_all, require_array, require_count, require_finite,
+                          require_instance, require_items, require_positive)
 
 # Removable singularities of f at t = 1 switch to a Taylor fallback here;
 # direct evaluation loses all precision closer to 1.
@@ -210,9 +209,11 @@ def custom(f: Callable, name: str) -> MonotoneFunctionSpec:
 
     def f_raw(t):
         value = f(t)
-        if as_numbers(value, "iuf") is None:
+        try:
+            require_array("f", value)
+        except DomainError:
             raise NumericError(f"t = {t} gives f of {name} = {value!r}, which is "
-                               f"not real")
+                               f"not real") from None
         return value
     return MonotoneFunctionSpec("custom", name, f_raw=f_raw)
 
@@ -248,7 +249,7 @@ def f_eval(spec: MonotoneFunctionSpec, t):
     """Evaluate f on its proper domain t in (0, 1]; a value that is not
     finite raises NumericError naming the first such t."""
     require_instance("spec", spec, MonotoneFunctionSpec)
-    t_arr = require_real("t", t)
+    t_arr = require_array("t", t)
     require_all((t_arr > 0.0) & (t_arr <= 1.0), t_arr, DomainError, "t",
                 "is outside (0, 1]")
     f = spec.f_raw(t)
@@ -264,17 +265,18 @@ def finite_f(spec: MonotoneFunctionSpec, t):
     raises NumericError naming the first such t.
     """
     require_instance("spec", spec, MonotoneFunctionSpec)
+    t_arr = require_array("t", t)
     f = spec.f_raw(t)
     size = np.abs(f)
-    require_all((size > 0.0) & (size < np.inf), np.asarray(t, dtype=float),
-                NumericError, "t", f"makes f of {spec.name} zero or not finite")
+    require_all((size > 0.0) & (size < np.inf), t_arr, NumericError, "t",
+                f"makes f of {spec.name} zero or not finite")
     return f
 
 
 def g_from_f(spec: MonotoneFunctionSpec, r):
     """g(r) = ((1+r)/r) f((1-r)/(1+r)) for r in (0, 1)."""
     require_instance("spec", spec, MonotoneFunctionSpec)
-    r_arr = require_real("r", r)
+    r_arr = require_array("r", r)
     require_all((r_arr > 0.0) & (r_arr < 1.0), r_arr, DomainError, "r",
                 "is outside (0, 1)")
     out = ((1.0 + r_arr) / r_arr) * np.asarray(
@@ -286,7 +288,7 @@ def g_derivative(spec: MonotoneFunctionSpec, r):
     """g'(r): analytic for catalog entries, Richardson central diff otherwise,
     whose stencil needs every r in (FD_STEP, 1 - FD_STEP)."""
     require_instance("spec", spec, MonotoneFunctionSpec)
-    r = require_real("r", r)
+    r = require_array("r", r)
     if spec.g_prime is not None:
         out = spec.g_prime(r)
         return out if np.ndim(out) else float(out)
@@ -305,7 +307,7 @@ def g_derivative(spec: MonotoneFunctionSpec, r):
 def big_f(spec: MonotoneFunctionSpec, r):
     """F(r) = (1-r^2) g'(r) + g(r)^2; a value that is not finite raises
     NumericError naming the first such r."""
-    r_arr = require_real("r", r)
+    r_arr = require_array("r", r)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = g_from_f(spec, r_arr)
         gp = g_derivative(spec, r_arr)
@@ -336,10 +338,10 @@ def metric_spherical(spec: MonotoneFunctionSpec, p: SphericalPoint) -> MetricAtP
     return MetricAtPoint("spherical", mat, (p.r, p.theta, p.phi))
 
 
-def _stack_point(point: tuple) -> np.ndarray:
-    """A point tuple whose coordinates may be arrays, as a (..., 3) stack;
-    coordinates that do not broadcast to one shape raise DomainError."""
-    coords = [require_real("coordinate", c) for c in point]
+def _stack_point(point: tuple, names) -> np.ndarray:
+    """A point tuple of coordinates named names, which may be arrays, as a
+    (..., 3) stack; coordinates that do not broadcast raise DomainError."""
+    coords = [require_array(name, c) for name, c in zip(names, point)]
     try:
         same_shape = np.broadcast_arrays(*coords)
     except ValueError:
@@ -358,7 +360,7 @@ def metric_cartesian(spec: MonotoneFunctionSpec, x, y, z) -> MetricAtPoint:
     x, y and z may be arrays of one shape S; the matrix then has shape
     S + (3, 3), and a failing check names the first failing point.
     """
-    v = _stack_point((x, y, z))
+    v = _stack_point((x, y, z), "xyz")
     r = ball_radii(v)
     require_all(r > EPS_CHART, v, CenterSingularity, "point",
                 f"is within {EPS_CHART} of the center")
@@ -379,7 +381,7 @@ def inverse_metric(m: MetricAtPoint) -> MetricAtPoint:
     for a stack, the error names the first failing matrix.
     """
     require_instance("m", m, MetricAtPoint)
-    point = _stack_point(m.point)
+    point = _stack_point(m.point, ("point",) * 3)
     require_all(np.isfinite(m.matrix).all(axis=(-2, -1)), point, IllConditioned,
                 "point", "has a metric that is not finite")
     require_all(np.linalg.cond(m.matrix) <= COND_LIMIT, point, IllConditioned,
@@ -398,7 +400,7 @@ def check_petz_symmetry(spec: MonotoneFunctionSpec, grid) -> PetzSymmetryReport:
     f(1/t) is evaluated from the defining formula extended past t = 1.
     """
     require_instance("spec", spec, MonotoneFunctionSpec)
-    grid = require_real("symmetry grid", grid)
+    grid = require_array("grid", grid)
     if grid.size == 0:
         raise DomainError("symmetry grid = [] has no points")
     require_all((grid > 0.0) & (grid < 1.0), grid, DomainError,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .metric_family import MonotoneFunctionSpec, big_f, bkm, family_a, family_b
-from .state_space import Record, require_all, require_count, require_real
+from .state_space import Record, require_all, require_array, require_count, require_finite
 
 CONSTANCY_TOL = 1e-6  # separates constant branches (~1e-9) from RLD (>0.1)
 ZERO_TOL = 1e-9
@@ -38,7 +38,7 @@ class OdeClassification(Record):
 
 def classify(spec: MonotoneFunctionSpec, grid) -> OdeClassification:
     """Evaluate F over the grid and detect constancy."""
-    grid = require_real("classification grid", grid).ravel()
+    grid = require_array("grid", grid).ravel()
     require_count("classification grid size", grid.size, 20)
     require_all((grid > 0.0) & (grid < 1.0), grid, DomainError,
                 "classification grid point r", "is outside (0, 1)")
@@ -70,7 +70,8 @@ def singularities(b_const: float, c: float = 0.0,
     k_min is the first k with t_k <= 1; the scan stops after max_count + 1
     values of k, so rounding at an extreme c cannot keep it going.  B and c
     are checked as family_b(B, c) checks them.  A t_k that is 0 or not below
-    the one before it (poles collide in double precision) is a NumericError.
+    the one before it (poles collide in double precision), or a scan short
+    of max_count poles, is a NumericError.
     """
     family_b(b_const, c)
     require_count("max_count", max_count)
@@ -88,6 +89,9 @@ def singularities(b_const: float, c: float = 0.0,
                                    f"or not below the pole before it (poles collide)")
             ts.append(t)
             rs.append((1.0 - t) / (1.0 + t))
+    if len(ts) < max_count:
+        raise NumericError(f"B = {b_const!r}, c = {c!r}: {len(ts)} of {max_count} "
+                           f"poles t_k round into (0, 1]")
     return SingularityList(float(b_const), float(c), tuple(ts), tuple(rs))
 
 
@@ -108,6 +112,7 @@ def solve_branch(a_const: float, c: float = 0.0) -> MonotoneFunctionSpec | Exclu
     an Exclusion carrying the family_b spec (B = -A/4, c a free parameter)
     and the enumerated poles that rule it out.
     """
+    require_finite("A", a_const)
     if abs(a_const) < ZERO_TOL:
         return bkm()
     if a_const > 0.0:

@@ -110,14 +110,12 @@ class TracelessObservable(Record):
     def from_coeffs(c) -> "TracelessObservable":
         """From exactly three real Pauli coefficients; anything else raises
         DomainError naming it."""
-        arr = as_numbers(c, "iuf")
-        if arr is None or arr.shape != (3,):
-            raise DomainError(f"need three real Pauli coefficients, got {c!r}")
-        return TracelessObservable(*arr.astype(float).tolist())
+        return TracelessObservable(*require_array("c", c, (3,)).tolist())
 
     @staticmethod
     def from_matrix(m) -> "TracelessObservable":
-        return TracelessObservable(*pauli_coeffs(np.asarray(m, dtype=complex)).tolist())
+        m = require_array("m", m, (2, 2), "iufc")
+        return TracelessObservable(*pauli_coeffs(m).tolist())
 
     def to_json(self) -> dict:
         return {"pauli": [self.a1, self.a2, self.a3]}
@@ -146,17 +144,15 @@ def su2_bracket(a: TracelessObservable, b: TracelessObservable) -> TracelessObse
 
 class QubitState(Record):
     """A faithful qubit state: matched 2x2 density matrix and Bloch point,
-    stored as floats.  Coordinates that are not three reals raise DomainError;
-    a point not strictly inside the unit ball raises BoundaryViolation."""
+    stored as floats.  A coordinate that is not a real number raises
+    DomainError naming it; a point not strictly inside the unit ball raises
+    BoundaryViolation."""
 
     __slots__ = ("x", "y", "z")
 
     def __init__(self, x: float, y: float, z: float):
-        point = require_real("Bloch point", (x, y, z))
-        if point.shape != (3,):
-            raise DomainError(f"Bloch point = {(x, y, z)!r} is not three real "
-                              f"numbers")
-        check_bloch_array(point)
+        check_bloch_array(np.array([require_array(name, c, ())
+                                    for name, c in zip("xyz", (x, y, z))]))
         super().__init__(float(x), float(y), float(z))
 
     @property
@@ -173,17 +169,6 @@ class QubitState(Record):
 def bloch_norm(v: np.ndarray) -> np.ndarray:
     """|v| over the last axis of a (..., 3) array, without overflow."""
     return np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
-
-
-def bloch_stack(points) -> np.ndarray:
-    """points as a float (..., 3) stack of Bloch vectors.
-
-    Any other shape raises DomainError naming it.
-    """
-    v = require_real("points", points)
-    if v.shape[-1:] != (3,):
-        raise DomainError(f"expected Bloch vectors (..., 3), got shape {v.shape}")
-    return v
 
 
 def require_count(name: str, value, minimum: int = 1, error=DomainError) -> None:
@@ -215,24 +200,28 @@ def require_instance(name: str, value, cls: type) -> None:
         raise DomainError(f"{name} = {value!r} is not a {cls.__name__}")
 
 
-def as_numbers(value, kinds: str) -> np.ndarray | None:
-    """np.asarray(value) if its dtype kind is one of kinds ("iuf" for real
-    numbers), else None, as for a ragged nesting."""
+def require_array(name: str, value, shape: tuple | None = None,
+                  kinds: str = "iuf") -> np.ndarray:
+    """value as a float array of real numbers, or for kinds "iufc" as the
+    array numpy makes, of the shape: exact, as (2, 2), or led by ... for a
+    stack, as (..., 3).  Anything else raises DomainError "{name} = {value!r}
+    is not real" ("a real number" for shape (), "a real array of shape
+    (..., 3)" for a shape; "complex" for kinds "iufc")."""
     try:
         arr = np.asarray(value)
     except ValueError:  # a ragged nesting
-        return None
-    return arr if arr.dtype.kind in kinds else None
-
-
-def require_real(name: str, value) -> np.ndarray:
-    """value as a float array; a value that is not a number or an array of
-    integers or floats (a string, a complex number, a ragged nesting) raises
-    DomainError "{name} = {value!r} is not real"."""
-    arr = as_numbers(value, "iuf")
-    if arr is None:
-        raise DomainError(f"{name} = {value!r} is not real")
-    return np.asarray(arr, dtype=float)
+        arr = np.array(None)
+    fits = arr.dtype.kind in kinds
+    if fits and shape is not None:
+        stack = shape[:1] == (...,)
+        core = shape[1:] if stack else shape
+        fits = (arr.shape[arr.ndim - len(core):] if stack else arr.shape) == core
+    if not fits:
+        what = "complex" if "c" in kinds else "real"
+        noun = (what if shape is None else f"a {what} number" if shape == () else
+                f"a {what} array of shape {shape!r}".replace("Ellipsis", "..."))
+        raise DomainError(f"{name} = {value!r} is not {noun}")
+    return arr if "c" in kinds else np.asarray(arr, dtype=float)
 
 
 def require_items(name: str, value, noun: str) -> tuple:
@@ -315,7 +304,7 @@ class SphericalPoint(Record):
 
 def complex_matrix_to_json(m) -> list:
     """Row-major [re, im] pairs, the wire format for 2x2 complex matrices."""
-    m = np.asarray(m, dtype=complex)
+    m = require_array("m", m, (2, 2), "iufc")
     return [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
 
 

@@ -20,7 +20,7 @@ from .metric_family import (MonotoneFunctionSpec, big_f, family_a, finite_f,
                             inverse_metric, metric_cartesian)
 from .state_space import (CALLABLE, EPS_BOUNDARY, Record, SphericalPoint,
                           TracelessObservable, all_true, ball_radii, bloch_norm,
-                          bloch_stack, require_all, require_instance,
+                          require_all, require_array, require_instance,
                           require_positive)
 
 BRACKET_STEP = 1e-4
@@ -75,7 +75,7 @@ class VectorField(Record):
     def at_cartesian(self, v) -> TangentVector:
         """Cartesian velocities at a point or a stack (..., 3); one that is
         not finite raises NumericError naming its point."""
-        v = bloch_stack(v)
+        v = require_array("v", v, (..., 3))
         ball_radii(v)
         with np.errstate(over="ignore", invalid="ignore"):
             comps = np.asarray(self.cartesian(v), dtype=float)
@@ -203,7 +203,7 @@ def lie_bracket_numeric(v_field: VectorField, w_field: VectorField, p,
     """
     require_instance("v_field", v_field, VectorField)
     require_instance("w_field", w_field, VectorField)
-    v = bloch_stack(p)
+    v = require_array("p", p, (..., 3))
     # h < 1/2 holds wherever the stencil fits; checked on its own, it also
     # rejects a step of any size for an empty stack.
     require_positive("lie_bracket_numeric", "h", h)
@@ -248,7 +248,7 @@ def verify_commutator_relations(spec: MonotoneFunctionSpec,
     [X_i, Y_j] close onto the span of the six basis fields with constant
     coefficients (one global least-squares across all points).
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    pts = require_array("points", points, (..., 3)).reshape(-1, 3)
     if len(pts) == 0:
         raise DomainError("commutator check needs at least one point, "
                           "got an empty point set")

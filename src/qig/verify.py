@@ -7,7 +7,8 @@ each report is deterministic given the seed.  Every suite takes the keywords
 ``samples`` and ``commutators`` ``spec``.  Per-suite RNG seeds derive
 from the root seed by the counter scheme
 ``sub_seed = seed * 1000 + SUITE_IDS[name]`` so adding a suite never
-perturbs the samples of another one.
+perturbs the samples of another one.  A seed or tol out of its domain is a
+DomainError (flows and poles ignore the seed, monotone the tol).
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import numpy as np
 from . import group_actions as ga
 from . import metric_family as mf
 from . import ode_classifier as oc
-from .errors import PoleError
+from .errors import DomainError, PoleError
 from .flow_engine import compare_flow_to_orbit, integrate_flow
-from .state_space import QubitState, SphericalPoint, TracelessObservable
+from .state_space import (QubitState, SphericalPoint, TracelessObservable,
+                          require_count, require_positive)
 from .vector_fields import (fundamental_field, gradient_field_closed,
                             gradient_field_from_metric, lie_bracket_numeric,
                             rescaled_gradient_field,
@@ -39,6 +41,10 @@ SUITE_IDS = {
 
 
 def sub_seed(seed: int, suite: str) -> int:
+    """The seed of a suite's draws; a bad seed or suite is a DomainError."""
+    require_count("seed", seed, 0)
+    if not (isinstance(suite, str) and suite in SUITE_IDS):
+        raise DomainError(f"suite = {suite!r} is not one of {sorted(SUITE_IDS)}")
     return seed * 1000 + SUITE_IDS[suite]
 
 
@@ -59,13 +65,15 @@ def _catalog_with_families():
             mf.family_a(0.5), mf.family_a(2.0), mf.rld()]
 
 
-def suite_commutators(seed: int = 0, tol: float = 1e-6, spec=None) -> dict:
+def suite_commutators(seed: int = 0, tol: float = 1e-6,
+                      spec: mf.MonotoneFunctionSpec | None = None) -> dict:
     """[Y_i, Y_j] = F(r) X_k for the constant-F catalog; RLD must fail.
 
     With ``spec``, only that spec is checked, on the same points: it must
     meet the bracket relations and have a constant radial invariant F (the
     relations need a constant coefficient).
     """
+    require_positive("suite_commutators", "tol", tol)
     rng = np.random.default_rng(sub_seed(seed, "commutators"))
     pts = _interior_points(rng, 50)
     if spec is not None:
@@ -99,6 +107,8 @@ def suite_commutators(seed: int = 0, tol: float = 1e-6, spec=None) -> dict:
 
 def suite_fconstancy(seed: int = 0, tol: float = 1e-8) -> dict:
     """Constancy of F for the solution families, plus branch round trips."""
+    require_positive("suite_fconstancy", "tol", tol)
+    rng = np.random.default_rng(sub_seed(seed, "fconstancy"))
     grid = np.arange(0.05, 0.951, 0.05)
     details = {}
     passed = True
@@ -140,7 +150,6 @@ def suite_fconstancy(seed: int = 0, tol: float = 1e-8) -> dict:
     passed = passed and worst_rt < 1e-6 and worst_res < 1e-8
 
     # Gradient-field cross-validation: closed form vs metric-raised form.
-    rng = np.random.default_rng(sub_seed(seed, "fconstancy"))
     pts = _interior_points(rng, 1000)
     worst_cross = 0.0
     obs = TracelessObservable.from_coeffs(rng.uniform(-1.0, 1.0, 3))
@@ -159,6 +168,7 @@ def suite_fconstancy(seed: int = 0, tol: float = 1e-8) -> dict:
 
 def suite_actions(seed: int = 0, samples: int = 200, tol: float = 1e-10) -> dict:
     """Identity/compatibility axioms and the transitivity probe."""
+    require_positive("suite_actions", "tol", tol)
     s = sub_seed(seed, "actions")
     details = {}
     passed = True
@@ -178,6 +188,7 @@ def suite_actions(seed: int = 0, samples: int = 200, tol: float = 1e-10) -> dict
 
 def suite_generators(seed: int = 0, tol: float = 1e-6) -> dict:
     """Action derivatives at t = 0 match the fundamental/gradient fields."""
+    require_positive("suite_generators", "tol", tol)
     rng = np.random.default_rng(sub_seed(seed, "generators"))
     states = _interior_points(rng, 5, r_hi=0.7)
     obs = [TracelessObservable.from_coeffs(rng.uniform(-1.0, 1.0, 3))
@@ -213,6 +224,7 @@ def suite_generators(seed: int = 0, tol: float = 1e-6) -> dict:
 def suite_flows(seed: int = 0, tol: float = 1e-6) -> dict:
     """RK4 gradient flows match exact orbits; RK4 order check.
     Deterministic, so ``seed`` is ignored."""
+    require_positive("suite_flows", "tol", tol)
     t_end, steps = 1.0, 1000
     start = QubitState(0.25, -0.15, 0.35)
     a = TracelessObservable(0.4, -0.3, 0.6)
@@ -285,6 +297,7 @@ def suite_poles(seed: int = 0, tol: float = 1e-10) -> dict:
     """Tangent-family poles of family_b(1, 0): located analytically, simple,
     and metric-fatal.  Deterministic, so ``seed`` is ignored; ``tol`` bounds
     the location error."""
+    require_positive("suite_poles", "tol", tol)
     poles = oc.singularities(1.0, 0.0, max_count=3)
     spec = mf.family_b(1.0, 0.0)
     details = {"t_values": list(poles.t_values)}

@@ -1,10 +1,13 @@
 """Every public function and class of qig has a caller inside the package,
-and every defaulted parameter of one is passed by some call inside it.
+every defaulted parameter of one is passed by some call inside it, and no
+public parameter reaches numpy but through state_space.require_array.
 
 A helper that only its own tests call is code that no command, suite or
 library path runs; it goes, or it is listed in _KEPT with the reason.  A
 default that no call overrides is a constant in disguise; it goes, or it is
-listed in _KEPT_PARAMS with the reason.
+listed in _KEPT_PARAMS with the reason.  A parameter passed straight to
+np.asarray or np.array goes through require_array instead, or it is listed
+in _UNCHECKED with the reason.
 """
 
 import ast
@@ -36,6 +39,37 @@ _KEPT_PARAMS = {
        for name, suite in verify.SUITES.items()
        for param in ("seed", "tol") + _SUITE_KEYWORDS.get(name, ())},
 }
+
+# module.[class.]function[.parameter] -> why those public parameters have no
+# generated wrong-input case (test_checks.py) and may reach numpy unchecked.
+_UNCHECKED = {
+    "cli": "the command line: argparse and cmd_* check each flag (test_cli.py)",
+    "state_space.Record.__init__": "the record base: a subclass's fields are its parameters",
+    "metric_family.MonotoneFunctionSpec.__init__": "built by the catalog and by custom()",
+    **dict.fromkeys([f"state_space.{name}" for name in (
+        "require_count", "require_positive", "require_finite", "require_instance",
+        "require_array", "require_items", "all_true", "require_all", "ball_radii",
+        "check_bloch_array", "bloch_norm", "pauli_coeffs")],
+        "a check, or a kernel on arrays that qig has checked or made"),
+    "flow_engine.csv_table": "its header and columns are checked against each other",
+    "state_space.complex_matrix_from_json.data": "a raw TypeError for [1, 2, 3, 4]; "
+                                                 "the --g-json '{}' body pins it",
+    "group_actions.SLGroupElement.from_json.data": "a raw KeyError for {}, which the "
+                                                   "--g-json '{}' body shows",
+    "group_actions.verify_bkm_action.multiply": "a test hook for a wrong group law",
+    "metric_family.spec_from_name": "a hand row checks name; family_a or family_b "
+                                    "checks A, B and c",
+    "metric_family.derivative_limit_at_zero.a_const": "A > 1: a hand row checks it",
+    "ode_classifier.solve_branch.c": "read for A < 0 only, by family_b",
+    **dict.fromkeys(["verify.suite_flows.seed", "verify.suite_poles.seed",
+                     "verify.suite_monotone.tol"], "ignored by the suite"),
+}
+
+
+def _unchecked(name: str) -> bool:
+    """Whether module.[class.]function.parameter name is in _UNCHECKED, by
+    itself, its function or its module."""
+    return any(name == key or name.startswith(key + ".") for key in _UNCHECKED)
 
 
 def _modules():
@@ -136,3 +170,25 @@ def test_every_defaulted_parameter_is_passed():
 def test_kept_parameters_are_still_unpassed():
     # A kept parameter that gained a caller no longer needs its entry.
     assert sorted(_unpassed_defaults()) == sorted(_KEPT_PARAMS)
+
+
+def _raw_arrays() -> list:
+    """module.[class.]function.parameter of each parameter of a public
+    function or method that it passes straight to np.asarray or np.array."""
+    raw = []
+    for module, tree in _modules():
+        for owner, fn in _public_defs(tree):
+            args = fn.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and node.args
+                        and getattr(node.func, "attr", None) in ("asarray", "array")
+                        and getattr(node.func.value, "id", None) == "np"
+                        and getattr(node.args[0], "id", None) in params):
+                    raw.append(".".join(filter(None, (module, owner, fn.name,
+                                                      node.args[0].id))))
+    return raw
+
+
+def test_arrays_are_checked_by_require_array():
+    assert [p for p in _raw_arrays() if not _unchecked(p)] == []

@@ -90,6 +90,16 @@ def test_csv_table_matches_per_cell_format():
     assert csv_table(["a", "b", "c"], cols) == want
 
 
+@pytest.mark.parametrize("header,columns", [(["a"], [np.zeros(2), np.ones(3)]),
+                                            (["a", "b"], [np.zeros(2)]), ([], [])])
+def test_csv_table_needs_one_column_per_name_of_one_length(header, columns):
+    # One name over columns of 2 and 3 values wrote rows of two values.
+    with pytest.raises(DomainError) as err:
+        csv_table(header, columns)
+    lengths = [len(c) for c in columns]
+    assert str(err.value) == f"columns of lengths {lengths} do not fit header = {header!r}"
+
+
 B_OBS = TracelessObservable(-0.2, 0.5, 0.1)
 
 

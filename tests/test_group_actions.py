@@ -14,7 +14,7 @@ from qig import verify
 from qig.errors import BoundaryViolation, DomainError, NumericError
 from qig.group_actions import (ActionAxiomReport, CotangentGroupElement,
                                SLGroupElement, _alpha_images, _bkm_images,
-                               _draws, _expm_traceless_2x2, _lorentz,
+                               _draws, _expm_traceless_2x2,
                                _pauli_matrices, action_alpha_a, action_bkm,
                                alpha_subgroup, bkm_subgroup, cotangent_multiply,
                                generator_of_action, sl_identity,
@@ -164,7 +164,7 @@ def test_sl_element_validation():
     with pytest.raises(DomainError) as err:
         SLGroupElement(np.eye(3, dtype=complex))
     assert str(err.value) == (f"matrix = {np.eye(3, dtype=complex)!r} "
-                              f"is not a 2x2 matrix")
+                              f"is not a complex array of shape (2, 2)")
 
 
 @pytest.mark.filterwarnings("error")
@@ -299,7 +299,7 @@ def _record_loop_bkm_action(samples, seed, multiply=_record_multiply):
     products = [multiply(x, y) for x, y in zip(h1, h2)]
 
     def images(unitary, a, v):
-        return check_bloch_array(_bkm_images(_lorentz(unitary)[..., 1:, 1:], a, v))
+        return check_bloch_array(_bkm_images(unitary, a, v))
 
     ident = images(np.eye(2, dtype=complex), np.zeros(3), rho)
     lhs = images(u[:, 0], a[:, 0], images(u[:, 1], a[:, 1], rho))
@@ -404,14 +404,14 @@ def test_stacked_images_match_per_state_actions():
               TracelessObservable.from_coeffs(rng.uniform(-1, 1, 3)))
           for _ in v]
     states = [QubitState(*row) for row in v]
-    lorentz = _lorentz(np.array([g.matrix for g in gs]))
+    g = np.array([g.matrix for g in gs])
     for a_const in (0.25, 1.0, 2.0, 4.0):
         want = [action_alpha_a(a_const, g, rho).bloch for g, rho in zip(gs, states)]
-        npt.assert_allclose(_alpha_images(math.sqrt(a_const), lorentz, v), want,
+        npt.assert_allclose(_alpha_images(math.sqrt(a_const), g, v), want,
                             rtol=0.0, atol=1e-15)
-    rotation = _lorentz(np.array([h.unitary for h in hs]))[:, 1:, 1:]
+    u = np.array([h.unitary for h in hs])
     want = [action_bkm(h, rho).bloch for h, rho in zip(hs, states)]
-    npt.assert_allclose(_bkm_images(rotation, np.array([h.a.coeffs for h in hs]), v),
+    npt.assert_allclose(_bkm_images(u, np.array([h.a.coeffs for h in hs]), v),
                         want, rtol=0.0, atol=1e-15)
 
 
@@ -425,15 +425,16 @@ def test_stacked_images_name_the_failing_row():
     rows[1] = [math.nan, 0.25, 0.0]
     with pytest.raises(BoundaryViolation, match=r"\[nan, 0\.25, 0\.0\]"):
         generator_of_action(bkm_subgroup(SIGMA3, ZERO), rows)
-    with pytest.raises(DomainError, match=r"\(2, 2\)"):
+    with pytest.raises(DomainError) as err:
         generator_of_action(bkm_subgroup(SIGMA3, ZERO), [[0.1, 0.2], [0.0, 0.3]])
+    assert str(err.value) == ("rho = [[0.1, 0.2], [0.0, 0.3]] is not a real array "
+                              "of shape (..., 3)")
     # A non-finite element: the exponent w = a of that row (at the center)
     # is named.
-    rotation = np.stack([np.eye(3)] * 3)
     a = np.full((3, 3), 0.1)
     a[2] = [math.inf, 0.5, 0.0]
     with pytest.raises(NumericError, match=r"\[inf, 0\.5, 0\.0\]"):
-        _bkm_images(rotation, a, np.zeros((3, 3)))
+        _bkm_images(np.eye(2), a, np.zeros((3, 3)))
 
 
 def test_generator_of_action_on_a_stack():

@@ -108,6 +108,14 @@ def test_colliding_poles_are_a_numeric_error(b_const, c, count, named, capsys):
     assert json.loads(capsys.readouterr().out)["message"].startswith(named)
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_scan_short_of_its_poles_is_a_numeric_error():
+    # At c = 1e300 every t_k rounds above 1, and the Exclusion listed no pole.
+    with pytest.raises(NumericError) as err:
+        solve_branch(-4.5, 1e300)
+    assert str(err.value) == "B = 1.125, c = 1e+300: 0 of 10 poles t_k round into (0, 1]"
+
+
 def test_poles_stay_distinct_over_the_workload_range():
     # B in [0.2, 4] and |c| <= 1, up to 10 poles: the command lines that
     # the verify suite and the short-command benchmark run.

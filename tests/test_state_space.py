@@ -90,26 +90,25 @@ _BOUNDARY = "is not strictly inside the unit ball"
 
 # What the state constructor that QubitState replaced (state_from_bloch)
 # gave for each input: the stored coordinates, all of type float, or the
-# error class and its whole message.
+# error class and its whole message.  A coordinate that is not a real
+# number, True included, is named by its parameter.
 _STATE_PARITY = [
     ((0.1, 0.2, 0.3), [0.1, 0.2, 0.3]),
     ((np.float64(0.1), np.float64(-0.2), np.float64(0.3)), [0.1, -0.2, 0.3]),
     ((0, 0, 0), [0.0, 0.0, 0.0]),
     ((np.int64(0), -1e-300, 0.5), [0.0, -1e-300, 0.5]),
     ((1, 0, 0), (BoundaryViolation, f"Bloch point = [1.0, 0.0, 0.0] {_BOUNDARY}")),
-    ((True, 0, 0), (BoundaryViolation, f"Bloch point = [1.0, 0.0, 0.0] {_BOUNDARY}")),
+    ((True, 0, 0), (DomainError, "x = True is not a real number")),
     ((1.0, 0.0, 0.0), (BoundaryViolation, f"Bloch point = [1.0, 0.0, 0.0] {_BOUNDARY}")),
     ((0.6, 0.6, 0.6), (BoundaryViolation, f"Bloch point = [0.6, 0.6, 0.6] {_BOUNDARY}")),
     ((math.nan, 0.0, 0.0),
      (BoundaryViolation, f"Bloch point = [nan, 0.0, 0.0] {_BOUNDARY}")),
     ((math.inf, 0, 0), (BoundaryViolation, f"Bloch point = [inf, 0.0, 0.0] {_BOUNDARY}")),
-    (("x", 0.0, 0.0), (DomainError, "Bloch point = ('x', 0.0, 0.0) is not real")),
-    ((0.1j, 0.0, 0.0), (DomainError, "Bloch point = (0.1j, 0.0, 0.0) is not real")),
-    ((complex(0.1, 0.0), 0.0, 0.0),
-     (DomainError, "Bloch point = ((0.1+0j), 0.0, 0.0) is not real")),
-    (([0.1, 0.2], 0.0, 0.0),
-     (DomainError, "Bloch point = ([0.1, 0.2], 0.0, 0.0) is not real")),
-    ((None, 0, 0), (DomainError, "Bloch point = (None, 0, 0) is not real")),
+    (("x", 0.0, 0.0), (DomainError, "x = 'x' is not a real number")),
+    ((0.1j, 0.0, 0.0), (DomainError, "x = 0.1j is not a real number")),
+    ((complex(0.1, 0.0), 0.0, 0.0), (DomainError, "x = (0.1+0j) is not a real number")),
+    (([0.1, 0.2], 0.0, 0.0), (DomainError, "x = [0.1, 0.2] is not a real number")),
+    ((None, 0, 0), (DomainError, "x = None is not a real number")),
 ]
 
 
@@ -133,8 +132,7 @@ def test_qubit_state_of_a_column_is_domain_error():
     # state_from_bloch raised a raw IndexError for coordinates of shape (1,).
     with pytest.raises(DomainError) as err:
         QubitState([0.1], [0.2], [0.3])
-    assert str(err.value) == ("Bloch point = ([0.1], [0.2], [0.3]) is not three "
-                              "real numbers")
+    assert str(err.value) == "x = [0.1] is not a real number"
 
 
 def test_chart_singularities():
@@ -174,8 +172,9 @@ def test_all_true_equals_all_reduction(mask):
                                     [[0.1], [0.2, 0.3]], [True, False, True]],
                          ids=repr)
 def test_from_coeffs_needs_exactly_three_reals(coeffs):
-    with pytest.raises(DomainError, match="need three real Pauli coefficients"):
+    with pytest.raises(DomainError) as err:
         TracelessObservable.from_coeffs(coeffs)
+    assert str(err.value) == f"c = {coeffs!r} is not a real array of shape (3,)"
 
 
 @pytest.mark.filterwarnings("error")

@@ -279,10 +279,10 @@ def test_spherical_components_match_hand_written_formulas(kind):
 @pytest.mark.filterwarnings("error")
 def test_point_of_wrong_shape_is_domain_error():
     field = gradient_field_closed(E[0], bures_helstrom())
-    with pytest.raises(DomainError, match=r"\(2, 2\)"):
+    with pytest.raises(DomainError) as err:
         field.at_cartesian([[0.1, 0.2], [0.0, 0.3]])
-    with pytest.raises(DomainError, match=r"\(2,\)"):
-        lie_bracket_numeric(field, fundamental_field(E[1]), [0.1, 0.2])
+    assert str(err.value) == ("v = [[0.1, 0.2], [0.0, 0.3]] is not a real array "
+                              "of shape (..., 3)")
 
 
 @pytest.mark.filterwarnings("error")
