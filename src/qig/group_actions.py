@@ -38,7 +38,7 @@ _LORENTZ_TERMS = np.einsum("aij,bkl->jkilab", _PAULI4, _PAULI4).reshape(16, 16)
 def _unit_det(m: np.ndarray) -> np.ndarray:
     """Whether each matrix of a stack (..., 2, 2) has determinant 1; one
     whose determinant overflows has not."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return np.abs(np.linalg.det(m) - 1.0) <= DET_TOLERANCE
 
 
@@ -94,7 +94,7 @@ class SLGroupElement(Record):
     def __init__(self, matrix: np.ndarray):
         super().__init__(require_array("matrix", matrix, (2, 2), "iufc"))
         if not _unit_det(self.matrix):
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 det = complex(np.linalg.det(self.matrix))
             raise DomainError(f"determinant {det} != 1")
 
@@ -103,6 +103,8 @@ class SLGroupElement(Record):
 
     @staticmethod
     def from_json(data) -> "SLGroupElement":
+        if not (isinstance(data, dict) and "sl_matrix" in data):
+            raise DomainError(f"data = {data!r} has no 'sl_matrix'")
         return SLGroupElement(complex_matrix_from_json(data["sl_matrix"]))
 
 
@@ -172,9 +174,12 @@ def cotangent_multiply(u1: np.ndarray, a1: np.ndarray, u2: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         rotated = u1 @ _pauli_matrices(a2) @ u1.conj().swapaxes(-1, -2)
         a12 = pauli_coeffs(_pauli_matrices(a1) + rotated)
+        u12 = u1 @ u2
     require_all(np.isfinite(a12).all(axis=-1), a12, NumericError,
                 "translation a1 + U1 a2 U1^dag", "is not finite")
-    return u1 @ u2, a12
+    require_all(np.isfinite(u12).all(axis=(-2, -1)), u12, NumericError, "U1 U2",
+                "is not finite")
+    return u12, a12
 
 
 def _sqrt_a(a_const: float) -> float:
@@ -203,9 +208,12 @@ def _alpha_images(s: float, g: np.ndarray, v: np.ndarray) -> np.ndarray:
     x = moved[..., 1:]
     rx = bloch_norm(x)
     mu_hi = moved[..., 0] + rx
+    require_all(mu_hi > 0.0, moved, NumericError, "(t, x) of g rho^sqrt(A) g^dag",
+                "has lost t + |x| > 0 to rounding")
     det = ((1.0 - r) / (1.0 + r)) ** s  # k of _power_coords
-    q = (det / mu_hi / mu_hi) ** (1.0 / s)
-    return check_bloch_array(_along(x, rx, (1.0 - q) / (1.0 + q)), NumericError)
+    with np.errstate(over="ignore", invalid="ignore"):  # q = inf: a NaN image, rejected
+        q = (det / mu_hi / mu_hi) ** (1.0 / s)
+        return check_bloch_array(_along(x, rx, (1.0 - q) / (1.0 + q)), NumericError)
 
 
 def _bkm_images(u: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -436,8 +444,8 @@ def bkm_subgroup(a: TracelessObservable, b: TracelessObservable) -> Subgroup:
     gen = -0.5j * b.matrix()
 
     def images(times: np.ndarray, v: np.ndarray) -> np.ndarray:
-        u = _expm_traceless_2x2(times[..., None, None] * gen)
-        with np.errstate(over="ignore"):  # _bkm_images rejects an infinite t a
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf t b or t a raises below
+            u = _expm_traceless_2x2(times[..., None, None] * gen)
             shift = times[..., None] * a.coeffs
         return _bkm_images(u, shift, v)
 

@@ -60,9 +60,9 @@ PETZ_TOL = 1e-9  # largest symmetry or normalisation deviation that passes
 EXTRAPOLATION_TOL = 1e-4  # relative step at which the f'(0+) limit has converged
 
 
-def _kernels(direct, series=None):
+def _kernels(direct, series=None, cutoff=SERIES_CUTOFF):
     """(f_raw, f_float) of f from its formula direct(t, xp), xp the numpy or
-    math module, and its series(t) within SERIES_CUTOFF of a removable
+    math module, and its series(t) within cutoff of a removable
     singularity at t = 1.  f_raw runs direct under np.errstate on an array,
     and series on the entries that take it only.  f_float runs only the
     branch it picks on one Python float t in (0, inf); any other t, or a step
@@ -74,7 +74,7 @@ def _kernels(direct, series=None):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = direct(t, np)
         if series is not None:
-            near = np.abs(t - 1.0) < SERIES_CUTOFF
+            near = np.abs(t - 1.0) < cutoff
             if near.any():  # the series overflows far from t = 1
                 out = np.asarray(out)
                 out[near] = series(t[near])
@@ -83,7 +83,7 @@ def _kernels(direct, series=None):
     def f_float(t):
         if 0.0 < t < math.inf:
             try:
-                if series is not None and abs(t - 1.0) < SERIES_CUTOFF:
+                if series is not None and abs(t - 1.0) < cutoff:
                     return series(t)
                 return direct(t, math)
             except ArithmeticError:
@@ -116,8 +116,9 @@ class MonotoneFunctionSpec(Record):
     """
 
     __slots__ = ("kind", "name", "f_raw", "f_float", "g_prime")
-    _types = {"kind": (str, "a string"), "name": (str, "a string"),
-              "f_raw": CALLABLE}
+    _types = {"kind": (str, "a string"), "name": (str, "a string"), "f_raw": CALLABLE,
+              **dict.fromkeys(("f_float", "g_prime"),
+                              ((Callable, type(None)), "callable or None"))}
     _compared = _shown = ("kind", "name")
 
     def __init__(self, kind: str, name: str, f_raw: Callable,
@@ -171,8 +172,8 @@ def family_a(a_const: float) -> MonotoneFunctionSpec:
         u = t ** s
         return -4.0 * s * s * t ** (s - 1.0) / ((1.0 - u) ** 2 * (1.0 + r) ** 2)
 
-    # Exact form (s/2)(1-t)(1+t^s)/(1-t^s); near t = 1 the equivalent
-    # 1/P - s*u/2 with u = 1-t and P the truncated series of (1-(1-u)^s)/(s*u).
+    # Exact form (s/2)(1-t)(1+t^s)/(1-t^s); near t = 1, and while s*u < 1e-3 (u = 1-t),
+    # the equivalent 1/P - s*u/2, P the truncated series of (1-(1-u)^s)/(s*u).
     def direct(t, xp):
         ts = t ** s
         return 0.5 * s * (1.0 - t) * (1.0 + ts) / (1.0 - ts)
@@ -185,7 +186,7 @@ def family_a(a_const: float) -> MonotoneFunctionSpec:
         return 1.0 / p - 0.5 * s * u
 
     return MonotoneFunctionSpec("family_a", f"family_a({a_const:g})",
-                                *_kernels(direct, series), gp)
+                                *_kernels(direct, series, min(SERIES_CUTOFF, 1e-3 / s)), gp)
 
 
 def family_b(b_const: float, c: float = 0.0) -> MonotoneFunctionSpec:
@@ -266,55 +267,60 @@ def finite_f(spec: MonotoneFunctionSpec, t):
     """
     require_instance("spec", spec, MonotoneFunctionSpec)
     t_arr = require_array("t", t)
-    f = spec.f_raw(t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f = spec.f_raw(t)
     size = np.abs(f)
     require_all((size > 0.0) & (size < np.inf), t_arr, NumericError, "t",
                 f"makes f of {spec.name} zero or not finite")
     return f
 
 
-def g_from_f(spec: MonotoneFunctionSpec, r):
-    """g(r) = ((1+r)/r) f((1-r)/(1+r)) for r in (0, 1)."""
-    require_instance("spec", spec, MonotoneFunctionSpec)
-    r_arr = require_array("r", r)
-    require_all((r_arr > 0.0) & (r_arr < 1.0), r_arr, DomainError, "r",
-                "is outside (0, 1)")
-    out = ((1.0 + r_arr) / r_arr) * np.asarray(
-        spec.f_raw((1.0 - r_arr) / (1.0 + r_arr)))
-    return out if out.ndim else float(out)
+def _g(spec: MonotoneFunctionSpec, r: np.ndarray) -> np.ndarray:
+    return ((1.0 + r) / r) * np.asarray(spec.f_raw((1.0 - r) / (1.0 + r)))
 
 
-def g_derivative(spec: MonotoneFunctionSpec, r):
+def _g_prime(spec: MonotoneFunctionSpec, r: np.ndarray):
     """g'(r): analytic for catalog entries, Richardson central diff otherwise,
     whose stencil needs every r in (FD_STEP, 1 - FD_STEP)."""
-    require_instance("spec", spec, MonotoneFunctionSpec)
-    r = require_array("r", r)
     if spec.g_prime is not None:
-        out = spec.g_prime(r)
-        return out if np.ndim(out) else float(out)
+        return spec.g_prime(r)
     require_all((r > FD_STEP) & (r < 1.0 - FD_STEP), r, DomainError, "r",
                 f"is outside ({FD_STEP:g}, 1 - {FD_STEP:g}), the "
                 f"finite-difference range of g' for {spec.name}")
 
     def diff(step):
-        return (g_from_f(spec, r + step) - g_from_f(spec, r - step)) / (2.0 * step)
+        return (_g(spec, r + step) - _g(spec, r - step)) / (2.0 * step)
 
     d1, d2 = diff(FD_STEP), diff(FD_STEP / 2.0)
-    out = (4.0 * d2 - d1) / 3.0
-    return out if np.ndim(out) else float(out)
+    return (4.0 * d2 - d1) / 3.0
+
+
+def _on_radii(spec: MonotoneFunctionSpec, r, kernel, what: str):
+    """kernel(spec, r) for r in (0, 1), finite, else NumericError naming the first r."""
+    require_instance("spec", spec, MonotoneFunctionSpec)
+    r = require_array("r", r)
+    require_all((r > 0.0) & (r < 1.0), r, DomainError, "r", "is outside (0, 1)")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = np.asarray(kernel(spec, r))
+    require_all(np.isfinite(out), r, NumericError, "r",
+                f"makes {what} of {spec.name} not finite")
+    return out if out.ndim else float(out)
+
+
+def g_from_f(spec: MonotoneFunctionSpec, r):
+    """g(r) = ((1+r)/r) f((1-r)/(1+r)) for r in (0, 1)."""
+    return _on_radii(spec, r, _g, "g")
+
+
+def g_derivative(spec: MonotoneFunctionSpec, r):
+    """g'(r) for r in (0, 1), as _g_prime computes it."""
+    return _on_radii(spec, r, _g_prime, "g'")
 
 
 def big_f(spec: MonotoneFunctionSpec, r):
-    """F(r) = (1-r^2) g'(r) + g(r)^2; a value that is not finite raises
-    NumericError naming the first such r."""
-    r_arr = require_array("r", r)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g = g_from_f(spec, r_arr)
-        gp = g_derivative(spec, r_arr)
-        out = (1.0 - r_arr * r_arr) * gp + g * g
-    require_all(np.isfinite(out), r_arr, NumericError, "r",
-                f"makes F of {spec.name} not finite")
-    return out if np.ndim(out) else float(out)
+    """F(r) = (1-r^2) g'(r) + g(r)^2 for r in (0, 1)."""
+    return _on_radii(spec, r, lambda spec, r: _g(spec, r) ** 2
+                     + (1.0 - r * r) * _g_prime(spec, r), "F")
 
 
 class MetricAtPoint(Record):
@@ -340,10 +346,13 @@ def metric_spherical(spec: MonotoneFunctionSpec, p: SphericalPoint) -> MetricAtP
 
 def _stack_point(point: tuple, names) -> np.ndarray:
     """A point tuple of coordinates named names, which may be arrays, as a
-    (..., 3) stack; coordinates that do not broadcast raise DomainError."""
+    (..., 3) stack; coordinates that do not broadcast to one shape holding
+    all their entries raise DomainError."""
     coords = [require_array(name, c) for name, c in zip(names, point)]
     try:
         same_shape = np.broadcast_arrays(*coords)
+        if same_shape[0].size < max(c.size for c in coords):  # an empty stack drops one
+            raise ValueError
     except ValueError:
         raise DomainError(f"coordinates of shapes {[c.shape for c in coords]} "
                           f"do not broadcast to one shape") from None
@@ -381,12 +390,13 @@ def inverse_metric(m: MetricAtPoint) -> MetricAtPoint:
     for a stack, the error names the first failing matrix.
     """
     require_instance("m", m, MetricAtPoint)
+    matrix = require_array("matrix", m.matrix, (..., 3, 3))
     point = _stack_point(m.point, ("point",) * 3)
-    require_all(np.isfinite(m.matrix).all(axis=(-2, -1)), point, IllConditioned,
+    require_all(np.isfinite(matrix).all(axis=(-2, -1)), point, IllConditioned,
                 "point", "has a metric that is not finite")
-    require_all(np.linalg.cond(m.matrix) <= COND_LIMIT, point, IllConditioned,
+    require_all(np.linalg.cond(matrix) <= COND_LIMIT, point, IllConditioned,
                 "point", f"has a metric of condition number above {COND_LIMIT:.0e}")
-    return MetricAtPoint(m.chart, np.linalg.inv(m.matrix), m.point)
+    return MetricAtPoint(m.chart, np.linalg.inv(matrix), m.point)
 
 
 class PetzSymmetryReport(Record):
@@ -402,17 +412,16 @@ def check_petz_symmetry(spec: MonotoneFunctionSpec, grid) -> PetzSymmetryReport:
     require_instance("spec", spec, MonotoneFunctionSpec)
     grid = require_array("grid", grid)
     if grid.size == 0:
-        raise DomainError("symmetry grid = [] has no points")
-    require_all((grid > 0.0) & (grid < 1.0), grid, DomainError,
-                "symmetry grid point t", "is outside (0, 1)")
+        raise DomainError("grid = [] has no points")
+    require_all((grid > 0.0) & (grid < 1.0), grid, DomainError, "grid",
+                "is outside (0, 1)")
     # 1/t or f(1/t) may overflow for t near 0; an infinite result, or the
     # NaN that inf/inf makes of it, is caught below.
     with np.errstate(over="ignore", invalid="ignore"):
         inverse = 1.0 / grid
         f_inverse = np.asarray(spec.f_raw(inverse))
     require_all((inverse < np.inf) & np.isfinite(f_inverse), grid, DomainError,
-                "symmetry grid point t", f"has 1/t or f(1/t) of {spec.name} "
-                f"not finite")
+                "grid", f"has 1/t or f(1/t) of {spec.name} not finite")
     dev = np.abs(np.asarray(spec.f_raw(grid)) - grid * f_inverse)
     # f(1) itself may hit a removable singularity of the raw formula, so the
     # normalization is probed just inside 1 with a slack matching |f'| <= 1.
@@ -492,9 +501,13 @@ def _ordered_pairs(stacks, dim: int, rows: int):
 
 
 def _f_spectrum(spec: MonotoneFunctionSpec, lam: np.ndarray) -> np.ndarray:
-    """f of stacked eigenvalues, clipped into (0, 1] against rounding; a
-    value that is zero or not finite raises NumericError naming its t."""
-    return np.asarray(finite_f(spec, np.clip(lam, 1e-300, 1.0)))
+    """f of stacked eigenvalues (rows, n), clipped into (0, 1] against rounding;
+    a value that is zero, not finite or too large raises NumericError naming its t."""
+    f = np.asarray(finite_f(spec, np.clip(lam, 1e-300, 1.0)))
+    bound = np.finfo(float).max / (2 * lam.shape[-1] + 2)  # no sum of 2n + 2 overflows
+    require_all(np.abs(f) <= bound, lam, NumericError, "t",
+                f"makes |f| of {spec.name} above {bound:.3g}, too large to scan")
+    return f
 
 
 def _first_min(gaps: np.ndarray):

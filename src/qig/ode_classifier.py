@@ -39,9 +39,9 @@ class OdeClassification(Record):
 def classify(spec: MonotoneFunctionSpec, grid) -> OdeClassification:
     """Evaluate F over the grid and detect constancy."""
     grid = require_array("grid", grid).ravel()
-    require_count("classification grid size", grid.size, 20)
-    require_all((grid > 0.0) & (grid < 1.0), grid, DomainError,
-                "classification grid point r", "is outside (0, 1)")
+    require_count("grid size", grid.size, 20)
+    require_all((grid > 0.0) & (grid < 1.0), grid, DomainError, "grid",
+                "is outside (0, 1)")
     values = np.asarray(big_f(spec, grid), dtype=float)
     width = float(values.max() - values.min())
     a_const, branch = None, "none"

@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterable
 
 import numpy as np
 
-from .errors import BoundaryViolation, ChartSingularity, DomainError, InputError
+from .errors import BoundaryViolation, ChartSingularity, DomainError, InputError, NumericError
 
 # Numerical guards.  The manifold is the *open* ball; points within
 # EPS_BOUNDARY of the sphere are rejected.  The spherical chart excludes the
@@ -115,7 +115,8 @@ class TracelessObservable(Record):
     @staticmethod
     def from_matrix(m) -> "TracelessObservable":
         m = require_array("m", m, (2, 2), "iufc")
-        return TracelessObservable(*pauli_coeffs(m).tolist())
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite one is rejected
+            return TracelessObservable(*pauli_coeffs(m).tolist())
 
     def to_json(self) -> dict:
         return {"pauli": [self.a1, self.a2, self.a3]}
@@ -139,7 +140,11 @@ def su2_bracket(a: TracelessObservable, b: TracelessObservable) -> TracelessObse
     require_instance("a", a, TracelessObservable)
     require_instance("b", b, TracelessObservable)
     am, bm = a.matrix(), b.matrix()
-    return TracelessObservable.from_matrix((am @ bm - bm @ am) / 2.0j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bracket = (am @ bm - bm @ am) / 2.0j
+        if not np.isfinite(pauli_coeffs(bracket)).all():
+            raise NumericError(f"[a, b] of a = {a!r} and b = {b!r} is not finite")
+    return TracelessObservable.from_matrix(bracket)
 
 
 class QubitState(Record):
@@ -167,8 +172,9 @@ class QubitState(Record):
 
 
 def bloch_norm(v: np.ndarray) -> np.ndarray:
-    """|v| over the last axis of a (..., 3) array, without overflow."""
-    return np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
+    """|v| over the last axis of a (..., 3) array; inf only where |v| overflows."""
+    with np.errstate(over="ignore"):
+        return np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
 
 
 def require_count(name: str, value, minimum: int = 1, error=DomainError) -> None:
@@ -305,12 +311,14 @@ class SphericalPoint(Record):
 def complex_matrix_to_json(m) -> list:
     """Row-major [re, im] pairs, the wire format for 2x2 complex matrices."""
     m = require_array("m", m, (2, 2), "iufc")
+    require_all(np.isfinite(m), m, DomainError, "m", "is not finite")
     return [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
 
 
 def complex_matrix_from_json(data) -> np.ndarray:
-    """Inverse of complex_matrix_to_json: exactly four [re, im] pairs."""
-    if len(data) != 4:
+    """Inverse of complex_matrix_to_json: exactly four real [re, im] pairs."""
+    pairs = require_array("data", data, (..., 2)).reshape(-1, 2)
+    if len(pairs) != 4:
         raise InputError(f"a 2x2 complex matrix needs four [re, im] pairs, "
-                         f"got {len(data)}")
-    return np.array([complex(re, im) for re, im in data]).reshape(2, 2)
+                         f"got {len(pairs)}")
+    return np.array(pairs).view(complex).reshape(2, 2)

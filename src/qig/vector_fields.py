@@ -249,7 +249,7 @@ def verify_commutator_relations(spec: MonotoneFunctionSpec,
     coefficients (one global least-squares across all points).
     """
     pts = require_array("points", points, (..., 3)).reshape(-1, 3)
-    if len(pts) == 0:
+    if ball_radii(pts).size == 0:  # ball_radii names a point outside the ball
         raise DomainError("commutator check needs at least one point, "
                           "got an empty point set")
     basis = [TracelessObservable.from_coeffs(e) for e in np.eye(3)]
@@ -257,8 +257,8 @@ def verify_commutator_relations(spec: MonotoneFunctionSpec,
     y_fields = [gradient_field_closed(b, spec) for b in basis]
     cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
+    fr = np.asarray(big_f(spec, bloch_norm(pts)))  # a spec whose F overflows raises here
     basis_vals = [f.cartesian(pts) for f in x_fields + y_fields]
-    fr = np.asarray(big_f(spec, bloch_norm(pts)))
     per_point = np.zeros(len(pts))
     for i, j, k in cyclic:
         num = lie_bracket_numeric(y_fields[i], y_fields[j], pts).components

@@ -22,6 +22,8 @@ _KEPT = {
                            "a custom f gets",
     "sl_from_generators": "the tests build their SL(2, C) and SU(2) elements with it",
     "custom": "the entry point for a user's own f",
+    **dict.fromkeys(["g_from_f", "g_derivative"], "the paper's g(r) and g'(r), checked; "
+                    "big_f runs their kernels under its own check of F"),
 }
 
 
@@ -40,22 +42,18 @@ _KEPT_PARAMS = {
        for param in ("seed", "tol") + _SUITE_KEYWORDS.get(name, ())},
 }
 
+# The checks of state_space, and its kernels on arrays that qig has checked or made.
+_CHECKS = [f"state_space.{name}" for name in (
+    "require_count", "require_positive", "require_finite", "require_instance",
+    "require_array", "require_items", "all_true", "require_all", "ball_radii",
+    "check_bloch_array", "bloch_norm", "pauli_coeffs")]
 # module.[class.]function[.parameter] -> why those public parameters have no
 # generated wrong-input case (test_checks.py) and may reach numpy unchecked.
 _UNCHECKED = {
     "cli": "the command line: argparse and cmd_* check each flag (test_cli.py)",
     "state_space.Record.__init__": "the record base: a subclass's fields are its parameters",
-    "metric_family.MonotoneFunctionSpec.__init__": "built by the catalog and by custom()",
-    **dict.fromkeys([f"state_space.{name}" for name in (
-        "require_count", "require_positive", "require_finite", "require_instance",
-        "require_array", "require_items", "all_true", "require_all", "ball_radii",
-        "check_bloch_array", "bloch_norm", "pauli_coeffs")],
-        "a check, or a kernel on arrays that qig has checked or made"),
+    **dict.fromkeys(_CHECKS, "a check, or a kernel on arrays that qig has checked or made"),
     "flow_engine.csv_table": "its header and columns are checked against each other",
-    "state_space.complex_matrix_from_json.data": "a raw TypeError for [1, 2, 3, 4]; "
-                                                 "the --g-json '{}' body pins it",
-    "group_actions.SLGroupElement.from_json.data": "a raw KeyError for {}, which the "
-                                                   "--g-json '{}' body shows",
     "group_actions.verify_bkm_action.multiply": "a test hook for a wrong group law",
     "metric_family.spec_from_name": "a hand row checks name; family_a or family_b "
                                     "checks A, B and c",
@@ -66,10 +64,10 @@ _UNCHECKED = {
 }
 
 
-def _unchecked(name: str) -> bool:
-    """Whether module.[class.]function.parameter name is in _UNCHECKED, by
+def _unchecked(name: str, table=_UNCHECKED) -> bool:
+    """Whether module.[class.]function[.parameter] name is in table, by
     itself, its function or its module."""
-    return any(name == key or name.startswith(key + ".") for key in _UNCHECKED)
+    return any(name == key or name.startswith(key + ".") for key in table)
 
 
 def _modules():

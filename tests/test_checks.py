@@ -1,14 +1,20 @@
-"""Generated wrong-input cases for every public parameter of qig.
+"""The input contract of every public callable of qig, from one rule table.
 
 The walk visits each parameter of each public function or method.  One whose
-type hint is a record class gets that class's wrong-type cases; another takes
-its rule from _OVERRIDES by site, else from _RULES by name: an array of a
-shape and dtype, a count with its minimum, a positive or a finite value.
-Each case expects DomainError with its whole message.  A parameter with no
-rule, no hand row in _WRONG_TYPES and no entry with its reason in
-test_api._UNCHECKED fails the walk.
+type hint is a record class takes that class's rule; another its rule from
+_OVERRIDES by site, else from _RULES by name.  A rule holds a valid value,
+the wrong values it rejects with their whole messages, and a strategy of
+in-range and full-range values.  Each wrong value must raise DomainError with
+its message (test_*_rejected).  test_public_callable_fuzz calls each public
+callable with every parameter drawn from its strategy or its wrong values,
+under -W error: the call returns a result whose floats are finite and that
+meets its check in _POST, or raises QigError.  A parameter with no rule needs
+a hand row in _WRONG_TYPES and a strategy in _DRAWS, or a reason in
+test_api._UNCHECKED; a callable stays out of the fuzz only with a reason in
+_UNFUZZED.
 """
 
+import functools
 import importlib
 import inspect
 import math
@@ -16,29 +22,103 @@ import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from qig.errors import DomainError
+from qig.errors import DomainError, QigError
 from qig.flow_engine import integrate_flow
 from qig.group_actions import (CotangentGroupElement, SLGroupElement, Subgroup,
-                               alpha_subgroup, sl_identity)
+                               alpha_subgroup, bkm_subgroup, sl_from_generators,
+                               sl_identity, verify_bkm_action)
 from qig.metric_family import (MetricAtPoint, MonotoneFunctionSpec, bkm,
                                bures_helstrom, custom, derivative_limit_at_zero,
-                               scan_monotonicity, spec_from_name)
+                               family_a, family_b, inverse_metric, metric_cartesian,
+                               metric_spherical, rld, scan_monotonicity,
+                               spec_from_name, wigner_yanase)
+from qig.ode_classifier import Exclusion, classify, singularities, solve_branch
 from qig.state_space import (QubitState, Record, SphericalPoint,
-                             TracelessObservable)
-from qig.vector_fields import VectorField, fundamental_field
-from qig.verify import sub_seed
-from test_api import _modules, _public_defs, _unchecked
+                             TracelessObservable, complex_matrix_from_json,
+                             complex_matrix_to_json)
+from qig.vector_fields import (VectorField, fundamental_field, gradient_field_closed,
+                               gradient_field_from_metric, rescaled_gradient_field)
+from qig.verify import SUITE_IDS, sub_seed
+from test_api import _CHECKS, _modules, _public_defs, _unchecked
 
 A_OBS = TracelessObservable(0.4, -0.3, 0.6)
 ZERO = TracelessObservable(0.0, 0.0, 0.0)
 START = QubitState(0.25, -0.15, 0.35)
+TRAJECTORY = integrate_flow(fundamental_field(A_OBS), START, 1.0, 3)
 
-# A rule is (valid value, cases): cases(function, parameter) lists the
-# (test, id "name=value", wrong value, whole message) of each wrong value.
+# Strategies: interior values, the boundary, the center, subnormal, huge and
+# non-finite; the shapes of stacks, of coordinates and of grids.
+_VALUES = st.floats(-0.6, 0.6) | st.floats() | st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 1.0 - 1e-12, 0.999999999, 1e-300, 5e-324, 1e308, -1e308,
+     math.nan, math.inf, -math.inf])
+_PARAMETERS = st.floats(-5.0, 5.0) | st.sampled_from(
+    [0.0, 1e-300, -1e-300, 1e300, -1e300, 1e308, -1e308, math.nan, math.inf, -math.inf])
+_STACK_SHAPES = [(3,), (1, 3), (4, 3), (2, 2, 3), (0, 3), (0,), (), (2,), (4,), (3, 2),
+                 (2, 3, 1)]
+_COORD_SHAPES = [(), (1,), (2,), (3,), (0,), (2, 1)]
+_GRID_SHAPES = [(20,), (25,), (4, 5), (19,), (0,), ()]
 
 
-def _array(noun: str, valid):
+def _arrays(shapes, values=_VALUES):
+    return hnp.arrays(float, st.sampled_from(shapes), elements=values)
+
+
+_FINITE = st.one_of(st.floats(-1.0, 1.0), st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([5e-324, 1e-300, 1e308, -1e308]))
+_OBSERVABLES = st.builds(TracelessObservable, _FINITE, _FINITE, _FINITE)
+_SMALL = st.builds(TracelessObservable, *[st.floats(-3.0, 3.0)] * 3)
+_SL = st.one_of(st.builds(lambda a, b: sl_from_generators(a, b).matrix, _SMALL, _SMALL),
+                st.sampled_from([1e-150, 1e-8, 0.5, 3.0, 1e8, 1e150]).map(
+                    lambda x: np.diag([x, 1.0 / x]).astype(complex)))
+_SU2 = _SMALL.map(lambda b: sl_from_generators(ZERO, b).matrix)
+_UNITARY_STACKS = _SU2 | st.lists(_SU2, min_size=1, max_size=3).map(np.array)
+_WRONG_MATRICES = _arrays([(2, 2), (3, 3), (2,), (4, 2, 2), (2, 2, 2)])
+_SPECS = st.sampled_from([bkm(), bures_helstrom(), wigner_yanase(), rld(), family_a(2.0),
+                          family_a(1e-300), family_a(1e300), family_b(1.0, 0.0),
+                          custom(np.sqrt, "sqrt"), custom(lambda t: t * 0 + 1e308, "huge")])
+_FIELD_KINDS = [lambda a, spec: fundamental_field(a), gradient_field_closed,
+                gradient_field_from_metric, lambda a, spec: rescaled_gradient_field(a, 2.0)]
+_CALLABLES = st.sampled_from([np.negative, np.sqrt, np.add])
+_REPORTS = [verify_bkm_action(samples=2), singularities(1.0), solve_branch(-1.0),
+            scan_monotonicity([bkm()], sizes=(2,), samples=2)[0], TRAJECTORY,
+            classify(bkm(), np.linspace(0.05, 0.95, 20)),
+            fundamental_field(A_OBS).at_cartesian([0.1, 0.2, 0.3])]
+_METRICS = st.sampled_from([metric_cartesian(bkm(), 0.3, -0.2, 0.1),
+                            metric_cartesian(family_a(1e300), [0.1, 0.5], 0.2, 0.0),
+                            metric_spherical(bkm(), SphericalPoint(0.5, 1.0, 1.0))])
+_NEAR = 1.0 - 1e-8  # a radius near the sphere
+# Per record class, its instances: valid ones at the edges of their domain,
+# and for a metric any stack of matrices a caller may pass.
+_RECORDS = {
+    **{type(report): st.just(report) for report in _REPORTS},
+    MonotoneFunctionSpec: _SPECS, TracelessObservable: _OBSERVABLES,
+    QubitState: st.builds(QubitState, *[st.floats(-0.5, 0.5)] * 3) | st.sampled_from(
+        [QubitState(*v) for v in ((0, 0, 0), (1e-300, 0, 0), (0, 0, -_NEAR),
+                                  (0.6 * _NEAR, 0, 0.8 * _NEAR))]),
+    SphericalPoint: st.builds(
+        SphericalPoint, st.sampled_from([2e-9, 0.5, 1 - 1e-12]) | st.floats(0.01, 0.99),
+        st.sampled_from([1e-4, math.pi - 1e-4]) | st.floats(0.1, 3.0),
+        st.sampled_from([0.0, 1e300]) | st.floats(-7.0, 7.0)),
+    SLGroupElement: _SL.map(SLGroupElement),
+    CotangentGroupElement: st.builds(CotangentGroupElement, _SU2, _OBSERVABLES),
+    MetricAtPoint: _METRICS | st.integers(0, 3).flatmap(
+        lambda n: hnp.arrays(float, (n, 3, 3), elements=_VALUES).map(
+            lambda m: MetricAtPoint("cartesian", m, (np.linspace(0.1, 0.5, n), 0.0, 0.0)))),
+    Subgroup: st.builds(alpha_subgroup, st.sampled_from([0.25, 1.0, 2.0, 1e-300, 1e300]),
+                        _OBSERVABLES, _OBSERVABLES) | st.builds(bkm_subgroup, _OBSERVABLES,
+                                                                _OBSERVABLES),
+    VectorField: st.builds(lambda kind, a, spec: kind(a, spec),
+                           st.sampled_from(_FIELD_KINDS), _OBSERVABLES, _SPECS),
+}
+
+# A rule is (valid value, cases, strategy): cases(function, parameter) lists
+# the (test, id "name=value", wrong value, whole message) of each wrong value.
+
+
+def _array(noun: str, valid, draws):
     """An array the check names "is not {noun}"; a noun with a shape or
     "number" in it gets a value of the wrong shape too."""
     wrong = [("'x'", "x"), ("None", None), ("ragged", [[1, 0], [0]]),
@@ -47,62 +127,88 @@ def _array(noun: str, valid):
     wrong += [("[0.1,0.2]", [0.1, 0.2])] if noun not in ("real", "complex") else []
     return valid, lambda fn, param: [
         ("type", f"{param}={label}", value, f"{param} = {value!r} is not {noun}")
-        for label, value in wrong]
+        for label, value in wrong], draws
 
 
 _BAD_COUNTS = [0, -1, 1.5, True, math.nan, "3", 2.0, None]
 
 
-def _count(minimum: int, item: str | None = None):
-    """An integer >= minimum; with item, each item of a sequence, so named."""
+def _count(minimum: int, item: str | None = None, most: int = 6):
+    """An integer >= minimum, drawn up to most; with item, each item of a
+    sequence, so named."""
+    draws = st.integers(minimum - 2, most)
     return (3 if item is None else (3,)), lambda fn, param: [
         ("count", f"{param}={value!r}", value if item is None else (value,),
          f"{item or param} = {value!r} is not an integer >= {minimum}")
-        for value in _BAD_COUNTS if not (type(value) is int and value >= minimum)]
+        for value in _BAD_COUNTS if not (type(value) is int and value >= minimum)
+    ], draws if item is None else st.lists(draws, max_size=3)
 
 
-def _positive(owner: str | None = None, name: str | None = None):
+_POSITIVES = st.one_of(st.floats(1e-6, 8.0), _PARAMETERS, st.just(5e-324))
+
+
+def _positive(owner: str | None = None, name: str | None = None, draws=_POSITIVES):
     """A finite value > 0, named "{owner}: {name}" (the function and the
     parameter by default); the id names it by name."""
     return 2.0, lambda fn, param: [
         ("positive" if value != "x" else "type", f"{name or param}={value!r}", value,
          f"{owner or fn}: {name or param} = {value!r} is not finite and > 0")
-        for value in (0, -1.0, -1e-4, math.nan, math.inf, -math.inf, "x")]
+        for value in (0, -1.0, -1e-4, math.nan, math.inf, -math.inf, "x")], draws
 
 
-def _finite(named: str | None = None, valid=1.0):
+def _finite(named: str | None = None, valid=1.0, draws=_PARAMETERS):
     """A finite real number, named named (the parameter by default)."""
     return valid, lambda fn, param: [
         ("type", f"{param}={value!r}", value, f"{named or param} = {value!r} is not finite")
-        for value in ("x", math.nan, math.inf, -math.inf, None)]
+        for value in ("x", math.nan, math.inf, -math.inf, None)], draws
+
+
+def _typed(noun: str, valid, draws):
+    """A value of a kind, a string or a callable: 3 "is not {noun}"."""
+    return valid, lambda fn, param: [
+        ("type", f"{param}=3", 3, f"{param} = 3 is not {noun}")], draws
 
 
 _STACK = [[0.1, 0.2, 0.3]]
-_REAL = _array("real", 0.5)
-_NUMBER = _array("a real number", 0.2)
+_REAL = _array("real", 0.5, _arrays(_COORD_SHAPES))
+_NUMBER = _array("a real number", 0.2, _VALUES)
 _RULES = {
     "t": _REAL, "r": _REAL, "times": _REAL,
-    "grid": _array("real", np.linspace(0.05, 0.95, 20)),
+    "grid": _array("real", np.linspace(0.05, 0.95, 20), st.one_of(
+        _arrays(_GRID_SHAPES), st.sampled_from(_GRID_SHAPES).map(
+            lambda s: np.linspace(0.05, 0.95, math.prod(s)).reshape(s)))),
     **dict.fromkeys(["x", "y", "z", "theta", "phi", "a1", "a2", "a3"], _NUMBER),
-    **dict.fromkeys(["p", "v", "rho", "points"],
-                    _array("a real array of shape (..., 3)", _STACK)),
-    **dict.fromkeys(["matrix", "unitary", "m"],
-                    _array("a complex array of shape (2, 2)", np.eye(2))),
-    **dict.fromkeys(["u1", "u2"], _array("a complex array of shape (..., 2, 2)", np.eye(2))),
+    **dict.fromkeys(["p", "v", "rho", "points"], _array(
+        "a real array of shape (..., 3)", _STACK, _arrays(_STACK_SHAPES))),
+    **dict.fromkeys(["matrix", "unitary", "m"], _array(
+        "a complex array of shape (2, 2)", np.eye(2), _SL | _WRONG_MATRICES)),
+    **dict.fromkeys(["u1", "u2"], _array("a complex array of shape (..., 2, 2)",
+                                         np.eye(2), _UNITARY_STACKS | _WRONG_MATRICES)),
     **dict.fromkeys(["steps", "samples", "max_count"], _count(1)),
-    "seed": _count(0),
+    "seed": _count(0, most=2 ** 40),
     "a_const": _positive("family_a", "A"), "b_const": _positive("family_b", "B"),
-    **dict.fromkeys(["h", "scale", "tol"], _positive()),
-    "c": _finite("family_b: c", 0.0), "t_end": _finite(),
+    "h": _positive(draws=st.floats(1e-6, 1e-2) | _POSITIVES),
+    **dict.fromkeys(["scale", "tol"], _positive()),
+    "c": _finite("family_b: c", 0.0),
+    "t_end": _finite(draws=st.floats(-3.0, 3.0) | st.sampled_from(
+        [0.0, 1e3, 1e308, -1e308, math.nan, math.inf])),
+    **dict.fromkeys(["kind", "name"], _typed("a string", "c", st.sampled_from(
+        ["bkm", "fa", "fb", "c", ""]))),
+    **dict.fromkeys(["f_raw", "cartesian", "point", "images"],
+                    _typed("callable", np.negative, _CALLABLES)),
+    **dict.fromkeys(["f_float", "g_prime"],
+                    _typed("callable or None", None, _CALLABLES | st.none())),
 }
 # Sites, [class.]function.parameter, where a name means something else.
 _OVERRIDES = {
     **dict.fromkeys([f"metric_cartesian.{n}" for n in "xyz"], _REAL),
-    "SphericalPoint.r": _array("a real number", 0.5),
-    "TracelessObservable.from_coeffs.c": _array("a real array of shape (3,)",
-                                                [0.1, 0.2, 0.3]),
+    "SphericalPoint.r": _array("a real number", 0.5, _VALUES),
+    "TracelessObservable.from_coeffs.c": _array(
+        "a real array of shape (3,)", [0.1, 0.2, 0.3],
+        _arrays([(3,), (4,), (1,), (0,), (1, 3)]) | st.lists(_VALUES, max_size=5)),
     **dict.fromkeys(["cotangent_multiply.a1", "cotangent_multiply.a2"],
-                    _array("a real array of shape (..., 3)", _STACK)),
+                    _array("a real array of shape (..., 3)", _STACK,
+                           _arrays([(3,), (1, 3), (3, 3), (2, 1, 3), (2,)]))),
     **dict.fromkeys([f"{fn}.a_const" for fn in ("action_alpha_a", "alpha_subgroup",
                                                 "verify_alpha_action")],
                     _positive("alpha_A", "A")),
@@ -116,29 +222,41 @@ _WRONG_TYPES = [
     ("scan_monotonicity.specs=bkm()", lambda: scan_monotonicity(bkm(), samples=3),
      "specs = MonotoneFunctionSpec(kind='bkm', name='bkm') is not a sequence "
      "of specs"),
-    ("scan_monotonicity.specs=[]", lambda: scan_monotonicity([]),
-     "specs = [] has no spec"),
+    ("scan_monotonicity.specs=[]", lambda: scan_monotonicity([]), "specs = [] has no spec"),
     ("scan_monotonicity.specs=[bkm(), 'bkm']",
      lambda: scan_monotonicity([bkm(), "bkm"], samples=3),
      "spec = 'bkm' is not a MonotoneFunctionSpec"),
     ("scan_monotonicity.sizes=3", lambda: scan_monotonicity([bkm()], sizes=3),
      "sizes = 3 is not a sequence of matrix sizes"),
-    ("scan_monotonicity.sizes='12'",
-     lambda: scan_monotonicity([bkm()], sizes="12"),
+    ("scan_monotonicity.sizes='12'", lambda: scan_monotonicity([bkm()], sizes="12"),
      "sizes = '12' is not a sequence of matrix sizes"),
     ("derivative_limit_at_zero.A='x'", lambda: derivative_limit_at_zero("x"),
      "derivative limit requires A > 1, got 'x'"),
     ("spec_from_name.name=3", lambda: spec_from_name(3), "unknown spec name 3"),
-    ("Subgroup.images=3", lambda: Subgroup(3), "images = 3 is not callable"),
-    ("VectorField.cartesian=3", lambda: VectorField(3), "cartesian = 3 is not callable"),
-    ("VectorField.point=3", lambda: VectorField(np.negative, 3),
-     "point = 3 is not callable"),
-    ("custom.name=3", lambda: custom(lambda t: t, 3), "name = 3 is not a string"),
     ("custom.f=3", lambda: custom(3, "c"), "f = 3 is not a Callable"),
     ("sub_seed.suite='nope'", lambda: sub_seed(0, "nope"),
      "suite = 'nope' is not one of ['actions', 'commutators', 'fconstancy', 'flows', "
      "'generators', 'monotone', 'poles']"),
+    ("complex_matrix_from_json.data=[1, 2, 3, 4]",
+     lambda: complex_matrix_from_json([1, 2, 3, 4]),
+     "data = [1, 2, 3, 4] is not a real array of shape (..., 2)"),
+    ("SLGroupElement.from_json.data={}", lambda: SLGroupElement.from_json({}),
+     "data = {} has no 'sl_matrix'"),
+    ("inverse_metric.m.matrix='x'",
+     lambda: inverse_metric(MetricAtPoint("cartesian", "x", (0.1, 0.0, 0.0))),
+     "matrix = 'x' is not a real array of shape (..., 3, 3)"),
 ]
+_JSON = _SL.map(complex_matrix_to_json)
+# The fuzz's strategy of each parameter with no rule, by site or by name.
+_DRAWS = {
+    "specs": st.lists(_SPECS, max_size=3) | st.sampled_from([bkm(), [bkm(), "bkm"]]),
+    "suite": st.sampled_from(sorted(SUITE_IDS) + ["nope", 3]),
+    "f": st.sampled_from([np.sqrt, np.negative, lambda t: "x", 3]),
+    "complex_matrix_from_json.data": _JSON | st.sampled_from(
+        [[1, 2, 3, 4], [[1, 0], [0, 0], [1, 0]], [[1, 0, 0]] * 4, "x", {}, None]),
+    "SLGroupElement.from_json.data": _JSON.map(lambda m: {"sl_matrix": m})
+    | st.sampled_from([{}, [], "x", {"sl_matrix": [1, 2, 3, 4]}]),
+}
 
 
 # One valid instance of each record class that a public parameter names or
@@ -147,9 +265,8 @@ _WRONG_TYPES = [
 _INSTANCES = {type(record): record for record in (
     A_OBS, START, SphericalPoint(0.5, 1.0, 1.0), bkm(), fundamental_field(A_OBS),
     sl_identity(), CotangentGroupElement(np.eye(2), ZERO),
-    alpha_subgroup(1.0, ZERO, A_OBS),
-    integrate_flow(fundamental_field(A_OBS), START, 1.0, 3))}
-_VALID = {"specs": [bures_helstrom()], "suite": "poles"}
+    alpha_subgroup(1.0, ZERO, A_OBS), TRAJECTORY)}
+_VALID = {"specs": [bures_helstrom()], "suite": "poles", "f": np.sqrt}
 # Per record class, the raw data a caller may pass in its place: a spec
 # name, a Bloch, chart or Pauli triple, a matrix, or a number for a record
 # that wraps a function.
@@ -178,26 +295,33 @@ def _rule(site, param, hint):
     return _INSTANCES.get(cls), lambda fn, param: [
         ("type", f"{param}=" + (f"eye({len(value)})" if isinstance(value, np.ndarray)
                                 else repr(value)),
-         value, f"{param} = {value!r} is not a {cls.__name__}") for value in wrong]
+         value, f"{param} = {value!r} is not a {cls.__name__}") for value in wrong
+    ], _RECORDS.get(cls)
 
 
-def _parameters():
-    """(qualified name, site, owner class or None, function, parameter, type
-    hint) of each parameter of a public function or method; the qualified
-    name is module.[class.]function.parameter as in test_api, the site
+def _callables():
+    """(module.[class.]function, site, owner class or None, name, function)
+    of each public function, method or property; the site is
     [class.]function, with the class alone for __init__."""
     for module, tree in _modules():
         namespace = importlib.import_module(f"qig.{module}")
         for owner, fn in _public_defs(tree):
             cls = getattr(namespace, owner) if owner else None
-            func = getattr(cls or namespace, fn.name)
-            hints = typing.get_type_hints(getattr(func, "fget", func))
             site = owner if fn.name == "__init__" else ".".join(
                 filter(None, (owner, fn.name)))
-            for param in inspect.signature(getattr(func, "fget", func)).parameters:
-                if param != "self":
-                    yield (".".join(filter(None, (module, owner, fn.name, param))),
-                           site, cls, func, param, hints.get(param))
+            yield (".".join(filter(None, (module, owner, fn.name))), site, cls, fn.name,
+                   getattr(cls or namespace, fn.name))
+
+
+def _parameters():
+    """(module.[class.]function.parameter, site, owner class or None,
+    function, parameter, type hint) of each parameter of a public callable."""
+    for qualname, site, cls, _, func in _callables():
+        func = getattr(func, "fget", func)
+        hints = typing.get_type_hints(func)
+        for param in inspect.signature(func).parameters:
+            if param != "self":
+                yield f"{qualname}.{param}", site, cls, func, param, hints.get(param)
 
 
 def _call_with(site, owner, func, param, value):
@@ -283,3 +407,109 @@ def test_positive_parameter_rejected(call, message):
 @_parametrize("type")
 def test_wrong_type_rejected(call, message):
     _rejected(call, message)
+
+
+# module.[class.]function -> why the fuzz leaves it out.
+_UNFUZZED = {
+    "cli": "the command line: test_cli.py fuzzes its flags",
+    **dict.fromkeys([f"verify.suite_{name}" for name in SUITE_IDS],
+                    "fixed draws of up to 0.4 s; test_acceptance.py runs every suite"),
+    "state_space.Record.__init__": "the record base: the fuzz builds each subclass",
+    **dict.fromkeys(_CHECKS, "a check, or a kernel on arrays that qig has checked or "
+                             "made: the fuzz reaches it through its callers"),
+    "flow_engine.csv_table": "writes the columns of Trajectory.to_csv, which is fuzzed",
+}
+# Examples per site: the counts of the per-function fuzzers it replaced.
+_EXAMPLES = {**dict.fromkeys(["metric_cartesian", "VectorField.at_cartesian",
+                              "integrate_flow", "orbit_curve", "action_alpha_a",
+                              "action_bkm", "solve_branch", "singularities"], 50),
+             **dict.fromkeys(["inverse_metric", "lie_bracket_numeric", "classify"], 40),
+             "TracelessObservable.from_coeffs": 60, "cotangent_multiply": 60,
+             "scan_monotonicity": 30}
+
+
+def _poles(poles, count):
+    ts, rs = np.array(poles.t_values), np.array(poles.r_values)
+    return (len(ts) == len(rs) == count and (0.0 < ts).all() and (ts <= 1.0).all()
+            and (np.diff(ts) < 0.0).all() and np.array_equal(rs, (1.0 - ts) / (1.0 + ts)))
+
+
+# Per site, what a result must meet beyond finite floats, given the call's
+# keyword arguments: shapes that broadcast, a symmetric metric, a grid read
+# flat, one report per spec, a trajectory inside the ball, sorted poles.
+_POST = {
+    "metric_cartesian": lambda out, kw: (
+        out.matrix.shape == np.broadcast_shapes(*(np.shape(kw[c]) for c in "xyz")) + (3, 3)
+        and np.array_equal(out.matrix, out.matrix.swapaxes(-1, -2))),
+    "inverse_metric": lambda out, kw: out.matrix.shape == np.shape(kw["m"].matrix),
+    "VectorField.at_cartesian": lambda out, kw: out.components.shape == np.shape(kw["v"]),
+    "lie_bracket_numeric": lambda out, kw: out.components.shape == np.shape(kw["p"]),
+    **dict.fromkeys(["integrate_flow", "orbit_curve"], lambda out, kw: (
+        out.points.shape == (kw.get("steps", kw.get("samples")) + 1, 3)
+        and (out.radii < 1.0).all())),
+    "cotangent_multiply": lambda out, kw: (
+        out[0].shape == np.broadcast_shapes(np.shape(kw["u1"]), np.shape(kw["u2"]))
+        and out[1].shape == np.broadcast_shapes(np.shape(kw["a1"]), np.shape(kw["a2"]),
+                                                np.shape(kw["u1"])[:-2] + (3,))),
+    "classify": lambda out, kw: (
+        len(out.values) == np.size(kw["grid"])
+        and out.branch in ("bkm_a0", "family_a_pos", "family_b_neg", "none")),
+    "scan_monotonicity": lambda out, kw: [rep.spec for rep in out] == [
+        spec.name for spec in kw["specs"]],
+    "singularities": lambda out, kw: _poles(out, kw.get("max_count", 10)),
+    "solve_branch": lambda out, kw: not isinstance(out, Exclusion) or _poles(out.poles, 10),
+}
+
+
+def _finite_floats(out) -> bool:
+    """Whether every float of a result is finite, those in a record's fields
+    and in the items of a tuple, list or dict included."""
+    if isinstance(out, Record):
+        out = [getattr(out, name) for name in out.__slots__]
+    if isinstance(out, (list, tuple, dict)):
+        return all(map(_finite_floats, out.values() if isinstance(out, dict) else out))
+    return np.asarray(out).dtype.kind not in "fc" or bool(np.isfinite(out).all())
+
+
+@st.composite
+def _calls(draw, site, owner, name, func):
+    """(target, keyword arguments) of a call of a public callable, a method
+    of a drawn record for a method, each argument drawn from its rule."""
+    target = owner if name == "__init__" else func
+    if owner and name != "__init__" and not isinstance(inspect.getattr_static(owner, name),
+                                                       staticmethod):
+        record = draw(_METRICS if owner is MetricAtPoint else _RECORDS[owner])
+        if isinstance(func, property):
+            return functools.partial(getattr, record, name), {}
+        target = getattr(record, name)
+    hints, kwargs = typing.get_type_hints(func), {}
+    for param, parameter in inspect.signature(target).parameters.items():
+        rule = _rule(site, param, hints.get(param))
+        draws = _DRAWS.get(f"{site}.{param}", _DRAWS.get(param)) if rule is None else (
+            rule[2] | st.sampled_from([case[2] for case in rule[1](name, param)]))
+        if draws is not None:
+            kwargs[param] = draw(draws, label=param)
+        elif parameter.default is parameter.empty:
+            raise AssertionError(f"{site}.{param} has no strategy")
+    return target, kwargs
+
+
+_FUZZED = [c for c in _callables() if not _unchecked(c[0], _UNFUZZED)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("site,owner,name,func",
+                         [pytest.param(*c[1:], id=c[0]) for c in _FUZZED])
+def test_public_callable_fuzz(site, owner, name, func):
+    @settings(max_examples=_EXAMPLES.get(site, 20), deadline=None)
+    @given(_calls(site, owner, name, func))
+    def call(target_and_kwargs):
+        target, kwargs = target_and_kwargs
+        try:
+            out = target(**kwargs)
+        except QigError:
+            return
+        assert _finite_floats(out), out
+        assert _POST.get(site, lambda out, kw: True)(out, kwargs), out
+
+    call()

@@ -253,7 +253,7 @@ def test_scan_checks_every_spec_before_scanning():
 
 @pytest.mark.filterwarnings("error")
 def test_petz_symmetry_rejects_empty_grid():
-    with pytest.raises(DomainError, match=re.escape("symmetry grid = [] has no points")):
+    with pytest.raises(DomainError, match=re.escape("grid = [] has no points")):
         check_petz_symmetry(bkm(), [])
 
 
@@ -720,7 +720,7 @@ def test_petz_symmetry_rejects_a_point_whose_f_of_reciprocal_overflows(spec):
     # 1/t = 1e300 is finite, but f(1/t) overflows in t^sqrt(A) (A = 2) or
     # in a product (A = 1/4).
     with pytest.raises(DomainError,
-                       match=rf"^symmetry grid point t = 1e-300 has .* of "
+                       match=rf"^grid = 1e-300 has .* of "
                              rf"{re.escape(spec.name)} not finite$"):
         check_petz_symmetry(spec, [0.5, 1e-300])
 
