@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -220,6 +221,19 @@ def test_left_manifold_names_the_same_point_as_five_check_loop(field, r0, t_end,
     with pytest.raises(LeftManifold) as got:
         integrate_flow(VectorField(field), start, t_end, steps)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("steps", [2.5, 2.0, True, 0, -3, "4", None])
+def test_step_count_must_be_an_integer_at_least_one(steps):
+    field = fundamental_field(A_OBS)
+    orbit = alpha_subgroup(1.0, ZERO, A_OBS)
+    for call in (lambda: integrate_flow(field, START, 1.0, steps),
+                 lambda: orbit_curve(orbit, START, 1.0, steps),
+                 lambda: compare_flow_to_orbit(field, orbit, START, 1.0, steps)):
+        with pytest.raises(DomainError, match=rf"^(steps|samples) = "
+                           rf"{re.escape(repr(steps))} is not an integer >= 1$"):
+            call()
 
 
 def test_numpy_integer_step_count_is_accepted():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -164,6 +165,30 @@ def test_sl_element_validation():
         SLGroupElement(np.eye(3, dtype=complex))
     assert str(err.value) == (f"matrix = {np.eye(3, dtype=complex)!r} "
                               f"is not a complex array of shape (2, 2)")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("samples", [2.5, True, 0])
+def test_axiom_checks_need_an_integer_sample_count(samples):
+    # A float count raised a raw TypeError from numpy.
+    for check in (lambda: verify_alpha_action(2.0, samples=samples),
+                  lambda: verify_bkm_action(samples=samples),
+                  lambda: transitivity_probe(samples=samples)):
+        with pytest.raises(DomainError, match=re.escape(
+                f"samples = {samples!r} is not an integer >= 1")):
+            check()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_axiom_checks_need_an_integer_seed(seed):
+    # numpy raised a raw ValueError or TypeError.
+    for check in (lambda: verify_alpha_action(2.0, samples=3, seed=seed),
+                  lambda: verify_bkm_action(samples=3, seed=seed),
+                  lambda: transitivity_probe(samples=3, seed=seed)):
+        with pytest.raises(DomainError, match=re.escape(
+                f"seed = {seed!r} is not an integer >= 0")):
+            check()
 
 
 def test_alpha_one_pinned_example():
@@ -538,6 +563,19 @@ def test_bkm_wrong_law_matches_per_sample_loop():
     rep = verify_bkm_action(samples=samples, seed=seed, multiply=_wrong_multiply)
     assert worst > 1e-3
     assert abs(rep.compatibility_dev - worst) <= 1e-15
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("check", [
+    lambda n: verify_alpha_action(2.0, samples=n),
+    lambda n: verify_bkm_action(samples=n),
+    lambda n: transitivity_probe(samples=n),
+    lambda n: verify.suite_actions(samples=n),
+])
+def test_axiom_checks_reject_empty_sample_sets(check, samples):
+    # No sample would pass vacuously with every deviation 0.
+    with pytest.raises(DomainError, match="samples"):
+        check(samples)
 
 
 @pytest.mark.filterwarnings("error")

@@ -76,6 +76,22 @@ def test_singularities_offset_shifts_first_index():
     assert all(t <= 1.0 for t in poles.t_values)
 
 
+@pytest.mark.parametrize("count", [0, -5])
+def test_singularities_need_at_least_one_pole(count):
+    # No pole list would be reported empty as if the scan had run.
+    with pytest.raises(DomainError,
+                       match=re.escape(f"max_count = {count!r} is not an integer >= 1")):
+        singularities(1.0, 0.0, max_count=count)
+
+
+@pytest.mark.parametrize("count", [2.5, True, "3"])
+def test_singularities_need_an_integer_count(count):
+    # range() raised a raw TypeError for 2.5, and True was taken as 1.
+    with pytest.raises(DomainError,
+                       match=re.escape(f"max_count = {count!r} is not an integer >= 1")):
+        singularities(1.0, 0.0, max_count=count)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("b_const,c,count,named", [
     (1e300, 0.0, 5, "B = 1e+300, c = 0.0: pole t_1 = 1.0 is 0 or not below"),
