@@ -141,10 +141,10 @@ def su2_bracket(a: TracelessObservable, b: TracelessObservable) -> TracelessObse
     require_instance("b", b, TracelessObservable)
     am, bm = a.matrix(), b.matrix()
     with np.errstate(over="ignore", invalid="ignore"):
-        bracket = (am @ bm - bm @ am) / 2.0j
-        if not np.isfinite(pauli_coeffs(bracket)).all():
-            raise NumericError(f"[a, b] of a = {a!r} and b = {b!r} is not finite")
-    return TracelessObservable.from_matrix(bracket)
+        coeffs = pauli_coeffs((am @ bm - bm @ am) / 2.0j)
+    if not np.isfinite(coeffs).all():
+        raise NumericError(f"[a, b] of a = {a!r} and b = {b!r} is not finite")
+    return TracelessObservable(*coeffs.tolist())
 
 
 class QubitState(Record):

@@ -5,16 +5,12 @@ type hint is a record class takes that class's rule; another its rule from
 _OVERRIDES by site, else from _RULES by name.  A rule holds a valid value,
 the wrong values it rejects with their whole messages, and a strategy of
 in-range and full-range values.  Each wrong value must raise DomainError with
-its message (test_*_rejected).  test_public_callable_fuzz calls each public
-callable with every parameter drawn from its strategy or its wrong values,
-under -W error: the call returns a result whose floats are finite and that
-meets its check in _POST, or raises QigError.  A parameter with no rule needs
-a hand row in _WRONG_TYPES and a strategy in _DRAWS, or a reason in
-test_api._UNCHECKED; a callable stays out of the fuzz only with a reason in
-_UNFUZZED.
+its message (test_*_rejected); test_library_fuzz.py draws every parameter of
+every public callable from its strategy or its wrong values.  A parameter
+with no rule needs a hand row in _WRONG_TYPES and a strategy in _DRAWS, or a
+reason in test_api._UNCHECKED.
 """
 
-import functools
 import importlib
 import inspect
 import math
@@ -22,10 +18,10 @@ import typing
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qig.errors import DomainError, QigError
+from qig.errors import DomainError
 from qig.flow_engine import integrate_flow
 from qig.group_actions import (CotangentGroupElement, SLGroupElement, Subgroup,
                                alpha_subgroup, bkm_subgroup, sl_from_generators,
@@ -35,14 +31,14 @@ from qig.metric_family import (MetricAtPoint, MonotoneFunctionSpec, bkm,
                                family_a, family_b, inverse_metric, metric_cartesian,
                                metric_spherical, rld, scan_monotonicity,
                                spec_from_name, wigner_yanase)
-from qig.ode_classifier import Exclusion, classify, singularities, solve_branch
+from qig.ode_classifier import classify, singularities, solve_branch
 from qig.state_space import (QubitState, Record, SphericalPoint,
                              TracelessObservable, complex_matrix_from_json,
                              complex_matrix_to_json)
 from qig.vector_fields import (VectorField, fundamental_field, gradient_field_closed,
                                gradient_field_from_metric, rescaled_gradient_field)
 from qig.verify import SUITE_IDS, sub_seed
-from test_api import _CHECKS, _modules, _public_defs, _unchecked
+from test_api import _modules, _public_defs, _unchecked
 
 A_OBS = TracelessObservable(0.4, -0.3, 0.6)
 ZERO = TracelessObservable(0.0, 0.0, 0.0)
@@ -54,7 +50,7 @@ TRAJECTORY = integrate_flow(fundamental_field(A_OBS), START, 1.0, 3)
 _VALUES = st.floats(-0.6, 0.6) | st.floats() | st.sampled_from(
     [0.0, -0.0, 1.0, -1.0, 1.0 - 1e-12, 0.999999999, 1e-300, 5e-324, 1e308, -1e308,
      math.nan, math.inf, -math.inf])
-_PARAMETERS = st.floats(-5.0, 5.0) | st.sampled_from(
+_SCALARS = st.floats(-5.0, 5.0) | st.sampled_from(
     [0.0, 1e-300, -1e-300, 1e300, -1e300, 1e308, -1e308, math.nan, math.inf, -math.inf])
 _STACK_SHAPES = [(3,), (1, 3), (4, 3), (2, 2, 3), (0, 3), (0,), (), (2,), (4,), (3, 2),
                  (2, 3, 1)]
@@ -144,7 +140,7 @@ def _count(minimum: int, item: str | None = None, most: int = 6):
     ], draws if item is None else st.lists(draws, max_size=3)
 
 
-_POSITIVES = st.one_of(st.floats(1e-6, 8.0), _PARAMETERS, st.just(5e-324))
+_POSITIVES = st.one_of(st.floats(1e-6, 8.0), _SCALARS, st.just(5e-324))
 
 
 def _positive(owner: str | None = None, name: str | None = None, draws=_POSITIVES):
@@ -156,7 +152,7 @@ def _positive(owner: str | None = None, name: str | None = None, draws=_POSITIVE
         for value in (0, -1.0, -1e-4, math.nan, math.inf, -math.inf, "x")], draws
 
 
-def _finite(named: str | None = None, valid=1.0, draws=_PARAMETERS):
+def _finite(named: str | None = None, valid=1.0, draws=_SCALARS):
     """A finite real number, named named (the parameter by default)."""
     return valid, lambda fn, param: [
         ("type", f"{param}={value!r}", value, f"{named or param} = {value!r} is not finite")
@@ -407,109 +403,3 @@ def test_positive_parameter_rejected(call, message):
 @_parametrize("type")
 def test_wrong_type_rejected(call, message):
     _rejected(call, message)
-
-
-# module.[class.]function -> why the fuzz leaves it out.
-_UNFUZZED = {
-    "cli": "the command line: test_cli.py fuzzes its flags",
-    **dict.fromkeys([f"verify.suite_{name}" for name in SUITE_IDS],
-                    "fixed draws of up to 0.4 s; test_acceptance.py runs every suite"),
-    "state_space.Record.__init__": "the record base: the fuzz builds each subclass",
-    **dict.fromkeys(_CHECKS, "a check, or a kernel on arrays that qig has checked or "
-                             "made: the fuzz reaches it through its callers"),
-    "flow_engine.csv_table": "writes the columns of Trajectory.to_csv, which is fuzzed",
-}
-# Examples per site: the counts of the per-function fuzzers it replaced.
-_EXAMPLES = {**dict.fromkeys(["metric_cartesian", "VectorField.at_cartesian",
-                              "integrate_flow", "orbit_curve", "action_alpha_a",
-                              "action_bkm", "solve_branch", "singularities"], 50),
-             **dict.fromkeys(["inverse_metric", "lie_bracket_numeric", "classify"], 40),
-             "TracelessObservable.from_coeffs": 60, "cotangent_multiply": 60,
-             "scan_monotonicity": 30}
-
-
-def _poles(poles, count):
-    ts, rs = np.array(poles.t_values), np.array(poles.r_values)
-    return (len(ts) == len(rs) == count and (0.0 < ts).all() and (ts <= 1.0).all()
-            and (np.diff(ts) < 0.0).all() and np.array_equal(rs, (1.0 - ts) / (1.0 + ts)))
-
-
-# Per site, what a result must meet beyond finite floats, given the call's
-# keyword arguments: shapes that broadcast, a symmetric metric, a grid read
-# flat, one report per spec, a trajectory inside the ball, sorted poles.
-_POST = {
-    "metric_cartesian": lambda out, kw: (
-        out.matrix.shape == np.broadcast_shapes(*(np.shape(kw[c]) for c in "xyz")) + (3, 3)
-        and np.array_equal(out.matrix, out.matrix.swapaxes(-1, -2))),
-    "inverse_metric": lambda out, kw: out.matrix.shape == np.shape(kw["m"].matrix),
-    "VectorField.at_cartesian": lambda out, kw: out.components.shape == np.shape(kw["v"]),
-    "lie_bracket_numeric": lambda out, kw: out.components.shape == np.shape(kw["p"]),
-    **dict.fromkeys(["integrate_flow", "orbit_curve"], lambda out, kw: (
-        out.points.shape == (kw.get("steps", kw.get("samples")) + 1, 3)
-        and (out.radii < 1.0).all())),
-    "cotangent_multiply": lambda out, kw: (
-        out[0].shape == np.broadcast_shapes(np.shape(kw["u1"]), np.shape(kw["u2"]))
-        and out[1].shape == np.broadcast_shapes(np.shape(kw["a1"]), np.shape(kw["a2"]),
-                                                np.shape(kw["u1"])[:-2] + (3,))),
-    "classify": lambda out, kw: (
-        len(out.values) == np.size(kw["grid"])
-        and out.branch in ("bkm_a0", "family_a_pos", "family_b_neg", "none")),
-    "scan_monotonicity": lambda out, kw: [rep.spec for rep in out] == [
-        spec.name for spec in kw["specs"]],
-    "singularities": lambda out, kw: _poles(out, kw.get("max_count", 10)),
-    "solve_branch": lambda out, kw: not isinstance(out, Exclusion) or _poles(out.poles, 10),
-}
-
-
-def _finite_floats(out) -> bool:
-    """Whether every float of a result is finite, those in a record's fields
-    and in the items of a tuple, list or dict included."""
-    if isinstance(out, Record):
-        out = [getattr(out, name) for name in out.__slots__]
-    if isinstance(out, (list, tuple, dict)):
-        return all(map(_finite_floats, out.values() if isinstance(out, dict) else out))
-    return np.asarray(out).dtype.kind not in "fc" or bool(np.isfinite(out).all())
-
-
-@st.composite
-def _calls(draw, site, owner, name, func):
-    """(target, keyword arguments) of a call of a public callable, a method
-    of a drawn record for a method, each argument drawn from its rule."""
-    target = owner if name == "__init__" else func
-    if owner and name != "__init__" and not isinstance(inspect.getattr_static(owner, name),
-                                                       staticmethod):
-        record = draw(_METRICS if owner is MetricAtPoint else _RECORDS[owner])
-        if isinstance(func, property):
-            return functools.partial(getattr, record, name), {}
-        target = getattr(record, name)
-    hints, kwargs = typing.get_type_hints(func), {}
-    for param, parameter in inspect.signature(target).parameters.items():
-        rule = _rule(site, param, hints.get(param))
-        draws = _DRAWS.get(f"{site}.{param}", _DRAWS.get(param)) if rule is None else (
-            rule[2] | st.sampled_from([case[2] for case in rule[1](name, param)]))
-        if draws is not None:
-            kwargs[param] = draw(draws, label=param)
-        elif parameter.default is parameter.empty:
-            raise AssertionError(f"{site}.{param} has no strategy")
-    return target, kwargs
-
-
-_FUZZED = [c for c in _callables() if not _unchecked(c[0], _UNFUZZED)]
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("site,owner,name,func",
-                         [pytest.param(*c[1:], id=c[0]) for c in _FUZZED])
-def test_public_callable_fuzz(site, owner, name, func):
-    @settings(max_examples=_EXAMPLES.get(site, 20), deadline=None)
-    @given(_calls(site, owner, name, func))
-    def call(target_and_kwargs):
-        target, kwargs = target_and_kwargs
-        try:
-            out = target(**kwargs)
-        except QigError:
-            return
-        assert _finite_floats(out), out
-        assert _POST.get(site, lambda out, kw: True)(out, kwargs), out
-
-    call()

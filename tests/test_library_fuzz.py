@@ -1,269 +1,188 @@
 """Adversarial input through the public library API, in process.
 
-Every call either returns a valid result or raises a QigError: never
-another exception and never a warning (each test runs with warnings as
-errors).  Inputs are NaN or infinite rows, rows on or past the unit sphere,
-empty or wrong-shaped arrays and non-integer counts; every count is small,
-so no large run starts.
+Each public function, constructor, record method and property of qig is
+called with every parameter drawn from its rule in test_checks.py: in-range
+and full-range values (subnormal, huge, NaN and infinite), wrong shapes and
+the wrong values its cases list.  Under -W error the call returns a result
+whose floats are all finite and that meets its check in _POST, or raises a
+QigError: never another exception and never a warning.  A callable stays
+out only with a reason in _UNFUZZED.  The callables that had a fuzzer of
+their own keep its test name (_named); test_public_callable_fuzz runs the
+rest.  _PROBES pins the calls the fuzz found, each with its whole error.
 """
 
-import math
+import functools
+import inspect
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from qig.errors import DomainError, QigError
-from qig.flow_engine import integrate_flow, orbit_curve
-from qig.group_actions import (CotangentGroupElement, SLGroupElement,
-                               action_alpha_a, action_bkm, alpha_subgroup,
-                               bkm_subgroup, cotangent_multiply,
-                               sl_from_generators)
-from qig.metric_family import (MetricAtPoint, MonotoneFunctionSpec, bkm,
-                               bures_helstrom, custom, family_a, family_b,
-                               inverse_metric, metric_cartesian, rld,
-                               scan_monotonicity, wigner_yanase)
-from qig.ode_classifier import Exclusion, classify, singularities, solve_branch
-from qig.state_space import QubitState, TracelessObservable
-from qig.vector_fields import (fundamental_field, gradient_field_closed,
-                               gradient_field_from_metric, lie_bracket_numeric,
-                               rescaled_gradient_field)
+from qig.errors import DomainError, NumericError, QigError
+from qig.flow_engine import orbit_curve
+from qig.group_actions import (SLGroupElement, action_alpha_a, bkm_subgroup,
+                               cotangent_multiply)
+from qig.metric_family import (MetricAtPoint, bkm, bures_helstrom, check_petz_symmetry,
+                               custom, family_b, finite_f, g_derivative, g_from_f,
+                               inverse_metric, metric_cartesian, scan_monotonicity,
+                               wigner_yanase)
+from qig.ode_classifier import Exclusion, classify
+from qig.state_space import (QubitState, Record, TracelessObservable,
+                             complex_matrix_to_json, su2_bracket)
+from qig.vector_fields import verify_commutator_relations
+from qig.verify import SUITE_IDS
+from test_api import _CHECKS, _unchecked
+from test_checks import _DRAWS, _METRICS, _RECORDS, _VALUES, _callables, _rule
 
 pytestmark = pytest.mark.filterwarnings("error")
 
-SPECS = [bkm(), bures_helstrom(), wigner_yanase(), rld(), family_a(2.0),
-         family_b(1.0, 0.0)]
-# A user-written f, f(t) = sqrt(t): a spec with no float kernel, whose
-# fields integrate through their array evaluator.
-CUSTOM = custom(np.sqrt, "sqrt")
-
-# Interior values, the boundary, the center, subnormal, huge and non-finite.
-_VALUES = st.one_of(
-    st.floats(-0.6, 0.6),
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 - 1e-12, 0.999999999, 1e-300,
-                     5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf]))
-_STACK_SHAPES = st.sampled_from([(3,), (1, 3), (4, 3), (2, 2, 3), (0, 3),
-                                 (0,), (), (2,), (4,), (3, 2), (2, 3, 1)])
-_COORD_SHAPES = st.sampled_from([(), (1,), (2,), (3,), (0,), (2, 1)])
-_COUNTS = st.one_of(st.integers(-2, 6), st.sampled_from([2.5, 3.0, math.nan,
-                                                         True, False, None]))
-
-
-@st.composite
-def _arrays(draw, shapes):
-    shape = draw(shapes)
-    size = math.prod(shape)
-    values = draw(st.lists(_VALUES, min_size=size, max_size=size))
-    return np.array(values, dtype=float).reshape(shape)
+# module.[class.]function -> why the fuzz leaves it out.
+_UNFUZZED = {
+    "cli": "the command line: test_cli.py fuzzes its flags",
+    **dict.fromkeys([f"verify.suite_{name}" for name in SUITE_IDS],
+                    "fixed draws of up to 0.4 s; test_acceptance.py runs every suite"),
+    "state_space.Record.__init__": "the record base: the fuzz builds each subclass",
+    **dict.fromkeys(_CHECKS, "a check, or a kernel on arrays that qig has checked or "
+                             "made: the fuzz reaches it through its callers"),
+    "flow_engine.csv_table": "writes the columns of Trajectory.to_csv, which is fuzzed",
+}
+# Examples per site where not 20: the counts the sites' own fuzzers drew.
+_EXAMPLES = {**dict.fromkeys(["metric_cartesian", "VectorField.at_cartesian",
+                              "integrate_flow", "orbit_curve", "action_alpha_a",
+                              "action_bkm", "solve_branch", "singularities"], 50),
+             **dict.fromkeys(["inverse_metric", "lie_bracket_numeric", "classify"], 40),
+             "TracelessObservable.from_coeffs": 60, "cotangent_multiply": 60,
+             "scan_monotonicity": 30}
 
 
-@st.composite
-def _observables(draw):
-    return TracelessObservable.from_coeffs(
-        draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+def _poles(poles, count):
+    ts, rs = np.array(poles.t_values), np.array(poles.r_values)
+    return (len(ts) == len(rs) == count and (0.0 < ts).all() and (ts <= 1.0).all()
+            and (np.diff(ts) < 0.0).all() and np.array_equal(rs, (1.0 - ts) / (1.0 + ts)))
 
 
-def _fields(a: TracelessObservable, spec):
-    return [fundamental_field(a), gradient_field_closed(a, spec),
-            gradient_field_from_metric(a, spec), rescaled_gradient_field(a, 2.0)]
-
-
-def _valid_or_qig_error(call, check):
+def _inverts(m: MetricAtPoint) -> bool:
+    """Whether inverse_metric(m) has finite floats and m's shape, or raises QigError."""
     try:
-        out = call()
+        inverse = inverse_metric(m)
     except QigError:
-        return
-    check(out)
+        return True
+    return inverse.matrix.shape == m.matrix.shape and _finite_floats(inverse)
 
 
-@settings(max_examples=50, deadline=None)
-@given(_arrays(_COORD_SHAPES), _arrays(_COORD_SHAPES), _arrays(_COORD_SHAPES),
-       st.sampled_from(SPECS))
-def test_metric_cartesian_and_inverse(x, y, z, spec):
-    def check_metric(m):
-        shape = np.broadcast_shapes(x.shape, y.shape, z.shape)
-        assert m.matrix.shape == shape + (3, 3)
-        assert np.isfinite(m.matrix).all()
-        assert np.array_equal(m.matrix, m.matrix.swapaxes(-1, -2))
-        _valid_or_qig_error(lambda: inverse_metric(m), check_inverse)
-
-    def check_inverse(inv):
-        assert inv.matrix.shape == np.broadcast_shapes(x.shape, y.shape,
-                                                       z.shape) + (3, 3)
-        assert np.isfinite(inv.matrix).all()
-
-    _valid_or_qig_error(lambda: metric_cartesian(spec, x, y, z), check_metric)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 3), st.data())
-def test_inverse_metric_of_arbitrary_stacks(count, data):
-    matrix = data.draw(_arrays(st.just((count, 3, 3))))
-    xs = np.linspace(0.1, 0.5, count)
-
-    def check(inv):
-        assert inv.matrix.shape == (count, 3, 3)
-        assert np.isfinite(inv.matrix).all()
-
-    _valid_or_qig_error(
-        lambda: inverse_metric(MetricAtPoint("cartesian", matrix, (xs, 0.0, 0.0))),
-        check)
+# Per site, what a result must meet beyond finite floats, given the call's
+# keyword arguments: shapes that broadcast, a symmetric metric that inverts,
+# a grid read flat, one report per spec, a trajectory inside the ball, sorted
+# poles.
+_POST = {
+    "metric_cartesian": lambda out, kw: (
+        out.matrix.shape == np.broadcast_shapes(*(np.shape(kw[c]) for c in "xyz")) + (3, 3)
+        and np.array_equal(out.matrix, out.matrix.swapaxes(-1, -2)) and _inverts(out)),
+    "inverse_metric": lambda out, kw: out.matrix.shape == np.shape(kw["m"].matrix),
+    "VectorField.at_cartesian": lambda out, kw: out.components.shape == np.shape(kw["v"]),
+    "lie_bracket_numeric": lambda out, kw: out.components.shape == np.shape(kw["p"]),
+    **dict.fromkeys(["integrate_flow", "orbit_curve"], lambda out, kw: (
+        out.points.shape == (kw.get("steps", kw.get("samples")) + 1, 3)
+        and (out.radii < 1.0).all())),
+    "cotangent_multiply": lambda out, kw: (
+        out[0].shape == np.broadcast_shapes(np.shape(kw["u1"]), np.shape(kw["u2"]))
+        and out[1].shape == np.broadcast_shapes(np.shape(kw["a1"]), np.shape(kw["a2"]),
+                                                np.shape(kw["u1"])[:-2] + (3,))),
+    "classify": lambda out, kw: (
+        len(out.values) == np.size(kw["grid"])
+        and out.branch in ("bkm_a0", "family_a_pos", "family_b_neg", "none")),
+    "scan_monotonicity": lambda out, kw: [rep.spec for rep in out] == [
+        spec.name for spec in kw["specs"]],
+    "singularities": lambda out, kw: _poles(out, kw.get("max_count", 10)),
+    "solve_branch": lambda out, kw: not isinstance(out, Exclusion) or _poles(out.poles, 10),
+}
 
 
-@settings(max_examples=50, deadline=None)
-@given(_arrays(_STACK_SHAPES), _observables(), st.sampled_from(SPECS),
-       st.integers(0, 3))
-def test_field_at_cartesian(v, a, spec, which):
-    def check(tangent):
-        assert tangent.components.shape == v.shape
-        assert np.isfinite(tangent.components).all()
-
-    _valid_or_qig_error(lambda: _fields(a, spec)[which].at_cartesian(v), check)
-
-
-@settings(max_examples=40, deadline=None)
-@given(_arrays(_STACK_SHAPES), _observables(), _observables(),
-       st.sampled_from(SPECS), st.integers(0, 3), st.integers(0, 3),
-       st.one_of(st.floats(1e-6, 1e-2),
-                 st.sampled_from([0.0, -1e-4, 0.6, math.nan, math.inf])))
-def test_lie_bracket_numeric(p, a, b, spec, i, j, h):
-    def check(tangent):
-        assert tangent.components.shape == p.shape
-        assert np.isfinite(tangent.components).all()
-
-    _valid_or_qig_error(
-        lambda: lie_bracket_numeric(_fields(a, spec)[i], _fields(b, spec)[j],
-                                    p, h), check)
-
-
-_T_END = st.one_of(st.floats(-3.0, 3.0),
-                   st.sampled_from([0.0, 1e3, 1e308, -1e308, math.nan,
-                                    math.inf]))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(_VALUES, min_size=3, max_size=3), _observables(),
-       st.sampled_from(SPECS + [CUSTOM]), st.integers(0, 3), _T_END, _COUNTS)
-def test_integrate_flow(start, a, spec, which, t_end, steps):
-    def check(traj):
-        assert traj.points.shape == (steps + 1, 3)
-        assert (traj.radii < 1.0).all()
-
-    _valid_or_qig_error(
-        lambda: integrate_flow(_fields(a, spec)[which], QubitState(*start),
-                               t_end, steps), check)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(_VALUES, min_size=3, max_size=3), _observables(),
-       _observables(), st.sampled_from([0.25, 1.0, 2.0, None]), _T_END, _COUNTS)
-def test_orbit_curve(start, a, b, a_const, t_end, steps):
-    def check(traj):
-        assert traj.points.shape == (steps + 1, 3)
-        assert (traj.radii < 1.0).all()
-
-    def call():
-        group = (bkm_subgroup(a, b) if a_const is None
-                 else alpha_subgroup(a_const, a, b))
-        return orbit_curve(group, QubitState(*start), t_end, steps)
-
-    _valid_or_qig_error(call, check)
-
-
-_COEFFS = st.one_of(
-    st.lists(_VALUES, max_size=5),
-    st.lists(st.lists(st.floats(-1.0, 1.0), max_size=3), max_size=3),
-    st.sampled_from(["abc", None, 0.5, {"a": 1}, [1j, 0.0, 0.0],
-                     [0.1, "x", 0.2], [10 ** 400, 0, 0]]))
-
-
-@settings(max_examples=60, deadline=None)
-@given(_COEFFS)
-def test_observable_from_coeffs(coeffs):
-    def check(obs):
-        assert obs.coeffs.shape == (3,) and np.isfinite(obs.coeffs).all()
-
-    _valid_or_qig_error(lambda: TracelessObservable.from_coeffs(coeffs), check)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.sampled_from(SPECS), max_size=3),
-       st.lists(st.one_of(st.integers(-1, 4), st.sampled_from([1.5, True])),
-                max_size=3),
-       _COUNTS, st.one_of(st.integers(-1, 2 ** 40), st.sampled_from([0.5, True])))
-def test_scan_monotonicity(specs, sizes, samples, seed):
-    def check(reports):
-        assert [rep.spec for rep in reports] == [spec.name for spec in specs]
-        assert all(math.isfinite(rep.min_gap) for rep in reports)
-
-    _valid_or_qig_error(
-        lambda: scan_monotonicity(specs, sizes=sizes, samples=samples, seed=seed),
-        check)
-
-
-_TRIPLES = st.lists(_VALUES, min_size=3, max_size=3)
-ZERO = TracelessObservable(0.0, 0.0, 0.0)
+def _finite_floats(out) -> bool:
+    """Whether every float of a result is finite, those in a record's fields
+    and in the items of a tuple, list or dict included."""
+    if isinstance(out, Record):
+        out = [getattr(out, name) for name in out.__slots__]
+    if isinstance(out, (list, tuple, dict)):
+        return all(map(_finite_floats, out.values() if isinstance(out, dict) else out))
+    return np.asarray(out).dtype.kind not in "fc" or bool(np.isfinite(out).all())
 
 
 @st.composite
-def _sl_elements(draw):
-    """A call that builds an SL(2, C) element: exp((a - i b)/2) from
-    coefficients of any size, or diag(x, 1/x) from a tiny to a huge x."""
-    if draw(st.booleans()):
-        a, b = draw(_TRIPLES), draw(_TRIPLES)
-        return lambda: sl_from_generators(TracelessObservable(*a),
-                                          TracelessObservable(*b))
-    x = draw(st.sampled_from([1e-300, 1e-8, 0.5, 3.0, 1e8, 1e154, 1e308]))
-    return lambda: SLGroupElement(np.diag([x, 1.0 / x]).astype(complex))
+def _calls(draw, site, owner, name, func):
+    """(target, keyword arguments) of a call of a public callable, a method
+    of a drawn record for a method, each argument drawn from its rule."""
+    target = owner if name == "__init__" else func
+    if owner and name != "__init__" and not isinstance(inspect.getattr_static(owner, name),
+                                                       staticmethod):
+        record = draw(_METRICS if owner is MetricAtPoint else _RECORDS[owner])
+        if isinstance(func, property):
+            return functools.partial(getattr, record, name), {}
+        target = getattr(record, name)
+    hints, kwargs = typing.get_type_hints(func), {}
+    for param, parameter in inspect.signature(target).parameters.items():
+        rule = _rule(site, param, hints.get(param))
+        draws = _DRAWS.get(f"{site}.{param}", _DRAWS.get(param)) if rule is None else (
+            rule[2] | st.sampled_from([case[2] for case in rule[1](name, param)]))
+        if draws is not None:
+            kwargs[param] = draw(draws, label=param)
+        elif parameter.default is parameter.empty:
+            raise AssertionError(f"{site}.{param} has no strategy")
+    return target, kwargs
 
 
-def _is_state(rho):
-    assert isinstance(rho, QubitState) and np.linalg.norm(rho.bloch) < 1.0
+# module.[class.]function -> (site, owner class or None, name, function).
+_FUZZED = {c[0]: c[1:] for c in _callables() if not _unchecked(c[0], _UNFUZZED)}
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.sampled_from([0.25, 1.0, 4.0, 1e-300, 1e300, 0.0, -1.0, math.nan,
-                        math.inf]), _sl_elements(), _TRIPLES)
-def test_action_alpha_a(a_const, element, start):
-    _valid_or_qig_error(
-        lambda: action_alpha_a(a_const, element(), QubitState(*start)), _is_state)
+def _fuzz(qualname: str) -> None:
+    site, owner, name, func = _FUZZED[qualname]
+
+    @settings(max_examples=_EXAMPLES.get(site, 20), deadline=None)
+    @given(_calls(site, owner, name, func))
+    def call(target_and_kwargs):
+        target, kwargs = target_and_kwargs
+        try:
+            out = target(**kwargs)
+        except QigError:
+            return
+        assert _finite_floats(out), out
+        assert _POST.get(site, lambda out, kw: True)(out, kwargs), out
+
+    call()
 
 
-@settings(max_examples=50, deadline=None)
-@given(_TRIPLES, _TRIPLES, _TRIPLES)
-def test_action_bkm(b, a, start):
-    def call():
-        unitary = sl_from_generators(ZERO, TracelessObservable(*b)).matrix
-        element = CotangentGroupElement(unitary, TracelessObservable(*a))
-        return action_bkm(element, QubitState(*start))
-
-    _valid_or_qig_error(call, _is_state)
+_NAMED = []
 
 
-_STACKS = st.sampled_from([(), (1,), (3,), (2, 1)])
+def _named(qualname: str):
+    """The fuzz of one callable as a test of its own; the parametrized fuzz
+    leaves it out."""
+    _NAMED.append(qualname)
+    return lambda: _fuzz(qualname)
 
 
-@settings(max_examples=50, deadline=None)
-@given(_STACKS, _STACKS, st.data())
-def test_cotangent_multiply(shape_1, shape_2, data):
-    # Stacks of elements (U, a) of the cotangent group, U in SU(2) and a of
-    # any size, against each other.
-    def unitaries(shape):
-        return np.array([sl_from_generators(ZERO, data.draw(_observables())).matrix
-                         for _ in range(math.prod(shape))]).reshape(shape + (2, 2))
+test_metric_cartesian_and_inverse = _named("metric_family.metric_cartesian")
+test_inverse_metric_of_arbitrary_stacks = _named("metric_family.inverse_metric")
+test_scan_monotonicity = _named("metric_family.scan_monotonicity")
+test_field_at_cartesian = _named("vector_fields.VectorField.at_cartesian")
+test_lie_bracket_numeric = _named("vector_fields.lie_bracket_numeric")
+test_integrate_flow = _named("flow_engine.integrate_flow")
+test_orbit_curve = _named("flow_engine.orbit_curve")
+test_observable_from_coeffs = _named("state_space.TracelessObservable.from_coeffs")
+test_action_alpha_a = _named("group_actions.action_alpha_a")
+test_action_bkm = _named("group_actions.action_bkm")
+test_cotangent_multiply = _named("group_actions.cotangent_multiply")
+test_classify = _named("ode_classifier.classify")
+test_solve_branch = _named("ode_classifier.solve_branch")
+test_singularities = _named("ode_classifier.singularities")
 
-    u1, u2 = unitaries(shape_1), unitaries(shape_2)
-    a1 = data.draw(_arrays(st.just(shape_1 + (3,))))
-    a2 = data.draw(_arrays(st.just(shape_2 + (3,))))
 
-    def check(product):
-        u12, a12 = product
-        stack = np.broadcast_shapes(shape_1, shape_2)
-        assert u12.shape == stack + (2, 2) and a12.shape == stack + (3,)
-        assert np.allclose(u12 @ u12.conj().swapaxes(-1, -2), np.eye(2))
-        assert np.isfinite(a12).all()
-
-    _valid_or_qig_error(lambda: cotangent_multiply(u1, a1, u2, a2), check)
+@pytest.mark.parametrize("qualname", [q for q in _FUZZED if q not in _NAMED])
+def test_public_callable_fuzz(qualname):
+    _fuzz(qualname)
 
 
 # Each argument of cotangent_multiply and the core shape it must end in.
@@ -275,9 +194,9 @@ _CORES = {"u1": (2, 2), "a1": (3,), "u2": (2, 2), "a2": (3,)}
                                  (5, 3), (2, 2, 2)]), min_size=4, max_size=4),
        st.data())
 def test_cotangent_multiply_of_any_shapes(shapes, data):
-    # Arrays of any shape in each place: a DomainError names an argument
-    # that does not end in its core shape.
-    args = {name: data.draw(_arrays(st.just(shape)))
+    # Arrays of any shape in every place at once: a DomainError names an
+    # argument that does not end in its core shape.
+    args = {name: data.draw(hnp.arrays(float, shape, elements=_VALUES))
             for name, shape in zip(_CORES, shapes)}
     wrong = [name for name, core in _CORES.items()
              if args[name].shape[-len(core):] != core]
@@ -290,49 +209,73 @@ def test_cotangent_multiply_of_any_shapes(shapes, data):
     assert not wrong
 
 
-_GRIDS = st.sampled_from([(20,), (25,), (4, 5), (19,), (0,), ()])
+def _boost(x: float) -> SLGroupElement:
+    return SLGroupElement(np.diag([x, 1.0 / x]).astype(complex))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(SPECS + [CUSTOM]), _GRIDS, st.data())
-def test_classify(spec, shape, data):
-    grid = data.draw(st.one_of(
-        _arrays(st.just(shape)),
-        st.just(np.linspace(0.05, 0.95, math.prod(shape)).reshape(shape))))
+T = TracelessObservable
+HUGE = custom(lambda t: t * 0 + 1e308, "c")
+# Calls the fuzz found ending in a raw exception or warning or in a silent
+# value, and the renamed grid messages, each with its error class and whole
+# message: the QigError names the parameter, point or spec at fault.
+_PROBES = [
+    ("g_from_f-subnormal-r", lambda: g_from_f(bkm(), 5e-324), NumericError,
+     "r = 5e-324 makes g of bkm not finite"),
+    ("g_derivative-analytic-r-2", lambda: g_derivative(bures_helstrom(), 2.0),
+     DomainError, "r = 2.0 is outside (0, 1)"),
+    ("g_derivative-analytic-r-neg", lambda: g_derivative(wigner_yanase(), -0.5),
+     DomainError, "r = -0.5 is outside (0, 1)"),
+    ("g_derivative-r-0", lambda: g_derivative(bkm(), 0.0), DomainError,
+     "r = 0.0 is outside (0, 1)"),
+    ("finite_f-log-0", lambda: finite_f(family_b(1.0, 0.0), 0.0), NumericError,
+     "t = 0.0 makes f of family_b(1,0) zero or not finite"),
+    ("su2_bracket-overflow", lambda: su2_bracket(T(1e300, 0, 0), T(0, 1e300, 0)),
+     NumericError, "[a, b] of a = TracelessObservable(a1=1e+300, a2=0, a3=0) and "
+                   "b = TracelessObservable(a1=0, a2=1e+300, a3=0) is not finite"),
+    ("scan-huge-f", lambda: scan_monotonicity([HUGE], sizes=(3,), samples=2),
+     NumericError, "t = 0.012396534691578554 makes |f| of c above 2.25e+307, "
+                   "too large to scan"),
+    ("metric_cartesian-empty-x", lambda: metric_cartesian(bkm(), [], np.inf, 0.0),
+     DomainError, "coordinates of shapes [(0,), (), ()] do not broadcast to one shape"),
+    ("metric_cartesian-empty-z", lambda: metric_cartesian(bkm(), np.nan, 0.0, []),
+     DomainError, "coordinates of shapes [(), (), (0,)] do not broadcast to one shape"),
+    ("cotangent_multiply-u1-u2", lambda: cotangent_multiply(
+        _boost(1e200).matrix, [0, 0, 0], _boost(1e200).matrix, [0, 0, 0]),
+     NumericError, "U1 U2 = [(inf+nanj), 0j, 0j, 0j] is not finite"),
+    ("complex_matrix_to_json-nan", lambda: complex_matrix_to_json(
+        np.array([[np.nan, 0], [0, 1]])), DomainError, "m = nan is not finite"),
+    ("alpha-cancelled", lambda: action_alpha_a(4.0, _boost(1e8),
+                                               QubitState(0, 0, -0.99999999)),
+     NumericError, "(t, x) of g rho^sqrt(A) g^dag = [0.0, 0.0, 0.0, 0.0] has lost "
+                   "t + |x| > 0 to rounding"),
+    ("alpha-overflow", lambda: action_alpha_a(1.0, _boost(1e200), QubitState(0, 0, 0.5)),
+     NumericError, "(t, x) of g rho^sqrt(A) g^dag = [nan, nan, nan, nan] is not finite"),
+    ("from_matrix-overflow", lambda: T.from_matrix(np.array([[1e308, 1e308],
+                                                             [1e308, -1e308]])),
+     DomainError, "Pauli coefficients (inf, 0.0, inf) are not all finite"),
+    ("sl-subnormal-det", lambda: SLGroupElement(np.array([[0, 5e-324], [5e-324, 5e-324]])),
+     DomainError, "determinant (-0+0j) != 1"),
+    ("bkm-orbit-overflow", lambda: orbit_curve(bkm_subgroup(T(0, 0, 0), T(0, 0, 4)),
+                                               QubitState(0.1, 0.2, 0.3), 1e308, 3),
+     NumericError, "matrix exponential of the generator overflows"),
+    ("commutators-inf-point", lambda: verify_commutator_relations(
+        bkm(), [[np.inf, np.inf, np.inf]]), DomainError,
+     "point = [inf, inf, inf] is not inside the open ball"),
+    ("petz-empty-grid", lambda: check_petz_symmetry(bkm(), []), DomainError,
+     "grid = [] has no points"),
+    ("petz-grid-outside", lambda: check_petz_symmetry(bkm(), [0.5, 1.5]), DomainError,
+     "grid = 1.5 is outside (0, 1)"),
+    ("classify-grid-size", lambda: classify(bkm(), np.linspace(0.05, 0.95, 19)),
+     DomainError, "grid size = 19 is not an integer >= 20"),
+    ("classify-grid-outside", lambda: classify(bkm(), np.linspace(0.05, 0.95, 20) + 0.5),
+     DomainError, "grid = 1.0236842105263158 is outside (0, 1)"),
+]
 
-    def check(result):
-        assert len(result.values) == grid.size and np.isfinite(result.values).all()
-        assert math.isfinite(result.range_width)
-        assert result.branch in ("bkm_a0", "family_a_pos", "family_b_neg", "none")
 
-    _valid_or_qig_error(lambda: classify(spec, grid), check)
+@pytest.mark.parametrize("call,error,message",
+                         [pytest.param(*row[1:], id=row[0]) for row in _PROBES])
+def test_probe_raises_its_error(call, error, message):
+    with pytest.raises(QigError) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
 
-
-_PARAMETERS = st.one_of(st.floats(-5.0, 5.0), st.sampled_from(
-    [0.0, 1e-300, -1e-300, 1e300, -1e300, 1e308, -1e308, math.nan, math.inf,
-     -math.inf]))
-
-
-@settings(max_examples=50, deadline=None)
-@given(_PARAMETERS, _PARAMETERS)
-def test_solve_branch(a_const, c):
-    def check(result):
-        assert isinstance(result, (MonotoneFunctionSpec, Exclusion))
-        if isinstance(result, Exclusion):
-            _check_poles(result.poles, 10)
-
-    _valid_or_qig_error(lambda: solve_branch(a_const, c), check)
-
-
-def _check_poles(poles, count):
-    ts, rs = np.array(poles.t_values), np.array(poles.r_values)
-    assert len(ts) == len(rs) == count
-    assert (0.0 < ts).all() and (ts <= 1.0).all() and (np.diff(ts) < 0.0).all()
-    assert np.array_equal(rs, (1.0 - ts) / (1.0 + ts))
-
-
-@settings(max_examples=50, deadline=None)
-@given(_PARAMETERS, _PARAMETERS, _COUNTS)
-def test_singularities(b_const, c, count):
-    _valid_or_qig_error(lambda: singularities(b_const, c, count),
-                        lambda poles: _check_poles(poles, count))
