@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import inspect
 import json
 import math
 import sys
@@ -232,22 +233,31 @@ def _run_config(args) -> None:
         raise InputError(f"{owner}: {name} = {args.output!r} is not a path")
 
 
+# The verify flags a suite may read, by the suite parameter each one sets.
+_SUITE_FLAGS = {"spec": "--spec", "samples": "--samples", "tol": "--tolerance"}
+
+
 def cmd_verify(args) -> int:
-    """Run each suite as suite(seed=..., tol=...), tol only when --tolerance
-    is set, plus samples for actions and spec (when given) for commutators;
-    a suite's QigError keeps its class and gains the prefix "suite <name>: "."""
-    _run_config(args)
+    """Run each suite with the options its signature names: seed, samples,
+    tol when a tolerance is set and spec when --spec is.  --spec, --samples
+    or --tolerance on the command line that no selected suite reads is an
+    InputError; a suite's QigError keeps its class and gains the prefix
+    "suite <name>: "."""
     names = sorted(vf.SUITES) if args.suite == "all" else [args.suite]
-    tol = {} if args.tolerance is None else {"tol": args.tolerance}
+    params = {name: inspect.signature(vf.SUITES[name]).parameters for name in names}
+    read = set().union(*params.values())
+    for param, flag in _SUITE_FLAGS.items():
+        if getattr(args, flag[2:]) is not None and param not in read:
+            raise InputError(f"qig verify {args.suite}: no suite reads {flag}")
+    _run_config(args)
+    options = {"seed": args.seed, "samples": args.samples, "tol": args.tolerance,
+               "spec": None if args.spec is None else mf.spec_from_name(args.spec)}
     reports = {}
     for name in names:
-        kwargs = {"seed": args.seed, **tol}
-        if name == "actions":
-            kwargs["samples"] = args.samples
-        if name == "commutators" and args.spec is not None:
-            kwargs["spec"] = mf.spec_from_name(args.spec)
         try:
-            reports[name] = vf.SUITES[name](**kwargs)
+            reports[name] = vf.SUITES[name](**{
+                key: value for key, value in options.items()
+                if key in params[name] and value is not None})
         except QigError as exc:
             raise type(exc)(f"suite {name}: {exc}") from None
     passed = all(r["passed"] for r in reports.values())

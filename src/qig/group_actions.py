@@ -335,19 +335,17 @@ def verify_alpha_action(a_const: float, samples: int = 200,
                          sl_identity().matrix, g1, g2, g12, states[:, 0])
 
 
-def verify_bkm_action(samples: int = 200, seed: int = 0,
-                      multiply=cotangent_multiply) -> ActionAxiomReport:
+def verify_bkm_action(samples: int = 200, seed: int = 0) -> ActionAxiomReport:
     """Identity and compatibility axioms for the BKM cotangent action.
 
     Each sample is a state rho and two elements h_i = (exp(b_i/(2i)), a_i),
-    held as stacks of unitaries and Pauli coefficients.  ``multiply`` is
-    their stacked group law, as cotangent_multiply; it is injectable so that
-    a wrong law can be shown to fail the compatibility axiom.
+    held as stacks of unitaries and Pauli coefficients and multiplied by
+    cotangent_multiply, the stacked group law.
     """
     states, coeffs = _draws(seed, 2, samples, 1, 4)
     b1, a1, b2, a2 = np.moveaxis(coeffs, 1, 0)
     u1, u2 = (_expm_traceless_2x2(-0.5j * _pauli_matrices(b)) for b in (b1, b2))
-    u12, a12 = multiply(u1, a1, u2, a2)
+    u12, a12 = cotangent_multiply(u1, a1, u2, a2)
     for u, what in ((u1, "U1"), (u2, "U2"), (u12, "U1 U2")):
         require_all(_unitary(u) & _unit_det(u), np.arange(samples), NumericError,
                     "sample", f"gives {what} not in SU(2)")

@@ -16,7 +16,8 @@ bures_helstrom  f(t) = (1+t)/2              F = 1
 wigner_yanase   f(t) = (1+sqrt(t))^2/4      F = 1/4
 family_a(A)     f(t) = (sqrt(A)/2)(1-t)(1+t^sqrt(A))/(1-t^sqrt(A)),  F = A
 rld             f(t) = 2t/(1+t)             F = -2(1-r^2), non-constant control
-family_b(B, c)  f(t) = sqrt(B)(1-t)/2 tan(sqrt(B)(log t - c)), has poles
+family_b(B, c)  f(t) = sqrt(B)(1-t) tan(sqrt(B)(log t - c)),  F = -4B, has poles;
+                f(1) = 1 only for c = -pi/(2 sqrt(B)) mod pi/sqrt(B)
 
 family_a(1) coincides with bures_helstrom, family_a(1/4) with wigner_yanase.
 """
@@ -100,7 +101,7 @@ def _family_b_f(t, b: float, c: float):
     dist = np.abs(np.mod(psi, math.pi) - math.pi / 2.0)
     if np.any(dist < POLE_CUTOFF):
         raise PoleError(f"tan argument within {POLE_CUTOFF} of a pole")
-    out = sb * (1.0 - t) / 2.0 * np.tan(psi)
+    out = sb * (1.0 - t) * np.tan(psi)
     return out if out.ndim else float(out)
 
 
@@ -196,7 +197,7 @@ def family_b(b_const: float, c: float = 0.0) -> MonotoneFunctionSpec:
     def gp(r):
         r = np.asarray(r, dtype=float)
         psi = math.sqrt(b_const) * (np.log((1.0 - r) / (1.0 + r)) - c)
-        return -2.0 * b_const * (1.0 + np.tan(psi) ** 2) / (1.0 - r * r)
+        return -4.0 * b_const * (1.0 + np.tan(psi) ** 2) / (1.0 - r * r)
 
     return MonotoneFunctionSpec(
         "family_b", f"family_b({b_const:g},{c:g})",

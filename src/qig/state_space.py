@@ -242,15 +242,6 @@ def require_items(name: str, value, noun: str) -> tuple:
     return items
 
 
-def all_true(ok) -> bool:
-    """Whether every entry of the numpy boolean mask ok holds.
-
-    A 0-d mask (a single point's check) is read with bool(), which costs a
-    fraction of the ok.all() reduction that a stack takes.
-    """
-    return bool(ok) if ok.ndim == 0 else bool(ok.all())
-
-
 def require_all(ok, rows, error, name: str, reason: str) -> None:
     """Check that every entry of the numpy boolean mask ok holds; otherwise
     raise error "{name} = {row} {reason}" at the first failing entry.
@@ -258,7 +249,7 @@ def require_all(ok, rows, error, name: str, reason: str) -> None:
     rows labels the entries: one value each (the shape of ok) or one row
     each (the shape of ok plus one axis).
     """
-    if all_true(ok):
+    if ok.all():
         return
     row = np.reshape(rows, (np.size(ok), -1))[int(np.argmin(np.ravel(ok)))].tolist()
     raise error(f"{name} = {row[0] if np.ndim(rows) == np.ndim(ok) else row} "

@@ -19,7 +19,7 @@ from .errors import DomainError, NeighborhoodOutsideBall, NumericError
 from .metric_family import (MonotoneFunctionSpec, big_f, family_a, finite_f,
                             inverse_metric, metric_cartesian)
 from .state_space import (CALLABLE, EPS_BOUNDARY, Record, SphericalPoint,
-                          TracelessObservable, all_true, ball_radii, bloch_norm,
+                          TracelessObservable, ball_radii, bloch_norm,
                           require_all, require_array, require_instance,
                           require_positive)
 
@@ -137,7 +137,7 @@ def gradient_field_closed(a: TracelessObservable, spec: MonotoneFunctionSpec,
     def cartesian(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         r = bloch_norm(v)
-        if not all_true((r >= 1e-12) & (r < 1.0)):
+        if not ((r >= 1e-12) & (r < 1.0)).all():
             ball_radii(v)  # raises for a point outside the open ball
             center = r < 1e-12
             out = np.empty(v.shape)

@@ -2,13 +2,13 @@
 
 Every mathematically checkable claim of the construction gets a suite with a
 pinned tolerance; ``SUITES`` maps each suite's name to its function, and
-each report is deterministic given the seed.  Every suite takes the keywords
-``seed`` and ``tol`` (its main tolerance); ``actions`` also takes
-``samples`` and ``commutators`` ``spec``.  Per-suite RNG seeds derive
-from the root seed by the counter scheme
-``sub_seed = seed * 1000 + SUITE_IDS[name]`` so adding a suite never
-perturbs the samples of another one.  A seed or tol out of its domain is a
-DomainError (flows and poles ignore the seed, monotone the tol).
+each report is deterministic given the seed.  A suite's signature lists the
+keywords it reads: ``seed`` for the suites that draw samples, ``tol`` (the
+main tolerance) for all but monotone, ``samples`` for actions and ``spec``
+for commutators.  Per-suite RNG seeds derive from the root seed by the
+counter scheme ``sub_seed = seed * 1000 + SUITE_IDS[name]`` so adding a
+suite never perturbs the samples of another one.  A seed or tol out of its
+domain is a DomainError.
 """
 
 from __future__ import annotations
@@ -221,9 +221,8 @@ def suite_generators(seed: int = 0, tol: float = 1e-6) -> dict:
             "details": details, "max_dev": worst}
 
 
-def suite_flows(seed: int = 0, tol: float = 1e-6) -> dict:
-    """RK4 gradient flows match exact orbits; RK4 order check.
-    Deterministic, so ``seed`` is ignored."""
+def suite_flows(tol: float = 1e-6) -> dict:
+    """RK4 gradient flows match exact orbits; RK4 order check."""
     require_positive("suite_flows", "tol", tol)
     t_end, steps = 1.0, 1000
     start = QubitState(0.25, -0.15, 0.35)
@@ -262,9 +261,9 @@ def suite_flows(seed: int = 0, tol: float = 1e-6) -> dict:
             "details": details}
 
 
-def suite_monotone(seed: int = 0, tol: float | None = None) -> dict:
+def suite_monotone(seed: int = 0) -> dict:
     """Matrix-order scan: violations for A > 1, clean for the monotone trio.
-    Its thresholds are fixed: no main tolerance, so ``tol`` is ignored."""
+    Its thresholds are fixed, so it has no main tolerance."""
     s = sub_seed(seed, "monotone")
     details = {}
     passed = True
@@ -293,10 +292,9 @@ def suite_monotone(seed: int = 0, tol: float | None = None) -> dict:
     return {"name": "monotone", "passed": passed, "details": details}
 
 
-def suite_poles(seed: int = 0, tol: float = 1e-10) -> dict:
+def suite_poles(tol: float = 1e-10) -> dict:
     """Tangent-family poles of family_b(1, 0): located analytically, simple,
-    and metric-fatal.  Deterministic, so ``seed`` is ignored; ``tol`` bounds
-    the location error."""
+    and metric-fatal; ``tol`` bounds the location error."""
     require_positive("suite_poles", "tol", tol)
     poles = oc.singularities(1.0, 0.0, max_count=3)
     spec = mf.family_b(1.0, 0.0)

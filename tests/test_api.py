@@ -11,6 +11,7 @@ in _UNCHECKED with the reason.
 """
 
 import ast
+import inspect
 import pathlib
 
 import qig
@@ -27,25 +28,21 @@ _KEPT = {
 }
 
 
-# cmd_verify calls each suite as SUITES[name](**kwargs): seed and tol, plus
-# samples for actions and spec for commutators.  ast sees no such call.
-_SUITE_KEYWORDS = {"actions": ("samples",), "commutators": ("spec",)}
 _KEPT_PARAMS = {
     "cli.main.argv": "cli.entry, the qig command, calls main() with no "
                      "arguments; the tests pass a command line",
-    "group_actions.verify_bkm_action.multiply": "a test injects a wrong group law "
-                                                "to show that compatibility fails",
     "metric_family.scan_monotonicity.sizes": "the per-size tests scan one matrix "
                                              "size at a time",
-    **{f"verify.{suite.__name__}.{param}": "cmd_verify passes it through SUITES"
-       for name, suite in verify.SUITES.items()
-       for param in ("seed", "tol") + _SUITE_KEYWORDS.get(name, ())},
 }
+# cmd_verify passes each suite, through SUITES, the options its signature
+# names; ast sees no such call.
+_SUITE_PARAMS = {f"verify.{suite.__name__}.{param}" for suite in verify.SUITES.values()
+                 for param in inspect.signature(suite).parameters}
 
 # The checks of state_space, and its kernels on arrays that qig has checked or made.
 _CHECKS = [f"state_space.{name}" for name in (
     "require_count", "require_positive", "require_finite", "require_instance",
-    "require_array", "require_items", "all_true", "require_all", "ball_radii",
+    "require_array", "require_items", "require_all", "ball_radii",
     "check_bloch_array", "bloch_norm", "pauli_coeffs")]
 # module.[class.]function[.parameter] -> why those public parameters have no
 # generated wrong-input case (test_checks.py) and may reach numpy unchecked.
@@ -54,13 +51,10 @@ _UNCHECKED = {
     "state_space.Record.__init__": "the record base: a subclass's fields are its parameters",
     **dict.fromkeys(_CHECKS, "a check, or a kernel on arrays that qig has checked or made"),
     "flow_engine.csv_table": "its header and columns are checked against each other",
-    "group_actions.verify_bkm_action.multiply": "a test hook for a wrong group law",
     "metric_family.spec_from_name": "a hand row checks name; family_a or family_b "
                                     "checks A, B and c",
     "metric_family.derivative_limit_at_zero.a_const": "A > 1: a hand row checks it",
     "ode_classifier.solve_branch.c": "read for A < 0 only, by family_b",
-    **dict.fromkeys(["verify.suite_flows.seed", "verify.suite_poles.seed",
-                     "verify.suite_monotone.tol"], "ignored by the suite"),
 }
 
 
@@ -90,7 +84,8 @@ def _public_defs(tree):
 
 def _unpassed_defaults() -> list:
     """module.[class.]function.parameter of each defaulted parameter of a
-    public function or method that no call inside qig passes.
+    public function or method that no call inside qig passes, a suite's
+    parameters aside.
 
     A call matches by the callee's name (a class for __init__).  Its keywords
     pass their parameters and its positional arguments the positional
@@ -125,7 +120,7 @@ def _unpassed_defaults() -> list:
                 passed.update(positional[i:] if isinstance(arg, ast.Starred)
                               else positional[i:i + 1])
         unpassed += [f"{qualname}.{p}" for p in defaulted if p not in passed]
-    return unpassed
+    return [p for p in unpassed if p not in _SUITE_PARAMS]
 
 
 def _unreferenced() -> list:

@@ -111,15 +111,22 @@ def test_verify_rld_commutators_is_negative_control():
     assert data["suites"]["commutators"]["constant_coefficient"] is False
 
 
-def test_every_suite_takes_seed_and_tol():
-    # cmd_verify passes both keywords to every suite without asking.
+def test_spec_is_resolved_before_any_suite_runs(monkeypatch, capsys):
+    monkeypatch.setitem(verify.SUITES, "actions", lambda: pytest.fail("actions ran"))
+    assert cli.main(["verify", "all", "--spec", "nonsense"]) == 2
+
+
+def test_every_suite_parameter_is_a_verify_option():
+    # cmd_verify passes a suite the options its signature names; a parameter
+    # that is none of them could not be set from the command line.
     for suite in verify.SUITES.values():
-        inspect.signature(suite).bind(seed=0, tol=1.0)
+        assert set(inspect.signature(suite).parameters) <= {"seed", *cli._SUITE_FLAGS}
 
 
 def test_strict_tolerance_fails(tmp_path):
+    # generators reads no samples; a config key no suite reads is kept.
     cfg = tmp_path / "strict.cfg"
-    cfg.write_text("tolerance = 1e-15\nseed = 0\n")
+    cfg.write_text("tolerance = 1e-15\nseed = 0\nsamples = 7\n")
     r = run("verify", "generators", "--config", str(cfg))
     assert r.returncode == 1
 
@@ -405,6 +412,10 @@ _BAD_INPUT = [
     (["ode", "classify", "--grid-steps", str(cli.MAX_GRID_STEPS + 1)],
      "--grid-steps"),
     (["verify", "actions", "--samples", str(cli.MAX_SAMPLES + 1)], "--samples"),
+    # A suite flag that no selected suite reads.
+    (["verify", "poles", "--spec", "nonsense", "--samples", "7"], "--spec"),
+    (["verify", "poles", "--samples", "7"], "--samples"),
+    (["verify", "monotone", "--tolerance", "5"], "--tolerance"),
 ]
 
 

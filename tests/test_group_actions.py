@@ -10,7 +10,7 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 
-from qig import verify
+from qig import group_actions, verify
 from qig.errors import BoundaryViolation, DomainError, NumericError
 from qig.group_actions import (ActionAxiomReport, CotangentGroupElement,
                                SLGroupElement, _alpha_images, _bkm_images,
@@ -323,24 +323,26 @@ def test_bkm_action_axioms():
     assert rep.max_dev < 1e-10
 
 
-def test_bkm_action_wrong_group_law_fails():
+def test_bkm_action_wrong_group_law_fails(monkeypatch):
     # Dropping the conjugation from the semidirect product breaks
     # compatibility by a macroscopic margin.
-    rep = verify_bkm_action(samples=50, seed=1, multiply=_wrong_multiply)
+    monkeypatch.setattr(group_actions, "cotangent_multiply", _wrong_multiply)
+    rep = verify_bkm_action(samples=50, seed=1)
     assert rep.compatibility_dev > 1e-3
     assert rep == _record_loop_bkm_action(50, 1, _wrong_record_multiply)
 
 
 @pytest.mark.filterwarnings("error")
-def test_computed_unitary_outside_su2_is_numeric_error():
+def test_computed_unitary_outside_su2_is_numeric_error(monkeypatch):
     # A law whose product is not unitary names the first such sample.
     def scaled(u1, a1, u2, a2):
         u12, a12 = cotangent_multiply(u1, a1, u2, a2)
         u12[3] *= 2.0
         return u12, a12
 
+    monkeypatch.setattr(group_actions, "cotangent_multiply", scaled)
     with pytest.raises(NumericError, match=r"^sample = 3 gives U1 U2 not in SU\(2\)$"):
-        verify_bkm_action(samples=5, seed=0, multiply=scaled)
+        verify_bkm_action(samples=5, seed=0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -547,7 +549,7 @@ def test_alpha_axioms_match_per_sample_loop():
     assert abs(rep.compatibility_dev - comp_dev) <= 1e-15
 
 
-def test_bkm_wrong_law_matches_per_sample_loop():
+def test_bkm_wrong_law_matches_per_sample_loop(monkeypatch):
     # A wrong group law gives a macroscopic deviation, so agreement to
     # 1e-15 shows that the batched check tests the same states and elements.
     samples, seed = 60, 4
@@ -560,7 +562,8 @@ def test_bkm_wrong_law_matches_per_sample_loop():
         lhs = action_bkm(h1, action_bkm(h2, rho))
         rhs = action_bkm(_wrong_record_multiply(h1, h2), rho)
         worst = max(worst, float(np.max(np.abs(lhs.bloch - rhs.bloch))))
-    rep = verify_bkm_action(samples=samples, seed=seed, multiply=_wrong_multiply)
+    monkeypatch.setattr(group_actions, "cotangent_multiply", _wrong_multiply)
+    rep = verify_bkm_action(samples=samples, seed=seed)
     assert worst > 1e-3
     assert abs(rep.compatibility_dev - worst) <= 1e-15
 

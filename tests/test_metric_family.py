@@ -252,12 +252,6 @@ def test_scan_checks_every_spec_before_scanning():
 
 
 @pytest.mark.filterwarnings("error")
-def test_petz_symmetry_rejects_empty_grid():
-    with pytest.raises(DomainError, match=r"^grid = \[\] has no points$"):
-        check_petz_symmetry(bkm(), [])
-
-
-@pytest.mark.filterwarnings("error")
 def test_finite_difference_g_prime_names_the_callers_r():
     # Without an analytic g' the stencil reaches FD_STEP past r; the error
     # names the r the caller passed, not a stepped one.

