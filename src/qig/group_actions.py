@@ -26,7 +26,6 @@ from .state_space import (CALLABLE, PAULIS, SIGMA_0, QubitState, Record,
                           pauli_coeffs, require_all, require_array, require_count,
                           require_instance, require_positive)
 
-EIG_DEGENERACY_CUTOFF = 1e-8  # series fallback for the 2x2 exponential
 DET_TOLERANCE = 1e-10  # |det - 1| allowed for an SL(2, C) or SU(2) matrix
 GENERATOR_STEP = 1e-4  # central-difference step of generator_of_action
 
@@ -115,19 +114,13 @@ def sl_identity() -> SLGroupElement:
 def _expm_traceless_2x2(m: np.ndarray) -> np.ndarray:
     """exp of traceless 2x2 matrices: cosh(mu) I + sinh(mu)/mu m, mu^2 = -det m.
 
-    m may be a stack (..., 2, 2).  The sinh(mu)/mu factor switches to its
-    series where |mu| is small (degenerate eigenvalues).  A non-finite
-    result raises NumericError.
+    m may be a stack (..., 2, 2).  sinh(mu)/mu is 1 at mu = 0 (nilpotent or
+    zero m).  A non-finite result raises NumericError.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mu = np.sqrt(m[..., 0, 1] * m[..., 1, 0] - m[..., 0, 0] * m[..., 1, 1])
-        sinch, cosh = np.sinh(mu) / mu, np.cosh(mu)
-        small = np.abs(mu) < EIG_DEGENERACY_CUTOFF
-        if small.any():
-            mu2 = mu * mu
-            sinch = np.where(small, 1.0 + mu2 / 6.0 + mu2 * mu2 / 120.0, sinch)
-            cosh = np.where(small, 1.0 + mu2 / 2.0 + mu2 * mu2 / 24.0, cosh)
-        out = cosh[..., None, None] * _PAULI4[0] + sinch[..., None, None] * m
+        sinch = np.where(mu == 0, 1.0, np.sinh(mu) / mu)
+        out = np.cosh(mu)[..., None, None] * _PAULI4[0] + sinch[..., None, None] * m
     if not np.isfinite(out).all():
         raise NumericError("matrix exponential of the generator overflows")
     return out

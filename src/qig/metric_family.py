@@ -38,10 +38,6 @@ from .state_space import (CALLABLE, EPS_CHART, Record, SphericalPoint, ball_radi
                           require_all, require_array, require_count, require_finite,
                           require_instance, require_items, require_positive)
 
-# Removable singularities of f at t = 1 switch to a Taylor fallback here;
-# direct evaluation loses all precision closer to 1.
-SERIES_CUTOFF = 1e-6
-
 # Pole proximity threshold for the tangent family, measured as distance of
 # the tan argument to pi/2 mod pi.  Must sit well below sqrt(B)*1e-9 so
 # that evaluation 1e-9 away from a pole still returns a (huge) number.
@@ -56,40 +52,25 @@ SCREEN_MARGIN = 1024.0
 # The monotonicity scan draws and scores its pairs SCAN_BLOCK at a time, so
 # its matrix stacks hold at most SCAN_BLOCK pairs whatever the sample count.
 SCAN_BLOCK = 1024
-VIOLATION_TOL = 1e-10  # least gap below -VIOLATION_TOL is a counterexample
+VIOLATION_TOL = 1e-10  # a least gap below -VIOLATION_TOL max(1, |f|) is a counterexample
 PETZ_TOL = 1e-9  # largest symmetry or normalisation deviation that passes
 EXTRAPOLATION_TOL = 1e-4  # relative step at which the f'(0+) limit has converged
 
 
-def _kernels(direct, series=None, cutoff=SERIES_CUTOFF):
+def _kernels(direct):
     """(f_raw, f_float) of f from its formula direct(t, xp), xp the numpy or
-    math module, and its series(t) within cutoff of a removable
-    singularity at t = 1.  f_raw runs direct under np.errstate on an array,
-    and series on the entries that take it only.  f_float runs only the
-    branch it picks on one Python float t in (0, inf); any other t, or a step
-    that raises (a division by zero, an overflowing **), gets f_raw's value.
-    math and numpy round log and ** apart at some inputs."""
+    math module, which must not cancel near t = 1.  f_raw runs direct under
+    np.errstate on an array, f_float on one Python float t in (0, 1]; both
+    return f(1) = 1 at t = 1, where a formula may read 0/0."""
 
     def f_raw(t):
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = direct(t, np)
-        if series is not None:
-            near = np.abs(t - 1.0) < cutoff
-            if near.any():  # the series overflows far from t = 1
-                out = np.asarray(out)
-                out[near] = series(t[near])
+            out = np.where(t == 1.0, 1.0, direct(t, np))
         return out if out.ndim else float(out)
 
     def f_float(t):
-        if 0.0 < t < math.inf:
-            try:
-                if series is not None and abs(t - 1.0) < cutoff:
-                    return series(t)
-                return direct(t, math)
-            except ArithmeticError:
-                pass
-        return f_raw(t)
+        return 1.0 if t == 1.0 else direct(t, math)
 
     return f_raw, f_float
 
@@ -111,7 +92,7 @@ class MonotoneFunctionSpec(Record):
 
     ``f_raw`` evaluates the defining formula for any t > 0 (the extension
     beyond (0,1] is only used by the symmetry check); ``f_float`` evaluates
-    it on one Python float, for catalog entries only (see _kernels);
+    it on one Python float t in (0, 1], for catalog entries only (see _kernels);
     ``g_prime`` is the analytic derivative of g(r) when one is hard-coded for
     the catalog entry, otherwise None and finite differences are used.
     """
@@ -132,12 +113,8 @@ def bkm() -> MonotoneFunctionSpec:
         g = 2.0 / np.log((1.0 + r) / (1.0 - r))
         return -g * g / (1.0 - r * r)
 
-    def series(t):
-        u = t - 1.0
-        return 1.0 + u * (0.5 + u * (-1.0 / 12.0 + u * (1.0 / 24.0 - 19.0 / 720.0 * u)))
     return MonotoneFunctionSpec(
-        "bkm", "bkm", *_kernels(lambda t, xp: (t - 1.0) / xp.log(t), series),
-        gp)
+        "bkm", "bkm", *_kernels(lambda t, xp: (t - 1.0) / xp.log(t)), gp)
 
 
 def bures_helstrom() -> MonotoneFunctionSpec:
@@ -167,27 +144,20 @@ def family_a(a_const: float) -> MonotoneFunctionSpec:
     require_positive("family_a", "A", a_const)
     s = math.sqrt(a_const)
 
+    # em = t^sqrt(A) - 1 by expm1, so that neither f nor g' cancels near t = 1:
+    # f = (sqrt(A)/2)(1-t)(2+em)/(-em), g' = -4 (sqrt(A)/em)^2 t^(sqrt(A)-1)/(1+r)^2.
     def gp(r):
         r = np.asarray(r, dtype=float)
         t = (1.0 - r) / (1.0 + r)
-        u = t ** s
-        return -4.0 * s * s * t ** (s - 1.0) / ((1.0 - u) ** 2 * (1.0 + r) ** 2)
+        em = np.expm1(s * np.log(t))
+        return -4.0 * (s / em) ** 2 * t ** (s - 1.0) / (1.0 + r) ** 2
 
-    # Exact form (s/2)(1-t)(1+t^s)/(1-t^s); near t = 1, and while s*u < 1e-3 (u = 1-t),
-    # the equivalent 1/P - s*u/2, P the truncated series of (1-(1-u)^s)/(s*u).
     def direct(t, xp):
-        ts = t ** s
-        return 0.5 * s * (1.0 - t) * (1.0 + ts) / (1.0 - ts)
-
-    def series(t):
-        u = 1.0 - t
-        p = 1.0 + u * (-(s - 1.0) / 2.0
-                       + u * ((s - 1.0) * (s - 2.0) / 6.0
-                              - u * (s - 1.0) * (s - 2.0) * (s - 3.0) / 24.0))
-        return 1.0 / p - 0.5 * s * u
+        em = xp.expm1(s * xp.log(t))
+        return -0.5 * s * (1.0 - t) * (2.0 + em) / em
 
     return MonotoneFunctionSpec("family_a", f"family_a({a_const:g})",
-                                *_kernels(direct, series, min(SERIES_CUTOFF, 1e-3 / s)), gp)
+                                *_kernels(direct), gp)
 
 
 def family_b(b_const: float, c: float = 0.0) -> MonotoneFunctionSpec:
@@ -668,6 +638,8 @@ def scan_monotonicity(specs, sizes=(1, 2, 3, 4), samples: int = 10_000,
     the report is the one of scoring every pair at once.  At sizes other
     than 2 a spec's least gap is found by a screen that sends only the
     pairs which can hold it to eigvalsh (_min_gap).
+    A least gap below -VIOLATION_TOL max(1, max|f|), over that pair's
+    spectra, is a counterexample: the gaps round at eps |f|.
     An f value that is zero or not finite raises NumericError naming the
     spec and t.  Evidence only: a clean scan does not prove operator
     monotonicity.  The per-size RNG stream is derived from (seed, size) so
@@ -687,7 +659,8 @@ def scan_monotonicity(specs, sizes=(1, 2, 3, 4), samples: int = 10_000,
         for k, (gap, _, lam_a, lam_b) in enumerate(
                 _size_gaps(specs, dim, samples, seed)):
             min_gaps[k] = min(min_gaps[k], gap)
-            if counterexamples[k] is None and gap < -VIOLATION_TOL:
+            size = np.abs(_f_spectrum(specs[k], np.stack([lam_a, lam_b]))).max()
+            if counterexamples[k] is None and gap < -VIOLATION_TOL * max(1.0, size):
                 counterexamples[k] = {
                     "size": int(dim),
                     "gap": gap,

@@ -106,11 +106,12 @@ class Exclusion(Record):
 
 
 def solve_branch(a_const: float, c: float = 0.0) -> MonotoneFunctionSpec | Exclusion:
-    """Closed-form solution of F = A, normalized so that f(1) = 1.
+    """Closed-form solution of F = A.
 
-    A = 0 returns the BKM spec, A > 0 the family_a(A) spec.  A < 0 returns
-    an Exclusion carrying the family_b spec (B = -A/4, c a free parameter)
-    and the enumerated poles that rule it out.
+    A = 0 returns the BKM spec, A > 0 the family_a(A) spec, each with
+    f(1) = 1.  A < 0 returns an Exclusion carrying the family_b spec
+    (B = -A/4, c a free parameter) and the enumerated poles that rule it
+    out; its f(1) = 1 only for c = -pi/(2 sqrt(B)) mod pi/sqrt(B).
     """
     require_finite("A", a_const)
     if abs(a_const) < ZERO_TOL:

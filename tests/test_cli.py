@@ -538,16 +538,26 @@ def test_cli_fuzz_exit_codes_and_json_errors(argv):
      "point = [0.5, 0.0, 0.0] has a velocity"),
     (["bracket", "--v", "y:1e308,0,0", "--w", "y:0,1e308,0"],
      "point = [0.5, 0.0, 0.0] has a Lie bracket"),
-    (["export", "--what", "f-curves", "--a-list", "1e-300", "--steps", "3"],
-     "t = 0.005 makes f of family_a(1e-300)"),
     (["ode", "classify", "--spec", "bkm", "--grid-min", "1e-300", "--grid-max", "0.5",
       "--grid-steps", "20"], "r = 1e-300 makes F of bkm not finite"),
-], ids=["field-spherical", "field-cartesian", "bracket", "f-curves", "classify"])
+], ids=["field-spherical", "field-cartesian", "bracket", "classify"])
 def test_non_finite_result_is_numeric_error_exit_3(argv, named, capsys):
     code = cli.main(argv)
     data = json.loads(capsys.readouterr().out)
     assert code == 3
     assert data["error"] == "NumericError" and data["message"].startswith(named)
+
+
+def test_f_curves_of_a_tiny_a_are_the_bkm_curve(capsys):
+    # family_a(A) -> bkm as A -> 0; 1 - t^sqrt(A) rounded to 0 at A = 1e-300,
+    # and the export exited 3 naming t = 0.005.
+    code = cli.main(["export", "--what", "f-curves", "--a-list", "1e-300", "--steps", "3"])
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert code == 0 and header == "t,f_A1e-300"
+    for t, f in (map(float, row.split(",")) for row in rows):
+        assert f == pytest.approx(1.0 if t == 1.0 else (t - 1.0) / math.log(t),
+                                  rel=1e-15, abs=0.0)
+    assert len(rows) == 3
 
 
 # A valid state and a finite element whose computed image rounds onto the

@@ -271,9 +271,6 @@ _T_POLE = (1.0 - _R_START) / (1.0 + _R_START)
 _HAZARDS = {
     "family_b pole": (gradient_field_closed(
         A_OBS, family_b(1.0, math.log(_T_POLE) - math.pi / 2.0)), 1.0, 10),
-    # t^sqrt(A) rounds to 1: the float kernel divides by zero.
-    "family_a(1e-34) f = inf": (gradient_field_closed(A_OBS, family_a(1e-34)),
-                                1.0, 10),
     "custom f = 0": (gradient_field_closed(
         A_OBS, custom(lambda t: 0.0 * np.asarray(t), "zero")), 1.0, 10),
     "custom f = NaN": (gradient_field_closed(
@@ -295,6 +292,16 @@ def test_hazard_raises_the_array_loops_error(field, t_end, steps):
         integrate_flow(field, START, t_end, steps)
     assert type(got.value) is type(want)
     assert str(got.value) == str(want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_flow_of_a_tiny_a_is_the_bkm_flow():
+    # f_A = f_bkm (1 + O(A)) as A -> 0.  Where t^sqrt(A) rounded to 1, the
+    # float kernel of family_a(1e-34) divided by zero and the flow raised.
+    tiny = integrate_flow(gradient_field_closed(A_OBS, family_a(1e-34)), START, 1.0, 10)
+    npt.assert_allclose(tiny.points,
+                        integrate_flow(gradient_field_closed(A_OBS, bkm()), START,
+                                       1.0, 10).points, rtol=0.0, atol=1e-15)
 
 
 def test_compare_flow_to_orbit_checks_the_subgroup_before_integrating():

@@ -5,10 +5,12 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from qig import group_actions, verify
 from qig.errors import BoundaryViolation, DomainError, NumericError
@@ -138,11 +140,42 @@ def test_sl_from_generators_against_scipy_expm():
 
 
 def test_sl_from_generators_tiny_argument():
-    # The series fallback near zero argument must stay accurate.
+    # sinh(mu)/mu near mu = 0 must stay accurate.
     a = TracelessObservable(1e-10, 0.0, 0.0)
     ours = sl_from_generators(a, ZERO).matrix
     ref = scipy.linalg.expm(a.matrix() / 2.0)
     npt.assert_allclose(ours, ref, atol=1e-15)
+
+
+def _pauli_sum(parts, exponent):
+    """c.sigma for c = parts[:3] + i parts[3:] scaled to norm 10^exponent, so
+    |mu| = |c.c|^(1/2) <= 10^exponent."""
+    c = np.array(parts[:3]) + 1j * np.array(parts[3:])
+    return np.einsum("i,ijk->jk", c * 10.0 ** exponent / np.linalg.norm(c),
+                     np.array(PAULIS))
+
+
+_UNIT = st.floats(-1.0, 1.0)
+# A traceless m with |mu| in [1e-300, 1], or a nilpotent one (mu = 0
+# exactly): triangular, x [[1, -1], [1, -1]], or 0.
+_TRACELESS = st.one_of(
+    st.builds(_pauli_sum, st.lists(_UNIT, min_size=6, max_size=6).filter(
+        lambda v: np.linalg.norm(v) > 0.1), st.floats(-300.0, 0.0)),
+    _UNIT.map(lambda b: np.array([[0.0, b], [0.0, 0.0]], dtype=complex)),
+    _UNIT.map(lambda b: np.array([[0.0, 0.0], [b, 0.0]], dtype=complex)),
+    _UNIT.map(lambda x: x * np.array([[1.0, -1.0], [1.0, -1.0]], dtype=complex)))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None)
+@given(_TRACELESS)
+def test_expm_traceless_2x2_matches_mpmath(m):
+    got = _expm_traceless_2x2(m)
+    with mpmath.workdps(40):
+        want = mpmath.expm(mpmath.matrix(m.tolist()))
+        error = max(abs(mpmath.mpc(got[i, j]) - want[i, j])
+                    for i in range(2) for j in range(2))
+    assert error <= 1e-15, m
 
 
 def test_special_unitary_from_generator():

@@ -3,6 +3,7 @@ import re
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from qig.errors import (CenterSingularity, DomainError, IllConditioned,
                         NumericError, PoleError)
 from qig import metric_family
-from qig.metric_family import (FD_STEP, SCAN_BLOCK, SERIES_CUTOFF,
+from qig.metric_family import (FD_STEP, SCAN_BLOCK,
                                MetricAtPoint, _b_basis_diff, _block_gaps,
                                _blocks, _f_spectrum, _first_min, _min_gap,
                                _positive_definite, _qubit_gaps, _size_gaps,
@@ -56,7 +57,8 @@ def test_f_domain_checked():
 
 
 def test_series_fallback_continuous_near_one():
-    # Vectorized evaluation straddling the series cutoff must be smooth.
+    # Vectorized evaluation near t = 1, where a Taylor series once took
+    # over, must be smooth and tend to f(1) = 1.
     ts = 1.0 - np.logspace(-9, -3, 200)
     for spec in (bkm(), family_a(0.25), family_a(2.0), family_a(4.0)):
         vals = np.asarray(f_eval(spec, ts))
@@ -184,9 +186,8 @@ def test_multi_spec_scan_equals_single_spec_scans():
         assert rep.violated == alone.violated
 
 
-_T_NEAR_ONE = st.floats(1.0 - 0.9 * SERIES_CUTOFF, 1.0 + 0.9 * SERIES_CUTOFF)
-_T_AWAY = st.one_of(st.floats(1e-6, 1.0 - 2.0 * SERIES_CUTOFF),
-                    st.floats(1.0 + 2.0 * SERIES_CUTOFF, 50.0))
+_T_NEAR_ONE = st.one_of(st.just(1.0), st.floats(1.0 - 9e-7, 1.0 + 9e-7))
+_T_AWAY = st.one_of(st.floats(1e-6, 1.0 - 2e-6), st.floats(1.0 + 2e-6, 50.0))
 
 
 @settings(max_examples=60)
@@ -195,7 +196,7 @@ _T_AWAY = st.one_of(st.floats(1e-6, 1.0 - 2.0 * SERIES_CUTOFF),
        st.floats(0.1, 9.0))
 def test_f_raw_fast_path_is_bit_identical(away, near, a_const):
     # Rows away from t = 1 keep the direct formula's bits whether or not
-    # another row of the array takes the series.
+    # another row of the array is near 1 or is t = 1, which takes f(1) = 1.
     away = np.array(away)
     mixed = np.concatenate([away, near])
     for f in (bkm().f_raw, family_a(a_const).f_raw):
@@ -275,7 +276,6 @@ def test_non_finite_big_f_names_the_first_r():
 
 SUITE_SPECS = [bures_helstrom(), wigner_yanase(), bkm(), family_a(2.0),
                family_a(4.0)]
-SUITE_SQRT_A = [None, None, None, math.sqrt(2.0), 2.0]
 
 
 def _eigh_of_a_gaps(specs, dim: int, samples: int, seed: int):
@@ -417,25 +417,18 @@ def _assert_scored_by_minimum(specs, dim, samples, seed):
 
 
 def test_scan_matches_eigh_of_a_oracle():
-    # family_a(A) evaluates 1 - t^sqrt(A), which cancels for t just below
-    # 1 - SERIES_CUTOFF: there f itself is good only to about
-    # eps / (sqrt(A) (1 - t)), relative.  The old path's eigenvalues differ
-    # from the drawn ones by a few ulps, so such a spec's gap may move by
-    # that much too; the others agree to 1e-12.
+    # The old path's eigenvalues differ from the drawn ones by a few ulps,
+    # and every spec's f is accurate to a few ulps on (0, 1], so the gaps
+    # agree to 1e-12.
     specs = [bures_helstrom(), wigner_yanase(), bkm(), family_a(2.0),
              family_a(4.0)]
-    sqrt_a = [None, None, None, math.sqrt(2.0), 2.0]
-    eps = np.finfo(float).eps
     for seed in range(10):
         oracle_min = np.full(len(specs), np.inf)
         for dim in (1, 2, 3, 4):
-            got, lam_a, lam_b = _assert_scored_by_minimum(specs, dim, 500, seed)
+            got, _, _ = _assert_scored_by_minimum(specs, dim, 500, seed)
             want = _eigh_of_a_gaps(specs, dim, 500, seed)
-            lam = np.concatenate([lam_a, lam_b], axis=1)
-            near_one = np.maximum(1.0 - lam.max(axis=1), SERIES_CUTOFF)
-            for k, (spec, s, g, o) in enumerate(zip(specs, sqrt_a, got, want)):
-                tol = 1e-12 if s is None else 1e-12 + 4.0 * eps / (s * near_one)
-                assert np.all(np.abs(g - o) <= tol), (spec.name, seed, dim)
+            for k, (spec, g, o) in enumerate(zip(specs, got, want)):
+                assert np.all(np.abs(g - o) <= 1e-12), (spec.name, seed, dim)
                 oracle_min[k] = min(oracle_min[k], o.min())
         reports = scan_monotonicity(specs, samples=500, seed=seed)
         assert ([rep.violated for rep in reports]
@@ -550,6 +543,19 @@ def test_screen_margin_scales_with_f(factor):
             _assert_scored_by_minimum(specs, dim, 2_000, seed)
 
 
+@pytest.mark.filterwarnings("error")
+def test_violation_threshold_scales_with_f():
+    # A constant f is operator monotone, but its gaps round at eps |f|: a
+    # fixed threshold of -1e-10 called f = 1e6 violated.  family_a(A > 1)
+    # still violates.
+    constants = [custom(lambda t, c=c: 0.0 * np.asarray(t) + c, f"{c:g}")
+                 for c in (1e6, 1e10)]
+    reports = scan_monotonicity(constants + [family_a(2.0), family_a(4.0)],
+                                sizes=(1, 2, 3), samples=1000)
+    assert [rep.violated for rep in reports] == [False, False, True, True]
+    assert reports[0].min_gap < -1e-10
+
+
 def _full_min_gap(diff):
     gaps = np.linalg.eigvalsh(diff)[:, 0]
     return float(gaps.min()), int(np.argmin(gaps))
@@ -587,15 +593,19 @@ def test_positive_definite_screen_fails_nan_and_indefinite_rows():
 
 
 # The f kernels and finite_f as they were when every call entered
-# np.errstate and reduced its masks with .all()/.any(): the oracle for the
-# kernels that enter errstate only where a step can warn.  The series runs
-# on the entries near t = 1 only, as it overflows far from there.
+# np.errstate and reduced its masks with .all()/.any(), and f took a Taylor
+# series within _OLD_SERIES_CUTOFF of t = 1: the oracle of the closed forms.
+# The series runs on the entries near t = 1 only, as it overflows far from
+# there.
+_OLD_SERIES_CUTOFF = 1e-6
+
+
 def _errstate_bkm_f(t):
     t = np.asarray(t, dtype=float)
     u = t - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         out = u / np.log(t)
-    near = np.abs(u) < SERIES_CUTOFF
+    near = np.abs(u) < _OLD_SERIES_CUTOFF
     if near.any():
         u = u[near]
         out = np.array(out)
@@ -609,7 +619,7 @@ def _errstate_family_a_f(t, s):
     with np.errstate(divide="ignore", invalid="ignore"):
         ts = t ** s
         out = 0.5 * s * u * (1.0 + ts) / (1.0 - ts)
-    near = np.abs(u) < SERIES_CUTOFF
+    near = np.abs(u) < _OLD_SERIES_CUTOFF
     if near.any():
         u = u[near]
         p = 1.0 + u * (-(s - 1.0) / 2.0
@@ -630,16 +640,39 @@ def _reduce_all_finite_f(spec, t):
     return f
 
 
-# Values on every branch of the kernels: the direct form, both sides of
-# SERIES_CUTOFF, t = 1, 0, subnormal, t > 1, an overflowing t^s, and the
-# inputs only the symmetry check or a bad caller passes (t < 0, inf, NaN).
-_KERNEL_TS = [0.3, 0.999, 1.0 - 2.0 * SERIES_CUTOFF, 1.0 - 0.5 * SERIES_CUTOFF,
-              1.0, 1.0 + 0.5 * SERIES_CUTOFF, 1.0 + 2.0 * SERIES_CUTOFF, 7.5,
-              0.0, 5e-324, 1e-300, 1e300, -0.5, -1.0, -0.0, np.inf, -np.inf,
-              np.nan]
-_KERNELS = [("bkm", bkm().f_raw, _errstate_bkm_f)] + [
+# The defining formulas in mpmath.  1 - t^sqrt(A) is -powm1(t, sqrt(A)),
+# which mpmath evaluates without cancelling.
+_MP_F = {"bkm": lambda t: (t - 1) / mpmath.log(t),
+         "bures_helstrom": lambda t: (1 + t) / 2,
+         "wigner_yanase": lambda t: (1 + mpmath.sqrt(t)) ** 2 / 4,
+         "rld": lambda t: 2 * t / (1 + t)}
+
+
+def _mp_family_a(a_const):
+    def f(t):
+        s = mpmath.sqrt(a_const)
+        em = mpmath.powm1(t, s)
+        return -s / 2 * (1 - t) * (2 + em) / em
+    return f
+
+
+def _mp_error(formula, t, got):
+    """|got - f(t)| / |f(t)| for the float t, f(1) = 1, by mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        want = mpmath.mpf(1) if t == 1.0 else formula(mpmath.mpf(t))
+        return float(abs(mpmath.mpf(got) - want) / abs(want))
+
+
+# Values on every branch of the old kernels: the direct form, both sides of
+# the old series cutoff, t = 1, 0, subnormal, t > 1, an overflowing t^s, and
+# the inputs only the symmetry check or a bad caller passes (t < 0, inf, NaN).
+_KERNEL_TS = [0.3, 0.999, 1.0 - 2.0 * _OLD_SERIES_CUTOFF,
+              1.0 - 0.5 * _OLD_SERIES_CUTOFF, 1.0, 1.0 + 0.5 * _OLD_SERIES_CUTOFF,
+              1.0 + 2.0 * _OLD_SERIES_CUTOFF, 7.5, 0.0, 5e-324, 1e-300, 1e300,
+              -0.5, -1.0, -0.0, np.inf, -np.inf, np.nan]
+_KERNELS = [("bkm", bkm().f_raw, _errstate_bkm_f, _MP_F["bkm"])] + [
     (f"family_a({a:g})", family_a(a).f_raw,
-     lambda t, s=math.sqrt(a): _errstate_family_a_f(t, s))
+     lambda t, s=math.sqrt(a): _errstate_family_a_f(t, s), _mp_family_a(a))
     for a in (0.25, 1.0, 2.0, 4.0, 1e-34)]
 
 
@@ -647,19 +680,75 @@ def _call_recording_warnings(f, t):
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         out = f(t)
-    return out, [str(w.message) for w in seen]
+    return out, {re.match(r"overflow|divide by zero|invalid value",
+                          str(w.message)).group() for w in seen}
 
 
-@pytest.mark.parametrize("name,kernel,oracle", _KERNELS, ids=[k[0] for k in _KERNELS])
-def test_f_kernels_match_errstate_oracle_bit_for_bit(name, kernel, oracle):
-    # Each value, alone and in one stack, has the oracle's bits and type and
-    # raises the oracle's warnings, no more.
-    for t in _KERNEL_TS + [np.array(_KERNEL_TS)]:
+@pytest.mark.parametrize("name,kernel,oracle,formula", _KERNELS,
+                         ids=[k[0] for k in _KERNELS])
+def test_f_kernels_match_errstate_oracle_bit_for_bit(name, kernel, oracle, formula):
+    # Each value has the same bits alone as in one stack, and the old
+    # kernel's type and kinds of warning, no more.  On t >= 0 it has the old
+    # kernel's NaN entries; log t makes every t < 0 NaN, where the old t^s
+    # was a number for an integer sqrt(A).  A value that moved is within
+    # 1e-15 of mpmath, and within 1e-10 of the old one wherever that was
+    # within 1e-10 of mpmath: the old 1 - t^sqrt(A) of family_a(1e-34)
+    # rounded to 0 or to a few bits.
+    stack, warned = _call_recording_warnings(kernel, np.array(_KERNEL_TS))
+    assert warned <= _call_recording_warnings(oracle, np.array(_KERNEL_TS))[1]
+    for t, row in zip(_KERNEL_TS, stack):
         got, got_warned = _call_recording_warnings(kernel, t)
         want, want_warned = _call_recording_warnings(oracle, t)
-        assert type(got) is type(want)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, t)
-        assert got_warned == want_warned, (name, t)
+        assert type(got) is type(want) is float
+        assert np.asarray(got).tobytes() == row.tobytes(), (name, t)
+        assert got_warned <= want_warned, (name, t)
+        if t < 0.0 or math.isnan(want):
+            assert math.isnan(got), (name, t)
+        elif got != want:
+            assert _mp_error(formula, t, got) <= 1e-15, (name, t)
+            assert (abs(got - want) <= 1e-10 * abs(want)
+                    or _mp_error(formula, t, want) > 1e-10), (name, t)
+
+
+# A catalogue spec with its mpmath formula: the four fixed ones, or
+# family_a(A) for A log-uniform in [1e-300, 1e300].
+_SPEC_FORMULAS = st.one_of(
+    st.sampled_from([(spec, _MP_F[spec.kind]) for spec in
+                     (bkm(), bures_helstrom(), wigner_yanase(), rld())]),
+    st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e).map(
+        lambda a: (family_a(a), _mp_family_a(a))))
+# t on (0, 1]: uniform, log-uniform down to the least subnormal, and the
+# floats 1 - k 2^-53 next to 1, k = 0 among them.
+_T_UNIT = st.one_of(st.floats(5e-324, 1.0), st.floats(-745.0, 0.0).map(math.exp),
+                    st.integers(0, 2 ** 20).map(lambda k: 1.0 - k * 2.0 ** -53))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=400, deadline=None)
+@given(_SPEC_FORMULAS, _T_UNIT)
+def test_f_kernels_match_mpmath(spec_formula, t):
+    spec, formula = spec_formula
+    assert spec.f_raw(1.0) == spec.f_float(1.0) == 1.0
+    for got in (spec.f_raw(t), spec.f_float(t)):
+        assert _mp_error(formula, t, got) <= 1e-15, (spec.name, t, got)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200, deadline=None)
+@given(_SPEC_FORMULAS, st.integers(1, 1023))
+def test_f_symmetry_on_exact_reciprocals(spec_formula, k):
+    # t = 2^-k and 1/t = 2^k are both exact, so f(t) = t f(1/t) holds to
+    # the two evaluations' errors; an f(1/t) that overflows is a point the
+    # symmetry check refuses.
+    spec, _ = spec_formula
+    t = 2.0 ** -k
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_inverse = spec.f_raw(1.0 / t)
+    if not math.isfinite(f_inverse):
+        with pytest.raises(DomainError, match=r"f\(1/t\) of .* not finite$"):
+            check_petz_symmetry(spec, [t])
+    else:
+        assert abs(t * f_inverse - spec.f_raw(t)) <= 2e-15 * spec.f_raw(t), spec.name
 
 
 @pytest.mark.filterwarnings("error")
@@ -693,8 +782,9 @@ def test_finite_f_matches_all_reduction_oracle(spec):
 
 @pytest.mark.filterwarnings("error")
 def test_series_runs_only_on_entries_near_one():
-    # Far from t = 1 the series of family_a(1e300) overflows, with a raw
-    # warning, though np.where then dropped its value.
+    # A stack holding t = 1 and a t far from it is quiet, takes f(1) = 1 at
+    # t = 1 only, and has each entry's bits alone.  The Taylor series that
+    # once ran near t = 1 overflowed far from it with a raw warning.
     spec = family_a(1e300)
     got = spec.f_raw(np.array([0.005, 1.0]))
     assert got.tolist() == [spec.f_raw(0.005), spec.f_raw(1.0)]
@@ -703,8 +793,8 @@ def test_series_runs_only_on_entries_near_one():
 
 @pytest.mark.filterwarnings("error")
 def test_series_of_a_huge_a_stays_where_it_converges():
-    # At t = 1 - 1e-7, within SERIES_CUTOFF of 1, the series of family_a(1e300)
-    # overflowed; t^sqrt(A) = 0 there, so f is (sqrt(A)/2)(1 - t).
+    # At t = 1 - 1e-7 the Taylor series that once ran near t = 1 overflowed
+    # for family_a(1e300); t^sqrt(A) = 0 there, so f is (sqrt(A)/2)(1 - t).
     t = 1.0 - 1e-7
     assert f_eval(family_a(1e300), t) == 0.5e150 * (1.0 - t)
     m = metric_spherical(family_a(1e300), SphericalPoint(1e-8, 1.0, 1.0)).matrix
@@ -763,20 +853,15 @@ def test_custom_f_that_is_not_real_is_numeric_error(result, call, t):
 
 
 def _assert_qubit_gaps_match_spectral(lam_a, vec_a, b, what):
-    # The bound of test_scan_matches_eigh_of_a_oracle: family_a's f near
-    # t = 1 is good only to about eps / (sqrt(A) (1 - t)), and B's
-    # eigenvalues by the closed form and by eigh differ by a few ulps.
-    eps = np.finfo(float).eps
+    # The bound of test_scan_matches_eigh_of_a_oracle: B's eigenvalues by
+    # the closed form and by eigh differ by a few ulps.
     got, lam_b = _qubit_gaps(SUITE_SPECS, lam_a, vec_a, b)
     lam_b_eigh, vec_b = np.linalg.eigh(b)
     want = _spectral_gaps(SUITE_SPECS, lam_a,
                           vec_b.conj().swapaxes(1, 2) @ vec_a, lam_b_eigh)
     npt.assert_allclose(lam_b, lam_b_eigh, rtol=0.0, atol=1e-14)
-    lam = np.concatenate([lam_a, lam_b_eigh], axis=1)
-    near_one = np.maximum(1.0 - lam.max(axis=1), SERIES_CUTOFF)
-    for spec, s, g, o in zip(SUITE_SPECS, SUITE_SQRT_A, got, want):
-        tol = 1e-12 if s is None else 1e-12 + 4.0 * eps / (s * near_one)
-        assert np.all(np.abs(g - o) <= tol), (spec.name, what)
+    for spec, g, o in zip(SUITE_SPECS, got, want):
+        assert np.all(np.abs(g - o) <= 1e-12), (spec.name, what)
         assert (g.min() < -1e-10) == (o.min() < -1e-10), (spec.name, what)
 
 

@@ -297,9 +297,9 @@ def test_commutator_relations_reject_empty_point_set():
     rescaled_gradient_field(TracelessObservable(0.6, -0.3, 0.45), 0.25)],
     ids=["bkm", "family_a(2)", "rescaled(0.25)"])
 def test_stack_rows_equal_single_point_bit_for_bit(field):
-    # Rows at the center (r < 1e-12), inside SERIES_CUTOFF of t = 1
-    # (r < 5e-7), just outside it, and in the bulk: a row of the stack takes
-    # the same branch, and the same bits, as the point alone.
+    # Rows at the center (r < 1e-12), near t = 1 (r around 5e-7) and in the
+    # bulk: a row of the stack takes the same branch, and the same bits, as
+    # the point alone.
     n = np.array([0.48, -0.6, 0.64])
     radii = [0.0, 1e-13, 9e-13, 1e-12, 1e-9, 1e-7, 4.9e-7, 5.1e-7, 1e-6, 0.3,
              0.9]
@@ -322,7 +322,7 @@ def test_point_evaluator_agrees_with_stacked_cartesian(field):
     # The per-point evaluator runs the same formula on Python floats, with
     # math's log, ** and hypot and a . v summed by hand, so it may differ
     # from the stack's rows in the last bits: in the bulk, at the center
-    # (r < 1e-12) and inside SERIES_CUTOFF of t = 1 (r < 5e-7) alike.
+    # (r < 1e-12) and near t = 1 (r < 5e-7) alike.
     rng = np.random.default_rng(2024)
     n = rng.standard_normal((2000, 3))
     n /= np.linalg.norm(n, axis=1)[:, None]
