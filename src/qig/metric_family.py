@@ -14,12 +14,13 @@ Catalog
 bkm             f(t) = (t-1)/log t          F = 0
 bures_helstrom  f(t) = (1+t)/2              F = 1
 wigner_yanase   f(t) = (1+sqrt(t))^2/4      F = 1/4
-family_a(A)     f(t) = (sqrt(A)/2)(1-t)(1+t^sqrt(A))/(1-t^sqrt(A)),  F = A
+family_a(A)     f(t) = (sqrt(A)/2)(1-t) coth(-sqrt(A) log(t)/2),  F = A
 rld             f(t) = 2t/(1+t)             F = -2(1-r^2), non-constant control
 family_b(B, c)  f(t) = sqrt(B)(1-t) tan(sqrt(B)(log t - c)),  F = -4B, has poles;
                 f(1) = 1 only for c = -pi/(2 sqrt(B)) mod pi/sqrt(B)
 
-family_a(1) coincides with bures_helstrom, family_a(1/4) with wigner_yanase.
+bkm is family_a's A = 0 end: both are g(r) = sqrt(A) coth(sqrt(A) artanh r)
+(_coth_spec).  family_a(1) coincides with bures_helstrom, family_a(1/4) with wigner_yanase.
 """
 
 from __future__ import annotations
@@ -75,15 +76,12 @@ def _kernels(direct):
     return f_raw, f_float
 
 
-def _family_b_f(t, b: float, c: float):
-    t = np.asarray(t, dtype=float)
-    sb = math.sqrt(b)
-    psi = sb * (np.log(t) - c)
+def _tan_off_pole(psi):
+    """tan(psi), or PoleError within POLE_CUTOFF of a pole."""
     dist = np.abs(np.mod(psi, math.pi) - math.pi / 2.0)
     if np.any(dist < POLE_CUTOFF):
         raise PoleError(f"tan argument within {POLE_CUTOFF} of a pole")
-    out = sb * (1.0 - t) * np.tan(psi)
-    return out if out.ndim else float(out)
+    return np.tan(psi)
 
 
 class MonotoneFunctionSpec(Record):
@@ -93,85 +91,88 @@ class MonotoneFunctionSpec(Record):
     ``f_raw`` evaluates the defining formula for any t > 0 (the extension
     beyond (0,1] is only used by the symmetry check); ``f_float`` evaluates
     it on one Python float t in (0, 1], for catalog entries only (see _kernels);
-    ``g_prime`` is the analytic derivative of g(r) when one is hard-coded for
-    the catalog entry, otherwise None and finite differences are used.
+    ``g_pair`` gives (g(r), g'(r)) on an array r in closed form (in rho = artanh r
+    where g has a log) for catalog entries, else None (g from f, g' by differences).
     """
 
-    __slots__ = ("kind", "name", "f_raw", "f_float", "g_prime")
+    __slots__ = ("kind", "name", "f_raw", "f_float", "g_pair")
     _types = {"kind": (str, "a string"), "name": (str, "a string"), "f_raw": CALLABLE,
-              **dict.fromkeys(("f_float", "g_prime"),
+              **dict.fromkeys(("f_float", "g_pair"),
                               ((Callable, type(None)), "callable or None"))}
     _compared = _shown = ("kind", "name")
 
     def __init__(self, kind: str, name: str, f_raw: Callable,
-                 f_float: Callable | None = None, g_prime: Callable | None = None):
-        super().__init__(kind, name, f_raw, f_float, g_prime)
+                 f_float: Callable | None = None, g_pair: Callable | None = None):
+        super().__init__(kind, name, f_raw, f_float, g_pair)
+
+
+def _coth_spec(kind: str, name: str, a_const: float) -> MonotoneFunctionSpec:
+    """The F = A >= 0 solution with f(1) = 1, from q(u) = (sqrt(A)/2) coth(sqrt(A) u/2),
+    q = 1/u at A = 0: f(t) = (1-t) q(-log t), and with rho = artanh r, g = 2 q(2 rho)
+    and g' = 4 q'(2 rho)/(1-r^2), so F = 4 (q' + q^2) = A up to eps/rho^2.  For
+    A > 0, coth x = -(1 + 2/expm1(-2x)) cancels nowhere and stays finite where
+    expm1 overflows (f beyond t = 1); q'(u) = -A e^(-sqrt(A) u)/expm1(-sqrt(A) u)^2."""
+    s = math.sqrt(a_const)
+    direct = ((lambda t, xp: -0.5 * s * (1.0 - t) * (1.0 + 2.0 / xp.expm1(s * xp.log(t))))
+              if s else (lambda t, xp: (t - 1.0) / xp.log(t)))
+
+    def g_pair(r):
+        u, one_r2 = 2.0 * np.arctanh(r), (1.0 - r) * (1.0 + r)
+        if not s:
+            return 2.0 / u, -4.0 / (u * u * one_r2)
+        em = np.expm1(-s * u)
+        return -s * (1.0 + 2.0 / em), -4.0 * (s / em) ** 2 * np.exp(-s * u) / one_r2
+
+    return MonotoneFunctionSpec(kind, name, *_kernels(direct), g_pair)
 
 
 def bkm() -> MonotoneFunctionSpec:
-    def gp(r):
-        g = 2.0 / np.log((1.0 + r) / (1.0 - r))
-        return -g * g / (1.0 - r * r)
-
-    return MonotoneFunctionSpec(
-        "bkm", "bkm", *_kernels(lambda t, xp: (t - 1.0) / xp.log(t)), gp)
+    return _coth_spec("bkm", "bkm", 0.0)
 
 
 def bures_helstrom() -> MonotoneFunctionSpec:
     return MonotoneFunctionSpec(
         "bures_helstrom", "bures_helstrom", *_kernels(lambda t, xp: (1.0 + t) / 2.0),
-        lambda r: -1.0 / (np.asarray(r, dtype=float) ** 2))
+        lambda r: (1.0 / r, -1.0 / (r * r)))
 
 
 def wigner_yanase() -> MonotoneFunctionSpec:
-    def gp(r):
-        r = np.asarray(r, dtype=float)
-        w = np.sqrt(1.0 - r * r)
-        return -(r * r / w + 1.0 + w) / (2.0 * r * r)
+    def g_pair(r):  # g = (1 + w)/(2r), w = sqrt(1 - r^2)
+        w = np.sqrt((1.0 - r) * (1.0 + r))
+        return (1.0 + w) / (2.0 * r), -(r * r / w + 1.0 + w) / (2.0 * r * r)
     return MonotoneFunctionSpec(
         "wigner_yanase", "wigner_yanase",
-        *_kernels(lambda t, xp: (1.0 + xp.sqrt(t)) ** 2 / 4.0), gp)
+        *_kernels(lambda t, xp: (1.0 + xp.sqrt(t)) ** 2 / 4.0), g_pair)
 
 
 def rld() -> MonotoneFunctionSpec:
     # Non-constant-F negative control: g = (1-r^2)/r, F = -2(1-r^2).
     return MonotoneFunctionSpec(
         "rld", "rld", *_kernels(lambda t, xp: 2.0 * t / (1.0 + t)),
-        lambda r: -1.0 / (np.asarray(r, dtype=float) ** 2) - 1.0)
+        lambda r: ((1.0 - r) * (1.0 + r) / r, -1.0 / (r * r) - 1.0))
 
 
 def family_a(a_const: float) -> MonotoneFunctionSpec:
     require_positive("family_a", "A", a_const)
-    s = math.sqrt(a_const)
-
-    # em = t^sqrt(A) - 1 by expm1, so that neither f nor g' cancels near t = 1:
-    # f = (sqrt(A)/2)(1-t)(2+em)/(-em), g' = -4 (sqrt(A)/em)^2 t^(sqrt(A)-1)/(1+r)^2.
-    def gp(r):
-        r = np.asarray(r, dtype=float)
-        t = (1.0 - r) / (1.0 + r)
-        em = np.expm1(s * np.log(t))
-        return -4.0 * (s / em) ** 2 * t ** (s - 1.0) / (1.0 + r) ** 2
-
-    def direct(t, xp):
-        em = xp.expm1(s * xp.log(t))
-        return -0.5 * s * (1.0 - t) * (2.0 + em) / em
-
-    return MonotoneFunctionSpec("family_a", f"family_a({a_const:g})",
-                                *_kernels(direct), gp)
+    return _coth_spec("family_a", f"family_a({a_const:g})", a_const)
 
 
 def family_b(b_const: float, c: float = 0.0) -> MonotoneFunctionSpec:
     require_positive("family_b", "B", b_const)
     require_finite("family_b: c", c)
+    sb = math.sqrt(b_const)
 
-    def gp(r):
-        r = np.asarray(r, dtype=float)
-        psi = math.sqrt(b_const) * (np.log((1.0 - r) / (1.0 + r)) - c)
-        return -4.0 * b_const * (1.0 + np.tan(psi) ** 2) / (1.0 - r * r)
+    def f_raw(t):
+        t = np.asarray(t, dtype=float)
+        out = sb * (1.0 - t) * _tan_off_pole(sb * (np.log(t) - c))
+        return out if out.ndim else float(out)
 
-    return MonotoneFunctionSpec(
-        "family_b", f"family_b({b_const:g},{c:g})",
-        f_raw=lambda t: _family_b_f(t, b_const, c), g_prime=gp)
+    def g_pair(r):  # g = 2 sqrt(B) tan psi, psi = sqrt(B)(-2 rho - c)
+        tan = _tan_off_pole(sb * (-2.0 * np.arctanh(r) - c))
+        return 2.0 * sb * tan, -4.0 * b_const * (1.0 + tan * tan) / ((1.0 - r) * (1.0 + r))
+
+    return MonotoneFunctionSpec("family_b", f"family_b({b_const:g},{c:g})",
+                                f_raw=f_raw, g_pair=g_pair)
 
 
 def custom(f: Callable, name: str) -> MonotoneFunctionSpec:
@@ -250,20 +251,18 @@ def _g(spec: MonotoneFunctionSpec, r: np.ndarray) -> np.ndarray:
     return ((1.0 + r) / r) * np.asarray(spec.f_raw((1.0 - r) / (1.0 + r)))
 
 
-def _g_prime(spec: MonotoneFunctionSpec, r: np.ndarray):
-    """g'(r): analytic for catalog entries, Richardson central diff otherwise,
-    whose stencil needs every r in (FD_STEP, 1 - FD_STEP)."""
-    if spec.g_prime is not None:
-        return spec.g_prime(r)
+def _g_pair(spec: MonotoneFunctionSpec, r: np.ndarray):
+    """(g(r), g'(r)): the spec's closed forms, or g from f and g' by a
+    Richardson central diff, whose stencil needs every r in (FD_STEP, 1 - FD_STEP)."""
+    if spec.g_pair is not None:
+        return spec.g_pair(r)
+    g = _g(spec, r)
     require_all((r > FD_STEP) & (r < 1.0 - FD_STEP), r, DomainError, "r",
                 f"is outside ({FD_STEP:g}, 1 - {FD_STEP:g}), the "
                 f"finite-difference range of g' for {spec.name}")
-
-    def diff(step):
-        return (_g(spec, r + step) - _g(spec, r - step)) / (2.0 * step)
-
-    d1, d2 = diff(FD_STEP), diff(FD_STEP / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+    d1, d2 = ((_g(spec, r + h) - _g(spec, r - h)) / (2.0 * h)
+              for h in (FD_STEP, FD_STEP / 2.0))
+    return g, (4.0 * d2 - d1) / 3.0
 
 
 def _on_radii(spec: MonotoneFunctionSpec, r, kernel, what: str):
@@ -284,14 +283,18 @@ def g_from_f(spec: MonotoneFunctionSpec, r):
 
 
 def g_derivative(spec: MonotoneFunctionSpec, r):
-    """g'(r) for r in (0, 1), as _g_prime computes it."""
-    return _on_radii(spec, r, _g_prime, "g'")
+    """g'(r) for r in (0, 1), as _g_pair computes it."""
+    return _on_radii(spec, r, lambda spec, r: _g_pair(spec, r)[1], "g'")
+
+
+def _big_f(spec: MonotoneFunctionSpec, r: np.ndarray):
+    g, g_prime = _g_pair(spec, r)
+    return g * g + (1.0 - r * r) * g_prime
 
 
 def big_f(spec: MonotoneFunctionSpec, r):
-    """F(r) = (1-r^2) g'(r) + g(r)^2 for r in (0, 1)."""
-    return _on_radii(spec, r, lambda spec, r: _g(spec, r) ** 2
-                     + (1.0 - r * r) * _g_prime(spec, r), "F")
+    """F(r) = (1-r^2) g'(r) + g(r)^2 for r in (0, 1), from g and g' (_g_pair)."""
+    return _on_radii(spec, r, _big_f, "F")
 
 
 class MetricAtPoint(Record):
@@ -683,9 +686,7 @@ def derivative_limit_at_zero(a_const: float) -> float:
     s = math.sqrt(a_const)
     spec = family_a(a_const)
     ts = 10.0 ** (-np.arange(3, 9, dtype=float))
-    diffs = np.array([
-        (float(spec.f_raw(1.5 * t)) - float(spec.f_raw(0.5 * t))) / t for t in ts
-    ])
+    diffs = (spec.f_raw(1.5 * ts) - spec.f_raw(0.5 * ts)) / ts
     ratio = 10.0 ** (-(s - 1.0))
     limits = (diffs[1:] - ratio * diffs[:-1]) / (1.0 - ratio)
     steps = np.abs(np.diff(limits))

@@ -18,7 +18,7 @@ from .metric_family import MonotoneFunctionSpec, big_f, bkm, family_a, family_b
 from .state_space import Record, require_all, require_array, require_count, require_finite
 
 CONSTANCY_TOL = 1e-6  # separates constant branches (~1e-9) from RLD (>0.1)
-ZERO_TOL = 1e-9
+ZERO_TOL = 1e-9  # |mean F| below it is labelled bkm_a0
 
 
 class OdeClassification(Record):
@@ -108,16 +108,14 @@ class Exclusion(Record):
 def solve_branch(a_const: float, c: float = 0.0) -> MonotoneFunctionSpec | Exclusion:
     """Closed-form solution of F = A.
 
-    A = 0 returns the BKM spec, A > 0 the family_a(A) spec, each with
-    f(1) = 1.  A < 0 returns an Exclusion carrying the family_b spec
-    (B = -A/4, c a free parameter) and the enumerated poles that rule it
-    out; its f(1) = 1 only for c = -pi/(2 sqrt(B)) mod pi/sqrt(B).
+    A = 0 returns the BKM spec, A > 0 the family_a(A) spec: one coth kernel
+    with f(1) = 1, continuous as A -> 0.  A < 0 returns an Exclusion carrying
+    the family_b spec (B = -A/4, c a free parameter) and the enumerated poles
+    that rule it out; its f(1) = 1 only for c = -pi/(2 sqrt(B)) mod pi/sqrt(B).
     """
     require_finite("A", a_const)
-    if abs(a_const) < ZERO_TOL:
-        return bkm()
-    if a_const > 0.0:
-        return family_a(a_const)
+    if a_const >= 0.0:
+        return family_a(a_const) if a_const else bkm()
     b_const = -a_const / 4.0
     return Exclusion(float(a_const), b_const, family_b(b_const, c),
                      singularities(b_const, c))

@@ -192,7 +192,7 @@ _RULES = {
         ["bkm", "fa", "fb", "c", ""]))),
     **dict.fromkeys(["f_raw", "cartesian", "point", "images"],
                     _typed("callable", np.negative, _CALLABLES)),
-    **dict.fromkeys(["f_float", "g_prime"],
+    **dict.fromkeys(["f_float", "g_pair"],
                     _typed("callable or None", None, _CALLABLES | st.none())),
 }
 # Sites, [class.]function.parameter, where a name means something else.

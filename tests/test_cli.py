@@ -548,6 +548,28 @@ def test_non_finite_result_is_numeric_error_exit_3(argv, named, capsys):
     assert data["error"] == "NumericError" and data["message"].startswith(named)
 
 
+@pytest.mark.parametrize("spec,branch", [(["bkm"], "bkm_a0"),
+                                         (["fa", "--A", "2"], "family_a_pos")],
+                         ids=["bkm", "family_a(2)"])
+def test_classify_near_the_centre_finds_the_constant_branch(spec, branch, capsys):
+    # g' from the log of a rounded (1+r)/(1-r) put F of bkm 5.6e-5 off at
+    # r = 1e-4, so the grid read as not constant ("none").
+    code = cli.main(["ode", "classify", "--spec", *spec, "--grid-min", "1e-4",
+                     "--grid-max", "0.9", "--grid-steps", "50"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["branch"] == branch
+
+
+@pytest.mark.parametrize("a_const,code,out", [
+    ("1e-12", 0, {"A": 1e-12, "excluded": False, "spec": "family_a(1e-12)"}),
+    ("-1e-12", 3, {"error": "NumericError", "message": "B = 2.5e-13, c = 0.0: pole t_0 "
+                   "= 0.0 is 0 or not below the pole before it (poles collide)"})])
+def test_ode_solve_near_zero_takes_the_branch_of_its_sign(a_const, code, out, capsys):
+    # A tiny A once snapped to bkm; family_a(A) now tends to it continuously,
+    # and a tiny negative A has poles that underflow to t = 0.
+    assert cli.main(["ode", "solve", f"--A={a_const}"]) == code
+    assert json.loads(capsys.readouterr().out) == out
+
+
 def test_f_curves_of_a_tiny_a_are_the_bkm_curve(capsys):
     # family_a(A) -> bkm as A -> 0; 1 - t^sqrt(A) rounded to 0 at A = 1e-300,
     # and the export exited 3 naming t = 0.005.

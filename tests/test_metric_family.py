@@ -702,7 +702,13 @@ def test_f_kernels_match_errstate_oracle_bit_for_bit(name, kernel, oracle, formu
         assert type(got) is type(want) is float
         assert np.asarray(got).tobytes() == row.tobytes(), (name, t)
         assert got_warned <= want_warned, (name, t)
-        if t < 0.0 or math.isnan(want):
+        if math.isnan(want) and not math.isnan(got):
+            # Beyond t = 1 the coth form is finite where the old t^sqrt(A)
+            # overflowed to inf/inf: (sqrt(A)/2)(t - 1) at t = inf.
+            assert name.startswith("family_a") and t > 1.0, (name, t)
+            assert (got == math.inf if t == math.inf
+                    else _mp_error(formula, t, got) <= 1e-15), (name, t)
+        elif t < 0.0 or math.isnan(want):
             assert math.isnan(got), (name, t)
         elif got != want:
             assert _mp_error(formula, t, got) <= 1e-15, (name, t)
@@ -733,6 +739,88 @@ def test_f_kernels_match_mpmath(spec_formula, t):
         assert _mp_error(formula, t, got) <= 1e-15, (spec.name, t, got)
 
 
+# bkm's and family_a's f and g' as they were before the one coth kernel,
+# kept as oracles.  Both g' take the log of the rounded t = (1-r)/(1+r),
+# which loses about eps/rho (rho = artanh r), raise t to sqrt(A) - 1 and
+# form 1 - r^2, which loses eps/(1-r).
+def _ratio_family_a_f(t, s):
+    em = np.expm1(s * np.log(t))
+    return -0.5 * s * (1.0 - t) * (2.0 + em) / em
+
+
+def _log_ratio_bkm_g_prime(r):
+    g = 2.0 / np.log((1.0 + r) / (1.0 - r))
+    return -g * g / (1.0 - r * r)
+
+
+def _log_ratio_family_a_g_prime(r, s):
+    t = (1.0 - r) / (1.0 + r)
+    em = np.expm1(s * np.log(t))
+    return -4.0 * (s / em) ** 2 * t ** (s - 1.0) / (1.0 + r) ** 2
+
+
+_EPS = np.finfo(float).eps
+_A_MILLI_TO_KILO = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)  # log-uniform
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), _T_UNIT.filter(lambda t: t < 1.0))
+def test_coth_f_matches_the_expm1_ratio_oracle(a_const, t):
+    # Both forms are within 4.2e-16 of mpmath, so they meet to a few ulps.
+    want = _ratio_family_a_f(t, math.sqrt(a_const))
+    assert abs(family_a(a_const).f_raw(t) - want) <= 4.0 * _EPS * want
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(_A_MILLI_TO_KILO,
+       st.one_of(st.floats(1e-6, 1.0 - 1e-6), st.floats(-6.0, -1e-6).map(lambda e: 10.0 ** e)))
+def test_coth_g_prime_matches_the_log_ratio_oracles(a_const, r):
+    # Where the old forms are accurate: to 4 eps (1 + 1/rho + sqrt(A) + 1/(1-r)).
+    rho, s = math.atanh(r), math.sqrt(a_const)
+    for spec, want, root in ((bkm(), _log_ratio_bkm_g_prime(r), 0.0),
+                             (family_a(a_const), _log_ratio_family_a_g_prime(r, s), s)):
+        tol = 4.0 * _EPS * (1.0 + 1.0 / rho + root + 1.0 / (1.0 - r))
+        assert abs(g_derivative(spec, r) - want) <= tol * abs(want), spec.name
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(_T_UNIT.filter(lambda t: t < 1.0), st.floats(-100.0, -1e-6).map(lambda e: 10.0 ** e))
+def test_family_a_of_a_tiny_a_is_bkm(t, r):
+    tiny, zero = family_a(1e-300), bkm()
+    assert abs(tiny.f_raw(t) - zero.f_raw(t)) <= 2.0 * _EPS * zero.f_raw(t)
+    for got, want in zip(tiny.g_pair(r), zero.g_pair(r)):
+        assert abs(got - want) <= 4.0 * _EPS * abs(want)
+
+
+_CONSTANT_F = [(bkm(), 0.0), (bures_helstrom(), 1.0), (wigner_yanase(), 0.25),
+               (family_a(1e-3), 1e-3), (family_a(2.0), 2.0), (family_a(1e3), 1e3)]
+# r in [3e-5, 0.999], uniform and log-uniform.
+_R_CENTRE_TO_EDGE = st.one_of(st.floats(3e-5, 0.999),
+                              st.floats(math.log(3e-5), math.log(0.999)).map(math.exp))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(_A_MILLI_TO_KILO, _R_CENTRE_TO_EDGE)
+def test_big_f_is_the_constant_of_each_constant_f_spec(a_const, r):
+    # F sums g^2 and (1-r^2) g', each of size 1/rho^2 near the centre, so it
+    # rounds at about eps/rho^2: 2.5e-7 at r = 3e-5.
+    for spec, want in ((family_a(a_const), a_const), (bkm(), 0.0),
+                       (bures_helstrom(), 1.0), (wigner_yanase(), 0.25)):
+        assert abs(big_f(spec, r) - want) <= 1e-6 * max(1.0, want), spec.name
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec,want", _CONSTANT_F,
+                         ids=[spec.name for spec, _ in _CONSTANT_F])
+def test_big_f_is_constant_from_the_centre_to_the_edge(spec, want):
+    rs = np.concatenate([np.geomspace(3e-5, 0.999, 2000), np.linspace(3e-5, 0.999, 2000)])
+    assert np.max(np.abs(big_f(spec, rs) - want)) <= 1e-6 * max(1.0, want)
+
+
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=200, deadline=None)
 @given(_SPEC_FORMULAS, st.integers(1, 1023))
@@ -758,8 +846,11 @@ def test_f_symmetry_on_exact_reciprocals(spec_formula, k):
     (family_a(2.0), lambda t: _errstate_family_a_f(t, math.sqrt(2.0)))],
     ids=["bkm", "family_a(2)"])
 def test_f_raw_outside_the_domain_is_quiet(spec, oracle, t):
+    # NaN where the old kernels were NaN, except family_a at t = inf: its
+    # coth form reaches the limit (sqrt(A)/2)(t - 1) = inf, not inf/inf.
     got = spec.f_raw(t)
-    assert math.isnan(got) and math.isnan(oracle(t))
+    assert math.isnan(oracle(t))
+    assert math.isnan(got) or (spec.kind == "family_a" and t == got == np.inf)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS + [
@@ -808,15 +899,23 @@ def test_petz_symmetry_rejects_a_point_with_no_finite_reciprocal():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("spec", [family_a(2.0), family_a(0.25)],
-                         ids=lambda s: s.name)
-def test_petz_symmetry_rejects_a_point_whose_f_of_reciprocal_overflows(spec):
-    # 1/t = 1e300 is finite, but f(1/t) overflows in t^sqrt(A) (A = 2) or
-    # in a product (A = 1/4).
+@pytest.mark.parametrize("spec,t", [(family_a(1e4), 1e-307), (family_a(16.0), 1e-308)],
+                         ids=["family_a(10000)", "family_a(16)"])
+def test_petz_symmetry_rejects_a_point_whose_f_of_reciprocal_overflows(spec, t):
+    # 1/t is finite, but f(1/t) = (sqrt(A)/2)(1/t - 1) is above the largest
+    # float: 5e308 for A = 1e4 and 2e308 for A = 16.
     with pytest.raises(DomainError,
-                       match=rf"^grid = 1e-300 has .* of "
+                       match=rf"^grid = {t!r} has .* of "
                              rf"{re.escape(spec.name)} not finite$"):
-        check_petz_symmetry(spec, [0.5, 1e-300])
+        check_petz_symmetry(spec, [0.5, t])
+
+
+@pytest.mark.filterwarnings("error")
+def test_petz_symmetry_of_family_a_holds_where_t_to_the_sqrt_a_overflowed():
+    # f(1e300) of family_a(2) once read inf/inf; the coth form gives
+    # (sqrt(2)/2)(1e300 - 1), which meets f(1e-300) to an ulp.
+    report = check_petz_symmetry(family_a(2.0), [0.5, 1e-300])
+    assert report.passed and report.max_symmetry_dev <= 2.3e-16
 
 
 @pytest.mark.filterwarnings("error")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qig import cli
-from qig.errors import DomainError, NumericError
+from qig.errors import NumericError
 from qig.metric_family import (big_f, bkm, bures_helstrom, custom, family_a, family_b,
                                rld, wigner_yanase)
 from qig.ode_classifier import (Exclusion, classify, singularities,
@@ -79,14 +79,6 @@ def test_singularities_offset_shifts_first_index():
     expected = math.exp(10.0 - (math.pi / 2.0 + 3.0 * math.pi))
     assert abs(poles.t_values[0] - expected) < 1e-12
     assert all(t <= 1.0 for t in poles.t_values)
-
-
-@pytest.mark.parametrize("count", [2.5, True, "3"])
-def test_singularities_need_an_integer_count(count):
-    # range() raised a raw TypeError for 2.5, and True was taken as 1.
-    with pytest.raises(DomainError,
-                       match=re.escape(f"max_count = {count!r} is not an integer >= 1")):
-        singularities(1.0, 0.0, max_count=count)
 
 
 @pytest.mark.filterwarnings("error")

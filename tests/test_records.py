@@ -37,7 +37,7 @@ _INPUTS = [
     (SphericalPoint, dict(r=0.5, theta=1.0, phi=2.0),
      "SphericalPoint(r=0.5, theta=1.0, phi=2.0)"),
     (MonotoneFunctionSpec,
-     dict(kind="custom", name="f", f_raw=abs, f_float=None, g_prime=round),
+     dict(kind="custom", name="f", f_raw=abs, f_float=None, g_pair=round),
      "MonotoneFunctionSpec(kind='custom', name='f')"),
     (VectorField, dict(cartesian=abs, point=round),
      "VectorField(cartesian=<built-in function abs>, point=<built-in function round>)"),
@@ -154,7 +154,7 @@ def test_records_round_trip_through_pickle():
 
 def test_spec_equality_and_hash_use_kind_and_name_only():
     spec = MonotoneFunctionSpec("custom", "f", f_raw=abs)
-    same = MonotoneFunctionSpec("custom", "f", round, abs, g_prime=round)
+    same = MonotoneFunctionSpec("custom", "f", round, abs, g_pair=round)
     assert spec == same and hash(spec) == hash(same)
     assert spec != MonotoneFunctionSpec("custom", "g", f_raw=abs)
     assert spec != MonotoneFunctionSpec("family_a", "f", f_raw=abs)
