@@ -3,13 +3,14 @@
 Two groups act transitively on the faithful qubit states: SL(2, C) through
 the power-deformed conjugations alpha_A, and the cotangent group of SU(2)
 (pairs (U, a) with the semidirect product law) through the exponential-
-translation action attached to the BKM metric.  Both are evaluated in
-closed form on Bloch vectors, through the Lorentz matrix of the group
-element (Bengtsson & Zyczkowski, Geometry of Quantum States), with no
-eigensolver.  The closed forms broadcast a stack of states against a stack
-of group elements, so a one-parameter orbit on a whole time grid, or an
-axiom check over all its samples, is one batched evaluation.  An image that
-rounds into the ball's boundary band raises NumericError naming its row.
+translation action attached to the BKM metric.  Both are closed-form maps,
+with no eigensolver, of the rapidity vector artanh(r) n of a Bloch vector
+r n: BKM rotates and translates it, and alpha_A boosts sqrt(A) times it by
+the Lorentz matrix of g (Bengtsson & Zyczkowski, Geometry of Quantum States).
+The closed forms broadcast a stack of states against a stack of group
+elements, so a one-parameter orbit on a whole time grid, or an axiom check
+over all its samples, is one batched evaluation.  An image that rounds into
+the ball's boundary band raises NumericError naming its row.
 """
 
 from __future__ import annotations
@@ -53,12 +54,13 @@ def _lorentz(m: np.ndarray) -> np.ndarray:
 
     It maps the coefficients (t, x) of M = t I + x.sigma to those of m M m^dag.
     M has eigenvalues t +- |x|, and for |det m| = 1 the determinant
-    t^2 - |x|^2 is invariant.  m may be a stack (..., 2, 2); the 16 products
+    t^2 - |x|^2 is invariant: Lambda(m) boosts and rotates the rapidity of a
+    unit timelike (t, x).  m may be a stack (..., 2, 2); the 16 products
     m_jk conj(m_il) meet the Pauli traces in one matrix product.
     """
     stack = m.shape[:-2]
-    # An entry too large to square overflows quietly; the finite check of
-    # the moved coordinates in _alpha_images raises NumericError.
+    # An entry too large to square overflows quietly; the determinant check
+    # of the moved coordinates in _alpha_images raises NumericError.
     with np.errstate(over="ignore", invalid="ignore"):
         products = m[..., :, :, None, None] * m.conj()[..., None, None, :, :]
         return 0.5 * (products.reshape(stack + (16,)) @ _LORENTZ_TERMS).real.reshape(
@@ -70,18 +72,17 @@ def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (m @ x[..., None])[..., 0]
 
 
-def _power_coords(v: np.ndarray, r: np.ndarray, s: float) -> np.ndarray:
-    """(t, x) with rho^s = lambda_+^s (t I + x.sigma), for each rho of a
-    stack of Bloch vectors v (..., 3) with norms r (...); shape (..., 4).
+def _rapidity_coords(v: np.ndarray, r: np.ndarray, s: float) -> np.ndarray:
+    """(cosh xi, sinh xi v/r) with xi = s artanh(r), for each rho of a stack
+    of Bloch vectors v (..., 3) with norms r (...); shape (..., 4).
 
-    With lambda_+- = (1 +- r)/2 and k = (lambda_-/lambda_+)^s, t = (1 + k)/2
-    and x = (1 - k)/2 v/r (0 at r = 0), so t^2 - |x|^2 = k.  Scaling out
-    lambda_+^s keeps t >= 1/2, so no large |s| underflows it.
+    These are the Pauli coefficients of rho^s / det(rho)^(s/2), a unit
+    timelike vector: t^2 - |x|^2 = 1; past |xi| = 710 cosh overflows to inf.
     """
-    k = ((1.0 - r) / (1.0 + r)) ** s
+    xi = s * np.arctanh(r)
     out = np.empty(np.shape(r) + (4,))
-    out[..., 0] = 0.5 * (1.0 + k)
-    out[..., 1:] = _along(v, r, 0.5 * (1.0 - k))
+    out[..., 0] = np.cosh(xi)
+    out[..., 1:] = _along(v, r, np.sinh(xi))
     return out
 
 
@@ -190,23 +191,20 @@ def _alpha_images(s: float, g: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Bloch images under alpha_A, s = sqrt(A), of the states v (..., 3) by
     the SL(2, C) elements g (..., 2, 2); the two stacks broadcast.
 
-    g rho^s g^dag has coefficients (t', x') = Lambda(g) (t, x) and
-    eigenvalues mu_+ = t' + |x'| and mu_- = det / mu_+ (not the cancelling
-    t' - |x'|); the image is (1 - q)/(1 + q) x'/|x'|, q = (mu_-/mu_+)^(1/s).
+    g rho^s g^dag / det(rho)^(s/2) has the unit timelike coefficients
+    (t', x') = Lambda(g) (t, x), (t, x) those of _rapidity_coords.  Its
+    rapidity asinh|x'| is s artanh of the image's norm, so the image is
+    tanh(asinh|x'|/s) x'/|x'|.
     """
-    r = bloch_norm(v)
-    moved = _apply(_lorentz(g), _power_coords(v, r, s))
-    require_all(np.isfinite(moved).all(axis=-1), moved, NumericError,
-                "(t, x) of g rho^sqrt(A) g^dag", "is not finite")
-    x = moved[..., 1:]
-    rx = bloch_norm(x)
-    mu_hi = moved[..., 0] + rx
-    require_all(mu_hi > 0.0, moved, NumericError, "(t, x) of g rho^sqrt(A) g^dag",
-                "has lost t + |x| > 0 to rounding")
-    det = ((1.0 - r) / (1.0 + r)) ** s  # k of _power_coords
-    with np.errstate(over="ignore", invalid="ignore"):  # q = inf: a NaN image, rejected
-        q = (det / mu_hi / mu_hi) ** (1.0 / s)
-        return check_bloch_array(_along(x, rx, (1.0 - q) / (1.0 + q)), NumericError)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: rejected
+        moved = _apply(_lorentz(g), _rapidity_coords(v, bloch_norm(v), s))
+        x = moved[..., 1:]
+        rx = bloch_norm(x)
+        gap = np.abs(moved[..., 0] - np.hypot(1.0, rx))
+    require_all(gap <= DET_TOLERANCE * moved[..., 0], moved, NumericError,
+                "(t, x) of g rho^sqrt(A) g^dag / det(rho)^(sqrt(A)/2)",
+                "is not finite or has lost t^2 - |x|^2 = 1 to rounding")
+    return check_bloch_array(_along(x, rx, np.tanh(np.arcsinh(rx) / s)), NumericError)
 
 
 def _bkm_images(u: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -356,11 +354,10 @@ def transitivity_probe(samples: int = 100, seed: int = 0) -> float:
     """
     states, _ = _draws(seed, 3, samples, 2, 0)
     rho1, rho2 = states[:, 0], states[:, 1]
-    sqrt2 = np.tensordot(_power_coords(rho2, bloch_norm(rho2), 0.5), _PAULI4, 1)
-    inv_sqrt1 = np.tensordot(_power_coords(rho1, bloch_norm(rho1), -0.5),
-                             _PAULI4, 1)
-    raw = sqrt2 @ inv_sqrt1
-    g = raw / np.sqrt(np.linalg.det(raw))[:, None, None]
+    # rho^(+-1/2) / det(rho)^(+-1/4): determinant 1 each
+    sqrt2, inv_sqrt1 = (np.tensordot(_rapidity_coords(v, bloch_norm(v), power), _PAULI4, 1)
+                        for v, power in ((rho2, 0.5), (rho1, -0.5)))
+    g = sqrt2 @ inv_sqrt1
     require_all(_unit_det(g), np.arange(samples), NumericError, "sample",
                 "gives a determinant of rho2^(1/2) rho1^(-1/2) != 1")
     moved = _alpha_images(1.0, g, rho1)

@@ -18,7 +18,7 @@ from .metric_family import MonotoneFunctionSpec, big_f, bkm, family_a, family_b
 from .state_space import Record, require_all, require_array, require_count, require_finite
 
 CONSTANCY_TOL = 1e-6  # separates constant branches (~1e-9) from RLD (>0.1)
-ZERO_TOL = 1e-9  # |mean F| below it is labelled bkm_a0
+ZERO_TOL = 1e-9  # |mean F| within it, or within F's range, is labelled bkm_a0
 
 
 class OdeClassification(Record):
@@ -47,7 +47,7 @@ def classify(spec: MonotoneFunctionSpec, grid) -> OdeClassification:
     a_const, branch = None, "none"
     if width < CONSTANCY_TOL:
         a_const = float(values.mean())
-        branch = ("bkm_a0" if abs(a_const) < ZERO_TOL else
+        branch = ("bkm_a0" if abs(a_const) <= max(ZERO_TOL, width) else
                   "family_a_pos" if a_const > 0.0 else "family_b_neg")
     return OdeClassification(spec.name, tuple(grid.tolist()),
                              tuple(values.tolist()), a_const, width, branch)

@@ -559,6 +559,27 @@ def test_classify_near_the_centre_finds_the_constant_branch(spec, branch, capsys
     assert code == 0 and json.loads(capsys.readouterr().out)["branch"] == branch
 
 
+def test_classify_labels_zero_within_the_spread_of_f(capsys):
+    # F of bkm reads -6.0e-9 on this grid, within its rounding spread of
+    # 3.6e-7 but beyond the absolute 1e-9: it was labelled family_b_neg.
+    code = cli.main(["ode", "classify", "--spec", "bkm", "--grid-min", "3e-5",
+                     "--grid-max", "1e-4", "--grid-steps", "50"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0 and data["branch"] == "bkm_a0"
+    assert abs(data["constant"]) > 1e-9 and abs(data["constant"]) <= data["range_width"]
+
+
+@pytest.mark.parametrize("a_const", ["1e-300", "1e-32", "1e6"])
+def test_act_alpha_identity_returns_the_state(a_const, capsys):
+    # The centre at A = 1e-300, 0.10 off at A = 1e-32, and exit 3 at A = 1e6.
+    code = cli.main(["act", "--family", "alphaA", "--A", a_const, "--g-json",
+                     '{"sl_matrix": [[1,0],[0,0],[0,0],[1,0]]}',
+                     "--state-json", '{"bloch": [0.1, 0.2, 0.3]}'])
+    bloch = json.loads(capsys.readouterr().out)["bloch"]
+    assert code == 0
+    assert max(abs(got - want) for got, want in zip(bloch, [0.1, 0.2, 0.3])) <= 1e-15
+
+
 @pytest.mark.parametrize("a_const,code,out", [
     ("1e-12", 0, {"A": 1e-12, "excluded": False, "spec": "family_a(1e-12)"}),
     ("-1e-12", 3, {"error": "NumericError", "message": "B = 2.5e-13, c = 0.0: pole t_0 "

@@ -215,6 +215,8 @@ def _boost(x: float) -> SLGroupElement:
 
 T = TracelessObservable
 HUGE = custom(lambda t: t * 0 + 1e308, "c")
+ALPHA_TX = "(t, x) of g rho^sqrt(A) g^dag / det(rho)^(sqrt(A)/2)"
+ALPHA_LOST = "is not finite or has lost t^2 - |x|^2 = 1 to rounding"
 # Calls the fuzz found ending in a raw exception or warning or in a silent
 # value, and the renamed grid messages, each with its error class and whole
 # message: the QigError names the parameter, point or spec at fault.
@@ -246,10 +248,9 @@ _PROBES = [
         np.array([[np.nan, 0], [0, 1]])), DomainError, "m = nan is not finite"),
     ("alpha-cancelled", lambda: action_alpha_a(4.0, _boost(1e8),
                                                QubitState(0, 0, -0.99999999)),
-     NumericError, "(t, x) of g rho^sqrt(A) g^dag = [0.0, 0.0, 0.0, 0.0] has lost "
-                   "t + |x| > 0 to rounding"),
+     NumericError, f"{ALPHA_TX} = [0.0, 0.0, 0.0, 0.0] {ALPHA_LOST}"),
     ("alpha-overflow", lambda: action_alpha_a(1.0, _boost(1e200), QubitState(0, 0, 0.5)),
-     NumericError, "(t, x) of g rho^sqrt(A) g^dag = [nan, nan, nan, nan] is not finite"),
+     NumericError, f"{ALPHA_TX} = [nan, nan, nan, nan] {ALPHA_LOST}"),
     ("from_matrix-overflow", lambda: T.from_matrix(np.array([[1e308, 1e308],
                                                              [1e308, -1e308]])),
      DomainError, "Pauli coefficients (inf, 0.0, inf) are not all finite"),

@@ -22,6 +22,20 @@ def test_classify_constants():
     assert classify(family_a(3.0), GRID).branch == "family_a_pos"
 
 
+@pytest.mark.parametrize("spec,branch,near_branch", [
+    (bkm(), "bkm_a0", "bkm_a0"),
+    (family_a(1e-8), "family_a_pos", "bkm_a0"),
+    (family_a(1e-6), "family_a_pos", "family_a_pos"),
+    (family_a(2.0), "family_a_pos", "family_a_pos"),
+    (family_b(1.0, 0.0), "family_b_neg", "family_b_neg")])
+def test_zero_is_judged_against_the_spread_of_f(spec, branch, near_branch):
+    # Near the centre F rounds by eps/rho^2: bkm reads -6.0e-9 there with a
+    # spread of 3.6e-7, which the absolute 1e-9 labelled family_b_neg.  A
+    # mean beyond the spread keeps its sign's label; A = 1e-8 lies within it.
+    assert classify(spec, GRID).branch == branch
+    assert classify(spec, np.linspace(3e-5, 1e-4, 50)).branch == near_branch
+
+
 def test_classify_rld_not_constant():
     cls = classify(rld(), GRID)
     assert not cls.is_constant
