@@ -121,9 +121,10 @@ def gradient_field_closed(a: TracelessObservable, spec: MonotoneFunctionSpec,
                           scale: float = 1.0) -> VectorField:
     """Gradient field of the expectation value of a, closed form, times scale.
 
-    r g(r) a + ((1-r^2) - r g(r)) (a . n) n with n = v/r, where
-    r g(r) = (1+r) f((1-r)/(1+r)) extends continuously to the center; points
-    with r < 1e-12 take that limit, f(1) a.
+    (1-r^2) (a . n) n + r g(r) (a - (a . n) n) with n = v/r, split into its
+    radial and tangential parts so that nothing cancels when r g(r) >> 1;
+    r g(r) = (1+r) f((1-r)/(1+r)) extends continuously to the center, and
+    points with r < 1e-12 take that limit, f(1) a.
 
     ``point`` takes the same coefficients on Python floats with spec.f_float;
     the center, a point outside the ball and a bad f(t) go to ``cartesian``.
@@ -145,8 +146,10 @@ def gradient_field_closed(a: TracelessObservable, spec: MonotoneFunctionSpec,
             out[~center] = cartesian(v[~center])
             return out
         rg = (1.0 + r) * finite_f(spec, (1.0 - r) / (1.0 + r))
-        radial = ((1.0 - r * r) - rg) * (v @ coeffs) / (r * r)
-        return scale * (rg[..., None] * coeffs + radial[..., None] * v)
+        n = v / r[..., None]
+        an = (n @ coeffs)[..., None]
+        return scale * ((1.0 - r * r)[..., None] * an * n
+                        + rg[..., None] * (coeffs - an * n))
 
     f = spec.f_float
     if f is None:
@@ -157,9 +160,12 @@ def gradient_field_closed(a: TracelessObservable, spec: MonotoneFunctionSpec,
         if 1e-12 <= r < 1.0:
             rg = (1.0 + r) * f((1.0 - r) / (1.0 + r))
             if 0.0 < abs(rg) < math.inf:  # else f(t) is zero or not finite
-                radial = ((1.0 - r * r) - rg) * (a1 * x + a2 * y + a3 * z) / (r * r)
-                return (scale * (rg * a1 + radial * x), scale * (rg * a2 + radial * y),
-                        scale * (rg * a3 + radial * z))
+                nx, ny, nz = x / r, y / r, z / r
+                an = a1 * nx + a2 * ny + a3 * nz
+                radial = (1.0 - r * r) * an
+                return (scale * (radial * nx + rg * (a1 - an * nx)),
+                        scale * (radial * ny + rg * (a2 - an * ny)),
+                        scale * (radial * nz + rg * (a3 - an * nz)))
         return tuple(cartesian(np.array([x, y, z])).tolist())
 
     return VectorField(cartesian, point)

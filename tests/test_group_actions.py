@@ -201,18 +201,6 @@ def test_sl_element_validation():
                               f"is not a complex array of shape (2, 2)")
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("samples", [2.5, True, 0])
-def test_axiom_checks_need_an_integer_sample_count(samples):
-    # A float count raised a raw TypeError from numpy.
-    for check in (lambda: verify_alpha_action(2.0, samples=samples),
-                  lambda: verify_bkm_action(samples=samples),
-                  lambda: transitivity_probe(samples=samples)):
-        with pytest.raises(DomainError, match=re.escape(
-                f"samples = {samples!r} is not an integer >= 1")):
-            check()
-
-
 def test_alpha_one_pinned_example():
     # Conjugating the maximally mixed state by diag(sqrt2, 1/sqrt2) and
     # normalizing gives diag(0.8, 0.2), i.e. Bloch (0, 0, 0.6).

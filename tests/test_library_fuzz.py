@@ -13,6 +13,11 @@ rest.  _PROBES pins the calls the fuzz found, each with its whole error.
 
 import functools
 import inspect
+import pathlib
+import re
+import shutil
+import subprocess
+import sys
 import typing
 
 import numpy as np
@@ -280,3 +285,27 @@ def test_probe_raises_its_error(call, error, message):
         call()
     assert type(err.value) is error and str(err.value) == message
 
+
+_FAILING_UNDER_W_ERROR = """
+import pytest
+from hypothesis import given, strategies as st
+
+
+@pytest.mark.filterwarnings("error")
+@given(st.integers(0, 100))
+def test_below_fifty(x):
+    assert x < 50
+"""
+
+
+def test_failing_property_under_w_error_reports_its_example(tmp_path):
+    # With this directory's conftest, a failing hypothesis test marked
+    # filterwarnings("error") reports its falsifying example, not an
+    # INTERNALERROR from the warning raised while hypothesis reports it.
+    shutil.copy(pathlib.Path(__file__).with_name("conftest.py"), tmp_path)
+    (tmp_path / "test_below_fifty.py").write_text(_FAILING_UNDER_W_ERROR)
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          str(tmp_path)], capture_output=True, text=True, cwd=tmp_path)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert re.search(r"Falsifying example: test_below_fifty\(\nE +x=50,", run.stdout)

@@ -1,3 +1,5 @@
+import collections
+import functools
 import math
 import re
 import tracemalloc
@@ -12,12 +14,10 @@ from hypothesis import given, settings, strategies as st
 from qig.errors import (CenterSingularity, DomainError, IllConditioned,
                         NumericError, PoleError)
 from qig import metric_family
-from qig.metric_family import (FD_STEP, SCAN_BLOCK,
-                               MetricAtPoint, _b_basis_diff, _block_gaps,
-                               _blocks, _f_spectrum, _first_min, _min_gap,
-                               _positive_definite, _qubit_gaps, _size_gaps,
-                               _stack_streams, big_f, bkm,
-                               bures_helstrom,
+from qig.metric_family import (FD_STEP, SCAN_BLOCK, MetricAtPoint,
+                               _block_gaps, _blocks, _f_spectrum, _first_min,
+                               _min_gap, _positive_definite, _qubit_gaps,
+                               _size_gaps, big_f, bkm, bures_helstrom,
                                check_petz_symmetry, custom,
                                derivative_limit_at_zero, f_eval, family_a,
                                family_b, finite_f, g_derivative, g_from_f,
@@ -274,191 +274,147 @@ def test_non_finite_big_f_names_the_first_r():
     assert str(err.value) == "r = 1e-300 makes F of bkm not finite"
 
 
-SUITE_SPECS = [bures_helstrom(), wigner_yanase(), bkm(), family_a(2.0),
-               family_a(4.0)]
-
-
-def _eigh_of_a_gaps(specs, dim: int, samples: int, seed: int):
-    """The scan's per-sample gaps by the old path: the same draws, then
-    eigvalsh(A) for its largest eigenvalue and eigh(A) for its eigenpairs."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                       spawn_key=(dim,)))
-    lam = np.exp(rng.uniform(np.log(1e-3), 0.0, size=(samples, dim)))
-    zr = rng.standard_normal((samples, dim, dim))
-    zi = rng.standard_normal((samples, dim, dim))
-    q, _ = np.linalg.qr(zr + 1j * zi)
-    a = np.einsum("nij,nj,nkj->nik", q, lam, q.conj())
-    m = (rng.standard_normal((samples, dim, dim))
-         + 1j * rng.standard_normal((samples, dim, dim)))
-    w = np.einsum("nij,nkj->nik", m, m.conj()) / dim
-    lmax_a = np.linalg.eigvalsh(a)[:, -1]
-    lmax_w = np.linalg.eigvalsh(w)[:, -1]
-    scale = np.minimum(1.0, 0.999 * (1.0 - lmax_a) / np.maximum(lmax_w, 1e-300))
-    lam_a, vec_a = np.linalg.eigh(a)
-    lam_b, vec_b = np.linalg.eigh(a + scale[:, None, None] * w)
-    gaps = []
-    for spec in specs:
-        f_b, f_a = (np.einsum("nij,nj,nkj->nik", vec,
-                              np.asarray(spec.f_raw(np.clip(lam, 1e-300, 1.0))),
-                              vec.conj())
-                    for lam, vec in ((lam_b, vec_b), (lam_a, vec_a)))
-        gaps.append(np.linalg.eigvalsh(f_b - f_a)[:, 0])
-    return gaps
-
-
-def _spectral_gaps(specs, lam_a, u, lam_b):
-    """Smallest eigenvalue of f(B) - f(A) per pair, per spec, for any size,
-    in the eigenbasis of B: B = diag(lam_b) and A = u diag(lam_a) u^dag.
-    The scan's per-sample path before the screen: one full eigvalsh per
-    spec, the oracle for the screened minimum."""
-    diag = np.arange(lam_b.shape[1])
-    gaps = []
-    for spec in specs:
-        diff = np.einsum("nij,nj,nkj->nik", u, -_f_spectrum(spec, lam_a), u.conj())
-        diff[:, diag, diag] += _f_spectrum(spec, lam_b)
-        gaps.append(np.linalg.eigvalsh(diff)[:, 0])
-        del diff
-    return gaps
+SUITE_SPECS = (bures_helstrom(), wigner_yanase(), bkm(), family_a(2.0),
+               family_a(4.0))
 
 
 def _scan_draw(dim: int, samples: int, seed: int):
-    """The scan's pairs of one size drawn all at once, as the scan drew
-    them before it streamed blocks: A's drawn eigenpairs (lam, q),
-    A = q diag(lam) q^dag, and B = A + s W, every random stack taken whole
-    from the size's stream in turn.  The oracle for the blocked draw."""
+    """The scan's random stacks of one size drawn whole from the size's
+    stream, as the scan drew them before it streamed blocks: A's drawn
+    eigenpairs (lam, q), A = q diag(lam) q^dag, and W = M M^dag / dim."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(dim,)))
     lam = np.exp(rng.uniform(np.log(1e-3), 0.0, size=(samples, dim)))
     shape = (samples, dim, dim)
     q = np.linalg.qr(rng.standard_normal(shape)
                      + 1j * rng.standard_normal(shape)).Q
-    a = np.einsum("nij,nj,nkj->nik", q, lam, q.conj())
     m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    w = np.einsum("nij,nkj->nik", m, m.conj()) / dim
+    return (lam, q, np.einsum("nij,nj,nkj->nik", q, lam, q.conj()),
+            np.einsum("nij,nkj->nik", m, m.conj()) / dim)
+
+
+def _step_up(a, w, lmax_a):
+    """B = A + s W, the step s = min(1, 0.999 (1 - lmax_a) / lmax_w) keeping
+    B's spectrum inside (0, 1]."""
     lmax_w = np.linalg.eigvalsh(w)[:, -1]
-    scale = np.minimum(1.0, 0.999 * (1.0 - lam.max(axis=1))
-                       / np.maximum(lmax_w, 1e-300))
-    return lam, q, a + scale[:, None, None] * w
+    scale = np.minimum(1.0, 0.999 * (1.0 - lmax_a) / np.maximum(lmax_w, 1e-300))
+    return a + scale[:, None, None] * w
 
 
-def _one_shot_size_gaps(specs, dim: int, samples: int, seed: int):
-    """_size_gaps as it was before it streamed blocks: every pair of the
-    size drawn (_scan_draw) and scored at once, f(B) - f(A) built by a
-    three-operand einsum that conjugates u once per spec.
-
-    Two checks ride along on each stack it scores: _b_basis_diff builds
-    the same f(B) - f(A) bit for bit (for the first spec, as it costs a
-    second build), and the screen's least gap and first index are those of
-    a full eigvalsh of every pair."""
-    lam_a, vec_a, b = _scan_draw(dim, samples, seed)
-    if dim == 2:
-        gaps, lam_b = _qubit_gaps(specs, lam_a, vec_a, b)
-        return [_first_min(g) for g in gaps], lam_a, lam_b
-    lam_a, u, lam_b = _in_b_eigenbasis(lam_a, vec_a, b)
-    diag = np.arange(dim)
+def _eigh_of_a_gaps(specs, dim: int, samples: int, seed: int):
+    """The scan's per-pair gaps by the old path: the same draw, B stepped up
+    from eigvalsh(A)'s largest eigenvalue, and f(A), f(B) from eigh."""
+    _, _, a, w = _scan_draw(dim, samples, seed)
+    eig_a = np.linalg.eigh(a)
+    eig_b = np.linalg.eigh(_step_up(a, w, np.linalg.eigvalsh(a)[:, -1]))
     gaps = []
+    for spec in specs:
+        f_b, f_a = (np.einsum("nij,nj,nkj->nik", vec,
+                              np.asarray(spec.f_raw(np.clip(lam, 1e-300, 1.0))),
+                              vec.conj())
+                    for lam, vec in (eig_b, eig_a))
+        gaps.append(np.linalg.eigvalsh(f_b - f_a)[:, 0])
+    return np.array(gaps)
+
+
+_Scores = collections.namedtuple("_Scores", "gaps full lam_a lam_b lam_b_eigh")
+
+
+def _score(specs, lam_a, vec_a, b) -> _Scores:
+    """Each pair A = vec_a diag(lam_a) vec_a^dag <= B scored on its own, as
+    tables (specs, pairs): full, the least eigenvalue of f(B) - f(A) by a
+    full eigvalsh in the eigenbasis of B (eigh, spectrum lam_b_eigh), and
+    gaps, the scan's: _qubit_gaps at size 2, with B's spectrum lam_b in
+    closed form, and full at the other sizes."""
+    lam_b_eigh, vec_b = np.linalg.eigh(b)
+    u = vec_b.conj().swapaxes(1, 2) @ vec_a
+    uc, diag = u.conj(), np.arange(b.shape[1])
+    full = np.empty((len(specs), len(b)))
     for k, spec in enumerate(specs):
-        f_a, f_b = _f_spectrum(spec, lam_a), _f_spectrum(spec, lam_b)
-        diff = np.einsum("nij,nj,nkj->nik", u, -f_a, u.conj())
-        diff[:, diag, diag] += f_b
-        if k == 0:
-            assert np.array_equal(_b_basis_diff(u, u.conj(), f_a, f_b), diff)
-        gaps.append(_min_gap(diff, np.abs(f_a).max() + np.abs(f_b).max()))
-        assert gaps[-1] == _first_min(np.linalg.eigvalsh(diff)[:, 0]), spec.name
-    return gaps, lam_a, lam_b
+        diff = np.einsum("nij,nj,nkj->nik", u, -_f_spectrum(spec, lam_a), uc)
+        diff[:, diag, diag] += _f_spectrum(spec, lam_b_eigh)
+        full[k] = np.linalg.eigvalsh(diff)[:, 0]
+    if b.shape[1] != 2:
+        return _Scores(full, full, lam_a, lam_b_eigh, lam_b_eigh)
+    gaps, lam_b = _qubit_gaps(specs, lam_a, vec_a, b)
+    return _Scores(np.array(gaps), full, lam_a, lam_b, lam_b_eigh)
 
 
-def _in_b_eigenbasis(lam_a, vec_a, b):
-    """(lam_a, u, lam_b): A = u diag(lam_a) u^dag in B's eigenbasis."""
-    lam_b, vec_b = np.linalg.eigh(b)
-    return lam_a, vec_b.conj().swapaxes(1, 2) @ vec_a, lam_b
+@functools.cache
+def _oracle(specs: tuple, dim: int, samples: int, seed: int) -> _Scores:
+    """The one oracle of the scan: its pairs of one size drawn whole
+    (_scan_draw) and scored pair by pair (_score), once per (specs, size,
+    samples, seed) in a session.  Specs are told apart by name; only the
+    float tables are kept."""
+    lam, q, a, w = _scan_draw(dim, samples, seed)
+    return _score(specs, lam, q, _step_up(a, w, lam.max(axis=1)))
 
 
-def _per_sample_gaps(specs, dim: int, samples: int, seed: int):
-    """The scan's draws of one size scored per sample: _qubit_gaps at size
-    2, B's eigenbasis and a full eigvalsh (_spectral_gaps) at the others."""
-    lam_a, vec_a, b = _scan_draw(dim, samples, seed)
-    if dim == 2:
-        gaps, lam_b = _qubit_gaps(specs, lam_a, vec_a, b)
+def _oracle_rows(specs, dim: int, samples: int, seed: int):
+    """_size_gaps' rows as the oracle gives them: per spec, the least gap,
+    its first pair and that pair's spectra."""
+    scores = _oracle(specs, dim, samples, seed)
+    return [(gap, k, scores.lam_a[k], scores.lam_b[k])
+            for gap, k in map(_first_min, scores.gaps)]
+
+
+@functools.cache
+def _blocked_scan(specs: tuple, dim: int, samples: int, seed: int):
+    """One run of _size_gaps, once per (specs, size, samples, seed) in a
+    session: its rows, each _block_gaps call's (gap, index) per spec, and
+    the first rows of the blocks whose spectra are not the oracle's."""
+    scores = _oracle(specs, dim, samples, seed)
+    blocks, stray = [], []
+
+    def recorded(*args):
+        gaps, lam_a, lam_b = _block_gaps(*args)
+        rows = slice(SCAN_BLOCK * len(blocks), SCAN_BLOCK * len(blocks) + len(lam_a))
+        if not (np.array_equal(lam_a, scores.lam_a[rows])
+                and np.array_equal(lam_b, scores.lam_b[rows])):
+            stray.append(rows.start)
+        blocks.append(gaps)
         return gaps, lam_a, lam_b
-    lam_a, u, lam_b = _in_b_eigenbasis(lam_a, vec_a, b)
-    return _spectral_gaps(specs, lam_a, u, lam_b), lam_a, lam_b
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metric_family, "_block_gaps", recorded)
+        return _size_gaps(specs, dim, samples, seed), blocks, stray
 
 
-def _blocked_spectra(dim: int, samples: int, seed: int):
-    """Every pair's spectra of A (as drawn) and of B (ascending) as the
-    scan draws them, by walking _block_gaps over the size's streams block
-    by block, scoring no spec."""
-    stacks = _stack_streams(dim, samples, seed)
-    spectra = [_block_gaps([], stacks, dim, rows)[1:] for _, rows in _blocks(samples)]
-    return tuple(np.concatenate(lam) for lam in zip(*spectra))
-
-
-def _assert_best_rows(got, gaps, lam_a, lam_b, what):
-    # Each of _size_gaps' rows is the (gap, index) of the oracle's gaps
-    # and that pair's spectra, bit for bit.
-    assert [(gap, k) for gap, k, _, _ in got] == gaps, what
-    for _, k, row_a, row_b in got:
-        assert np.array_equal(row_a, lam_a[k]), what
-        assert np.array_equal(row_b, lam_b[k]), what
-
-
-def _assert_scored_by_minimum(specs, dim, samples, seed):
-    # _size_gaps' (gap, index) per spec is the per-sample path's (min,
-    # argmin) bit for bit, with that pair's spectra; the blocks draw every
-    # pair's spectra as the per-sample path does.
-    got = _size_gaps(specs, dim, samples, seed)
-    gaps, lam_a, lam_b = _per_sample_gaps(specs, dim, samples, seed)
-    blocked_a, blocked_b = _blocked_spectra(dim, samples, seed)
-    assert np.array_equal(blocked_a, lam_a) and np.array_equal(blocked_b, lam_b)
-    want = [(float(g.min()), int(np.argmin(g))) for g in gaps]
-    _assert_best_rows(got, want, lam_a, lam_b, (dim, seed))
-    return gaps, lam_a, lam_b
-
-
-def test_scan_matches_eigh_of_a_oracle():
-    # The old path's eigenvalues differ from the drawn ones by a few ulps,
-    # and every spec's f is accurate to a few ulps on (0, 1], so the gaps
-    # agree to 1e-12.
-    specs = [bures_helstrom(), wigner_yanase(), bkm(), family_a(2.0),
-             family_a(4.0)]
-    for seed in range(10):
-        oracle_min = np.full(len(specs), np.inf)
-        for dim in (1, 2, 3, 4):
-            got, _, _ = _assert_scored_by_minimum(specs, dim, 500, seed)
-            want = _eigh_of_a_gaps(specs, dim, 500, seed)
-            for k, (spec, g, o) in enumerate(zip(specs, got, want)):
-                assert np.all(np.abs(g - o) <= 1e-12), (spec.name, seed, dim)
-                oracle_min[k] = min(oracle_min[k], o.min())
-        reports = scan_monotonicity(specs, samples=500, seed=seed)
-        assert ([rep.violated for rep in reports]
-                == list(oracle_min < -1e-10)), seed
-
-
-def test_screen_matches_full_eigvalsh_over_suite_draws():
-    # The suite's draws: 10 000 pairs, the monotone sub-seeds of seeds 0-9,
-    # its five specs, at every size the screen runs at; the one-shot
-    # oracle scores each draw by the screen and by a full eigvalsh.  Seeds
-    # 0-4 run there in test_blocked_scan_equals_one_shot_scan[10000].
-    for seed in range(5, 10):
-        for dim in (1, 3, 4):
-            _one_shot_size_gaps(SUITE_SPECS, dim, 10_000,
-                                sub_seed(seed, "monotone"))
+def _checked_size_gaps(specs, dim: int, samples: int, seed: int):
+    """_size_gaps' rows, checked against the oracle: each spec's (gap,
+    index) and that pair's spectra bit for bit, and every block's spectra."""
+    rows, _, stray = _blocked_scan(specs, dim, samples, seed)
+    want = _oracle_rows(specs, dim, samples, seed)
+    assert stray == [], (dim, seed)
+    assert [row[:2] for row in rows] == [row[:2] for row in want], (dim, seed)
+    for (_, _, *got), (_, _, *spectra) in zip(rows, want):
+        assert all(map(np.array_equal, got, spectra)), (dim, seed)
+    return rows
 
 
 def _scan_with(monkeypatch, size_gaps, samples: int, seed: int):
     """The suite specs' reports of scan_monotonicity with size_gaps in
-    place of _size_gaps, and what size_gaps returned at each size."""
-    returned = []
-
-    def recorded(*args):
-        returned.append(size_gaps(*args))
-        return returned[-1]
-
+    place of _size_gaps."""
     with monkeypatch.context() as patch:
-        patch.setattr(metric_family, "_size_gaps", recorded)
-        reports = scan_monotonicity(SUITE_SPECS, samples=samples, seed=seed)
-    return reports, returned
+        patch.setattr(metric_family, "_size_gaps", size_gaps)
+        return scan_monotonicity(SUITE_SPECS, samples=samples, seed=seed)
+
+
+def test_scan_matches_eigh_of_a_oracle(monkeypatch):
+    # The old path's eigenvalues differ from the drawn ones by a few ulps,
+    # and every spec's f is accurate to a few ulps on (0, 1], so the gaps
+    # agree to 1e-12.
+    for seed in range(10):
+        reports = _scan_with(monkeypatch, _checked_size_gaps, 500, seed)
+        oracle_min = np.full(len(SUITE_SPECS), np.inf)
+        for dim in (1, 2, 3, 4):
+            got = _oracle(SUITE_SPECS, dim, 500, seed).gaps
+            want = _eigh_of_a_gaps(SUITE_SPECS, dim, 500, seed)
+            for spec, g, o in zip(SUITE_SPECS, got, want):
+                assert np.all(np.abs(g - o) <= 1e-12), (spec.name, seed, dim)
+            oracle_min = np.minimum(oracle_min, want.min(axis=1))
+        assert ([rep.violated for rep in reports]
+                == list(oracle_min < -1e-10)), seed
 
 
 @pytest.mark.parametrize("samples", [1, SCAN_BLOCK - 1, SCAN_BLOCK,
@@ -466,29 +422,29 @@ def _scan_with(monkeypatch, size_gaps, samples: int, seed: int):
 def test_blocked_scan_equals_one_shot_scan(monkeypatch, samples):
     # Streaming the pairs in blocks draws the same numbers and scores them
     # to the same bits: every size's (gap, index) per spec with that pair's
-    # spectra, every pair's spectra, and the reports, counterexamples
-    # included.  10 000 pairs are the monotone suite's scans of seeds 0-4;
+    # spectra, every block's spectra, and the reports, counterexamples
+    # included.  10 000 pairs are the monotone suite's scans of seeds 0-9;
     # the counts around a block's edge run at seed 0's.
-    for seed in range(5 if samples == 10_000 else 1):
+    for seed in range(10 if samples == 10_000 else 1):
         seed = sub_seed(seed, "monotone")
-        got, blocked = _scan_with(monkeypatch, _size_gaps, samples, seed)
-        one_shot = []
-
-        def best_rows_of_one_shot(*args):
-            one_shot.append(_one_shot_size_gaps(*args))
-            gaps, lam_a, lam_b = one_shot[-1]
-            return [(gap, k, lam_a[k], lam_b[k]) for gap, k in gaps]
-
-        want, _ = _scan_with(monkeypatch, best_rows_of_one_shot, samples, seed)
-        assert got == want, seed
-        for dim, rows, (gaps_1, lam_a_1, lam_b_1) in zip(
-                (1, 2, 3, 4), blocked, one_shot, strict=True):
-            _assert_best_rows(rows, gaps_1, lam_a_1, lam_b_1, (seed, dim))
-            lam_a, lam_b = _blocked_spectra(dim, samples, seed)
-            assert np.array_equal(lam_a, lam_a_1), (seed, dim)
-            assert np.array_equal(lam_b, lam_b_1), (seed, dim)
+        got = _scan_with(monkeypatch, _checked_size_gaps, samples, seed)
+        assert got == _scan_with(monkeypatch, _oracle_rows, samples, seed), seed
         if samples == 10_000:  # the suite's verdict: family_a(2), (4) fail
             assert [rep.violated for rep in got] == [False] * 3 + [True] * 2
+
+
+def test_screen_matches_full_eigvalsh_over_suite_draws():
+    # The screen runs on the blocks of the suite's draws at sizes 1, 3 and
+    # 4: each block's least gap and first index per spec are those of a
+    # full eigvalsh of every pair of the block, bit for bit.
+    for seed in range(10):
+        for dim in (1, 3, 4):
+            key = (SUITE_SPECS, dim, 10_000, sub_seed(seed, "monotone"))
+            full = _oracle(*key).full
+            for (start, rows), gaps in zip(_blocks(10_000), _blocked_scan(*key)[1],
+                                           strict=True):
+                assert gaps == [_first_min(g[start:start + rows]) for g in full], (
+                    seed, dim, start)
 
 
 def test_blocks_merge_keeps_the_first_pair_with_the_least_gap(monkeypatch):
@@ -535,12 +491,12 @@ def test_screen_margin_scales_with_f(factor):
     # f scaled by 1e8 or 1e-8 scales every gap, and the screen's margin with
     # it; a margin fixed in absolute terms would prune the minimum or keep
     # every sample.
-    specs = [custom(lambda t, s=spec: factor * np.asarray(s.f_raw(t)),
-                    f"{factor:g} {spec.name}")
-             for spec in (bures_helstrom(), family_a(2.0), family_a(4.0))]
+    specs = tuple(custom(lambda t, s=spec: factor * np.asarray(s.f_raw(t)),
+                         f"{factor:g} {spec.name}")
+                  for spec in (bures_helstrom(), family_a(2.0), family_a(4.0)))
     for seed in range(3):
         for dim in (1, 3, 4):
-            _assert_scored_by_minimum(specs, dim, 2_000, seed)
+            _checked_size_gaps(specs, dim, 2_000, seed)
 
 
 @pytest.mark.filterwarnings("error")
@@ -951,26 +907,22 @@ def test_custom_f_that_is_not_real_is_numeric_error(result, call, t):
     assert t is None or named.group(1) == t
 
 
-def _assert_qubit_gaps_match_spectral(lam_a, vec_a, b, what):
+def _assert_closed_form_matches_eigh(scores: _Scores, what):
     # The bound of test_scan_matches_eigh_of_a_oracle: B's eigenvalues by
     # the closed form and by eigh differ by a few ulps.
-    got, lam_b = _qubit_gaps(SUITE_SPECS, lam_a, vec_a, b)
-    lam_b_eigh, vec_b = np.linalg.eigh(b)
-    want = _spectral_gaps(SUITE_SPECS, lam_a,
-                          vec_b.conj().swapaxes(1, 2) @ vec_a, lam_b_eigh)
-    npt.assert_allclose(lam_b, lam_b_eigh, rtol=0.0, atol=1e-14)
-    for spec, g, o in zip(SUITE_SPECS, got, want):
+    npt.assert_allclose(scores.lam_b, scores.lam_b_eigh, rtol=0.0, atol=1e-14)
+    assert np.all(scores.lam_b[:, 0] <= scores.lam_b[:, 1]), what
+    for spec, g, o in zip(SUITE_SPECS, scores.gaps, scores.full):
         assert np.all(np.abs(g - o) <= 1e-12), (spec.name, what)
         assert (g.min() < -1e-10) == (o.min() < -1e-10), (spec.name, what)
 
 
 def test_qubit_closed_form_matches_spectral_path():
-    # Size 2 as the suite scans it: 10 000 pairs, seeds 0-9, its five specs.
+    # Size 2 as the suite scans it: 10 000 pairs, the monotone sub-seeds of
+    # seeds 0-9, its five specs.
     for seed in range(10):
-        lam_a, vec_a, b = _scan_draw(2, 10_000, seed)
-        _assert_qubit_gaps_match_spectral(lam_a, vec_a, b, seed)
-        _, _, lam_b = _assert_scored_by_minimum(SUITE_SPECS, 2, 10_000, seed)
-        assert np.all(lam_b[:, 0] <= lam_b[:, 1])
+        _assert_closed_form_matches_eigh(
+            _oracle(SUITE_SPECS, 2, 10_000, sub_seed(seed, "monotone")), seed)
 
 
 def test_qubit_closed_form_degenerate_pairs():
@@ -982,13 +934,13 @@ def test_qubit_closed_form_degenerate_pairs():
     a = np.einsum("nij,nj,nkj->nik", vec_a, lam_a, vec_a.conj())
     b = np.stack([0.95 * np.eye(2), 0.6 * np.eye(2),
                   a[2] + np.diag([0.0, 0.4]), 0.95 * np.eye(2)]).astype(complex)
-    gaps, lam_b = _qubit_gaps(SUITE_SPECS, lam_a, vec_a, b)
-    npt.assert_array_equal(lam_b[[0, 1, 3]],
+    scores = _score(SUITE_SPECS, lam_a, vec_a, b)
+    npt.assert_array_equal(scores.lam_b[[0, 1, 3]],
                            [[0.95, 0.95], [0.6, 0.6], [0.95, 0.95]])
-    for spec, g in zip(SUITE_SPECS, gaps):
+    for spec, g in zip(SUITE_SPECS, scores.gaps):
         f = spec.f_raw
         assert g[1] == f(0.6) - f(0.3)
         # f(cI) - f(A) has the eigenvalues f(c) - f(lam_a).
         npt.assert_allclose(g[[0, 3]], f(0.95) - f(lam_a[[0, 3]]).max(axis=1),
                             rtol=1e-13)
-    _assert_qubit_gaps_match_spectral(lam_a, vec_a, b, "hand-made")
+    _assert_closed_form_matches_eigh(scores, "hand-made")

@@ -81,6 +81,18 @@ def test_gradient_center_limit():
             a.coeffs, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a_const", [1e24, 1e300])
+def test_gradient_at_large_a_keeps_its_radial_part(a_const):
+    # At (0.3, 0, 0) the gradient of sigma_1 is radial: (1 - r^2) a =
+    # (0.91, 0, 0).  r g a + ((1 - r^2) - r g)(a . n) n cancelled r g, 3e11
+    # and 3e149 here, and read 0.909973 and 0.
+    field = gradient_field_closed(E[0], family_a(a_const))
+    for got in (field.cartesian(np.array([0.3, 0.0, 0.0])).tolist(),
+                list(field.point(0.3, 0.0, 0.0))):
+        assert abs(got[0] - 0.91) <= 1e-15 * 0.91 and got[1:] == [0.0, 0.0]
+
+
 def test_gradient_closed_equals_metric_raised():
     rng = np.random.default_rng(42)
     a = TracelessObservable(0.7, -0.2, 0.4)
