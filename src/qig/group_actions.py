@@ -112,18 +112,20 @@ def sl_identity() -> SLGroupElement:
     return SLGroupElement(np.eye(2, dtype=complex))
 
 
-def _expm_traceless_2x2(m: np.ndarray) -> np.ndarray:
+def _expm_traceless_2x2(m: np.ndarray, rows, name: str) -> np.ndarray:
     """exp of traceless 2x2 matrices: cosh(mu) I + sinh(mu)/mu m, mu^2 = -det m.
 
     m may be a stack (..., 2, 2).  sinh(mu)/mu is 1 at mu = 0 (nilpotent or
-    zero m).  A non-finite result raises NumericError.
+    zero m).  rows labels the stack's entries as require_all's rows do, and
+    the first entry whose exponential is not finite raises NumericError
+    naming its row as name.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mu = np.sqrt(m[..., 0, 1] * m[..., 1, 0] - m[..., 0, 0] * m[..., 1, 1])
         sinch = np.where(mu == 0, 1.0, np.sinh(mu) / mu)
         out = np.cosh(mu)[..., None, None] * _PAULI4[0] + sinch[..., None, None] * m
-    if not np.isfinite(out).all():
-        raise NumericError("matrix exponential of the generator overflows")
+    require_all(np.isfinite(out).all(axis=(-2, -1)), rows, NumericError,
+                f"matrix exponential of the generator at {name}", "overflows")
     return out
 
 
@@ -133,7 +135,8 @@ def sl_from_generators(a: TracelessObservable, b: TracelessObservable) -> SLGrou
     require_instance("b", b, TracelessObservable)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericError below
         gen = 0.5 * (a.matrix() - 1j * b.matrix())
-    return SLGroupElement(_expm_traceless_2x2(gen))
+    return SLGroupElement(_expm_traceless_2x2(
+        gen, np.concatenate([a.coeffs, b.coeffs]), "(a, b)"))
 
 
 class CotangentGroupElement(Record):
@@ -314,7 +317,8 @@ def verify_alpha_action(a_const: float, samples: int = 200,
     # per sample a1, b1, a2, b2
     g1, g2 = np.moveaxis(_expm_traceless_2x2(
         0.5 * (_pauli_matrices(coeffs[:, 0::2])
-               - 1j * _pauli_matrices(coeffs[:, 1::2]))), 1, 0)
+               - 1j * _pauli_matrices(coeffs[:, 1::2])),
+        coeffs.reshape(samples, 2, 6), "(a, b)"), 1, 0)
     g12 = g1 @ g2
     # A determinant of a computed element that drifted from 1 is a numeric
     # breakdown, not bad input.
@@ -335,7 +339,7 @@ def verify_bkm_action(samples: int = 200, seed: int = 0) -> ActionAxiomReport:
     """
     states, coeffs = _draws(seed, 2, samples, 1, 4)
     b1, a1, b2, a2 = np.moveaxis(coeffs, 1, 0)
-    u1, u2 = (_expm_traceless_2x2(-0.5j * _pauli_matrices(b)) for b in (b1, b2))
+    u1, u2 = (_expm_traceless_2x2(-0.5j * _pauli_matrices(b), b, "b") for b in (b1, b2))
     u12, a12 = cotangent_multiply(u1, a1, u2, a2)
     for u, what in ((u1, "U1"), (u2, "U2"), (u12, "U1 U2")):
         require_all(_unitary(u) & _unit_det(u), np.arange(samples), NumericError,
@@ -417,7 +421,7 @@ def alpha_subgroup(a_const: float, a: TracelessObservable,
 
     def images(times: np.ndarray, v: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericError
-            g = _expm_traceless_2x2(times[..., None, None] * gen)
+            g = _expm_traceless_2x2(times[..., None, None] * gen, times, "t")
         require_all(_unit_det(g), times, NumericError, "t",
                     "gives a determinant of exp(t (a - i b)/2) != 1")
         return _alpha_images(s, g, v)
@@ -433,7 +437,7 @@ def bkm_subgroup(a: TracelessObservable, b: TracelessObservable) -> Subgroup:
 
     def images(times: np.ndarray, v: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # an inf t b or t a raises below
-            u = _expm_traceless_2x2(times[..., None, None] * gen)
+            u = _expm_traceless_2x2(times[..., None, None] * gen, times, "t")
             shift = times[..., None] * a.coeffs
         return _bkm_images(u, shift, v)
 

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -227,6 +228,8 @@ def test_in_process_main_leaves_the_collector_alone(capsys):
 @pytest.mark.parametrize("argv,code", [(["ode", "solve", "--A", "1"], 0),
                                        (["metric", "--r", "1.5"], 2)])
 def test_entry_freezes_once_before_parsing(argv, code, monkeypatch, capsys):
+    # The entry freezes, then keeps the freed heap, then parses; main() in
+    # process does neither.
     events = []
     freeze, build_parser = gc.freeze, cli.build_parser
 
@@ -239,19 +242,22 @@ def test_entry_freezes_once_before_parsing(argv, code, monkeypatch, capsys):
         return build_parser()
 
     monkeypatch.setattr(gc, "freeze", record_freeze)
+    monkeypatch.setattr(cli, "_keep_heap", lambda: events.append("heap"))
     monkeypatch.setattr(cli, "build_parser", record_parser)
     monkeypatch.setattr(sys, "argv", ["qig", *argv])
     try:
         assert cli.entry() == code
     finally:
         gc.unfreeze()
-    assert events == ["freeze", "parser"]
+    assert events == ["freeze", "heap", "parser"]
     out = capsys.readouterr().out
     assert cli.main(argv) == code and capsys.readouterr().out == out
+    assert events == ["freeze", "heap", "parser", "parser"]
 
 
 def test_in_process_entry_leaves_a_loaded_hashlib_alone(monkeypatch, capsys):
     loaded = pytest.importorskip("_hashlib")
+    monkeypatch.setattr(cli, "_keep_heap", lambda: None)  # the test process's allocator
     monkeypatch.setattr(sys, "argv", ["qig", "ode", "solve", "--A", "1"])
     try:
         assert cli.entry() == 0
@@ -286,6 +292,30 @@ def test_entry_loads_no_openssl():
     assert r.stdout.split() == [
         "0", "True", "None", "False", hashlib.sha256(b"qig").hexdigest(),
         hmac.new(b"key", b"qig", "sha256").hexdigest()]
+
+
+def _minor_faults(*args) -> int:
+    """Minor page faults of one `python args` child, read through os.wait4."""
+    env = dict(os.environ, PYTHONPATH="src")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen([sys.executable, *args], env=env, cwd=root,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_minflt
+
+
+# The monotone scan frees its working set after each block of rows.  A `qig`
+# process keeps that memory mapped for the next block, so the command faults
+# in few pages beyond those of its imports: about 400 on glibc, against about
+# 13 000 when each block's memory went back to the kernel and faulted in again.
+@pytest.mark.skipif(not hasattr(os, "wait4") or platform.libc_ver()[0] != "glibc",
+                    reason="needs os.wait4 and glibc's mallopt")
+def test_verify_monotone_keeps_its_freed_heap():
+    imports = _minor_faults("-c", "import qig.cli, numpy.random")
+    command = _minor_faults("-m", "qig.cli", "verify", "monotone", "--seed", "0")
+    assert command - imports < 3000, (command, imports)
 
 
 def test_python_m_prints_what_main_prints(capsys):

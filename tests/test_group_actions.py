@@ -171,7 +171,7 @@ _TRACELESS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(_TRACELESS)
 def test_expm_traceless_2x2_matches_mpmath(m):
-    got = _expm_traceless_2x2(m)
+    got = _expm_traceless_2x2(m, m, "m")
     with mpmath.workdps(40):
         want = mpmath.expm(mpmath.matrix(m.tolist()))
         error = max(abs(mpmath.mpc(got[i, j]) - want[i, j])
@@ -302,7 +302,8 @@ def _record_loop_bkm_action(samples, seed, multiply=_record_multiply):
     elements and their products as records, sample by sample."""
     states, coeffs = _draws(seed, 2, samples, 1, 4)
     rho = states[:, 0]
-    u = _expm_traceless_2x2(-0.5j * _pauli_matrices(coeffs[:, 0::2]))
+    b = coeffs[:, 0::2]
+    u = _expm_traceless_2x2(-0.5j * _pauli_matrices(b), b, "b")
     a = coeffs[:, 1::2]
     h1, h2 = ([CotangentGroupElement(u[i, j], TracelessObservable.from_coeffs(a[i, j]))
                for i in range(samples)] for j in (0, 1))
@@ -507,8 +508,8 @@ def test_alpha_orbit_overflow_is_numeric_error(a, b, t):
         warnings.simplefilter("error")
         group = alpha_subgroup(1.0, TracelessObservable(a, 0.0, 0.0),
                                TracelessObservable(0.0, b, 0.0))
-        with pytest.raises(NumericError,
-                           match=r"^matrix exponential of the generator overflows$"):
+        with pytest.raises(NumericError, match="^" + re.escape(
+                f"matrix exponential of the generator at t = {t!r} overflows") + "$"):
             group.orbit([t], np.zeros(3))
     assert not caught
 

@@ -28,7 +28,7 @@ from hypothesis.extra import numpy as hnp
 from qig.errors import DomainError, NumericError, QigError
 from qig.flow_engine import orbit_curve
 from qig.group_actions import (SLGroupElement, action_alpha_a, bkm_subgroup,
-                               cotangent_multiply)
+                               cotangent_multiply, sl_from_generators)
 from qig.metric_family import (MetricAtPoint, bkm, bures_helstrom, check_petz_symmetry,
                                custom, family_b, finite_f, g_derivative, g_from_f,
                                inverse_metric, metric_cartesian, scan_monotonicity,
@@ -263,7 +263,12 @@ _PROBES = [
      DomainError, "determinant (-0+0j) != 1"),
     ("bkm-orbit-overflow", lambda: orbit_curve(bkm_subgroup(T(0, 0, 0), T(0, 0, 4)),
                                                QubitState(0.1, 0.2, 0.3), 1e308, 3),
-     NumericError, "matrix exponential of the generator overflows"),
+     NumericError, "matrix exponential of the generator at t = 3.333333333333333e+307 "
+                   "overflows"),
+    ("sl_from_generators-overflow", lambda: sl_from_generators(T(1e308, 0, 0),
+                                                               T(0, 1e308, 0)),
+     NumericError, "matrix exponential of the generator at (a, b) = "
+                   "[1e+308, 0.0, 0.0, 0.0, 1e+308, 0.0] overflows"),
     ("commutators-inf-point", lambda: verify_commutator_relations(
         bkm(), [[np.inf, np.inf, np.inf]]), DomainError,
      "point = [inf, inf, inf] is not inside the open ball"),
