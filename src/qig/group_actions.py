@@ -130,13 +130,19 @@ def _expm_traceless_2x2(m: np.ndarray, rows, name: str) -> np.ndarray:
 
 
 def sl_from_generators(a: TracelessObservable, b: TracelessObservable) -> SLGroupElement:
-    """exp((a_matrix - i b_matrix)/2); traceless generators give det = 1."""
+    """exp((a_matrix - i b_matrix)/2); traceless generators give det = 1, so
+    a determinant that rounding or overflow moves off 1 raises NumericError
+    naming (a, b)."""
     require_instance("a", a, TracelessObservable)
     require_instance("b", b, TracelessObservable)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericError below
         gen = 0.5 * (a.matrix() - 1j * b.matrix())
-    return SLGroupElement(_expm_traceless_2x2(
-        gen, np.concatenate([a.coeffs, b.coeffs]), "(a, b)"))
+    coeffs = np.concatenate([a.coeffs, b.coeffs])
+    g = _expm_traceless_2x2(gen, coeffs, "(a, b)")
+    require_all(_unit_det(g), coeffs, NumericError,
+                "matrix exponential of the generator at (a, b)",
+                f"has a determinant off 1 by more than {DET_TOLERANCE:g}")
+    return SLGroupElement(g)
 
 
 class CotangentGroupElement(Record):

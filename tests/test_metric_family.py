@@ -2,6 +2,9 @@ import collections
 import functools
 import math
 import re
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -358,6 +361,12 @@ def _oracle_rows(specs, dim: int, samples: int, seed: int):
             for gap, k in map(_first_min, scores.gaps)]
 
 
+# _blocked_scan records a walk by patching the module's _block_gaps, and
+# scan_monotonicity runs _size_gaps for several sizes at once: one walk
+# holds the patch at a time, so no walk records another size's blocks.
+_RECORDING = threading.Lock()
+
+
 @functools.cache
 def _blocked_scan(specs: tuple, dim: int, samples: int, seed: int):
     """One run of _size_gaps, once per (specs, size, samples, seed) in a
@@ -375,7 +384,7 @@ def _blocked_scan(specs: tuple, dim: int, samples: int, seed: int):
         blocks.append(gaps)
         return gaps, lam_a, lam_b
 
-    with pytest.MonkeyPatch.context() as patch:
+    with _RECORDING, pytest.MonkeyPatch.context() as patch:
         patch.setattr(metric_family, "_block_gaps", recorded)
         return _size_gaps(specs, dim, samples, seed), blocks, stray
 
@@ -463,27 +472,141 @@ def test_blocks_merge_keeps_the_first_pair_with_the_least_gap(monkeypatch):
     assert lam_a.base is None and lam_b.base is None
 
 
-def _traced_peak_of_scan(samples: int) -> int:
-    """The most memory tracemalloc, which sees numpy's buffers, traces
-    while scan_monotonicity scores one spec over samples pairs."""
+def _traced_peak_of_scan(samples: int, sizes=(1, 2, 3, 4)) -> int:
+    """The most memory tracemalloc, which sees numpy's buffers in every
+    thread, traces while scan_monotonicity scores one spec over samples
+    pairs of each size."""
     tracemalloc.start()
     try:
-        scan_monotonicity([family_a(4.0)], samples=samples)
+        scan_monotonicity([family_a(4.0)], sizes=sizes, samples=samples)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_scan_memory_stays_flat_in_the_sample_count():
+def _pin_workers(monkeypatch, most):
+    """Let the scan run at most most workers, whatever the CPU count."""
+    monkeypatch.setattr(metric_family, "_workers",
+                        lambda count: min(count, most))
+
+
+def test_scan_memory_stays_flat_in_the_sample_count(monkeypatch):
     # Eight times the pairs hold no more memory at once: of each block the
     # scan keeps only its best pairs' spectra, so its traced peak is one
     # block's working set, 2.18 MiB, at any sample count.  Keeping every
     # pair's spectra grew by 0.77 MiB, and keeping the last block's size-4
     # spectra while the next block is scored by 64 KiB.  The first scan of
-    # a process allocates once for good, so it runs untraced.
+    # a process allocates once for good, so it runs untraced.  One worker:
+    # sizes in flight together add their working sets.
+    _pin_workers(monkeypatch, 1)
     scan_monotonicity([family_a(4.0)], samples=1)
     growth = _traced_peak_of_scan(8 * SCAN_BLOCK) - _traced_peak_of_scan(SCAN_BLOCK)
     assert growth <= 16 * 2**10, growth
+
+
+def test_concurrent_scan_memory_stays_within_its_sizes_alone(monkeypatch):
+    # One worker per size holds at most the working sets of all sizes at
+    # once: each worker keeps one block of its own size.
+    scan_monotonicity([family_a(4.0)], samples=1)
+    _pin_workers(monkeypatch, 1)
+    alone = [_traced_peak_of_scan(8 * SCAN_BLOCK, (dim,)) for dim in (1, 2, 3, 4)]
+    _pin_workers(monkeypatch, 4)
+    together = _traced_peak_of_scan(8 * SCAN_BLOCK)
+    assert together <= sum(alone), (together, alone)
+
+
+def test_scan_reports_do_not_depend_on_the_worker_count(monkeypatch):
+    # One worker, as many as the CPUs, and one per size under a thread
+    # switch every microsecond score the same pairs to the same reports,
+    # counterexamples included.
+    by_workers = {}
+    for most in (None, 1, 4):  # None first: unpinned
+        if most is not None:
+            _pin_workers(monkeypatch, most)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6 if most == 4 else interval)
+        try:
+            by_workers[most] = [scan_monotonicity(SUITE_SPECS, samples=2_000, seed=seed)
+                                for seed in range(10)]
+        finally:
+            sys.setswitchinterval(interval)
+    assert by_workers[1] == by_workers[None] == by_workers[4]
+    # family_a(2) and (4) fail first at size 1, the first size given, though
+    # the workers take size 4 first.
+    assert all([(rep.counterexample or {}).get("size") for rep in reports]
+               == [None] * 3 + [1] * 2 for reports in by_workers[1])
+
+
+@pytest.mark.filterwarnings("error")
+def test_scan_raises_the_first_failing_size_error_for_any_worker_count(monkeypatch):
+    # f is zero below t = 1/2, so every size fails, each naming its own t;
+    # the error is that of the first size in the order given.
+    spec = custom(lambda t: np.where(np.asarray(t) < 0.5, 0.0,
+                                     (1.0 + np.asarray(t)) / 2.0), "zero_below_half")
+
+    def message(sizes):
+        with pytest.raises(NumericError) as err:
+            scan_monotonicity([spec], sizes=sizes, samples=200, seed=0)
+        return str(err.value)
+
+    alone = {dim: message((dim,)) for dim in (1, 2, 3, 4)}
+    assert len(set(alone.values())) == 4
+    for most in (1, 2, 4):
+        _pin_workers(monkeypatch, most)
+        for sizes in ((1, 2, 3, 4), (4, 2, 3, 1), (3, 1)):
+            assert message(sizes) == alone[sizes[0]], (most, sizes)
+
+
+def test_one_size_is_scanned_on_the_calling_thread(monkeypatch):
+    # No helper thread runs during a one-size scan; four sizes on one
+    # worker per size do start helpers.
+    seen = set()
+
+    def f(t):
+        seen.add((threading.get_ident(), threading.active_count()))
+        return (1.0 + np.asarray(t)) / 2.0
+
+    scan_monotonicity([custom(f, "bh")], sizes=(3,), samples=SCAN_BLOCK + 1)
+    assert seen == {(threading.get_ident(), threading.active_count())}
+    _pin_workers(monkeypatch, 4)
+    scan_monotonicity([custom(f, "bh")], sizes=(1, 2, 3, 4), samples=SCAN_BLOCK + 1)
+    assert len({ident for ident, _ in seen}) > 1
+
+
+def test_helpers_scan_under_the_callers_errstate(monkeypatch):
+    # finite_f leaves underflow to the caller's np.errstate; a helper
+    # started in a fresh context would scan under numpy's defaults.
+    seen = set()
+
+    def f(t):
+        seen.add(np.geterr()["under"])
+        return (1.0 + np.asarray(t)) / 2.0
+
+    _pin_workers(monkeypatch, 4)
+    with np.errstate(under="raise"):
+        scan_monotonicity([custom(f, "bh")], sizes=(1, 2, 3, 4), samples=3)
+    assert seen == {"raise"}
+
+
+def test_interrupted_scan_stops_helpers_taking_new_sizes(monkeypatch):
+    # The calling thread is interrupted in its first size while the helper
+    # holds its own; the helper ends that size and takes no other.
+    caller, held, helper_sizes = threading.get_ident(), threading.Event(), set()
+
+    def f(t):
+        if threading.get_ident() == caller:
+            held.wait(timeout=30)
+            raise KeyboardInterrupt
+        if not held.is_set():
+            held.set()
+            time.sleep(0.2)  # the caller unwinds meanwhile
+        helper_sizes.add(np.shape(t)[-1])
+        return (1.0 + np.asarray(t)) / 2.0
+
+    _pin_workers(monkeypatch, 2)
+    with pytest.raises(KeyboardInterrupt):
+        scan_monotonicity([custom(f, "bh")], sizes=(1, 2, 3, 4), samples=2 * SCAN_BLOCK)
+    assert len(helper_sizes) == 1, helper_sizes
 
 
 @pytest.mark.parametrize("factor", [1e8, 1e-8])
