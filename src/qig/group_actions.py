@@ -116,33 +116,31 @@ def _expm_traceless_2x2(m: np.ndarray, rows, name: str) -> np.ndarray:
     """exp of traceless 2x2 matrices: cosh(mu) I + sinh(mu)/mu m, mu^2 = -det m.
 
     m may be a stack (..., 2, 2).  sinh(mu)/mu is 1 at mu = 0 (nilpotent or
-    zero m).  rows labels the stack's entries as require_all's rows do, and
-    the first entry whose exponential is not finite raises NumericError
-    naming its row as name.
+    zero m).  rows labels the stack's entries as require_all's rows do.  The
+    first entry whose exponential is not finite, or has a determinant that
+    cancellation or overflow moved more than DET_TOLERANCE off 1 (a traceless
+    m gives det 1), raises NumericError naming its row as name.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mu = np.sqrt(m[..., 0, 1] * m[..., 1, 0] - m[..., 0, 0] * m[..., 1, 1])
         sinch = np.where(mu == 0, 1.0, np.sinh(mu) / mu)
         out = np.cosh(mu)[..., None, None] * _PAULI4[0] + sinch[..., None, None] * m
-    require_all(np.isfinite(out).all(axis=(-2, -1)), rows, NumericError,
-                f"matrix exponential of the generator at {name}", "overflows")
+    what = f"matrix exponential of the generator at {name}"
+    require_all(np.isfinite(out).all(axis=(-2, -1)), rows, NumericError, what, "overflows")
+    require_all(_unit_det(out), rows, NumericError, what,
+                f"has a determinant off 1 by more than {DET_TOLERANCE:g}")
     return out
 
 
 def sl_from_generators(a: TracelessObservable, b: TracelessObservable) -> SLGroupElement:
-    """exp((a_matrix - i b_matrix)/2); traceless generators give det = 1, so
-    a determinant that rounding or overflow moves off 1 raises NumericError
-    naming (a, b)."""
+    """exp((a_matrix - i b_matrix)/2); an exponential that overflows or
+    whose determinant leaves 1 raises NumericError naming (a, b)."""
     require_instance("a", a, TracelessObservable)
     require_instance("b", b, TracelessObservable)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericError below
         gen = 0.5 * (a.matrix() - 1j * b.matrix())
     coeffs = np.concatenate([a.coeffs, b.coeffs])
-    g = _expm_traceless_2x2(gen, coeffs, "(a, b)")
-    require_all(_unit_det(g), coeffs, NumericError,
-                "matrix exponential of the generator at (a, b)",
-                f"has a determinant off 1 by more than {DET_TOLERANCE:g}")
-    return SLGroupElement(g)
+    return SLGroupElement(_expm_traceless_2x2(gen, coeffs, "(a, b)"))
 
 
 class CotangentGroupElement(Record):
@@ -326,11 +324,10 @@ def verify_alpha_action(a_const: float, samples: int = 200,
                - 1j * _pauli_matrices(coeffs[:, 1::2])),
         coeffs.reshape(samples, 2, 6), "(a, b)"), 1, 0)
     g12 = g1 @ g2
-    # A determinant of a computed element that drifted from 1 is a numeric
+    # A determinant of a computed product that drifted from 1 is a numeric
     # breakdown, not bad input.
-    for g, what in ((g1, "g1"), (g2, "g2"), (g12, "g1 g2")):
-        require_all(_unit_det(g), np.arange(samples), NumericError, "sample",
-                    f"gives a determinant of {what} != 1")
+    require_all(_unit_det(g12), np.arange(samples), NumericError, "sample",
+                "gives a determinant of g1 g2 != 1")
     return _axiom_report(f"alpha_A(A={a_const:g})",
                          lambda g, v: _alpha_images(s, g, v),
                          sl_identity().matrix, g1, g2, g12, states[:, 0])
@@ -347,9 +344,10 @@ def verify_bkm_action(samples: int = 200, seed: int = 0) -> ActionAxiomReport:
     b1, a1, b2, a2 = np.moveaxis(coeffs, 1, 0)
     u1, u2 = (_expm_traceless_2x2(-0.5j * _pauli_matrices(b), b, "b") for b in (b1, b2))
     u12, a12 = cotangent_multiply(u1, a1, u2, a2)
-    for u, what in ((u1, "U1"), (u2, "U2"), (u12, "U1 U2")):
-        require_all(_unitary(u) & _unit_det(u), np.arange(samples), NumericError,
-                    "sample", f"gives {what} not in SU(2)")
+    # _expm_traceless_2x2 checked the determinants of U1 and U2.
+    in_su2 = (_unitary(u1), _unitary(u2), _unitary(u12) & _unit_det(u12))
+    for ok, what in zip(in_su2, ("U1", "U2", "U1 U2")):
+        require_all(ok, np.arange(samples), NumericError, "sample", f"gives {what} not in SU(2)")
     return _axiom_report("bkm_cotangent",
                          lambda h, v: _bkm_images(*h, v),
                          (np.eye(2, dtype=complex), np.zeros(3)), (u1, a1), (u2, a2),
@@ -417,7 +415,7 @@ def alpha_subgroup(a_const: float, a: TracelessObservable,
     """t -> alpha_A along exp(t (a - i b)/2).
 
     At large |t| the exponential's determinant drifts from 1 through
-    cancellation, which raises NumericError naming t.
+    cancellation, which raises NumericError naming t (_expm_traceless_2x2).
     """
     s = _sqrt_a(a_const)
     require_instance("a", a, TracelessObservable)
@@ -428,8 +426,6 @@ def alpha_subgroup(a_const: float, a: TracelessObservable,
     def images(times: np.ndarray, v: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericError
             g = _expm_traceless_2x2(times[..., None, None] * gen, times, "t")
-        require_all(_unit_det(g), times, NumericError, "t",
-                    "gives a determinant of exp(t (a - i b)/2) != 1")
         return _alpha_images(s, g, v)
 
     return Subgroup(images)

@@ -324,15 +324,16 @@ def metric_spherical(spec: MonotoneFunctionSpec, p: SphericalPoint) -> MetricAtP
 def _stack_point(point: tuple, names) -> np.ndarray:
     """A point tuple of coordinates named names, which may be arrays, as a
     (..., 3) stack; coordinates that do not broadcast to one shape holding
-    all their entries raise DomainError."""
+    all their entries raise DomainError naming them."""
     coords = [require_array(name, c) for name, c in zip(names, point)]
     try:
         same_shape = np.broadcast_arrays(*coords)
         if same_shape[0].size < max(c.size for c in coords):  # an empty stack drops one
             raise ValueError
     except ValueError:
-        raise DomainError(f"coordinates of shapes {[c.shape for c in coords]} "
-                          f"do not broadcast to one shape") from None
+        shapes = [c.shape for c in coords]
+        raise DomainError(f"{', '.join(dict.fromkeys(names))} coordinates of shapes "
+                          f"{shapes} do not broadcast to one shape") from None
     return np.stack(same_shape, axis=-1)
 
 
@@ -368,7 +369,7 @@ def inverse_metric(m: MetricAtPoint) -> MetricAtPoint:
     """
     require_instance("m", m, MetricAtPoint)
     matrix = require_array("matrix", m.matrix, (..., 3, 3))
-    point = _stack_point(m.point, ("point",) * 3)
+    point = _stack_point(m.point, ("m.point",) * 3)
     require_all(np.isfinite(matrix).all(axis=(-2, -1)), point, IllConditioned,
                 "point", "has a metric that is not finite")
     require_all(np.linalg.cond(matrix) <= COND_LIMIT, point, IllConditioned,
@@ -532,31 +533,6 @@ def _min_gap(diff: np.ndarray, scale: float):
     return gap, int(rows[k])
 
 
-def _b_basis_diff(u: np.ndarray, uc: np.ndarray, f_a: np.ndarray,
-                  f_b: np.ndarray) -> np.ndarray:
-    """f(B) - f(A) = diag(f_b) - u diag(f_a) u^dag per pair, given
-    uc = u.conj()."""
-    diff = np.einsum("nij,nkj->nik", u * -f_a[:, None, :], uc)
-    diag = np.arange(f_b.shape[1])
-    diff[:, diag, diag] += f_b
-    return diff
-
-
-def _spectral_min_gaps(specs, lam_a: np.ndarray, u: np.ndarray,
-                       lam_b: np.ndarray) -> list:
-    """(smallest eigenvalue of f(B) - f(A) over the pairs, first pair with
-    it) per spec, for any size, in the eigenbasis of B: B = diag(lam_b) and
-    A = u diag(lam_a) u^dag."""
-    uc = u.conj()
-    gaps = []
-    for spec in specs:
-        f_a, f_b = _f_spectrum(spec, lam_a), _f_spectrum(spec, lam_b)
-        # ||f(B) - f(A)|| <= max|f(lam_b)| + max|f(lam_a)|
-        gaps.append(_min_gap(_b_basis_diff(u, uc, f_a, f_b),
-                             np.abs(f_a).max() + np.abs(f_b).max()))
-    return gaps
-
-
 def _qubit_gaps(specs, lam_a: np.ndarray, vec_a: np.ndarray, b: np.ndarray):
     """Smallest eigenvalue of f(B) - f(A) per 2x2 pair, per spec, and B's
     ascending eigenvalues, in closed form from A's eigenpairs and B itself.
@@ -594,8 +570,8 @@ def _block_gaps(specs, stacks, dim: int, rows: int):
     drawn) and of B (ascending).
 
     Size 2 is scored in closed form (_qubit_gaps).  Every other size
-    diagonalises B once for all specs and scores them in B's eigenbasis
-    (_spectral_min_gaps), so f(B) is diagonal.
+    diagonalises B once for all specs and scores them in B's eigenbasis,
+    where B = diag(lam_b), A = u diag(lam_a) u^dag and f(B) is diagonal.
     """
     lam_a, vec_a, b = _ordered_pairs(stacks, dim, rows)
     if dim == 2:
@@ -603,7 +579,16 @@ def _block_gaps(specs, stacks, dim: int, rows: int):
         return [_first_min(g) for g in gaps], lam_a, lam_b
     lam_b, vec_b = np.linalg.eigh(b)
     u = vec_b.conj().swapaxes(1, 2) @ vec_a
-    return _spectral_min_gaps(specs, lam_a, u, lam_b), lam_a, lam_b
+    uc, diag = u.conj(), np.arange(dim)
+    gaps = []
+    for spec in specs:
+        f_a, f_b = _f_spectrum(spec, lam_a), _f_spectrum(spec, lam_b)
+        diff = np.einsum("nij,nkj->nik", u * -f_a[:, None, :], uc)  # -u f(lam_a) u^dag
+        diff[:, diag, diag] += f_b
+        # ||f(B) - f(A)|| <= max|f(lam_b)| + max|f(lam_a)|
+        gaps.append(_min_gap(diff, np.abs(f_a).max() + np.abs(f_b).max()))
+        del diff  # so that the next spec's stack is not made beside it
+    return gaps, lam_a, lam_b
 
 
 def _size_gaps(specs, dim: int, samples: int, seed: int):

@@ -310,6 +310,6 @@ def complex_matrix_from_json(data) -> np.ndarray:
     """Inverse of complex_matrix_to_json: exactly four real [re, im] pairs."""
     pairs = require_array("data", data, (..., 2)).reshape(-1, 2)
     if len(pairs) != 4:
-        raise InputError(f"a 2x2 complex matrix needs four [re, im] pairs, "
-                         f"got {len(pairs)}")
+        raise InputError(f"data = {data!r} holds {len(pairs)} [re, im] pairs; "
+                         f"a 2x2 complex matrix needs four")
     return np.array(pairs).view(complex).reshape(2, 2)

@@ -84,7 +84,9 @@ def test_orbit_determinant_breakdown_is_numeric_error(capsys):
     assert code == 3
     assert set(data) == {"error", "message"}
     assert data["error"] == "NumericError"
-    assert "t = 13.33" in data["message"]
+    assert data["message"] == (
+        "matrix exponential of the generator at t = 13.333333333333334 "
+        "has a determinant off 1 by more than 1e-10")
 
 
 def test_verify_single_suite():
@@ -446,6 +448,7 @@ _BAD_INPUT = [
     (["verify", "poles", "--spec", "nonsense", "--samples", "7"], "--spec"),
     (["verify", "poles", "--samples", "7"], "--samples"),
     (["verify", "monotone", "--tolerance", "5"], "--tolerance"),
+    (_act("bh", g_json='{"sl_matrix": [[1,0],[0,0],[0,0]]}'), "--g-json: data = "),
 ]
 
 

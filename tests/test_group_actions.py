@@ -194,6 +194,20 @@ def test_expm_traceless_2x2_matches_mpmath(m):
     assert error <= 1e-15, m
 
 
+@pytest.mark.filterwarnings("error")
+def test_expm_traceless_2x2_names_the_row_whose_determinant_leaves_one():
+    # exp(t sigma_3/2) is formed as diag(cosh mu + sinh mu, cosh mu - sinh mu),
+    # mu = t/2: the second entry cancels at t = 40, so the determinant leaves
+    # 1; t = 0.5 and the nilpotent row pass.
+    times = np.array([0.5, 40.0, 0.0])
+    m = times[:, None, None] * (0.5 * SIGMA3.matrix())
+    m[2, 0, 1] = 1.0
+    with pytest.raises(NumericError) as err:
+        _expm_traceless_2x2(m, times, "t")
+    assert str(err.value) == ("matrix exponential of the generator at t = 40.0 "
+                              "has a determinant off 1 by more than 1e-10")
+
+
 def test_special_unitary_from_generator():
     u = _special_unitary([0.3, -0.5, 0.2])
     npt.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-14)

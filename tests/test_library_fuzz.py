@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qig.errors import DomainError, NumericError, QigError
+from qig.errors import DomainError, InputError, NumericError, QigError
 from qig.flow_engine import orbit_curve
 from qig.group_actions import (SLGroupElement, action_alpha_a, bkm_subgroup,
                                cotangent_multiply, sl_from_generators)
@@ -35,7 +35,7 @@ from qig.metric_family import (MetricAtPoint, bkm, bures_helstrom, check_petz_sy
                                wigner_yanase)
 from qig.ode_classifier import Exclusion, classify
 from qig.state_space import (QubitState, Record, TracelessObservable,
-                             complex_matrix_to_json, su2_bracket)
+                             complex_matrix_from_json, complex_matrix_to_json, su2_bracket)
 from qig.vector_fields import verify_commutator_relations
 from qig.verify import SUITE_IDS
 from test_api import _CHECKS, _unchecked
@@ -243,14 +243,23 @@ _PROBES = [
      NumericError, "t = 0.012396534691578554 makes |f| of c above 2.25e+307, "
                    "too large to scan"),
     ("metric_cartesian-empty-x", lambda: metric_cartesian(bkm(), [], np.inf, 0.0),
-     DomainError, "coordinates of shapes [(0,), (), ()] do not broadcast to one shape"),
+     DomainError,
+     "x, y, z coordinates of shapes [(0,), (), ()] do not broadcast to one shape"),
     ("metric_cartesian-empty-z", lambda: metric_cartesian(bkm(), np.nan, 0.0, []),
-     DomainError, "coordinates of shapes [(), (), (0,)] do not broadcast to one shape"),
+     DomainError,
+     "x, y, z coordinates of shapes [(), (), (0,)] do not broadcast to one shape"),
+    ("inverse_metric-point-shapes", lambda: inverse_metric(MetricAtPoint(
+        "cartesian", np.eye(3), ([0.1, 0.2], [0.1, 0.2, 0.3], 0.0))), DomainError,
+     "m.point coordinates of shapes [(2,), (3,), ()] do not broadcast to one shape"),
     ("cotangent_multiply-u1-u2", lambda: cotangent_multiply(
         _boost(1e200).matrix, [0, 0, 0], _boost(1e200).matrix, [0, 0, 0]),
      NumericError, "U1 U2 = [(inf+nanj), 0j, 0j, 0j] is not finite"),
     ("complex_matrix_to_json-nan", lambda: complex_matrix_to_json(
         np.array([[np.nan, 0], [0, 1]])), DomainError, "m = nan is not finite"),
+    ("complex_matrix_from_json-three-pairs", lambda: complex_matrix_from_json(
+        [[1, 0], [0, 0], [0, 0]]), InputError,
+     "data = [[1, 0], [0, 0], [0, 0]] holds 3 [re, im] pairs; "
+     "a 2x2 complex matrix needs four"),
     ("alpha-cancelled", lambda: action_alpha_a(4.0, _boost(1e8),
                                                QubitState(0, 0, -0.99999999)),
      NumericError, f"{ALPHA_TX} = [0.0, 0.0, 0.0, 0.0] {ALPHA_LOST}"),

@@ -229,7 +229,8 @@ def test_stacked_metric_checks_name_first_failing_point():
 
 @pytest.mark.filterwarnings("error")
 def test_metric_cartesian_names_coordinate_shapes_that_do_not_broadcast():
-    with pytest.raises(DomainError, match=r"shapes \[\(2,\), \(3,\), \(\)\]"):
+    with pytest.raises(DomainError, match=r"^x, y, z coordinates of shapes "
+                       r"\[\(2,\), \(3,\), \(\)\] do not broadcast to one shape$"):
         metric_cartesian(bures_helstrom(), [0.1, 0.2], [0.1, 0.2, 0.3], 0.1)
 
 
