@@ -292,8 +292,7 @@ def cmd_export(args) -> int:
             flow = integrate_flow(rescaled_gradient_field(obs, args.a_const), start,
                                   args.t_end, args.steps)
         if args.what != "flow":
-            zero = TracelessObservable(0.0, 0.0, 0.0)
-            orbit = orbit_curve(ga.alpha_subgroup(args.a_const, obs, zero), start,
+            orbit = orbit_curve(ga.alpha_subgroup(args.a_const, obs, vf.ZERO), start,
                                 args.t_end, args.steps)
         if args.what == "overlay":
             gap = np.linalg.norm(flow.points - orbit.points, axis=1)
@@ -320,14 +319,15 @@ _SPEC_FLAGS = (
     ("--A", dict(dest="a_const", type=float)),
     ("--B", dict(dest="b_const", type=float)),
     ("--c", dict(type=float, default=0.0)))
+_CARTESIAN = (
+    ("--x", dict(type=float, default=0.5)),
+    ("--y", dict(type=float, default=0.0)),
+    ("--z", dict(type=float, default=0.0)))
 _AT_POINT = _SPEC_FLAGS + (
     ("--chart", dict(choices=["spherical", "cartesian"], default="spherical")),
     ("--r", dict(type=float, default=0.5)),
     ("--theta", dict(type=float, default=math.pi / 2.0)),
-    ("--phi", dict(type=float, default=0.0)),
-    ("--x", dict(type=float, default=0.5)),
-    ("--y", dict(type=float, default=0.0)),
-    ("--z", dict(type=float, default=0.0)))
+    ("--phi", dict(type=float, default=0.0))) + _CARTESIAN
 
 # name -> (handler, help, flags); a group's handler slot holds the table of
 # its subcommands.  Every leaf also takes --output.
@@ -337,7 +337,8 @@ COMMANDS = {
     "field": (cmd_field, "evaluate a vector field at a point", _AT_POINT + (
         ("--field", dict(required=True, help="x:b1,b2,b3 | y:a1,a2,a3 | "
                                              "ym:a1,a2,a3 | ya:a1,a2,a3")),)),
-    "bracket": (cmd_bracket, "numeric Lie bracket of two fields", _AT_POINT + (
+    "bracket": (cmd_bracket, "numeric Lie bracket of two fields", _SPEC_FLAGS + (
+        ("--chart", dict(choices=["cartesian"], default="cartesian")),) + _CARTESIAN + (
         ("--v", dict(required=True, help="first field descriptor")),
         ("--w", dict(required=True, help="second field descriptor")),
         ("--h", dict(type=float, default=BRACKET_STEP)))),

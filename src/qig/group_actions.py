@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, QigError
 from .state_space import (CALLABLE, PAULIS, SIGMA_0, QubitState, Record,
                           TracelessObservable, bloch_norm, check_bloch_array,
                           complex_matrix_from_json, complex_matrix_to_json,
@@ -314,23 +314,26 @@ def verify_alpha_action(a_const: float, samples: int = 200,
 
     Each sample is a state rho and two elements g_i = exp((a_i - i b_i)/2).
     The identity, g2 rho, g1 (g2 rho) and (g1 g2) rho are one batched
-    evaluation each, over all samples, and every image is checked.
-    """
+    evaluation each, every image is checked, and an error past the
+    argument checks names the action and the seed."""
     s = _sqrt_a(a_const)
     states, coeffs = _draws(seed, 1, samples, 1, 4)
-    # per sample a1, b1, a2, b2
-    g1, g2 = np.moveaxis(_expm_traceless_2x2(
-        0.5 * (_pauli_matrices(coeffs[:, 0::2])
-               - 1j * _pauli_matrices(coeffs[:, 1::2])),
-        coeffs.reshape(samples, 2, 6), "(a, b)"), 1, 0)
-    g12 = g1 @ g2
-    # A determinant of a computed product that drifted from 1 is a numeric
-    # breakdown, not bad input.
-    require_all(_unit_det(g12), np.arange(samples), NumericError, "sample",
-                "gives a determinant of g1 g2 != 1")
-    return _axiom_report(f"alpha_A(A={a_const:g})",
-                         lambda g, v: _alpha_images(s, g, v),
-                         sl_identity().matrix, g1, g2, g12, states[:, 0])
+    action = f"alpha_A(A={a_const:g})"
+    try:
+        # per sample a1, b1, a2, b2
+        g1, g2 = np.moveaxis(_expm_traceless_2x2(
+            0.5 * (_pauli_matrices(coeffs[:, 0::2])
+                   - 1j * _pauli_matrices(coeffs[:, 1::2])),
+            coeffs.reshape(samples, 2, 6), "(a, b)"), 1, 0)
+        g12 = g1 @ g2
+        # A determinant of a computed product that drifted from 1 is a numeric
+        # breakdown, not bad input.
+        require_all(_unit_det(g12), np.arange(samples), NumericError, "sample",
+                    "gives a determinant of g1 g2 != 1")
+        return _axiom_report(action, lambda g, v: _alpha_images(s, g, v),
+                             sl_identity().matrix, g1, g2, g12, states[:, 0])
+    except QigError as exc:
+        raise type(exc)(f"{action} at seed = {seed}: {exc}") from None
 
 
 def verify_bkm_action(samples: int = 200, seed: int = 0) -> ActionAxiomReport:
@@ -338,20 +341,23 @@ def verify_bkm_action(samples: int = 200, seed: int = 0) -> ActionAxiomReport:
 
     Each sample is a state rho and two elements h_i = (exp(b_i/(2i)), a_i),
     held as stacks of unitaries and Pauli coefficients and multiplied by
-    cotangent_multiply, the stacked group law.
-    """
+    cotangent_multiply, the stacked group law.  An error past the argument
+    checks names the action and the seed."""
     states, coeffs = _draws(seed, 2, samples, 1, 4)
     b1, a1, b2, a2 = np.moveaxis(coeffs, 1, 0)
-    u1, u2 = (_expm_traceless_2x2(-0.5j * _pauli_matrices(b), b, "b") for b in (b1, b2))
-    u12, a12 = cotangent_multiply(u1, a1, u2, a2)
-    # _expm_traceless_2x2 checked the determinants of U1 and U2.
-    in_su2 = (_unitary(u1), _unitary(u2), _unitary(u12) & _unit_det(u12))
-    for ok, what in zip(in_su2, ("U1", "U2", "U1 U2")):
-        require_all(ok, np.arange(samples), NumericError, "sample", f"gives {what} not in SU(2)")
-    return _axiom_report("bkm_cotangent",
-                         lambda h, v: _bkm_images(*h, v),
-                         (np.eye(2, dtype=complex), np.zeros(3)), (u1, a1), (u2, a2),
-                         (u12, a12), states[:, 0])
+    try:
+        u1, u2 = (_expm_traceless_2x2(-0.5j * _pauli_matrices(b), b, "b") for b in (b1, b2))
+        u12, a12 = cotangent_multiply(u1, a1, u2, a2)
+        # _expm_traceless_2x2 checked the determinants of U1 and U2.
+        in_su2 = (_unitary(u1), _unitary(u2), _unitary(u12) & _unit_det(u12))
+        for ok, what in zip(in_su2, ("U1", "U2", "U1 U2")):
+            require_all(ok, np.arange(samples), NumericError, "sample",
+                        f"gives {what} not in SU(2)")
+        return _axiom_report("bkm_cotangent", lambda h, v: _bkm_images(*h, v),
+                             (np.eye(2, dtype=complex), np.zeros(3)), (u1, a1), (u2, a2),
+                             (u12, a12), states[:, 0])
+    except QigError as exc:
+        raise type(exc)(f"bkm_cotangent at seed = {seed}: {exc}") from None
 
 
 def transitivity_probe(samples: int = 100, seed: int = 0) -> float:

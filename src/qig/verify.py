@@ -29,6 +29,8 @@ from .vector_fields import (fundamental_field, gradient_field_closed,
                             rescaled_gradient_field,
                             verify_commutator_relations)
 
+ZERO = TracelessObservable(0.0, 0.0, 0.0)
+
 SUITE_IDS = {
     "commutators": 1,
     "fconstancy": 2,
@@ -60,9 +62,16 @@ def _interior_points(rng, count: int, r_hi: float = 0.85) -> np.ndarray:
     return np.array(pts)
 
 
-def _catalog_with_families():
-    return [mf.bkm(), mf.bures_helstrom(), mf.wigner_yanase(),
-            mf.family_a(0.5), mf.family_a(2.0), mf.rld()]
+def _action(a_const: float):
+    """(name, subgroup(a, b), gradient field of a, axiom check(samples, seed))
+    of the action paired with F = A: alpha_A, whose subgroup(a, ZERO) flows
+    along Y_a/sqrt(A), for A > 0, and BKM, flowing along Y_a, at A = 0."""
+    if a_const == 0.0:
+        return ("bkm", ga.bkm_subgroup, lambda a: gradient_field_closed(a, mf.bkm()),
+                lambda samples, seed: ga.verify_bkm_action(samples, seed))
+    return (f"alpha_A({a_const:g})", lambda a, b: ga.alpha_subgroup(a_const, a, b),
+            lambda a: rescaled_gradient_field(a, a_const),
+            lambda samples, seed: ga.verify_alpha_action(a_const, samples, seed))
 
 
 def suite_commutators(seed: int = 0, tol: float = 1e-6,
@@ -113,13 +122,11 @@ def suite_fconstancy(seed: int = 0, tol: float = 1e-8) -> dict:
     details = {}
     passed = True
 
-    for a_const in (0.25, 0.5, 1.0, 2.0, 4.0):
-        dev = float(np.max(np.abs(mf.big_f(mf.family_a(a_const), grid) - a_const)))
-        details[f"family_a({a_const:g})_dev"] = dev
+    for a_const in (0.25, 0.5, 1.0, 2.0, 4.0, 0.0):
+        spec = mf.family_a(a_const) if a_const else mf.bkm()
+        dev = float(np.max(np.abs(mf.big_f(spec, grid) - a_const)))
+        details[f"{spec.name}_dev"] = dev
         passed = passed and dev < tol
-    dev0 = float(np.max(np.abs(mf.big_f(mf.bkm(), grid))))
-    details["bkm_dev"] = dev0
-    passed = passed and dev0 < tol
     rld_vals = np.asarray(mf.big_f(mf.rld(), grid))
     details["rld_range_width"] = float(rld_vals.max() - rld_vals.min())
     passed = passed and details["rld_range_width"] > 0.1
@@ -153,7 +160,8 @@ def suite_fconstancy(seed: int = 0, tol: float = 1e-8) -> dict:
     pts = _interior_points(rng, 1000)
     worst_cross = 0.0
     obs = TracelessObservable.from_coeffs(rng.uniform(-1.0, 1.0, 3))
-    for spec in _catalog_with_families():
+    for spec in (mf.bkm(), mf.bures_helstrom(), mf.wigner_yanase(),
+                 mf.family_a(0.5), mf.family_a(2.0), mf.rld()):
         closed = gradient_field_closed(obs, spec).cartesian(pts)
         raised = gradient_field_from_metric(obs, spec).cartesian(pts)
         dev = float(np.max(np.abs(closed - raised)))
@@ -172,13 +180,10 @@ def suite_actions(seed: int = 0, samples: int = 200, tol: float = 1e-10) -> dict
     s = sub_seed(seed, "actions")
     details = {}
     passed = True
-    for a_const in (0.25, 0.5, 1.0, 2.0):
-        rep = ga.verify_alpha_action(a_const, samples=samples, seed=s)
+    for a_const in (0.25, 0.5, 1.0, 2.0, 0.0):
+        rep = _action(a_const)[3](samples, s)
         details[rep.action] = rep.max_dev
         passed = passed and rep.max_dev < tol
-    rep = ga.verify_bkm_action(samples=samples, seed=s)
-    details[rep.action] = rep.max_dev
-    passed = passed and rep.max_dev < tol
     trans = ga.transitivity_probe(samples=100, seed=s)
     details["transitivity"] = trans
     passed = passed and trans < tol
@@ -193,7 +198,6 @@ def suite_generators(seed: int = 0, tol: float = 1e-6) -> dict:
     states = _interior_points(rng, 5, r_hi=0.7)
     obs = [TracelessObservable.from_coeffs(rng.uniform(-1.0, 1.0, 3))
            for _ in range(3)]
-    zero = TracelessObservable(0.0, 0.0, 0.0)
     details = {}
     worst = 0.0
 
@@ -201,21 +205,13 @@ def suite_generators(seed: int = 0, tol: float = 1e-6) -> dict:
         num = ga.generator_of_action(subgroup, states)
         return float(np.max(np.abs(num - vfield.cartesian(states))))
 
-    for a_const in (0.25, 1.0, 3.0):
-        dev_fund = max(dev(ga.alpha_subgroup(a_const, zero, a), fundamental_field(a))
-                       for a in obs)
-        dev_grad = max(dev(ga.alpha_subgroup(a_const, a, zero),
-                           rescaled_gradient_field(a, a_const)) for a in obs)
-        details[f"alpha_A({a_const:g})_fundamental"] = dev_fund
-        details[f"alpha_A({a_const:g})_gradient"] = dev_grad
+    for a_const in (0.25, 1.0, 3.0, 0.0):
+        name, subgroup, gradient, _ = _action(a_const)
+        dev_fund = max(dev(subgroup(ZERO, a), fundamental_field(a)) for a in obs)
+        dev_grad = max(dev(subgroup(a, ZERO), gradient(a)) for a in obs)
+        details[f"{name}_fundamental"] = dev_fund
+        details[f"{name}_gradient"] = dev_grad
         worst = max(worst, dev_fund, dev_grad)
-
-    dev_fund = max(dev(ga.bkm_subgroup(zero, a), fundamental_field(a)) for a in obs)
-    dev_grad = max(dev(ga.bkm_subgroup(a, zero), gradient_field_closed(a, mf.bkm()))
-                   for a in obs)
-    details["bkm_fundamental"] = dev_fund
-    details["bkm_gradient"] = dev_grad
-    worst = max(worst, dev_fund, dev_grad)
 
     return {"name": "generators", "passed": worst < tol, "tolerance": tol,
             "details": details, "max_dev": worst}
@@ -227,30 +223,24 @@ def suite_flows(tol: float = 1e-6) -> dict:
     t_end, steps = 1.0, 1000
     start = QubitState(0.25, -0.15, 0.35)
     a = TracelessObservable(0.4, -0.3, 0.6)
-    zero = TracelessObservable(0.0, 0.0, 0.0)
     details = {}
     passed = True
 
-    cases = [
-        ("bures_helstrom", rescaled_gradient_field(a, 1.0), ga.alpha_subgroup(1.0, a, zero)),
-        ("wigner_yanase", rescaled_gradient_field(a, 0.25), ga.alpha_subgroup(0.25, a, zero)),
-        ("family_a(2)", rescaled_gradient_field(a, 2.0), ga.alpha_subgroup(2.0, a, zero)),
-        ("bkm", gradient_field_closed(a, mf.bkm()), ga.bkm_subgroup(a, zero)),
-    ]
-    for name, vfield, orbit in cases:
-        dev = compare_flow_to_orbit(vfield, orbit, start, t_end, steps)
+    for name, a_const in (("bures_helstrom", 1.0), ("wigner_yanase", 0.25),
+                          ("family_a(2)", 2.0), ("bkm", 0.0)):
+        _, subgroup, gradient, _ = _action(a_const)
+        dev = compare_flow_to_orbit(gradient(a), subgroup(a, ZERO), start, t_end, steps)
         details[f"flow_vs_orbit_{name}"] = dev
         passed = passed and dev < tol
 
-    dev = compare_flow_to_orbit(fundamental_field(a),
-                                ga.alpha_subgroup(1.0, zero, a),
+    _, subgroup, gradient, _ = _action(1.0)
+    dev = compare_flow_to_orbit(fundamental_field(a), subgroup(ZERO, a),
                                 start, t_end, steps)
     details["fundamental_vs_unitary_orbit"] = dev
     passed = passed and dev < 1e-8
 
     # Order check at coarse steps, where truncation dominates roundoff.
-    vfield = rescaled_gradient_field(a, 1.0)
-    orbit = ga.alpha_subgroup(1.0, a, zero)
+    vfield, orbit = gradient(a), subgroup(a, ZERO)
     dev_coarse = compare_flow_to_orbit(vfield, orbit, start, 2.0, 16)
     dev_fine = compare_flow_to_orbit(vfield, orbit, start, 2.0, 32)
     ratio = dev_coarse / dev_fine

@@ -396,6 +396,98 @@ def test_help_exits_0(path, capsys):
     assert capsys.readouterr().out.startswith(f"usage: {' '.join(('qig',) + path)}")
 
 
+def _leaf_flags(table=cli.COMMANDS, prefix=()):
+    """(leaf path, flag as declared) of every flag of every leaf but --output."""
+    for name, (handler, _, flags) in table.items():
+        if isinstance(handler, dict):
+            yield from _leaf_flags(handler, prefix + (name,))
+        else:
+            yield from ((" ".join(prefix + (name,)), names) for names, _ in flags)
+
+
+_BRACKET_YX = ["bracket", "--v", "y:1,0,0", "--w", "x:0,1,0"]
+_G2 = '{"sl_matrix":[[2,0],[0,0],[0,0],[0.5,0]]}'
+_STATE = '{"bloch":[0.1,0,0.2]}'
+# (base argv, flag as declared, other value): one row for each flag that a
+# leaf of cli.COMMANDS declares.  The flag with the other value, appended to
+# the base argv (argparse keeps the last value), must change what the
+# command prints.  A store_true flag has no value; the positional suite is
+# given as its value alone, and --config as the text of the config file.
+_FLAG_ROWS = [
+    *((base + pre, flag, value) for base in (["metric"], ["field", "--field", "y:1,0.5,0"])
+      for pre, flag, value in (
+          ([], "--spec", "wy"), (["--spec", "fa", "--A", "2"], "--A", "3"),
+          (["--spec", "fb", "--B", "1"], "--B", "2"),
+          (["--spec", "fb", "--B", "1"], "--c", "0.3"), ([], "--chart", "cartesian"),
+          ([], "--r", "0.3"), ([], "--theta", "1"), ([], "--phi", "0.2"),
+          (["--chart", "cartesian"], "--x", "0.3"), (["--chart", "cartesian"], "--y", "0.3"),
+          (["--chart", "cartesian"], "--z", "0.3"))),
+    (["metric"], "--inverse", None),
+    (["field", "--field", "y:1,0.5,0"], "--field", "x:1,0.5,0"),
+    (_BRACKET_YX, "--spec", "wy"),
+    (_BRACKET_YX + ["--spec", "fa", "--A", "2"], "--A", "3"),
+    (_BRACKET_YX + ["--spec", "fb", "--B", "1"], "--B", "2"),
+    (_BRACKET_YX + ["--spec", "fb", "--B", "1"], "--c", "0.3"),
+    # --chart has the one choice cartesian, the default: any other value is an error.
+    (_BRACKET_YX, "--chart", "spherical"),
+    (_BRACKET_YX, "--x", "0.3"), (_BRACKET_YX, "--y", "0.3"), (_BRACKET_YX, "--z", "0.3"),
+    (_BRACKET_YX, "--v", "y:0,0,1"), (_BRACKET_YX, "--w", "x:0,0,1"),
+    (_BRACKET_YX, "--h", "1e-3"),
+    (["ode", "classify"], "--spec", "rld"),
+    (["ode", "classify", "--spec", "fa", "--A", "2"], "--A", "3"),
+    (["ode", "classify", "--spec", "fb", "--B", "0.1", "--grid-max", "0.9"], "--B", "0.2"),
+    (["ode", "classify", "--spec", "fb", "--B", "0.1", "--grid-max", "0.9"], "--c", "0.3"),
+    (["ode", "classify"], "--grid-min", "0.1"),
+    (["ode", "classify"], "--grid-max", "0.9"),
+    (["ode", "classify"], "--grid-steps", "60"),
+    (["ode", "solve", "--A", "2"], "--A", "3"),
+    (["ode", "solve", "--A", "-2"], "--c", "0.3"),
+    (["ode", "poles", "--B", "1"], "--B", "2"),
+    (["ode", "poles", "--B", "1"], "--c", "0.3"),
+    (["ode", "poles", "--B", "1"], "-n/--count", "3"),
+    (_act("bh", _G2, _STATE), "--family", "wy"),
+    (_act("alphaA", _G2, _STATE, "--A", "2"), "--A", "3"),
+    (_act("bh", _G2, _STATE), "--g-json", _ID),
+    (_act("bh", _G2, _STATE), "--state-json", _CENTER),
+    (["verify", "generators"], "--config", "seed = 3"),
+    (["verify", "generators"], "--seed", "3"),
+    (["verify", "actions", "--samples", "5"], "--samples", "20"),
+    (["verify", "generators"], "--tolerance", "1e-3"),
+    (["verify", "--samples", "5"], "suite", "actions"),
+    (["verify", "commutators", "--spec", "bh"], "--spec", "wy"),
+    (["export", "--what", "flow", "--steps", "5"], "--what", "orbit"),
+    (["export", "--what", "flow", "--steps", "5"], "--A", "2"),
+    (["export", "--what", "f-curves", "--steps", "5"], "--a-list", "2"),
+    (["export", "--what", "flow", "--steps", "5"], "--a", "1,0,0"),
+    (["export", "--what", "flow", "--steps", "5"], "--start", "0.1,0,0.1"),
+    (["export", "--what", "flow", "--steps", "5"], "--t-end", "0.5"),
+    (["export", "--what", "f-curves", "--steps", "5"], "--t-min", "0.01"),
+    (["export", "--what", "f-curves", "--steps", "5"], "--t-max", "0.5"),
+    (["export", "--what", "flow", "--steps", "5"], "--steps", "6"),
+]
+
+
+def _row_leaf(base):
+    return next(leaf for leaf in _LEAF_ARGS if base[:len(leaf.split())] == leaf.split())
+
+
+def test_every_declared_flag_has_a_row():
+    assert {(_row_leaf(base), flag) for base, flag, _ in _FLAG_ROWS} == set(_leaf_flags())
+
+
+@pytest.mark.parametrize("base,flag,value", _FLAG_ROWS,
+                         ids=[f"{_row_leaf(base)} {flag}" for base, flag, _ in _FLAG_ROWS])
+def test_every_declared_flag_changes_the_output(base, flag, value, tmp_path, capsys):
+    if flag == "--config":
+        (tmp_path / "qig.cfg").write_text(value + "\n")
+        value = str(tmp_path / "qig.cfg")
+    tail = ([] if flag == "suite" else [flag.split("/")[-1]]) + ([] if value is None else [value])
+    assert cli.main(base) == 0
+    printed = capsys.readouterr().out
+    cli.main(base + tail)
+    assert capsys.readouterr().out != printed
+
+
 # (argv, flag the message must name or None).  Malformed input must name the
 # flag it came from; non-finite parameters must be rejected, not run to NaN.
 _BAD_INPUT = [
@@ -449,6 +541,11 @@ _BAD_INPUT = [
     (["verify", "poles", "--samples", "7"], "--samples"),
     (["verify", "monotone", "--tolerance", "5"], "--tolerance"),
     (_act("bh", g_json='{"sl_matrix": [[1,0],[0,0],[0,0]]}'), "--g-json: data = "),
+    # bracket takes a Cartesian point only.
+    (_BRACKET_YX + ["--chart", "spherical"], "--chart"),
+    (_BRACKET_YX + ["--r", "0.3"], "--r"),
+    (_BRACKET_YX + ["--theta", "1.0"], "--theta"),
+    (_BRACKET_YX + ["--phi", "0.2"], "--phi"),
 ]
 
 
@@ -536,9 +633,9 @@ def _cheap_argv(draw):
     chart = "cartesian" if kind == "bracket" else draw(
         st.sampled_from(["spherical", "cartesian"]))
     spec = draw(st.sampled_from(["bh", "bkm", "wy", "rld", "fa", "fb"]))
+    point = ("x", "y", "z") if kind == "bracket" else ("r", "theta", "phi", "x", "y", "z")
     argv = [kind, "--spec", spec, "--chart", chart] + [
-        f"--{flag}={num()}" for flag in ("A", "B", "c", "r", "theta", "phi",
-                                         "x", "y", "z")]
+        f"--{flag}={num()}" for flag in ("A", "B", "c") + point]
     if kind == "metric" and draw(st.booleans()):
         argv.append("--inverse")
     if kind == "field":

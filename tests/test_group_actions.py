@@ -374,14 +374,16 @@ def test_bkm_action_wrong_group_law_fails(monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 def test_computed_unitary_outside_su2_is_numeric_error(monkeypatch):
-    # A law whose product is not unitary names the first such sample.
+    # A law whose product is not unitary names the action, the seed and the
+    # first such sample.
     def scaled(u1, a1, u2, a2):
         u12, a12 = cotangent_multiply(u1, a1, u2, a2)
         u12[3] *= 2.0
         return u12, a12
 
     monkeypatch.setattr(group_actions, "cotangent_multiply", scaled)
-    with pytest.raises(NumericError, match=r"^sample = 3 gives U1 U2 not in SU\(2\)$"):
+    with pytest.raises(NumericError, match=r"^bkm_cotangent at seed = 0: sample = 3 gives "
+                                           r"U1 U2 not in SU\(2\)$"):
         verify_bkm_action(samples=5, seed=0)
 
 

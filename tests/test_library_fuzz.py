@@ -28,7 +28,8 @@ from hypothesis.extra import numpy as hnp
 from qig.errors import DomainError, InputError, NumericError, QigError
 from qig.flow_engine import orbit_curve
 from qig.group_actions import (SLGroupElement, action_alpha_a, bkm_subgroup,
-                               cotangent_multiply, sl_from_generators)
+                               cotangent_multiply, sl_from_generators,
+                               verify_alpha_action)
 from qig.metric_family import (MetricAtPoint, bkm, bures_helstrom, check_petz_symmetry,
                                custom, family_b, finite_f, g_derivative, g_from_f,
                                inverse_metric, metric_cartesian, scan_monotonicity,
@@ -265,6 +266,14 @@ _PROBES = [
      NumericError, f"{ALPHA_TX} = [0.0, 0.0, 0.0, 0.0] {ALPHA_LOST}"),
     ("alpha-overflow", lambda: action_alpha_a(1.0, _boost(1e200), QubitState(0, 0, 0.5)),
      NumericError, f"{ALPHA_TX} = [nan, nan, nan, nan] {ALPHA_LOST}"),
+    # The axiom checks name the action and the seed.
+    ("alpha-axioms-tiny-A", lambda: verify_alpha_action(1e-6, samples=200, seed=5),
+     NumericError, "alpha_A(A=1e-06) at seed = 5: Bloch point = [-0.21155029856724683, "
+                   "-0.6587097792356893, -0.7220442492779636] is not strictly inside "
+                   "the unit ball"),
+    ("alpha-axioms-huge-A", lambda: verify_alpha_action(1e8, samples=200, seed=5),
+     NumericError, f"alpha_A(A=1e+08) at seed = 5: {ALPHA_TX} = [nan, nan, nan, nan] "
+                   f"{ALPHA_LOST}"),
     ("from_matrix-overflow", lambda: T.from_matrix(np.array([[1e308, 1e308],
                                                              [1e308, -1e308]])),
      DomainError, "Pauli coefficients (inf, 0.0, inf) are not all finite"),
