@@ -44,13 +44,17 @@ MAX_STEPS = 100_000       # export --steps
 MAX_POLES = 100_000       # ode poles -n/--count
 MAX_GRID_STEPS = 100_000  # ode classify --grid-steps
 MAX_SAMPLES = 50_000      # verify --samples
+# The keys a config file may set: the verify options that _run_config reads.
+_CONFIG_KEYS = ("seed", "samples", "tolerance", "output")
 
 
 def load_config(path: str) -> dict:
     """Read a minimal TOML-style config: one `key = value` per line.
 
     Comments start with '#'; values are parsed as int, float, or string.
-    Flags given on the command line override config-file values.
+    Flags given on the command line override config-file values.  A line
+    with no '=', or with a key not in _CONFIG_KEYS, is an InputError naming
+    the file, the line number and the key.
     """
     values = {}
     try:
@@ -58,12 +62,17 @@ def load_config(path: str) -> dict:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"--config {path}: {exc}") from None
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        key, _, raw = line.partition("=")
+        key, eq, raw = line.partition("=")
         key, raw = key.strip(), raw.strip().strip('"')
+        if not eq:
+            raise InputError(f"--config {path}: line {number}: {key!r} has no '='")
+        if key not in _CONFIG_KEYS:
+            raise InputError(f"--config {path}: line {number}: key {key!r} is not "
+                             f"one of {', '.join(_CONFIG_KEYS)}")
         for cast in (int, float, str):
             try:
                 values[key] = cast(raw)
@@ -372,7 +381,7 @@ COMMANDS = {
         ("--what", dict(required=True,
                         choices=["f-curves", "F-curves", "flow", "orbit", "overlay"])),
         ("--A", dict(dest="a_const", type=float, default=1.0)),
-        ("--a-list", dict(type=float, nargs="*")),
+        ("--a-list", dict(type=float, nargs="+")),
         ("--a", dict(dest="a_coeffs", default="0,0,1",
                      help="observable Pauli coefficients for flow/orbit")),
         ("--start", dict(default="0.2,0,0.1")),

@@ -23,8 +23,8 @@ import numpy as np
 from .errors import DomainError, NumericError, QigError
 from .state_space import (CALLABLE, PAULIS, SIGMA_0, QubitState, Record,
                           TracelessObservable, bloch_norm, check_bloch_array,
-                          complex_matrix_from_json, complex_matrix_to_json,
-                          pauli_coeffs, require_all, require_array, require_count,
+                          complex_matrix_from_json, pauli_coeffs, pauli_matrices,
+                          require_all, require_array, require_count,
                           require_instance, require_positive)
 
 DET_TOLERANCE = 1e-10  # |det - 1| allowed for an SL(2, C) or SU(2) matrix
@@ -98,9 +98,6 @@ class SLGroupElement(Record):
                 det = complex(np.linalg.det(self.matrix))
             raise DomainError(f"determinant {det} != 1")
 
-    def to_json(self) -> dict:
-        return {"sl_matrix": complex_matrix_to_json(self.matrix)}
-
     @staticmethod
     def from_json(data) -> "SLGroupElement":
         if not (isinstance(data, dict) and "sl_matrix" in data):
@@ -112,16 +109,18 @@ def sl_identity() -> SLGroupElement:
     return SLGroupElement(np.eye(2, dtype=complex))
 
 
-def _expm_traceless_2x2(m: np.ndarray, rows, name: str) -> np.ndarray:
-    """exp of traceless 2x2 matrices: cosh(mu) I + sinh(mu)/mu m, mu^2 = -det m.
+def _expm_pauli(c: np.ndarray, rows, name: str) -> np.ndarray:
+    """exp(c.sigma/2) for a stack of complex Pauli coefficients c (..., 3),
+    c = a - i b: cosh(mu) I + sinh(mu)/mu m with m = c.sigma/2, mu^2 = -det m.
 
-    m may be a stack (..., 2, 2).  sinh(mu)/mu is 1 at mu = 0 (nilpotent or
-    zero m).  rows labels the stack's entries as require_all's rows do.  The
-    first entry whose exponential is not finite, or has a determinant that
-    cancellation or overflow moved more than DET_TOLERANCE off 1 (a traceless
-    m gives det 1), raises NumericError naming its row as name.
+    sinh(mu)/mu is 1 at mu = 0 (nilpotent or zero m).  rows labels the
+    stack's entries as require_all's rows do.  The first entry whose
+    exponential is not finite, or has a determinant that cancellation or
+    overflow moved more than DET_TOLERANCE off 1 (a traceless m gives det 1),
+    raises NumericError naming its row as name.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m = 0.5 * pauli_matrices(c)
         mu = np.sqrt(m[..., 0, 1] * m[..., 1, 0] - m[..., 0, 0] * m[..., 1, 1])
         sinch = np.where(mu == 0, 1.0, np.sinh(mu) / mu)
         out = np.cosh(mu)[..., None, None] * _PAULI4[0] + sinch[..., None, None] * m
@@ -133,14 +132,12 @@ def _expm_traceless_2x2(m: np.ndarray, rows, name: str) -> np.ndarray:
 
 
 def sl_from_generators(a: TracelessObservable, b: TracelessObservable) -> SLGroupElement:
-    """exp((a_matrix - i b_matrix)/2); an exponential that overflows or
-    whose determinant leaves 1 raises NumericError naming (a, b)."""
+    """exp((a - i b).sigma/2); an exponential that overflows or whose
+    determinant leaves 1 raises NumericError naming (a, b)."""
     require_instance("a", a, TracelessObservable)
     require_instance("b", b, TracelessObservable)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericError below
-        gen = 0.5 * (a.matrix() - 1j * b.matrix())
-    coeffs = np.concatenate([a.coeffs, b.coeffs])
-    return SLGroupElement(_expm_traceless_2x2(gen, coeffs, "(a, b)"))
+    rows = np.concatenate([a.coeffs, b.coeffs])
+    return SLGroupElement(_expm_pauli(a.coeffs - 1j * b.coeffs, rows, "(a, b)"))
 
 
 class CotangentGroupElement(Record):
@@ -173,8 +170,8 @@ def cotangent_multiply(u1: np.ndarray, a1: np.ndarray, u2: np.ndarray,
     except ValueError as exc:
         raise DomainError(f"stacks of u1, a1, u2 and a2: {exc}") from None
     with np.errstate(over="ignore", invalid="ignore"):
-        rotated = u1 @ _pauli_matrices(a2) @ u1.conj().swapaxes(-1, -2)
-        a12 = pauli_coeffs(_pauli_matrices(a1) + rotated)
+        rotated = u1 @ pauli_matrices(a2) @ u1.conj().swapaxes(-1, -2)
+        a12 = pauli_coeffs(pauli_matrices(a1) + rotated)
         u12 = u1 @ u2
     require_all(np.isfinite(a12).all(axis=-1), a12, NumericError,
                 "translation a1 + U1 a2 U1^dag", "is not finite")
@@ -289,11 +286,6 @@ def _draws(seed: int, key: int, samples: int, states: int, observables: int):
     return directions * (radii / norms)[..., None], coeffs
 
 
-def _pauli_matrices(coeffs: np.ndarray) -> np.ndarray:
-    """c.sigma for a stack of Pauli coefficient triples c (..., 3)."""
-    return np.tensordot(coeffs, _PAULI4[1:], 1)
-
-
 def _max_gap(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.abs(x - y)))
 
@@ -321,10 +313,8 @@ def verify_alpha_action(a_const: float, samples: int = 200,
     action = f"alpha_A(A={a_const:g})"
     try:
         # per sample a1, b1, a2, b2
-        g1, g2 = np.moveaxis(_expm_traceless_2x2(
-            0.5 * (_pauli_matrices(coeffs[:, 0::2])
-                   - 1j * _pauli_matrices(coeffs[:, 1::2])),
-            coeffs.reshape(samples, 2, 6), "(a, b)"), 1, 0)
+        g1, g2 = np.moveaxis(_expm_pauli(coeffs[:, 0::2] - 1j * coeffs[:, 1::2],
+                                         coeffs.reshape(samples, 2, 6), "(a, b)"), 1, 0)
         g12 = g1 @ g2
         # A determinant of a computed product that drifted from 1 is a numeric
         # breakdown, not bad input.
@@ -346,9 +336,9 @@ def verify_bkm_action(samples: int = 200, seed: int = 0) -> ActionAxiomReport:
     states, coeffs = _draws(seed, 2, samples, 1, 4)
     b1, a1, b2, a2 = np.moveaxis(coeffs, 1, 0)
     try:
-        u1, u2 = (_expm_traceless_2x2(-0.5j * _pauli_matrices(b), b, "b") for b in (b1, b2))
+        u1, u2 = (_expm_pauli(-1j * b, b, "b") for b in (b1, b2))
         u12, a12 = cotangent_multiply(u1, a1, u2, a2)
-        # _expm_traceless_2x2 checked the determinants of U1 and U2.
+        # _expm_pauli checked the determinants of U1 and U2.
         in_su2 = (_unitary(u1), _unitary(u2), _unitary(u12) & _unit_det(u12))
         for ok, what in zip(in_su2, ("U1", "U2", "U1 U2")):
             require_all(ok, np.arange(samples), NumericError, "sample",
@@ -368,9 +358,10 @@ def transitivity_probe(samples: int = 100, seed: int = 0) -> float:
     """
     states, _ = _draws(seed, 3, samples, 2, 0)
     rho1, rho2 = states[:, 0], states[:, 1]
-    # rho^(+-1/2) / det(rho)^(+-1/4): determinant 1 each
-    sqrt2, inv_sqrt1 = (np.tensordot(_rapidity_coords(v, bloch_norm(v), power), _PAULI4, 1)
-                        for v, power in ((rho2, 0.5), (rho1, -0.5)))
+    # rho^(+-1/2) / det(rho)^(+-1/4) = t I + x.sigma: determinant 1 each
+    sqrt2, inv_sqrt1 = (tx[:, :1, None] * SIGMA_0 + pauli_matrices(tx[:, 1:])
+                        for tx in (_rapidity_coords(v, bloch_norm(v), power)
+                                   for v, power in ((rho2, 0.5), (rho1, -0.5))))
     g = sqrt2 @ inv_sqrt1
     require_all(_unit_det(g), np.arange(samples), NumericError, "sample",
                 "gives a determinant of rho2^(1/2) rho1^(-1/2) != 1")
@@ -418,20 +409,19 @@ def generator_of_action(subgroup: Subgroup, rho) -> np.ndarray:
 
 def alpha_subgroup(a_const: float, a: TracelessObservable,
                    b: TracelessObservable) -> Subgroup:
-    """t -> alpha_A along exp(t (a - i b)/2).
+    """t -> alpha_A along exp(t (a - i b).sigma/2).
 
     At large |t| the exponential's determinant drifts from 1 through
-    cancellation, which raises NumericError naming t (_expm_traceless_2x2).
+    cancellation, which raises NumericError naming t (_expm_pauli).
     """
     s = _sqrt_a(a_const)
     require_instance("a", a, TracelessObservable)
     require_instance("b", b, TracelessObservable)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericError below
-        gen = 0.5 * (a.matrix() - 1j * b.matrix())
+    c = a.coeffs - 1j * b.coeffs
 
     def images(times: np.ndarray, v: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericError
-            g = _expm_traceless_2x2(times[..., None, None] * gen, times, "t")
+            g = _expm_pauli(times[..., None] * c, times, "t")
         return _alpha_images(s, g, v)
 
     return Subgroup(images)
@@ -441,11 +431,11 @@ def bkm_subgroup(a: TracelessObservable, b: TracelessObservable) -> Subgroup:
     """t -> BKM action along (exp(t b/(2i)), t a)."""
     require_instance("a", a, TracelessObservable)
     require_instance("b", b, TracelessObservable)
-    gen = -0.5j * b.matrix()
+    c = -1j * b.coeffs
 
     def images(times: np.ndarray, v: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # an inf t b or t a raises below
-            u = _expm_traceless_2x2(times[..., None, None] * gen, times, "t")
+            u = _expm_pauli(times[..., None] * c, times, "t")
             shift = times[..., None] * a.coeffs
         return _bkm_images(u, shift, v)
 

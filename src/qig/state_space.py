@@ -31,6 +31,12 @@ SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 PAULIS = (SIGMA_1, SIGMA_2, SIGMA_3)
+_SIGMA = np.array(PAULIS)
+
+
+def pauli_matrices(c: np.ndarray) -> np.ndarray:
+    """c.sigma for a stack of real or complex Pauli coefficients c (..., 3)."""
+    return np.tensordot(c, _SIGMA, 1)
 
 
 REAL = (numbers.Real, "a real number")
@@ -104,22 +110,13 @@ class TracelessObservable(Record):
         return np.array([self.a1, self.a2, self.a3], dtype=float)
 
     def matrix(self) -> np.ndarray:
-        return self.a1 * SIGMA_1 + self.a2 * SIGMA_2 + self.a3 * SIGMA_3
+        return pauli_matrices(self.coeffs)
 
     @staticmethod
     def from_coeffs(c) -> "TracelessObservable":
         """From exactly three real Pauli coefficients; anything else raises
         DomainError naming it."""
         return TracelessObservable(*require_array("c", c, (3,)).tolist())
-
-    @staticmethod
-    def from_matrix(m) -> "TracelessObservable":
-        m = require_array("m", m, (2, 2), "iufc")
-        with np.errstate(over="ignore", invalid="ignore"):  # an infinite one is rejected
-            return TracelessObservable(*pauli_coeffs(m).tolist())
-
-    def to_json(self) -> dict:
-        return {"pauli": [self.a1, self.a2, self.a3]}
 
 
 def pauli_coeffs(m: np.ndarray) -> np.ndarray:
@@ -163,9 +160,6 @@ class QubitState(Record):
     @property
     def bloch(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
-
-    def matrix(self) -> np.ndarray:
-        return 0.5 * (SIGMA_0 + self.x * SIGMA_1 + self.y * SIGMA_2 + self.z * SIGMA_3)
 
     def to_json(self) -> dict:
         return {"bloch": [self.x, self.y, self.z]}
@@ -299,15 +293,9 @@ class SphericalPoint(Record):
             raise ChartSingularity(f"phi = {phi} is not finite")
 
 
-def complex_matrix_to_json(m) -> list:
-    """Row-major [re, im] pairs, the wire format for 2x2 complex matrices."""
-    m = require_array("m", m, (2, 2), "iufc")
-    require_all(np.isfinite(m), m, DomainError, "m", "is not finite")
-    return [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
-
-
 def complex_matrix_from_json(data) -> np.ndarray:
-    """Inverse of complex_matrix_to_json: exactly four real [re, im] pairs."""
+    """A 2x2 complex matrix from its wire format: exactly four real
+    [re, im] pairs, row-major."""
     pairs = require_array("data", data, (..., 2)).reshape(-1, 2)
     if len(pairs) != 4:
         raise InputError(f"data = {data!r} holds {len(pairs)} [re, im] pairs; "

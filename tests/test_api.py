@@ -1,6 +1,7 @@
-"""Every public function and class of qig has a caller inside the package,
-every defaulted parameter of one is passed by some call inside it, and no
-public parameter reaches numpy but through state_space.require_array.
+"""Every public function, class, method and property of qig has a caller
+inside the package, every defaulted parameter of one is passed by some call
+inside it, and no public parameter reaches numpy but through
+state_space.require_array.
 
 A helper that only its own tests call is code that no command, suite or
 library path runs; it goes, or it is listed in _KEPT with the reason.  A
@@ -17,6 +18,7 @@ import pathlib
 import qig
 from qig import verify
 
+# A name or Class.method with no caller in qig -> why it stays.
 _KEPT = {
     "su2_bracket": "acceptance criterion 01 checks the su(2) bracket with it",
     "check_petz_symmetry": "README documents it; the only f(t) = t f(1/t) check "
@@ -43,7 +45,7 @@ _SUITE_PARAMS = {f"verify.{suite.__name__}.{param}" for suite in verify.SUITES.v
 _CHECKS = [f"state_space.{name}" for name in (
     "require_count", "require_positive", "require_finite", "require_instance",
     "require_array", "require_items", "require_all", "ball_radii",
-    "check_bloch_array", "bloch_norm", "pauli_coeffs")]
+    "check_bloch_array", "bloch_norm", "pauli_coeffs", "pauli_matrices")]
 # module.[class.]function[.parameter] -> why those public parameters have no
 # generated wrong-input case (test_checks.py) and may reach numpy unchecked.
 _UNCHECKED = {
@@ -123,26 +125,89 @@ def _unpassed_defaults() -> list:
     return [p for p in unpassed if p not in _SUITE_PARAMS]
 
 
+def _named(node) -> str | None:
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _receiver_classes(node, scope, owner, classes, returns) -> set | None:
+    """The public classes that the receiver node of an attribute may be, or
+    None where the code does not say: a class itself, a call of a class or
+    of a function annotated to return classes, self in a method, or a name
+    that the enclosing function annotates or binds to one of those."""
+    if isinstance(node, ast.IfExp):
+        parts = [_receiver_classes(n, scope, owner, classes, returns)
+                 for n in (node.body, node.orelse)]
+        return None if None in parts else parts[0] | parts[1]
+    name = _named(node.func if isinstance(node, ast.Call) else node)
+    if name in classes:
+        return {name}
+    if isinstance(node, ast.Call):
+        return returns.get(name)
+    if not isinstance(node, ast.Name) or scope is None:
+        return None
+    if name == "self" and owner:
+        return {owner}
+    bound = [_annotated(a.annotation, classes) for a in scope.args.args
+             if a.arg == name and a.annotation]
+    bound += [_receiver_classes(n.value, scope, owner, classes, returns)
+              for n in ast.walk(scope) if isinstance(n, ast.Assign)
+              and [_named(t) for t in n.targets] == [name]]
+    return None if not bound or None in bound else set().union(*bound)
+
+
+def _annotated(node, classes) -> set:
+    """The public classes that an annotation names: X, module.X, "X", X | Y."""
+    return {getattr(n, "value", None) if isinstance(n, ast.Constant) else _named(n)
+            for n in ast.walk(node)} & classes
+
+
 def _unreferenced() -> list:
-    """(module, name) of each top-level public def or class that no module
-    but __init__ names, outside the definition's own body."""
-    defs, refs = {}, []
-    for module, tree in _modules():
+    """(module, name) of each top-level public def or class, and (module,
+    Class.method) of each public method or property, that no module but
+    __init__ names outside the definition's own body.  A method name that
+    several classes define counts for a class only where the receiver is
+    shown to be that class (_receiver_classes)."""
+    defs, methods, returns, refs = {}, {}, {}, []
+    trees = dict(_modules())
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef) and not node.name.startswith("_")}
+    for module, tree in trees.items():
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
                 defs[node.name] = (module, node)
-        if module != "__init__":
-            refs += [(module, node) for node in ast.walk(tree)
-                     if isinstance(node, (ast.Name, ast.Attribute))]
-    unused = []
-    for name, (module, definition) in sorted(defs.items()):
+        for owner, fn in _public_defs(tree):
+            if owner and fn.name != "__init__":
+                methods.setdefault(fn.name, []).append((module, owner, fn))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.returns:
+                returns.setdefault(fn.name, set()).update(_annotated(fn.returns, classes))
+        if module == "__init__":
+            continue
+        scope = {}  # id(node) -> (enclosing top-level function or method, class)
+        for node in tree.body:
+            for item, owner in ([(item, node.name) for item in node.body]
+                                if isinstance(node, ast.ClassDef) else [(node, None)]):
+                if isinstance(item, ast.FunctionDef):
+                    scope.update(dict.fromkeys(map(id, ast.walk(item)), (item, owner)))
+        refs += [(module, ref, *scope.get(id(ref), (None, None))) for ref in ast.walk(tree)
+                 if isinstance(ref, (ast.Name, ast.Attribute))]
+
+    def called(name, module, definition, owner=None):
         own = {id(node) for node in ast.walk(definition)}
-        if not any(getattr(node, "id", getattr(node, "attr", None)) == name
-                   and not (where == module and id(node) in own)
-                   for where, node in refs):
-            unused.append((module, name))
-    return unused
+        return any(
+            _named(ref) == name and not (where == module and id(ref) in own)
+            and (owner is None or len(methods[name]) == 1 or owner in (
+                _receiver_classes(ref.value, fn, cls, classes, returns) or ()))
+            for where, ref, fn, cls in refs
+            if owner is None or isinstance(ref, ast.Attribute))
+
+    unused = [(module, name) for name, (module, node) in sorted(defs.items())
+              if not called(name, module, node)]
+    return unused + [(module, f"{owner}.{fn.name}")
+                     for name, defined in sorted(methods.items())
+                     for module, owner, fn in defined
+                     if not called(name, module, fn, owner)]
 
 
 def test_every_public_name_has_a_caller():

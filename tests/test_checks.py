@@ -33,8 +33,7 @@ from qig.metric_family import (MetricAtPoint, MonotoneFunctionSpec, bkm,
                                spec_from_name, wigner_yanase)
 from qig.ode_classifier import classify, singularities, solve_branch
 from qig.state_space import (QubitState, Record, SphericalPoint,
-                             TracelessObservable, complex_matrix_from_json,
-                             complex_matrix_to_json)
+                             TracelessObservable, complex_matrix_from_json)
 from qig.vector_fields import (VectorField, fundamental_field, gradient_field_closed,
                                gradient_field_from_metric, rescaled_gradient_field)
 from qig.verify import SUITE_IDS, sub_seed
@@ -176,7 +175,7 @@ _RULES = {
     **dict.fromkeys(["x", "y", "z", "theta", "phi", "a1", "a2", "a3"], _NUMBER),
     **dict.fromkeys(["p", "v", "rho", "points"], _array(
         "a real array of shape (..., 3)", _STACK, _arrays(_STACK_SHAPES))),
-    **dict.fromkeys(["matrix", "unitary", "m"], _array(
+    **dict.fromkeys(["matrix", "unitary"], _array(
         "a complex array of shape (2, 2)", np.eye(2), _SL | _WRONG_MATRICES)),
     **dict.fromkeys(["u1", "u2"], _array("a complex array of shape (..., 2, 2)",
                                          np.eye(2), _UNITARY_STACKS | _WRONG_MATRICES)),
@@ -242,7 +241,8 @@ _WRONG_TYPES = [
      lambda: inverse_metric(MetricAtPoint("cartesian", "x", (0.1, 0.0, 0.0))),
      "matrix = 'x' is not a real array of shape (..., 3, 3)"),
 ]
-_JSON = _SL.map(complex_matrix_to_json)
+# The wire format of a 2x2 complex matrix: row-major [re, im] pairs.
+_JSON = _SL.map(lambda m: [[v.real, v.imag] for v in m.ravel().tolist()])
 # The fuzz's strategy of each parameter with no rule, by site or by name.
 _DRAWS = {
     "specs": st.lists(_SPECS, max_size=3) | st.sampled_from([bkm(), [bkm(), "bkm"]]),

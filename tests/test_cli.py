@@ -546,6 +546,8 @@ _BAD_INPUT = [
     (_BRACKET_YX + ["--r", "0.3"], "--r"),
     (_BRACKET_YX + ["--theta", "1.0"], "--theta"),
     (_BRACKET_YX + ["--phi", "0.2"], "--phi"),
+    # --a-list with no value printed the default curves.
+    (["export", "--what", "f-curves", "--a-list"], "--a-list"),
 ]
 
 
@@ -589,6 +591,19 @@ def test_bad_config_value_is_json_error_exit_2(body, tmp_path, capsys):
     assert code == 2
     assert set(data) == {"error", "message"}
     assert str(cfg) in data["message"] and body.split()[0] in data["message"]
+
+
+# A line that sets no verify option: an unknown key or no '='.  Each names
+# the file, the line number and the key; it was dropped silently.
+@pytest.mark.parametrize("body,key", [("sead = 3", "'sead'"), ("samples 5", "'samples 5'"),
+                                      ("= 3", "''"), ("seed: 3", "'seed: 3'")])
+def test_config_line_that_sets_no_option_is_exit_2(body, key, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# verify options\nseed = 1\n{body}\n")
+    code = cli.main(["verify", "actions", "--config", str(cfg)])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 2 and data["error"] == "InputError"
+    assert data["message"].startswith(f"--config {cfg}: line 3: ") and key in data["message"]
 
 
 @pytest.mark.parametrize("flag,cap", [("--steps", cli.MAX_STEPS),

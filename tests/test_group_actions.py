@@ -16,14 +16,15 @@ from qig import group_actions, verify
 from qig.errors import BoundaryViolation, DomainError, NumericError
 from qig.group_actions import (ActionAxiomReport, CotangentGroupElement,
                                SLGroupElement, _along, _alpha_images, _apply,
-                               _bkm_images, _draws, _expm_traceless_2x2, _lorentz,
-                               _pauli_matrices, action_alpha_a, action_bkm,
+                               _bkm_images, _draws, _expm_pauli, _lorentz,
+                               action_alpha_a, action_bkm,
                                alpha_subgroup, bkm_subgroup, cotangent_multiply,
                                generator_of_action, sl_identity,
                                sl_from_generators, transitivity_probe,
                                verify_alpha_action, verify_bkm_action)
-from qig.state_space import (PAULIS, QubitState, TracelessObservable, bloch_norm,
-                             check_bloch_array, require_all)
+from qig.state_space import (PAULIS, SIGMA_1, SIGMA_2, SIGMA_3, QubitState,
+                             TracelessObservable, bloch_norm, check_bloch_array,
+                             pauli_coeffs, pauli_matrices, require_all)
 
 SIGMA3 = TracelessObservable(0.0, 0.0, 1.0)
 ZERO = TracelessObservable(0.0, 0.0, 0.0)
@@ -32,6 +33,11 @@ ZERO = TracelessObservable(0.0, 0.0, 0.0)
 def _hermitian_fn(m, fn):
     lam, vec = np.linalg.eigh(m)
     return (vec * fn(lam)) @ vec.conj().T
+
+
+def _density(rho):
+    """The density matrix (I + r.sigma)/2 of a QubitState."""
+    return 0.5 * (np.eye(2) + pauli_matrices(rho.bloch))
 
 
 def _bloch(m):
@@ -62,7 +68,7 @@ def test_closed_forms_match_eigh_oracle():
                 TracelessObservable.from_coeffs(rng.uniform(-1, 1, 3)))
             for a_const in (0.25, 0.5, 1.0, 2.0, 4.0):
                 s = math.sqrt(a_const)
-                inner = (g.matrix @ _hermitian_fn(rho.matrix(), lambda lam: lam ** s)
+                inner = (g.matrix @ _hermitian_fn(_density(rho), lambda lam: lam ** s)
                          @ g.matrix.conj().T)
                 want = _bloch(_hermitian_fn(inner, lambda lam: lam ** (1.0 / s)))
                 npt.assert_allclose(action_alpha_a(a_const, g, rho).bloch, want,
@@ -72,7 +78,7 @@ def test_closed_forms_match_eigh_oracle():
                 TracelessObservable.from_coeffs(rng.uniform(-1, 1, 3)))
             u = h.unitary
             want = _bloch(_hermitian_fn(
-                u @ _hermitian_fn(rho.matrix(), np.log) @ u.conj().T + h.a.matrix(),
+                u @ _hermitian_fn(_density(rho), np.log) @ u.conj().T + h.a.matrix(),
                 np.exp))
             npt.assert_allclose(action_bkm(h, rho).bloch, want, atol=1e-12)
 
@@ -163,47 +169,114 @@ def test_sl_from_generators_names_a_and_b_when_the_determinant_leaves_one(a, b):
         "has a determinant off 1 by more than 1e-10")
 
 
-def _pauli_sum(parts, exponent):
-    """c.sigma for c = parts[:3] + i parts[3:] scaled to norm 10^exponent, so
-    |mu| = |c.c|^(1/2) <= 10^exponent."""
+def _old_matrix(c):
+    """c.sigma as TracelessObservable.matrix formed it before pauli_matrices."""
+    return c[0] * SIGMA_1 + c[1] * SIGMA_2 + c[2] * SIGMA_3
+
+
+def _old_expm(m):
+    """exp of traceless matrices m (..., 2, 2) as the matrix-taking exponential
+    that _expm_pauli replaced formed it, checks aside."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mu = np.sqrt(m[..., 0, 1] * m[..., 1, 0] - m[..., 0, 0] * m[..., 1, 1])
+        sinch = np.where(mu == 0, 1.0, np.sinh(mu) / mu)
+        return (np.cosh(mu)[..., None, None] * np.eye(2, dtype=complex)
+                + sinch[..., None, None] * m)
+
+
+def _old_orbits(a_const, a, b, times, v):
+    """Bloch images at the times of v under alpha_subgroup(a_const, a, b) and
+    bkm_subgroup(a, b), from the generators that the subgroups formed as
+    matrices before they passed Pauli coefficients: t (a - i b).sigma/2 and
+    t b.sigma/(2i)."""
+    gen = 0.5 * (_old_matrix(a.coeffs) - 1j * _old_matrix(b.coeffs))
+    g = _old_expm(times[:, None, None] * gen)
+    u = _old_expm(times[:, None, None] * (-0.5j * _old_matrix(b.coeffs)))
+    return (_alpha_images(math.sqrt(a_const), g, v),
+            _bkm_images(u, times[:, None] * a.coeffs, v))
+
+
+def _observables(rng, scale):
+    return TracelessObservable.from_coeffs(scale * rng.uniform(-1.0, 1.0, 3))
+
+
+def test_sl_from_generators_equals_the_matrix_generator_bit_for_bit():
+    # Oracle: exp((a_matrix - i b_matrix)/2), the generator formed as a matrix.
+    rng = np.random.default_rng(35)
+    for scale in (1e-300, 1e-8, 1.0, 5.0):
+        for zero in (None, "a", "b"):
+            a, b = _observables(rng, scale), _observables(rng, scale)
+            a, b = (ZERO if zero == "a" else a), (ZERO if zero == "b" else b)
+            gen = 0.5 * (_old_matrix(a.coeffs) - 1j * _old_matrix(b.coeffs))
+            assert sl_from_generators(a, b).matrix.tolist() == _old_expm(gen).tolist()
+
+
+def test_subgroup_orbits_equal_the_matrix_generators():
+    # Bit for bit where a or b is zero, the orbits that the CLI and the
+    # suites draw.  With both nonzero, t (a - b) now rounds as t a - t b:
+    # over 900 such draws with |t| <= 3 the images moved by at most
+    # 4 eps = 8.9e-16; the bound is twice that.
+    rng = np.random.default_rng(36)
+    times = np.linspace(-3.0, 3.0, 61)
+    v = np.array([0.3, -0.2, 0.4])
+    worst = 0.0
+    for zero in (None, "a", "b") * 10:
+        a, b = _observables(rng, 1.0), _observables(rng, 1.0)
+        a, b = (ZERO if zero == "a" else a), (ZERO if zero == "b" else b)
+        for a_const in (0.25, 1.0, 2.0):
+            alpha = alpha_subgroup(a_const, a, b).orbit(times, v)
+            bkm = bkm_subgroup(a, b).orbit(times, v)
+            old_alpha, old_bkm = _old_orbits(a_const, a, b, times, v)
+            assert bkm.tolist() == old_bkm.tolist()
+            if zero:
+                assert alpha.tolist() == old_alpha.tolist()
+            else:
+                worst = max(worst, float(np.max(np.abs(alpha - old_alpha))))
+    assert worst <= 8.0 * np.finfo(float).eps
+
+
+def _scaled(parts, exponent):
+    """c = parts[:3] + i parts[3:] scaled to norm 2 10^exponent, so that
+    m = c.sigma/2 has |mu| = |c.c|^(1/2)/2 <= 10^exponent."""
     c = np.array(parts[:3]) + 1j * np.array(parts[3:])
-    return np.einsum("i,ijk->jk", c * 10.0 ** exponent / np.linalg.norm(c),
-                     np.array(PAULIS))
+    return c * (2.0 * 10.0 ** exponent / np.linalg.norm(c))
 
 
 _UNIT = st.floats(-1.0, 1.0)
-# A traceless m with |mu| in [1e-300, 1], or a nilpotent one (mu = 0
-# exactly): triangular, x [[1, -1], [1, -1]], or 0.
-_TRACELESS = st.one_of(
-    st.builds(_pauli_sum, st.lists(_UNIT, min_size=6, max_size=6).filter(
+# Complex coefficients c with |c| in [2e-300, 2], or c.sigma nilpotent
+# (c.c = 0, mu = 0 exactly): x (1, i, 0) and x (1, -i, 0), triangular, and
+# x (0, -i, 1) = x [[1, -1], [1, -1]], or 0.
+_COEFFS = st.one_of(
+    st.builds(_scaled, st.lists(_UNIT, min_size=6, max_size=6).filter(
         lambda v: np.linalg.norm(v) > 0.1), st.floats(-300.0, 0.0)),
-    _UNIT.map(lambda b: np.array([[0.0, b], [0.0, 0.0]], dtype=complex)),
-    _UNIT.map(lambda b: np.array([[0.0, 0.0], [b, 0.0]], dtype=complex)),
-    _UNIT.map(lambda x: x * np.array([[1.0, -1.0], [1.0, -1.0]], dtype=complex)))
+    *(_UNIT.map(lambda x, n=n: x * np.array(n))
+      for n in ((1.0, 1j, 0.0), (1.0, -1j, 0.0), (0.0, -1j, 1.0))))
 
 
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=150, deadline=None)
-@given(_TRACELESS)
-def test_expm_traceless_2x2_matches_mpmath(m):
-    got = _expm_traceless_2x2(m, m, "m")
+@given(_COEFFS)
+def test_expm_traceless_2x2_matches_mpmath(c):
+    got = _expm_pauli(c, c, "c")
     with mpmath.workdps(40):
-        want = mpmath.expm(mpmath.matrix(m.tolist()))
+        m = sum((mpmath.mpc(ck) * mpmath.matrix(p.tolist())
+                 for ck, p in zip(c.tolist(), PAULIS)), mpmath.zeros(2))
+        want = mpmath.expm(m / 2)
         error = max(abs(mpmath.mpc(got[i, j]) - want[i, j])
                     for i in range(2) for j in range(2))
-    assert error <= 1e-15, m
+    assert error <= 1e-15, c
 
 
 @pytest.mark.filterwarnings("error")
 def test_expm_traceless_2x2_names_the_row_whose_determinant_leaves_one():
     # exp(t sigma_3/2) is formed as diag(cosh mu + sinh mu, cosh mu - sinh mu),
     # mu = t/2: the second entry cancels at t = 40, so the determinant leaves
-    # 1; t = 0.5 and the nilpotent row pass.
+    # 1; t = 0.5 and the nilpotent row (1, i, 0).sigma/2 = [[0, 1], [0, 0]] pass.
     times = np.array([0.5, 40.0, 0.0])
-    m = times[:, None, None] * (0.5 * SIGMA3.matrix())
-    m[2, 0, 1] = 1.0
+    c = times[:, None] * SIGMA3.coeffs + 0j
+    c[2] = (1.0, 1j, 0.0)
     with pytest.raises(NumericError) as err:
-        _expm_traceless_2x2(m, times, "t")
+        _expm_pauli(c, times, "t")
     assert str(err.value) == ("matrix exponential of the generator at t = 40.0 "
                               "has a determinant off 1 by more than 1e-10")
 
@@ -257,8 +330,8 @@ def test_alpha_nonlinearity_for_a_not_one():
         rho1 = QubitState(0.4, 0.1, -0.2)
         rho2 = QubitState(-0.3, 0.2, 0.5)
         mid = QubitState(*(0.5 * (rho1.bloch + rho2.bloch)))
-        w1 = float(np.trace(g.matrix @ rho1.matrix() @ g.matrix.conj().T).real)
-        w2 = float(np.trace(g.matrix @ rho2.matrix() @ g.matrix.conj().T).real)
+        w1 = float(np.trace(g.matrix @ _density(rho1) @ g.matrix.conj().T).real)
+        w2 = float(np.trace(g.matrix @ _density(rho2) @ g.matrix.conj().T).real)
         combo = (w1 * action_alpha_a(a_const, g, rho1).bloch
                  + w2 * action_alpha_a(a_const, g, rho2).bloch) / (w1 + w2)
         return float(np.max(np.abs(action_alpha_a(a_const, g, mid).bloch - combo)))
@@ -283,9 +356,8 @@ def test_cotangent_group_axioms():
     # (U, a)^-1 = (U^dag, -U^dag a U), and (I, 0) is the identity
     u, a = h1
     u_inv = u.conj().swapaxes(-1, -2)
-    a_inv = [TracelessObservable.from_matrix(-ui @ ai @ ui.conj().T).coeffs
-             for ui, ai in zip(u_inv, _pauli_matrices(a))]
-    inv = cotangent_multiply(u, a, u_inv, np.array(a_inv))
+    a_inv = pauli_coeffs(-u_inv @ pauli_matrices(a) @ u)
+    inv = cotangent_multiply(u, a, u_inv, a_inv)
     npt.assert_allclose(inv[0], np.broadcast_to(np.eye(2), (20, 2, 2)), atol=1e-13)
     npt.assert_allclose(inv[1], 0.0, atol=1e-13)
     same = cotangent_multiply(u, a, np.eye(2, dtype=complex), np.zeros(3))
@@ -295,8 +367,7 @@ def test_cotangent_group_axioms():
 
 def _record_multiply(h1, h2):
     """The record-level semidirect product that cotangent_multiply replaced,
-    with the Pauli traces of the matrix product, as TracelessObservable's
-    from_matrix took them."""
+    with the Pauli traces of the matrix product."""
     m = h1.a.matrix() + h1.unitary @ h2.a.matrix() @ h1.unitary.conj().T
     return CotangentGroupElement(h1.unitary @ h2.unitary, TracelessObservable(
         *(float(np.trace(m @ p).real / 2.0) for p in PAULIS)))
@@ -332,7 +403,7 @@ def _record_loop_bkm_action(samples, seed, multiply=_record_multiply):
     states, coeffs = _draws(seed, 2, samples, 1, 4)
     rho = states[:, 0]
     b = coeffs[:, 0::2]
-    u = _expm_traceless_2x2(-0.5j * _pauli_matrices(b), b, "b")
+    u = _expm_pauli(-1j * b, b, "b")
     a = coeffs[:, 1::2]
     h1, h2 = ([CotangentGroupElement(u[i, j], TracelessObservable.from_coeffs(a[i, j]))
                for i in range(samples)] for j in (0, 1))
@@ -425,7 +496,8 @@ def test_generator_of_alpha_matches_fields():
 
 def test_json_roundtrip():
     g = sl_from_generators(TracelessObservable(0.1, 0.2, 0.3), ZERO)
-    back = SLGroupElement.from_json(g.to_json())
+    back = SLGroupElement.from_json(
+        {"sl_matrix": [[v.real, v.imag] for v in g.matrix.ravel().tolist()]})
     npt.assert_allclose(back.matrix, g.matrix, atol=1e-15)
 
 

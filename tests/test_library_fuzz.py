@@ -36,7 +36,7 @@ from qig.metric_family import (MetricAtPoint, bkm, bures_helstrom, check_petz_sy
                                wigner_yanase)
 from qig.ode_classifier import Exclusion, classify
 from qig.state_space import (QubitState, Record, TracelessObservable,
-                             complex_matrix_from_json, complex_matrix_to_json, su2_bracket)
+                             complex_matrix_from_json, su2_bracket)
 from qig.vector_fields import verify_commutator_relations
 from qig.verify import SUITE_IDS
 from test_api import _CHECKS, _unchecked
@@ -255,8 +255,6 @@ _PROBES = [
     ("cotangent_multiply-u1-u2", lambda: cotangent_multiply(
         _boost(1e200).matrix, [0, 0, 0], _boost(1e200).matrix, [0, 0, 0]),
      NumericError, "U1 U2 = [(inf+nanj), 0j, 0j, 0j] is not finite"),
-    ("complex_matrix_to_json-nan", lambda: complex_matrix_to_json(
-        np.array([[np.nan, 0], [0, 1]])), DomainError, "m = nan is not finite"),
     ("complex_matrix_from_json-three-pairs", lambda: complex_matrix_from_json(
         [[1, 0], [0, 0], [0, 0]]), InputError,
      "data = [[1, 0], [0, 0], [0, 0]] holds 3 [re, im] pairs; "
@@ -274,9 +272,6 @@ _PROBES = [
     ("alpha-axioms-huge-A", lambda: verify_alpha_action(1e8, samples=200, seed=5),
      NumericError, f"alpha_A(A=1e+08) at seed = 5: {ALPHA_TX} = [nan, nan, nan, nan] "
                    f"{ALPHA_LOST}"),
-    ("from_matrix-overflow", lambda: T.from_matrix(np.array([[1e308, 1e308],
-                                                             [1e308, -1e308]])),
-     DomainError, "Pauli coefficients (inf, 0.0, inf) are not all finite"),
     ("sl-subnormal-det", lambda: SLGroupElement(np.array([[0, 5e-324], [5e-324, 5e-324]])),
      DomainError, "determinant (-0+0j) != 1"),
     ("bkm-orbit-overflow", lambda: orbit_curve(bkm_subgroup(T(0, 0, 0), T(0, 0, 4)),

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from qig.errors import BoundaryViolation, ChartSingularity, DomainError
 from qig.state_space import (PAULIS, SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3,
                              QubitState, SphericalPoint, TracelessObservable,
-                             complex_matrix_from_json, complex_matrix_to_json,
-                             pauli_coeffs, require_all, su2_bracket)
+                             complex_matrix_from_json, pauli_coeffs, pauli_matrices,
+                             require_all, su2_bracket)
 
 E1 = TracelessObservable(1.0, 0.0, 0.0)
 E2 = TracelessObservable(0.0, 1.0, 0.0)
@@ -53,8 +53,20 @@ def test_jacobi_identity(a, b, c):
 
 def test_observable_matrix_roundtrip():
     a = TracelessObservable(0.3, -1.2, 0.7)
-    back = TracelessObservable.from_matrix(a.matrix())
-    npt.assert_allclose(back.coeffs, a.coeffs, atol=1e-15)
+    assert pauli_coeffs(a.matrix()).tolist() == a.coeffs.tolist()
+
+
+def test_pauli_matrices_equal_the_sum_bit_for_bit():
+    # Oracle: c1 sigma1 + c2 sigma2 + c3 sigma3, one triple at a time, for
+    # real and complex coefficients.
+    rng = np.random.default_rng(9)
+    real = rng.standard_normal((20, 3)) * 10.0 ** rng.integers(-8, 8, (20, 1))
+    for c in (real, real + 1j * rng.standard_normal((20, 3))):
+        got = pauli_matrices(c)
+        assert got.shape == (20, 2, 2)
+        for row, ci in zip(got, c):
+            assert row.tolist() == (ci[0] * SIGMA_1 + ci[1] * SIGMA_2
+                                    + ci[2] * SIGMA_3).tolist()
 
 
 def test_pauli_coeffs_equal_the_traces_bit_for_bit():
@@ -72,7 +84,7 @@ def test_pauli_coeffs_equal_the_traces_bit_for_bit():
 
 def test_state_matrix_roundtrip():
     rho = QubitState(0.2, -0.4, 0.5)
-    m = rho.matrix()
+    m = 0.5 * (SIGMA_0 + pauli_matrices(rho.bloch))
     back = [np.trace(m @ p).real for p in PAULIS]
     npt.assert_allclose(back, rho.bloch, atol=1e-14)
     assert abs(np.trace(m) - 1.0) < 1e-15
@@ -147,12 +159,11 @@ def test_chart_singularities():
 
 
 def test_json_wire_formats():
+    # qig writes states; it reads 2x2 complex matrices as row-major [re, im].
     rho = QubitState(0.1, 0.2, -0.3)
     assert rho.to_json() == {"bloch": [0.1, 0.2, -0.3]}
-    a = TracelessObservable(1.0, 2.0, 3.0)
-    assert a.to_json() == {"pauli": [1.0, 2.0, 3.0]}
     m = np.array([[1.0 + 2.0j, 0.0], [0.5j, -1.0]])
-    npt.assert_array_equal(complex_matrix_from_json(complex_matrix_to_json(m)), m)
+    npt.assert_array_equal(complex_matrix_from_json([[1, 2], [0, 0], [0, 0.5], [-1, 0]]), m)
 
 
 @pytest.mark.parametrize("mask", [np.True_, np.False_, np.array(True),
